@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"privanalyzer/internal/caps"
@@ -196,6 +197,11 @@ func TestOutOfFuel(t *testing.T) {
 	_, err := Run(b.MustBuild(), k, Options{Fuel: 1000})
 	if !errors.Is(err, ErrOutOfFuel) {
 		t.Errorf("err = %v, want ErrOutOfFuel", err)
+	}
+	// Exactly the budget ran: segment charging falls back to counting one
+	// instruction at a time rather than stopping a segment early or late.
+	if err == nil || !strings.HasSuffix(err.Error(), "after 1000 instructions") {
+		t.Errorf("err = %v, want it to end in %q", err, "after 1000 instructions")
 	}
 }
 

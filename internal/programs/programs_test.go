@@ -445,3 +445,35 @@ func TestBlockModeAgreesOnRealModels(t *testing.T) {
 		})
 	}
 }
+
+func TestSegmentChargingAgreesOnAllModels(t *testing.T) {
+	// Measure charges whole straight-line segments through OnSteps; an
+	// OnStep hook makes the interpreter charge one instruction at a time.
+	// Both must give every phase of every model the same count.
+	builders := fastPrograms
+	if !testing.Short() {
+		builders = append([]func() (*Program, error){Thttpd, Sshd}, fastPrograms...)
+	}
+	for _, build := range builders {
+		p, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(p.Name, func(t *testing.T) {
+			segRep, ares, err := p.Measure()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := p.NewKernel(ares.RequiredPermitted)
+			rt := chronopriv.NewRuntime(k)
+			if _, err := interp.Run(ares.Module, k, interp.Options{
+				MainArgs: p.MainArgs, OnStep: rt.OnStep,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := segRep.String(), rt.Report(p.Name).String(); got != want {
+				t.Errorf("segment charging:\n%s\nper-instruction charging:\n%s", got, want)
+			}
+		})
+	}
+}
