@@ -22,6 +22,16 @@ import (
 //     (the padding chain x = x + 1, and loop counters) is lowered to cAddRI,
 //     which adds inline. Any other operand kind at run time takes the
 //     generic Bin path.
+//   - Dead filler. The calibrated padding (ir.BlockBuilder.Compute) is a
+//     const and a chain of adds into a scratch register nothing reads. An
+//     instruction is dead when it is pure (const, bin, cmp), cannot fail,
+//     and no kept instruction reads its destination (see markDead). A
+//     charged segment has already paid for every instruction in it, so the
+//     run skips dead ones through cinstr.next; a segment charged one
+//     instruction at a time still executes them all. Skipping is exact: a
+//     dead instruction raises no error, and the value it would have written
+//     is read only by other dead instructions of the same segment, which
+//     run or are skipped together with it.
 
 // copKind is the opcode of a compiled instruction.
 type copKind uint8
@@ -46,6 +56,10 @@ type cval struct {
 	val rval // immediate when reg < 0
 }
 
+// noOperand fills the operand fields an instruction does not use, so that
+// every register operand is one the instruction reads.
+var noOperand = cval{reg: -1}
+
 // cinstr is one compiled instruction. The fields the arithmetic fast paths
 // read come first, so that they share the instruction's first cache line.
 type cinstr struct {
@@ -53,7 +67,13 @@ type cinstr struct {
 	bin   ir.BinKind
 	pred  ir.CmpKind
 	hasRV bool // ret carries a value (in x)
-	dst   int  // destination slot, -1 for none
+	// dead marks a pure, infallible instruction whose result no kept
+	// instruction reads. next is the index of the next instruction that is
+	// not dead or heads a segment: where a charged segment goes after this
+	// one.
+	dead bool
+	next int
+	dst  int // destination slot, -1 for none
 	// seg is the counted length of the segment this instruction heads, or
 	// -1 when it is not a segment head. rest is the number of counted
 	// instructions after it in its segment: the charge a failure here
@@ -158,7 +178,7 @@ func compileFunc(cf *cfunc, code map[string]*cfunc) error {
 	for _, b := range fn.Blocks {
 		cb := cblock{b: b, instrs: make([]cinstr, 0, len(b.Instrs))}
 		for _, in := range b.Instrs {
-			ci := cinstr{src: in, dst: -1, t1: -1, t2: -1}
+			ci := cinstr{src: in, dst: -1, t1: -1, t2: -1, x: noOperand, y: noOperand}
 			var err error
 			switch in := in.(type) {
 			case *ir.ConstInstr:
@@ -237,6 +257,7 @@ func compileFunc(cf *cfunc, code map[string]*cfunc) error {
 		cf.blocks = append(cf.blocks, cb)
 	}
 	cf.nregs = len(slots)
+	markDead(cf)
 	return nil
 }
 
@@ -267,5 +288,103 @@ func markSegments(instrs []cinstr) {
 		}
 		instrs[start].seg = n
 		start = i + 1
+	}
+}
+
+// knownInt reports whether operand cv holds an integer whenever it is read,
+// given the registers marked in ints.
+func knownInt(cv cval, ints []bool) bool {
+	if cv.reg < 0 {
+		return cv.val.kind == rInt
+	}
+	return ints[cv.reg]
+}
+
+// infallible reports whether in is pure (it only computes its destination
+// from its operands) and cannot fail, given the registers known to hold
+// integers: a const always, and a bin or cmp on two integers unless it
+// divides or its operator is unknown.
+func infallible(in *cinstr, ints []bool) bool {
+	switch in.op {
+	case cConst:
+		return true
+	case cBin, cAddRI:
+		switch in.bin {
+		case ir.Add, ir.Sub, ir.Mul, ir.And, ir.Or, ir.Xor, ir.Shl, ir.Shr:
+			return knownInt(in.x, ints) && knownInt(in.y, ints)
+		}
+	case cCmp:
+		switch in.pred {
+		case ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
+			return knownInt(in.x, ints) && knownInt(in.y, ints)
+		}
+	}
+	return false
+}
+
+// markDead marks cf's dead instructions and links each instruction to the
+// next one a charged segment executes.
+//
+// An instruction may be dead only if it is pure and infallible. A forward
+// scan over each segment tracks which registers are known to hold integers:
+// a pure, infallible instruction defines one, any other definition clears
+// the mark, and every segment starts with none marked (params and call
+// results may hold anything). Starting afresh at each segment head keeps
+// every register a dead instruction reads defined earlier in its own
+// segment, which runs or is skipped as a whole.
+//
+// Of those, the dead are the ones whose destination is useless. Usefulness
+// is a mark-sweep fixpoint over the whole function: every register read by
+// a kept instruction is useful, and every pure instruction defining a
+// useful register is kept. The roots are the instructions kept whatever
+// their destination: calls, syscalls, terminators, and fallible pure
+// instructions, whose error must still be raised.
+func markDead(cf *cfunc) {
+	ints := make([]bool, cf.nregs)
+	defs := make([][]*cinstr, cf.nregs) // dead candidates by destination
+	var work []*cinstr                  // kept instructions to sweep
+	for bi := range cf.blocks {
+		instrs := cf.blocks[bi].instrs
+		for ii := range instrs {
+			in := &instrs[ii]
+			if in.seg >= 0 {
+				clear(ints)
+			}
+			in.dead = infallible(in, ints)
+			if in.dst >= 0 {
+				ints[in.dst] = in.dead
+				if in.dead {
+					defs[in.dst] = append(defs[in.dst], in)
+				}
+			}
+			if !in.dead {
+				work = append(work, in)
+			}
+		}
+	}
+	useful := make([]bool, cf.nregs)
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, cv := range append([]cval{in.x, in.y}, in.args...) {
+			if cv.reg < 0 || useful[cv.reg] {
+				continue
+			}
+			useful[cv.reg] = true
+			for _, d := range defs[cv.reg] {
+				d.dead = false
+				work = append(work, d)
+			}
+		}
+	}
+	for bi := range cf.blocks {
+		instrs := cf.blocks[bi].instrs
+		next := len(instrs)
+		for ii := len(instrs) - 1; ii >= 0; ii-- {
+			instrs[ii].next = next
+			if !instrs[ii].dead || instrs[ii].seg >= 0 {
+				next = ii
+			}
+		}
 	}
 }

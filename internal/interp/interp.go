@@ -260,7 +260,9 @@ func setInt(r *rval, v int64) {
 // Otherwise the segment is charged per instruction, which raises
 // ErrOutOfFuel at exactly the instruction it always did. A failure partway
 // through a charged segment refunds the instructions that never ran, so
-// Steps and the OnSteps totals match per-instruction charging exactly.
+// Steps and the OnSteps totals match per-instruction charging exactly. A
+// charged segment skips its dead instructions; a segment charged per
+// instruction executes every one.
 func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 	if vm.depth >= maxCallDepth {
 		return rval{}, fmt.Errorf("%w: call depth exceeded in @%s", ErrRuntime, cf.fn.Name)
@@ -287,13 +289,17 @@ func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 block:
 	for {
 		cb := &cf.blocks[bi]
-		for ii := range cb.instrs {
+		for ii := 0; ii < len(cb.instrs); {
 			in := &cb.instrs[ii]
 
 			if in.seg >= 0 {
 				charged = !vm.perInstr && vm.fuel-vm.steps >= in.seg
 				if charged {
 					vm.steps += in.seg
+					if in.dead {
+						ii = in.next
+						continue
+					}
 				}
 			}
 			if !charged {
@@ -312,6 +318,7 @@ block:
 						if in.dst >= 0 {
 							regs[in.dst] = intVal(r)
 						}
+						ii++
 						continue
 					}
 				}
@@ -472,6 +479,13 @@ block:
 			case cUnreachable:
 				return rval{}, fmt.Errorf("%w at @%s:%s", ErrUnreachable, cf.fn.Name, cb.b.Name)
 			}
+			// A charged segment has paid for its dead instructions; skip
+			// them (compile.go).
+			next := ii + 1
+			if charged {
+				next = in.next
+			}
+			ii = next
 		}
 		return rval{}, fmt.Errorf("%w: block @%s:%s fell through", ErrRuntime, cf.fn.Name, cb.b.Name)
 	}

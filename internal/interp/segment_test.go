@@ -16,6 +16,7 @@ type tally struct {
 	batched map[caps.PhaseKey]int64 // OnSteps totals per phase
 	hooked  map[caps.PhaseKey]int64 // OnStep totals per phase; nil unless perInstr
 	steps   int64                   // Result.Steps, or -1 when the run failed
+	ret     int64                   // Result.Ret
 	err     error
 }
 
@@ -39,7 +40,7 @@ func runTally(m *ir.Module, perm caps.Set, fuel int64, perInstr bool) tally {
 	res, err := Run(m, newKernel(perm), opts)
 	tl.err = err
 	if err == nil {
-		tl.steps = res.Steps
+		tl.steps, tl.ret = res.Steps, res.Ret
 	}
 	return tl
 }
@@ -101,30 +102,45 @@ func segmentModule() *ir.Module {
 	return b.MustBuild()
 }
 
-// failingModule has main change phase and then call work, whose body fail
-// completes: a failure partway through a segment, with counted
-// instructions before it.
-func failingModule(fail func(*ir.BlockBuilder)) *ir.Module {
-	b := ir.NewModuleBuilder("fail")
-	f := b.Func("main")
-	f.Block("entry").
+// phasedModule has main change phase, call work with args and return its
+// result; body builds work, which takes one parameter p when args are
+// given.
+func phasedModule(body func(*ir.FuncBuilder), args ...ir.Value) *ir.Module {
+	b := ir.NewModuleBuilder("phased")
+	b.Func("main").Block("entry").
 		Compute(3).
 		Remove(caps.NewSet(caps.CapSetuid)).
 		Compute(2).
-		Call("work").
+		CallTo("r", "work", args...).
 		Compute(2).
-		Ret()
-	fail(b.Func("work").Block("entry").Compute(4))
+		RetVal(ir.R("r"))
+	var params []string
+	if len(args) > 0 {
+		params = []string{"p"}
+	}
+	body(b.Func("work", params...))
+	b.Func("leaf").Block("entry").Ret()
 	return b.MustBuild()
 }
 
-func TestSegmentChargingMatchesPerInstruction(t *testing.T) {
-	perm := caps.NewSet(caps.CapSetuid, caps.CapDacReadSearch)
-	cases := []struct {
-		name    string
-		m       *ir.Module
-		wantErr error // of the unbounded run
-	}{
+// failingModule is a phasedModule whose work body fail completes: a
+// failure partway through a segment, with counted instructions before it.
+func failingModule(fail func(*ir.BlockBuilder), args ...ir.Value) *ir.Module {
+	return phasedModule(func(f *ir.FuncBuilder) { fail(f.Block("entry").Compute(4)) }, args...)
+}
+
+// segmentCase is a module whose charged and per-instruction runs must
+// agree, and the error its unbounded run ends with.
+type segmentCase struct {
+	name    string
+	m       *ir.Module
+	wantErr error
+}
+
+// segmentCases covers segment boundaries, mid-segment failures and
+// dead-filler elision.
+func segmentCases() []segmentCase {
+	return []segmentCase{
 		{"calls syscalls phases", segmentModule(), nil},
 		{"division by zero", failingModule(func(bb *ir.BlockBuilder) {
 			bb.Const("z", 0).Bin("q", ir.Div, ir.I(7), ir.R("z")).Compute(4).Ret()
@@ -138,8 +154,51 @@ func TestSegmentChargingMatchesPerInstruction(t *testing.T) {
 		{"unreachable", failingModule(func(bb *ir.BlockBuilder) {
 			bb.Unreachable()
 		}), ErrUnreachable},
+		// Dead-filler elision: each of these must run, fail and count
+		// exactly as when every instruction executes.
+		{"dead const feeding div by zero", failingModule(func(bb *ir.BlockBuilder) {
+			bb.Const("z", 0).Compute(3).Bin("q", ir.Div, ir.I(7), ir.R("z")).Compute(4).Ret()
+		}), ErrRuntime},
+		{"dead chain feeding rem by zero", failingModule(func(bb *ir.BlockBuilder) {
+			bb.Const("z", 0).Bin("w", ir.Mul, ir.R("z"), ir.I(3)).Compute(2).
+				Bin("q", ir.Rem, ir.I(7), ir.R("w")).Compute(4).Ret()
+		}), ErrRuntime},
+		{"dead-destination add on a string param", failingModule(func(bb *ir.BlockBuilder) {
+			bb.Bin("g", ir.Add, ir.R("p"), ir.I(1)).Compute(4).Ret()
+		}, ir.S("str")), ErrRuntime},
+		{"dead-destination add on a function reference", failingModule(func(bb *ir.BlockBuilder) {
+			bb.Bin("g", ir.Add, ir.R("p"), ir.I(1)).Compute(4).Ret()
+		}, ir.F("leaf")), ErrRuntime},
+		{"dead-destination mul on an undefined register", failingModule(func(bb *ir.BlockBuilder) {
+			bb.Compute(2).Bin("g", ir.Mul, ir.I(2), ir.R("ghost")).Compute(4).Ret()
+		}), ErrRuntime},
+		{"dead chain split by a call", phasedModule(func(f *ir.FuncBuilder) {
+			// s is an integer in the first segment only: the add after the
+			// call must stay, or a per-instruction second segment after a
+			// charged first one would read s undefined.
+			f.Block("entry").Const("s", 1).Compute(2).Call("leaf").
+				Bin("t", ir.Add, ir.R("s"), ir.I(1)).Compute(2).Ret()
+		}), nil},
+		{"scratch register reused across blocks", phasedModule(func(f *ir.FuncBuilder) {
+			f.Block("entry").Const("s", 0).Bin("s", ir.Add, ir.R("s"), ir.I(1)).Compute(2).Jmp("again")
+			f.Block("again").Const("s", 5).Bin("s", ir.Add, ir.R("s"), ir.I(1)).Compute(2).Jmp("carry")
+			f.Block("carry").Bin("s", ir.Add, ir.R("s"), ir.I(1)).Compute(2).Ret()
+		}), nil},
+		{"dead chain read by ret in another block", phasedModule(func(f *ir.FuncBuilder) {
+			f.Block("entry").Const("x", 4).Bin("x", ir.Add, ir.R("x"), ir.I(1)).
+				Bin("x", ir.Shl, ir.R("x"), ir.I(2)).Compute(3).Jmp("out")
+			f.Block("out").Compute(2).RetVal(ir.R("x"))
+		}), nil},
+		{"dead cmp", phasedModule(func(f *ir.FuncBuilder) {
+			f.Block("entry").Const("a", 3).Cmp("c", ir.Lt, ir.R("a"), ir.I(5)).
+				Cmp("d", ir.Eq, ir.R("c"), ir.R("a")).Compute(2).RetVal(ir.I(9))
+		}), nil},
 	}
-	for _, tc := range cases {
+}
+
+func TestSegmentChargingMatchesPerInstruction(t *testing.T) {
+	perm := caps.NewSet(caps.CapSetuid, caps.CapDacReadSearch)
+	for _, tc := range segmentCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			full := runTally(tc.m, perm, 0, true)
 			if !errors.Is(full.err, tc.wantErr) {
@@ -156,9 +215,9 @@ func TestSegmentChargingMatchesPerInstruction(t *testing.T) {
 			for fuel := int64(0); fuel <= 2*total; fuel++ {
 				ref := runTally(tc.m, perm, fuel, true)
 				seg := runTally(tc.m, perm, fuel, false)
-				if seg.errText() != ref.errText() || seg.steps != ref.steps {
-					t.Fatalf("fuel %d: segment run (%d, %v), per-instruction run (%d, %v)",
-						fuel, seg.steps, seg.err, ref.steps, ref.err)
+				if seg.errText() != ref.errText() || seg.steps != ref.steps || seg.ret != ref.ret {
+					t.Fatalf("fuel %d: segment run (%d, %d, %v), per-instruction run (%d, %d, %v)",
+						fuel, seg.steps, seg.ret, seg.err, ref.steps, ref.ret, ref.err)
 				}
 				if !maps.Equal(seg.batched, ref.hooked) || !maps.Equal(ref.batched, ref.hooked) {
 					t.Fatalf("fuel %d: per-phase counts differ: OnSteps %v, OnStep %v, OnSteps beside OnStep %v",
@@ -203,6 +262,38 @@ func TestSegmentsMarkCountedLengths(t *testing.T) {
 	}
 	if code["main"].blocks[0].instrs[2].call != code["leaf"] {
 		t.Error("direct callee not resolved at compile time")
+	}
+}
+
+func TestDeadFillerMarked(t *testing.T) {
+	code, err := compileModule(buildLoop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := code["main"].blocks
+	for _, cb := range blocks {
+		if cb.b.Name == "body" {
+			continue
+		}
+		for _, in := range cb.instrs {
+			if in.dead {
+				t.Errorf("%s: %s marked dead", cb.b.Name, in.src)
+			}
+		}
+	}
+	// body: Compute(10), then i = i + 1 and jmp. The padding is dead and
+	// a charged run goes from the segment head straight to the counter.
+	body := blocks[2]
+	var dead []bool
+	for _, in := range body.instrs {
+		dead = append(dead, in.dead)
+	}
+	want := []bool{true, true, true, true, true, true, true, true, true, true, false, false}
+	if fmt.Sprint(dead) != fmt.Sprint(want) {
+		t.Errorf("body dead = %v, want %v", dead, want)
+	}
+	if body.instrs[0].seg != 12 || body.instrs[0].next != 10 {
+		t.Errorf("body head: seg %d next %d, want 12, 10", body.instrs[0].seg, body.instrs[0].next)
 	}
 }
 
