@@ -24,10 +24,10 @@ test-race:
 	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/
 
 # Fault-injection suites under the race detector: panic isolation,
-# escalation transparency, checkpoint/resume equivalence, memory
-# degradation, and the cmd-level signal/checkpoint plumbing (DESIGN.md §9).
+# escalation transparency, memory degradation, and the cmd-level signal
+# plumbing (DESIGN.md §9).
 test-chaos:
-	$(GO) test -race -run 'Chaos|Fault|Checkpoint|Resume|Escalat|Degrad|Panic|Cancel|Signal|Shed|Latency|Compile' \
+	$(GO) test -race -run 'Chaos|Fault|Escalat|Degrad|Panic|Cancel|Signal|Shed|Latency|Compile' \
 		./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/cmdutil/ ./cmd/rosa/
 
 # Serving-layer chaos under the race detector: injected handler panics

@@ -17,16 +17,14 @@
 //	rosa -example -progress 200ms         # live progress line on stderr
 //	rosa -example -log-level debug        # structured logs on stderr
 //	rosa -query f.rosa -escalate 4096:4   # custom budget-escalation ladder
-//	rosa -query f.rosa -checkpoint-out f.ckpt   # resumable: ^C flushes a checkpoint
-//	rosa -query f.rosa -resume f.ckpt           # continue where the ^C landed
 //	rosa -watch http://host:7177/v1/jobs/j-ab12  # follow a privanalyzerd job's
 //	                                             # live SSE stream (progress on
 //	                                             # stderr, result JSON on stdout)
 //	rosa -version          # build identity (module, go toolchain, VCS revision)
 //
-// SIGINT/SIGTERM interrupt the search gracefully: the partial verdict (⏱),
-// statistics, and — with -checkpoint-out — a checkpoint are flushed before
-// exit; a second signal kills immediately.
+// SIGINT/SIGTERM interrupt the search gracefully: the partial verdict (⏱)
+// and its statistics are flushed before exit; a second signal kills
+// immediately.
 package main
 
 import (
@@ -74,9 +72,6 @@ func run(args []string) int {
 		module   = fs.Bool("module", false, "print the generated Maude UNIX module source and exit")
 		simulate = fs.Bool("simulate", false, "follow one deterministic execution (Maude's rewrite) instead of searching")
 		explain  = fs.Bool("explain", false, "annotate the witness from the search flight recorder: per-step depth, frontier size, and time-to-discovery")
-		ckptOut  = fs.String("checkpoint-out", "", "write search checkpoints to this file (atomically; on truncation/interruption, plus every -checkpoint-every levels); removed when the verdict resolves")
-		ckptEvr  = fs.Int("checkpoint-every", 0, "also checkpoint every N completed BFS levels (0 = only on early exit; needs -checkpoint-out)")
-		resume   = fs.String("resume", "", "resume the search from this checkpoint file (must be the same query; verdict and witness match an uninterrupted run)")
 		progress = fs.Duration("progress", 0, "print a live progress line to stderr at this interval, e.g. 200ms (0 = off)")
 		watch    = fs.String("watch", "", "follow a privanalyzerd job's live event stream at this URL (the status_url or events_url from POST /v1/jobs) instead of searching locally")
 	)
@@ -101,7 +96,6 @@ func run(args []string) int {
 		search:  search,
 		noIndex: *noIndex, noIntern: *noIntern, noCompile: *noCompile,
 		explain: *explain, progress: *progress,
-		ckptOut: *ckptOut, ckptEvery: *ckptEvr, resume: *resume,
 		logger: logger,
 	}
 
@@ -220,9 +214,6 @@ type reporter struct {
 	noCompile bool
 	explain   bool
 	progress  time.Duration
-	ckptOut   string
-	ckptEvery int
-	resume    string
 	logger    *slog.Logger
 }
 
@@ -238,19 +229,6 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	q.NoIndex = r.noIndex
 	q.NoIntern = r.noIntern
 	q.NoCompile = r.noCompile
-	if r.ckptOut != "" {
-		q.Checkpoint = cmdutil.FileSink(r.ckptOut, r.ckptEvery)
-	}
-	if r.resume != "" {
-		cp, err := cmdutil.ReadCheckpointFile(r.resume)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rosa:", err)
-			return 1
-		}
-		q.Resume = cp
-		fmt.Printf("resuming from %s: depth %d, %d states already explored\n\n",
-			r.resume, cp.Depth, cp.StatesExplored)
-	}
 
 	// -explain and -trace-out both need the flight recorder; -trace-out also
 	// needs the span registry for the pipeline track.
@@ -300,8 +278,8 @@ func (r reporter) report(what string, q *rosa.Query) int {
 		defer cancel()
 	}
 	// Graceful SIGINT/SIGTERM: the first signal cancels the search, which
-	// winds down promptly, flushes its checkpoint (when -checkpoint-out is
-	// set), and still prints the partial result below; a second signal kills.
+	// winds down promptly and still prints the partial result below; a second
+	// signal kills.
 	ctx, stopSignals := cmdutil.SignalContext(ctx)
 	defer stopSignals()
 	sp, ctx := telemetry.StartSpan(ctx, "rosa.query", "query", what)
@@ -327,17 +305,6 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	}
 	if res.Degraded {
 		fmt.Printf("memory budget exhausted: search degraded, partial statistics below\n")
-	}
-	if r.ckptOut != "" {
-		if res.Verdict == rosa.Unknown {
-			if _, statErr := os.Stat(r.ckptOut); statErr == nil {
-				fmt.Fprintf(os.Stderr, "rosa: checkpoint written to %s — rerun the same query with -resume %s\n", r.ckptOut, r.ckptOut)
-			}
-		} else {
-			// The verdict resolved; a stale checkpoint would resume a search
-			// that no longer needs resuming. File-exists ⟺ resumable.
-			os.Remove(r.ckptOut)
-		}
 	}
 	if res.Verdict == rosa.Vulnerable {
 		fmt.Printf("\nwitness (attack syscall sequence):\n%s", rewrite.FormatWitness(res.Witness))

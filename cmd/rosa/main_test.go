@@ -6,8 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"privanalyzer/internal/rosa"
 )
 
 // capture runs f with os.Stdout redirected and returns what it printed.
@@ -267,16 +270,12 @@ func TestRunTimeoutFlag(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResume is the CLI acceptance path: a budget-starved run
-// with -checkpoint-out leaves a resumable checkpoint behind, and rerunning
-// the same query with -resume finishes with the verdict and witness of a run
-// that was never interrupted. A resolved verdict removes the checkpoint —
-// file-exists ⟺ resumable.
-func TestRunCheckpointResume(t *testing.T) {
+// TestRunBudgetStarved is the CLI budget path: a starved run reports the
+// unknown verdict (⏱), and an explicit full budget lands on the verdict and
+// witness of a run at the default budget.
+func TestRunBudgetStarved(t *testing.T) {
 	const queryFile = "../../testdata/figure2.rosa"
-	ckpt := filepath.Join(t.TempDir(), "search.ckpt")
 
-	// Uninterrupted reference: verdict and witness to match.
 	ref, code := capture(t, func() int { return run([]string{"-query", queryFile}) })
 	if code != 0 {
 		t.Fatalf("reference run exit = %d\n%s", code, ref)
@@ -285,9 +284,8 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatalf("reference run not vulnerable:\n%s", ref)
 	}
 
-	// Starved run: ⏱ plus a checkpoint on disk.
 	out, code := capture(t, func() int {
-		return run([]string{"-query", queryFile, "-budget", "2", "-checkpoint-out", ckpt})
+		return run([]string{"-query", queryFile, "-budget", "2"})
 	})
 	if code != 0 {
 		t.Fatalf("starved run exit = %d\n%s", code, out)
@@ -295,39 +293,18 @@ func TestRunCheckpointResume(t *testing.T) {
 	if !strings.Contains(out, "verdict: ⏱") {
 		t.Fatalf("2-state budget did not truncate:\n%s", out)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("truncated run left no checkpoint: %v", err)
-	}
 
-	// Resume at the full budget: same verdict and witness as the reference.
 	out, code = capture(t, func() int {
-		return run([]string{"-query", queryFile, "-resume", ckpt, "-checkpoint-out", ckpt})
+		return run([]string{"-query", queryFile, "-budget", strconv.Itoa(rosa.DefaultMaxStates)})
 	})
 	if code != 0 {
-		t.Fatalf("resumed run exit = %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "resuming from "+ckpt) {
-		t.Errorf("resumed run did not announce the checkpoint:\n%s", out)
+		t.Fatalf("full-budget run exit = %d\n%s", code, out)
 	}
 	if !strings.Contains(out, "verdict: ✓") {
-		t.Errorf("resumed run verdict differs from uninterrupted run:\n%s", out)
+		t.Errorf("full-budget verdict differs from the reference run:\n%s", out)
 	}
 	if witness(out) != witness(ref) {
-		t.Errorf("resumed witness:\n%s\nuninterrupted witness:\n%s", witness(out), witness(ref))
-	}
-	if _, err := os.Stat(ckpt); err == nil {
-		t.Error("resolved verdict left a stale checkpoint behind")
-	}
-
-	// A checkpoint from a different query must be refused.
-	out, code = capture(t, func() int {
-		if err := os.WriteFile(ckpt, nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return run([]string{"-query", queryFile, "-resume", ckpt})
-	})
-	if code != 1 {
-		t.Errorf("resume from a torn checkpoint exit = %d, want 1\n%s", code, out)
+		t.Errorf("full-budget witness:\n%s\nreference witness:\n%s", witness(out), witness(ref))
 	}
 }
 

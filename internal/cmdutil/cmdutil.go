@@ -1,28 +1,23 @@
-// Package cmdutil holds the pieces the binaries share for fault-tolerant
-// operation: signal-driven graceful shutdown, the shared flag surface
+// Package cmdutil holds the process-level pieces the binaries share:
+// signal-driven graceful shutdown (SignalContext), the shared flag surface
 // (SearchFlags, LogFlags — which route through internal/api so CLI flags
-// and server request fields are one schema), and checkpoint file I/O. They
-// live here rather than in the engine packages because they are
-// process-level concerns — signals, files, flag grammars — that
-// internal/rewrite and internal/rosa deliberately know nothing about.
+// and server request fields are one schema), and build identity (Version).
+// They live here rather than in the engine packages because signals and
+// flag grammars are concerns that internal/rewrite and internal/rosa
+// deliberately know nothing about.
 package cmdutil
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
-
-	"privanalyzer/internal/api"
-	"privanalyzer/internal/rewrite"
 )
 
 // SignalContext derives a context cancelled by SIGINT or SIGTERM, the
 // graceful-shutdown trigger every binary shares: on the first signal the
-// context cancels, in-flight searches wind down promptly (emitting their
-// checkpoints and partial stats), and the command flushes its reports before
+// context cancels, in-flight searches wind down promptly (returning their
+// partial results and stats), and the command flushes its reports before
 // exiting. After the first signal the default handler is restored, so a
 // second signal kills the process immediately — an operator is never trapped
 // behind a slow flush. The returned stop function releases the signal
@@ -34,62 +29,4 @@ func SignalContext(parent context.Context) (context.Context, context.CancelFunc)
 		stop()
 	}()
 	return ctx, stop
-}
-
-// ParseEscalate applies the -escalate flag value to opts. The grammar is
-// api.ApplyEscalate's — the flag and the wire field are the same language.
-func ParseEscalate(s string, opts *rewrite.Options) error {
-	return api.ApplyEscalate(s, opts)
-}
-
-// WriteCheckpointFile writes cp to path atomically (temp file + rename in
-// the same directory), so a crash or signal mid-write never leaves a torn
-// checkpoint — the previous complete one survives.
-func WriteCheckpointFile(path string, cp *rewrite.Checkpoint) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := cp.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// ReadCheckpointFile reads and structurally validates a checkpoint file.
-func ReadCheckpointFile(path string) (*rewrite.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cp, err := rewrite.ReadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return cp, nil
-}
-
-// FileSink returns a CheckpointConfig writing every emitted checkpoint to
-// path (atomically, each write replacing the last), every everyLevels
-// completed BFS levels plus the engine's early-exit emissions.
-func FileSink(path string, everyLevels int) *rewrite.CheckpointConfig {
-	return &rewrite.CheckpointConfig{
-		EveryLevels: everyLevels,
-		Sink: func(cp *rewrite.Checkpoint) error {
-			return WriteCheckpointFile(path, cp)
-		},
-	}
 }

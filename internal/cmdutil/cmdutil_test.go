@@ -2,133 +2,11 @@ package cmdutil
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
-
-	"privanalyzer/internal/rewrite"
 )
-
-func TestParseEscalate(t *testing.T) {
-	cases := []struct {
-		in   string
-		want rewrite.Options
-		bad  bool
-	}{
-		{in: "", want: rewrite.Options{}},
-		{in: "  ", want: rewrite.Options{}},
-		{in: "off", want: rewrite.Options{NoEscalate: true}},
-		{in: "4096:4", want: rewrite.Options{Escalate: rewrite.Escalation{Start: 4096, Factor: 4}}},
-		{in: "1024:2:8192", want: rewrite.Options{Escalate: rewrite.Escalation{Start: 1024, Factor: 2, Max: 8192}}},
-		{in: " 16 : 2 ", want: rewrite.Options{Escalate: rewrite.Escalation{Start: 16, Factor: 2}}},
-		{in: "x", bad: true},
-		{in: "4096", bad: true},
-		{in: "0:2", bad: true},
-		{in: "-1:2", bad: true},
-		{in: "4:1", bad: true},    // factor below 2 never escalates
-		{in: "10:2:5", bad: true}, // max below start
-		{in: "1:2:3:4", bad: true},
-		{in: "4096:4:", bad: true},
-	}
-	for _, tc := range cases {
-		var opts rewrite.Options
-		err := ParseEscalate(tc.in, &opts)
-		if tc.bad {
-			if err == nil {
-				t.Errorf("ParseEscalate(%q) accepted a bad value: %+v", tc.in, opts)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseEscalate(%q): %v", tc.in, err)
-			continue
-		}
-		// Options holds func fields; compare the fields the flag touches.
-		if opts.Escalate != tc.want.Escalate || opts.NoEscalate != tc.want.NoEscalate {
-			t.Errorf("ParseEscalate(%q) = escalate %+v noescalate %v, want %+v %v",
-				tc.in, opts.Escalate, opts.NoEscalate, tc.want.Escalate, tc.want.NoEscalate)
-		}
-	}
-}
-
-func testCheckpoint() *rewrite.Checkpoint {
-	return &rewrite.Checkpoint{
-		Version:        rewrite.CheckpointVersion,
-		InitHash:       42,
-		Budget:         100,
-		Depth:          1,
-		StatesExplored: 2,
-		Nodes: []rewrite.CheckpointNode{
-			{Parent: -1, State: "{c(0)}"},
-			{Parent: 0, Rule: "inc", State: "{c(1)}"},
-		},
-		Frontier: []int{1},
-	}
-}
-
-func TestCheckpointFileRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	cp := testCheckpoint()
-	if err := WriteCheckpointFile(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", cp) {
-		t.Errorf("roundtrip changed the checkpoint:\n got %+v\nwant %+v", got, cp)
-	}
-
-	// No temp debris: the atomic write renamed or removed everything.
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("checkpoint dir holds %d files, want only the checkpoint", len(entries))
-	}
-
-	if _, err := ReadCheckpointFile(filepath.Join(t.TempDir(), "absent.ckpt")); err == nil {
-		t.Error("ReadCheckpointFile succeeded on a missing file")
-	}
-	broken := filepath.Join(t.TempDir(), "broken.ckpt")
-	if err := os.WriteFile(broken, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpointFile(broken); !errors.Is(err, rewrite.ErrCheckpoint) {
-		t.Errorf("ReadCheckpointFile on garbage = %v, want ErrCheckpoint", err)
-	}
-}
-
-func TestFileSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sink.ckpt")
-	cfg := FileSink(path, 3)
-	if cfg.EveryLevels != 3 {
-		t.Errorf("EveryLevels = %d, want 3", cfg.EveryLevels)
-	}
-	// Each write replaces the last; the file always holds the newest.
-	first := testCheckpoint()
-	if err := cfg.Sink(first); err != nil {
-		t.Fatal(err)
-	}
-	second := testCheckpoint()
-	second.Depth = 7
-	if err := cfg.Sink(second); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Depth != 7 {
-		t.Errorf("sink file holds depth %d, want the latest write (7)", got.Depth)
-	}
-}
 
 func TestSignalContext(t *testing.T) {
 	ctx, stop := SignalContext(context.Background())

@@ -158,8 +158,7 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 // Queries are fault-isolated: a worker panic or successor error inside one
 // search costs that query its verdict (⏱, with the fault recorded in
 // PhaseResult.Errs and aggregated in Analysis.Errors), never the analysis.
-// Only setup failures — a broken theory, an invalid resume checkpoint —
-// abort with an error.
+// Only setup failures — a broken theory — abort with an error.
 //
 // When ctx carries a telemetry.Registry (telemetry.NewContext), the analysis
 // opens a root span per program with child spans per stage — autopriv,
@@ -278,8 +277,7 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 	var vulnerable [4]int64
 	for i, j := range jobs {
 		if errs[i] != nil {
-			// Setup failures (a broken theory, a bad resume checkpoint)
-			// still abort: nothing about the analysis is trustworthy. Search
+			// Setup failures (a broken theory) still abort: nothing about the analysis is trustworthy. Search
 			// faults never land here — rosa converts them to Unknown verdicts
 			// with Result.Err set, collected below.
 			return nil, fmt.Errorf("core: %s %s %s: %w",

@@ -1,11 +1,10 @@
 // Package faultinject provides deterministic fault points for chaos-testing
 // the search pipeline. A Plan names the faults to inject — a worker panic or
 // successor error at a chosen expansion, injected expansion latency, a
-// context cancellation at the start of a chosen BFS level, a checkpoint-write
-// failure — and the search engine consults it at the matching sites
-// (rewrite.Options.Faults). A nil *Plan is a valid no-op, mirroring the
-// telemetry registry and recorder, so the engine checks it unconditionally
-// at the cost of one nil test per site.
+// context cancellation at the start of a chosen BFS level — and the search
+// engine consults it at the matching sites (rewrite.Options.Faults). A nil
+// *Plan is a valid no-op, mirroring the telemetry registry and recorder, so
+// the engine checks it unconditionally at the cost of one nil test per site.
 //
 // Determinism: every fault point fires on an exact, counted occurrence, not
 // on randomness, so a chaos test replays identically. Counter-keyed points
@@ -32,9 +31,6 @@ var (
 	ErrInjected = errors.New("faultinject: injected successor error")
 	// ErrInjectedCancel marks a search interrupted by a CancelAtLevel fault.
 	ErrInjectedCancel = errors.New("faultinject: injected cancellation")
-	// ErrInjectedCheckpoint is returned from the FailCheckpointWrite'th
-	// checkpoint write.
-	ErrInjectedCheckpoint = errors.New("faultinject: injected checkpoint write failure")
 )
 
 // PanicValue is the value a PanicAtExpansion / PanicOnState fault panics
@@ -77,12 +73,8 @@ type Plan struct {
 	// level's workers observe the cancellation while expanding). 0 disables;
 	// level 0 is the root level.
 	CancelAtLevel int
-	// FailCheckpointWrite fails the Nth (1-based) checkpoint write with
-	// ErrInjectedCheckpoint. 0 disables.
-	FailCheckpointWrite int64
 
 	expansions  atomic.Int64
-	ckptWrites  atomic.Int64
 	cancelFired atomic.Bool
 }
 
@@ -116,18 +108,6 @@ func (p *Plan) CancelLevel(depth int) bool {
 		return false
 	}
 	return p.cancelFired.CompareAndSwap(false, true)
-}
-
-// CheckpointWrite advances the plan's checkpoint-write counter and returns
-// ErrInjectedCheckpoint on the selected write. Nil-safe.
-func (p *Plan) CheckpointWrite() error {
-	if p == nil {
-		return nil
-	}
-	if n := p.ckptWrites.Add(1); p.FailCheckpointWrite > 0 && n == p.FailCheckpointWrite {
-		return fmt.Errorf("%w (write %d)", ErrInjectedCheckpoint, n)
-	}
-	return nil
 }
 
 // Expansions returns how many expansions the plan has observed — chaos tests

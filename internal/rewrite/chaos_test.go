@@ -217,36 +217,6 @@ func TestLatencyChaosHarmless(t *testing.T) {
 	}
 }
 
-// TestCheckpointWriteFailureDoesNotAbort: a failing checkpoint sink is
-// counted and the search continues to its normal verdict.
-func TestCheckpointWriteFailureDoesNotAbort(t *testing.T) {
-	var writes int
-	cfg := &CheckpointConfig{
-		EveryLevels: 2,
-		Sink:        func(cp *Checkpoint) error { writes++; return nil },
-	}
-	plan := &faultinject.Plan{FailCheckpointWrite: 1}
-	res, err := counter().SearchContext(context.Background(), NewOp("c", NewInt(0)),
-		Goal{Pattern: NewOp("c", NewInt(-1))},
-		Options{Workers: 1, MaxStates: 20, Checkpoint: cfg, Faults: plan})
-	if err != nil {
-		t.Fatalf("a checkpoint-write failure must not fail the search: %v", err)
-	}
-	if !res.Truncated {
-		t.Error("expected the budget truncation verdict")
-	}
-	if res.Stats.CheckpointFailures != 1 {
-		t.Errorf("CheckpointFailures = %d, want 1", res.Stats.CheckpointFailures)
-	}
-	if res.Stats.CheckpointsWritten == 0 || writes == 0 {
-		t.Errorf("later checkpoint writes must still succeed (written=%d, sink saw %d)",
-			res.Stats.CheckpointsWritten, writes)
-	}
-	if res.Stats.CheckpointsWritten != writes {
-		t.Errorf("stats count %d writes, sink saw %d", res.Stats.CheckpointsWritten, writes)
-	}
-}
-
 // TestMemBudgetDegradation: breaching the soft memory budget first sheds the
 // transition cache (search continues), then stops the search with a
 // truncated, Degraded result — never an error, never an OOM.

@@ -31,7 +31,7 @@ package rewrite
 // replacement terms — in exactly the interpreter's order (fixed elements in
 // pattern order, subject candidates in ascending index order, lexicographic
 // backtracking, remainder in subject order), so successor sets, witnesses,
-// journals, and checkpoints are byte-identical either way. The differential
+// and journals are byte-identical either way. The differential
 // suite (compile_test.go, core/differential_test.go) pins this; the
 // FuzzCompileEquivalence harness shakes the fragment boundary.
 

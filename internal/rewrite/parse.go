@@ -15,12 +15,9 @@ var ErrParseTerm = errors.New("rewrite: parse error")
 //
 //	42  -3  "str"  run  open(1,3,0,128)  Process(1,10,11,12,10,11,12,10,11,12)
 //	X:Int  Z:Configuration  Y:Universal
-//	{Kernel(0) Process(...) open(1,3,0,128)}
 //
-// Braced configurations are the rendering Term.String gives Config terms;
-// accepting them here lets rendered search states round-trip, which the
-// checkpoint format relies on. ParseConfig remains the entry point for the
-// multi-line query-file sections.
+// Configurations are not terms in this syntax: ParseConfig builds them from
+// the multi-line query-file sections.
 //
 // Variables are written name:Sort, with the sort Universal meaning
 // unsorted. Symbols start with a letter or underscore and may contain
@@ -106,37 +103,12 @@ func (p *termParser) parseTerm() (*Term, error) {
 	switch {
 	case c == '"':
 		return p.parseString()
-	case c == '{':
-		return p.parseBracedConfig()
 	case c == '-' || unicode.IsDigit(rune(c)):
 		return p.parseInt()
 	case isSymStart(c):
 		return p.parseSymbolic()
 	default:
 		return nil, p.errf("unexpected character %q", c)
-	}
-}
-
-// parseBracedConfig reads {elem elem ...}, the syntax Term.String renders
-// Config terms with. Elements are whitespace-separated; {} is the empty
-// configuration.
-func (p *termParser) parseBracedConfig() (*Term, error) {
-	p.pos++ // consume '{'
-	var elems []*Term
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.src) {
-			return nil, p.errf("unterminated configuration")
-		}
-		if p.src[p.pos] == '}' {
-			p.pos++
-			return NewConfig(elems...), nil
-		}
-		t, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		elems = append(elems, t)
 	}
 }
 

@@ -43,6 +43,9 @@ func TestParseTermErrors(t *testing.T) {
 	for _, in := range []string{
 		"", "(", "f(", "f(1,", "f(1 2)", `"unterminated`, "1x", "f(1))", "X:",
 		"@bad",
+		// Braced configurations are Term.String's rendering of Config
+		// terms, not term syntax; ParseConfig builds configurations.
+		"{c(0)}", "{}",
 	} {
 		if _, err := ParseTerm(in); !errors.Is(err, ErrParseTerm) {
 			t.Errorf("ParseTerm(%q) err = %v, want ErrParseTerm", in, err)

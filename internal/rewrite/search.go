@@ -113,17 +113,6 @@ type Options struct {
 	// budget is a failsafe against runaway frontiers, not an allocator
 	// ledger.
 	MemBudget int64
-	// Checkpoint enables checkpoint emission for breadth-first searches:
-	// periodically (CheckpointConfig.EveryLevels) and whenever the search
-	// exits early on truncation or interruption. Nil disables; ignored by
-	// depth-first searches.
-	Checkpoint *CheckpointConfig
-	// Resume seeds the search from a checkpoint instead of the initial
-	// state. The checkpoint must come from an equivalent query — same
-	// initial state (fingerprint-checked), deduplication on, breadth-first —
-	// and the resumed search then produces the same verdict, witness, and
-	// state count as an uninterrupted run. Nil starts fresh.
-	Resume *Checkpoint
 	// Faults is the deterministic fault-injection plan for chaos tests
 	// (internal/faultinject); nil — the production value — injects nothing.
 	Faults *faultinject.Plan
@@ -224,12 +213,6 @@ type SearchStats struct {
 	// first forced degradation (transition cache shed, uncached expansion
 	// from then on); 0 when the search never degraded.
 	DegradedAt int
-	// CheckpointsWritten and CheckpointFailures count checkpoint sink
-	// outcomes; failures never abort the search.
-	CheckpointsWritten, CheckpointFailures int
-	// CheckpointElapsed is the wall-clock time spent materializing and
-	// writing checkpoints (included in, not additional to, Elapsed).
-	CheckpointElapsed time.Duration
 	// Final marks the unconditional end-of-search snapshot OnStats always
 	// receives, distinguishing it from interval-throttled progress ticks.
 	// Progress printers use it to avoid emitting a stale "final" line for
@@ -399,10 +382,6 @@ func (st *SearchStats) String() string {
 	if st.DegradedAt > 0 {
 		fmt.Fprintf(&b, "memory budget:    degraded at %d states (transition cache shed)\n", st.DegradedAt)
 	}
-	if st.CheckpointsWritten > 0 || st.CheckpointFailures > 0 {
-		fmt.Fprintf(&b, "checkpoints:      %d written, %d failed (%s)\n",
-			st.CheckpointsWritten, st.CheckpointFailures, st.CheckpointElapsed.Round(time.Microsecond))
-	}
 	if len(st.Frontier) > 0 {
 		fmt.Fprintf(&b, "frontier by depth:")
 		for d, n := range st.Frontier {
@@ -458,13 +437,12 @@ func (n *node) witness() []Step {
 // result with Interrupted set and no error; callers map it to the same
 // Unknown verdict as a state-budget truncation.
 //
-// Error contract: a setup failure (equations diverging, a bad Resume
-// checkpoint) returns (nil, err). A fault during the search — a worker
-// panic, a successor error, an injected fault — returns a non-nil result
-// with partial stats and Interrupted set, alongside a *SearchError carrying
-// the state and worker attribution. Supervisors (rosa.Query) map the latter
-// to the Unknown verdict with the error recorded and keep the analysis
-// running.
+// Error contract: a setup failure (equations diverging) returns (nil, err).
+// A fault during the search — a worker panic, a successor error, an injected
+// fault — returns a non-nil result with partial stats and Interrupted set,
+// alongside a *SearchError carrying the state and worker attribution.
+// Supervisors (rosa.Query) map the latter to the Unknown verdict with the
+// error recorded and keep the analysis running.
 func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts Options) (*SearchResult, error) {
 	var rp *ruleProfiler
 	if opts.Profile {
@@ -483,11 +461,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	start, err := e.normalize(init)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Resume != nil {
-		if err := opts.Resume.validateFor(start, opts); err != nil {
-			return nil, err
-		}
 	}
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: opts.workers()}
 	if opts.DepthFirst {
@@ -723,39 +696,10 @@ func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *Searc
 // level, and additionally at chunk boundaries when an interval is set.
 func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Options, res *SearchResult, stats *SearchStats, progress func()) error {
 	visited := newVisitedSet(e.intern)
-	// The checkpoint tracker shadows the search (node table + level-start
-	// snapshots) only when checkpointing or resuming was requested; the
-	// default search pays one nil check per enqueue.
-	var tk *ckptTracker
-	if opts.Checkpoint != nil || opts.Resume != nil {
-		tk = newCkptTracker(start.Hash())
+	if !opts.NoDedup {
+		visited.add(start)
 	}
-	var frontier []*node
-	startDepth := 0
-	if cp := opts.Resume; cp != nil {
-		f, err := e.restore(cp, visited, tk, res, stats)
-		if err != nil {
-			return err
-		}
-		frontier = f
-		startDepth = cp.Depth
-	} else {
-		root := &node{state: start}
-		if !opts.NoDedup {
-			visited.add(start)
-		}
-		frontier = []*node{root}
-		tk.addNode(root)
-	}
-
-	// A search that exits early — budget, memory degradation, cancellation —
-	// leaves its latest level boundary behind, so the run is resumable even
-	// when no periodic cadence was configured.
-	defer func() {
-		if res.Truncated || res.Interrupted {
-			e.emitCheckpoint(ctx, tk, opts.Checkpoint, stats, opts.MaxStates)
-		}
-	}()
+	frontier := []*node{{state: start}}
 
 	// mb buffers the merge goroutine's own events (level starts, rule
 	// firings, dedups, goal matches) on worker track 0; flushed per chunk
@@ -771,7 +715,7 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Opt
 		chunk = w * 4
 	}
 
-	for depth := startDepth; len(frontier) > 0; depth++ {
+	for depth := 0; len(frontier) > 0; depth++ {
 		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
 			return nil
 		}
@@ -781,11 +725,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Opt
 		}
 		if e.checkMemBudget(opts, depth, len(frontier), res, stats) {
 			return nil
-		}
-		tk.snapshot(depth, frontier, stats, res.StatesExplored)
-		if cfg := opts.Checkpoint; cfg != nil && cfg.EveryLevels > 0 &&
-			depth > startDepth && (depth-startDepth)%cfg.EveryLevels == 0 {
-			e.emitCheckpoint(ctx, tk, cfg, stats, opts.MaxStates)
 		}
 		stats.Frontier = append(stats.Frontier, len(frontier))
 		stats.Depth = depth
@@ -891,7 +830,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Opt
 						return nil
 					}
 					nextFrontier = append(nextFrontier, child)
-					tk.addNode(child)
 				}
 			}
 			mb.Flush()

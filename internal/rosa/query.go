@@ -175,8 +175,7 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 // Fault contract: a *rewrite.SearchError (worker panic, successor failure,
 // injected fault) yields (Result{Verdict: Unknown, Err: ...}, nil) — the
 // fault is data, not control flow, so callers running query grids keep
-// going. Only setup errors (diverging equations, a bad resume checkpoint)
-// return a non-nil error.
+// going. Only setup errors (diverging equations) return a non-nil error.
 func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error) {
 	opts := q.Options
 	budgetCap := opts.MaxStates
@@ -202,11 +201,6 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 	}
 	if factor := opts.Escalate.Factor; factor < 2 {
 		opts.Escalate.Factor = DefaultEscalationFactor
-	}
-	if cp := opts.Resume; cp != nil && cp.Budget > budget {
-		// A resumed run continues the interrupted attempt's budget instead
-		// of restarting the ladder underneath its restored progress.
-		budget = cp.Budget
 	}
 	if opts.NoEscalate || budget > budgetCap {
 		budget = budgetCap

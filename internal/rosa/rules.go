@@ -182,10 +182,17 @@ func scanBoundPort(cfg *rewrite.Term, port int64) bool {
 	return false
 }
 
-// dacAllowed is the Linux DAC check with capability bypasses, identical to
-// the vkernel's: CAP_DAC_OVERRIDE bypasses everything, CAP_DAC_READ_SEARCH
-// bypasses read-only access. privs is the privilege set the message may use
-// (the attacker raises any of them).
+// dacAllowed is the Linux DAC check with capability bypasses:
+// CAP_DAC_OVERRIDE bypasses everything, CAP_DAC_READ_SEARCH bypasses
+// read-only access. privs is the privilege set the message may use (the
+// attacker raises any of them).
+//
+// It differs from the vkernel's accessAllowed by a deliberate model choice:
+// ROSA's process term carries no supplementary groups (neither does the
+// paper's), so the group bits apply only when the egid equals the file's
+// group, and any other process is judged on the other-bits. The vkernel also
+// grants the group bits through p.Supp. searchDirAllowed makes the same
+// choice for directories.
 func dacAllowed(p procView, f fileView, read, write bool, privs caps.Set) bool {
 	if privs.Has(caps.CapDacOverride) {
 		return true

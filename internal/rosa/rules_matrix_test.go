@@ -144,6 +144,35 @@ func TestSyscallRuleMatrix(t *testing.T) {
 	}
 }
 
+// TestDACIgnoresSupplementaryGroups pins a deliberate model choice: ROSA's
+// process term has no supplementary groups, so a process whose egid differs
+// from the file's group is judged on the other-bits — even where the
+// vkernel, which consults supplementary groups, would grant the group bits
+// (vkernel's TestSupplementaryGroups).
+func TestDACIgnoresSupplementaryGroups(t *testing.T) {
+	proc := Process(1, UniformCreds(1000, 1000), nil, nil) // egid 1000, file group 9
+	open := []*rewrite.Term{OpenMsg(1, 3, OpenRead, caps.EmptySet)}
+	tests := []struct {
+		name  string
+		perms string
+		want  Verdict
+	}{
+		// Group may read, other may not: denied.
+		{"group bits not consulted", "rw-r-----", Safe},
+		// Group may not read, other may: granted on the other-bits.
+		{"other bits consulted", "rw----r--", Vulnerable},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			file := File(3, "/dev/mem", vkernel.MustMode(tt.perms), 2, 9)
+			res := runQuery(t, []*rewrite.Term{proc, file}, open, GoalFileInReadSet(3))
+			if res.Verdict != tt.want {
+				t.Errorf("verdict = %s, want %s", res.Verdict, tt.want)
+			}
+		})
+	}
+}
+
 func TestFchownAfterOpen(t *testing.T) {
 	// fchown on a held descriptor works with CAP_CHOWN: open as the owner,
 	// then give the file away.
