@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-chaos test-chaos-server bench bench-json bench-baseline bench-baseline-update experiments tables serve fuzz clean
+.PHONY: all build test test-short test-race test-chaos test-chaos-server bench experiments tables serve fuzz clean
 
 all: build test
 
@@ -45,22 +45,6 @@ test-chaos-server:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./... 2>&1 | tee bench_output.txt
 
-# Machine-readable Figure 5-11 grid: states/sec and wall-clock per
-# (program, phase, attack) query, for performance tracking across commits.
-bench-json:
-	$(GO) run ./cmd/privanalyzer -bench-json BENCH_search.json
-
-# Perf-baseline regression harness: run the full grid with cost vectors and
-# an environment stamp, then compare against the committed baseline.
-# Wall-clock regressions warn; determinism drift (verdicts/state counts)
-# fails. Refresh the baseline with bench-baseline-update after a deliberate
-# performance change.
-bench-baseline:
-	$(GO) run ./cmd/privanalyzer -bench-json BENCH_grid.json -bench-compare BENCH_baseline.json
-
-bench-baseline-update:
-	$(GO) run ./cmd/privanalyzer -bench-json BENCH_baseline.json
-
 # Run the whole evaluation and compare every cell against the paper.
 experiments:
 	$(GO) run ./cmd/privanalyzer -experiments -parallel
@@ -73,13 +57,14 @@ tables:
 serve:
 	$(GO) run ./cmd/privanalyzerd
 
-# Short fuzzing passes over every parser.
+# Short fuzzing passes over every parser and over /v1/query request bodies.
 fuzz:
 	$(GO) test -fuzz=FuzzParse$$ -fuzztime=15s ./internal/ir/
 	$(GO) test -fuzz=FuzzParseTerm -fuzztime=15s ./internal/rewrite/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=15s ./internal/rosa/
 	$(GO) test -fuzz=FuzzParseSet -fuzztime=15s ./internal/caps/
 	$(GO) test -fuzz=FuzzParseMode -fuzztime=15s ./internal/vkernel/
+	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime 20s ./internal/api
 
 clean:
 	$(GO) clean -testcache

@@ -14,7 +14,6 @@
 //	privanalyzer -program su -json        # the api.AnalyzeResponse wire form
 //	                                      # (byte-compatible with privanalyzerd)
 //	privanalyzer -program all -timeout 1m # wall-clock limit; late queries get ⏱
-//	privanalyzer -bench-json BENCH_search.json  # Figure 5-11 grid as JSON
 //	privanalyzer -program all -telemetry-json out.jsonl -prom metrics.txt
 //	privanalyzer -program thttpd -pprof localhost:6060  # live pprof while it runs
 //	privanalyzer -program all -escalate 4096:4  # custom budget-escalation ladder
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	"privanalyzer/internal/api"
-	"privanalyzer/internal/benchcmp"
 	"privanalyzer/internal/cmdutil"
 	"privanalyzer/internal/core"
 	"privanalyzer/internal/interp"
@@ -55,24 +53,18 @@ func run(args []string) (code int) {
 	search.Register(fs)
 	logf.Register(fs)
 	var (
-		tables       = fs.Bool("tables", false, "print the static tables (I, II, IV) and exit")
-		program      = fs.String("program", "", `program to analyse (one of `+fmt.Sprint(programs.Names())+`, or "all")`)
-		times        = fs.Bool("times", false, "also print per-query ROSA search costs (Figures 5-11)")
-		chart        = fs.Bool("chart", false, "also print ASCII search-cost charts (Figures 5-11)")
-		check        = fs.Bool("check", false, "compare results against the paper's table cells")
-		diff         = fs.String("diff", "", `compare two programs' postures, e.g. "su,suRef"`)
-		parallel     = fs.Bool("parallel", false, "additionally fan the independent queries out over the CPUs")
-		experiments  = fs.Bool("experiments", false, "run the full evaluation and print the paper-vs-measured summary")
-		benchJSON    = fs.String("bench-json", "", "run the Figure 5-11 query grid and write the environment-stamped benchmark grid to this file")
-		benchCompare = fs.String("bench-compare", "", "after -bench-json, compare the fresh grid against this committed baseline (warn-only: regressions print but don't fail the run; determinism drift exits 1)")
-		jsonOut      = fs.Bool("json", false, "print each analysis as api.AnalyzeResponse JSON (the privanalyzerd wire schema) instead of tables")
-		noIndex      = fs.Bool("no-index", false, "disable the successor engine's rule index (ablation)")
-		noIntern     = fs.Bool("no-intern", false, "disable term interning; also disables the transition cache (ablation)")
-		noCache      = fs.Bool("no-cache", false, "disable the cross-query transition cache (ablation)")
-		noCompile    = fs.Bool("no-compile", false, "disable compiled rule matchers; match every rule through the interpreter (ablation)")
-		telemJSON    = fs.String("telemetry-json", "", "write the run's telemetry (spans and metrics) as JSONL to this file")
-		promPath     = fs.String("prom", "", "write the run's metrics in Prometheus text exposition format to this file")
-		pprofAddr    = fs.String("pprof", "", `serve net/http/pprof plus /healthz, /readyz, and /metrics on this address while the run executes (e.g. "localhost:6060"; off by default)`)
+		tables      = fs.Bool("tables", false, "print the static tables (I, II, IV) and exit")
+		program     = fs.String("program", "", `program to analyse (one of `+fmt.Sprint(programs.Names())+`, or "all")`)
+		times       = fs.Bool("times", false, "also print per-query ROSA search costs (Figures 5-11)")
+		chart       = fs.Bool("chart", false, "also print ASCII search-cost charts (Figures 5-11)")
+		check       = fs.Bool("check", false, "compare results against the paper's table cells")
+		diff        = fs.String("diff", "", `compare two programs' postures, e.g. "su,suRef"`)
+		parallel    = fs.Bool("parallel", false, "additionally fan the independent queries out over the CPUs")
+		experiments = fs.Bool("experiments", false, "run the full evaluation and print the paper-vs-measured summary")
+		jsonOut     = fs.Bool("json", false, "print each analysis as api.AnalyzeResponse JSON (the privanalyzerd wire schema) instead of tables")
+		telemJSON   = fs.String("telemetry-json", "", "write the run's telemetry (spans and metrics) as JSONL to this file")
+		promPath    = fs.String("prom", "", "write the run's metrics in Prometheus text exposition format to this file")
+		pprofAddr   = fs.String("pprof", "", `serve net/http/pprof plus /healthz, /readyz, and /metrics on this address while the run executes (e.g. "localhost:6060"; off by default)`)
 	)
 	ver := cmdutil.VersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -96,10 +88,6 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
 		return 2
 	}
-	searchOpts.NoIndex = *noIndex
-	searchOpts.NoIntern = *noIntern
-	searchOpts.NoCache = *noCache
-	searchOpts.NoCompile = *noCompile
 	opts := core.Options{Search: searchOpts, Parallel: *parallel}
 	ctx := telemetry.WithLogger(context.Background(), logger)
 	var reg *telemetry.Registry
@@ -148,14 +136,6 @@ func run(args []string) (code int) {
 	}
 	ctx, stopSignals := cmdutil.SignalContext(ctx)
 	defer stopSignals()
-
-	if *benchJSON != "" {
-		return runBenchJSON(ctx, *benchJSON, *benchCompare, opts)
-	}
-	if *benchCompare != "" {
-		fmt.Fprintln(os.Stderr, "privanalyzer: -bench-compare needs -bench-json")
-		return 2
-	}
 
 	if *tables {
 		all, err := programs.All()
@@ -371,76 +351,4 @@ func flushTelemetry(reg *telemetry.Registry, jsonlPath, promPath string) error {
 		}
 	}
 	return nil
-}
-
-// runBenchJSON runs every ROSA query of the Figure 5-11 grid (each program's
-// phases × attacks) and writes the environment-stamped benchcmp.Grid — one
-// record per query with its full cost vector — to path. When baseline names
-// a committed grid, the fresh run is compared against it: perf regressions
-// warn, determinism drift (a verdict or state count changing) fails the run.
-func runBenchJSON(ctx context.Context, path, baseline string, opts core.Options) int {
-	start := time.Now()
-	v := cmdutil.Version()
-	grid := &benchcmp.Grid{
-		SchemaVersion: benchcmp.SchemaVersion,
-		Env:           benchcmp.CaptureEnv(v.Revision, v.Time),
-	}
-	for fi, name := range programs.Names() {
-		p, err := programs.ByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-			return 1
-		}
-		a, err := core.AnalyzeContext(ctx, p, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-			return 1
-		}
-		for _, pr := range a.Phases {
-			for i, verdict := range pr.Verdicts {
-				if verdict == 0 {
-					continue // attack not run
-				}
-				rec := benchcmp.Record{
-					Figure:    5 + fi, // paper order: Figures 5-11, one per program
-					Program:   name,
-					Phase:     pr.Spec.Name,
-					Attack:    i + 1,
-					Verdict:   verdict.String(),
-					States:    pr.States[i],
-					ElapsedNS: pr.Elapsed[i].Nanoseconds(),
-				}
-				if st := pr.Stats[i]; st != nil {
-					rec.StatesPerSec = st.StatesPerSec()
-					rec.Workers = st.Workers
-					rec.Cost = api.FromQueryCost(st.Cost)
-				}
-				grid.Records = append(grid.Records, rec)
-			}
-		}
-		fmt.Printf("%-12s %3d queries  %s\n", name, 4*len(a.Phases), time.Since(start).Round(time.Millisecond))
-	}
-	if err := benchcmp.Write(path, grid); err != nil {
-		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-		return 1
-	}
-	fmt.Printf("wrote %d records to %s in %s\n", len(grid.Records), path, time.Since(start).Round(time.Millisecond))
-	if baseline == "" {
-		return 0
-	}
-	base, err := benchcmp.Load(baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-		return 1
-	}
-	rep := benchcmp.Compare(base, grid, benchcmp.DefaultThresholds())
-	fmt.Print(rep)
-	if rep.Drift() {
-		fmt.Fprintln(os.Stderr, "privanalyzer: benchmark grid drifted from the baseline (verdicts or state counts changed)")
-		return 1
-	}
-	// Wall-clock regressions are warn-only: the baseline was measured on a
-	// specific machine and CI runners are noisy. The report above is the
-	// signal; humans decide.
-	return 0
 }

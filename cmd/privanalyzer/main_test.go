@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"privanalyzer/internal/benchcmp"
 )
 
 func capture(t *testing.T, f func() int) (string, int) {
@@ -265,40 +263,6 @@ func TestRunTraceOut(t *testing.T) {
 		if ev.Ph == "C" && len(ev.Args) == 0 {
 			t.Errorf("counter sample %q has no series", ev.Name)
 		}
-	}
-}
-
-func TestRunBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the whole query grid")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	out, code := capture(t, func() int { return run([]string{"-bench-json", path, "-budget", "500"}) })
-	if code != 0 {
-		t.Fatalf("exit code = %d\n%s", code, out)
-	}
-	g, err := benchcmp.Load(path)
-	if err != nil {
-		t.Fatalf("bad grid: %v", err)
-	}
-	if g.SchemaVersion != benchcmp.SchemaVersion {
-		t.Errorf("schema_version = %d, want %d", g.SchemaVersion, benchcmp.SchemaVersion)
-	}
-	if g.Env.GoVersion == "" || g.Env.NumCPU < 1 {
-		t.Errorf("environment stamp not populated: %+v", g.Env)
-	}
-	if len(g.Records) != 140 { // 7 programs × their phases × 4 attacks
-		t.Errorf("got %d records, want 140", len(g.Records))
-	}
-	r := g.Records[0]
-	if r.Figure < 5 || r.Program == "" || r.Phase == "" || r.Attack < 1 || r.Verdict == "" {
-		t.Errorf("record identity not populated: %+v", r)
-	}
-	if r.States <= 0 || r.ElapsedNS <= 0 || r.StatesPerSec <= 0 {
-		t.Errorf("record measurements not populated: %+v", r)
-	}
-	if r.Cost == nil || r.Cost.WallNS <= 0 || r.Cost.StatesExpanded <= 0 {
-		t.Errorf("record cost vector not populated: %+v", r.Cost)
 	}
 }
 

@@ -63,9 +63,6 @@ func run(args []string) int {
 		uidArg   = fs.String("uid", "1000,1000,1000", "real,effective,saved uid")
 		gidArg   = fs.String("gid", "1000,1000,1000", "real,effective,saved gid")
 		syscalls = fs.String("syscalls", "open,chown,setuid,setresuid,setgid,setresgid,kill,socket,bind,connect", "comma-separated syscall inventory")
-		noIndex   = fs.Bool("no-index", false, "disable the successor engine's rule index (ablation)")
-		noIntern  = fs.Bool("no-intern", false, "disable term interning; also disables the transition cache (ablation)")
-		noCompile = fs.Bool("no-compile", false, "disable compiled rule matchers; match every rule through the interpreter (ablation)")
 		example  = fs.Bool("example", false, "run the paper's worked example (Figures 2-4) instead")
 		query    = fs.String("query", "", "run a query file (rosa.ParseQuery format) instead")
 		maude    = fs.Bool("maude", false, "also print the query in the paper's Maude syntax")
@@ -92,12 +89,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "rosa:", err)
 		return 2
 	}
-	rep := reporter{
-		search:  search,
-		noIndex: *noIndex, noIntern: *noIntern, noCompile: *noCompile,
-		explain: *explain, progress: *progress,
-		logger: logger,
-	}
+	rep := reporter{search: search, explain: *explain, progress: *progress, logger: logger}
 
 	if *module {
 		fmt.Print(rosa.MaudeModule())
@@ -208,13 +200,10 @@ func simulateQuery(q *rosa.Query) int {
 // reporter carries the search-tuning and observability flags shared by every
 // query mode.
 type reporter struct {
-	search    cmdutil.SearchFlags
-	noIndex   bool
-	noIntern  bool
-	noCompile bool
-	explain   bool
-	progress  time.Duration
-	logger    *slog.Logger
+	search   cmdutil.SearchFlags
+	explain  bool
+	progress time.Duration
+	logger   *slog.Logger
 }
 
 func (r reporter) report(what string, q *rosa.Query) int {
@@ -226,9 +215,6 @@ func (r reporter) report(what string, q *rosa.Query) int {
 		fmt.Fprintln(os.Stderr, "rosa:", err)
 		return 2
 	}
-	q.NoIndex = r.noIndex
-	q.NoIntern = r.noIntern
-	q.NoCompile = r.noCompile
 
 	// -explain and -trace-out both need the flight recorder; -trace-out also
 	// needs the span registry for the pipeline track.

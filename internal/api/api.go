@@ -65,7 +65,8 @@ type SearchParams struct {
 	// core.DefaultMaxStates for analyses). CLI flag: -budget.
 	Budget int `json:"budget,omitempty"`
 	// Workers is the search worker count per depth level (0 = one per CPU,
-	// 1 = sequential). Verdicts are identical at any value. CLI: -workers.
+	// 1 = sequential, at most rewrite.MaxWorkers). Verdicts are identical
+	// at any value. CLI: -workers.
 	Workers int `json:"workers,omitempty"`
 	// Escalate is the budget-escalation ladder in the -escalate grammar:
 	// "" (defaults), "off", or "start:factor[:max]".
@@ -82,7 +83,7 @@ type SearchParams struct {
 	// NoCompile disables the compiled rule matchers for this request; every
 	// rule attempt runs through the generic interpreter. Results are
 	// byte-identical either way — the knob exists for ablation and
-	// benchmarking the interpreter baseline. CLI: -no-compile.
+	// benchmarking the interpreter baseline. No CLI flag.
 	NoCompile bool `json:"no_compile,omitempty"`
 	// NoCost disables the per-query cost ledger (SearchStats.Cost and the
 	// slow-query journal's admission) for this request. CLI: -no-cost.

@@ -111,6 +111,12 @@ func TestSearchParamsOptions(t *testing.T) {
 	if _, err := (SearchParams{Escalate: "nope"}).Options(); err == nil {
 		t.Error("bad escalate accepted")
 	}
+	if _, err := (SearchParams{Workers: rewrite.MaxWorkers + 1}).Options(); err == nil {
+		t.Error("workers above MaxWorkers accepted")
+	}
+	if _, err := (SearchParams{Workers: rewrite.MaxWorkers}).Options(); err != nil {
+		t.Errorf("workers at MaxWorkers rejected: %v", err)
+	}
 }
 
 func TestSearchParamsOrDefaults(t *testing.T) {
@@ -147,6 +153,9 @@ func TestQueryRequestBuildValidation(t *testing.T) {
 		{"no syscalls", QueryRequest{Attack: 1, Privs: "CapSetuid"}, "syscall inventory"},
 		{"bad uid", QueryRequest{Attack: 1, UID: "1,2", Syscalls: []string{"open"}}, "uid"},
 		{"bad source", QueryRequest{Source: "gibberish"}, ""},
+		{"workers 2^61", QueryRequest{Attack: 2, Syscalls: []string{"open"}, Search: SearchParams{Workers: 1 << 61}}, "workers"},
+		{"workers 2^62", QueryRequest{Attack: 2, Syscalls: []string{"open"}, Search: SearchParams{Workers: 1 << 62}}, "workers"},
+		{"workers in source", QueryRequest{Source: "objects:\nUser(1)\ngoal: read 3\nworkers: 1025\n"}, "workers"},
 	}
 	for _, tc := range cases {
 		_, _, err := tc.req.Build()

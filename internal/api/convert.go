@@ -20,6 +20,9 @@ import (
 // cannot drift. Timeout is not part of rewrite.Options — callers apply it
 // as a context deadline.
 func (p SearchParams) Options() (rewrite.Options, error) {
+	if p.Workers > rewrite.MaxWorkers {
+		return rewrite.Options{}, fmt.Errorf("workers: %d exceeds the maximum of %d", p.Workers, rewrite.MaxWorkers)
+	}
 	o := rewrite.Options{
 		MaxStates: p.Budget,
 		Workers:   p.Workers,

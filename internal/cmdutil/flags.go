@@ -2,6 +2,7 @@ package cmdutil
 
 import (
 	"flag"
+	"fmt"
 	"log/slog"
 	"time"
 
@@ -61,7 +62,7 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Budget, "budget", 0,
 		"per-query state budget — caps the escalation ladder (0 = default)")
 	fs.IntVar(&f.Workers, "workers", 0,
-		"search workers per depth level (0 = one per CPU, 1 = sequential)")
+		fmt.Sprintf("search workers per depth level (0 = one per CPU, 1 = sequential, at most %d)", rewrite.MaxWorkers))
 	fs.StringVar(&f.Escalate, "escalate", "",
 		`budget escalation: "off" for one-shot at the full budget, or start:factor[:max] (empty = escalate with defaults)`)
 	fs.Int64Var(&f.MemBudget, "mem-budget", 0,

@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkAnalyzeGrid times the full Figure 5-11 analysis grid — every
-// program, phase, and attack — the same workload `privanalyzer -bench-json`
-// measures, in benchmark harness form so `-cpuprofile` and `-benchstat`
-// work on it. The compiled/interpreted pair is the headline comparison for
+// program, phase, and attack — the same query set testdata/grid.golden
+// pins, in benchmark harness form so `-cpuprofile` and `-benchstat` work
+// on it. The compiled/interpreted pair is the headline comparison for
 // the compiled-matcher work (EXPERIMENTS.md).
 func BenchmarkAnalyzeGrid(b *testing.B) {
 	for _, mode := range []struct {

@@ -2,6 +2,10 @@ package core
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -264,11 +268,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 // all programs, all phases, all four attacks — once sequentially and once
 // with 4 search workers, and requires byte-identical verdicts, witnesses,
 // and state counts. This is the engine's determinism guarantee checked on
-// the real query set rather than toy systems.
+// the real query set rather than toy systems. The sequential column must
+// also match the per-cell pin in testdata/grid.golden.
 func TestWorkersEquivalenceGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full Table III/V query grid twice")
 	}
+	var grid []gridCell
 	for _, name := range programs.Names() {
 		p, err := programs.ByName(name)
 		if err != nil {
@@ -293,6 +299,7 @@ func TestWorkersEquivalenceGrid(t *testing.T) {
 				}
 				seq := runWith(1)
 				par := runWith(4)
+				grid = append(grid, gridCell{name, ph.Name, int(id), seq.Verdict.String(), seq.StatesExplored})
 				if seq.Verdict != par.Verdict || seq.StatesExplored != par.StatesExplored {
 					t.Errorf("%s %s attack%d: sequential (%s, %d states) vs parallel (%s, %d states)",
 						name, ph.Name, id, seq.Verdict, seq.StatesExplored,
@@ -312,6 +319,97 @@ func TestWorkersEquivalenceGrid(t *testing.T) {
 				}
 			}
 		}
+	}
+	checkGridGolden(t, grid)
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/grid.golden from the sequential grid run")
+
+// gridGolden pins the Figure 5-11 grid: one line per (program, phase,
+// attack) cell with its verdict and state count, in grid order.
+const gridGolden = "testdata/grid.golden"
+
+// gridCell is one line of the grid golden.
+type gridCell struct {
+	program, phase string
+	attack         int
+	verdict        string
+	states         int
+}
+
+func (c gridCell) String() string {
+	return fmt.Sprintf("%s %s %d %s %d", c.program, c.phase, c.attack, c.verdict, c.states)
+}
+
+func (c gridCell) key() string {
+	return fmt.Sprintf("%s/%s/a%d", c.program, c.phase, c.attack)
+}
+
+// readGridGolden parses the golden, rejecting malformed lines.
+func readGridGolden(t *testing.T) []gridCell {
+	t.Helper()
+	data, err := os.ReadFile(gridGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []gridCell
+	for i, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 5 {
+			t.Fatalf("%s:%d: want \"program phase attack verdict states\", got %q", gridGolden, i+1, line)
+		}
+		attack, err1 := strconv.Atoi(f[2])
+		states, err2 := strconv.Atoi(f[4])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s:%d: bad attack or state count in %q", gridGolden, i+1, line)
+		}
+		cells = append(cells, gridCell{f[0], f[1], attack, f[3], states})
+	}
+	return cells
+}
+
+// checkGridGolden compares a grid run against the golden cell by cell: a
+// missing cell (a repeated golden line counts as one), an extra cell, or a
+// changed verdict or state count fails, naming the cell and the old -> new
+// value. -update rewrites the golden.
+func checkGridGolden(t *testing.T, got []gridCell) {
+	t.Helper()
+	if *update {
+		var b strings.Builder
+		for _, c := range got {
+			fmt.Fprintln(&b, c)
+		}
+		if err := os.WriteFile(gridGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var drift []string
+	byKey := make(map[string]gridCell, len(got))
+	for _, c := range got {
+		byKey[c.key()] = c
+	}
+	for _, w := range readGridGolden(t) {
+		g, ok := byKey[w.key()]
+		delete(byKey, w.key())
+		if !ok {
+			drift = append(drift, fmt.Sprintf("%s missing (golden: %s %d)", w.key(), w.verdict, w.states))
+			continue
+		}
+		if g.verdict != w.verdict {
+			drift = append(drift, fmt.Sprintf("%s verdict %s -> %s", w.key(), w.verdict, g.verdict))
+		}
+		if g.states != w.states {
+			drift = append(drift, fmt.Sprintf("%s states %d -> %d", w.key(), w.states, g.states))
+		}
+	}
+	for _, c := range got {
+		if _, extra := byKey[c.key()]; extra {
+			drift = append(drift, fmt.Sprintf("%s not in the golden (%s %d)", c.key(), c.verdict, c.states))
+		}
+	}
+	if len(drift) > 0 {
+		t.Errorf("grid drifted from %s (rerun with -update to accept a deliberate change):\n  %s",
+			gridGolden, strings.Join(drift, "\n  "))
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package obs is the query-level cost-accounting layer: a QueryCost record
 // captured around every ROSA query that answers "what did this query cost?"
 // in machine-readable form — wall time, CPU time, allocation volume, and the
-// engine's own work counters — so per-request attribution, the server's
-// slow-query journal, and the benchmark baseline all speak one cost vector.
+// engine's own work counters — so per-request attribution and the server's
+// slow-query journal speak one cost vector.
 //
 // The package is deliberately dependency-free (stdlib only): the engine
 // (internal/rewrite) attaches a *QueryCost to its SearchStats, the rosa
-// supervisor fills it, and every surface above — internal/api, the server,
-// internal/benchcmp — converts from here.
+// supervisor fills it, and every surface above — internal/api and the
+// server — converts from here.
 //
 // Measurement model: a Meter brackets one query. Wall time is monotonic
 // clock delta. CPU time is the process's user+system CPU delta (getrusage on

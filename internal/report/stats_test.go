@@ -131,7 +131,7 @@ func TestCompileSummary(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, got)
 		}
 	}
-	// -no-compile runs still render: all attempts counted as interpreted.
+	// NoCompile runs still render: all attempts counted as interpreted.
 	got = CompileSummary([]*rewrite.SearchStats{{FallbackMatches: 42}})
 	if !strings.Contains(got, "0 rules compiled") || !strings.Contains(got, "0.0% compiled") {
 		t.Errorf("interpreter-only summary = %q", got)

@@ -144,12 +144,18 @@ type Escalation struct {
 // space BFS with deduplication on and one worker per CPU.
 func DefaultOptions() Options { return Options{} }
 
+// MaxWorkers caps the search workers per depth level. Callers that take a
+// worker count from outside input reject larger values; the engine clamps
+// to it, so no count can overflow the merge's chunk size.
+const MaxWorkers = 1024
+
 // workers resolves the effective worker count.
 func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
+	w := o.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return min(w, MaxWorkers)
 }
 
 // SearchStats is the engine's observability surface: what the search did,

@@ -145,7 +145,10 @@ func TestParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{2, 4, 8} {
+			// Counts past MaxWorkers run clamped to it; unclamped, 2^61
+			// overflowed the chunk size into a makeslice panic and 2^62
+			// into an endless spin on empty chunks.
+			for _, w := range []int{2, 4, 8, 1 << 61, 1 << 62} {
 				opts := tc.opts
 				opts.Workers = w
 				got, err := tc.sys.SearchContext(context.Background(), tc.init, tc.goal, opts)

@@ -99,6 +99,9 @@ func ParseQuery(src string) (*Query, error) {
 			if err != nil {
 				return nil, errf("bad workers: %v", err)
 			}
+			if n > rewrite.MaxWorkers {
+				return nil, errf("bad workers: %d exceeds the maximum of %d", n, rewrite.MaxWorkers)
+			}
 			q.Workers = n
 			continue
 		case strings.HasPrefix(lower, "dedup:"):

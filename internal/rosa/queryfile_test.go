@@ -141,6 +141,9 @@ func TestParseQueryErrors(t *testing.T) {
 		{"bad goal arg", "objects:\nUser(1)\ngoal: read x\n"},
 		{"bad maxstates", "objects:\nUser(1)\ngoal: read 3\nmaxstates: many\n"},
 		{"bad term", "objects:\nProcess(1,\ngoal: read 3\n"},
+		{"workers above MaxWorkers", "objects:\nUser(1)\ngoal: read 3\nworkers: 1025\n"},
+		{"workers 2^61", "objects:\nUser(1)\ngoal: read 3\nworkers: 2305843009213693952\n"},
+		{"workers 2^62", "objects:\nUser(1)\ngoal: read 3\nworkers: 4611686018427387904\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
