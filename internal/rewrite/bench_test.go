@@ -117,7 +117,7 @@ func TestMatchSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	miss := NewConfig(NewOp("d"), NewOp("d"), NewOp("d"))
-	hit := benchTokens(3) // 3 candidate tokens -> 3 solutions for inc
+	hit := benchTokens(3)           // 3 candidate tokens -> 3 solutions for inc
 	Matches(incLHSBench, miss, nil) // warm the pools
 	Matches(incLHSBench, hit, nil)
 

@@ -20,9 +20,10 @@ package rewrite
 //     non-linear occurrences (the same variable in two positions) compile to
 //     a slot-equality check instead of a map probe;
 //   - guard evaluation (Cond) and replacement construction (BuildAll /
-//     Build / RHS substitution) are fused into the enumeration loop, and the
-//     map-shaped Binding the callbacks expect is materialized only for
-//     complete matches — failed candidates never allocate.
+//     Build / RHS substitution) are fused into the enumeration loop; the
+//     callbacks read the slot array through a pooled Env, and the
+//     remainder configuration is built only if a callback asks for it —
+//     neither failed candidates nor guard checks allocate.
 //
 // Rules outside the fragment (non-Config roots, two rest variables, nested
 // configurations inside elements) keep the interpreter, per rule. The
@@ -77,8 +78,8 @@ type compiledRule struct {
 	fixed []celem // fixed elements, in pattern order
 	rest  int     // slot of the remainder variable; -1 when the pattern has none
 	names []string
-	// names maps slot index -> variable name, for materializing the Binding
-	// the rule callbacks (Cond/Build/BuildAll) and Subst expect.
+	// names maps slot index -> variable name: the SlotsOf numbering the rule
+	// callbacks index their Env with, and the keys Subst needs.
 }
 
 // CompiledRules is a rule set's compiled matchers, built once per System by
@@ -130,7 +131,7 @@ func (c *CompiledRules) CompiledCount() int { return c.count }
 // getScratch and putScratch recycle matcher state across expansions; slots
 // are all nil between uses (the backtracker's trail discipline restores
 // them), so a pooled scratch is indistinguishable from a fresh one.
-func (c *CompiledRules) getScratch() *matcherScratch { return c.pool.Get().(*matcherScratch) }
+func (c *CompiledRules) getScratch() *matcherScratch  { return c.pool.Get().(*matcherScratch) }
 func (c *CompiledRules) putScratch(m *matcherScratch) { c.pool.Put(m) }
 
 // compileRule lowers one rule, or reports it outside the fragment (nil).
@@ -143,26 +144,23 @@ func compileRule(r *Rule) *compiledRule {
 	if lhs == nil || lhs.Kind != Config {
 		return nil
 	}
-	slots := make(map[string]int)
-	cr := &compiledRule{rule: r, rest: -1}
-	slotOf := func(name string) int {
-		s, ok := slots[name]
-		if !ok {
-			s = len(cr.names)
-			slots[name] = s
-			cr.names = append(cr.names, name)
-		}
-		return s
-	}
+	// Slots are numbered by patternSlots, the table SlotsOf exposes, so the
+	// slot numbers rules resolve at construction index this matcher's
+	// slot array directly.
+	cr := &compiledRule{rule: r}
+	cr.names, cr.rest = patternSlots(lhs)
+	slots := SlotsOf(lhs)
+	slotOf := func(name string) int { return slots[name] }
+	restSeen := false
 	for _, e := range lhs.Args {
 		if e.Kind == Var && (e.Sort == "" || e.Sort == SortConfig) {
-			if cr.rest >= 0 {
+			if restSeen {
 				// Two remainder variables: the interpreter deems the pattern
 				// unmatchable; leave that corner to it rather than duplicate
 				// the judgment here.
 				return nil
 			}
-			cr.rest = slotOf(e.Sym)
+			restSeen = true
 			continue
 		}
 		prog := compileElem(e, slotOf)
@@ -209,17 +207,17 @@ func compileElem(pat *Term, slotOf func(string) int) []cop {
 // matcherScratch is the mutable state of one compiled-match execution:
 // binding slots, the undo trail, the injective-selection bookkeeping, and
 // the walk/remainder buffers. Pooled per CompiledRules and sized for the
-// largest compiled rule, so steady-state matching allocates only on
-// successful matches (the Binding map and the remainder configuration).
+// largest compiled rule, so steady-state matching allocates only what the
+// callbacks build (replacements, and the remainder if they ask for it).
 type matcherScratch struct {
 	slots  []*Term // slot -> bound term; nil = unbound
 	trail  []int   // slots bound since the start of the current match, in order
 	used   []bool  // subject elements consumed by fixed elements
 	nodes  []*Term // pre-order walk stack for matchElem
-	rem    []*Term // remainder element buffer
+	rem    []*Term // remainder element buffer (non-linear remainder checks)
 	choice []int   // per-level chosen subject index (iterative backtracker)
 	marks  []int   // per-level trail mark
-	bmap   Binding // pooled map handed to Cond/Build/BuildAll, cleared after each use
+	env    Env     // pooled view handed to Cond/Build/BuildAll
 }
 
 // undo unbinds every slot bound after mark.
@@ -296,7 +294,7 @@ func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out 
 	}
 	m.used = used
 	if k == 0 {
-		return cr.complete(subj, sig, m, out)
+		return cr.complete(subj, m, out)
 	}
 
 	// Iterative backtracking over the injective assignment of fixed elements
@@ -328,7 +326,7 @@ func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out 
 			}
 			// Complete assignment: emit, then resume this level at the next
 			// candidate (the interpreter's yield-then-continue).
-			out = cr.complete(subj, sig, m, out)
+			out = cr.complete(subj, m, out)
 			jj := m.choice[level]
 			used[jj] = false
 			m.undo(m.marks[level])
@@ -346,68 +344,60 @@ func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out 
 	}
 }
 
-// complete handles one full assignment: bind (or equality-check) the
-// remainder, materialize the Binding map the callbacks expect, and run the
-// fused guard + replacement construction — the body of Rule.apply's yield.
-func (cr *compiledRule) complete(subj *Term, sig Signature, m *matcherScratch, out []*Term) []*Term {
-	boundRest := false
-	if cr.rest >= 0 {
-		rem := m.rem[:0]
-		for j, u := range m.used {
-			if !u {
-				rem = append(rem, subj.Args[j])
-			}
-		}
-		m.rem = rem
-		remTerm := NewConfig(rem...)
-		if prev := m.slots[cr.rest]; prev != nil {
-			if !prev.Equal(remTerm) {
-				return out
-			}
-		} else {
-			m.slots[cr.rest] = remTerm
-			boundRest = true
+// restOK checks a non-linear remainder: when a fixed element already bound
+// the remainder variable, the unmatched elements must equal that binding. A
+// linear remainder always matches and is left to Env.Rest to build on
+// demand.
+func (cr *compiledRule) restOK(subj *Term, m *matcherScratch) bool {
+	if cr.rest < 0 || m.slots[cr.rest] == nil {
+		return true
+	}
+	rem := m.rem[:0]
+	for j, u := range m.used {
+		if !u {
+			rem = append(rem, subj.Args[j])
 		}
 	}
-	// The callbacks get the same pooled map every time — the interpreter's
-	// long-standing in-place contract (callbacks copy what they keep), so a
-	// successful match no longer allocates the Binding either.
-	b := m.bmap
-	if b == nil {
-		b = make(Binding, len(cr.names))
-		m.bmap = b
+	m.rem = rem
+	return m.slots[cr.rest].Equal(NewConfig(rem...))
+}
+
+// view points the pooled Env at the current assignment.
+func (cr *compiledRule) view(subj *Term, m *matcherScratch) *Env {
+	m.env = Env{names: cr.names, slots: m.slots, rest: cr.rest, subj: subj, used: m.used}
+	return &m.env
+}
+
+// complete handles one full assignment: check a non-linear remainder, then
+// run the fused guard + replacement construction over the slot view — the
+// body of Rule.apply's yield.
+func (cr *compiledRule) complete(subj *Term, m *matcherScratch, out []*Term) []*Term {
+	if !cr.restOK(subj, m) {
+		return out
 	}
-	for s, name := range cr.names {
-		if t := m.slots[s]; t != nil {
-			b[name] = t
-		}
-	}
+	env := cr.view(subj, m)
 	r := cr.rule
-	if r.Cond == nil || r.Cond(b) {
+	if r.Cond == nil || r.Cond(env) {
 		switch {
 		case r.BuildAll != nil:
-			out = append(out, r.BuildAll(b)...)
+			out = append(out, r.BuildAll(env)...)
 		case r.Build != nil:
-			if nt, ok := r.Build(b); ok {
+			if nt, ok := r.Build(env); ok {
 				out = append(out, nt)
 			}
 		default:
-			out = append(out, Subst(r.RHS, b))
+			out = append(out, Subst(r.RHS, env.binding()))
 		}
 	}
-	clear(b)
-	if boundRest {
-		m.slots[cr.rest] = nil
-	}
+	m.env = Env{} // drop the subject and the remainder memo
 	return out
 }
 
 // matchAny reports whether the compiled pattern admits at least one binding
 // satisfying the rule's Cond — the compiled form of Goal.matches. Unlike
-// apply it stops at the first success, and when the pattern's remainder
-// variable is linear and there is no guard it never materializes the
-// remainder configuration or the Binding map at all, so per-state goal
-// checks are allocation-free.
+// apply it stops at the first success, and it never materializes the
+// remainder unless the guard reads it (or the remainder is non-linear), so
+// per-state goal checks are allocation-free.
 func (cr *compiledRule) matchAny(subj *Term, sig Signature, m *matcherScratch) bool {
 	if subj.Kind != Config {
 		return false
@@ -423,7 +413,7 @@ func (cr *compiledRule) matchAny(subj *Term, sig Signature, m *matcherScratch) b
 	}
 	m.used = used
 	if k == 0 {
-		return cr.completeAny(subj, sig, m)
+		return cr.completeAny(subj, m)
 	}
 	level, j := 0, 0
 	for {
@@ -449,7 +439,7 @@ func (cr *compiledRule) matchAny(subj *Term, sig Signature, m *matcherScratch) b
 				j = 0
 				continue
 			}
-			if cr.completeAny(subj, sig, m) {
+			if cr.completeAny(subj, m) {
 				m.undo(0) // leave the pooled scratch clean
 				return true
 			}
@@ -472,52 +462,15 @@ func (cr *compiledRule) matchAny(subj *Term, sig Signature, m *matcherScratch) b
 
 // completeAny is complete's boolean twin: guard-check one full assignment
 // without constructing replacements.
-func (cr *compiledRule) completeAny(subj *Term, sig Signature, m *matcherScratch) bool {
-	boundRest := false
-	if cr.rest >= 0 {
-		if prev := m.slots[cr.rest]; prev != nil {
-			rem := m.rem[:0]
-			for j, u := range m.used {
-				if !u {
-					rem = append(rem, subj.Args[j])
-				}
-			}
-			m.rem = rem
-			if !prev.Equal(NewConfig(rem...)) {
-				return false
-			}
-		} else if cr.rule.Cond != nil {
-			rem := m.rem[:0]
-			for j, u := range m.used {
-				if !u {
-					rem = append(rem, subj.Args[j])
-				}
-			}
-			m.rem = rem
-			m.slots[cr.rest] = NewConfig(rem...)
-			boundRest = true
-		}
-		// Linear remainder with no guard: any leftover elements match; skip
-		// materializing them.
+func (cr *compiledRule) completeAny(subj *Term, m *matcherScratch) bool {
+	if !cr.restOK(subj, m) {
+		return false
 	}
-	ok := true
-	if cr.rule.Cond != nil {
-		b := m.bmap
-		if b == nil {
-			b = make(Binding, len(cr.names))
-			m.bmap = b
-		}
-		for s, name := range cr.names {
-			if t := m.slots[s]; t != nil {
-				b[name] = t
-			}
-		}
-		ok = cr.rule.Cond(b)
-		clear(b)
+	if cr.rule.Cond == nil {
+		return true
 	}
-	if boundRest {
-		m.slots[cr.rest] = nil
-	}
+	ok := cr.rule.Cond(cr.view(subj, m))
+	m.env = Env{}
 	return ok
 }
 
@@ -551,12 +504,8 @@ func (cr *compiledRule) matchCompiled(subj *Term, sig Signature, m *matcherScrat
 	// Reuse apply's enumeration through a shadow rule whose BuildAll records
 	// the binding instead of building a replacement.
 	var outB []Binding
-	probe := Rule{LHS: cr.rule.LHS, BuildAll: func(b Binding) []*Term {
-		cp := make(Binding, len(b))
-		for k, v := range b {
-			cp[k] = v
-		}
-		outB = append(outB, cp)
+	probe := Rule{LHS: cr.rule.LHS, BuildAll: func(e *Env) []*Term {
+		outB = append(outB, e.binding())
 		return nil
 	}}
 	shadow := *cr

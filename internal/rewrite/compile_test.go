@@ -336,9 +336,9 @@ func TestCompiledCounterAccounting(t *testing.T) {
 	mixed := func() *System {
 		s := tokens(3)
 		s.Rules = append(s.Rules, Rule{
-			Name: "noop",
-			LHS:  NewVar("X", SortInt),
-			Build: func(b Binding) (*Term, bool) { return nil, false },
+			Name:  "noop",
+			LHS:   NewVar("X", SortInt),
+			Build: func(b *Env) (*Term, bool) { return nil, false },
 		})
 		return s
 	}

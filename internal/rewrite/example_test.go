@@ -18,8 +18,8 @@ func Example() {
 				LHS: rewrite.NewConfig(
 					rewrite.NewOp("mint", rewrite.NewVar("N", rewrite.SortInt)),
 					rewrite.NewVar("Z", rewrite.SortConfig)),
-				Cond: func(b rewrite.Binding) bool { n, _ := b.Int("N"); return n > 0 },
-				Build: func(b rewrite.Binding) (*rewrite.Term, bool) {
+				Cond: func(b *rewrite.Env) bool { n, _ := b.Int("N"); return n > 0 },
+				Build: func(b *rewrite.Env) (*rewrite.Term, bool) {
 					n, _ := b.Int("N")
 					return rewrite.NewConfig(
 						rewrite.NewOp("mint", rewrite.NewInt(n-1)),

@@ -110,9 +110,10 @@ func FuzzCompileEquivalence(f *testing.F) {
 }
 
 // FuzzInternParts cross-checks the parts-probing interners against their
-// build-then-intern equivalents: InternConfig and InternOp must return the
-// exact canonical pointer Intern(NewConfig(...)) / Intern(NewOp(...)) does,
-// for any multiset of parts, including spliced configurations and duplicate
+// build-then-intern equivalents: replaceConfig (adding parts to an interned
+// configuration, nothing removed) and InternOp must return the exact
+// canonical pointer Intern(NewConfig(...)) / Intern(NewOp(...)) does, for
+// any multiset of parts, including spliced configurations and duplicate
 // elements.
 func FuzzInternParts(f *testing.F) {
 	f.Add("c(1) c(2) c(3)", "d(4)")
@@ -136,11 +137,67 @@ func FuzzInternParts(f *testing.F) {
 			t.Skip("interning is for ground states")
 		}
 		elems := append(append([]*Term{}, a.Args...), b)
-		if got, want := InternConfig(elems...), Intern(NewConfig(elems...)); got != want {
-			t.Fatalf("InternConfig(%q + %q) = %s, want canonical %s", part1, part2, got, want)
+		ia := Intern(a)
+		if got, want := replaceConfig(ia, make([]bool, len(ia.Args)), []*Term{b}), Intern(NewConfig(elems...)); got != want {
+			t.Fatalf("replaceConfig(%q + %q) = %s, want canonical %s", part1, part2, got, want)
 		}
 		if got, want := InternOp("fz", a, b), Intern(NewOp("fz", a, b)); got != want {
 			t.Fatalf("InternOp(%q, %q) = %s, want canonical %s", part1, part2, got, want)
+		}
+	})
+}
+
+// FuzzReplace pins replaceConfig — the O(k) successor interner behind
+// Env.Replace — to its definition: for any interned configuration, any
+// subset of removed elements (bit j of mask removes element j) and any
+// added elements, it returns the pointer Intern(NewConfig(kept...,
+// objs...)) does. The seeds cover a removed element equal to a kept one, an
+// added element equal to a kept one, and an empty remainder.
+func FuzzReplace(f *testing.F) {
+	f.Add("a a b", uint64(1), "c")   // removed equals a kept element
+	f.Add("a b", uint64(0), "a")     // added equals a kept element
+	f.Add("a b c", uint64(7), "d e") // empty remainder
+	f.Add("a b c", uint64(7), "")    // empty successor
+	f.Add("c(1) c(2) msg(3)", uint64(4), "c(3) c(1)")
+	f.Add(`Process(1,0,0,0) "s" 7`, uint64(2), `"s" 8`)
+	f.Fuzz(func(t *testing.T, subj string, mask uint64, add string) {
+		if len(subj) > 120 || len(add) > 120 {
+			t.Skip("oversized input")
+		}
+		s, err := ParseConfig(subj)
+		if err != nil {
+			t.Skip("unparseable subject")
+		}
+		a, err := ParseConfig(add)
+		if err != nil {
+			t.Skip("unparseable additions")
+		}
+		if s.HasVars() || a.HasVars() {
+			t.Skip("interning is for ground states")
+		}
+		is := Intern(s)
+		if is.Kind != Config {
+			t.Skip("subject is not a configuration")
+		}
+		removed := make([]bool, len(is.Args))
+		var kept []*Term
+		for j, e := range is.Args {
+			if j < 64 && mask>>j&1 == 1 {
+				removed[j] = true
+			} else {
+				kept = append(kept, e)
+			}
+		}
+		objs := append([]*Term{}, a.Args...)
+		// replaceConfig first, so a class it creates is the one compared.
+		got := replaceConfig(is, removed, objs)
+		built := NewConfig(append(kept, objs...)...)
+		if got.Hash() != built.Hash() {
+			t.Fatalf("replaceConfig(%q, mask %b, %q): stored hash %x, recomputed %x",
+				subj, mask, add, got.Hash(), built.Hash())
+		}
+		if want := Intern(built); got != want {
+			t.Fatalf("replaceConfig(%q, mask %b, %q) = %s, want canonical %s", subj, mask, add, got, want)
 		}
 	})
 }

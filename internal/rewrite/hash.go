@@ -32,6 +32,19 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// unmix64 inverts mix64: every step of the finalizer (xorshift, multiply by
+// an odd constant) is a bijection on uint64. It recovers a configuration's
+// raw element sum from its memoized hash, which is what lets a successor's
+// hash be derived from its parent's in O(k) (replaceConfig).
+func unmix64(x uint64) uint64 {
+	x ^= x>>31 ^ x>>62
+	x *= 0x319642B2D24D8EC3 // inverse of 0x94D049BB133111EB mod 2^64
+	x ^= x>>27 ^ x>>54
+	x *= 0x96DE1B173F119089 // inverse of 0xBF58476D1CE4E5B9 mod 2^64
+	x ^= x>>30 ^ x>>60
+	return x
+}
+
 // strHash is FNV-1a over a string.
 func strHash(s string) uint64 {
 	h := uint64(14695981039346656037)

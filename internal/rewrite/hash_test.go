@@ -127,3 +127,23 @@ func TestHashZeroSentinel(t *testing.T) {
 		t.Fatal("zero-colliding terms interned to distinct pointers")
 	}
 }
+
+// TestUnmix64InvertsMix64: replaceConfig recovers a configuration's raw
+// element sum from its memoized hash, which is only sound if unmix64 is
+// mix64's exact inverse.
+func TestUnmix64InvertsMix64(t *testing.T) {
+	xs := []uint64{0, 1, 2, tagCfg, tagInt, ^uint64(0), 1 << 63, 0x0123456789ABCDEF}
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < 10000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		xs = append(xs, x)
+	}
+	for _, x := range xs {
+		if got := unmix64(mix64(x)); got != x {
+			t.Fatalf("unmix64(mix64(%#x)) = %#x", x, got)
+		}
+		if got := mix64(unmix64(x)); got != x {
+			t.Fatalf("mix64(unmix64(%#x)) = %#x", x, got)
+		}
+	}
+}

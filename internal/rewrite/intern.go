@@ -105,7 +105,14 @@ func Intern(t *Term) *Term {
 				IntVal: t.IntVal, StrVal: t.StrVal, Args: args}
 		}
 	}
-	h := nt.Hash()
+	return internNew(nt, nt.Hash())
+}
+
+// internNew inserts nt, whose subterms are already canonical and whose
+// configuration elements are in canonical order, as the representative of
+// its class — unless a racing caller got there first, whose representative
+// is returned instead. h is nt's structural hash.
+func internNew(nt *Term, h uint64) *Term {
 	s := &interner[h&(internShards-1)]
 	s.mu.Lock()
 	for _, u := range s.m[h] {
@@ -128,50 +135,130 @@ func Intern(t *Term) *Term {
 // the interner occupancy the telemetry layer exposes.
 func InternerSize() int64 { return internedSize.Load() }
 
-// InternConfig returns the canonical configuration holding the given
-// elements — NewConfig followed by Intern, minus the allocation when the
-// class is already interned. It computes the configuration's structural
-// hash incrementally from the parts (splicing nested configurations, the
-// same associative flattening NewConfig performs), probes the interner,
-// and confirms membership with a multiset comparison over the parts — so
-// the hot path of successor construction, where a rule rebuilds a state
-// the search has already seen, allocates nothing at all. Only a genuinely
-// new class pays for NewConfig plus the interning slow path.
+// replaceConfig returns the canonical configuration holding subj's
+// elements except those marked in removed, plus the elements of objs —
+// Intern(NewConfig(kept..., objs...)) — for an interned subj. This is a
+// rewrite step's successor: its parent with the matched elements replaced.
 //
-// Nil parts are skipped, matching NewConfig.
-func InternConfig(elems ...*Term) *Term {
-	// Mirror (*Term).Hash's Config case exactly: the probe key must equal
-	// the hash of the term NewConfig would build from these parts.
-	n := 0
-	sum := tagCfg
-	for _, e := range elems {
-		if e == nil {
+// The configuration hash is a sum of mixed element hashes (Hash), and mix64
+// is invertible, so the successor's hash comes from the parent's memoized
+// one by subtracting the removed elements' terms and adding the new ones:
+// O(k) hashing for k replaced elements instead of re-summing all n. A hit
+// is confirmed by a pointer merge — subj.Args and the added elements are
+// both interned and in canonical order, so the successor's canonical
+// elements are their merge — with the multiset compare as a fallback; a
+// miss builds the canonical configuration directly, its hash stored.
+// Nil objs are skipped; configuration objs are spliced, as in NewConfig.
+func replaceConfig(subj *Term, removed []bool, objs []*Term) *Term {
+	var abuf [8]*Term
+	add := abuf[:0]
+	for _, o := range objs {
+		if o == nil {
 			continue
 		}
-		if e.Kind == Config {
-			n += len(e.Args)
-			for _, a := range e.Args {
-				sum += mix64(a.Hash() ^ tagCfg)
-			}
+		if o = Intern(o); o.Kind == Config {
+			add = append(add, o.Args...)
 		} else {
-			n++
-			sum += mix64(e.Hash() ^ tagCfg)
+			add = append(add, o)
 		}
 	}
-	h := mix64(sum + uint64(n))
+	sortConfigArgs(add)
+
+	n := len(add)
+	h := subj.Hash()
+	var sum uint64 // raw element sum of the successor, without the count
+	if h != 1 {
+		sum = unmix64(h) - uint64(len(subj.Args))
+		for j, a := range subj.Args {
+			if removed[j] {
+				sum -= mix64(a.Hash() ^ tagCfg)
+			} else {
+				n++
+			}
+		}
+	} else {
+		// 1 is also where a zero hash is remapped, so it cannot be
+		// inverted; sum the kept elements instead.
+		sum = tagCfg
+		for j, a := range subj.Args {
+			if !removed[j] {
+				sum += mix64(a.Hash() ^ tagCfg)
+				n++
+			}
+		}
+	}
+	for _, a := range add {
+		sum += mix64(a.Hash() ^ tagCfg)
+	}
+	h = mix64(sum + uint64(n))
 	if h == 0 {
 		h = 1
 	}
+
+	var args []*Term // the successor's canonical elements, built on demand
 	s := &interner[h&(internShards-1)]
 	s.mu.Lock()
 	for _, u := range s.m[h] {
-		if configEqualParts(u, elems, n) {
+		if u.Kind != Config || len(u.Args) != n {
+			continue
+		}
+		it := replaceIter{args: subj.Args, removed: removed, add: add}
+		same := true
+		for _, v := range u.Args {
+			if it.next() != v {
+				same = false
+				break
+			}
+		}
+		if !same {
+			if args == nil {
+				args = collectReplaced(subj.Args, removed, add, n)
+			}
+			same = configEqual(u, &Term{Kind: Config, Args: args})
+		}
+		if same {
 			s.mu.Unlock()
 			return u
 		}
 	}
 	s.mu.Unlock()
-	return Intern(NewConfig(elems...))
+	if args == nil {
+		args = collectReplaced(subj.Args, removed, add, n)
+	}
+	nt := &Term{Kind: Config, Args: args}
+	nt.hash.Store(h)
+	return internNew(nt, h)
+}
+
+// replaceIter yields the elements of args not marked in removed merged with
+// add, in canonical order when both inputs are.
+type replaceIter struct {
+	args    []*Term
+	removed []bool
+	add     []*Term
+	i, j    int
+}
+
+func (it *replaceIter) next() *Term {
+	for it.i < len(it.args) && it.removed[it.i] {
+		it.i++
+	}
+	if it.i < len(it.args) && (it.j == len(it.add) || !canonLess(it.add[it.j], it.args[it.i])) {
+		it.i++
+		return it.args[it.i-1]
+	}
+	it.j++
+	return it.add[it.j-1]
+}
+
+// collectReplaced materializes replaceIter's n elements.
+func collectReplaced(args []*Term, removed []bool, add []*Term, n int) []*Term {
+	out := make([]*Term, n)
+	it := replaceIter{args: args, removed: removed, add: add}
+	for i := range out {
+		out[i] = it.next()
+	}
+	return out
 }
 
 // InternOp returns the canonical constructor application of sym to args —
@@ -211,61 +298,6 @@ func opEqualParts(u *Term, sym string, args []*Term) bool {
 	}
 	for i, a := range args {
 		if !structEqual(a, u.Args[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// configEqualParts reports whether u (an interned configuration of n
-// elements) equals, as a multiset, the flattened elements of parts. Marks
-// live in a small stack buffer so the comparison allocates nothing for the
-// configurations this engine sees.
-func configEqualParts(u *Term, parts []*Term, n int) bool {
-	if u.Kind != Config || len(u.Args) != n {
-		return false
-	}
-	var buf [64]bool
-	used := buf[:]
-	if n > len(buf) {
-		used = make([]bool, n)
-	} else {
-		used = used[:n]
-	}
-	// Both u.Args and any spliced configuration among the parts are in
-	// canonical order, so matches land mostly in sequence; a rolling
-	// cursor makes the common lookup O(1) instead of a scan.
-	cur := 0
-	match := func(e *Term) bool {
-		h := e.Hash()
-		for k := 0; k < n; k++ {
-			j := cur + k
-			if j >= n {
-				j -= n
-			}
-			v := u.Args[j]
-			if !used[j] && v.Hash() == h && structEqual(e, v) {
-				used[j] = true
-				cur = j + 1
-				if cur == n {
-					cur = 0
-				}
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range parts {
-		if e == nil {
-			continue
-		}
-		if e.Kind == Config {
-			for _, a := range e.Args {
-				if !match(a) {
-					return false
-				}
-			}
-		} else if !match(e) {
 			return false
 		}
 	}

@@ -264,7 +264,7 @@ func TestVendingSearch(t *testing.T) {
 	init := NewConfig(NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
 	goal := Goal{
 		Pattern: NewVar("S", SortConfig),
-		Cond: func(b Binding) bool {
+		Cond: func(b *Env) bool {
 			st := b.Get("S")
 			return countSym(st, "a") >= 1 && countSym(st, "c") >= 1
 		},
@@ -288,7 +288,7 @@ func TestSearchUnreachableExhausts(t *testing.T) {
 	init := NewConfig(NewOp("q"), NewOp("q"))
 	goal := Goal{
 		Pattern: NewVar("S", SortConfig),
-		Cond: func(b Binding) bool {
+		Cond: func(b *Env) bool {
 			return countSym(b.Get("S"), "c") >= 1
 		},
 	}
@@ -313,7 +313,7 @@ func TestSearchMaxStatesTruncates(t *testing.T) {
 		Rules: []Rule{{
 			Name: "inc",
 			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b Binding) (*Term, bool) {
+			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
 				return NewOp("c", NewInt(n+1)), true
 			},
@@ -337,7 +337,7 @@ func TestSearchMaxDepth(t *testing.T) {
 		Rules: []Rule{{
 			Name: "inc",
 			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b Binding) (*Term, bool) {
+			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
 				return NewOp("c", NewInt(n+1)), true
 			},
@@ -366,11 +366,11 @@ func TestConditionalRule(t *testing.T) {
 		Rules: []Rule{{
 			Name: "dec",
 			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Cond: func(b Binding) bool {
+			Cond: func(b *Env) bool {
 				n, _ := b.Int("N")
 				return n > 0
 			},
-			Build: func(b Binding) (*Term, bool) {
+			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
 				return NewOp("c", NewInt(n-1)), true
 			},
@@ -397,7 +397,7 @@ func TestBuildVeto(t *testing.T) {
 		Rules: []Rule{{
 			Name:  "never",
 			LHS:   NewVar("X", ""),
-			Build: func(Binding) (*Term, bool) { return nil, false },
+			Build: func(*Env) (*Term, bool) { return nil, false },
 		}},
 	}
 	succ, err := s.Successors(NewOp("a"))
@@ -451,8 +451,8 @@ func TestDedupAblation(t *testing.T) {
 			{
 				Name: "incA",
 				LHS:  NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt)),
-				Cond: func(b Binding) bool { a, _ := b.Int("A"); return a < 4 },
-				Build: func(b Binding) (*Term, bool) {
+				Cond: func(b *Env) bool { a, _ := b.Int("A"); return a < 4 },
+				Build: func(b *Env) (*Term, bool) {
 					a, _ := b.Int("A")
 					c, _ := b.Int("B")
 					return NewOp("p", NewInt(a+1), NewInt(c)), true
@@ -461,8 +461,8 @@ func TestDedupAblation(t *testing.T) {
 			{
 				Name: "incB",
 				LHS:  NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt)),
-				Cond: func(b Binding) bool { c, _ := b.Int("B"); return c < 4 },
-				Build: func(b Binding) (*Term, bool) {
+				Cond: func(b *Env) bool { c, _ := b.Int("B"); return c < 4 },
+				Build: func(b *Env) (*Term, bool) {
 					a, _ := b.Int("A")
 					c, _ := b.Int("B")
 					return NewOp("p", NewInt(a), NewInt(c+1)), true
@@ -519,7 +519,7 @@ func TestRewriteBudget(t *testing.T) {
 		Rules: []Rule{{
 			Name: "inc",
 			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b Binding) (*Term, bool) {
+			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
 				return NewOp("c", NewInt(n+1)), true
 			},

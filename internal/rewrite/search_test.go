@@ -18,7 +18,7 @@ func tokens(cap int64) *System {
 			{
 				Name: "inc",
 				LHS:  NewConfig(NewOp("c", NewVar("N", SortInt)), NewVar("Z", SortConfig)),
-				Build: func(b Binding) (*Term, bool) {
+				Build: func(b *Env) (*Term, bool) {
 					n, _ := b.Int("N")
 					if n >= cap {
 						return nil, false
@@ -32,12 +32,12 @@ func tokens(cap int64) *System {
 					NewOp("c", NewVar("N", SortInt)),
 					NewOp("c", NewVar("M", SortInt)),
 					NewVar("Z", SortConfig)),
-				Cond: func(b Binding) bool {
+				Cond: func(b *Env) bool {
 					n, _ := b.Int("N")
 					m, _ := b.Int("M")
 					return n == m
 				},
-				Build: func(b Binding) (*Term, bool) {
+				Build: func(b *Env) (*Term, bool) {
 					n, _ := b.Int("N")
 					return NewConfig(NewOp("c", NewInt(n+1)), b.Get("Z")), true
 				},
@@ -52,7 +52,7 @@ func counter() *System {
 		Rules: []Rule{{
 			Name: "inc",
 			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b Binding) (*Term, bool) {
+			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
 				return NewOp("c", NewInt(n+1)), true
 			},
@@ -72,7 +72,7 @@ type equivCase struct {
 func equivCases() []equivCase {
 	found := Goal{
 		Pattern: NewVar("S", SortConfig),
-		Cond: func(b Binding) bool {
+		Cond: func(b *Env) bool {
 			st := b.Get("S")
 			return countSym(st, "a") >= 1 && countSym(st, "c") >= 1
 		},
@@ -187,7 +187,7 @@ func TestSearchMatchesContext(t *testing.T) {
 	init := NewConfig(NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
 	goal := Goal{
 		Pattern: NewVar("S", SortConfig),
-		Cond: func(b Binding) bool {
+		Cond: func(b *Env) bool {
 			return countSym(b.Get("S"), "c") >= 1
 		},
 	}

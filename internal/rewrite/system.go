@@ -18,40 +18,55 @@ import (
 // in which case Build computes the replacement (Maude's built-in operations
 // and arithmetic conditions are expressed this way). Cond, if set, guards
 // the rule (a conditional rule, Maude's `crl ... if ...`).
+//
+// The callbacks read the match through an *Env. A rule resolves the slots
+// it reads once, with SlotsOf(LHS), and indexes the Env with At/IntAt; a
+// rule over a configuration builds its successor with Env.Replace.
 type Rule struct {
 	// Name labels the rule in witnesses and diagnostics.
 	Name string
 	// LHS is the pattern.
 	LHS *Term
 	// RHS is the template substituted under the match binding; ignored when
-	// Build is set.
+	// Build or BuildAll is set.
 	RHS *Term
-	// Build computes the replacement from the binding; returning ok=false
+	// Build computes the replacement from the match; returning ok=false
 	// vetoes the application (a semantic side condition).
-	Build func(b Binding) (t *Term, ok bool)
+	Build func(e *Env) (t *Term, ok bool)
 	// BuildAll computes zero or more replacements from one match; rules
 	// whose effect enumerates choices (ROSA's wildcard system-call
 	// arguments) use this. Takes precedence over Build and RHS.
-	BuildAll func(b Binding) []*Term
+	BuildAll func(e *Env) []*Term
 	// Cond guards the rule; nil means always applicable.
-	Cond func(b Binding) bool
+	Cond func(e *Env) bool
 }
 
-// apply returns every replacement term the rule produces at the root of t.
+// apply returns every replacement term the rule produces at the root of t —
+// the generic matcher's path. Callbacks get an Env filled from each
+// Binding through the LHS's slot table.
 func (r *Rule) apply(t *Term, sig Signature) []*Term {
 	var out []*Term
 	scratch := getBinding()
 	defer putBinding(scratch)
+	var env *Env
 	match(r.LHS, t, scratch, sig, func(b Binding) {
-		if r.Cond != nil && !r.Cond(b) {
+		if r.Cond == nil && r.BuildAll == nil && r.Build == nil {
+			out = append(out, Subst(r.RHS, b))
+			return
+		}
+		if env == nil {
+			env = bindingEnv(r.LHS)
+		}
+		env.fill(b)
+		if r.Cond != nil && !r.Cond(env) {
 			return
 		}
 		if r.BuildAll != nil {
-			out = append(out, r.BuildAll(b)...)
+			out = append(out, r.BuildAll(env)...)
 			return
 		}
 		if r.Build != nil {
-			if nt, ok := r.Build(b); ok {
+			if nt, ok := r.Build(env); ok {
 				out = append(out, nt)
 			}
 			return
@@ -555,8 +570,9 @@ type SearchResult struct {
 type Goal struct {
 	// Pattern must match the state.
 	Pattern *Term
-	// Cond, if set, must accept some binding of the pattern match.
-	Cond func(b Binding) bool
+	// Cond, if set, must accept some match of the pattern. It reads the
+	// match like a rule callback does (Env, slots from SlotsOf(Pattern)).
+	Cond func(e *Env) bool
 }
 
 // matches reports whether state satisfies the goal.
@@ -564,8 +580,17 @@ func (g Goal) matches(state *Term, sig Signature) bool {
 	ok := false
 	scratch := getBinding()
 	defer putBinding(scratch)
+	var env *Env
 	match(g.Pattern, state, scratch, sig, func(b Binding) {
-		if g.Cond == nil || g.Cond(b) {
+		if g.Cond == nil {
+			ok = true
+			return
+		}
+		if env == nil {
+			env = bindingEnv(g.Pattern)
+		}
+		env.fill(b)
+		if g.Cond(env) {
 			ok = true
 		}
 	})

@@ -58,19 +58,21 @@ func inCapMode(cfg *rewrite.Term, pid int64) bool {
 
 // capEnterRule moves a process into capability mode.
 func capEnterRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("cap_enter", iv("PID")),
+		procPattern("P_", "PID"),
+		zvar(),
+	)
+	ps := procSlotsOf(slotsOf(lhs), "P_", "PID")
 	return rewrite.Rule{
 		Name: "cap_enter",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("cap_enter", iv("PID")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			if !p.running() || inCapMode(b.Get("Z"), p.id) {
+		LHS:  lhs,
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			if !p.running() || inCapMode(e.Rest(), p.id) {
 				return nil
 			}
-			return []*rewrite.Term{rebuild(b, p.term(), CapModeObj(int(p.id)))}
+			return []*rewrite.Term{e.Replace(p.term(), CapModeObj(int(p.id)))}
 		},
 	}
 }
@@ -92,12 +94,12 @@ func gateCapsicum(r rewrite.Rule) rewrite.Rule {
 		return r
 	}
 	inner := r.BuildAll
-	r.BuildAll = func(b rewrite.Binding) []*rewrite.Term {
-		pid := bindingInt(b, "PID")
-		if inCapMode(b.Get("Z"), pid) {
+	pidS := slotsOf(r.LHS)("PID")
+	r.BuildAll = func(e *rewrite.Env) []*rewrite.Term {
+		if inCapMode(e.Rest(), bindingInt(e, pidS)) {
 			return nil
 		}
-		return inner(b)
+		return inner(e)
 	}
 	return r
 }
@@ -148,47 +150,55 @@ func hasPendingMessage(cfg *rewrite.Term) bool {
 // program order — CFI protects control transfers, not data or branch
 // directions.
 func seqRule() rewrite.Rule {
+	lhs := seqPattern()
+	slot := slotsOf(lhs)
+	nS, fnS, msgS := slot("N"), slot("FN"), slot("MSG")
 	return rewrite.Rule{
 		Name: "seq",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp(symSeq, iv("N"), iv("MSG")),
-			rewrite.NewOp(symFence, iv("FN")),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			return bindingInt(b, "N") == bindingInt(b, "FN")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			return bindingInt(e, nS) == bindingInt(e, fnS)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			if hasPendingMessage(b.Get("Z")) {
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			if hasPendingMessage(e.Rest()) {
 				return nil
 			}
-			n := bindingInt(b, "N")
-			msg := b.Get("MSG")
+			n := bindingInt(e, nS)
+			msg := e.At(msgS)
 			if msg == nil {
 				return nil
 			}
-			return []*rewrite.Term{rebuild(b, msg, Fence(int(n)+1))}
+			return []*rewrite.Term{e.Replace(msg, Fence(int(n)+1))}
 		},
 	}
+}
+
+// seqPattern matches the sequenced message at the fence: seq(N, MSG) next
+// to Fence(FN).
+func seqPattern() *rewrite.Term {
+	return rewrite.NewConfig(
+		rewrite.NewOp(symSeq, iv("N"), iv("MSG")),
+		rewrite.NewOp(symFence, iv("FN")),
+		zvar(),
+	)
 }
 
 // seqSkipRule advances the fence past a sequenced call without executing it:
 // the attacker steers the program's (CFI-unprotected) branch around the
 // call site.
 func seqSkipRule() rewrite.Rule {
+	lhs := seqPattern()
+	slot := slotsOf(lhs)
+	nS, fnS := slot("N"), slot("FN")
 	return rewrite.Rule{
 		Name: "seq-skip",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp(symSeq, iv("N"), iv("MSG")),
-			rewrite.NewOp(symFence, iv("FN")),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			return bindingInt(b, "N") == bindingInt(b, "FN")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			return bindingInt(e, nS) == bindingInt(e, fnS)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			n := bindingInt(b, "N")
-			return []*rewrite.Term{rebuild(b, Fence(int(n)+1))}
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			n := bindingInt(e, nS)
+			return []*rewrite.Term{e.Replace(Fence(int(n) + 1))}
 		},
 	}
 }

@@ -356,10 +356,11 @@ func goalOnProcessSet(fid int, which string) rewrite.Goal {
 			iv("Pstate"), iv("Prdf"), iv("Pwrf")),
 		zvar(),
 	)
+	set := slotsOf(pat)(which)
 	return rewrite.Goal{
 		Pattern: pat,
-		Cond: func(b rewrite.Binding) bool {
-			return SetHas(b.Get(which), fid)
+		Cond: func(e *rewrite.Env) bool {
+			return SetHas(e.At(set), fid)
 		},
 	}
 }
@@ -371,10 +372,11 @@ func GoalPortBoundBelow(limit int) rewrite.Goal {
 		rewrite.NewOp(symSocket, iv("Sid"), iv("Sport")),
 		zvar(),
 	)
+	portS := slotsOf(pat)("Sport")
 	return rewrite.Goal{
 		Pattern: pat,
-		Cond: func(b rewrite.Binding) bool {
-			port, ok := b.Int("Sport")
+		Cond: func(e *rewrite.Env) bool {
+			port, ok := e.IntAt(portS)
 			return ok && port > 0 && port < int64(limit)
 		},
 	}

@@ -258,7 +258,7 @@ func TestBindPortConflict(t *testing.T) {
 		Pattern: rewrite.NewConfig(
 			rewrite.NewOp(symSocket, rewrite.NewInt(10), iv("Sport")),
 			zvar()),
-		Cond: func(b rewrite.Binding) bool {
+		Cond: func(b *rewrite.Env) bool {
 			p, ok := b.Int("Sport")
 			return ok && p > 0 && p < 1024
 		},

@@ -35,7 +35,57 @@ func dirPattern(prefix string) *rewrite.Term {
 		iv(prefix+"owner"), iv(prefix+"group"), iv(prefix+"inode"))
 }
 
-// procView reads a matched process object out of a binding.
+// slotsOf resolves a rule pattern's variable names to the binding slots
+// its callbacks read (rewrite.SlotsOf), once, when the rule is built. A
+// name the pattern lacks is a programming error, caught at construction.
+func slotsOf(pat *rewrite.Term) func(name string) int {
+	slots := rewrite.SlotsOf(pat)
+	return func(name string) int {
+		s, ok := slots[name]
+		if !ok {
+			panic("rosa: pattern has no variable " + name)
+		}
+		return s
+	}
+}
+
+// procSlots are the binding slots of one procPattern's variables.
+type procSlots struct {
+	id               int
+	euid, ruid, suid int
+	egid, rgid, sgid int
+	state, rdf, wrf  int
+}
+
+func procSlotsOf(slot func(string) int, prefix, idVar string) procSlots {
+	return procSlots{
+		id:   slot(idVar),
+		euid: slot(prefix + "euid"), ruid: slot(prefix + "ruid"), suid: slot(prefix + "suid"),
+		egid: slot(prefix + "egid"), rgid: slot(prefix + "rgid"), sgid: slot(prefix + "sgid"),
+		state: slot(prefix + "state"), rdf: slot(prefix + "rdf"), wrf: slot(prefix + "wrf"),
+	}
+}
+
+// fileSlots are the binding slots of one filePattern's variables; inode is
+// set for a dirPattern only.
+type fileSlots struct {
+	id, name, perms, owner, group, inode int
+}
+
+func fileSlotsOf(slot func(string) int, prefix string) fileSlots {
+	return fileSlots{
+		id: slot(prefix + "id"), name: slot(prefix + "name"), perms: slot(prefix + "perms"),
+		owner: slot(prefix + "owner"), group: slot(prefix + "group"), inode: -1,
+	}
+}
+
+func dirSlotsOf(slot func(string) int, prefix string) fileSlots {
+	s := fileSlotsOf(slot, prefix)
+	s.inode = slot(prefix + "inode")
+	return s
+}
+
+// procView reads a matched process object out of a match.
 type procView struct {
 	id               int64
 	euid, ruid, suid int64
@@ -44,19 +94,24 @@ type procView struct {
 	rdf, wrf         *rewrite.Term
 }
 
-func procFrom(b rewrite.Binding, prefix, idVar string) procView {
-	geti := func(n string) int64 { v, _ := b.Int(n); return v }
+// intAt reads a bound integer, 0 on a mismatch.
+func intAt(e *rewrite.Env, slot int) int64 {
+	v, _ := e.IntAt(slot)
+	return v
+}
+
+func procFrom(e *rewrite.Env, s procSlots) procView {
 	return procView{
-		id:    geti(idVar),
-		euid:  geti(prefix + "euid"),
-		ruid:  geti(prefix + "ruid"),
-		suid:  geti(prefix + "suid"),
-		egid:  geti(prefix + "egid"),
-		rgid:  geti(prefix + "rgid"),
-		sgid:  geti(prefix + "sgid"),
-		state: b.Get(prefix + "state"),
-		rdf:   b.Get(prefix + "rdf"),
-		wrf:   b.Get(prefix + "wrf"),
+		id:    intAt(e, s.id),
+		euid:  intAt(e, s.euid),
+		ruid:  intAt(e, s.ruid),
+		suid:  intAt(e, s.suid),
+		egid:  intAt(e, s.egid),
+		rgid:  intAt(e, s.rgid),
+		sgid:  intAt(e, s.sgid),
+		state: e.At(s.state),
+		rdf:   e.At(s.rdf),
+		wrf:   e.At(s.wrf),
 	}
 }
 
@@ -72,8 +127,25 @@ func (p procView) running() bool {
 	return p.state != nil && p.state.Kind == rewrite.Op && p.state.Sym == symRun
 }
 
-// uidOK reports whether an unprivileged process may assume uid v.
-func (p procView) uidOK(v int64) bool { return v == p.ruid || v == p.euid || v == p.suid }
+// resIDs returns the real, effective and saved user IDs, or group IDs when
+// group is set.
+func (p procView) resIDs(group bool) (r, e, s int64) {
+	if group {
+		return p.rgid, p.egid, p.sgid
+	}
+	return p.ruid, p.euid, p.suid
+}
+
+// setResIDs sets what resIDs returns.
+func (p *procView) setResIDs(group bool, r, e, s int64) {
+	if group {
+		p.rgid, p.egid, p.sgid = r, e, s
+	} else {
+		p.ruid, p.euid, p.suid = r, e, s
+	}
+}
+
+// gidOK reports whether an unprivileged process may assume gid v.
 func (p procView) gidOK(v int64) bool { return v == p.rgid || v == p.egid || v == p.sgid }
 
 // fileView reads a matched file object.
@@ -85,18 +157,17 @@ type fileView struct {
 	group int64
 }
 
-func fileFrom(b rewrite.Binding, prefix string) fileView {
-	geti := func(n string) int64 { v, _ := b.Int(n); return v }
+func fileFrom(e *rewrite.Env, s fileSlots) fileView {
 	name := ""
-	if t := b.Get(prefix + "name"); t != nil && t.Kind == rewrite.Str {
+	if t := e.At(s.name); t != nil && t.Kind == rewrite.Str {
 		name = t.StrVal
 	}
 	return fileView{
-		id:    geti(prefix + "id"),
+		id:    intAt(e, s.id),
 		name:  name,
-		perms: vkernel.Mode(geti(prefix + "perms")),
-		owner: geti(prefix + "owner"),
-		group: geti(prefix + "group"),
+		perms: vkernel.Mode(intAt(e, s.perms)),
+		owner: intAt(e, s.owner),
+		group: intAt(e, s.group),
 	}
 }
 
@@ -110,9 +181,8 @@ type dirView struct {
 	inode int64
 }
 
-func dirFrom(b rewrite.Binding, prefix string) dirView {
-	v, _ := b.Int(prefix + "inode")
-	return dirView{fileView: fileFrom(b, prefix), inode: v}
+func dirFrom(e *rewrite.Env, s fileSlots) dirView {
+	return dirView{fileView: fileFrom(e, s), inode: intAt(e, s.inode)}
 }
 
 func (d dirView) term() *rewrite.Term {
@@ -246,8 +316,8 @@ func wildcard(v int64, candidates []int64) []int64 {
 
 // bindingInt fetches a bound integer, defaulting to Wild on a mismatch (a
 // non-integer subject never satisfies the integer-shaped rules).
-func bindingInt(b rewrite.Binding, name string) int64 {
-	v, ok := b.Int(name)
+func bindingInt(e *rewrite.Env, slot int) int64 {
+	v, ok := e.IntAt(slot)
 	if !ok {
 		return Wild
 	}
@@ -255,20 +325,8 @@ func bindingInt(b rewrite.Binding, name string) int64 {
 }
 
 // privsOf reads the message's privilege-set argument.
-func privsOf(b rewrite.Binding, name string) caps.Set {
-	return caps.Set(bindingInt(b, name))
-}
-
-// rebuild assembles the post-state configuration: the rest variable Z plus
-// the updated matched objects (the consumed message is simply not included).
-// It interns through InternConfig: a rewrite step usually reconstructs a
-// state the search has already canonicalized, and the parts-probe returns
-// that canonical term without building a fresh configuration first.
-func rebuild(b rewrite.Binding, objs ...*rewrite.Term) *rewrite.Term {
-	if z := b.Get("Z"); z != nil {
-		objs = append(objs, z)
-	}
-	return rewrite.InternConfig(objs...)
+func privsOf(e *rewrite.Env, slot int) caps.Set {
+	return caps.Set(bindingInt(e, slot))
 }
 
 // NewSystem builds the ROSA rewrite theory: one rule per modeled system
@@ -295,26 +353,30 @@ func NewSystem() *rewrite.System {
 // read and/or write set. Pathname lookup checks search permission on every
 // directory entry whose inode is the file (the single parent level §V-B).
 func openRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("open", iv("PID"), iv("FID"), iv("MODE"), iv("PR")),
+		procPattern("P_", "PID"),
+		filePattern("F_"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, fs := procSlotsOf(slot, "P_", "PID"), fileSlotsOf(slot, "F_")
+	fidS, modeS, prS := slot("FID"), slot("MODE"), slot("PR")
 	return rewrite.Rule{
 		Name: "open",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("open", iv("PID"), iv("FID"), iv("MODE"), iv("PR")),
-			procPattern("P_", "PID"),
-			filePattern("F_"),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			fid := bindingInt(b, "FID")
-			return fid == Wild || fid == bindingInt(b, "F_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			fid := bindingInt(e, fidS)
+			return fid == Wild || fid == bindingInt(e, fs.id)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			f := fileFrom(b, "F_")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			f := fileFrom(e, fs)
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(b, "PR")
-			mode := bindingInt(b, "MODE")
+			privs := privsOf(e, prS)
+			mode := bindingInt(e, modeS)
 			read := mode == OpenRead || mode == OpenRDWR
 			write := mode == OpenWrite || mode == OpenRDWR
 			if !dacAllowed(p, f, read, write, privs) {
@@ -325,7 +387,7 @@ func openRule() rewrite.Rule {
 			// the file's ID, so at least one such entry must grant search
 			// permission. A file with no entries is reachable (an already
 			// held descriptor).
-			if dirs := scanDirsPointingAt(b.Get("Z"), f.id); len(dirs) > 0 {
+			if dirs := scanDirsPointingAt(e.Rest(), f.id); len(dirs) > 0 {
 				ok := false
 				for _, d := range dirs {
 					if searchDirAllowed(p, d, privs) {
@@ -343,7 +405,7 @@ func openRule() rewrite.Rule {
 			if write {
 				p.wrf = SetAdd(p.wrf, int(f.id))
 			}
-			return []*rewrite.Term{rebuild(b, p.term(), f.term())}
+			return []*rewrite.Term{e.Replace(p.term(), f.term())}
 		},
 	}
 }
@@ -360,33 +422,37 @@ func fchmodRule() rewrite.Rule {
 }
 
 func chmodLike(name string, needsOpen bool) rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp(name, iv("PID"), iv("FID"), iv("PERMS"), iv("PR")),
+		procPattern("P_", "PID"),
+		filePattern("F_"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, fs := procSlotsOf(slot, "P_", "PID"), fileSlotsOf(slot, "F_")
+	fidS, permsS, prS := slot("FID"), slot("PERMS"), slot("PR")
 	return rewrite.Rule{
 		Name: name,
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp(name, iv("PID"), iv("FID"), iv("PERMS"), iv("PR")),
-			procPattern("P_", "PID"),
-			filePattern("F_"),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			fid := bindingInt(b, "FID")
-			return fid == Wild || fid == bindingInt(b, "F_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			fid := bindingInt(e, fidS)
+			return fid == Wild || fid == bindingInt(e, fs.id)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			f := fileFrom(b, "F_")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			f := fileFrom(e, fs)
 			if !p.running() {
 				return nil
 			}
 			if needsOpen && !SetHas(p.rdf, int(f.id)) && !SetHas(p.wrf, int(f.id)) {
 				return nil
 			}
-			privs := privsOf(b, "PR")
+			privs := privsOf(e, prS)
 			if p.euid != f.owner && !privs.Has(caps.CapFowner) {
 				return nil
 			}
-			f.perms = vkernel.Mode(bindingInt(b, "PERMS")) & 0x1FF
-			return []*rewrite.Term{rebuild(b, p.term(), f.term())}
+			f.perms = vkernel.Mode(bindingInt(e, permsS)) & 0x1FF
+			return []*rewrite.Term{e.Replace(p.term(), f.term())}
 		},
 	}
 }
@@ -404,32 +470,36 @@ func fchownRule() rewrite.Rule {
 }
 
 func chownLike(name string, needsOpen bool) rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp(name, iv("PID"), iv("FID"), iv("OWNER"), iv("GROUP"), iv("PR")),
+		procPattern("P_", "PID"),
+		filePattern("F_"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, fs := procSlotsOf(slot, "P_", "PID"), fileSlotsOf(slot, "F_")
+	fidS, ownerS, groupS, prS := slot("FID"), slot("OWNER"), slot("GROUP"), slot("PR")
 	return rewrite.Rule{
 		Name: name,
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp(name, iv("PID"), iv("FID"), iv("OWNER"), iv("GROUP"), iv("PR")),
-			procPattern("P_", "PID"),
-			filePattern("F_"),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			fid := bindingInt(b, "FID")
-			return fid == Wild || fid == bindingInt(b, "F_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			fid := bindingInt(e, fidS)
+			return fid == Wild || fid == bindingInt(e, fs.id)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			f := fileFrom(b, "F_")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			f := fileFrom(e, fs)
 			if !p.running() {
 				return nil
 			}
 			if needsOpen && !SetHas(p.rdf, int(f.id)) && !SetHas(p.wrf, int(f.id)) {
 				return nil
 			}
-			privs := privsOf(b, "PR")
-			z := b.Get("Z")
+			privs := privsOf(e, prS)
+			z := e.Rest()
 			var out []*rewrite.Term
-			for _, newOwner := range wildcard(bindingInt(b, "OWNER"), scanUsers(z)) {
-				for _, newGroup := range wildcard(bindingInt(b, "GROUP"), scanGroups(z)) {
+			for _, newOwner := range wildcard(bindingInt(e, ownerS), scanUsers(z)) {
+				for _, newGroup := range wildcard(bindingInt(e, groupS), scanGroups(z)) {
 					nf := f
 					if newOwner != f.owner {
 						if !privs.Has(caps.CapChown) {
@@ -444,7 +514,7 @@ func chownLike(name string, needsOpen bool) rewrite.Rule {
 						}
 						nf.group = newGroup
 					}
-					out = append(out, rebuild(b, p.term(), nf.term()))
+					out = append(out, e.Replace(p.term(), nf.term()))
 				}
 			}
 			return out
@@ -455,30 +525,34 @@ func chownLike(name string, needsOpen bool) rewrite.Rule {
 // unlinkRule removes a directory entry: it needs search and write permission
 // on the entry; the entry's inode becomes Wild (no file).
 func unlinkRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("unlink", iv("PID"), iv("DID"), iv("PR")),
+		procPattern("P_", "PID"),
+		dirPattern("D_"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, ds := procSlotsOf(slot, "P_", "PID"), dirSlotsOf(slot, "D_")
+	didS, prS := slot("DID"), slot("PR")
 	return rewrite.Rule{
 		Name: "unlink",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("unlink", iv("PID"), iv("DID"), iv("PR")),
-			procPattern("P_", "PID"),
-			dirPattern("D_"),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			did := bindingInt(b, "DID")
-			return did == Wild || did == bindingInt(b, "D_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			did := bindingInt(e, didS)
+			return did == Wild || did == bindingInt(e, ds.id)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			d := dirFrom(b, "D_")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			d := dirFrom(e, ds)
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(b, "PR")
+			privs := privsOf(e, prS)
 			if !searchDirAllowed(p, d, privs) || !dacAllowed(p, d.fileView, false, true, privs) {
 				return nil
 			}
 			d.inode = Wild
-			return []*rewrite.Term{rebuild(b, p.term(), d.term())}
+			return []*rewrite.Term{e.Replace(p.term(), d.term())}
 		},
 	}
 }
@@ -486,30 +560,68 @@ func unlinkRule() rewrite.Rule {
 // renameRule re-points a directory entry at another file object: write
 // permission on the entry is required.
 func renameRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("rename", iv("PID"), iv("DID"), iv("INODE"), iv("PR")),
+		procPattern("P_", "PID"),
+		dirPattern("D_"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, ds := procSlotsOf(slot, "P_", "PID"), dirSlotsOf(slot, "D_")
+	didS, inodeS, prS := slot("DID"), slot("INODE"), slot("PR")
 	return rewrite.Rule{
 		Name: "rename",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("rename", iv("PID"), iv("DID"), iv("INODE"), iv("PR")),
-			procPattern("P_", "PID"),
-			dirPattern("D_"),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			did := bindingInt(b, "DID")
-			return did == Wild || did == bindingInt(b, "D_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			did := bindingInt(e, didS)
+			return did == Wild || did == bindingInt(e, ds.id)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			d := dirFrom(b, "D_")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			d := dirFrom(e, ds)
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(b, "PR")
+			privs := privsOf(e, prS)
 			if !dacAllowed(p, d.fileView, false, true, privs) {
 				return nil
 			}
-			d.inode = bindingInt(b, "INODE")
-			return []*rewrite.Term{rebuild(b, p.term(), d.term())}
+			d.inode = bindingInt(e, inodeS)
+			return []*rewrite.Term{e.Replace(p.term(), d.term())}
+		},
+	}
+}
+
+// credRule builds the rules of the single-argument credential calls
+// (setuid, seteuid, setgid, setegid): the message sym(PID, arg, PR) plus
+// the calling process. next returns the caller's credentials after the
+// call sets the given value, ok=false when the call is denied; wild
+// arguments range over scan's objects in the rest of the configuration.
+func credRule(sym, arg string, scan func(*rewrite.Term) []int64,
+	next func(p procView, v int64, privs caps.Set) (procView, bool)) rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp(sym, iv("PID"), iv(arg), iv("PR")),
+		procPattern("P_", "PID"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, argS, prS := procSlotsOf(slot, "P_", "PID"), slot(arg), slot("PR")
+	return rewrite.Rule{
+		Name: sym,
+		LHS:  lhs,
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			if !p.running() {
+				return nil
+			}
+			privs := privsOf(e, prS)
+			var out []*rewrite.Term
+			for _, v := range wildcard(bindingInt(e, argS), scan(e.Rest())) {
+				if np, ok := next(p, v, privs); ok {
+					out = append(out, e.Replace(np.term()))
+				}
+			}
+			return out
 		},
 	}
 }
@@ -518,317 +630,232 @@ func renameRule() rewrite.Rule {
 // unprivileged call may only adopt the real or saved UID and changes the
 // effective UID only.
 func setuidRule() rewrite.Rule {
-	return rewrite.Rule{
-		Name: "setuid",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("setuid", iv("PID"), iv("UID"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			if !p.running() {
-				return nil
-			}
-			privs := privsOf(b, "PR")
-			var out []*rewrite.Term
-			for _, uid := range wildcard(bindingInt(b, "UID"), scanUsers(b.Get("Z"))) {
-				np := p
-				if privs.Has(caps.CapSetuid) {
-					np.ruid, np.euid, np.suid = uid, uid, uid
-				} else if uid == p.ruid || uid == p.suid {
-					np.euid = uid
-				} else {
-					continue
-				}
-				out = append(out, rebuild(b, np.term()))
-			}
-			return out
-		},
-	}
+	return credRule("setuid", "UID", scanUsers, func(p procView, uid int64, privs caps.Set) (procView, bool) {
+		if privs.Has(caps.CapSetuid) {
+			p.ruid, p.euid, p.suid = uid, uid, uid
+		} else if uid == p.ruid || uid == p.suid {
+			p.euid = uid
+		} else {
+			return p, false
+		}
+		return p, true
+	})
 }
 
 // seteuidRule changes only the effective UID, privileged or to the real or
 // saved UID.
 func seteuidRule() rewrite.Rule {
-	return rewrite.Rule{
-		Name: "seteuid",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("seteuid", iv("PID"), iv("UID"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			if !p.running() {
-				return nil
-			}
-			privs := privsOf(b, "PR")
-			var out []*rewrite.Term
-			for _, uid := range wildcard(bindingInt(b, "UID"), scanUsers(b.Get("Z"))) {
-				if !privs.Has(caps.CapSetuid) && uid != p.ruid && uid != p.suid {
-					continue
-				}
-				np := p
-				np.euid = uid
-				out = append(out, rebuild(b, np.term()))
-			}
-			return out
-		},
-	}
-}
-
-// setresuidRule: each Wild component ranges over the User objects plus the
-// corresponding current value (ROSA must try every combination — the
-// state-space blow-up the paper's §VIII measures). Unprivileged calls may
-// set each component only to one of the current real, effective, or saved
-// UIDs.
-func setresuidRule() rewrite.Rule {
-	return rewrite.Rule{
-		Name: "setresuid",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("setresuid", iv("PID"), iv("R"), iv("E"), iv("S"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			if !p.running() {
-				return nil
-			}
-			privs := privsOf(b, "PR")
-			users := scanUsers(b.Get("Z"))
-			priv := privs.Has(caps.CapSetuid)
-			candidates := func(arg, cur int64) []int64 {
-				if arg != Wild {
-					return []int64{arg}
-				}
-				return append(append([]int64(nil), users...), cur)
-			}
-			var out []*rewrite.Term
-			for _, r := range candidates(bindingInt(b, "R"), p.ruid) {
-				if !priv && !p.uidOK(r) {
-					continue
-				}
-				for _, e := range candidates(bindingInt(b, "E"), p.euid) {
-					if !priv && !p.uidOK(e) {
-						continue
-					}
-					for _, s := range candidates(bindingInt(b, "S"), p.suid) {
-						if !priv && !p.uidOK(s) {
-							continue
-						}
-						np := p
-						np.ruid, np.euid, np.suid = r, e, s
-						out = append(out, rebuild(b, np.term()))
-					}
-				}
-			}
-			return out
-		},
-	}
+	return credRule("seteuid", "UID", scanUsers, func(p procView, uid int64, privs caps.Set) (procView, bool) {
+		if !privs.Has(caps.CapSetuid) && uid != p.ruid && uid != p.suid {
+			return p, false
+		}
+		p.euid = uid
+		return p, true
+	})
 }
 
 // setgidRule is the group analogue of setuidRule (CAP_SETGID).
 func setgidRule() rewrite.Rule {
-	return rewrite.Rule{
-		Name: "setgid",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("setgid", iv("PID"), iv("GID"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			if !p.running() {
-				return nil
-			}
-			privs := privsOf(b, "PR")
-			var out []*rewrite.Term
-			for _, gid := range wildcard(bindingInt(b, "GID"), scanGroups(b.Get("Z"))) {
-				np := p
-				if privs.Has(caps.CapSetgid) {
-					np.rgid, np.egid, np.sgid = gid, gid, gid
-				} else if gid == p.rgid || gid == p.sgid {
-					np.egid = gid
-				} else {
-					continue
-				}
-				out = append(out, rebuild(b, np.term()))
-			}
-			return out
-		},
-	}
+	return credRule("setgid", "GID", scanGroups, func(p procView, gid int64, privs caps.Set) (procView, bool) {
+		if privs.Has(caps.CapSetgid) {
+			p.rgid, p.egid, p.sgid = gid, gid, gid
+		} else if gid == p.rgid || gid == p.sgid {
+			p.egid = gid
+		} else {
+			return p, false
+		}
+		return p, true
+	})
 }
 
 // setegidRule changes only the effective GID.
 func setegidRule() rewrite.Rule {
+	return credRule("setegid", "GID", scanGroups, func(p procView, gid int64, privs caps.Set) (procView, bool) {
+		if !privs.Has(caps.CapSetgid) && gid != p.rgid && gid != p.sgid {
+			return p, false
+		}
+		p.egid = gid
+		return p, true
+	})
+}
+
+// resRule builds setresuid, or setresgid when group is set: each Wild
+// component ranges over the User (Group) objects plus the corresponding
+// current value (ROSA must try every combination — the state-space blow-up
+// the paper's §VIII measures). Unprivileged calls may set each component
+// only to one of the current real, effective, or saved IDs.
+func resRule(sym string, group bool) rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp(sym, iv("PID"), iv("R"), iv("E"), iv("S"), iv("PR")),
+		procPattern("P_", "PID"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, prS := procSlotsOf(slot, "P_", "PID"), slot("PR")
+	rS, eS, sS := slot("R"), slot("E"), slot("S")
+	scan, c := scanUsers, caps.CapSetuid
+	if group {
+		scan, c = scanGroups, caps.CapSetgid
+	}
 	return rewrite.Rule{
-		Name: "setegid",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("setegid", iv("PID"), iv("GID"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
+		Name: sym,
+		LHS:  lhs,
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(b, "PR")
+			priv := privsOf(e, prS).Has(c)
+			known := scan(e.Rest())
+			cr, ce, cs := p.resIDs(group)
+			ok := func(v int64) bool { return priv || v == cr || v == ce || v == cs }
+			candidates := func(arg, cur int64) []int64 {
+				if arg != Wild {
+					return []int64{arg}
+				}
+				return append(append([]int64(nil), known...), cur)
+			}
+			rc := candidates(bindingInt(e, rS), cr)
+			ec := candidates(bindingInt(e, eS), ce)
+			sc := candidates(bindingInt(e, sS), cs)
 			var out []*rewrite.Term
-			for _, gid := range wildcard(bindingInt(b, "GID"), scanGroups(b.Get("Z"))) {
-				if !privs.Has(caps.CapSetgid) && gid != p.rgid && gid != p.sgid {
+			for _, r := range rc {
+				if !ok(r) {
 					continue
 				}
-				np := p
-				np.egid = gid
-				out = append(out, rebuild(b, np.term()))
+				for _, ev := range ec {
+					if !ok(ev) {
+						continue
+					}
+					for _, s := range sc {
+						if !ok(s) {
+							continue
+						}
+						np := p
+						np.setResIDs(group, r, ev, s)
+						out = append(out, e.Replace(np.term()))
+					}
+				}
 			}
 			return out
 		},
 	}
 }
 
-// setresgidRule is the group analogue of setresuidRule.
-func setresgidRule() rewrite.Rule {
-	return rewrite.Rule{
-		Name: "setresgid",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("setresgid", iv("PID"), iv("R"), iv("E"), iv("S"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			if !p.running() {
-				return nil
-			}
-			privs := privsOf(b, "PR")
-			groups := scanGroups(b.Get("Z"))
-			priv := privs.Has(caps.CapSetgid)
-			candidates := func(arg, cur int64) []int64 {
-				if arg != Wild {
-					return []int64{arg}
-				}
-				return append(append([]int64(nil), groups...), cur)
-			}
-			var out []*rewrite.Term
-			for _, r := range candidates(bindingInt(b, "R"), p.rgid) {
-				if !priv && !p.gidOK(r) {
-					continue
-				}
-				for _, e := range candidates(bindingInt(b, "E"), p.egid) {
-					if !priv && !p.gidOK(e) {
-						continue
-					}
-					for _, s := range candidates(bindingInt(b, "S"), p.sgid) {
-						if !priv && !p.gidOK(s) {
-							continue
-						}
-						np := p
-						np.rgid, np.egid, np.sgid = r, e, s
-						out = append(out, rebuild(b, np.term()))
-					}
-				}
-			}
-			return out
-		},
-	}
-}
+// setresuidRule: setresuid(2) under CAP_SETUID.
+func setresuidRule() rewrite.Rule { return resRule("setresuid", false) }
+
+// setresgidRule is the group analogue of setresuidRule (CAP_SETGID).
+func setresgidRule() rewrite.Rule { return resRule("setresgid", true) }
 
 // killRule: the sender's real or effective UID must match the target's real
 // or saved UID, or the message must carry CAP_KILL. SIGKILL and SIGTERM
 // terminate the target.
 func killRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("kill", iv("PID"), iv("TGT"), iv("SIG"), iv("PR")),
+		procPattern("P_", "PID"),
+		procPattern("T_", "T_id"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, ts := procSlotsOf(slot, "P_", "PID"), procSlotsOf(slot, "T_", "T_id")
+	tgtS, sigS, prS := slot("TGT"), slot("SIG"), slot("PR")
 	return rewrite.Rule{
 		Name: "kill",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("kill", iv("PID"), iv("TGT"), iv("SIG"), iv("PR")),
-			procPattern("P_", "PID"),
-			procPattern("T_", "T_id"),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			tgt := bindingInt(b, "TGT")
-			return tgt == Wild || tgt == bindingInt(b, "T_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			tgt := bindingInt(e, tgtS)
+			return tgt == Wild || tgt == bindingInt(e, ts.id)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
-			t := procFrom(b, "T_", "T_id")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
+			t := procFrom(e, ts)
 			if !p.running() || !t.running() {
 				return nil
 			}
-			privs := privsOf(b, "PR")
+			privs := privsOf(e, prS)
 			allowed := privs.Has(caps.CapKill) ||
 				p.euid == t.ruid || p.euid == t.suid ||
 				p.ruid == t.ruid || p.ruid == t.suid
 			if !allowed {
 				return nil
 			}
-			sig := bindingInt(b, "SIG")
+			sig := bindingInt(e, sigS)
 			if sig == 9 || sig == 15 {
 				t.state = termState
 			}
-			return []*rewrite.Term{rebuild(b, p.term(), t.term())}
+			return []*rewrite.Term{e.Replace(p.term(), t.term())}
 		},
 	}
 }
 
 // socketRule creates a TCP socket object with the message's socket ID.
 func socketRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("socket", iv("PID"), iv("SID"), iv("PR")),
+		procPattern("P_", "PID"),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, sidS := procSlotsOf(slot, "P_", "PID"), slot("SID")
 	return rewrite.Rule{
 		Name: "socket",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("socket", iv("PID"), iv("SID"), iv("PR")),
-			procPattern("P_", "PID"),
-			zvar(),
-		),
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
+		LHS:  lhs,
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
 			if !p.running() {
 				return nil
 			}
-			sid := bindingInt(b, "SID")
-			return []*rewrite.Term{rebuild(b, p.term(), SocketObj(int(sid), 0))}
+			sid := bindingInt(e, sidS)
+			return []*rewrite.Term{e.Replace(p.term(), SocketObj(int(sid), 0))}
 		},
 	}
+}
+
+// socketPattern matches a socket object, binding S_id and S_port.
+func socketPattern() *rewrite.Term {
+	return rewrite.NewOp(symSocket, iv("S_id"), iv("S_port"))
 }
 
 // bindRule binds an unbound socket to a TCP port: ports below 1024 require
 // CAP_NET_BIND_SERVICE, and a port already bound by another socket is
 // unavailable.
 func bindRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("bind", iv("PID"), iv("SID"), iv("PORT"), iv("PR")),
+		procPattern("P_", "PID"),
+		socketPattern(),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, sidS, portS, prS := procSlotsOf(slot, "P_", "PID"), slot("SID"), slot("PORT"), slot("PR")
+	sIDS, sPortS := slot("S_id"), slot("S_port")
 	return rewrite.Rule{
 		Name: "bind",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("bind", iv("PID"), iv("SID"), iv("PORT"), iv("PR")),
-			procPattern("P_", "PID"),
-			rewrite.NewOp(symSocket, iv("S_id"), iv("S_port")),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			sid := bindingInt(b, "SID")
-			return (sid == Wild || sid == bindingInt(b, "S_id")) && bindingInt(b, "S_port") == 0
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			sid := bindingInt(e, sidS)
+			return (sid == Wild || sid == bindingInt(e, sIDS)) && bindingInt(e, sPortS) == 0
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(b, "PR")
-			port := bindingInt(b, "PORT")
+			privs := privsOf(e, prS)
+			port := bindingInt(e, portS)
 			if port <= 0 {
 				return nil
 			}
 			if port < 1024 && !privs.Has(caps.CapNetBindService) {
 				return nil
 			}
-			if scanBoundPort(b.Get("Z"), port) {
+			if scanBoundPort(e.Rest(), port) {
 				return nil
 			}
-			sid := bindingInt(b, "S_id")
-			return []*rewrite.Term{rebuild(b, p.term(), SocketObj(int(sid), int(port)))}
+			sid := bindingInt(e, sIDS)
+			return []*rewrite.Term{e.Replace(p.term(), SocketObj(int(sid), int(port)))}
 		},
 	}
 }
@@ -836,26 +863,30 @@ func bindRule() rewrite.Rule {
 // connectRule consumes a connect message on an existing socket; connecting
 // needs no privilege in the model.
 func connectRule() rewrite.Rule {
+	lhs := rewrite.NewConfig(
+		rewrite.NewOp("connect", iv("PID"), iv("SID"), iv("PORT"), iv("PR")),
+		procPattern("P_", "PID"),
+		socketPattern(),
+		zvar(),
+	)
+	slot := slotsOf(lhs)
+	ps, sidS := procSlotsOf(slot, "P_", "PID"), slot("SID")
+	sIDS, sPortS := slot("S_id"), slot("S_port")
 	return rewrite.Rule{
 		Name: "connect",
-		LHS: rewrite.NewConfig(
-			rewrite.NewOp("connect", iv("PID"), iv("SID"), iv("PORT"), iv("PR")),
-			procPattern("P_", "PID"),
-			rewrite.NewOp(symSocket, iv("S_id"), iv("S_port")),
-			zvar(),
-		),
-		Cond: func(b rewrite.Binding) bool {
-			sid := bindingInt(b, "SID")
-			return sid == Wild || sid == bindingInt(b, "S_id")
+		LHS:  lhs,
+		Cond: func(e *rewrite.Env) bool {
+			sid := bindingInt(e, sidS)
+			return sid == Wild || sid == bindingInt(e, sIDS)
 		},
-		BuildAll: func(b rewrite.Binding) []*rewrite.Term {
-			p := procFrom(b, "P_", "PID")
+		BuildAll: func(e *rewrite.Env) []*rewrite.Term {
+			p := procFrom(e, ps)
 			if !p.running() {
 				return nil
 			}
-			sid := bindingInt(b, "S_id")
-			port := bindingInt(b, "S_port")
-			return []*rewrite.Term{rebuild(b, p.term(), SocketObj(int(sid), int(port)))}
+			sid := bindingInt(e, sIDS)
+			port := bindingInt(e, sPortS)
+			return []*rewrite.Term{e.Replace(p.term(), SocketObj(int(sid), int(port)))}
 		},
 	}
 }

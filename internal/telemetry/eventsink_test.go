@@ -149,7 +149,7 @@ func TestRecorderSinkForwarding(t *testing.T) {
 		t.Fatalf("CurrentSearch = %d, want %d", got, search)
 	}
 	buf := rec.Buf(search, 0)
-	buf.Record(EvLevelStart, 0, 0, "", 1)    // filtered out
+	buf.Record(EvLevelStart, 0, 0, "", 1)       // filtered out
 	buf.Record(EvGoalMatched, 3, 0xabc, "", 42) // forwarded
 	buf.Flush()
 	rec.CommitEvent(EvEscalated, rec.CurrentSearch(), 0, 0, "", 4096) // forwarded
