@@ -9,8 +9,9 @@ package privanalyzer
 //   - BenchmarkPipeline/<program>: the end-to-end AutoPriv + ChronoPriv
 //     measurement per program — the producer of Tables III and V.
 //   - BenchmarkAblation/*: the design-choice ablations DESIGN.md calls out
-//     (visited-state dedup, BFS vs DFS frontier order, lazy wildcards vs
-//     pre-grounded messages).
+//     that the engine can run (worker counts, lazy wildcards vs
+//     pre-grounded messages); visited-state dedup and BFS vs DFS frontier
+//     order are ablated on the reference search (internal/rewrite).
 //
 // Absolute times differ from the paper's Maude-on-i7-7770 numbers; the shape
 // — possible attacks decided fast, impossible ones paying for exhaustion,
@@ -182,7 +183,10 @@ func BenchmarkRecorder(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation measures the design choices DESIGN.md documents.
+// BenchmarkAblation measures the design choices DESIGN.md documents. The
+// deduplication and frontier-order ablations run on the test-only
+// reference search (BenchmarkAblation in internal/rewrite); the engine has
+// no switch for either.
 func BenchmarkAblation(b *testing.B) {
 	// A mid-size impossible query: the refactored su's three-identity
 	// empty-privilege phase (suRef_priv6) against the read-/dev/mem attack —
@@ -201,69 +205,6 @@ func BenchmarkAblation(b *testing.B) {
 		q.MaxStates = core.DefaultMaxStates
 		return q
 	}
-
-	b.Run("dedup/on", func(b *testing.B) {
-		var states int
-		for i := 0; i < b.N; i++ {
-			res, err := build().Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = res.StatesExplored
-		}
-		b.ReportMetric(float64(states), "states")
-	})
-	b.Run("dedup/off", func(b *testing.B) {
-		// Without visited-state dedup the commuting syscall interleavings
-		// are re-explored; bound the damage with a state cap and report how
-		// far the budget got.
-		var states int
-		for i := 0; i < b.N; i++ {
-			q := build()
-			q.MaxStates = 50_000
-			q.NoDedup = true
-			res, err := q.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = res.StatesExplored
-		}
-		b.ReportMetric(float64(states), "states")
-	})
-
-	// BFS vs DFS on a possible attack with wide wildcard branching
-	// (suRef_priv1: CapSetuid+CapSetgid, setres* over every user/group).
-	// BFS guarantees the shortest witness; DFS may win or lose depending on
-	// which groundings it dives into first — the benchmark reports both.
-	vulnerable := p.Phases[0] // suRef_priv1
-	b.Run("frontier/bfs", func(b *testing.B) {
-		var states int
-		for i := 0; i < b.N; i++ {
-			q := attacks.Build(attacks.ReadDevMem, inv, phaseCreds(vulnerable), vulnerable.Privs)
-			res, err := q.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Verdict != rosa.Vulnerable {
-				b.Fatalf("verdict = %s", res.Verdict)
-			}
-			states = res.StatesExplored
-		}
-		b.ReportMetric(float64(states), "states")
-	})
-	b.Run("frontier/dfs", func(b *testing.B) {
-		var states int
-		for i := 0; i < b.N; i++ {
-			q := attacks.Build(attacks.ReadDevMem, inv, phaseCreds(vulnerable), vulnerable.Privs)
-			q.DepthFirst = true
-			res, err := q.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			states = res.StatesExplored
-		}
-		b.ReportMetric(float64(states), "states")
-	})
 
 	// Level-parallel search: the same exhaustive query at increasing worker
 	// counts. Verdict and states explored are identical at every setting

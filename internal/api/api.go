@@ -80,10 +80,10 @@ type SearchParams struct {
 	// Stats includes the per-query engine statistics (and enables the rule
 	// profiler) in the response. CLI: -stats.
 	Stats bool `json:"stats,omitempty"`
-	// NoCompile disables the compiled rule matchers for this request; every
-	// rule attempt runs through the generic interpreter. Results are
-	// byte-identical either way — the knob exists for ablation and
-	// benchmarking the interpreter baseline. No CLI flag.
+	// NoCompile is deprecated and ignored: the engine always runs its
+	// compiled rule matchers, whose results are identical to the generic
+	// interpreter's. The field stays so that v1 requests which set it still
+	// decode; it changes nothing. No CLI flag.
 	NoCompile bool `json:"no_compile,omitempty"`
 	// NoCost disables the per-query cost ledger (SearchStats.Cost and the
 	// slow-query journal's admission) for this request. CLI: -no-cost.
@@ -118,7 +118,6 @@ func (p SearchParams) OrDefaults(d SearchParams) SearchParams {
 		p.Timeout = d.Timeout
 	}
 	p.Stats = p.Stats || d.Stats
-	p.NoCompile = p.NoCompile || d.NoCompile
 	p.NoCost = p.NoCost || d.NoCost
 	if p.DeadlineMS == 0 {
 		p.DeadlineMS = d.DeadlineMS
@@ -221,7 +220,7 @@ type SearchStats struct {
 	CacheMisses         int64   `json:"cache_misses"`
 	// CompiledRules counts rules with compiled matchers; CompiledMatches and
 	// FallbackMatches split rule attempts between the compiled matchers and
-	// the interpreter (both zero under no_compile).
+	// the interpreter.
 	CompiledRules   int   `json:"compiled_rules,omitempty"`
 	CompiledMatches int64 `json:"compiled_matches,omitempty"`
 	FallbackMatches int64 `json:"fallback_matches,omitempty"`

@@ -2,12 +2,14 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"privanalyzer/internal/rewrite"
+	"privanalyzer/internal/rosa"
 )
 
 func TestDurationJSON(t *testing.T) {
@@ -186,6 +188,40 @@ func TestQueryRequestBuildAttack(t *testing.T) {
 	if q.MaxStates != 123 || q.Workers != 1 || !q.NoEscalate {
 		t.Errorf("knobs not applied: MaxStates=%d Workers=%d NoEscalate=%v",
 			q.MaxStates, q.Workers, q.NoEscalate)
+	}
+}
+
+// TestNoCompileIsNoOp: no_compile is a deprecated v1 field. A strict
+// decode still accepts it, and a query that sets it gets the same verdict
+// and state count as one that does not, through the compiled matchers.
+func TestNoCompileIsNoOp(t *testing.T) {
+	run := func(search string) *rosa.Result {
+		t.Helper()
+		body := `{"attack":2,"privs":"CapSetuid","syscalls":["open","chown","setuid"],"search":` + search + `}`
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req QueryRequest
+		if err := dec.Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+		q, _, err := req.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(`{"workers":1,"stats":true}`)
+	off := run(`{"workers":1,"stats":true,"no_compile":true}`)
+	if off.Verdict != plain.Verdict || off.StatesExplored != plain.StatesExplored {
+		t.Errorf("no_compile: (%s, %d states), without it (%s, %d states)",
+			off.Verdict, off.StatesExplored, plain.Verdict, plain.StatesExplored)
+	}
+	if off.Stats == nil || off.Stats.CompiledMatches == 0 {
+		t.Error("no_compile query did not run through the compiled matchers")
 	}
 }
 

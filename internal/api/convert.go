@@ -28,7 +28,6 @@ func (p SearchParams) Options() (rewrite.Options, error) {
 		Workers:   p.Workers,
 		MemBudget: p.MemBudget,
 		Profile:   p.Stats,
-		NoCompile: p.NoCompile,
 		NoCost:    p.NoCost,
 	}
 	if err := ApplyEscalate(p.Escalate, &o); err != nil {
@@ -98,7 +97,6 @@ func (p SearchParams) Apply(q *rosa.Query) error {
 		q.MemBudget = opts.MemBudget
 	}
 	q.Profile = q.Profile || opts.Profile
-	q.NoCompile = q.NoCompile || opts.NoCompile
 	q.NoCost = q.NoCost || opts.NoCost
 	if opts.Escalate != (rewrite.Escalation{}) {
 		q.Escalate = opts.Escalate

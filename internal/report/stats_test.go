@@ -131,7 +131,8 @@ func TestCompileSummary(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, got)
 		}
 	}
-	// NoCompile runs still render: all attempts counted as interpreted.
+	// Runs without compiled rules still render: every attempt counts as
+	// interpreted.
 	got = CompileSummary([]*rewrite.SearchStats{{FallbackMatches: 42}})
 	if !strings.Contains(got, "0 rules compiled") || !strings.Contains(got, "0.0% compiled") {
 		t.Errorf("interpreter-only summary = %q", got)

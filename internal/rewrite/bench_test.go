@@ -83,24 +83,27 @@ func BenchmarkApply(b *testing.B) {
 }
 
 // BenchmarkSearchCompiled pins the end-to-end engine effect: the same
-// exhaustive tokens search with and without compiled matchers.
+// exhaustive tokens search through the engine and through the reference
+// search, which runs every rule through the generic matcher.
 func BenchmarkSearchCompiled(b *testing.B) {
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 	never := Goal{Pattern: NewOp("nope")}
-	for _, mode := range []struct {
-		name      string
-		noCompile bool
-	}{{"compiled", false}, {"interpreted", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := tokens(5)
-				if _, err := sys.Search(init, never, Options{Workers: 1, NoCompile: mode.noCompile}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("compiled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := tokens(5).Search(init, never, Options{Workers: 1}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := referenceSearch(tokens(5), init, never, refOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestMatchSteadyStateAllocs is the allocation regression pin for the

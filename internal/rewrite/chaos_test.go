@@ -240,19 +240,34 @@ func TestMemBudgetDegradation(t *testing.T) {
 	}
 }
 
-// TestMemBudgetDegradationDFS: the DFS stride check runs the same ladder.
-func TestMemBudgetDegradationDFS(t *testing.T) {
-	res, err := counter().SearchContext(context.Background(), NewOp("c", NewInt(0)),
-		Goal{Pattern: NewOp("c", NewInt(-1))},
-		Options{DepthFirst: true, MemBudget: 1, MaxStates: 10_000})
-	if err != nil {
-		t.Fatal(err)
+// TestMemBudgetDegradationIgnoresEarlierInterning: the memory watch charges only the
+// terms a search interns itself. The interner is process-wide and never
+// shrinks, so charging all of it made a query's verdict in a long-lived
+// process depend on the unrelated queries that ran before it.
+func TestMemBudgetDegradationIgnoresEarlierInterning(t *testing.T) {
+	never := Goal{Pattern: NewOp("nope")}
+	run := func() *SearchResult {
+		t.Helper()
+		res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), never,
+			Options{Workers: 1, MemBudget: 2 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if !res.Truncated {
-		t.Error("expected a truncated search")
+	first := run()
+	for i := 0; i < 20_000; i++ {
+		Intern(NewOp("mem-budget-probe", NewInt(int64(i))))
 	}
-	if !res.Degraded && res.StatesExplored >= 10_000 {
-		t.Error("DFS hit the state budget without ever consulting the memory budget")
+	again := run()
+	for _, res := range []*SearchResult{first, again} {
+		if res.Truncated || res.Degraded || res.Stats.DegradedAt != 0 {
+			t.Errorf("search degraded under a 2 MiB budget: truncated=%v degraded=%v at %d states",
+				res.Truncated, res.Degraded, res.Stats.DegradedAt)
+		}
+	}
+	if again.StatesExplored != first.StatesExplored {
+		t.Errorf("%d states after unrelated interning, %d before", again.StatesExplored, first.StatesExplored)
 	}
 }
 
@@ -306,82 +321,68 @@ func TestChaosNoFaultIsCleanRun(t *testing.T) {
 	}
 }
 
-// TestChaosCompileDifferential extends the fault-plan chaos matrix across
-// the compile toggle: the same injected fault must produce the same outcome
-// — error shape, partial result, interruption flags, explored states —
-// whether the rules run through compiled matchers or the interpreter. At one
-// worker the faulted runs are fully deterministic, so everything is compared;
-// the latency plan never aborts, so its results must match the clean run's
-// verdict at any worker count.
+// TestChaosCompileDifferential checks the fault-plan chaos matrix against
+// the reference search: at one worker a faulted run is deterministic, so its
+// partial result — explored states, no goal, no witness — must be the
+// reference's stopped at the same point: before the faulted expansion, or
+// at the cancelled level. Errors and panics must surface as *SearchError.
+// The latency plan never aborts, so its results must be the reference's at
+// any worker count.
 func TestChaosCompileDifferential(t *testing.T) {
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
 	plans := []struct {
-		name string
-		mk   func() *faultinject.Plan
+		name  string
+		mk    func() *faultinject.Plan
+		stop  refOptions // where the reference must stop to match
+		panic bool
 	}{
-		{"err-at-expansion", func() *faultinject.Plan { return &faultinject.Plan{ErrAtExpansion: 4} }},
-		{"panic-at-expansion", func() *faultinject.Plan { return &faultinject.Plan{PanicAtExpansion: 3} }},
-		{"cancel-at-level", func() *faultinject.Plan { return &faultinject.Plan{CancelAtLevel: 2} }},
+		{"err-at-expansion", func() *faultinject.Plan { return &faultinject.Plan{ErrAtExpansion: 4} },
+			refOptions{MaxExpansions: 3}, false},
+		{"panic-at-expansion", func() *faultinject.Plan { return &faultinject.Plan{PanicAtExpansion: 3} },
+			refOptions{MaxExpansions: 2}, true},
+		{"cancel-at-level", func() *faultinject.Plan { return &faultinject.Plan{CancelAtLevel: 2} },
+			refOptions{MaxDepth: 2}, false},
 	}
 	for _, pc := range plans {
 		t.Run(pc.name, func(t *testing.T) {
-			run := func(noCompile bool) (*SearchResult, error) {
-				return tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-					Options{Workers: 1, Faults: pc.mk(), NoCompile: noCompile})
+			res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
+				Options{Workers: 1, Faults: pc.mk()})
+			var se *SearchError
+			if !errors.As(err, &se) {
+				t.Fatalf("err = %v (%T), want a *SearchError", err, err)
 			}
-			resC, errC := run(false)
-			resI, errI := run(true)
-			if (errC == nil) != (errI == nil) {
-				t.Fatalf("fault outcomes diverge: compiled err=%v, interpreted err=%v", errC, errI)
+			if (se.Panic != nil) != pc.panic {
+				t.Errorf("panic = %v, want a panic: %v", se.Panic, pc.panic)
 			}
-			if errC != nil {
-				var seC, seI *SearchError
-				if !errors.As(errC, &seC) || !errors.As(errI, &seI) {
-					t.Fatalf("errors are not *SearchError: compiled %T, interpreted %T", errC, errI)
-				}
-				if (seC.Panic == nil) != (seI.Panic == nil) {
-					t.Errorf("panic presence diverges: compiled %v, interpreted %v", seC.Panic, seI.Panic)
-				}
+			if res == nil {
+				t.Fatal("no partial result")
 			}
-			if (resC == nil) != (resI == nil) {
-				t.Fatalf("partial result presence diverges")
+			ref, rerr := referenceSearch(tokens(6), tokensInit3(), goal, pc.stop)
+			if rerr != nil {
+				t.Fatal(rerr)
 			}
-			if resC == nil {
-				return
+			if res.Found || !res.Interrupted || res.StatesExplored != ref.StatesExplored {
+				t.Errorf("partial result (found=%v interrupted=%v states=%d), want (false true %d)",
+					res.Found, res.Interrupted, res.StatesExplored, ref.StatesExplored)
 			}
-			if resC.Found != resI.Found || resC.Interrupted != resI.Interrupted ||
-				resC.StatesExplored != resI.StatesExplored {
-				t.Errorf("partial results diverge: compiled (found=%v interrupted=%v states=%d) vs interpreted (found=%v interrupted=%v states=%d)",
-					resC.Found, resC.Interrupted, resC.StatesExplored,
-					resI.Found, resI.Interrupted, resI.StatesExplored)
-			}
-			if FormatWitness(resC.Witness) != FormatWitness(resI.Witness) {
-				t.Errorf("witnesses diverge:\ncompiled:\n%s\ninterpreted:\n%s",
-					FormatWitness(resC.Witness), FormatWitness(resI.Witness))
+			if len(res.Witness) != 0 {
+				t.Errorf("partial result carries a witness:\n%s", FormatWitness(res.Witness))
 			}
 		})
 	}
 	t.Run("expansion-latency", func(t *testing.T) {
+		ref, err := referenceSearch(tokens(6), tokensInit3(), goal, refOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, w := range []int{1, 4} {
-			run := func(noCompile bool, faults *faultinject.Plan) *SearchResult {
-				res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-					Options{Workers: w, Faults: faults, NoCompile: noCompile})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				return res
+			res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
+				Options{Workers: w, Faults: &faultinject.Plan{ExpansionLatency: 100 * time.Microsecond}})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
 			}
-			slowC := run(false, &faultinject.Plan{ExpansionLatency: 100 * time.Microsecond})
-			slowI := run(true, &faultinject.Plan{ExpansionLatency: 100 * time.Microsecond})
-			clean := run(false, nil)
-			for _, pair := range []struct {
-				name string
-				res  *SearchResult
-			}{{"compiled", slowC}, {"interpreted", slowI}} {
-				if pair.res.Found != clean.Found || pair.res.StatesExplored != clean.StatesExplored {
-					t.Errorf("workers=%d: latency-faulted %s run diverges from clean (found=%v states=%d vs found=%v states=%d)",
-						w, pair.name, pair.res.Found, pair.res.StatesExplored, clean.Found, clean.StatesExplored)
-				}
+			if d := refDiff(res, ref); d != "" {
+				t.Errorf("workers=%d: latency-faulted run diverges from the reference: %s", w, d)
 			}
 		}
 	})

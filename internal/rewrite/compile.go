@@ -475,15 +475,14 @@ func (cr *compiledRule) completeAny(subj *Term, m *matcherScratch) bool {
 }
 
 // goalChecker builds the per-state goal predicate for one search. When the
-// compiled path is on and the goal pattern fits the compilable fragment, the
-// check runs through matchAny — first-match early exit, pooled scratch — and
-// profiles show it matters: the goal runs once per explored state, which for
-// exhaustive (Safe-verdict) searches is every state in the space. Outside
-// the fragment, or under NoCompile, it is Goal.matches unchanged. Both
-// compute the same boolean, so verdicts cannot depend on the toggle.
+// goal pattern fits the compilable fragment, the check runs through
+// matchAny — first-match early exit, pooled scratch — and profiles show it
+// matters: the goal runs once per explored state, which for exhaustive
+// (Safe-verdict) searches is every state in the space. Outside the
+// fragment it is Goal.matches unchanged. Both compute the same boolean.
 func (e *engine) goalChecker(goal Goal) func(*Term) bool {
 	slow := func(t *Term) bool { return goal.matches(t, e.sys.Sig) }
-	if e.comp == nil || goal.Pattern == nil {
+	if goal.Pattern == nil {
 		return slow
 	}
 	probe := Rule{LHS: goal.Pattern, Cond: goal.Cond}

@@ -211,113 +211,73 @@ func normJournal(evs []telemetry.Event) []telemetry.Event {
 }
 
 // TestCompiledSearchDifferential is the engine-level pin: for every
-// equivalence case, at Workers 1 and 4, a search with compiled matchers and
-// one with NoCompile produce byte-identical verdicts, witnesses, state
-// counts, statistics, and flight-recorder journals. The compile-activity
-// counters themselves differ by construction and are asserted separately.
+// equivalence case, at Workers 1 and 4, a search with compiled matchers
+// produces the reference search's verdict, witness, final state, state
+// count and statistics, and the same flight-recorder journal at either
+// worker count. On a fully compilable system no attempt falls back to the
+// interpreter.
 func TestCompiledSearchDifferential(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		compiledCases, interpCases := equivCases(), equivCases()
-		for i := range compiledCases {
-			cc, ic := compiledCases[i], interpCases[i]
-			name := fmt.Sprintf("%s/workers=%d", cc.name, w)
-
-			recC := telemetry.NewRecorder(0)
-			optsC := cc.opts
-			optsC.Workers = w
-			optsC.Recorder = recC
-			resC, err := cc.sys.Search(cc.init, cc.goal, optsC)
+	for _, tc := range equivCases() {
+		ref := refOf(t, tc)
+		var journals []string
+		for _, w := range []int{1, 4} {
+			name := fmt.Sprintf("%s/workers=%d", tc.name, w)
+			rec := telemetry.NewRecorder(0)
+			opts := tc.opts
+			opts.Workers = w
+			opts.Recorder = rec
+			res, err := tc.sys.Search(tc.init, tc.goal, opts)
 			if err != nil {
-				t.Fatalf("%s compiled: %v", name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-
-			recI := telemetry.NewRecorder(0)
-			optsI := ic.opts
-			optsI.Workers = w
-			optsI.Recorder = recI
-			optsI.NoCompile = true
-			resI, err := ic.sys.Search(ic.init, ic.goal, optsI)
-			if err != nil {
-				t.Fatalf("%s interpreted: %v", name, err)
+			if d := refDiff(res, ref); d != "" {
+				t.Errorf("%s: %s", name, d)
 			}
-
-			if resC.Found != resI.Found || resC.StatesExplored != resI.StatesExplored ||
-				resC.Truncated != resI.Truncated {
-				t.Errorf("%s: results diverge: compiled (found=%v states=%d) vs interpreted (found=%v states=%d)",
-					name, resC.Found, resC.StatesExplored, resI.Found, resI.StatesExplored)
-			}
-			if got, want := fmt.Sprint(witnessRules(resC.Witness)), fmt.Sprint(witnessRules(resI.Witness)); got != want {
-				t.Errorf("%s: witnesses diverge: %s vs %s", name, got, want)
-			}
-			if (resC.Final == nil) != (resI.Final == nil) ||
-				(resC.Final != nil && !resC.Final.Equal(resI.Final)) {
+			if (res.Final == nil) != (ref.Final == nil) ||
+				(res.Final != nil && !res.Final.Equal(ref.Final)) {
 				t.Errorf("%s: final states diverge", name)
 			}
-			sc, si := resC.Stats, resI.Stats
-			if fmt.Sprint(sc.Frontier) != fmt.Sprint(si.Frontier) ||
-				fmt.Sprint(sc.RuleFirings) != fmt.Sprint(si.RuleFirings) ||
-				sc.DedupHits != si.DedupHits {
-				t.Errorf("%s: stats diverge (frontier %v vs %v, firings %v vs %v)",
-					name, sc.Frontier, si.Frontier, sc.RuleFirings, si.RuleFirings)
-			}
-			// The activity counters themselves: the interpreted run must
-			// report zero compile activity; on a fully compilable system
-			// the compiled run must have matched only through the compiled
-			// path (counter()'s Op-rooted rule legitimately falls back).
-			if si.CompiledRules != 0 || si.CompiledMatches != 0 {
-				t.Errorf("%s: NoCompile run reports compile activity (%d rules, %d matches)",
-					name, si.CompiledRules, si.CompiledMatches)
-			}
-			if fully := Compile(cc.sys.Rules).CompiledCount() == len(cc.sys.Rules); fully {
-				if sc.CompiledRules == 0 {
+			// counter()'s Op-rooted rule legitimately falls back.
+			if Compile(tc.sys.Rules).CompiledCount() == len(tc.sys.Rules) {
+				if res.Stats.CompiledRules == 0 {
 					t.Errorf("%s: compiled run reports no compiled rules", name)
 				}
-				if sc.FallbackMatches != 0 {
+				if res.Stats.FallbackMatches != 0 {
 					t.Errorf("%s: compiled run fell back %d times on a fully compilable system",
-						name, sc.FallbackMatches)
+						name, res.Stats.FallbackMatches)
 				}
 			}
-			if sc.CompiledMatches+sc.FallbackMatches != si.FallbackMatches {
-				t.Errorf("%s: attempt totals diverge: %d compiled+fallback vs %d interpreted",
-					name, sc.CompiledMatches+sc.FallbackMatches, si.FallbackMatches)
-			}
-			jc, ji := normJournal(recC.Journal()), normJournal(recI.Journal())
-			if fmt.Sprint(jc) != fmt.Sprint(ji) {
-				t.Errorf("%s: journals diverge (%d vs %d events)", name, len(jc), len(ji))
-			}
+			journals = append(journals, fmt.Sprint(normJournal(rec.Journal())))
+		}
+		if journals[0] != journals[1] {
+			t.Errorf("%s: journals diverge between Workers 1 and 4", tc.name)
 		}
 	}
 }
 
 // TestCompiledBudgetCutDifferential pins where a budget cut lands on a
-// fully compilable system: truncated mid-level, the compiled and
-// interpreted matchers must stop after the same states, and with the full
-// budget both must reach the goal by the same witness.
+// fully compilable system: truncated mid-level, the compiled engine and
+// the reference must stop after the same states, and with the full budget
+// both must reach the goal by the same witness.
 func TestCompiledBudgetCutDifferential(t *testing.T) {
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
 	for _, budget := range []int{10, 5000} {
+		ref, err := referenceSearch(tokens(6), init, goal, refOptions{MaxStates: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, w := range []int{1, 4} {
 			name := fmt.Sprintf("budget=%d/workers=%d", budget, w)
-			resC, err := tokens(6).Search(init, goal, Options{Workers: w, MaxStates: budget})
+			res, err := tokens(6).Search(init, goal, Options{Workers: w, MaxStates: budget})
 			if err != nil {
-				t.Fatalf("%s compiled: %v", name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			resI, err := tokens(6).Search(init, goal, Options{Workers: w, MaxStates: budget, NoCompile: true})
-			if err != nil {
-				t.Fatalf("%s interpreted: %v", name, err)
+			if cut := budget == 10; res.Truncated != cut || res.Found == cut {
+				t.Errorf("%s: compiled run truncated=%v found=%v", name, res.Truncated, res.Found)
 			}
-			if cut := budget == 10; resC.Truncated != cut || resC.Found == cut {
-				t.Errorf("%s: compiled run truncated=%v found=%v", name, resC.Truncated, resC.Found)
-			}
-			if resC.Found != resI.Found || resC.Truncated != resI.Truncated ||
-				resC.StatesExplored != resI.StatesExplored {
-				t.Errorf("%s: compiled (found=%v truncated=%v states=%d) vs interpreted (found=%v truncated=%v states=%d)",
-					name, resC.Found, resC.Truncated, resC.StatesExplored,
-					resI.Found, resI.Truncated, resI.StatesExplored)
-			}
-			if got, want := fmt.Sprint(witnessRules(resC.Witness)), fmt.Sprint(witnessRules(resI.Witness)); got != want {
-				t.Errorf("%s: witnesses diverge: %s vs %s", name, got, want)
+			if d := refDiff(res, ref); d != "" {
+				t.Errorf("%s: %s", name, d)
 			}
 		}
 	}
@@ -325,13 +285,14 @@ func TestCompiledBudgetCutDifferential(t *testing.T) {
 
 // TestCompiledCounterAccounting is the unified-accounting regression test:
 // CompiledMatches + FallbackMatches must equal the per-rule profile's total
-// attempts, and adding RulesSkippedByIndex must recover the unindexed run's
-// attempt count — every candidate rule×position pair is accounted exactly
-// once, whichever matcher handled it and whether the index skipped it.
+// attempts, and adding RulesSkippedByIndex must recover the reference
+// search's attempt count (it tries every rule at every position) — every
+// candidate rule×position pair is accounted exactly once, whichever matcher
+// handled it and whether the index skipped it.
 //
 // The system mixes compiled rules (tokens) with an interpreter-only
 // var-rooted rule; the latter also defeats subtree pruning, so the
-// indexed/unindexed comparison is exact.
+// comparison with the reference is exact.
 func TestCompiledCounterAccounting(t *testing.T) {
 	mixed := func() *System {
 		s := tokens(3)
@@ -345,44 +306,41 @@ func TestCompiledCounterAccounting(t *testing.T) {
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 	goal := Goal{Pattern: NewOp("nope")}
 
-	run := func(noIndex bool) *SearchStats {
-		res, err := mixed().Search(init, goal,
-			Options{Workers: 1, Profile: true, NoIndex: noIndex, NoIntern: noIndex, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats
+	res, err := mixed().Search(init, goal, Options{Workers: 1, Profile: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast, naive := run(false), run(true)
+	fast := res.Stats
+	ref, err := referenceSearch(mixed(), init, goal, refOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for name, st := range map[string]*SearchStats{"indexed": fast, "unindexed": naive} {
-		var attempts int64
-		for _, rc := range st.RuleProfile {
-			attempts += rc.Attempts
-		}
-		if st.CompiledMatches+st.FallbackMatches != attempts {
-			t.Errorf("%s: compiled %d + fallback %d != profiled attempts %d",
-				name, st.CompiledMatches, st.FallbackMatches, attempts)
-		}
-		if st.CompiledMatches == 0 || st.FallbackMatches == 0 {
-			t.Errorf("%s: mixed system should use both paths (compiled %d, fallback %d)",
-				name, st.CompiledMatches, st.FallbackMatches)
-		}
-		if st.CompiledRules != 2 {
-			t.Errorf("%s: %d rules compiled, want 2 (noop stays interpreted)", name, st.CompiledRules)
-		}
+	var attempts int64
+	for _, rc := range fast.RuleProfile {
+		attempts += rc.Attempts
 	}
-	if naive.RulesSkippedByIndex != 0 {
-		t.Errorf("unindexed run reports %d index skips", naive.RulesSkippedByIndex)
+	if fast.CompiledMatches+fast.FallbackMatches != attempts {
+		t.Errorf("compiled %d + fallback %d != profiled attempts %d",
+			fast.CompiledMatches, fast.FallbackMatches, attempts)
 	}
-	if naive.SubtreesPruned != 0 || fast.SubtreesPruned != 0 {
-		t.Fatalf("test premise broken: subtree pruning active (%d/%d) — the comparison below needs none",
-			fast.SubtreesPruned, naive.SubtreesPruned)
+	if fast.CompiledMatches == 0 || fast.FallbackMatches == 0 {
+		t.Errorf("mixed system should use both paths (compiled %d, fallback %d)",
+			fast.CompiledMatches, fast.FallbackMatches)
+	}
+	if fast.CompiledRules != 2 {
+		t.Errorf("%d rules compiled, want 2 (noop stays interpreted)", fast.CompiledRules)
+	}
+	if fast.SubtreesPruned != 0 {
+		t.Fatalf("test premise broken: subtree pruning active (%d) — the comparison below needs none",
+			fast.SubtreesPruned)
+	}
+	if res.StatesExplored != ref.StatesExplored {
+		t.Fatalf("engine explored %d states, reference %d", res.StatesExplored, ref.StatesExplored)
 	}
 	fastTotal := fast.CompiledMatches + fast.FallbackMatches + fast.RulesSkippedByIndex
-	naiveTotal := naive.CompiledMatches + naive.FallbackMatches
-	if fastTotal != naiveTotal {
-		t.Errorf("attempts + skips mismatch: indexed %d (+%d skipped) != unindexed %d",
+	if naiveTotal := ref.Stats.FallbackMatches; fastTotal != naiveTotal {
+		t.Errorf("attempts + skips mismatch: indexed %d (+%d skipped) != reference %d",
 			fast.CompiledMatches+fast.FallbackMatches, fast.RulesSkippedByIndex, naiveTotal)
 	}
 	if fast.RulesSkippedByIndex == 0 {

@@ -7,19 +7,25 @@ import (
 )
 
 // envModes are the two matchers every Env callback must see identically:
-// the compiled matcher (lazy remainder, slot array) and the generic one
-// (NoCompile: remainder bound eagerly, Env filled from a Binding).
+// the engine's compiled matcher (lazy remainder, slot array) and the
+// reference search's generic one (remainder bound eagerly, Env filled from
+// a Binding). Each mode supplies its successor walk and its goal check.
 var envModes = []struct {
-	name string
-	opts Options
+	name  string
+	succ  func(sys *System, state *Term) ([]Step, error)
+	holds func(sys *System, goal Goal, state *Term) bool
 }{
-	{"compiled", Options{}},
-	{"interpreted", Options{NoCompile: true}},
-}
-
-// goalHolds runs the per-state goal check a search under opts would run.
-func goalHolds(sys *System, goal Goal, state *Term, opts Options) bool {
-	return sys.engine(opts, nil).goalChecker(goal)(Intern(state))
+	{"compiled",
+		func(sys *System, state *Term) ([]Step, error) { return sys.Successors(state) },
+		func(sys *System, goal Goal, state *Term) bool {
+			return sys.engine(Options{}, nil).goalChecker(goal)(Intern(state))
+		}},
+	{"interpreted",
+		func(sys *System, state *Term) ([]Step, error) {
+			steps, _, err := referenceSuccessors(sys, state)
+			return steps, err
+		},
+		func(sys *System, goal Goal, state *Term) bool { return goal.matches(state, sys.Sig) }},
 }
 
 // TestEnvRestIsRemainder: a rule body and a goal Cond that read the rest
@@ -60,14 +66,14 @@ func TestEnvRestIsRemainder(t *testing.T) {
 	goal := Goal{Pattern: lhs, Cond: func(e *Env) bool { record(e); return false }}
 	for _, m := range envModes {
 		seen = nil
-		steps, err := sys.SuccessorsOpts(state, m.opts)
+		steps, err := m.succ(sys, state)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(steps) != 2 {
 			t.Errorf("%s: %d successors, want 2", m.name, len(steps))
 		}
-		if goalHolds(sys, goal, state, m.opts) {
+		if m.holds(sys, goal, state) {
 			t.Errorf("%s: goal whose Cond is false reported a match", m.name)
 		}
 		sort.Strings(seen)
@@ -112,7 +118,7 @@ func TestEnvNonLinearRest(t *testing.T) {
 	for _, m := range envModes {
 		for _, tc := range cases {
 			rests = nil
-			steps, err := sys.SuccessorsOpts(tc.state, m.opts)
+			steps, err := m.succ(sys, tc.state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +133,7 @@ func TestEnvNonLinearRest(t *testing.T) {
 					t.Errorf("%s: successor %s, want %s", m.name, steps[0].Result, want)
 				}
 			}
-			if got := goalHolds(sys, goal, tc.state, m.opts); got != tc.match {
+			if got := m.holds(sys, goal, tc.state); got != tc.match {
 				t.Errorf("%s: goal on %s = %v, want %v", m.name, tc.state, got, tc.match)
 			}
 		}

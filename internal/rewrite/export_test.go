@@ -6,8 +6,23 @@ package rewrite
 // RaceEnabled reports whether the test binary runs under the race detector.
 const RaceEnabled = raceEnabled
 
-// GoalCheck returns the per-state goal predicate a search on sys under opts
-// runs (engine.goalChecker).
-func GoalCheck(sys *System, goal Goal, opts Options) func(*Term) bool {
-	return sys.engine(opts, nil).goalChecker(goal)
+// GoalCheck returns the per-state goal predicate a search on sys runs
+// (engine.goalChecker).
+func GoalCheck(sys *System, goal Goal) func(*Term) bool {
+	return sys.engine(Options{}, nil).goalChecker(goal)
+}
+
+// ReferenceGoal reports whether state satisfies goal by the reference
+// search's check: the generic matcher, no compiled early exit.
+func ReferenceGoal(sys *System, goal Goal, state *Term) bool {
+	return goal.matches(state, sys.Sig)
+}
+
+// RefOptions are the reference search's knobs (reference_test.go).
+type RefOptions = refOptions
+
+// ReferenceSearch runs the test-only reference search, the oracle the
+// engine is compared against.
+func ReferenceSearch(sys *System, init *Term, goal Goal, o RefOptions) (*SearchResult, error) {
+	return referenceSearch(sys, init, goal, o)
 }

@@ -1,17 +1,16 @@
 package rewrite
 
-// Structural term hashing and the hash-interned state set backing the
-// search's visited-state deduplication. The previous engine keyed its
-// visited map on full Term.String() renderings; canonical rendering is
-// O(n log n) per state (configurations sort their elements as strings) and
-// the keys themselves dominated the search's allocations. The hash below is
-// a 64-bit structural fingerprint computed bottom-up and memoized per term:
-// ordered combining for constructor arguments, a commutative combine for
-// configuration elements so the hash is invariant under the
-// associative-commutative element order, matching Equal. Collisions are
-// handled, not assumed away: the stateSet keeps per-hash buckets and
-// confirms membership with a structural equality check, so a collision can
-// cost a comparison but never a wrong verdict.
+// Structural term hashing, the key of the interner (intern.go) that backs
+// the search's visited-state deduplication. Canonical rendering is
+// O(n log n) per state (configurations sort their elements as strings), so
+// keys are not renderings. The hash below is a 64-bit structural
+// fingerprint computed bottom-up and memoized per term: ordered combining
+// for constructor arguments, a commutative combine for configuration
+// elements so the hash is invariant under the associative-commutative
+// element order, matching Equal. Collisions are handled, not assumed away:
+// the interner keeps per-hash buckets and confirms membership with a
+// structural equality check, so a collision can cost a comparison but
+// never a wrong verdict.
 
 // Hash tags keep different term kinds from colliding trivially.
 const (
@@ -241,27 +240,4 @@ func permEqual(as, bs []*Term) bool {
 		return false
 	}
 	return rec(0)
-}
-
-// stateSet is the hash-interned visited-state set: per-hash buckets of
-// terms, membership confirmed structurally so hash collisions never merge
-// distinct states.
-type stateSet struct {
-	buckets map[uint64][]*Term
-}
-
-func newStateSet() *stateSet {
-	return &stateSet{buckets: make(map[uint64][]*Term)}
-}
-
-// add inserts t and reports whether it was absent (true = newly added).
-func (s *stateSet) add(t *Term) bool {
-	h := t.Hash()
-	for _, u := range s.buckets[h] {
-		if structEqual(t, u) {
-			return false
-		}
-	}
-	s.buckets[h] = append(s.buckets[h], t)
-	return true
 }

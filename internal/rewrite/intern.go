@@ -333,38 +333,3 @@ func canonLess(a, b *Term) bool {
 	}
 	return a.String() < b.String()
 }
-
-// canonOrder rewrites t so every configuration's elements are in the
-// canonical engine order, without interning anything — the uninterned
-// (NoIntern) engine's counterpart of Intern's sorting. Both engines hand the
-// matcher states with identical element order, so successor enumeration —
-// and with it every search verdict, witness, and state count — is
-// byte-identical across the toggles. Returns t itself when already
-// canonical.
-func canonOrder(t *Term) *Term {
-	if t == nil || len(t.Args) == 0 {
-		return t
-	}
-	changed := false
-	args := make([]*Term, len(t.Args))
-	for i, a := range t.Args {
-		args[i] = canonOrder(a)
-		if args[i] != a {
-			changed = true
-		}
-	}
-	if t.Kind == Config && len(args) > 1 {
-		sortConfigArgs(args)
-		for i := range args {
-			if args[i] != t.Args[i] {
-				changed = true
-				break
-			}
-		}
-	}
-	if !changed {
-		return t
-	}
-	return &Term{Kind: t.Kind, Sym: t.Sym, Sort: t.Sort,
-		IntVal: t.IntVal, StrVal: t.StrVal, Args: args}
-}

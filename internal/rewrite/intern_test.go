@@ -105,50 +105,31 @@ func TestInternerSizeGrows(t *testing.T) {
 	}
 }
 
-// TestToggleEquivalence is the optimization contract: disabling any
-// combination of index, interning, and cache yields byte-identical search
-// results — verdict, witness, state count, dedup hits, frontier shape, and
-// rule firings.
+// TestToggleEquivalence is the optimization contract: the indexed,
+// interned, compiled engine yields the reference search's results —
+// verdict, witness, state count, dedup hits, frontier shape, and rule
+// firings — at Workers 1 and 4, without a transition cache and with one,
+// cold and then warm.
 func TestToggleEquivalence(t *testing.T) {
-	toggles := []struct {
-		name string
-		set  func(*Options)
-	}{
-		{"no-index", func(o *Options) { o.NoIndex = true }},
-		{"no-intern", func(o *Options) { o.NoIntern = true }},
-		{"naive", func(o *Options) { o.NoIndex, o.NoIntern, o.NoCache = true, true, true }},
-	}
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			ref := refOf(t, tc)
 			for _, w := range []int{1, 4} {
 				opts := tc.opts
 				opts.Workers = w
-				ref, err := tc.sys.SearchContext(context.Background(), tc.init, tc.goal, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, tg := range toggles {
-					opts := tc.opts
-					opts.Workers = w
-					tg.set(&opts)
+				for _, mode := range []string{"uncached", "cache-cold", "cache-warm"} {
+					switch mode {
+					case "uncached":
+						tc.sys.Cache = nil
+					case "cache-cold":
+						tc.sys.Cache = NewTransitionCache()
+					}
 					got, err := tc.sys.SearchContext(context.Background(), tc.init, tc.goal, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got.Found != ref.Found || got.Truncated != ref.Truncated ||
-						got.StatesExplored != ref.StatesExplored {
-						t.Errorf("%s workers=%d: (found=%v truncated=%v states=%d), want (%v %v %d)",
-							tg.name, w, got.Found, got.Truncated, got.StatesExplored,
-							ref.Found, ref.Truncated, ref.StatesExplored)
-					}
-					if FormatWitness(got.Witness) != FormatWitness(ref.Witness) {
-						t.Errorf("%s workers=%d: witness differs:\n%s\nwant:\n%s",
-							tg.name, w, FormatWitness(got.Witness), FormatWitness(ref.Witness))
-					}
-					if got.Stats.DedupHits != ref.Stats.DedupHits ||
-						fmt.Sprint(got.Stats.Frontier) != fmt.Sprint(ref.Stats.Frontier) ||
-						fmt.Sprint(got.Stats.RuleFirings) != fmt.Sprint(ref.Stats.RuleFirings) {
-						t.Errorf("%s workers=%d: stats diverge", tg.name, w)
+					if d := refDiff(got, ref); d != "" {
+						t.Errorf("%s workers=%d: %s", mode, w, d)
 					}
 				}
 			}
@@ -157,24 +138,25 @@ func TestToggleEquivalence(t *testing.T) {
 }
 
 // TestSuccessorsOptsByteIdentical pins the successor sets themselves: the
-// indexed, interned walk must emit the same successors, in the same order,
-// with the same renderings as the naive walk.
+// indexed, interned, compiled walk (Successors) must emit the same
+// successors, in the same order, with the same renderings as the
+// reference's plain walk.
 func TestSuccessorsOptsByteIdentical(t *testing.T) {
 	for _, tc := range equivCases() {
-		fast, err := tc.sys.SuccessorsOpts(tc.init, Options{})
+		fast, err := tc.sys.Successors(tc.init)
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := tc.sys.SuccessorsOpts(tc.init, Options{NoIndex: true, NoIntern: true, NoCache: true})
+		naive, _, err := referenceSuccessors(tc.sys, tc.init)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(fast) != len(naive) {
-			t.Fatalf("%s: %d successors indexed, %d naive", tc.name, len(fast), len(naive))
+			t.Fatalf("%s: %d successors from the engine, %d from the reference", tc.name, len(fast), len(naive))
 		}
 		for i := range fast {
 			if fast[i].Rule != naive[i].Rule || fast[i].Result.String() != naive[i].Result.String() {
-				t.Errorf("%s: successor %d: (%s, %s) vs naive (%s, %s)",
+				t.Errorf("%s: successor %d: (%s, %s) vs reference (%s, %s)",
 					tc.name, i, fast[i].Rule, fast[i].Result, naive[i].Rule, naive[i].Result)
 			}
 		}
@@ -217,17 +199,6 @@ func TestTransitionCacheSharedAcrossSearches(t *testing.T) {
 	if second.StatesExplored != first.StatesExplored ||
 		fmt.Sprint(second.Stats.Frontier) != fmt.Sprint(first.Stats.Frontier) {
 		t.Error("cached search explored a different space")
-	}
-	// NoCache must bypass the attached cache entirely.
-	third, err := sys.SearchContext(context.Background(), init, goal, Options{Workers: 1, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Stats.CacheHits != 0 || third.Stats.CacheMisses != 0 {
-		t.Error("NoCache search still touched the cache")
-	}
-	if third.StatesExplored != first.StatesExplored {
-		t.Error("NoCache search explored a different space")
 	}
 }
 

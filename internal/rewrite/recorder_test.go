@@ -154,28 +154,3 @@ func TestRecorderSearchIDs(t *testing.T) {
 		t.Errorf("search ids %v, want exactly {1, 2}", seen)
 	}
 }
-
-// TestRecorderDFS: the depth-first walk journals through the same hooks.
-func TestRecorderDFS(t *testing.T) {
-	rec := telemetry.NewRecorder(0)
-	res, err := tokens(6).SearchContext(context.Background(),
-		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-		Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))},
-		Options{DepthFirst: true, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("goal not found")
-	}
-	counts := map[telemetry.EventKind]int{}
-	for _, ev := range rec.Journal() {
-		counts[ev.Kind]++
-	}
-	if counts[telemetry.EvStateExpanded] == 0 || counts[telemetry.EvRuleFired] == 0 {
-		t.Errorf("DFS journal missing expansion events: %v", counts)
-	}
-	if counts[telemetry.EvGoalMatched] != 1 {
-		t.Errorf("%d goal events, want 1", counts[telemetry.EvGoalMatched])
-	}
-}

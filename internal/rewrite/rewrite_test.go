@@ -444,8 +444,10 @@ func TestFormatWitness(t *testing.T) {
 
 func TestDedupAblation(t *testing.T) {
 	// A two-rule commuting diamond: without dedup the frontier blows up,
-	// with dedup the space is polynomial. We just check both find the goal
-	// and that dedup explores no more states.
+	// with dedup the space is polynomial. The engine always deduplicates;
+	// the reference search can switch it off. Check that all three find
+	// the goal, that the engine explores what the deduplicating reference
+	// does, and that dedup explores no more states.
 	s := &System{
 		Rules: []Rule{
 			{
@@ -477,12 +479,19 @@ func TestDedupAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	no, err := s.Search(init, goal, Options{NoDedup: true, Workers: 1})
+	ref, err := referenceSearch(s, init, goal, refOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !on.Found || !no.Found {
-		t.Fatalf("found: dedup=%v nodedup=%v", on.Found, no.Found)
+	no, err := referenceSearch(s, init, goal, refOptions{NoDedup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !on.Found || !ref.Found || !no.Found {
+		t.Fatalf("found: engine=%v reference=%v nodedup=%v", on.Found, ref.Found, no.Found)
+	}
+	if d := refDiff(on, ref); d != "" {
+		t.Errorf("engine vs reference: %s", d)
 	}
 	if on.StatesExplored > no.StatesExplored {
 		t.Errorf("dedup explored more states (%d) than no-dedup (%d)",

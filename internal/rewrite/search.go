@@ -20,10 +20,9 @@ import (
 // Options bounds and tunes a search. It is the single option surface shared
 // by every layer of the checker: rosa.Query embeds it and core.Options
 // carries one per query. The zero value is the default configuration —
-// unbounded depth and states, visited-state deduplication ON (the flag is
-// inverted to NoDedup precisely so that composite literals and the zero
-// value keep Maude's semantics), breadth-first order, and one worker per
-// CPU — so existing callers constructing literals stay correct.
+// unbounded depth and states, breadth-first with visited-state
+// deduplication, and one worker per CPU — so existing callers constructing
+// literals stay correct.
 type Options struct {
 	// MaxDepth bounds the number of rule applications along a path;
 	// 0 means unbounded (the visited set still guarantees termination on
@@ -33,14 +32,6 @@ type Options struct {
 	// 0 means unbounded. The budget is exact: StatesExplored never exceeds
 	// it, and the goal-match and enqueue paths apply the same check.
 	MaxStates int
-	// NoDedup disables visited-state deduplication (ablation only). The
-	// inverted sense keeps the zero value meaning "dedup on".
-	NoDedup bool
-	// DepthFirst explores the frontier LIFO instead of FIFO. BFS (the
-	// default, what Maude's search does) finds shortest witnesses and
-	// reaches quick verdicts on possible attacks; the DFS ablation shows
-	// why that matters. DepthFirst searches always run sequentially.
-	DepthFirst bool
 	// Workers is the number of goroutines expanding each breadth-first
 	// depth level: 0 means one per CPU (runtime.GOMAXPROCS), 1 forces the
 	// sequential engine. Any value yields verdicts, witnesses, and state
@@ -70,28 +61,6 @@ type Options struct {
 	// the search measurably — leave it off except when diagnosing rule
 	// cost (the search-engine analogue of a query profiler).
 	Profile bool
-	// NoIndex disables rule indexing: the successor walk tries every rule
-	// at every subterm position instead of consulting the per-System index.
-	// Inverted (like NoDedup) so the zero value keeps indexing on; exists
-	// for ablation and the differential tests.
-	NoIndex bool
-	// NoIntern disables term interning (hash-consing). Interned searches
-	// key their visited sets and caches on canonical pointers; disabling it
-	// falls back to structural hashing everywhere. Disabling interning also
-	// disables the transition cache, whose keys are interned pointers.
-	NoIntern bool
-	// NoCache disables the cross-query transition cache even when the
-	// System carries one (System.Cache); successor sets are recomputed per
-	// search.
-	NoCache bool
-	// NoCompile disables the compiled rule matchers (compile.go): every rule
-	// attempt runs through the generic interpreter instead of its
-	// specialized matcher. Results are byte-identical either way — the
-	// compiled path's strict order-equivalence contract, pinned by the
-	// differential suite — so the toggle exists for ablation, benchmarking
-	// the interpreter baseline, and bisecting. Inverted (like NoDedup) so
-	// the zero value compiles.
-	NoCompile bool
 	// Escalate tunes adaptive budget escalation for callers that run the
 	// query through an escalating supervisor (rosa.Checker): attempts start
 	// at Escalate.Start states and grow geometrically until the verdict
@@ -101,27 +70,27 @@ type Options struct {
 	// fields take the supervisor's defaults.
 	Escalate Escalation
 	// NoEscalate forces the legacy one-shot search at the full MaxStates
-	// budget in supervisors that would otherwise escalate. Inverted (like
-	// NoDedup) so the zero value escalates.
+	// budget in supervisors that would otherwise escalate. Inverted so the
+	// zero value escalates.
 	NoEscalate bool
 	// MemBudget is a soft memory bound, in bytes, over the search's dominant
-	// structures (interner, transition cache, frontier). On the first breach
-	// the engine sheds the transition cache and continues with uncached
-	// expansion (SearchStats.DegradedAt records where); on the second it
-	// stops with a truncated, Degraded result and partial stats. 0 disables
-	// the watch. The estimate is deliberately coarse (see memEstimate): the
-	// budget is a failsafe against runaway frontiers, not an allocator
-	// ledger.
+	// structures (the terms interned since it began, the transition cache,
+	// the frontier). On the first breach the engine sheds the transition
+	// cache and continues with uncached expansion (SearchStats.DegradedAt
+	// records where); on the second it stops with a truncated, Degraded
+	// result and partial stats. 0 disables the watch. The estimate is
+	// deliberately coarse (see memEstimate): the budget is a failsafe
+	// against runaway frontiers, not an allocator ledger.
 	MemBudget int64
 	// Faults is the deterministic fault-injection plan for chaos tests
 	// (internal/faultinject); nil — the production value — injects nothing.
 	Faults *faultinject.Plan
 	// NoCost disables the per-query cost ledger (SearchStats.Cost): the
 	// supervisor skips the obs.Meter bracket and Cost stays nil. Inverted
-	// (like NoDedup) so the zero value keeps accounting on; exists for
-	// ablation and for pinning the disabled path's overhead. The engine
-	// itself never reads this — the meter lives in the rosa supervisor,
-	// which owns the per-query boundary.
+	// so the zero value keeps accounting on; exists for ablation and for
+	// pinning the disabled path's overhead. The engine itself never reads
+	// this — the meter lives in the rosa supervisor, which owns the
+	// per-query boundary.
 	NoCost bool
 }
 
@@ -141,7 +110,7 @@ type Escalation struct {
 
 // DefaultOptions returns the default search configuration. It is the
 // constructor counterpart of the zero value; both mean bounded-only-by-
-// space BFS with deduplication on and one worker per CPU.
+// space BFS with one worker per CPU.
 func DefaultOptions() Options { return Options{} }
 
 // MaxWorkers caps the search workers per depth level. Callers that take a
@@ -166,11 +135,10 @@ type SearchStats struct {
 	// StatesExplored counts distinct states visited so far.
 	StatesExplored int
 	// Depth is the deepest completed BFS level (0 = only the initial
-	// state). Unset for depth-first searches.
+	// state).
 	Depth int
 	// Frontier holds the breadth-first frontier size per depth
-	// (Frontier[d] = number of states expanded at depth d). Nil for
-	// depth-first searches.
+	// (Frontier[d] = number of states expanded at depth d).
 	Frontier []int
 	// RuleFirings counts, per rule name, how many successor states the
 	// rule generated (before visited-state deduplication).
@@ -186,8 +154,7 @@ type SearchStats struct {
 	// Options.Profile was set.
 	RuleProfile map[string]*RuleCost
 	// RulesSkippedByIndex counts rule attempts the successor index avoided
-	// (rules filtered out at a position before matching was tried). Zero
-	// when indexing is disabled.
+	// (rules filtered out at a position before matching was tried).
 	RulesSkippedByIndex int64
 	// SubtreesPruned counts subterm positions never visited because the
 	// subtree bitmap proved no rule could match inside.
@@ -195,11 +162,10 @@ type SearchStats struct {
 	// CacheHits and CacheMisses count transition-cache lookups during this
 	// search. Hits include states whose successor sets were computed by an
 	// earlier query sharing the same System. Both zero when no cache is
-	// attached or caching is disabled.
+	// attached.
 	CacheHits, CacheMisses int64
 	// CompiledRules is how many of the System's rules have compiled
-	// matchers (the rest fall back to the interpreter per attempt). Zero
-	// when compilation is disabled (Options.NoCompile).
+	// matchers (the rest fall back to the interpreter per attempt).
 	CompiledRules int
 	// CompiledMatches and FallbackMatches split this search's rule attempts
 	// by engine: attempts served by a compiled matcher vs by the generic
@@ -417,7 +383,6 @@ type node struct {
 	state  *Term
 	rule   string // rule that produced state; "" for the root
 	parent *node
-	depth  int
 }
 
 // witness materializes the rule path from the root to n.
@@ -469,9 +434,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		return nil, err
 	}
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: opts.workers()}
-	if opts.DepthFirst {
-		stats.Workers = 1
-	}
 	began := time.Now()
 	res := &SearchResult{StatesExplored: 1, Stats: stats}
 	refresh := func() {
@@ -481,14 +443,10 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		stats.SubtreesPruned = e.subtreesPruned.Load()
 		stats.CacheHits = e.cacheHits.Load()
 		stats.CacheMisses = e.cacheMisses.Load()
-		if e.comp != nil {
-			stats.CompiledRules = e.comp.count
-		}
+		stats.CompiledRules = e.comp.count
 		stats.CompiledMatches = e.compiledMatches.Load()
 		stats.FallbackMatches = e.fallbackMatches.Load()
-		if e.intern {
-			stats.InternerSize = InternerSize()
-		}
+		stats.InternerSize = InternerSize()
 		stats.DroppedEvents = e.rec.Dropped()
 		if rp != nil {
 			stats.RuleProfile = rp.profile()
@@ -546,12 +504,7 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		return finish()
 	}
 
-	var runErr error
-	if opts.DepthFirst {
-		runErr = e.searchDFS(ctx, start, goal, opts, res, stats, progress)
-	} else {
-		runErr = e.searchBFS(ctx, start, goal, opts, res, stats, progress)
-	}
+	runErr := e.searchBFS(ctx, start, opts, res, stats, progress)
 	if runErr != nil {
 		var serr *SearchError
 		if !errors.As(runErr, &serr) {
@@ -569,34 +522,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	}
 	r, _ := finish()
 	return r, runErr
-}
-
-// visitedSet is the search's visited-state set. Interned searches key on
-// canonical pointers (one map probe, no structural work); uninterned
-// searches fall back to the hash-bucketed structural set. Both implement
-// the same equivalence relation, so dedup decisions are identical.
-type visitedSet struct {
-	ptrs map[*Term]struct{} // non-nil when interning
-	set  *stateSet          // non-nil otherwise
-}
-
-func newVisitedSet(intern bool) *visitedSet {
-	if intern {
-		return &visitedSet{ptrs: make(map[*Term]struct{})}
-	}
-	return &visitedSet{set: newStateSet()}
-}
-
-// add inserts t and reports whether it was absent (true = newly added).
-func (v *visitedSet) add(t *Term) bool {
-	if v.ptrs != nil {
-		if _, ok := v.ptrs[t]; ok {
-			return false
-		}
-		v.ptrs[t] = struct{}{}
-		return true
-	}
-	return v.set.add(t)
 }
 
 // expansion is one frontier node's precomputed successor set. Successor
@@ -649,22 +574,20 @@ const (
 )
 
 // memEstimate approximates the search's resident bytes across its dominant
-// structures for the Options.MemBudget watch.
+// structures for the Options.MemBudget watch. The interner is process-wide
+// and never shrinks, so only the terms interned since this search began
+// count: a query's verdict must not depend on what ran before it.
 func (e *engine) memEstimate(frontierLen int) int64 {
-	var est int64
-	if e.intern {
-		est += InternerSize() * bytesPerInternedTerm
-	}
+	est := (InternerSize() - e.internBase) * bytesPerInternedTerm
 	est += e.cache.Len() * bytesPerCachedState
 	est += int64(frontierLen) * bytesPerFrontierNode
 	return est
 }
 
-// checkMemBudget runs the degradation ladder at a level (or DFS stride)
-// boundary: under budget does nothing; the first breach sheds the transition
-// cache and switches to uncached expansion; a breach after that stops the
-// search with a truncated, degraded result. Reports whether the search must
-// stop.
+// checkMemBudget runs the degradation ladder at a level boundary: under
+// budget does nothing; the first breach sheds the transition cache and
+// switches to uncached expansion; a breach after that stops the search with
+// a truncated, degraded result. Reports whether the search must stop.
 func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *SearchResult, stats *SearchStats) bool {
 	if opts.MemBudget <= 0 {
 		return false
@@ -700,11 +623,9 @@ func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *Searc
 //
 // progress fires OnStats (throttled by StatsInterval) after each completed
 // level, and additionally at chunk boundaries when an interval is set.
-func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Options, res *SearchResult, stats *SearchStats, progress func()) error {
-	visited := newVisitedSet(e.intern)
-	if !opts.NoDedup {
-		visited.add(start)
-	}
+func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *SearchResult, stats *SearchStats, progress func()) error {
+	// States are interned, so the visited set keys on canonical pointers.
+	visited := map[*Term]struct{}{start: {}}
 	frontier := []*node{{state: start}}
 
 	// mb buffers the merge goroutine's own events (level starts, rule
@@ -817,17 +738,18 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Opt
 				for _, st := range ex.steps {
 					stats.RuleFirings[st.Rule]++
 					mb.Record(telemetry.EvRuleFired, depth+1, st.Result.Hash(), st.Rule, 0)
-					if !opts.NoDedup && !visited.add(st.Result) {
+					if _, seen := visited[st.Result]; seen {
 						stats.DedupHits++
 						mb.Record(telemetry.EvDedup, depth+1, st.Result.Hash(), "", 0)
 						continue
 					}
+					visited[st.Result] = struct{}{}
 					if opts.MaxStates > 0 && res.StatesExplored >= opts.MaxStates {
 						res.Truncated = true
 						return nil
 					}
 					res.StatesExplored++
-					child := &node{state: st.Result, rule: st.Rule, parent: n, depth: depth + 1}
+					child := &node{state: st.Result, rule: st.Rule, parent: n}
 					if e.goalFn(st.Result) {
 						mb.Record(telemetry.EvGoalMatched, depth+1, st.Result.Hash(), "", int64(res.StatesExplored))
 						res.Found = true
@@ -845,70 +767,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, goal Goal, opts Opt
 		}
 		frontier = nextFrontier
 		progress()
-	}
-	return nil
-}
-
-// searchDFS is the sequential LIFO engine (the frontier-order ablation).
-// Recorder events go straight onto worker track 0 (there is one goroutine);
-// progress fires only when StatsInterval is set, since DFS has no levels.
-func (e *engine) searchDFS(ctx context.Context, start *Term, goal Goal, opts Options, res *SearchResult, stats *SearchStats, progress func()) error {
-	visited := newVisitedSet(e.intern)
-	if !opts.NoDedup {
-		visited.add(start)
-	}
-	mb := e.rec.Buf(e.search, 0)
-	defer mb.Flush()
-	stack := []*node{{state: start}}
-	for len(stack) > 0 {
-		if ctx.Err() != nil {
-			res.Interrupted = true
-			return nil
-		}
-		// DFS has no level boundaries; run the memory watch every 1024
-		// visited states instead.
-		if res.StatesExplored&1023 == 0 && e.checkMemBudget(opts, stats.Depth, len(stack), res, stats) {
-			return nil
-		}
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if opts.MaxDepth > 0 && n.depth >= opts.MaxDepth {
-			continue
-		}
-		succs, cached, err := e.safeSuccessors(n.state, n.depth, 0, mb)
-		if err != nil {
-			return err
-		}
-		if !cached {
-			e.cachePut(n.state, succs)
-		}
-		for _, st := range succs {
-			stats.RuleFirings[st.Rule]++
-			mb.Record(telemetry.EvRuleFired, n.depth+1, st.Result.Hash(), st.Rule, 0)
-			if !opts.NoDedup && !visited.add(st.Result) {
-				stats.DedupHits++
-				mb.Record(telemetry.EvDedup, n.depth+1, st.Result.Hash(), "", 0)
-				continue
-			}
-			if opts.MaxStates > 0 && res.StatesExplored >= opts.MaxStates {
-				res.Truncated = true
-				return nil
-			}
-			res.StatesExplored++
-			child := &node{state: st.Result, rule: st.Rule, parent: n, depth: n.depth + 1}
-			if e.goalFn(st.Result) {
-				mb.Record(telemetry.EvGoalMatched, n.depth+1, st.Result.Hash(), "", int64(res.StatesExplored))
-				res.Found = true
-				res.Final = st.Result
-				res.Witness = child.witness()
-				return nil
-			}
-			stack = append(stack, child)
-		}
-		mb.Flush()
-		if opts.StatsInterval > 0 {
-			progress()
-		}
 	}
 	return nil
 }

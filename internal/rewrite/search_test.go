@@ -114,13 +114,6 @@ func equivCases() []equivCase {
 			goal: Goal{Pattern: NewOp("c", NewInt(-1))},
 			opts: Options{MaxStates: 200},
 		},
-		{
-			name: "tokens/nodedup",
-			sys:  tokens(3),
-			init: NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-			goal: never,
-			opts: Options{NoDedup: true, MaxStates: 500},
-		},
 	}
 }
 

@@ -45,6 +45,9 @@ type Rule struct {
 // the generic matcher's path. Callbacks get an Env filled from each
 // Binding through the LHS's slot table.
 func (r *Rule) apply(t *Term, sig Signature) []*Term {
+	if k := r.LHS.Kind; k != Var && (k != t.Kind || k == Op && r.LHS.Sym != t.Sym) {
+		return nil // the root cannot match; skip the matcher's allocations
+	}
 	var out []*Term
 	scratch := getBinding()
 	defer putBinding(scratch)
@@ -89,9 +92,7 @@ type System struct {
 	Rules []Rule
 	// Cache, if set, memoizes successor sets per interned state across
 	// searches over this System (see TransitionCache); rosa.Checker attaches
-	// one cache per program so all queries share the expanded graph. Only
-	// consulted while interning is enabled, because keys are canonical
-	// pointers.
+	// one cache per program so all queries share the expanded graph.
 	Cache *TransitionCache
 
 	idxOnce sync.Once  // builds idx on first search
@@ -198,47 +199,29 @@ type Step struct {
 // Successors returns every state reachable from t by one rule application.
 // Rules are tried at the root and, recursively, at every subterm position
 // (congruence), then the results are normalized. Duplicate successors are
-// coalesced by structural equality (hash-interned, like the search's
-// visited set). All engine optimizations are on; use SuccessorsOpts to
-// disable them selectively.
+// coalesced (hash-interned, like the search's visited set).
 func (s *System) Successors(t *Term) ([]Step, error) {
-	return s.SuccessorsOpts(t, Options{})
+	return s.engine(Options{}, nil).successors(Intern(t))
 }
 
-// SuccessorsOpts is Successors under explicit engine toggles: NoIndex,
-// NoIntern, and NoCache each disable one optimization. The returned steps
-// are identical — same successors, same order, same renderings — whichever
-// toggles are set; the differential tests enforce this against the naive
-// walk.
-func (s *System) SuccessorsOpts(t *Term, opts Options) ([]Step, error) {
-	e := s.engine(opts, nil)
-	if e.intern {
-		t = Intern(t)
-	} else {
-		t = canonOrder(t)
-	}
-	return e.successors(t)
-}
-
-// engine is one search's view of the successor machinery: the System plus
-// the optimization toggles in effect and local effectiveness counters that
-// fold into SearchStats when the search finishes. A nil idx runs the naive
-// every-rule-every-position walk; intern=false disables hash-consing (and
-// with it the transition cache, whose keys are canonical pointers).
+// engine is one search's view of the successor machinery: the System's rule
+// index, compiled matchers and transition cache, plus local effectiveness
+// counters that fold into SearchStats when the search finishes.
 type engine struct {
-	sys    *System
-	idx    *ruleIndex
-	intern bool
-	cache  *TransitionCache
-	comp   *CompiledRules // compiled matchers; nil = interpret every rule
-	rp     *ruleProfiler
+	sys   *System
+	idx   *ruleIndex
+	cache *TransitionCache
+	comp  *CompiledRules // compiled matchers; rules outside the fragment fall back per rule
+	rp    *ruleProfiler
+
+	internBase int64 // InternerSize when the search began (memEstimate)
 
 	rec    *telemetry.Recorder // flight recorder; nil = recording off
 	search int32               // recorder search id (Recorder.BeginSearch)
 
 	// goalFn is the per-state goal predicate the search loops call — the
 	// goal pattern compiled with early exit when it fits the fragment,
-	// Goal.matches otherwise. Only the merge/DFS goroutine calls it, so it
+	// Goal.matches otherwise. Only the merge goroutine calls it, so it
 	// may close over unshared scratch. Set by SearchContext.
 	goalFn func(*Term) bool
 
@@ -256,16 +239,8 @@ type engine struct {
 
 // engine builds the successor engine for one search or Successors call.
 func (s *System) engine(opts Options, rp *ruleProfiler) *engine {
-	e := &engine{sys: s, rp: rp, intern: !opts.NoIntern, faults: opts.Faults}
-	if !opts.NoIndex {
-		e.idx = s.index()
-	}
-	if !opts.NoCompile {
-		e.comp = s.compiled()
-	}
-	if e.intern && !opts.NoCache {
-		e.cache = s.Cache
-	}
+	e := &engine{sys: s, idx: s.index(), comp: s.compiled(), cache: s.Cache, rp: rp,
+		internBase: InternerSize(), faults: opts.Faults}
 	if opts.Recorder != nil {
 		e.rec = opts.Recorder
 		e.search = opts.Recorder.BeginSearch()
@@ -274,20 +249,10 @@ func (s *System) engine(opts Options, rp *ruleProfiler) *engine {
 }
 
 // normalize canonicalizes a state: equational normal form, then hash-consed
-// via Intern when interning is on (canonOrder without it — both put
-// configuration elements in the same canonical order, so successor
-// enumeration is identical across the toggles). With interning, normal
-// forms are memoized per interned input so repeated simplification of
-// shared shapes is one map probe.
+// via Intern. Normal forms are memoized per interned input so repeated
+// simplification of shared shapes is one map probe.
 func (e *engine) normalize(t *Term) (*Term, error) {
 	s := e.sys
-	if !e.intern {
-		n, err := s.Normalize(t)
-		if err != nil {
-			return nil, err
-		}
-		return canonOrder(n), nil
-	}
 	if len(s.Eqs) == 0 {
 		return Intern(t), nil
 	}
@@ -396,38 +361,30 @@ var errStopWalk = errors.New("rewrite: stop walk")
 
 // expand computes t's successor set by trying rules at the root and at every
 // subterm position (congruence), in rule order then position order — the
-// same order whichever optimizations are on, since the index only removes
-// attempts that produce no replacement and prunes subtrees no rule can
-// match inside. limit > 0 stops after that many successors. Timing, when a
-// profiler is attached, is per apply call — one rule tried at one position —
-// so attribution is exact, at the price of two clock reads per attempt.
+// order of the plain every-rule-every-position walk, since the index only
+// removes attempts that produce no replacement and prunes subtrees no rule
+// can match inside. limit > 0 stops after that many successors. Timing,
+// when a profiler is attached, is per apply call — one rule tried at one
+// position — so attribution is exact, at the price of two clock reads per
+// attempt.
 // Subtree prunes are recorded into b aggregated — one EvSubtreePruned per
 // expansion, N = pruned positions — bounding recorder volume on prune-heavy
 // walks; b nil means recording off.
 func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) ([]Step, error) {
 	s := e.sys
 	var steps []Step
-	var seenStruct *stateSet
-	if !e.intern {
-		seenStruct = newStateSet()
-	}
 	var skipped, pruned int64
 	emit := func(name string, nt *Term) error {
 		norm, err := e.normalize(nt)
 		if err != nil {
 			return err
 		}
-		if e.intern {
-			// Interned successors dedupe by pointer; successor lists are
-			// small, so a scan over steps beats allocating a set per
-			// expansion.
-			for i := range steps {
-				if steps[i].Result == norm {
-					return nil
-				}
+		// Interned successors dedupe by pointer; successor lists are small,
+		// so a scan over steps beats allocating a set per expansion.
+		for i := range steps {
+			if steps[i].Result == norm {
+				return nil
 			}
-		} else if !seenStruct.add(norm) {
-			return nil
 		}
 		steps = append(steps, Step{Rule: name, Result: norm})
 		if limit > 0 && len(steps) >= limit {
@@ -436,20 +393,17 @@ func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) ([
 		return nil
 	}
 	// Compiled matchers share one pooled scratch across every position of
-	// this expansion; interpreter-only runs never touch the pool.
-	var cm *matcherScratch
+	// this expansion.
+	cm := e.comp.getScratch()
+	defer e.comp.putScratch(cm)
 	var compiled, fallback int64
-	if e.comp != nil {
-		cm = e.comp.getScratch()
-		defer e.comp.putScratch(cm)
-	}
 	applyAt := func(i int, t *Term, rebuild func(*Term) *Term) error {
 		var began time.Time
 		if e.rp != nil {
 			began = time.Now()
 		}
 		var reps []*Term
-		if cm != nil && e.comp.rules[i] != nil {
+		if e.comp.rules[i] != nil {
 			reps = e.comp.rules[i].apply(t, s.Sig, cm, nil)
 			compiled++
 		} else {
@@ -468,36 +422,25 @@ func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) ([
 	}
 
 	total := len(s.Rules)
-	var buf []indexedRule
-	if e.idx != nil {
-		buf = getTriedBuf(len(e.idx.atConfig))
-		defer putTriedBuf(buf)
-	}
+	buf := getTriedBuf(len(e.idx.atConfig))
+	defer putTriedBuf(buf)
 	var walk func(t *Term, rebuild func(*Term) *Term) error
 	walk = func(t *Term, rebuild func(*Term) *Term) error {
-		if e.idx != nil {
-			// buf is shared across recursion levels; each level finishes
-			// iterating its bucket before descending, so no level observes
-			// another's filtered view. The index only selects candidates:
-			// RulesSkippedByIndex accounting lives here, in one place, as
-			// total minus whatever the bucket admitted.
-			tried := e.idx.at(t, buf)
-			skipped += int64(total - len(tried))
-			for _, ir := range tried {
-				if err := applyAt(ir.idx, t, rebuild); err != nil {
-					return err
-				}
-			}
-		} else {
-			for i := range s.Rules {
-				if err := applyAt(i, t, rebuild); err != nil {
-					return err
-				}
+		// buf is shared across recursion levels; each level finishes
+		// iterating its bucket before descending, so no level observes
+		// another's filtered view. The index only selects candidates:
+		// RulesSkippedByIndex accounting lives here, in one place, as total
+		// minus whatever the bucket admitted.
+		tried := e.idx.at(t, buf)
+		skipped += int64(total - len(tried))
+		for _, ir := range tried {
+			if err := applyAt(ir.idx, t, rebuild); err != nil {
+				return err
 			}
 		}
 		if t.Kind == Op || t.Kind == Config {
 			for i, a := range t.Args {
-				if e.idx != nil && !e.idx.allPositions &&
+				if !e.idx.allPositions &&
 					a.subtreeBits()&e.idx.needMask == 0 {
 					pruned++ // no rule can match at any position inside a
 					continue

@@ -99,11 +99,11 @@ func TestQueryWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestNewQueryDefaults: the constructor produces the default (dedup-on,
-// BFS) configuration, and the zero Options literal means the same thing.
+// TestNewQueryDefaults: the constructor produces the default configuration,
+// and the zero Options literal means the same thing.
 func TestNewQueryDefaults(t *testing.T) {
 	q := NewQuery(nil, nil, rewrite.Goal{})
-	if q.NoDedup || q.DepthFirst || q.MaxStates != 0 || q.Workers != 0 {
+	if q.MaxStates != 0 || q.MaxDepth != 0 || q.Workers != 0 || q.NoEscalate {
 		t.Errorf("NewQuery options = %+v, want the zero (default) configuration", q.Options)
 	}
 }

@@ -60,11 +60,11 @@ func (v Verdict) metricName() string {
 // Query is one bounded model-checking question: from an initial
 // configuration of objects and syscall messages, can a state matching Goal
 // be reached? The embedded rewrite.Options is the single option surface
-// shared with the engine — MaxStates, MaxDepth, NoDedup, DepthFirst,
-// Workers, OnStats are all promoted fields; the zero value is the default
-// configuration (Dedup on, BFS, one search worker per CPU). The only
-// rosa-specific twist: MaxStates 0 means DefaultMaxStates rather than
-// unbounded, so every query has the paper's timeout analogue.
+// shared with the engine — MaxStates, MaxDepth, Workers, OnStats are all
+// promoted fields; the zero value is the default configuration (BFS, one
+// search worker per CPU). The only rosa-specific twist: MaxStates 0 means
+// DefaultMaxStates rather than unbounded, so every query has the paper's
+// timeout analogue.
 type Query struct {
 	// Objects are the initial objects (processes, files, dirs, sockets,
 	// users, groups).
@@ -189,9 +189,8 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 
 	// Escalation without a Checker-attached cache would recompute every
 	// earlier attempt's expansions; attach a query-private cache so attempts
-	// share the expanded graph. (Keys are interned pointers, so interning
-	// must be on.)
-	if sys.Cache == nil && !opts.NoIntern && !opts.NoCache && !opts.NoEscalate {
+	// share the expanded graph.
+	if sys.Cache == nil && !opts.NoEscalate {
 		sys.Cache = rewrite.NewTransitionCache()
 	}
 

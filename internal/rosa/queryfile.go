@@ -30,7 +30,6 @@ var ErrQueryFile = errors.New("rosa: bad query file")
 //	maxstates: 100000
 //	extended: true
 //	workers: 4      # search workers per depth level (0 = one per CPU)
-//	dedup: false    # disable visited-state deduplication (ablation)
 //
 // Terms use the functional syntax of rewrite.ParseTerm; capability-set
 // message arguments are the Set bit patterns (caps.Set values). Goals:
@@ -103,13 +102,6 @@ func ParseQuery(src string) (*Query, error) {
 				return nil, errf("bad workers: %d exceeds the maximum of %d", n, rewrite.MaxWorkers)
 			}
 			q.Workers = n
-			continue
-		case strings.HasPrefix(lower, "dedup:"):
-			v, err := strconv.ParseBool(strings.TrimSpace(line[len("dedup:"):]))
-			if err != nil {
-				return nil, errf("bad dedup: %v", err)
-			}
-			q.NoDedup = !v
 			continue
 		}
 

@@ -111,7 +111,6 @@ Process(1,2,2,2,2,2,2,run,set,set)
 messages:
 goal: read 3
 workers: 4
-dedup: false
 maxdepth: 7
 `
 	q, err := ParseQuery(src)
@@ -121,11 +120,13 @@ maxdepth: 7
 	if q.Workers != 4 {
 		t.Errorf("Workers = %d, want 4", q.Workers)
 	}
-	if !q.NoDedup {
-		t.Error("dedup: false did not disable deduplication")
-	}
 	if q.MaxDepth != 7 {
 		t.Errorf("MaxDepth = %d, want 7", q.MaxDepth)
+	}
+	// The search always deduplicates visited states; a file that asks
+	// otherwise is rejected, not silently run with dedup on.
+	if _, err := ParseQuery(src + "dedup: false\n"); !errors.Is(err, ErrQueryFile) {
+		t.Errorf("dedup: false: err = %v, want ErrQueryFile", err)
 	}
 }
 
