@@ -18,10 +18,11 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detector pass over the packages with concurrent code paths (the
-# level-parallel search engine, its callers, the telemetry registry, and
-# the server's slow-query journal / job pool).
+# level-parallel search engine, its callers, the telemetry registry, the
+# server's slow-query journal / job pool, and the CLI's concurrent program
+# analyses).
 test-race:
-	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/
+	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/ ./cmd/privanalyzer/
 
 # Fault-injection suites under the race detector: panic isolation,
 # escalation transparency, memory degradation, and the cmd-level signal

@@ -18,6 +18,11 @@
 //	privanalyzer -program thttpd -pprof localhost:6060  # live pprof while it runs
 //	privanalyzer -program all -escalate 4096:4  # custom budget-escalation ladder
 //
+// Several programs (-program all, -experiments, -diff) are analysed
+// concurrently, one goroutine each; every table, JSON document and stderr
+// line is emitted after all of them finish, in program order, so the output
+// is the same as a one-at-a-time run's.
+//
 // SIGINT/SIGTERM interrupt the analysis gracefully: finished queries keep
 // their verdicts, interrupted ones get ⏱, and the partial tables plus any
 // requested telemetry are flushed before exit. A second signal kills the
@@ -161,19 +166,10 @@ func run(args []string) (code int) {
 			fmt.Fprintln(os.Stderr, "privanalyzer: -diff wants \"before,after\"")
 			return 2
 		}
-		var as [2]*core.Analysis
-		for i, name := range parts {
-			p, err := programs.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-				return 1
-			}
-			a, err := core.AnalyzeContext(ctx, p, opts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-				return 1
-			}
-			as[i] = a
+		as, err := core.AnalyzeAll(ctx, []string{strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])}, opts)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "privanalyzer:", err)
+			return 1
 		}
 		fmt.Print(core.Compare(as[0], as[1]))
 		return 0
@@ -193,28 +189,25 @@ func run(args []string) (code int) {
 		names = programs.Names()
 	}
 
+	// The programs are analysed concurrently; everything derived from the
+	// analyses is emitted after the join, in program order, so the output
+	// matches a one-at-a-time run whatever the schedule.
+	analyses, err := core.AnalyzeAll(ctx, names, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
+		return 1
+	}
 	var original, refactored []*core.Analysis
 	exitCode := 0
-	for _, name := range names {
-		p, err := programs.ByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-			return 1
-		}
-		began := time.Now()
-		a, err := core.AnalyzeContext(ctx, p, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-			return 1
-		}
+	for _, a := range analyses {
 		if *traceOut != "" && a.HotBlocks != nil {
-			counterTracks = append(counterTracks, hotBlockTrack(name, a.HotBlocks, began, time.Now()))
+			counterTracks = append(counterTracks, hotBlockTrack(a.Program.Name, a.HotBlocks, a.Began, a.Ended))
 		}
 		for _, qe := range a.Errors {
 			fmt.Fprintln(os.Stderr, "privanalyzer: query fault (isolated, verdict ⏱):", qe.Error())
 			exitCode = 1
 		}
-		if p.Refactored {
+		if a.Program.Refactored {
 			refactored = append(refactored, a)
 		} else {
 			original = append(original, a)

@@ -6,11 +6,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// capture runs f with stdout redirected into a pipe it drains concurrently,
+// so output larger than the pipe buffer cannot block f.
 func capture(t *testing.T, f func() int) (string, int) {
 	t.Helper()
 	old := os.Stdout
@@ -18,14 +22,19 @@ func capture(t *testing.T, f func() int) (string, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	copied := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(&buf, r)
+		copied <- err
+	}()
 	os.Stdout = w
 	code := f()
 	os.Stdout = old
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
+	if err := <-copied; err != nil {
 		t.Fatal(err)
 	}
 	return buf.String(), code
@@ -310,5 +319,54 @@ func TestRunJSON(t *testing.T) {
 	}
 	if strings.Contains(out, "TABLE") {
 		t.Error("-json output still contains the human tables")
+	}
+}
+
+// TestRunExperimentsScheduleIndependent: the programs of -experiments are
+// analysed concurrently, yet stdout is byte-identical, apart from the
+// wall-clock elapsed_ns fields, on one CPU and on all of them — and with the
+// shared telemetry registry and flight recorder attached (-telemetry-json,
+// -trace-out), whose trace keeps one hot-block track per program.
+func TestRunExperimentsScheduleIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full evaluation twice; skipped with -short")
+	}
+	elapsed := regexp.MustCompile(`"elapsed_ns": [0-9]+`)
+	experiments := func(extra ...string) string {
+		t.Helper()
+		out, code := capture(t, func() int { return run(append([]string{"-experiments", "-json"}, extra...)) })
+		if code != 0 {
+			t.Fatalf("-experiments %v: exit code %d", extra, code)
+		}
+		return elapsed.ReplaceAllString(out, `"elapsed_ns": 0`)
+	}
+
+	prev := runtime.GOMAXPROCS(1)
+	one := experiments()
+	runtime.GOMAXPROCS(prev)
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	all := experiments("-trace-out", tracePath, "-telemetry-json", filepath.Join(dir, "telemetry.jsonl"))
+
+	if one != all {
+		a, b := strings.Split(one, "\n"), strings.Split(all, "\n")
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		t.Errorf("-experiments -json differs between GOMAXPROCS=1 and GOMAXPROCS=%d (elapsed_ns stripped), first at line %d:\n%s\nvs\n%s",
+			prev, i+1, strings.Join(a[i:min(i+3, len(a))], "\n"), strings.Join(b[i:min(i+3, len(b))], "\n"))
+	}
+	if n := strings.Count(one, `"api_version"`); n != 7 {
+		t.Errorf("%d JSON documents, want one per program (7)", n)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"thttpd", "passwd", "su", "ping", "sshd", "passwdRef", "suRef"} {
+		if !bytes.Contains(data, []byte(`"hot blocks `+name+`"`)) {
+			t.Errorf("trace has no hot-block track for %s", name)
+		}
 	}
 }

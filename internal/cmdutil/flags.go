@@ -66,7 +66,7 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Escalate, "escalate", "",
 		`budget escalation: "off" for one-shot at the full budget, or start:factor[:max] (empty = escalate with defaults)`)
 	fs.Int64Var(&f.MemBudget, "mem-budget", 0,
-		"soft memory budget in bytes over interner+cache+frontier: shed the cache on first breach, stop with ⏱ on the second (0 = off)")
+		"soft memory budget in bytes over the search's own states+cache entries+frontier: shed the cache on first breach, stop with ⏱ on the second (0 = off)")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"wall-clock search limit; an expired deadline yields the ⏱ verdict (0 = none)")
 	fs.BoolVar(&f.Stats, "stats", false,

@@ -34,7 +34,7 @@ func TestAnalyzeFaultIsolation(t *testing.T) {
 		opts      Options
 		mustFault bool
 	}{
-		{"sequential", Options{}, true},
+		{"sequential", Options{Search: rewrite.Options{Workers: 1}}, true},
 		{"parallel", Options{Parallel: true, Search: rewrite.Options{Workers: 4}}, false},
 	}
 	for _, tc := range cases {

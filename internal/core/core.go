@@ -142,6 +142,9 @@ type Analysis struct {
 	// how callers distinguish "budget exhausted" from "query crashed and
 	// was isolated".
 	Errors []QueryError
+	// Began and Ended are the wall-clock bounds of the AnalyzeContext call;
+	// the -trace-out hot-block track of each program spans them.
+	Began, Ended time.Time
 }
 
 // Analyze runs the full PrivAnalyzer pipeline on a program. It is the
@@ -166,6 +169,7 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 // {program, phase, attack, verdict} — and feeds the registry's counters and
 // histograms. Without a registry the telemetry calls are no-ops.
 func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*Analysis, error) {
+	began := time.Now()
 	root, ctx := telemetry.StartSpan(ctx, "analyze", "program", p.Name)
 	defer root.End()
 	telemetry.FromContext(ctx).Counter("core_analyses_total").Add(1)
@@ -195,7 +199,7 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	a := &Analysis{Program: p, AutoPriv: ares, Report: rep, HotBlocks: hot}
+	a := &Analysis{Program: p, AutoPriv: ares, Report: rep, HotBlocks: hot, Began: began}
 	inventory := p.Syscalls()
 
 	// Build the independent (phase, attack) query jobs.
@@ -315,7 +319,52 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 	}
 	lg.Debug("analysis done",
 		"phases", len(a.Phases), "queries", len(jobs), "faults", len(a.Errors))
+	a.Ended = time.Now()
 	return a, nil
+}
+
+// AnalyzeAll runs AnalyzeContext on the named programs (programs.ByName)
+// concurrently, one goroutine per program, and returns the analyses in
+// input order. Each program builds its own model and, unless opts.Checker
+// is set, its own rosa.Checker, so every analysis equals a separate
+// AnalyzeContext call's; only wall-clock time changes. What the programs do
+// share is schedule-independent: the process-wide term interner (canonical
+// representatives are a pure function of the term), and the telemetry
+// registry on ctx and opts.Search.Recorder, which are safe for concurrent
+// use and keep each program's spans and journal events apart by label and
+// search id. opts.Search.OnStats, when set, is called from every program's
+// goroutine.
+//
+// A program that fails cancels the context of the others, whose pending
+// queries then finish promptly with ⏱. The error returned is the first in
+// input order, and no analyses are returned with it.
+func AnalyzeAll(ctx context.Context, names []string, opts Options) ([]*Analysis, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	out := make([]*Analysis, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := programs.ByName(name)
+			if err == nil {
+				out[i], err = AnalyzeContext(ctx, p, opts)
+			}
+			if err != nil {
+				errs[i] = err
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Mismatches compares the analysis against the paper's expected cells and

@@ -64,8 +64,9 @@ func BenchmarkApply(b *testing.B) {
 			rule := &sys.Rules[i]
 			b.Run(fmt.Sprintf("interpreted/%s/%d", rule.Name, n), func(b *testing.B) {
 				b.ReportAllocs()
+				l := layoutOf(rule.LHS)
 				for k := 0; k < b.N; k++ {
-					rule.apply(subj, sys.Sig)
+					rule.apply(subj, sys.Sig, l)
 				}
 			})
 			cr := comp.rules[i]

@@ -271,6 +271,99 @@ func TestMemBudgetDegradationIgnoresEarlierInterning(t *testing.T) {
 	}
 }
 
+// TestMemBudgetDegradationIgnoresSharedCache: the memory watch charges only
+// the successor sets a search merges itself. A Checker's transition cache is
+// shared by every query of a program; charging all of it made a budgeted
+// query degrade at once after unrelated queries had filled the cache, and
+// shed that cache for every later query.
+func TestMemBudgetDegradationIgnoresSharedCache(t *testing.T) {
+	never := Goal{Pattern: NewOp("nope")}
+	budgeted := Options{Workers: 1, MemBudget: 64 << 10}
+	alone := tokens(6)
+	alone.Cache = NewTransitionCache()
+	ref, err := alone.SearchContext(context.Background(), tokensInit3(), never, budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sys := tokens(6)
+	sys.Cache = NewTransitionCache()
+	four := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
+	if _, err := sys.SearchContext(context.Background(), four, never, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	filled := sys.Cache.Len()
+	res, err := sys.SearchContext(context.Background(), tokensInit3(), never, budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*SearchResult{"fresh cache": ref, "pre-filled cache": res} {
+		if r.Truncated || r.Degraded || r.Stats.DegradedAt != 0 {
+			t.Errorf("%s: degraded under a 64 KiB budget: truncated=%v degraded=%v at %d states",
+				name, r.Truncated, r.Degraded, r.Stats.DegradedAt)
+		}
+	}
+	if n := sys.Cache.Len(); n < filled {
+		t.Errorf("the shared cache shrank from %d to %d entries: the budgeted query shed it", filled, n)
+	}
+	if res.StatesExplored != ref.StatesExplored {
+		t.Errorf("%d states over the pre-filled cache, %d over a fresh one", res.StatesExplored, ref.StatesExplored)
+	}
+}
+
+// TestMemBudgetDegradationIgnoresConcurrentInterning: a budgeted search
+// that degrades part-way explores exactly the same states, and degrades at
+// the same point, while another goroutine interns unrelated terms.
+func TestMemBudgetDegradationIgnoresConcurrentInterning(t *testing.T) {
+	never := Goal{Pattern: NewOp("nope")}
+	run := func() *SearchResult {
+		t.Helper()
+		sys := tokens(6)
+		sys.Cache = NewTransitionCache()
+		res, err := sys.SearchContext(context.Background(), tokensInit3(), never,
+			Options{Workers: 1, MemBudget: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	alone := run()
+	if alone.Stats.DegradedAt == 0 {
+		t.Fatalf("the 16 KiB budget no longer degrades the search (%d states); the test needs a tighter one",
+			alone.StatesExplored)
+	}
+
+	stop := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			Intern(NewOp("mem-budget-concurrent-probe", NewInt(int64(i))))
+			if i == 1000 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	busy := run()
+	close(stop)
+	<-done
+
+	if busy.StatesExplored != alone.StatesExplored || busy.Degraded != alone.Degraded ||
+		busy.Stats.DegradedAt != alone.Stats.DegradedAt ||
+		fmt.Sprint(busy.Stats.Frontier) != fmt.Sprint(alone.Stats.Frontier) {
+		t.Errorf("beside concurrent interning: states=%d degraded=%v at %d frontier=%v; alone: states=%d degraded=%v at %d frontier=%v",
+			busy.StatesExplored, busy.Degraded, busy.Stats.DegradedAt, busy.Stats.Frontier,
+			alone.StatesExplored, alone.Degraded, alone.Stats.DegradedAt, alone.Stats.Frontier)
+	}
+}
+
 // TestTransitionCacheShed pins Shed's contract: it returns the dropped entry
 // count, empties every shard, and is nil-safe.
 func TestTransitionCacheShed(t *testing.T) {

@@ -86,9 +86,10 @@ type compiledRule struct {
 // Compile and cached alongside the rule index (System.compiled), so servers
 // holding a Checker amortize compilation across every query. Entries are
 // parallel to the source rule slice; nil entries fall back to the
-// interpreter.
+// interpreter, which reads the rule's slot table from layouts.
 type CompiledRules struct {
 	rules    []*compiledRule
+	layouts  []*slotLayout // fallback rules' slot tables; nil for compiled rules
 	count    int
 	maxSlots int
 	maxFixed int
@@ -100,10 +101,11 @@ type CompiledRules struct {
 // entries and keep the interpreter. The rules slice must not change
 // afterwards (the same contract the rule index imposes).
 func Compile(rules []Rule) *CompiledRules {
-	c := &CompiledRules{rules: make([]*compiledRule, len(rules))}
+	c := &CompiledRules{rules: make([]*compiledRule, len(rules)), layouts: make([]*slotLayout, len(rules))}
 	for i := range rules {
 		cr := compileRule(&rules[i])
 		if cr == nil {
+			c.layouts[i] = layoutOf(rules[i].LHS)
 			continue
 		}
 		c.rules[i] = cr
@@ -481,15 +483,12 @@ func (cr *compiledRule) completeAny(subj *Term, m *matcherScratch) bool {
 // (Safe-verdict) searches is every state in the space. Outside the
 // fragment it is Goal.matches unchanged. Both compute the same boolean.
 func (e *engine) goalChecker(goal Goal) func(*Term) bool {
-	slow := func(t *Term) bool { return goal.matches(t, e.sys.Sig) }
-	if goal.Pattern == nil {
-		return slow
-	}
 	probe := Rule{LHS: goal.Pattern, Cond: goal.Cond}
 	gc := Compile([]Rule{probe})
 	cr := gc.rules[0]
 	if cr == nil {
-		return slow
+		l := gc.layouts[0]
+		return func(t *Term) bool { return goal.matches(t, e.sys.Sig, l) }
 	}
 	m := gc.getScratch() // single caller goroutine; keep one scratch for the search
 	return func(t *Term) bool { return cr.matchAny(t, e.sys.Sig, m) }

@@ -170,7 +170,7 @@ func TestCompiledApplyEquivalence(t *testing.T) {
 				m := comp.getScratch()
 				got := renderTerms(cr.apply(subj, s.sys.Sig, m, nil))
 				comp.putScratch(m)
-				want := renderTerms(s.sys.Rules[i].apply(subj, s.sys.Sig))
+				want := renderTerms(s.sys.Rules[i].apply(subj, s.sys.Sig, nil))
 				if got != want {
 					t.Errorf("%s/%s at %s: replacements diverge\ncompiled:\n%s\ninterpreter:\n%s",
 						s.name, s.sys.Rules[i].Name, subj, got, want)

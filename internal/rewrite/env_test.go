@@ -22,10 +22,10 @@ var envModes = []struct {
 		}},
 	{"interpreted",
 		func(sys *System, state *Term) ([]Step, error) {
-			steps, _, err := referenceSuccessors(sys, state)
+			steps, _, err := referenceSuccessors(sys, ruleLayouts(sys), state)
 			return steps, err
 		},
-		func(sys *System, goal Goal, state *Term) bool { return goal.matches(state, sys.Sig) }},
+		func(sys *System, goal Goal, state *Term) bool { return goal.matches(state, sys.Sig, nil) }},
 }
 
 // TestEnvRestIsRemainder: a rule body and a goal Cond that read the rest

@@ -15,7 +15,7 @@ func GoalCheck(sys *System, goal Goal) func(*Term) bool {
 // ReferenceGoal reports whether state satisfies goal by the reference
 // search's check: the generic matcher, no compiled early exit.
 func ReferenceGoal(sys *System, goal Goal, state *Term) bool {
-	return goal.matches(state, sys.Sig)
+	return goal.matches(state, sys.Sig, nil)
 }
 
 // RefOptions are the reference search's knobs (reference_test.go).

@@ -147,7 +147,7 @@ func TestSuccessorsOptsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, _, err := referenceSuccessors(tc.sys, tc.init)
+		naive, _, err := referenceSuccessors(tc.sys, ruleLayouts(tc.sys), tc.init)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,11 +280,28 @@ func patternSlots(pattern *Term) (names []string, rest int) {
 	return names, rest
 }
 
-// bindingEnv returns an Env over pattern's name table with no subject, for
-// the generic matcher to fill from its Binding (fill).
-func bindingEnv(pattern *Term) *Env {
+// slotLayout is a pattern's slot table — patternSlots' slot -> name list
+// and remainder slot — shared read-only by every Env over the pattern.
+type slotLayout struct {
+	names []string
+	rest  int
+}
+
+// layoutOf builds pattern's slot table. The generic matcher fills an Env
+// through it on every match, so callers that match one pattern repeatedly
+// build it once and pass it along.
+func layoutOf(pattern *Term) *slotLayout {
 	names, rest := patternSlots(pattern)
-	return &Env{names: names, rest: rest, slots: make([]*Term, len(names))}
+	return &slotLayout{names: names, rest: rest}
+}
+
+// envOver returns an Env over l with no subject, for the generic matcher to
+// fill from its Binding (fill); a nil l is built from pattern.
+func envOver(l *slotLayout, pattern *Term) *Env {
+	if l == nil {
+		l = layoutOf(pattern)
+	}
+	return &Env{names: l.names, rest: l.rest, slots: make([]*Term, len(l.names))}
 }
 
 // fill loads b into the slots through the name table.

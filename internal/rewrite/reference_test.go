@@ -58,7 +58,8 @@ func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*SearchR
 	}
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: 1}
 	res := &SearchResult{StatesExplored: 1, Stats: stats}
-	if goal.matches(start, sys.Sig) {
+	layouts, goalLayout := ruleLayouts(sys), layoutOf(goal.Pattern)
+	if goal.matches(start, sys.Sig, goalLayout) {
 		res.Found, res.Final = true, start
 		return res, nil
 	}
@@ -87,7 +88,7 @@ func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*SearchR
 			return res, nil
 		}
 		expanded++
-		succs, attempts, err := referenceSuccessors(sys, n.state)
+		succs, attempts, err := referenceSuccessors(sys, layouts, n.state)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +105,7 @@ func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*SearchR
 			}
 			res.StatesExplored++
 			child := &refNode{state: st.Result, rule: st.Rule, parent: n, depth: n.depth + 1}
-			if goal.matches(st.Result, sys.Sig) {
+			if goal.matches(st.Result, sys.Sig, goalLayout) {
 				res.Found, res.Final = true, st.Result
 				for c := child; c.parent != nil; c = c.parent {
 					res.Witness = append([]Step{{Rule: c.rule, Result: c.state}}, res.Witness...)
@@ -117,17 +118,28 @@ func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*SearchR
 	return res, nil
 }
 
+// ruleLayouts returns the slot table of each of sys's rules, for
+// referenceSuccessors.
+func ruleLayouts(sys *System) []*slotLayout {
+	out := make([]*slotLayout, len(sys.Rules))
+	for i := range sys.Rules {
+		out[i] = layoutOf(sys.Rules[i].LHS)
+	}
+	return out
+}
+
 // referenceSuccessors returns t's one-step successors: every rule at every
 // position (the position itself first, then its arguments left to right),
 // each replacement rebuilt into t and normalized, structural duplicates
-// dropped. attempts counts the rule × position pairs tried.
-func referenceSuccessors(sys *System, t *Term) (steps []Step, attempts int64, err error) {
+// dropped. attempts counts the rule × position pairs tried. layouts holds
+// the rules' slot tables (ruleLayouts).
+func referenceSuccessors(sys *System, layouts []*slotLayout, t *Term) (steps []Step, attempts int64, err error) {
 	seen := newStateSet()
 	var walk func(t *Term, rebuild func(*Term) *Term) error
 	walk = func(t *Term, rebuild func(*Term) *Term) error {
 		for i := range sys.Rules {
 			attempts++
-			for _, rep := range sys.Rules[i].apply(t, sys.Sig) {
+			for _, rep := range sys.Rules[i].apply(t, sys.Sig, layouts[i]) {
 				nt, err := sys.Normalize(rebuild(rep))
 				if err != nil {
 					return err

@@ -73,14 +73,14 @@ type Options struct {
 	// budget in supervisors that would otherwise escalate. Inverted so the
 	// zero value escalates.
 	NoEscalate bool
-	// MemBudget is a soft memory bound, in bytes, over the search's dominant
-	// structures (the terms interned since it began, the transition cache,
-	// the frontier). On the first breach the engine sheds the transition
-	// cache and continues with uncached expansion (SearchStats.DegradedAt
-	// records where); on the second it stops with a truncated, Degraded
-	// result and partial stats. 0 disables the watch. The estimate is
-	// deliberately coarse (see memEstimate): the budget is a failsafe
-	// against runaway frontiers, not an allocator ledger.
+	// MemBudget is a soft memory bound, in bytes, over the search's own
+	// dominant structures (the states it admitted, its transition-cache
+	// entries, the frontier). On the first breach the engine sheds the
+	// transition cache and continues with uncached expansion
+	// (SearchStats.DegradedAt records where); on the second it stops with a
+	// truncated, Degraded result and partial stats. 0 disables the watch.
+	// The estimate is deliberately coarse (see memEstimate): the budget is a
+	// failsafe against runaway frontiers, not an allocator ledger.
 	MemBudget int64
 	// Faults is the deterministic fault-injection plan for chaos tests
 	// (internal/faultinject); nil — the production value — injects nothing.
@@ -435,7 +435,7 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	}
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: opts.workers()}
 	began := time.Now()
-	res := &SearchResult{StatesExplored: 1, Stats: stats}
+	res := &SearchResult{StatesExplored: 1, Stats: stats, Search: e.search}
 	refresh := func() {
 		stats.StatesExplored = res.StatesExplored
 		stats.Elapsed = time.Since(began)
@@ -573,13 +573,20 @@ const (
 	bytesPerFrontierNode = 96
 )
 
-// memEstimate approximates the search's resident bytes across its dominant
-// structures for the Options.MemBudget watch. The interner is process-wide
-// and never shrinks, so only the terms interned since this search began
-// count: a query's verdict must not depend on what ran before it.
-func (e *engine) memEstimate(frontierLen int) int64 {
-	est := (InternerSize() - e.internBase) * bytesPerInternedTerm
-	est += e.cache.Len() * bytesPerCachedState
+// memEstimate approximates the search's own resident bytes for the
+// Options.MemBudget watch: the states it has admitted (interned
+// configurations its visited set keeps live), the successor sets it has
+// merged while a transition cache is attached (its entries in that cache),
+// and the frontier. Each term counts this search's BFS prefix, never
+// process-wide or shared state: the interner and a Checker's cache also
+// grow with other queries, earlier or concurrent. A successor set served
+// from the cache is charged like a fresh one, so the estimate — and a
+// budgeted verdict — is a pure function of the query and the budget: the
+// same alone, after other queries, beside concurrent ones, and on every
+// escalation attempt.
+func (e *engine) memEstimate(states, frontierLen int) int64 {
+	est := int64(states) * bytesPerInternedTerm
+	est += e.cacheEntries * bytesPerCachedState
 	est += int64(frontierLen) * bytesPerFrontierNode
 	return est
 }
@@ -592,7 +599,7 @@ func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *Searc
 	if opts.MemBudget <= 0 {
 		return false
 	}
-	est := e.memEstimate(frontierLen)
+	est := e.memEstimate(res.StatesExplored, frontierLen)
 	if est <= opts.MemBudget {
 		return false
 	}
@@ -604,6 +611,7 @@ func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *Searc
 		stats.DegradedAt = res.StatesExplored
 		e.cache.Shed()
 		e.cache = nil // uncached expansion from here on; cachePut no-ops too
+		e.cacheEntries = 0
 		return false
 	}
 	res.Truncated = true
@@ -732,8 +740,11 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 				n := frontier[i]
 				ex := &exps[i-lo]
 				e.rec.Commit(ex.events)
-				if !ex.cached {
-					e.cachePut(n.state, ex.steps)
+				if e.cache != nil {
+					e.cacheEntries++
+					if !ex.cached {
+						e.cache.put(n.state, ex.steps)
+					}
 				}
 				for _, st := range ex.steps {
 					stats.RuleFirings[st.Rule]++

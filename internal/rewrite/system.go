@@ -43,8 +43,9 @@ type Rule struct {
 
 // apply returns every replacement term the rule produces at the root of t —
 // the generic matcher's path. Callbacks get an Env filled from each
-// Binding through the LHS's slot table.
-func (r *Rule) apply(t *Term, sig Signature) []*Term {
+// Binding through l, the LHS's slot table (layoutOf); callers that apply
+// the rule repeatedly build it once, and nil builds it at the first match.
+func (r *Rule) apply(t *Term, sig Signature, l *slotLayout) []*Term {
 	if k := r.LHS.Kind; k != Var && (k != t.Kind || k == Op && r.LHS.Sym != t.Sym) {
 		return nil // the root cannot match; skip the matcher's allocations
 	}
@@ -58,7 +59,7 @@ func (r *Rule) apply(t *Term, sig Signature) []*Term {
 			return
 		}
 		if env == nil {
-			env = bindingEnv(r.LHS)
+			env = envOver(l, r.LHS)
 		}
 		env.fill(b)
 		if r.Cond != nil && !r.Cond(env) {
@@ -170,7 +171,7 @@ func (s *System) Normalize(t *Term) (*Term, error) {
 			}
 			applied := false
 			for i := range s.Eqs {
-				if reps := s.Eqs[i].apply(t, s.Sig); len(reps) > 0 {
+				if reps := s.Eqs[i].apply(t, s.Sig, nil); len(reps) > 0 {
 					nt, err := norm(reps[0])
 					if err != nil {
 						return nil, err
@@ -214,7 +215,7 @@ type engine struct {
 	comp  *CompiledRules // compiled matchers; rules outside the fragment fall back per rule
 	rp    *ruleProfiler
 
-	internBase int64 // InternerSize when the search began (memEstimate)
+	cacheEntries int64 // successor sets merged with a cache attached (memEstimate; merge goroutine only)
 
 	rec    *telemetry.Recorder // flight recorder; nil = recording off
 	search int32               // recorder search id (Recorder.BeginSearch)
@@ -240,7 +241,7 @@ type engine struct {
 // engine builds the successor engine for one search or Successors call.
 func (s *System) engine(opts Options, rp *ruleProfiler) *engine {
 	e := &engine{sys: s, idx: s.index(), comp: s.compiled(), cache: s.Cache, rp: rp,
-		internBase: InternerSize(), faults: opts.Faults}
+		faults: opts.Faults}
 	if opts.Recorder != nil {
 		e.rec = opts.Recorder
 		e.search = opts.Recorder.BeginSearch()
@@ -407,7 +408,7 @@ func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) ([
 			reps = e.comp.rules[i].apply(t, s.Sig, cm, nil)
 			compiled++
 		} else {
-			reps = s.Rules[i].apply(t, s.Sig)
+			reps = s.Rules[i].apply(t, s.Sig, e.comp.layouts[i])
 			fallback++
 		}
 		if e.rp != nil {
@@ -506,6 +507,10 @@ type SearchResult struct {
 	Degraded bool
 	// Stats is the final observability snapshot for this search.
 	Stats *SearchStats
+	// Search is the id this search's journal events carry
+	// (Options.Recorder); 0 without a recorder. Supervisors stamp their own
+	// events about the search — escalation rungs — with it.
+	Search int32
 }
 
 // Goal is a search target: a pattern with variables plus an optional
@@ -518,8 +523,9 @@ type Goal struct {
 	Cond func(e *Env) bool
 }
 
-// matches reports whether state satisfies the goal.
-func (g Goal) matches(state *Term, sig Signature) bool {
+// matches reports whether state satisfies the goal. l is the pattern's
+// slot table, as for Rule.apply.
+func (g Goal) matches(state *Term, sig Signature, l *slotLayout) bool {
 	ok := false
 	scratch := getBinding()
 	defer putBinding(scratch)
@@ -530,7 +536,7 @@ func (g Goal) matches(state *Term, sig Signature) bool {
 			return
 		}
 		if env == nil {
-			env = bindingEnv(g.Pattern)
+			env = envOver(l, g.Pattern)
 		}
 		env.fill(b)
 		if g.Cond(env) {

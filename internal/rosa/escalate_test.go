@@ -3,10 +3,13 @@ package rosa
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
 
 	"privanalyzer/internal/faultinject"
 	"privanalyzer/internal/rewrite"
+	"privanalyzer/internal/telemetry"
 )
 
 // Escalation supervisor tests: adaptive budgets must be verdict-transparent
@@ -62,6 +65,99 @@ func TestEscalationVerdictTransparent(t *testing.T) {
 				t.Errorf("escalated witness diverged:\n%v\nvs\n%v", res.Witness, ref.Witness)
 			}
 		})
+	}
+}
+
+// TestEscalationEventsOwnSearch: two escalating queries run concurrently on
+// one Recorder, and every EvEscalated rung lands in a search of the query
+// that escalated — exactly one rung on each of its truncated attempts, none
+// on its final one — never in whichever search the other query began last.
+func TestEscalationEventsOwnSearch(t *testing.T) {
+	queries := []func() *Query{
+		workedExample,
+		func() *Query {
+			// A different initial state whose goal is unreachable: the
+			// search exhausts the whole space over several rungs.
+			q := workedExample()
+			q.Objects = append(q.Objects, User(11))
+			q.Goal = GoalProcessTerminated(99)
+			return q
+		},
+	}
+	for round := 0; round < 25; round++ {
+		rec := telemetry.NewRecorder(0)
+		results := make([]*Result, len(queries))
+		inits := make([]uint64, len(queries))
+		var wg sync.WaitGroup
+		for i, build := range queries {
+			q := build()
+			q.Workers = 1
+			q.Recorder = rec
+			q.Escalate = rewrite.Escalation{Start: 1, Factor: 2}
+			inits[i] = q.InitialState().Hash()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := q.Run()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[i] = res
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if rec.Dropped() != 0 {
+			t.Fatalf("recorder dropped %d events", rec.Dropped())
+		}
+
+		// A search belongs to the query whose initial state it expands at
+		// depth 0; every attempt, cached or not, records that expansion.
+		owner := make(map[int32]int)
+		rungs := make(map[int32]int)
+		for _, ev := range rec.Journal() {
+			switch {
+			case ev.Kind == telemetry.EvStateExpanded && ev.Depth == 0:
+				for i, h := range inits {
+					if ev.Hash == h {
+						owner[ev.Search] = i
+					}
+				}
+			case ev.Kind == telemetry.EvEscalated:
+				rungs[ev.Search]++
+			}
+		}
+		for s := range rungs {
+			if _, ok := owner[s]; !ok {
+				t.Errorf("round %d: escalation stamped with search %d, which expanded neither query", round, s)
+			}
+		}
+		for i, res := range results {
+			var searches []int32
+			for s, o := range owner {
+				if o == i {
+					searches = append(searches, s)
+				}
+			}
+			sort.Slice(searches, func(a, b int) bool { return searches[a] < searches[b] })
+			if len(searches) != res.Attempts || res.Attempts < 3 {
+				t.Fatalf("round %d query %d: %d searches in the journal, %d attempts (want equal, at least 3)",
+					round, i, len(searches), res.Attempts)
+			}
+			for k, s := range searches {
+				want := 1
+				if k == len(searches)-1 {
+					want = 0
+				}
+				if rungs[s] != want {
+					t.Errorf("round %d query %d: attempt %d (search %d) carries %d escalation events, want %d",
+						round, i, k+1, s, rungs[s], want)
+				}
+			}
+		}
 	}
 }
 

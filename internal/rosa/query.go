@@ -242,9 +242,10 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 			"next_budget", next,
 			"states", sr.StatesExplored)
 		// The escalation rung is a journal (and live-stream) event, stamped
-		// with the just-finished attempt's search id so the journal keeps
-		// every event inside a real search; N carries the next budget.
-		opts.Recorder.CommitEvent(telemetry.EvEscalated, opts.Recorder.CurrentSearch(), 0, 0, "", int64(next))
+		// with the just-finished attempt's own search id, so the journal
+		// keeps every event inside its search even when concurrent queries
+		// share the recorder; N carries the next budget.
+		opts.Recorder.CommitEvent(telemetry.EvEscalated, sr.Search, 0, 0, "", int64(next))
 		budget = next
 		reg.Counter("rosa_escalations_total").Add(1)
 	}

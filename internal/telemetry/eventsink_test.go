@@ -145,14 +145,11 @@ func TestRecorderSinkForwarding(t *testing.T) {
 	sub := sink.Subscribe(0)
 
 	search := rec.BeginSearch()
-	if got := rec.CurrentSearch(); got != search {
-		t.Fatalf("CurrentSearch = %d, want %d", got, search)
-	}
 	buf := rec.Buf(search, 0)
 	buf.Record(EvLevelStart, 0, 0, "", 1)       // filtered out
 	buf.Record(EvGoalMatched, 3, 0xabc, "", 42) // forwarded
 	buf.Flush()
-	rec.CommitEvent(EvEscalated, rec.CurrentSearch(), 0, 0, "", 4096) // forwarded
+	rec.CommitEvent(EvEscalated, search, 0, 0, "", 4096) // forwarded
 
 	evs, _ := sub.Events()
 	if len(evs) != 2 {

@@ -288,17 +288,6 @@ func (r *Recorder) SetSink(sink *EventSink, keep ...EventKind) {
 	r.mu.Unlock()
 }
 
-// CurrentSearch returns the most recently allocated search id (0 on nil, or
-// before any BeginSearch). Control-plane events recorded between search
-// attempts — escalation rungs, for one — stamp themselves with it so the
-// journal keeps its "every event belongs to a search" invariant.
-func (r *Recorder) CurrentSearch() int32 {
-	if r == nil {
-		return 0
-	}
-	return r.searchSeq.Load()
-}
-
 // CommitEvent stamps and commits a single event outside any EventBuf — the
 // control-plane path for events produced between searches (escalation rungs)
 // or outside the merge goroutine. Nil-safe.
