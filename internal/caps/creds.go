@@ -3,6 +3,8 @@ package caps
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // WildID is the conventional "leave unchanged" argument for the set*id
@@ -118,101 +120,116 @@ func (c *Creds) Remove(s Set) {
 // the check the kernel's access-control paths perform.
 func (c Creds) HasEffective(cap Cap) bool { return c.Effective.Has(cap) }
 
-// uidOK reports whether v is one of the current real, effective, or saved
-// user IDs — the values an unprivileged process may assume.
-func (c Creds) uidOK(v int) bool { return v == c.RUID || v == c.EUID || v == c.SUID }
+// IDs is a real/effective/saved triple: a process's user IDs or its group
+// IDs. Its methods are the set*id transitions of Linux, pure and
+// allocation-free, and the only implementation of them: Creds applies them
+// for the simulated kernel, and ROSA's credential rules (internal/rosa)
+// apply them to every candidate argument. priv reports that the call's
+// capability is raised (CAP_SETUID for user IDs, CAP_SETGID for group
+// IDs); ok=false means the call is denied (EPERM) and leaves the IDs as
+// they were.
+type IDs struct{ R, E, S int }
 
-// gidOK is the group analogue of uidOK.
-func (c Creds) gidOK(v int) bool { return v == c.RGID || v == c.EGID || v == c.SGID }
-
-// Setuid implements setuid(2). With CapSetuid raised, all three user IDs are
-// set to uid. Without it, uid must match the real or saved UID, and only the
-// effective UID changes.
-func (c *Creds) Setuid(uid int) error {
-	if c.HasEffective(CapSetuid) {
-		c.RUID, c.EUID, c.SUID = uid, uid, uid
-		return nil
-	}
-	if uid != c.RUID && uid != c.SUID {
-		return fmt.Errorf("%w: setuid(%d) with %s", ErrNotPermitted, uid, c.String())
-	}
-	c.EUID = uid
-	return nil
+// May reports whether a set*id call may set one ID to v: any value when
+// privileged, otherwise only one of the current real, effective or saved
+// IDs.
+func (ids IDs) May(v int, priv bool) bool {
+	return priv || v == ids.R || v == ids.E || v == ids.S
 }
 
-// Seteuid implements seteuid(2): set the effective UID to uid, which must be
-// the real or saved UID unless CapSetuid is raised.
-func (c *Creds) Seteuid(uid int) error {
-	if !c.HasEffective(CapSetuid) && uid != c.RUID && uid != c.SUID {
-		return fmt.Errorf("%w: seteuid(%d) with %s", ErrNotPermitted, uid, c.String())
+// Setid is setuid(2) and setgid(2): privileged, all three IDs become v;
+// otherwise v must be the real or saved ID, and only the effective ID
+// changes.
+func (ids IDs) Setid(v int, priv bool) (IDs, bool) {
+	if priv {
+		return IDs{v, v, v}, true
 	}
-	c.EUID = uid
-	return nil
+	return ids.Seteid(v, false)
 }
 
-// Setresuid implements setresuid(2). Each of r, e, s may be WildID (leave
-// unchanged). An unprivileged process may set each ID only to one of its
-// current real, effective, or saved UIDs.
-func (c *Creds) Setresuid(r, e, s int) error {
-	priv := c.HasEffective(CapSetuid)
-	for _, v := range []int{r, e, s} {
-		if v != WildID && !priv && !c.uidOK(v) {
-			return fmt.Errorf("%w: setresuid(%d,%d,%d) with %s",
-				ErrNotPermitted, r, e, s, c.String())
+// Seteid is seteuid(2) and setegid(2): the effective ID becomes v, which
+// must be the real or saved ID unless privileged.
+func (ids IDs) Seteid(v int, priv bool) (IDs, bool) {
+	if !priv && v != ids.R && v != ids.S {
+		return ids, false
+	}
+	ids.E = v
+	return ids, true
+}
+
+// Setres is setresuid(2) and setresgid(2): each of r, e and s is WildID
+// (leave unchanged) or a value May accepts.
+func (ids IDs) Setres(r, e, s int, priv bool) (IDs, bool) {
+	keep := func(v, cur int) int {
+		if v == WildID {
+			return cur
 		}
+		return v
 	}
-	if r != WildID {
-		c.RUID = r
+	next := IDs{keep(r, ids.R), keep(e, ids.E), keep(s, ids.S)}
+	if !ids.May(next.R, priv) || !ids.May(next.E, priv) || !ids.May(next.S, priv) {
+		return ids, false
 	}
-	if e != WildID {
-		c.EUID = e
+	return next, true
+}
+
+// UIDs returns the real, effective and saved user IDs.
+func (c Creds) UIDs() IDs { return IDs{c.RUID, c.EUID, c.SUID} }
+
+// GIDs returns the real, effective and saved group IDs.
+func (c Creds) GIDs() IDs { return IDs{c.RGID, c.EGID, c.SGID} }
+
+// setIDs applies one set*id transition to the user IDs, or to the group
+// IDs when group is set; the transition is privileged when CapSetuid
+// (CapSetgid) is raised. call and args name the syscall in the error.
+func (c *Creds) setIDs(group bool, next func(IDs, bool) (IDs, bool), call string, args ...int) error {
+	ids, capability := c.UIDs(), CapSetuid
+	if group {
+		ids, capability = c.GIDs(), CapSetgid
 	}
-	if s != WildID {
-		c.SUID = s
+	n, ok := next(ids, c.HasEffective(capability))
+	if !ok {
+		strs := make([]string, len(args))
+		for i, a := range args {
+			strs[i] = strconv.Itoa(a)
+		}
+		return fmt.Errorf("%w: %s(%s) with %s", ErrNotPermitted, call, strings.Join(strs, ","), c.String())
+	}
+	if group {
+		c.RGID, c.EGID, c.SGID = n.R, n.E, n.S
+	} else {
+		c.RUID, c.EUID, c.SUID = n.R, n.E, n.S
 	}
 	return nil
 }
 
-// Setgid implements setgid(2), the group analogue of Setuid (gated on
-// CapSetgid).
+// Setuid implements setuid(2) (IDs.Setid).
+func (c *Creds) Setuid(uid int) error {
+	return c.setIDs(false, func(ids IDs, priv bool) (IDs, bool) { return ids.Setid(uid, priv) }, "setuid", uid)
+}
+
+// Seteuid implements seteuid(2) (IDs.Seteid).
+func (c *Creds) Seteuid(uid int) error {
+	return c.setIDs(false, func(ids IDs, priv bool) (IDs, bool) { return ids.Seteid(uid, priv) }, "seteuid", uid)
+}
+
+// Setresuid implements setresuid(2) (IDs.Setres); each of r, e, s may be
+// WildID.
+func (c *Creds) Setresuid(r, e, s int) error {
+	return c.setIDs(false, func(ids IDs, priv bool) (IDs, bool) { return ids.Setres(r, e, s, priv) }, "setresuid", r, e, s)
+}
+
+// Setgid implements setgid(2) (IDs.Setid on the group IDs).
 func (c *Creds) Setgid(gid int) error {
-	if c.HasEffective(CapSetgid) {
-		c.RGID, c.EGID, c.SGID = gid, gid, gid
-		return nil
-	}
-	if gid != c.RGID && gid != c.SGID {
-		return fmt.Errorf("%w: setgid(%d) with %s", ErrNotPermitted, gid, c.String())
-	}
-	c.EGID = gid
-	return nil
+	return c.setIDs(true, func(ids IDs, priv bool) (IDs, bool) { return ids.Setid(gid, priv) }, "setgid", gid)
 }
 
 // Setegid implements setegid(2).
 func (c *Creds) Setegid(gid int) error {
-	if !c.HasEffective(CapSetgid) && gid != c.RGID && gid != c.SGID {
-		return fmt.Errorf("%w: setegid(%d) with %s", ErrNotPermitted, gid, c.String())
-	}
-	c.EGID = gid
-	return nil
+	return c.setIDs(true, func(ids IDs, priv bool) (IDs, bool) { return ids.Seteid(gid, priv) }, "setegid", gid)
 }
 
-// Setresgid implements setresgid(2), the group analogue of Setresuid.
+// Setresgid implements setresgid(2).
 func (c *Creds) Setresgid(r, e, s int) error {
-	priv := c.HasEffective(CapSetgid)
-	for _, v := range []int{r, e, s} {
-		if v != WildID && !priv && !c.gidOK(v) {
-			return fmt.Errorf("%w: setresgid(%d,%d,%d) with %s",
-				ErrNotPermitted, r, e, s, c.String())
-		}
-	}
-	if r != WildID {
-		c.RGID = r
-	}
-	if e != WildID {
-		c.EGID = e
-	}
-	if s != WildID {
-		c.SGID = s
-	}
-	return nil
+	return c.setIDs(true, func(ids IDs, priv bool) (IDs, bool) { return ids.Setres(r, e, s, priv) }, "setresgid", r, e, s)
 }

@@ -233,3 +233,21 @@ func TestCredsString(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
+
+// TestIDsAllocationFree: ROSA's resRule calls the transitions once per
+// candidate triple, on the search's hot path.
+func TestIDsAllocationFree(t *testing.T) {
+	ids, ok := IDs{R: 1, E: 2, S: 3}, false
+	allocs := testing.AllocsPerRun(100, func() {
+		ok = ids.May(2, false)
+		ids, ok = ids.Setid(1, false)
+		ids, ok = ids.Seteid(3, true)
+		ids, ok = ids.Setres(WildID, 1, 3, false)
+	})
+	if allocs != 0 {
+		t.Errorf("IDs transitions allocate %.0f times per run", allocs)
+	}
+	if !ok || ids != (IDs{R: 1, E: 1, S: 3}) {
+		t.Errorf("ids = %+v, ok = %v; want {1 1 3}, true", ids, ok)
+	}
+}

@@ -3,11 +3,8 @@ package rewrite
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -322,58 +319,6 @@ func (st *SearchStats) DedupRate() float64 {
 		return 0
 	}
 	return float64(st.DedupHits) / float64(gen)
-}
-
-// String renders the stats as a compact multi-line report (the cmd/rosa
-// -stats and cmd/privanalyzer -stats output).
-func (st *SearchStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "states explored:  %d (%.0f states/sec, %s elapsed, %d workers)\n",
-		st.StatesExplored, st.StatesPerSec(), st.Elapsed.Round(time.Microsecond), st.Workers)
-	fmt.Fprintf(&b, "dedup hits:       %d (%.1f%% of generated successors)\n",
-		st.DedupHits, 100*st.DedupRate())
-	if st.RulesSkippedByIndex > 0 || st.SubtreesPruned > 0 {
-		fmt.Fprintf(&b, "rule index:       %d attempts skipped, %d subtrees pruned\n",
-			st.RulesSkippedByIndex, st.SubtreesPruned)
-	}
-	if st.CompiledMatches+st.FallbackMatches > 0 {
-		fmt.Fprintf(&b, "compiled match:   %d rules compiled; %d compiled / %d interpreted attempts (%.1f%% compiled)\n",
-			st.CompiledRules, st.CompiledMatches, st.FallbackMatches, 100*st.CompiledShare())
-	}
-	if st.CacheHits+st.CacheMisses > 0 {
-		fmt.Fprintf(&b, "transition cache: %d hits, %d misses (%.1f%% hit rate)\n",
-			st.CacheHits, st.CacheMisses,
-			100*float64(st.CacheHits)/float64(st.CacheHits+st.CacheMisses))
-	}
-	if st.InternerSize > 0 {
-		fmt.Fprintf(&b, "interner:         %d terms\n", st.InternerSize)
-	}
-	if st.DroppedEvents > 0 {
-		fmt.Fprintf(&b, "recorder:         %d events dropped (journal truncated to most recent)\n", st.DroppedEvents)
-	}
-	if st.DegradedAt > 0 {
-		fmt.Fprintf(&b, "memory budget:    degraded at %d states (transition cache shed)\n", st.DegradedAt)
-	}
-	if len(st.Frontier) > 0 {
-		fmt.Fprintf(&b, "frontier by depth:")
-		for d, n := range st.Frontier {
-			fmt.Fprintf(&b, " %d:%d", d, n)
-		}
-		b.WriteByte('\n')
-	}
-	if len(st.RuleFirings) > 0 {
-		names := make([]string, 0, len(st.RuleFirings))
-		for name := range st.RuleFirings {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(&b, "rule firings:    ")
-		for _, name := range names {
-			fmt.Fprintf(&b, " %s:%d", name, st.RuleFirings[name])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // node is one entry of the search frontier. Nodes carry parent links

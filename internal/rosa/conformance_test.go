@@ -339,11 +339,10 @@ func confOpen(t *testing.T, m *confMismatch, f fileSpec, dir *fileSpec, mode int
 // check is independent of it (so four file words — none, read-only,
 // write-only, both for every class — stand for the 512).
 func TestConformanceOpen(t *testing.T) {
-	m := &confMismatch{t: t}
 	modes := []int{OpenRead, OpenWrite, OpenRDWR}
 	ids := []int{1, 2}
 	t.Run("no directory entry", func(t *testing.T) {
-		m.t = t
+		m := &confMismatch{t: t}
 		for perms := vkernel.Mode(0); perms < 0o1000; perms++ {
 			for _, owner := range ids {
 				for _, group := range ids {
@@ -357,7 +356,7 @@ func TestConformanceOpen(t *testing.T) {
 		}
 	})
 	t.Run("directory entry", func(t *testing.T) {
-		m.t = t
+		m := &confMismatch{t: t}
 		var dirWords []vkernel.Mode
 		for x := vkernel.Mode(0); x < 8; x++ {
 			xs := x&4<<4 | x&2<<2 | x&1 // the three x bits
@@ -558,14 +557,17 @@ func confBind(t *testing.T, port int, privs caps.Set, taken bool) (rosa, vk bool
 	return len(got) > 0, invoke(t, k, "bind", vkernel.IntArg(fd), vkernel.IntArg(int64(port))) == 0
 }
 
-// TestConformanceBind covers bind to ports either side of 1024, with and
-// without CAP_NET_BIND_SERVICE, free or held by another process. Ports of
-// 0 and below are TestModelChoiceBindNonPositivePort's.
+// TestConformanceBind covers bind to ports of 0 and below and either side
+// of 1024, with and without CAP_NET_BIND_SERVICE, free or held by another
+// process.
 func TestConformanceBind(t *testing.T) {
 	m := &confMismatch{t: t}
-	for _, port := range []int{1, 22, 80, 1023, 1024, 8080} {
+	for _, port := range []int{-1, 0, 1, 22, 80, 1023, 1024, 8080} {
 		for _, privs := range subsets(caps.CapNetBindService) {
 			for _, taken := range []bool{false, true} {
+				if taken && port <= 0 {
+					continue // no socket holds such a port
+				}
 				rosa, vk := confBind(t, port, privs, taken)
 				m.check(rosa == vk, "bind port=%d privs=%s taken=%v: rosa %v, vkernel %v",
 					port, privs, taken, rosa, vk)
@@ -574,8 +576,9 @@ func TestConformanceBind(t *testing.T) {
 	}
 }
 
-// Named model choices and divergences. Each pins one place where the two
-// models differ, or where both differ from Linux, on purpose.
+// Named model choices and shared rules. Each pins one place where the two
+// models differ, or where both differ from Linux, on purpose, or a rule
+// the two once disagreed on.
 
 // TestModelChoiceSupplementaryGroups: ROSA's process term carries no
 // supplementary groups (nor does the paper's), so a group the caller holds
@@ -676,30 +679,30 @@ func TestModelChoiceBindPortHeldBySelf(t *testing.T) {
 	}
 }
 
-// TestModelChoiceBindNonPositivePort records a divergence: ROSA's bind
-// refuses any port of 0 or below, while vkernel charges
-// CAP_NET_BIND_SERVICE for them as for any port below 1024 and then binds.
-func TestModelChoiceBindNonPositivePort(t *testing.T) {
+// TestBindRefusesNonPositivePort pins the bind rule both models share
+// (vkernel.MayBind): a port of 0 or below is refused, even with
+// CAP_NET_BIND_SERVICE. vkernel used to charge the capability for such a
+// port, as for any port below 1024, and then bind it, where ROSA refused.
+func TestBindRefusesNonPositivePort(t *testing.T) {
 	for _, port := range []int{0, -1} {
-		for _, privs := range subsets(caps.CapNetBindService) {
-			rosa, vk := confBind(t, port, privs, false)
-			if want := privs.Has(caps.CapNetBindService); rosa || vk != want {
-				t.Errorf("bind port=%d privs=%s: rosa %v, vkernel %v; want false, %v", port, privs, rosa, vk, want)
-			}
+		rosa, vk := confBind(t, port, caps.FullSet(), false)
+		if rosa || vk {
+			t.Errorf("bind port=%d with every capability: rosa %v, vkernel %v; want both refused", port, rosa, vk)
 		}
 	}
 }
 
-// TestModelChoiceBindBoundSocket records a divergence: ROSA binds only an
-// unbound socket, while vkernel lets a bound socket bind again.
-func TestModelChoiceBindBoundSocket(t *testing.T) {
+// TestBindRefusesBoundSocket pins that a bound socket cannot bind again, as
+// in Linux (EINVAL): ROSA binds only an unbound socket, and vkernel, which
+// used to let a bound socket bind again, now refuses too.
+func TestBindRefusesBoundSocket(t *testing.T) {
 	objs := []*rewrite.Term{Process(1, dacCreds, nil, nil), SocketObj(5, 8080)}
 	rosa := len(rosaNext(t, objs, BindMsg(1, 5, 8081, caps.EmptySet), func(*rewrite.Term) bool { return true })) > 0
 	k, _ := newKernel(dacCreds, caps.EmptySet)
 	fd := invoke(t, k, "socket", vkernel.IntArg(vkernel.SockStream))
 	invoke(t, k, "bind", vkernel.IntArg(fd), vkernel.IntArg(8080))
 	vk := invoke(t, k, "bind", vkernel.IntArg(fd), vkernel.IntArg(8081)) == 0
-	if rosa || !vk {
-		t.Errorf("rebind of a bound socket: rosa %v, vkernel %v; want false, true", rosa, vk)
+	if rosa || vk {
+		t.Errorf("rebind of a bound socket: rosa %v, vkernel %v; want both refused", rosa, vk)
 	}
 }

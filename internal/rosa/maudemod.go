@@ -144,7 +144,7 @@ const maudeSortsAndOps = `  *** Objects, messages, and configurations.
 
 `
 
-const maudeHelpers = `  *** Linux DAC with capability bypasses (rules.go dacAllowed).
+const maudeHelpers = `  *** Linux DAC with capability bypasses (vkernel.MayAccess, MaySearch).
   op mayRead : Int Int Int Int Int PrivSet -> Bool .  *** euid egid perms owner group privs
   op mayWrite : Int Int Int Int Int PrivSet -> Bool .
   op maySearch : Int Int Int Int Int PrivSet -> Bool .

@@ -87,11 +87,10 @@ func dirSlotsOf(slot func(string) int, prefix string) fileSlots {
 
 // procView reads a matched process object out of a match.
 type procView struct {
-	id               int64
-	euid, ruid, suid int64
-	egid, rgid, sgid int64
-	state            *rewrite.Term
-	rdf, wrf         *rewrite.Term
+	id         int64
+	uids, gids caps.IDs
+	state      *rewrite.Term
+	rdf, wrf   *rewrite.Term
 }
 
 // intAt reads a bound integer, 0 on a mismatch.
@@ -101,14 +100,11 @@ func intAt(e *rewrite.Env, slot int) int64 {
 }
 
 func procFrom(e *rewrite.Env, s procSlots) procView {
+	id := func(slot int) int { return int(intAt(e, slot)) }
 	return procView{
 		id:    intAt(e, s.id),
-		euid:  intAt(e, s.euid),
-		ruid:  intAt(e, s.ruid),
-		suid:  intAt(e, s.suid),
-		egid:  intAt(e, s.egid),
-		rgid:  intAt(e, s.rgid),
-		sgid:  intAt(e, s.sgid),
+		uids:  caps.IDs{R: id(s.ruid), E: id(s.euid), S: id(s.suid)},
+		gids:  caps.IDs{R: id(s.rgid), E: id(s.egid), S: id(s.sgid)},
 		state: e.At(s.state),
 		rdf:   e.At(s.rdf),
 		wrf:   e.At(s.wrf),
@@ -116,10 +112,11 @@ func procFrom(e *rewrite.Env, s procSlots) procView {
 }
 
 func (p procView) term() *rewrite.Term {
+	n := func(v int) *rewrite.Term { return rewrite.NewInt(int64(v)) }
 	return rewrite.InternOp(symProcess,
 		rewrite.NewInt(p.id),
-		rewrite.NewInt(p.euid), rewrite.NewInt(p.ruid), rewrite.NewInt(p.suid),
-		rewrite.NewInt(p.egid), rewrite.NewInt(p.rgid), rewrite.NewInt(p.sgid),
+		n(p.uids.E), n(p.uids.R), n(p.uids.S),
+		n(p.gids.E), n(p.gids.R), n(p.gids.S),
 		p.state, p.rdf, p.wrf)
 }
 
@@ -127,34 +124,33 @@ func (p procView) running() bool {
 	return p.state != nil && p.state.Kind == rewrite.Op && p.state.Sym == symRun
 }
 
-// resIDs returns the real, effective and saved user IDs, or group IDs when
-// group is set.
-func (p procView) resIDs(group bool) (r, e, s int64) {
+// ids returns the user IDs, or the group IDs when group is set.
+func (p *procView) ids(group bool) *caps.IDs {
 	if group {
-		return p.rgid, p.egid, p.sgid
+		return &p.gids
 	}
-	return p.ruid, p.euid, p.suid
+	return &p.uids
 }
 
-// setResIDs sets what resIDs returns.
-func (p *procView) setResIDs(group bool, r, e, s int64) {
-	if group {
-		p.rgid, p.egid, p.sgid = r, e, s
-	} else {
-		p.ruid, p.euid, p.suid = r, e, s
-	}
+// mayAccess and maySearch apply the DAC checks (vkernel.MayAccess,
+// vkernel.MaySearch) to a matched object. The group bits apply through the
+// egid alone: the process term carries no supplementary groups, a model
+// choice the paper's ROSA shares (DESIGN.md §2).
+func (p procView) mayAccess(f fileView, read, write bool, privs caps.Set) bool {
+	return vkernel.MayAccess(f.perms, f.owner, p.uids.E, p.gids.E == f.group, read, write, privs)
 }
 
-// gidOK reports whether an unprivileged process may assume gid v.
-func (p procView) gidOK(v int64) bool { return v == p.rgid || v == p.egid || v == p.sgid }
+func (p procView) maySearch(d fileView, privs caps.Set) bool {
+	return vkernel.MaySearch(d.perms, d.owner, p.uids.E, p.gids.E == d.group, privs)
+}
 
 // fileView reads a matched file object.
 type fileView struct {
 	id    int64
 	name  string
 	perms vkernel.Mode
-	owner int64
-	group int64
+	owner int
+	group int
 }
 
 func fileFrom(e *rewrite.Env, s fileSlots) fileView {
@@ -166,13 +162,13 @@ func fileFrom(e *rewrite.Env, s fileSlots) fileView {
 		id:    intAt(e, s.id),
 		name:  name,
 		perms: vkernel.Mode(intAt(e, s.perms)),
-		owner: intAt(e, s.owner),
-		group: intAt(e, s.group),
+		owner: int(intAt(e, s.owner)),
+		group: int(intAt(e, s.group)),
 	}
 }
 
 func (f fileView) term() *rewrite.Term {
-	return File(int(f.id), f.name, f.perms, int(f.owner), int(f.group))
+	return File(int(f.id), f.name, f.perms, f.owner, f.group)
 }
 
 // dirView reads a matched directory entry.
@@ -186,27 +182,27 @@ func dirFrom(e *rewrite.Env, s fileSlots) dirView {
 }
 
 func (d dirView) term() *rewrite.Term {
-	return DirEntry(int(d.id), d.name, d.perms, int(d.owner), int(d.group), int(d.inode))
+	return DirEntry(int(d.id), d.name, d.perms, d.owner, d.group, int(d.inode))
 }
 
 // scanUsers returns the uids of User objects in a configuration term.
-func scanUsers(cfg *rewrite.Term) []int64 {
+func scanUsers(cfg *rewrite.Term) []int {
 	return scanSingletons(cfg, symUser)
 }
 
 // scanGroups returns the gids of Group objects.
-func scanGroups(cfg *rewrite.Term) []int64 {
+func scanGroups(cfg *rewrite.Term) []int {
 	return scanSingletons(cfg, symGroup)
 }
 
-func scanSingletons(cfg *rewrite.Term, sym string) []int64 {
+func scanSingletons(cfg *rewrite.Term, sym string) []int {
 	if cfg == nil || cfg.Kind != rewrite.Config {
 		return nil
 	}
-	var out []int64
+	var out []int
 	for _, e := range cfg.Args {
 		if e.Kind == rewrite.Op && e.Sym == sym && len(e.Args) == 1 && e.Args[0].IsInt() {
-			out = append(out, e.Args[0].IntVal)
+			out = append(out, int(e.Args[0].IntVal))
 		}
 	}
 	return out
@@ -227,8 +223,8 @@ func scanDirsPointingAt(cfg *rewrite.Term, fid int64) []dirView {
 						id:    e.Args[fID].IntVal,
 						name:  e.Args[fName].StrVal,
 						perms: vkernel.Mode(e.Args[fPerms].IntVal),
-						owner: e.Args[fOwner].IntVal,
-						group: e.Args[fGroup].IntVal,
+						owner: int(e.Args[fOwner].IntVal),
+						group: int(e.Args[fGroup].IntVal),
 					},
 					inode: e.Args[dInode].IntVal,
 				})
@@ -252,64 +248,11 @@ func scanBoundPort(cfg *rewrite.Term, port int64) bool {
 	return false
 }
 
-// dacAllowed is the Linux DAC check with capability bypasses:
-// CAP_DAC_OVERRIDE bypasses everything, CAP_DAC_READ_SEARCH bypasses
-// read-only access. privs is the privilege set the message may use (the
-// attacker raises any of them).
-//
-// It differs from the vkernel's accessAllowed by a deliberate model choice:
-// ROSA's process term carries no supplementary groups (neither does the
-// paper's), so the group bits apply only when the egid equals the file's
-// group, and any other process is judged on the other-bits. The vkernel also
-// grants the group bits through p.Supp. searchDirAllowed makes the same
-// choice for directories.
-func dacAllowed(p procView, f fileView, read, write bool, privs caps.Set) bool {
-	if privs.Has(caps.CapDacOverride) {
-		return true
-	}
-	if read && !write && privs.Has(caps.CapDacReadSearch) {
-		return true
-	}
-	var rBit, wBit vkernel.Mode
-	switch {
-	case p.euid == f.owner:
-		rBit, wBit = vkernel.OwnerR, vkernel.OwnerW
-	case p.egid == f.group:
-		rBit, wBit = vkernel.GroupR, vkernel.GroupW
-	default:
-		rBit, wBit = vkernel.OtherR, vkernel.OtherW
-	}
-	if read && f.perms&rBit == 0 {
-		return false
-	}
-	if write && f.perms&wBit == 0 {
-		return false
-	}
-	return true
-}
-
-// searchDirAllowed checks search (execute) permission on a directory entry.
-func searchDirAllowed(p procView, d dirView, privs caps.Set) bool {
-	if privs.Has(caps.CapDacOverride) || privs.Has(caps.CapDacReadSearch) {
-		return true
-	}
-	var xBit vkernel.Mode
-	switch {
-	case p.euid == d.owner:
-		xBit = vkernel.OwnerX
-	case p.egid == d.group:
-		xBit = vkernel.GroupX
-	default:
-		xBit = vkernel.OtherX
-	}
-	return d.perms&xBit != 0
-}
-
 // wildcard resolves a message argument: Wild expands to the candidate list,
 // a concrete value to itself.
-func wildcard(v int64, candidates []int64) []int64 {
+func wildcard(v int64, candidates []int) []int {
 	if v != Wild {
-		return []int64{v}
+		return []int{int(v)}
 	}
 	return candidates
 }
@@ -379,7 +322,7 @@ func openRule() rewrite.Rule {
 			mode := bindingInt(e, modeS)
 			read := mode == OpenRead || mode == OpenRDWR
 			write := mode == OpenWrite || mode == OpenRDWR
-			if !dacAllowed(p, f, read, write, privs) {
+			if !p.mayAccess(f, read, write, privs) {
 				return nil
 			}
 			// Pathname lookup on a single parent level (§V-B): the process
@@ -390,7 +333,7 @@ func openRule() rewrite.Rule {
 			if dirs := scanDirsPointingAt(e.Rest(), f.id); len(dirs) > 0 {
 				ok := false
 				for _, d := range dirs {
-					if searchDirAllowed(p, d, privs) {
+					if p.maySearch(d.fileView, privs) {
 						ok = true
 						break
 					}
@@ -448,7 +391,7 @@ func chmodLike(name string, needsOpen bool) rewrite.Rule {
 				return nil
 			}
 			privs := privsOf(e, prS)
-			if p.euid != f.owner && !privs.Has(caps.CapFowner) {
+			if !vkernel.MayChmod(f.owner, p.uids.E, privs) {
 				return nil
 			}
 			f.perms = vkernel.Mode(bindingInt(e, permsS)) & 0x1FF
@@ -500,20 +443,11 @@ func chownLike(name string, needsOpen bool) rewrite.Rule {
 			var out []*rewrite.Term
 			for _, newOwner := range wildcard(bindingInt(e, ownerS), scanUsers(z)) {
 				for _, newGroup := range wildcard(bindingInt(e, groupS), scanGroups(z)) {
+					if !vkernel.MayChown(f.owner, f.group, newOwner, newGroup, p.uids.E, p.gids.May(newGroup, false), privs) {
+						continue
+					}
 					nf := f
-					if newOwner != f.owner {
-						if !privs.Has(caps.CapChown) {
-							continue
-						}
-						nf.owner = newOwner
-					}
-					if newGroup != f.group {
-						ownGroup := p.gidOK(newGroup)
-						if !privs.Has(caps.CapChown) && !(p.euid == f.owner && ownGroup) {
-							continue
-						}
-						nf.group = newGroup
-					}
+					nf.owner, nf.group = newOwner, newGroup
 					out = append(out, e.Replace(p.term(), nf.term()))
 				}
 			}
@@ -548,7 +482,7 @@ func unlinkRule() rewrite.Rule {
 				return nil
 			}
 			privs := privsOf(e, prS)
-			if !searchDirAllowed(p, d, privs) || !dacAllowed(p, d.fileView, false, true, privs) {
+			if !p.maySearch(d.fileView, privs) || !p.mayAccess(d.fileView, false, true, privs) {
 				return nil
 			}
 			d.inode = Wild
@@ -583,7 +517,7 @@ func renameRule() rewrite.Rule {
 				return nil
 			}
 			privs := privsOf(e, prS)
-			if !dacAllowed(p, d.fileView, false, true, privs) {
+			if !p.mayAccess(d.fileView, false, true, privs) {
 				return nil
 			}
 			d.inode = bindingInt(e, inodeS)
@@ -592,20 +526,29 @@ func renameRule() rewrite.Rule {
 	}
 }
 
-// credRule builds the rules of the single-argument credential calls
-// (setuid, seteuid, setgid, setegid): the message sym(PID, arg, PR) plus
-// the calling process. next returns the caller's credentials after the
-// call sets the given value, ok=false when the call is denied; wild
-// arguments range over scan's objects in the rest of the configuration.
-func credRule(sym, arg string, scan func(*rewrite.Term) []int64,
-	next func(p procView, v int64, privs caps.Set) (procView, bool)) rewrite.Rule {
+// idKind returns what a credential call on the user IDs, or on the group
+// IDs when group is set, draws wild arguments from and is privileged by.
+func idKind(group bool) (scan func(*rewrite.Term) []int, c caps.Cap) {
+	if group {
+		return scanGroups, caps.CapSetgid
+	}
+	return scanUsers, caps.CapSetuid
+}
+
+// credRule builds the rules of the single-argument credential calls: the
+// message sym(PID, ID, PR) plus the calling process, whose user IDs (group
+// IDs when group is set) become next's result; next is the caps.IDs
+// transition, and ok=false denies the call. A Wild argument ranges over
+// the User (Group) objects in the rest of the configuration.
+func credRule(sym string, group bool, next func(ids caps.IDs, v int, priv bool) (caps.IDs, bool)) rewrite.Rule {
 	lhs := rewrite.NewConfig(
-		rewrite.NewOp(sym, iv("PID"), iv(arg), iv("PR")),
+		rewrite.NewOp(sym, iv("PID"), iv("ID"), iv("PR")),
 		procPattern("P_", "PID"),
 		zvar(),
 	)
 	slot := slotsOf(lhs)
-	ps, argS, prS := procSlotsOf(slot, "P_", "PID"), slot(arg), slot("PR")
+	ps, argS, prS := procSlotsOf(slot, "P_", "PID"), slot("ID"), slot("PR")
+	scan, c := idKind(group)
 	return rewrite.Rule{
 		Name: sym,
 		LHS:  lhs,
@@ -614,10 +557,12 @@ func credRule(sym, arg string, scan func(*rewrite.Term) []int64,
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(e, prS)
+			priv := privsOf(e, prS).Has(c)
 			var out []*rewrite.Term
 			for _, v := range wildcard(bindingInt(e, argS), scan(e.Rest())) {
-				if np, ok := next(p, v, privs); ok {
+				if ids, ok := next(*p.ids(group), v, priv); ok {
+					np := p
+					*np.ids(group) = ids
 					out = append(out, e.Replace(np.term()))
 				}
 			}
@@ -626,64 +571,19 @@ func credRule(sym, arg string, scan func(*rewrite.Term) []int64,
 	}
 }
 
-// setuidRule: with CAP_SETUID all three UIDs become the chosen value; an
-// unprivileged call may only adopt the real or saved UID and changes the
-// effective UID only.
-func setuidRule() rewrite.Rule {
-	return credRule("setuid", "UID", scanUsers, func(p procView, uid int64, privs caps.Set) (procView, bool) {
-		if privs.Has(caps.CapSetuid) {
-			p.ruid, p.euid, p.suid = uid, uid, uid
-		} else if uid == p.ruid || uid == p.suid {
-			p.euid = uid
-		} else {
-			return p, false
-		}
-		return p, true
-	})
-}
-
-// seteuidRule changes only the effective UID, privileged or to the real or
-// saved UID.
-func seteuidRule() rewrite.Rule {
-	return credRule("seteuid", "UID", scanUsers, func(p procView, uid int64, privs caps.Set) (procView, bool) {
-		if !privs.Has(caps.CapSetuid) && uid != p.ruid && uid != p.suid {
-			return p, false
-		}
-		p.euid = uid
-		return p, true
-	})
-}
-
-// setgidRule is the group analogue of setuidRule (CAP_SETGID).
-func setgidRule() rewrite.Rule {
-	return credRule("setgid", "GID", scanGroups, func(p procView, gid int64, privs caps.Set) (procView, bool) {
-		if privs.Has(caps.CapSetgid) {
-			p.rgid, p.egid, p.sgid = gid, gid, gid
-		} else if gid == p.rgid || gid == p.sgid {
-			p.egid = gid
-		} else {
-			return p, false
-		}
-		return p, true
-	})
-}
-
-// setegidRule changes only the effective GID.
-func setegidRule() rewrite.Rule {
-	return credRule("setegid", "GID", scanGroups, func(p procView, gid int64, privs caps.Set) (procView, bool) {
-		if !privs.Has(caps.CapSetgid) && gid != p.rgid && gid != p.sgid {
-			return p, false
-		}
-		p.egid = gid
-		return p, true
-	})
-}
+// The single-argument credential rules: setuid(2), seteuid(2) and their
+// gid twins, gated on CAP_SETUID and CAP_SETGID.
+func setuidRule() rewrite.Rule  { return credRule("setuid", false, caps.IDs.Setid) }
+func seteuidRule() rewrite.Rule { return credRule("seteuid", false, caps.IDs.Seteid) }
+func setgidRule() rewrite.Rule  { return credRule("setgid", true, caps.IDs.Setid) }
+func setegidRule() rewrite.Rule { return credRule("setegid", true, caps.IDs.Seteid) }
 
 // resRule builds setresuid, or setresgid when group is set: each Wild
 // component ranges over the User (Group) objects plus the corresponding
 // current value (ROSA must try every combination — the state-space blow-up
-// the paper's §VIII measures). Unprivileged calls may set each component
-// only to one of the current real, effective, or saved IDs.
+// the paper's §VIII measures), and every combination caps.IDs.Setres
+// accepts is a successor. Components it would refuse (caps.IDs.May) are
+// pruned before the inner loops run.
 func resRule(sym string, group bool) rewrite.Rule {
 	lhs := rewrite.NewConfig(
 		rewrite.NewOp(sym, iv("PID"), iv("R"), iv("E"), iv("S"), iv("PR")),
@@ -693,10 +593,7 @@ func resRule(sym string, group bool) rewrite.Rule {
 	slot := slotsOf(lhs)
 	ps, prS := procSlotsOf(slot, "P_", "PID"), slot("PR")
 	rS, eS, sS := slot("R"), slot("E"), slot("S")
-	scan, c := scanUsers, caps.CapSetuid
-	if group {
-		scan, c = scanGroups, caps.CapSetgid
-	}
+	scan, c := idKind(group)
 	return rewrite.Rule{
 		Name: sym,
 		LHS:  lhs,
@@ -707,32 +604,32 @@ func resRule(sym string, group bool) rewrite.Rule {
 			}
 			priv := privsOf(e, prS).Has(c)
 			known := scan(e.Rest())
-			cr, ce, cs := p.resIDs(group)
-			ok := func(v int64) bool { return priv || v == cr || v == ce || v == cs }
-			candidates := func(arg, cur int64) []int64 {
+			cur := *p.ids(group)
+			candidates := func(arg int64, cur int) []int {
 				if arg != Wild {
-					return []int64{arg}
+					return []int{int(arg)}
 				}
-				return append(append([]int64(nil), known...), cur)
+				return append(append([]int(nil), known...), cur)
 			}
-			rc := candidates(bindingInt(e, rS), cr)
-			ec := candidates(bindingInt(e, eS), ce)
-			sc := candidates(bindingInt(e, sS), cs)
+			rc := candidates(bindingInt(e, rS), cur.R)
+			ec := candidates(bindingInt(e, eS), cur.E)
+			sc := candidates(bindingInt(e, sS), cur.S)
 			var out []*rewrite.Term
 			for _, r := range rc {
-				if !ok(r) {
+				if !cur.May(r, priv) {
 					continue
 				}
 				for _, ev := range ec {
-					if !ok(ev) {
+					if !cur.May(ev, priv) {
 						continue
 					}
 					for _, s := range sc {
-						if !ok(s) {
+						ids, ok := cur.Setres(r, ev, s, priv)
+						if !ok {
 							continue
 						}
 						np := p
-						np.setResIDs(group, r, ev, s)
+						*np.ids(group) = ids
 						out = append(out, e.Replace(np.term()))
 					}
 				}
@@ -774,11 +671,7 @@ func killRule() rewrite.Rule {
 			if !p.running() || !t.running() {
 				return nil
 			}
-			privs := privsOf(e, prS)
-			allowed := privs.Has(caps.CapKill) ||
-				p.euid == t.ruid || p.euid == t.suid ||
-				p.ruid == t.ruid || p.ruid == t.suid
-			if !allowed {
+			if !vkernel.MayKill(p.uids, t.uids, privsOf(e, prS)) {
 				return nil
 			}
 			sig := bindingInt(e, sigS)
@@ -843,15 +736,8 @@ func bindRule() rewrite.Rule {
 			if !p.running() {
 				return nil
 			}
-			privs := privsOf(e, prS)
 			port := bindingInt(e, portS)
-			if port <= 0 {
-				return nil
-			}
-			if port < 1024 && !privs.Has(caps.CapNetBindService) {
-				return nil
-			}
-			if scanBoundPort(e.Rest(), port) {
+			if !vkernel.MayBind(int(port), scanBoundPort(e.Rest(), port), privsOf(e, prS)) {
 				return nil
 			}
 			sid := bindingInt(e, sIDS)

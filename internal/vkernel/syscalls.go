@@ -304,12 +304,17 @@ func (k *Kernel) dispatch(name string, args []Arg) (int64, error) {
 		if !ok || of.sock == nil {
 			return -1, eperm("bind on non-socket fd %d", a[0])
 		}
-		port := int(a[1])
-		if port < 1024 && !p.Creds.HasEffective(caps.CapNetBindService) {
-			return -1, eperm("bind to privileged port %d without CAP_NET_BIND_SERVICE", port)
+		if of.sock.boundPort != 0 {
+			return -1, eperm("bind on fd %d: socket already bound to port %d", a[0], of.sock.boundPort)
 		}
-		if other, taken := k.ports[port]; taken && other != p.PID {
-			return -1, eperm("port %d already bound by pid %d", port, other)
+		port := int(a[1])
+		other, taken := k.ports[port]
+		taken = taken && other != p.PID
+		if !MayBind(port, taken, p.Creds.Effective) {
+			if taken {
+				return -1, eperm("port %d already bound by pid %d", port, other)
+			}
+			return -1, eperm("bind to port %d: not a port, or privileged without CAP_NET_BIND_SERVICE", port)
 		}
 		of.sock.boundPort = port
 		k.ports[port] = p.PID
@@ -406,57 +411,29 @@ func (k *Kernel) dispatch(name string, args []Arg) (int64, error) {
 	}
 }
 
-// accessAllowed implements the Linux DAC check for a file, with the
-// capability bypasses ROSA models: CAP_DAC_OVERRIDE bypasses all checks,
-// CAP_DAC_READ_SEARCH bypasses read (and directory search) checks.
-func accessAllowed(p *Proc, f *File, read, write bool) error {
+// inGroup reports whether p counts as a member of group g for the DAC
+// checks: its egid or one of its supplementary groups.
+func (p *Proc) inGroup(g int) bool { return p.Creds.EGID == g || p.Supp[g] }
+
+// access applies MayAccess to p and f.
+func access(p *Proc, f *File, read, write bool) error {
 	c := p.Creds
-	if c.HasEffective(caps.CapDacOverride) {
+	if MayAccess(f.Perms, f.Owner, c.EUID, p.inGroup(f.Group), read, write, c.Effective) {
 		return nil
 	}
-	if read && !write && c.HasEffective(caps.CapDacReadSearch) {
-		return nil
+	what := "read"
+	if write {
+		what = "write"
 	}
-	var rBit, wBit Mode
-	switch {
-	case c.EUID == f.Owner:
-		rBit, wBit = OwnerR, OwnerW
-	case c.EGID == f.Group || p.Supp[f.Group]:
-		rBit, wBit = GroupR, GroupW
-	default:
-		rBit, wBit = OtherR, OtherW
-	}
-	if read && f.Perms&rBit == 0 {
-		return eperm("no read permission on %s (perms %s, euid %d, egid %d)",
-			f.Path, f.Perms, c.EUID, c.EGID)
-	}
-	if write && f.Perms&wBit == 0 {
-		return eperm("no write permission on %s (perms %s, euid %d, egid %d)",
-			f.Path, f.Perms, c.EUID, c.EGID)
-	}
-	return nil
+	return eperm("no %s permission on %s (perms %s, euid %d, egid %d)", what, f.Path, f.Perms, c.EUID, c.EGID)
 }
 
-// searchAllowed checks execute/search permission on a directory, bypassed by
-// CAP_DAC_OVERRIDE or CAP_DAC_READ_SEARCH.
-func searchAllowed(p *Proc, d *File) error {
-	c := p.Creds
-	if c.HasEffective(caps.CapDacOverride) || c.HasEffective(caps.CapDacReadSearch) {
+// search applies MaySearch to p and directory d.
+func search(p *Proc, d *File) error {
+	if MaySearch(d.Perms, d.Owner, p.Creds.EUID, p.inGroup(d.Group), p.Creds.Effective) {
 		return nil
 	}
-	var xBit Mode
-	switch {
-	case c.EUID == d.Owner:
-		xBit = OwnerX
-	case c.EGID == d.Group || p.Supp[d.Group]:
-		xBit = GroupX
-	default:
-		xBit = OtherX
-	}
-	if d.Perms&xBit == 0 {
-		return eperm("no search permission on %s", d.Path)
-	}
-	return nil
+	return eperm("no search permission on %s", d.Path)
 }
 
 // checkParentSearch validates search permission on the parent directory of
@@ -471,7 +448,7 @@ func (k *Kernel) checkParentSearch(p *Proc, filePath string) error {
 	if d == nil || !d.IsDir {
 		return nil
 	}
-	return searchAllowed(p, d)
+	return search(p, d)
 }
 
 func (k *Kernel) open(p *Proc, path string, mode int) (int64, error) {
@@ -484,7 +461,7 @@ func (k *Kernel) open(p *Proc, path string, mode int) (int64, error) {
 	}
 	read := mode == OpenRead || mode == OpenRDWR
 	write := mode == OpenWrite || mode == OpenRDWR
-	if err := accessAllowed(p, f, read, write); err != nil {
+	if err := access(p, f, read, write); err != nil {
 		return -1, err
 	}
 	fd := p.nextFD
@@ -499,34 +476,32 @@ func (k *Kernel) chmod(p *Proc, path string, mode Mode) (int64, error) {
 	if f == nil {
 		return -1, eperm("chmod %s: no such file", path)
 	}
-	if p.Creds.EUID != f.Owner && !p.Creds.HasEffective(caps.CapFowner) {
+	if !MayChmod(f.Owner, p.Creds.EUID, p.Creds.Effective) {
 		return -1, eperm("chmod %s: not owner and no CAP_FOWNER", path)
 	}
 	f.Perms = mode & 0x1FF
 	return 0, nil
 }
 
-// chown requires CAP_CHOWN to change the owner; changing the group to one of
-// the caller's groups is allowed for the owner (simplified Linux rule).
+// chown applies MayChown; WildID leaves the owner or the group unchanged.
+// The caller holds the new group through its real, effective or saved gid
+// or a supplementary group.
 func (k *Kernel) chown(p *Proc, path string, uid, gid int) (int64, error) {
 	f := k.fs[path]
 	if f == nil {
 		return -1, eperm("chown %s: no such file", path)
 	}
+	if uid == caps.WildID {
+		uid = f.Owner
+	}
+	if gid == caps.WildID {
+		gid = f.Group
+	}
 	c := p.Creds
-	if uid != caps.WildID && uid != f.Owner {
-		if !c.HasEffective(caps.CapChown) {
-			return -1, eperm("chown %s: changing owner needs CAP_CHOWN", path)
-		}
-		f.Owner = uid
+	if !MayChown(f.Owner, f.Group, uid, gid, c.EUID, c.GIDs().May(gid, false) || p.Supp[gid], c.Effective) {
+		return -1, eperm("chown %s to %d:%d: needs CAP_CHOWN, or ownership and the group", path, uid, gid)
 	}
-	if gid != caps.WildID && gid != f.Group {
-		ownGroup := gid == c.EGID || gid == c.RGID || gid == c.SGID || p.Supp[gid]
-		if !c.HasEffective(caps.CapChown) && !(c.EUID == f.Owner && ownGroup) {
-			return -1, eperm("chown %s: changing group needs CAP_CHOWN or ownership", path)
-		}
-		f.Group = gid
-	}
+	f.Owner, f.Group = uid, gid
 	return 0, nil
 }
 
@@ -538,10 +513,10 @@ func (k *Kernel) unlink(p *Proc, path string) (int64, error) {
 	}
 	parent := k.fs[parentDir(path)]
 	if parent != nil && parent.IsDir {
-		if err := searchAllowed(p, parent); err != nil {
+		if err := search(p, parent); err != nil {
 			return -1, err
 		}
-		if err := accessAllowed(p, parent, false, true); err != nil {
+		if err := access(p, parent, false, true); err != nil {
 			return -1, err
 		}
 	}
@@ -558,7 +533,7 @@ func (k *Kernel) rename(p *Proc, oldPath, newPath string) (int64, error) {
 	}
 	parent := k.fs[parentDir(oldPath)]
 	if parent != nil && parent.IsDir {
-		if err := accessAllowed(p, parent, false, true); err != nil {
+		if err := access(p, parent, false, true); err != nil {
 			return -1, err
 		}
 	}
@@ -568,19 +543,14 @@ func (k *Kernel) rename(p *Proc, oldPath, newPath string) (int64, error) {
 	return 0, nil
 }
 
-// kill implements the Linux signal permission rule: the sender's real or
-// effective UID must match the target's real or saved UID, unless the sender
-// holds CAP_KILL.
+// kill applies MayKill.
 func (k *Kernel) kill(p *Proc, pid, sig int) (int64, error) {
 	target := k.procs[pid]
 	if target == nil {
 		return -1, eperm("kill %d: no such process", pid)
 	}
 	c := p.Creds
-	allowed := c.HasEffective(caps.CapKill) ||
-		c.EUID == target.Creds.RUID || c.EUID == target.Creds.SUID ||
-		c.RUID == target.Creds.RUID || c.RUID == target.Creds.SUID
-	if !allowed {
+	if !MayKill(c.UIDs(), target.Creds.UIDs(), c.Effective) {
 		return -1, eperm("kill %d: permission denied (sender %s, target ruid %d suid %d)",
 			pid, c.UIDString(), target.Creds.RUID, target.Creds.SUID)
 	}

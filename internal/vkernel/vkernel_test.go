@@ -421,8 +421,8 @@ func TestDACMonotonicityQuick(t *testing.T) {
 		pBase := &Proc{Creds: base, Supp: map[int]bool{}}
 		pExtra := &Proc{Creds: extra, Supp: map[int]bool{}}
 		for _, mode := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-			baseOK := accessAllowed(pBase, file, mode[0], mode[1]) == nil
-			extraOK := accessAllowed(pExtra, file, mode[0], mode[1]) == nil
+			baseOK := access(pBase, file, mode[0], mode[1]) == nil
+			extraOK := access(pExtra, file, mode[0], mode[1]) == nil
 			if baseOK && !extraOK {
 				return false
 			}
