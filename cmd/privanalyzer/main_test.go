@@ -326,36 +326,54 @@ func TestRunJSON(t *testing.T) {
 // analysed concurrently, yet stdout is byte-identical, apart from the
 // wall-clock elapsed_ns fields, on one CPU and on all of them — and with the
 // shared telemetry registry and flight recorder attached (-telemetry-json,
-// -trace-out), whose trace keeps one hot-block track per program.
+// -trace-out), whose trace keeps one hot-block track per program. With
+// -stats, two runs on one CPU are byte-identical apart from elapsed_ns and
+// states_per_sec: no per-query figure reads process-wide state that the
+// other programs move.
 func TestRunExperimentsScheduleIndependent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full evaluation twice; skipped with -short")
+		t.Skip("runs the full evaluation four times; skipped with -short")
 	}
 	elapsed := regexp.MustCompile(`"elapsed_ns": [0-9]+`)
+	rate := regexp.MustCompile(`"states_per_sec": [0-9.e+]+`)
 	experiments := func(extra ...string) string {
 		t.Helper()
 		out, code := capture(t, func() int { return run(append([]string{"-experiments", "-json"}, extra...)) })
 		if code != 0 {
 			t.Fatalf("-experiments %v: exit code %d", extra, code)
 		}
+		out = rate.ReplaceAllString(out, `"states_per_sec": 0`)
 		return elapsed.ReplaceAllString(out, `"elapsed_ns": 0`)
+	}
+	firstDiff := func(x, y string) (int, string, string) {
+		a, b := strings.Split(x, "\n"), strings.Split(y, "\n")
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		return i + 1, strings.Join(a[i:min(i+3, len(a))], "\n"), strings.Join(b[i:min(i+3, len(b))], "\n")
 	}
 
 	prev := runtime.GOMAXPROCS(1)
 	one := experiments()
+	stats := experiments("-stats")
+	statsAgain := experiments("-stats")
 	runtime.GOMAXPROCS(prev)
+	if stats != statsAgain {
+		line, a, b := firstDiff(stats, statsAgain)
+		t.Errorf("-experiments -json -stats differs between two GOMAXPROCS=1 runs, first at line %d:\n%s\nvs\n%s", line, a, b)
+	}
+	if !strings.Contains(stats, `"cache_misses"`) {
+		t.Error("-stats output carries no per-query stats")
+	}
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
 	all := experiments("-trace-out", tracePath, "-telemetry-json", filepath.Join(dir, "telemetry.jsonl"))
 
 	if one != all {
-		a, b := strings.Split(one, "\n"), strings.Split(all, "\n")
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
+		line, a, b := firstDiff(one, all)
 		t.Errorf("-experiments -json differs between GOMAXPROCS=1 and GOMAXPROCS=%d (elapsed_ns stripped), first at line %d:\n%s\nvs\n%s",
-			prev, i+1, strings.Join(a[i:min(i+3, len(a))], "\n"), strings.Join(b[i:min(i+3, len(b))], "\n"))
+			prev, line, a, b)
 	}
 	if n := strings.Count(one, `"api_version"`); n != 7 {
 		t.Errorf("%d JSON documents, want one per program (7)", n)

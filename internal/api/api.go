@@ -85,8 +85,11 @@ type SearchParams struct {
 	// interpreter's. The field stays so that v1 requests which set it still
 	// decode; it changes nothing. No CLI flag.
 	NoCompile bool `json:"no_compile,omitempty"`
-	// NoCost disables the per-query cost ledger (SearchStats.Cost and the
-	// slow-query journal's admission) for this request. CLI: -no-cost.
+	// NoCost is deprecated and ignored: it switched off a per-query cost
+	// ledger that no longer exists. A query's cost is its states, attempts
+	// and elapsed time, which every result carries, and every request
+	// enters the slow-query journal. The field stays so that v1 requests
+	// which set it still decode; it changes nothing. No CLI flag.
 	NoCost bool `json:"no_cost,omitempty"`
 	// DeadlineMS is the request's total deadline in milliseconds, measured
 	// from admission — queue wait counts against it, unlike Timeout, which
@@ -118,7 +121,6 @@ func (p SearchParams) OrDefaults(d SearchParams) SearchParams {
 		p.Timeout = d.Timeout
 	}
 	p.Stats = p.Stats || d.Stats
-	p.NoCost = p.NoCost || d.NoCost
 	if p.DeadlineMS == 0 {
 		p.DeadlineMS = d.DeadlineMS
 	}
@@ -224,7 +226,6 @@ type SearchStats struct {
 	CompiledRules   int   `json:"compiled_rules,omitempty"`
 	CompiledMatches int64 `json:"compiled_matches,omitempty"`
 	FallbackMatches int64 `json:"fallback_matches,omitempty"`
-	InternerSize    int64 `json:"interner_size"`
 	// ElapsedNS is wall-clock time into the search — nondeterministic, like
 	// QueryResult.ElapsedNS, and zeroed by byte-identity comparisons.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
@@ -234,26 +235,16 @@ type SearchStats struct {
 	// DroppedEvents is the flight recorder's truncation count at snapshot
 	// time (journal overwrites; stream drops are reported per job).
 	DroppedEvents int64 `json:"dropped_events,omitempty"`
-	// Cost is the query's resource ledger (wall, CPU, allocation plus the
-	// engine counters as one cost vector), captured by the escalating
-	// supervisor around the whole query. Present on final snapshots unless
-	// the request set no_cost; nil on mid-flight progress snapshots.
-	Cost *QueryCost `json:"cost,omitempty"`
 }
 
-// QueryCost is the wire form of obs.QueryCost: one query's resource ledger.
-// The count fields (states_expanded through degradation_level) are
-// deterministic — byte-identical at any worker count — while wall_ns,
-// cpu_ns, and alloc_bytes are wall-clock-class measurements that vary run to
-// run (byte-identity comparisons zero them, like elapsed_ns). cpu_ns and
-// alloc_bytes are process-wide deltas across the query: upper bounds under
-// concurrency, and cpu_ns is 0 where getrusage is unavailable.
+// QueryCost is a slow-query journal entry's cost vector (CostOf): the
+// request's execution wall time plus counts its query results already
+// carry, summed over every query it ran. The counts are deterministic;
+// wall_ns is wall-clock time from worker pickup to the response value.
 type QueryCost struct {
-	WallNS     int64 `json:"wall_ns"`
-	CPUNS      int64 `json:"cpu_ns"`
-	AllocBytes int64 `json:"alloc_bytes"`
-	// StatesExpanded counts distinct states the search visited (the final
-	// escalation attempt's figure).
+	WallNS int64 `json:"wall_ns"`
+	// StatesExpanded counts distinct states the searches visited (each
+	// query's final escalation attempt).
 	StatesExpanded int   `json:"states_expanded"`
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
@@ -263,11 +254,11 @@ type QueryCost struct {
 	CompiledMatches int64   `json:"compiled_matches"`
 	FallbackMatches int64   `json:"fallback_matches"`
 	CompiledShare   float64 `json:"compiled_share"`
-	// EscalationAttempts counts budget-escalation rungs (1 = resolved on
-	// the first budget).
+	// EscalationAttempts sums the queries' budget-escalation attempts (1 per
+	// query resolved on its first budget).
 	EscalationAttempts int `json:"escalation_attempts"`
-	// DegradationLevel: 0 = none, 1 = transition cache shed, 2 = search
-	// stopped by the memory budget.
+	// DegradationLevel is the worst query's: 0 = none, 1 = transition cache
+	// shed, 2 = search stopped by the memory budget.
 	DegradationLevel int `json:"degradation_level"`
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"privanalyzer/internal/core"
 	"privanalyzer/internal/rewrite"
 	"privanalyzer/internal/rosa"
 )
@@ -191,9 +192,10 @@ func TestQueryRequestBuildAttack(t *testing.T) {
 	}
 }
 
-// TestNoCompileIsNoOp: no_compile is a deprecated v1 field. A strict
-// decode still accepts it, and a query that sets it gets the same verdict
-// and state count as one that does not, through the compiled matchers.
+// TestNoCompileIsNoOp: no_compile and no_cost are deprecated v1 fields. A
+// strict decode still accepts each, and a query that sets one gets the same
+// verdict, state count and escalation attempts as one that does not,
+// through the compiled matchers.
 func TestNoCompileIsNoOp(t *testing.T) {
 	run := func(search string) *rosa.Result {
 		t.Helper()
@@ -215,13 +217,15 @@ func TestNoCompileIsNoOp(t *testing.T) {
 		return res
 	}
 	plain := run(`{"workers":1,"stats":true}`)
-	off := run(`{"workers":1,"stats":true,"no_compile":true}`)
-	if off.Verdict != plain.Verdict || off.StatesExplored != plain.StatesExplored {
-		t.Errorf("no_compile: (%s, %d states), without it (%s, %d states)",
-			off.Verdict, off.StatesExplored, plain.Verdict, plain.StatesExplored)
-	}
-	if off.Stats == nil || off.Stats.CompiledMatches == 0 {
-		t.Error("no_compile query did not run through the compiled matchers")
+	for _, field := range []string{"no_compile", "no_cost"} {
+		off := run(`{"workers":1,"stats":true,"` + field + `":true}`)
+		if off.Verdict != plain.Verdict || off.StatesExplored != plain.StatesExplored || off.Attempts != plain.Attempts {
+			t.Errorf("%s: (%s, %d states, %d attempts), without it (%s, %d states, %d attempts)", field,
+				off.Verdict, off.StatesExplored, off.Attempts, plain.Verdict, plain.StatesExplored, plain.Attempts)
+		}
+		if off.Stats == nil || off.Stats.CompiledMatches == 0 {
+			t.Errorf("%s query did not run through the compiled matchers", field)
+		}
 	}
 }
 
@@ -252,5 +256,35 @@ func TestEncodeStableBytes(t *testing.T) {
 	}
 	if strings.Contains(a.String(), `<`) {
 		t.Error("HTML escaping enabled")
+	}
+}
+
+// TestCostOf: the journal's cost vector sums the counts the results carry —
+// over every query an analysis ran (skipping attacks not run), or the one
+// standalone result — and keeps the worst degradation.
+func TestCostOf(t *testing.T) {
+	st := func(hits, misses, compiled, fallback int64, degradedAt int) *rewrite.SearchStats {
+		return &rewrite.SearchStats{CacheHits: hits, CacheMisses: misses,
+			CompiledMatches: compiled, FallbackMatches: fallback, DegradedAt: degradedAt}
+	}
+	a := &core.Analysis{Phases: []core.PhaseResult{{
+		Verdicts: [4]rosa.Verdict{rosa.Safe, rosa.Vulnerable, 0, rosa.Unknown},
+		States:   [4]int{10, 20, 99, 30},
+		Attempts: [4]int{1, 2, 9, 3},
+		Stats:    [4]*rewrite.SearchStats{st(1, 2, 3, 1, 0), st(4, 5, 6, 0, 7), nil, nil},
+	}}}
+	got := CostOf(a, nil)
+	want := QueryCost{StatesExpanded: 60, CacheHits: 5, CacheMisses: 7, CompiledMatches: 9,
+		FallbackMatches: 1, CompiledShare: 0.9, EscalationAttempts: 6, DegradationLevel: 1}
+	if got != want {
+		t.Errorf("CostOf(analysis) = %+v\nwant %+v", got, want)
+	}
+
+	r := &rosa.Result{StatesExplored: 5, Attempts: 1, Degraded: true, Stats: st(0, 4, 8, 0, 3)}
+	got = CostOf(nil, r)
+	want = QueryCost{StatesExpanded: 5, CacheMisses: 4, CompiledMatches: 8, CompiledShare: 1,
+		EscalationAttempts: 1, DegradationLevel: 2}
+	if got != want {
+		t.Errorf("CostOf(result) = %+v\nwant %+v", got, want)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"privanalyzer/internal/attacks"
 	"privanalyzer/internal/caps"
 	"privanalyzer/internal/core"
-	"privanalyzer/internal/obs"
 	"privanalyzer/internal/rewrite"
 	"privanalyzer/internal/rosa"
 	"privanalyzer/internal/telemetry"
@@ -28,7 +27,6 @@ func (p SearchParams) Options() (rewrite.Options, error) {
 		Workers:   p.Workers,
 		MemBudget: p.MemBudget,
 		Profile:   p.Stats,
-		NoCost:    p.NoCost,
 	}
 	if err := ApplyEscalate(p.Escalate, &o); err != nil {
 		return rewrite.Options{}, err
@@ -97,7 +95,6 @@ func (p SearchParams) Apply(q *rosa.Query) error {
 		q.MemBudget = opts.MemBudget
 	}
 	q.Profile = q.Profile || opts.Profile
-	q.NoCost = q.NoCost || opts.NoCost
 	if opts.Escalate != (rewrite.Escalation{}) {
 		q.Escalate = opts.Escalate
 	}
@@ -159,33 +156,52 @@ func FromSearchStats(st *rewrite.SearchStats) *SearchStats {
 		CompiledRules:       st.CompiledRules,
 		CompiledMatches:     st.CompiledMatches,
 		FallbackMatches:     st.FallbackMatches,
-		InternerSize:        st.InternerSize,
 		ElapsedNS:           st.Elapsed.Nanoseconds(),
 		DegradedAt:          st.DegradedAt,
 		DroppedEvents:       st.DroppedEvents,
-		Cost:                FromQueryCost(st.Cost),
 	}
 }
 
-// FromQueryCost converts the supervisor's cost ledger to its wire form; nil
-// in, nil out (NoCost requests, mid-flight snapshots).
-func FromQueryCost(c *obs.QueryCost) *QueryCost {
-	if c == nil {
-		return nil
+// CostOf sums the slow-query journal's counts over the queries one request
+// ran: every query of analysis a, or the one standalone result r (pass nil
+// for the other). Each count is read from what the results already carry;
+// WallNS is left to the caller, which times the whole request.
+func CostOf(a *core.Analysis, r *rosa.Result) QueryCost {
+	var c QueryCost
+	add := func(states, attempts int, degraded bool, st *rewrite.SearchStats) {
+		c.StatesExpanded += states
+		c.EscalationAttempts += attempts
+		level := 0
+		switch {
+		case degraded:
+			level = 2
+		case st != nil && st.DegradedAt > 0:
+			level = 1
+		}
+		c.DegradationLevel = max(c.DegradationLevel, level)
+		if st != nil {
+			c.CacheHits += st.CacheHits
+			c.CacheMisses += st.CacheMisses
+			c.CompiledMatches += st.CompiledMatches
+			c.FallbackMatches += st.FallbackMatches
+		}
 	}
-	return &QueryCost{
-		WallNS:             c.WallNS,
-		CPUNS:              c.CPUNS,
-		AllocBytes:         c.AllocBytes,
-		StatesExpanded:     c.StatesExpanded,
-		CacheHits:          c.CacheHits,
-		CacheMisses:        c.CacheMisses,
-		CompiledMatches:    c.CompiledMatches,
-		FallbackMatches:    c.FallbackMatches,
-		CompiledShare:      c.CompiledShare(),
-		EscalationAttempts: c.EscalationAttempts,
-		DegradationLevel:   c.DegradationLevel,
+	if r != nil {
+		add(r.StatesExplored, r.Attempts, r.Degraded, r.Stats)
 	}
+	if a != nil {
+		for _, pr := range a.Phases {
+			for i, v := range pr.Verdicts {
+				if v != 0 {
+					add(pr.States[i], pr.Attempts[i], pr.Degraded[i], pr.Stats[i])
+				}
+			}
+		}
+	}
+	if total := c.CompiledMatches + c.FallbackMatches; total > 0 {
+		c.CompiledShare = float64(c.CompiledMatches) / float64(total)
+	}
+	return c
 }
 
 // statsOf keeps the short name for this file's conversion call sites.

@@ -126,8 +126,9 @@ func (c Creds) HasEffective(cap Cap) bool { return c.Effective.Has(cap) }
 // for the simulated kernel, and ROSA's credential rules (internal/rosa)
 // apply them to every candidate argument. priv reports that the call's
 // capability is raised (CAP_SETUID for user IDs, CAP_SETGID for group
-// IDs); ok=false means the call is denied (EPERM) and leaves the IDs as
-// they were.
+// IDs); ok=false means the call fails and leaves the IDs as they were.
+// Failures are EPERM, except a WildID argument to Setid or Seteid, for
+// which Linux returns EINVAL; the model reports both as a denial.
 type IDs struct{ R, E, S int }
 
 // May reports whether a set*id call may set one ID to v: any value when
@@ -139,8 +140,11 @@ func (ids IDs) May(v int, priv bool) bool {
 
 // Setid is setuid(2) and setgid(2): privileged, all three IDs become v;
 // otherwise v must be the real or saved ID, and only the effective ID
-// changes.
+// changes. v may not be WildID.
 func (ids IDs) Setid(v int, priv bool) (IDs, bool) {
+	if v == WildID {
+		return ids, false
+	}
 	if priv {
 		return IDs{v, v, v}, true
 	}
@@ -148,9 +152,9 @@ func (ids IDs) Setid(v int, priv bool) (IDs, bool) {
 }
 
 // Seteid is seteuid(2) and setegid(2): the effective ID becomes v, which
-// must be the real or saved ID unless privileged.
+// must be the real or saved ID unless privileged, and may not be WildID.
 func (ids IDs) Seteid(v int, priv bool) (IDs, bool) {
-	if !priv && v != ids.R && v != ids.S {
+	if v == WildID || !priv && v != ids.R && v != ids.S {
 		return ids, false
 	}
 	ids.E = v

@@ -251,3 +251,42 @@ func TestIDsAllocationFree(t *testing.T) {
 		t.Errorf("ids = %+v, ok = %v; want {1 1 3}, true", ids, ok)
 	}
 }
+
+// TestWildIDArgumentFails: -1 means "leave unchanged" only to setres*id.
+// setuid(-1), setgid(-1), seteuid(-1) and setegid(-1) are EINVAL on Linux,
+// with or without the capability; the model denies them and the IDs stay as
+// they were.
+func TestWildIDArgumentFails(t *testing.T) {
+	calls := map[string]func(*Creds) error{
+		"setuid":  func(c *Creds) error { return c.Setuid(WildID) },
+		"setgid":  func(c *Creds) error { return c.Setgid(WildID) },
+		"seteuid": func(c *Creds) error { return c.Seteuid(WildID) },
+		"setegid": func(c *Creds) error { return c.Setegid(WildID) },
+	}
+	for name, call := range calls {
+		for _, priv := range []bool{false, true} {
+			c := NewCreds(1000, 1000, NewSet(CapSetuid, CapSetgid))
+			if priv {
+				if err := c.Raise(c.Permitted); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := c
+			if err := call(&c); !errors.Is(err, ErrNotPermitted) {
+				t.Errorf("%s(-1) privileged=%v: err = %v, want a denial", name, priv, err)
+			}
+			if c != before {
+				t.Errorf("%s(-1) privileged=%v changed the IDs: %s", name, priv, c.String())
+			}
+		}
+	}
+	for _, priv := range []bool{false, true} {
+		ids := IDs{R: 1, E: 2, S: 3}
+		if got, ok := ids.Setid(WildID, priv); ok || got != ids {
+			t.Errorf("IDs.Setid(-1, %v) = %+v, %v; want unchanged, false", priv, got, ok)
+		}
+		if got, ok := ids.Seteid(WildID, priv); ok || got != ids {
+			t.Errorf("IDs.Seteid(-1, %v) = %+v, %v; want unchanged, false", priv, got, ok)
+		}
+	}
+}

@@ -51,8 +51,6 @@ type SearchFlags struct {
 	Timeout time.Duration
 	// Stats is -stats: collect and print per-query engine statistics.
 	Stats bool
-	// NoCost is -no-cost: disable the per-query cost ledger.
-	NoCost bool
 	// TraceOut is -trace-out: a Chrome Trace Event JSON output path.
 	TraceOut string
 }
@@ -71,8 +69,6 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 		"wall-clock search limit; an expired deadline yields the ⏱ verdict (0 = none)")
 	fs.BoolVar(&f.Stats, "stats", false,
 		"print the search statistics (states/sec, frontier shape, dedup rate) and the per-rule cost profile")
-	fs.BoolVar(&f.NoCost, "no-cost", false,
-		"disable the per-query cost ledger (wall/CPU/alloc accounting; ablation)")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"write the search as Chrome Trace Event JSON to this file (load in ui.perfetto.dev)")
 }
@@ -88,7 +84,6 @@ func (f SearchFlags) Params() api.SearchParams {
 		MemBudget: f.MemBudget,
 		Timeout:   api.Duration(f.Timeout),
 		Stats:     f.Stats,
-		NoCost:    f.NoCost,
 	}
 }
 

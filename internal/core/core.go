@@ -94,6 +94,10 @@ type PhaseResult struct {
 	// that query's Unknown verdict; nil for clean verdicts. The same faults
 	// are aggregated, with attribution, in Analysis.Errors.
 	Errs [4]error
+	// Attempts and Degraded are each query's escalation attempts and
+	// memory-budget stop (rosa.Result.Attempts and Degraded).
+	Attempts [4]int
+	Degraded [4]bool
 }
 
 // QueryError attributes one faulted query within an analysis: which
@@ -294,6 +298,8 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 		pr.States[j.attack-1] = res.StatesExplored
 		pr.Elapsed[j.attack-1] = res.Elapsed
 		pr.Stats[j.attack-1] = res.Stats
+		pr.Attempts[j.attack-1] = res.Attempts
+		pr.Degraded[j.attack-1] = res.Degraded
 		if res.Err != nil {
 			// A faulted query was isolated to its ⏱ cell; record the fault
 			// with its grid coordinates and keep the analysis.

@@ -24,22 +24,6 @@ func rate(states int, elapsed time.Duration) string {
 	return fmt.Sprintf("%.0f", float64(states)/elapsed.Seconds())
 }
 
-// byteSize renders a byte count with a binary-prefix unit (KiB/MiB/GiB),
-// keeping the cost-ledger line readable for allocation volumes that span
-// kilobytes to gigabytes.
-func byteSize(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
-	}
-}
-
 // SearchStatsText renders one search's statistics as a compact multi-line
 // report: exploration rate, visited-set effectiveness, frontier shape, rule
 // firings, and — when the search ran with Options.Profile — the per-rule
@@ -66,18 +50,8 @@ func SearchStatsText(st *rewrite.SearchStats) string {
 		fmt.Fprintf(&b, "transition cache: %d hits, %d misses (%.1f%% hit rate)\n",
 			st.CacheHits, st.CacheMisses, 100*float64(st.CacheHits)/float64(lookups))
 	}
-	if st.InternerSize > 0 {
-		fmt.Fprintf(&b, "interner:         %d terms\n", st.InternerSize)
-	}
-	if c := st.Cost; c != nil {
-		fmt.Fprintf(&b, "cost ledger:      %s wall, %s cpu, %s allocated, %d escalation attempt(s)",
-			time.Duration(c.WallNS).Round(time.Microsecond),
-			time.Duration(c.CPUNS).Round(time.Microsecond),
-			byteSize(c.AllocBytes), c.EscalationAttempts)
-		if c.DegradationLevel > 0 {
-			fmt.Fprintf(&b, ", degraded L%d", c.DegradationLevel)
-		}
-		b.WriteByte('\n')
+	if st.DegradedAt > 0 {
+		fmt.Fprintf(&b, "memory budget:    transition cache shed at %d states\n", st.DegradedAt)
 	}
 	if len(st.Frontier) > 0 {
 		b.WriteString("frontier by depth:")

@@ -31,6 +31,7 @@ func TestSearchStatsText(t *testing.T) {
 		Workers:        3,
 		Frontier:       []int{1, 4, 6},
 		RuleFirings:    map[string]int{"open": 9, "chown": 6},
+		DegradedAt:     7,
 	}
 	out := SearchStatsText(st)
 	for _, want := range []string{
@@ -40,6 +41,7 @@ func TestSearchStatsText(t *testing.T) {
 		"dedup hits:       5",
 		"frontier by depth: 0:1 1:4 2:6",
 		"chown:6 open:9", // sorted rule firings
+		"transition cache shed at 7 states",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats text missing %q:\n%s", want, out)

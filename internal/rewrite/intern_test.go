@@ -214,7 +214,4 @@ func TestRulesSkippedByIndex(t *testing.T) {
 	if res.Stats.RulesSkippedByIndex == 0 && res.Stats.SubtreesPruned == 0 {
 		t.Error("index reported no skipped rules and no pruned subtrees on the vending system")
 	}
-	if res.Stats.InternerSize == 0 {
-		t.Error("InternerSize gauge not populated")
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"privanalyzer/internal/faultinject"
-	"privanalyzer/internal/obs"
 	"privanalyzer/internal/telemetry"
 )
 
@@ -82,13 +81,6 @@ type Options struct {
 	// Faults is the deterministic fault-injection plan for chaos tests
 	// (internal/faultinject); nil — the production value — injects nothing.
 	Faults *faultinject.Plan
-	// NoCost disables the per-query cost ledger (SearchStats.Cost): the
-	// supervisor skips the obs.Meter bracket and Cost stays nil. Inverted
-	// so the zero value keeps accounting on; exists for ablation and for
-	// pinning the disabled path's overhead. The engine itself never reads
-	// this — the meter lives in the rosa supervisor, which owns the
-	// per-query boundary.
-	NoCost bool
 }
 
 // Escalation parameterizes adaptive budget escalation (Options.Escalate):
@@ -169,9 +161,6 @@ type SearchStats struct {
 	// interpreter. Their sum plus RulesSkippedByIndex accounts for every
 	// candidate rule×position pair the walk considered.
 	CompiledMatches, FallbackMatches int64
-	// InternerSize is the process-global interned-term count when the
-	// snapshot was taken (an occupancy gauge, not a per-search delta).
-	InternerSize int64
 	// DroppedEvents is the attached flight recorder's overwrite count
 	// (telemetry.Recorder.Dropped) at snapshot time. Non-zero means the
 	// journal was truncated to its most recent events — `rosa -explain`
@@ -187,12 +176,6 @@ type SearchStats struct {
 	// Progress printers use it to avoid emitting a stale "final" line for
 	// searches that finish before their first StatsInterval tick.
 	Final bool
-	// Cost is the query-level resource ledger (wall, CPU, allocation plus
-	// the engine counters in cost-vector form), filled by the escalating
-	// supervisor around the whole query — escalation attempts included — not
-	// by the engine itself. Nil for bare SearchContext calls, for per-level
-	// progress snapshots, and when Options.NoCost disabled accounting.
-	Cost *obs.QueryCost
 }
 
 // RuleCost is one rule's row of the search profile.
@@ -230,7 +213,6 @@ func (st *SearchStats) Clone() *SearchStats {
 			cp.RuleProfile[name] = &c
 		}
 	}
-	cp.Cost = st.Cost.Clone()
 	return &cp
 }
 
@@ -391,7 +373,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		stats.CompiledRules = e.comp.count
 		stats.CompiledMatches = e.compiledMatches.Load()
 		stats.FallbackMatches = e.fallbackMatches.Load()
-		stats.InternerSize = InternerSize()
 		stats.DroppedEvents = e.rec.Dropped()
 		if rp != nil {
 			stats.RuleProfile = rp.profile()

@@ -1,14 +1,9 @@
 package rosa
 
-import (
-	"testing"
+import "testing"
 
-	"privanalyzer/internal/obs"
-)
-
-// costOf runs the worked example with the given worker count and returns its
-// attached cost vector.
-func costOf(t testing.TB, workers int) *obs.QueryCost {
+// runWorked runs the worked example with the given worker count.
+func runWorked(t testing.TB, workers int) *Result {
 	t.Helper()
 	q := workedExample()
 	q.Workers = workers
@@ -16,101 +11,63 @@ func costOf(t testing.TB, workers int) *obs.QueryCost {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats == nil || res.Stats.Cost == nil {
-		t.Fatal("run attached no cost vector")
-	}
-	return res.Stats.Cost
-}
-
-// counts strips the wall-clock-class fields (wall, CPU, allocation — the
-// only legitimately nondeterministic part of the ledger), leaving the value
-// that must be identical run to run.
-func counts(c *obs.QueryCost) obs.QueryCost {
-	v := *c
-	v.WallNS, v.CPUNS, v.AllocBytes = 0, 0, 0
-	return v
-}
-
-// TestQueryCostDeterminism pins the ledger's determinism contract, tier by
-// tier. The resource fields (wall, CPU, allocation) are wall-clock-class:
-// merely sanity-bounded. The semantic counts (states expanded, escalation
-// attempts, degradation level) are deterministic at every worker count —
-// they describe the search, not its schedule. The cache and match counters
-// sit between: byte-identical run-to-run at Workers=1, but at Workers>1 two
-// workers can race the same cache fill, so those counters are only bounded
-// below by the single-worker figures (racing adds duplicate misses and
-// matches, never removes work).
-func TestQueryCostDeterminism(t *testing.T) {
-	ref := costOf(t, 1)
-	if ref.WallNS <= 0 {
-		t.Errorf("WallNS = %d, want > 0", ref.WallNS)
-	}
-	if ref.CPUNS < 0 || ref.AllocBytes < 0 {
-		t.Errorf("CPUNS = %d, AllocBytes = %d, want both >= 0", ref.CPUNS, ref.AllocBytes)
-	}
-	if ref.StatesExpanded <= 0 {
-		t.Errorf("StatesExpanded = %d, want > 0", ref.StatesExpanded)
-	}
-	if ref.EscalationAttempts < 1 {
-		t.Errorf("EscalationAttempts = %d, want >= 1", ref.EscalationAttempts)
-	}
-
-	want := counts(ref)
-	for run := 0; run < 3; run++ {
-		if got := counts(costOf(t, 1)); got != want {
-			t.Errorf("workers=1 run=%d: cost counts diverged:\ngot  %+v\nwant %+v",
-				run, got, want)
-		}
-		c := costOf(t, 4)
-		if c.StatesExpanded != ref.StatesExpanded ||
-			c.EscalationAttempts != ref.EscalationAttempts ||
-			c.DegradationLevel != ref.DegradationLevel {
-			t.Errorf("workers=4 run=%d: semantic counts diverged:\ngot  %+v\nref  %+v",
-				run, c, ref)
-		}
-		if c.CacheMisses < ref.CacheMisses ||
-			c.CompiledMatches+c.FallbackMatches < ref.CompiledMatches+ref.FallbackMatches {
-			t.Errorf("workers=4 run=%d: parallel run did less cache/match work than serial:\ngot  %+v\nref  %+v",
-				run, c, ref)
-		}
-	}
-}
-
-// TestQueryCostDisabled: NoCost turns the ledger off — no cost vector, no
-// accounting work on the query path.
-func TestQueryCostDisabled(t *testing.T) {
-	q := workedExample()
-	q.NoCost = true
-	res, err := q.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Stats == nil {
 		t.Fatal("run attached no stats")
 	}
-	if res.Stats.Cost != nil {
-		t.Fatalf("NoCost run still carries a cost vector: %+v", res.Stats.Cost)
+	return res
+}
+
+// queryCost is the part of a query's cost that must not vary run to run:
+// what the search did, without its wall-clock time.
+type queryCost struct {
+	states, attempts, degradedAt int
+	degraded                     bool
+	cacheHits, cacheMisses       int64
+	compiled, fallback           int64
+}
+
+func costOf(r *Result) queryCost {
+	return queryCost{
+		states: r.StatesExplored, attempts: r.Attempts, degradedAt: r.Stats.DegradedAt,
+		degraded:  r.Degraded,
+		cacheHits: r.Stats.CacheHits, cacheMisses: r.Stats.CacheMisses,
+		compiled: r.Stats.CompiledMatches, fallback: r.Stats.FallbackMatches,
 	}
 }
 
-// BenchmarkCostAccounting pins the ledger's overhead: the "off" and "on"
-// series run the same query, so the delta between them is the full price of
-// cost accounting (two runtime/metrics reads, one getrusage pair, a struct
-// fill). The acceptance criterion is that the delta stays within run-to-run
-// noise; EXPERIMENTS.md records measured numbers.
-func BenchmarkCostAccounting(b *testing.B) {
-	for _, bench := range []struct {
-		name   string
-		noCost bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := workedExample()
-				q.NoCost = bench.noCost
-				if _, err := q.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// TestQueryCostDeterminism pins a query's cost, as Result and its stats
+// report it, tier by tier. Elapsed is wall-clock: merely sanity-bounded. The
+// semantic counts (states explored, escalation attempts, degradation) are
+// deterministic at every worker count — they describe the search, not its
+// schedule. The cache and match counters sit between: identical run to run
+// at Workers=1, but at Workers>1 two workers can race the same cache fill,
+// so those counters are only bounded below by the single-worker figures
+// (racing adds duplicate misses and matches, never removes work).
+func TestQueryCostDeterminism(t *testing.T) {
+	first := runWorked(t, 1)
+	if first.Elapsed <= 0 {
+		t.Errorf("Elapsed = %v, want > 0", first.Elapsed)
+	}
+	ref := costOf(first)
+	if ref.states <= 0 {
+		t.Errorf("StatesExplored = %d, want > 0", ref.states)
+	}
+	if ref.attempts < 1 {
+		t.Errorf("Attempts = %d, want >= 1", ref.attempts)
+	}
+
+	for run := 0; run < 3; run++ {
+		if got := costOf(runWorked(t, 1)); got != ref {
+			t.Errorf("workers=1 run=%d: cost diverged:\ngot  %+v\nwant %+v", run, got, ref)
+		}
+		c := costOf(runWorked(t, 4))
+		if c.states != ref.states || c.attempts != ref.attempts ||
+			c.degraded != ref.degraded || c.degradedAt != ref.degradedAt {
+			t.Errorf("workers=4 run=%d: semantic counts diverged:\ngot  %+v\nref  %+v", run, c, ref)
+		}
+		if c.cacheMisses < ref.cacheMisses || c.compiled+c.fallback < ref.compiled+ref.fallback {
+			t.Errorf("workers=4 run=%d: parallel run did less cache/match work than serial:\ngot  %+v\nref  %+v",
+				run, c, ref)
+		}
 	}
 }

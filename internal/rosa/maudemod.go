@@ -18,12 +18,18 @@ import (
 // real Maude installation.
 //
 // Documented simplifications relative to the Go checker (which remains the
-// source of truth for all reported verdicts): the Maude open rules check
-// the file's permission word but not the parent directory entry; the
-// unprivileged setresuid/setresgid component-wise swaps and the chown
-// owner-group special cases are omitted (the privileged rules are
-// complete); and the Capsicum gate exists as the CapMode object and
-// cap-enter rule but is not woven into every namespace rule's condition.
+// source of truth for all reported verdicts):
+//   - the open rules check the file's permission word but not the parent
+//     directory entry;
+//   - the unprivileged setresuid/setresgid component-wise swaps are omitted
+//     (the privileged rules are complete);
+//   - chown and fchown always need CapChown: the owner's change of a file's
+//     group to its own group (vkernel.MayChown) is omitted;
+//   - bind checks the port (positive, and below 1024 only with
+//     CapNetBindService, as vkernel.MayBind) but not whether another socket
+//     already holds it;
+//   - the Capsicum gate exists as the CapMode object and cap-enter rule but
+//     is not woven into every namespace rule's condition.
 func MaudeModule() string {
 	var b strings.Builder
 	b.WriteString(maudeHeader)
@@ -323,13 +329,16 @@ const maudeRules = `  *** Rule variables.
       Group(R) Group(E) Group(S)
    if CapSetgid in PRV .
 
+  *** kill consumes any permitted signal; only SIGKILL (9) and SIGTERM (15)
+  *** terminate the target.
   crl [kill] :
       kill(PID, TGT, SIG, PRV)
       Process(PID, EUID, RUID, SUID, EGID, RGID, SGID, run, RDF, WRF)
       Process(N, TE, TR, TS, TEG, TRG, TSG, run, TRDF, TWRF)
    => Process(PID, EUID, RUID, SUID, EGID, RGID, SGID, run, RDF, WRF)
-      Process(N, TE, TR, TS, TEG, TRG, TSG, term, TRDF, TWRF)
-   if wildOr(TGT, N) and (SIG == 9 or SIG == 15)
+      Process(N, TE, TR, TS, TEG, TRG, TSG,
+              if SIG == 9 or SIG == 15 then term else run fi, TRDF, TWRF)
+   if wildOr(TGT, N)
       and ((CapKill in PRV) or EUID == TR or EUID == TS or RUID == TR or RUID == TS) .
 
   rl [socket] :
@@ -338,13 +347,15 @@ const maudeRules = `  *** Rule variables.
    => Process(PID, EUID, RUID, SUID, EGID, RGID, SGID, run, RDF, WRF)
       Socket(SID, 0) .
 
+  *** bind: an unbound socket takes a positive port, one below 1024 only
+  *** with CapNetBindService; whether the port is taken is not checked.
   crl [bind] :
       bind(PID, SID, PORT, PRV)
       Process(PID, EUID, RUID, SUID, EGID, RGID, SGID, run, RDF, WRF)
-      Socket(SID, 0)
+      Socket(N, 0)
    => Process(PID, EUID, RUID, SUID, EGID, RGID, SGID, run, RDF, WRF)
-      Socket(SID, PORT)
-   if PORT >= 1024 or CapNetBindService in PRV .
+      Socket(N, PORT)
+   if wildOr(SID, N) and PORT > 0 and (PORT >= 1024 or CapNetBindService in PRV) .
 
   rl [connect] :
       connect(PID, SID, PORT, PRV)

@@ -67,6 +67,23 @@ func TestMaudeModuleStructure(t *testing.T) {
 		}
 	}
 
+	// The rules mirror rules.go's conditions: bind needs a positive port
+	// (vkernel.MayBind), and kill consumes any permitted signal but
+	// terminates the target only on 9 or 15 (killRule).
+	bind := maudeRule(t, src, "bind")
+	for _, want := range []string{"PORT > 0", "PORT >= 1024 or CapNetBindService in PRV", "wildOr(SID, N)"} {
+		if !strings.Contains(bind, want) {
+			t.Errorf("bind rule lacks %q:\n%s", want, bind)
+		}
+	}
+	kill := maudeRule(t, src, "kill")
+	if !strings.Contains(kill, "if SIG == 9 or SIG == 15 then term else run fi") {
+		t.Errorf("kill rule does not terminate on 9 or 15 only:\n%s", kill)
+	}
+	if cond := kill[strings.LastIndex(kill, "\n   if "):]; strings.Contains(cond, "SIG") {
+		t.Errorf("kill rule's condition gates on the signal:\n%s", cond)
+	}
+
 	// Balanced parentheses — a cheap syntactic sanity check over the whole
 	// module.
 	depth := 0
@@ -84,6 +101,21 @@ func TestMaudeModuleStructure(t *testing.T) {
 	if depth != 0 {
 		t.Fatalf("unbalanced parentheses (depth %d at end)", depth)
 	}
+}
+
+// maudeRule returns the text of the module's rule labelled name, from its
+// label to the terminating " .".
+func maudeRule(t *testing.T, src, name string) string {
+	t.Helper()
+	i := strings.Index(src, "rl ["+name+"] :")
+	if i < 0 {
+		t.Fatalf("no rule labelled %s", name)
+	}
+	end := strings.Index(src[i:], " .\n")
+	if end < 0 {
+		t.Fatalf("rule %s is not terminated", name)
+	}
+	return src[i : i+end]
 }
 
 func TestMaudeModuleStatementTermination(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"privanalyzer/internal/obs"
 	"privanalyzer/internal/rewrite"
 	"privanalyzer/internal/telemetry"
 )
@@ -206,13 +205,6 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 	}
 
 	init := q.InitialState()
-	// Cost ledger: the meter brackets the whole query — every escalation
-	// rung — and the engine counters are filled from the final attempt's
-	// stats below. The zero Meter (NoCost) is inert and Stop returns nil.
-	var meter obs.Meter
-	if !opts.NoCost {
-		meter = obs.Start()
-	}
 	start := time.Now()
 	var sr *rewrite.SearchResult
 	var searchErr error
@@ -285,23 +277,6 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 	if res.Degraded {
 		reg.Counter("rosa_degraded_total").Add(1)
 	}
-	if cost := meter.Stop(); cost != nil && res.Stats != nil {
-		cost.StatesExpanded = res.StatesExplored
-		cost.EscalationAttempts = attempts
-		cost.CacheHits = res.Stats.CacheHits
-		cost.CacheMisses = res.Stats.CacheMisses
-		cost.CompiledMatches = res.Stats.CompiledMatches
-		cost.FallbackMatches = res.Stats.FallbackMatches
-		switch {
-		case res.Degraded:
-			cost.DegradationLevel = obs.DegradeStopped
-		case res.Stats.DegradedAt > 0:
-			cost.DegradationLevel = obs.DegradeCacheShed
-		}
-		res.Stats.Cost = cost
-		reg.Timer("rosa_query_cpu_ns").Observe(time.Duration(cost.CPUNS))
-		reg.Histogram("rosa_query_alloc_bytes").Observe(cost.AllocBytes)
-	}
 	telemetry.Logger(ctx).Debug("rosa query done",
 		"component", "rosa",
 		"verdict", res.Verdict.metricName(),
@@ -328,10 +303,8 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 		if st.CompiledRules > 0 {
 			reg.Gauge("rosa_compiled_rules").Set(int64(st.CompiledRules))
 		}
-		if st.InternerSize > 0 {
-			reg.Gauge("rosa_interner_terms").Set(st.InternerSize)
-		}
 	}
+	reg.Gauge("rosa_interner_terms").Set(rewrite.InternerSize())
 	return res, nil
 }
 

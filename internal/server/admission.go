@@ -4,9 +4,8 @@ package server
 // queue-depth bound (pool.depth) caps how many requests can wait; this file
 // caps how much *work* they are allowed to represent. Every admitted request
 // carries an estimated cost — a per-kind exponentially-weighted moving
-// average over the observed wall cost of finished requests, seeded by the
-// obs.QueryCost ledger (the same measurement the slow-query journal ranks
-// by) — and the gate rejects when the estimated backlog would exceed the
+// average over the observed wall time of finished requests (the same figure
+// the slow-query journal ranks by) — and the gate rejects when the estimated backlog would exceed the
 // configured budget. A rejection is a structured 429 envelope
 // ("admission_rejected") carrying retry_after_ms derived from the current
 // queue-wait p95, so a well-behaved client backs off by exactly the amount
@@ -110,9 +109,8 @@ func (a *Admission) Admit(kind string) (t *ticket, ok bool) {
 	return &ticket{a: a, cost: cost}, true
 }
 
-// Observe feeds one finished request's measured wall cost into the kind's
-// estimate. Called with the cost ledger's WallNS when the request carried
-// one, or the server's own wall measurement otherwise.
+// Observe feeds one finished request's measured wall time into the kind's
+// estimate (Server.execute; the slow-query journal records the same figure).
 func (a *Admission) Observe(kind string, wall time.Duration) {
 	if wall <= 0 {
 		return

@@ -85,7 +85,10 @@ func TestChaosPanicBecomes500Envelope(t *testing.T) {
 func TestChaosStalledWorkerNeverBlocksDrain(t *testing.T) {
 	plan := &faultinject.ServerPlan{StallAtRequest: 1, StallFor: 10 * time.Second}
 	s := New(Config{Concurrency: 1, DrainTimeout: 200 * time.Millisecond, ServerFaults: plan})
-	go s.run(context.Background(), "query", 0, 0, func(context.Context) error { return nil })
+	go s.run(context.Background(), &prepared{
+		kind: "query",
+		run:  func(context.Context, *jobObserver) (any, *slowEntry, error) { return nil, nil, nil },
+	})
 	deadline := time.Now().Add(5 * time.Second)
 	for plan.Requests() == 0 {
 		if time.Now().After(deadline) {

@@ -35,11 +35,6 @@ func normalize(t *testing.T, raw []byte) []byte {
 			if q.Stats != nil {
 				q.Stats.StatesPerSec = 0
 				q.Stats.ElapsedNS = 0
-				if c := q.Stats.Cost; c != nil {
-					// The ledger's resource fields are wall-clock-class;
-					// its counts stay in the comparison.
-					c.WallNS, c.CPUNS, c.AllocBytes = 0, 0, 0
-				}
 			}
 		}
 	}

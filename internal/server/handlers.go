@@ -12,7 +12,6 @@ import (
 	"privanalyzer/internal/api"
 	"privanalyzer/internal/cmdutil"
 	"privanalyzer/internal/core"
-	"privanalyzer/internal/obs"
 	"privanalyzer/internal/programs"
 )
 
@@ -139,7 +138,9 @@ type prepared struct {
 	// queue wait counts against it, unlike timeout, which starts at worker
 	// pickup. Clamped by Config.MaxDeadline; 0 = none.
 	deadline time.Duration
-	run      func(ctx context.Context, watch *jobObserver) (any, error)
+	// run returns the response value and the request's slow-query journal
+	// entry (label, verdicts and counts; Server.execute adds the wall time).
+	run func(ctx context.Context, watch *jobObserver) (any, *slowEntry, error)
 }
 
 // effectiveDeadline clamps the request's deadline_ms to the server cap:
@@ -181,7 +182,7 @@ func (s *Server) prepareAnalyze(req api.AnalyzeRequest) (*prepared, *requestErro
 		priority: req.Priority,
 		timeout:  req.Search.Timeout.Std(),
 		deadline: s.effectiveDeadline(req.Search),
-		run: func(ctx context.Context, watch *jobObserver) (any, error) {
+		run: func(ctx context.Context, watch *jobObserver) (any, *slowEntry, error) {
 			o := opts
 			watch.attach(&o.Search)
 			// Brownout degrade-search: force the escalation ladder to start
@@ -192,10 +193,10 @@ func (s *Server) prepareAnalyze(req api.AnalyzeRequest) (*prepared, *requestErro
 			}
 			a, err := core.AnalyzeContext(ctx, p, o)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			s.recordSlow(ctx, "analyze", p.Name, analysisVerdicts(a), analysisCost(a))
-			return api.FromAnalysis(a, req.Search.Stats), nil
+			slow := &slowEntry{label: p.Name, verdicts: analysisVerdicts(a), cost: api.CostOf(a, nil)}
+			return api.FromAnalysis(a, req.Search.Stats), slow, nil
 		},
 	}, nil
 }
@@ -224,23 +225,21 @@ func (s *Server) prepareQuery(req api.QueryRequest) (*prepared, *requestError) {
 		priority: req.Priority,
 		timeout:  req.Search.Timeout.Std(),
 		deadline: s.effectiveDeadline(req.Search),
-		run: func(ctx context.Context, watch *jobObserver) (any, error) {
+		run: func(ctx context.Context, watch *jobObserver) (any, *slowEntry, error) {
 			watch.attach(&q.Options)
 			if s.degradeSearch() && !q.Options.NoEscalate {
 				q.Options.Escalate.Start = clampEscalateStart(q.Options.Escalate.Start)
 			}
 			res, err := checker.Run(ctx, q)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			if res.Stats != nil {
-				s.recordSlow(ctx, "query", desc, res.Verdict.String(), res.Stats.Cost)
-			}
+			slow := &slowEntry{label: desc, verdicts: res.Verdict.String(), cost: api.CostOf(nil, res)}
 			return api.QueryResponse{
 				APIVersion:  api.Version,
 				Description: desc,
 				Result:      api.FromResult(req.Attack, res, req.Search.Stats),
-			}, nil
+			}, slow, nil
 		},
 	}, nil
 }
@@ -258,12 +257,7 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, p *prepared) 
 		ctx, cancel = context.WithTimeout(ctx, p.deadline)
 		defer cancel()
 	}
-	var resp any
-	err := s.run(ctx, p.kind, p.priority, p.timeout, func(ctx context.Context) error {
-		v, err := p.run(ctx, nil)
-		resp = v
-		return err
-	})
+	resp, err := s.run(ctx, p)
 	if err != nil {
 		s.runError(w, err)
 		return
@@ -300,24 +294,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveSync(w, r, p)
-}
-
-// analysisCost sums the cost vectors of every query an analysis ran. Nil
-// when no query carried one (the request disabled the ledger).
-func analysisCost(a *core.Analysis) *obs.QueryCost {
-	var total *obs.QueryCost
-	for i := range a.Phases {
-		for _, st := range a.Phases[i].Stats {
-			if st == nil || st.Cost == nil {
-				continue
-			}
-			if total == nil {
-				total = &obs.QueryCost{}
-			}
-			total.Add(st.Cost)
-		}
-	}
-	return total
 }
 
 // analysisVerdicts renders an analysis's verdict grid as one glyph string in
@@ -368,7 +344,7 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 			Priority:    e.priority,
 			QueueWaitNS: e.queueWaitNS,
 			Verdicts:    e.verdicts,
-			Cost:        *api.FromQueryCost(&e.cost),
+			Cost:        e.cost,
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

@@ -420,7 +420,6 @@ func (s *Server) execJob(j *jobRecord, p *prepared, tkt *ticket) {
 		interval: s.cfg.JobStatsInterval,
 		onStats:  func(st *rewrite.SearchStats) { j.setStats(api.FromSearchStats(st)) },
 	}
-	started := time.Now()
 	v, err := func() (v any, err error) {
 		// A panic escaping the engine's own isolation resolves the job with
 		// a terminal internal error — the SSE stream ends with an error
@@ -430,10 +429,8 @@ func (s *Server) execJob(j *jobRecord, p *prepared, tkt *ticket) {
 				err = fmt.Errorf("%w: %v", ErrWorkerPanic, rec)
 			}
 		}()
-		s.cfg.ServerFaults.BeforeExecute()
-		return p.run(ctx, watch)
+		return s.execute(ctx, p, watch)
 	}()
-	s.observeCost(p.kind, meta, time.Since(started))
 	var buf bytes.Buffer
 	if err == nil {
 		err = api.Encode(&buf, v)

@@ -20,10 +20,6 @@ import (
 type reqMeta struct {
 	queueWaitNS atomic.Int64
 	priority    atomic.Int64
-	// costObserved flips when the request's ledger cost reached the
-	// admission estimator (recordSlow), so the server's outer wall
-	// measurement is only used as the fallback signal.
-	costObserved atomic.Bool
 }
 
 type reqMetaKey struct{}

@@ -58,11 +58,10 @@ type Config struct {
 	// completed depth level.
 	JobStatsInterval time.Duration
 	// SlowLog bounds the slow-query journal (GET /v1/slowlog): the top-K
-	// costliest requests are retained. 0 = 32. Requests running with the
-	// cost ledger disabled (no_cost) never enter the journal.
+	// costliest requests are retained. 0 = 32.
 	SlowLog int
 	// MaxQueueCost bounds the estimated backlog the server will hold: the
-	// sum of per-kind EWMA cost estimates (fed by the obs.QueryCost ledger)
+	// sum of per-kind EWMA cost estimates (fed by each request's wall time)
 	// over admitted-but-unfinished requests. Over-budget work is rejected
 	// with a 429 "admission_rejected" envelope carrying retry_after_ms
 	// derived from the current queue-wait p95. 0 disables the cost gate
@@ -254,35 +253,45 @@ func (s *Server) Close() {
 	s.brown.close()
 }
 
-// observeCost feeds one finished request's wall time into the admission
-// estimator — unless the request's ledger cost already did (recordSlow), in
-// which case the finer measurement wins.
-func (s *Server) observeCost(kind string, meta *reqMeta, wall time.Duration) {
-	if meta != nil && meta.costObserved.Load() {
-		return
+// execute runs p on the calling pool worker. Its wall time, from pickup to
+// the response value (an injected stall included), is measured once, and
+// that one figure feeds both the admission estimator and the slow-query
+// journal.
+func (s *Server) execute(ctx context.Context, p *prepared, watch *jobObserver) (any, error) {
+	started := time.Now()
+	s.cfg.ServerFaults.BeforeExecute()
+	v, slow, err := p.run(ctx, watch)
+	wall := time.Since(started)
+	s.adm.Observe(p.kind, wall)
+	if slow != nil {
+		slow.cost.WallNS = wall.Nanoseconds()
+		s.recordSlow(ctx, p.kind, slow)
 	}
-	s.adm.Observe(kind, wall)
+	return v, err
 }
 
-// run pushes fn through admission and the queue and executes it with the
+// run pushes p through admission and the queue and executes it with the
 // server's telemetry context and the effective request timeout. The
 // returned error is a *RejectError on admission rejection,
 // ErrSaturated/ErrClosed/ErrShutdown on queue rejection or drain abort, the
 // waiter's context error on pre-execution cancellation (client disconnect,
-// deadline expiry in queue), or fn's own error. Panics escaping fn resolve
+// deadline expiry in queue), or p's own error. Panics escaping p resolve
 // to an ErrWorkerPanic-wrapped error, never a hung connection.
-func (s *Server) run(parent context.Context, kind string, priority int, timeout time.Duration, fn func(context.Context) error) error {
+func (s *Server) run(parent context.Context, p *prepared) (any, error) {
 	s.reg.Counter("server_requests_total").Add(1)
-	tkt, rej := s.admit(kind, priority)
+	tkt, rej := s.admit(p.kind, p.priority)
 	if rej != nil {
-		return rej
+		return nil, rej
 	}
 	pending, inflight := s.pool.stats()
 	s.reg.Gauge("server_queue_pending").Set(int64(pending))
 	s.reg.Gauge("server_queue_inflight").Set(int64(inflight))
-	var err error
+	var (
+		v   any
+		err error
+	)
 	submitted := time.Now()
-	submitErr := s.pool.submit(parent, priority, func() {
+	submitErr := s.pool.submit(parent, p.priority, func() {
 		defer tkt.release()
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -295,7 +304,7 @@ func (s *Server) run(parent context.Context, kind string, priority int, timeout 
 		meta := reqMetaFrom(parent)
 		if meta != nil {
 			meta.queueWaitNS.Store(time.Since(submitted).Nanoseconds())
-			meta.priority.Store(int64(priority))
+			meta.priority.Store(int64(p.priority))
 		}
 		ctx := telemetry.NewContext(parent, s.reg)
 		lg := s.log
@@ -303,6 +312,7 @@ func (s *Server) run(parent context.Context, kind string, priority int, timeout 
 			lg = lg.With("request_id", id)
 		}
 		ctx = telemetry.WithLogger(ctx, lg)
+		timeout := p.timeout
 		if timeout <= 0 {
 			timeout = s.cfg.RequestTimeout
 		}
@@ -311,10 +321,7 @@ func (s *Server) run(parent context.Context, kind string, priority int, timeout 
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		started := time.Now()
-		s.cfg.ServerFaults.BeforeExecute()
-		err = fn(ctx)
-		s.observeCost(kind, meta, time.Since(started))
+		v, err = s.execute(ctx, p, nil)
 	})
 	if submitErr != nil {
 		tkt.release()
@@ -326,9 +333,9 @@ func (s *Server) run(parent context.Context, kind string, priority int, timeout 
 		case errors.Is(submitErr, context.DeadlineExceeded):
 			s.countShed("deadline")
 		}
-		return submitErr
+		return nil, submitErr
 	}
-	return err
+	return v, err
 }
 
 // Serve accepts on ln until ctx cancels, then drains: admissions stop,

@@ -2,8 +2,8 @@ package server
 
 // The slow-query journal: a bounded, concurrency-safe record of the top-K
 // costliest requests the server has run, queryable on GET /v1/slowlog. Every
-// costed request (analyze or query, synchronous or job) offers its
-// aggregated cost vector after execution; the journal keeps the K with the
+// request that produced results (analyze or query, synchronous or job)
+// offers its cost vector after execution; the journal keeps the K with the
 // highest wall cost, evicting the cheapest — and among equal costs the
 // oldest — so a burst of expensive queries never wedges the journal on
 // ancient entries. Entries carry the full request identity (kind, label,
@@ -17,7 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"privanalyzer/internal/obs"
+	"privanalyzer/internal/api"
 	"privanalyzer/internal/telemetry"
 )
 
@@ -34,7 +34,7 @@ type slowEntry struct {
 	priority    int
 	queueWaitNS int64
 	verdicts    string
-	cost        obs.QueryCost
+	cost        api.QueryCost
 
 	index int // heap slot
 }
@@ -144,36 +144,21 @@ func (l *slowLog) size() int {
 	return len(l.h)
 }
 
-// recordSlow offers one finished request to the journal: the prepared.run
-// closures call it with the request's aggregated cost vector, so synchronous
-// endpoints and async jobs feed the same journal. A nil cost (the request
-// ran with no_cost, or the analysis produced no stats) records nothing.
-// Admissions are summarized in the access/structured log with the request's
-// correlation id, so a slowlog row and its log records join up.
-func (s *Server) recordSlow(ctx context.Context, kind, label, verdicts string, cost *obs.QueryCost) {
-	if cost == nil {
-		return
-	}
-	// The ledger's wall measurement is the admission gate's cost model: feed
-	// the per-kind estimate and mark the request observed so the server's
-	// coarser outer wall measurement doesn't double-count it.
-	s.adm.Observe(kind, time.Duration(cost.WallNS))
-	if m := reqMetaFrom(ctx); m != nil {
-		m.costObserved.Store(true)
-	}
-	e := slowEntry{
-		time:      time.Now(),
-		kind:      kind,
-		label:     label,
-		requestID: telemetry.RequestID(ctx),
-		verdicts:  verdicts,
-		cost:      *cost,
-	}
+// recordSlow offers one finished request to the journal: Server.execute
+// calls it with the entry the request's prepared.run returned, its wall time
+// filled in, so synchronous endpoints and async jobs feed the same journal.
+// This fills in the request's identity. Admissions are summarized in the
+// access/structured log with the request's correlation id, so a slowlog row
+// and its log records join up.
+func (s *Server) recordSlow(ctx context.Context, kind string, e *slowEntry) {
+	e.time = time.Now()
+	e.kind = kind
+	e.requestID = telemetry.RequestID(ctx)
 	if m := reqMetaFrom(ctx); m != nil {
 		e.priority = int(m.priority.Load())
 		e.queueWaitNS = m.queueWaitNS.Load()
 	}
-	if !s.slow.record(e) {
+	if !s.slow.record(*e) {
 		return
 	}
 	s.reg.Counter("server_slowlog_admitted_total").Add(1)
@@ -181,11 +166,9 @@ func (s *Server) recordSlow(ctx context.Context, kind, label, verdicts string, c
 	telemetry.Logger(ctx).Info("slow query admitted",
 		"component", "server",
 		"kind", kind,
-		"label", label,
-		"verdicts", verdicts,
+		"label", e.label,
+		"verdicts", e.verdicts,
 		"wall_ns", e.cost.WallNS,
-		"cpu_ns", e.cost.CPUNS,
-		"alloc_bytes", e.cost.AllocBytes,
 		"states", e.cost.StatesExpanded,
 		"queue_wait_ns", e.queueWaitNS,
 		"priority", e.priority)

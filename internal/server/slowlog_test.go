@@ -10,12 +10,11 @@ import (
 	"testing"
 
 	"privanalyzer/internal/api"
-	"privanalyzer/internal/obs"
 	"privanalyzer/internal/telemetry"
 )
 
-func slowCost(wallNS int64) obs.QueryCost {
-	return obs.QueryCost{WallNS: wallNS, StatesExpanded: 1}
+func slowCost(wallNS int64) api.QueryCost {
+	return api.QueryCost{WallNS: wallNS, StatesExpanded: 1}
 }
 
 // TestSlowLogEviction pins the journal's retention policy: top-K by wall
@@ -205,9 +204,10 @@ func TestSlowLogEndpoint(t *testing.T) {
 	}
 }
 
-// TestSlowLogSkipsUncostedRequests: a no_cost request produces no journal
-// entry — the disabled path is genuinely free.
-func TestSlowLogSkipsUncostedRequests(t *testing.T) {
+// TestSlowLogRecordsNoCostRequests: no_cost is an accepted no-op, so a
+// request that sets it is costed like any other and enters the journal with
+// its wall time and state count.
+func TestSlowLogRecordsNoCostRequests(t *testing.T) {
 	reg := telemetry.New()
 	s := New(Config{Concurrency: 1, Registry: reg})
 	ts := httptest.NewServer(s.Handler())
@@ -226,9 +226,11 @@ func TestSlowLogSkipsUncostedRequests(t *testing.T) {
 	if err := json.Unmarshal(body2, &sl); err != nil {
 		t.Fatal(err)
 	}
-	if len(sl.Entries) != 0 || sl.Admitted != 0 {
-		t.Errorf("no_cost analyze reached the journal: admitted=%d entries=%d",
-			sl.Admitted, len(sl.Entries))
+	if len(sl.Entries) != 1 || sl.Admitted != 1 {
+		t.Fatalf("no_cost analyze: admitted=%d entries=%d, want 1 and 1", sl.Admitted, len(sl.Entries))
+	}
+	if c := sl.Entries[0].Cost; c.WallNS <= 0 || c.StatesExpanded <= 0 {
+		t.Errorf("no_cost analyze journaled without its cost: %+v", c)
 	}
 }
 
@@ -285,6 +287,16 @@ func TestMetricsJSONShape(t *testing.T) {
 	for _, name := range []string{"process_gc_pause_ns", "process_sched_latency_ns"} {
 		if _, ok := m.Histograms[name]; !ok {
 			t.Errorf("histogram %q missing from the snapshot", name)
+		}
+	}
+	// The interner gauge reads the process-wide table directly; per-query
+	// process CPU and allocation deltas are not metrics.
+	if m.Gauges["rosa_interner_terms"] <= 0 {
+		t.Errorf("rosa_interner_terms = %d, want > 0 after an analyze", m.Gauges["rosa_interner_terms"])
+	}
+	for _, name := range []string{"rosa_query_cpu_ns", "rosa_query_alloc_bytes"} {
+		if _, ok := m.Histograms[name]; ok {
+			t.Errorf("histogram %q is still reported", name)
 		}
 	}
 	for name, h := range m.Histograms {

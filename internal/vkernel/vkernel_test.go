@@ -178,6 +178,23 @@ func TestSetuidSyscalls(t *testing.T) {
 	}
 }
 
+// TestSetidWildArgumentFails: setuid, setgid, seteuid and setegid with -1
+// fail (EINVAL on Linux) even with CAP_SETUID and CAP_SETGID raised, and
+// leave the credentials unchanged.
+func TestSetidWildArgumentFails(t *testing.T) {
+	for _, call := range []string{"setuid", "setgid", "seteuid", "setegid"} {
+		k := newTestKernel(t, raised(1000, 1000, caps.NewSet(caps.CapSetuid, caps.CapSetgid)))
+		before := k.Current().Creds
+		ret, err := k.Invoke(call, []Arg{IntArg(caps.WildID)})
+		if err != nil || ret != -1 {
+			t.Errorf("%s(-1): ret=%d err=%v, want -1 and no abort", call, ret, err)
+		}
+		if c := k.Current().Creds; c != before {
+			t.Errorf("%s(-1) changed the credentials: %s", call, c.String())
+		}
+	}
+}
+
 func TestBindPrivilegedPort(t *testing.T) {
 	t.Run("without cap", func(t *testing.T) {
 		k := newTestKernel(t, raised(1000, 1000, 0))
