@@ -92,7 +92,7 @@ func run(args []string) int {
 	rt := chronopriv.NewRuntime(k)
 	res, err := interp.Run(ares.Module, k, interp.Options{
 		MainArgs: p.MainArgs,
-		OnStep:   rt.OnStep,
+		OnSteps:  rt.OnSteps,
 		Profile:  *hotCount > 0,
 		Logger:   logger,
 	})

@@ -60,7 +60,7 @@ type Options struct {
 	// ProfileBlocks runs the ChronoPriv measurement with the interpreter's
 	// hot-block profile enabled and reports it in Analysis.HotBlocks; the
 	// -trace-out exporter turns it into counter tracks. Costs one slice
-	// increment per counted instruction.
+	// update per charged segment or counted loop (interp.Options.Profile).
 	ProfileBlocks bool
 }
 

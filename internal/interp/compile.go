@@ -9,7 +9,7 @@ import (
 // The interpreter pre-compiles each function before execution: virtual
 // registers get dense integer slots, branch targets become block indices,
 // direct callees become *cfunc pointers, and operands are resolved once.
-// Two further steps cut the per-instruction cost that dominates the paper's
+// Four further steps cut the per-instruction cost that dominates the paper's
 // largest workload (sshd's ~63M dynamic instructions, Table III):
 //
 //   - Segments. Each block is split into straight-line segments, ending
@@ -32,6 +32,19 @@ import (
 //     dead instruction raises no error, and the value it would have written
 //     is read only by other dead instructions of the same segment, which
 //     run or are skipped together with it.
+//   - Counted loops. A loop whose header is exactly c = cmp lt i, n;
+//     br c, body, exit and whose body is one segment of dead filler, the
+//     increment i = i + k (k > 0) and jmp header is marked on its header
+//     (see markLoops), and a charged run takes it in closed form
+//     (machine.countedLoop): trip = ceil((n - i) / k) iterations charge
+//     trip × (header + body) + header at once, i ends at i + trip × k and
+//     c at 0. Exactness rests on three guards. The loop is stepped when the
+//     remaining fuel is below the charge, so ErrOutOfFuel names the same
+//     instruction; when i + trip × k or the charge would overflow int64,
+//     where stepping wraps i; and when i or n is not an integer, where
+//     stepping raises the error. Nothing else in the loop can fail, so it
+//     never owes a refund; a profiled run adds (trip + 1) × header and
+//     trip × body to the two blocks' counters, as stepping would.
 
 // copKind is the opcode of a compiled instruction.
 type copKind uint8
@@ -98,6 +111,16 @@ func endsSegment(op copKind) bool {
 type cblock struct {
 	b      *ir.Block
 	instrs []cinstr
+	loop   *cloop // set when the block heads a counted loop (markLoops)
+}
+
+// cloop is a counted loop, held by its header block (see markLoops).
+type cloop struct {
+	i, c       int   // induction and condition register slots
+	n          cval  // bound: an immediate or a register the loop never writes
+	k          int64 // step, > 0
+	body, exit int   // block indices
+	head, per  int64 // counted length of the header, and of header plus body
 }
 
 // cfunc is a compiled function.
@@ -258,6 +281,7 @@ func compileFunc(cf *cfunc, code map[string]*cfunc) error {
 	}
 	cf.nregs = len(slots)
 	markDead(cf)
+	markLoops(cf)
 	return nil
 }
 
@@ -386,5 +410,62 @@ func markDead(cf *cfunc) {
 				next = ii
 			}
 		}
+	}
+}
+
+// markLoops marks cf's counted loops on their header blocks. A header is a
+// block of exactly
+//
+//	c = cmp lt i, n
+//	br c, body, exit
+//
+// with i, c and a register n all distinct, and body, exit and the header
+// three different blocks. The body must be a single segment ending in
+// jmp header in which every instruction but the jmp is dead except one,
+// the increment i = i + k with an immediate k > 0 (cAddRI).
+//
+// Such a loop writes no register but i and c: a dead instruction never
+// writes i, n or c, because the kept cmp and br read them (markDead). It
+// holds no call, syscall or unreachable, so its phase cannot change, and
+// once i and n hold integers none of its instructions can fail. Its run
+// is then fixed by i, n and k alone; machine.countedLoop charges it in
+// closed form.
+func markLoops(cf *cfunc) {
+	for hi := range cf.blocks {
+		h := cf.blocks[hi].instrs
+		if len(h) != 2 || h[0].op != cCmp || h[0].pred != ir.Lt || h[1].op != cBr {
+			continue
+		}
+		cmp, br := &h[0], &h[1]
+		i, c, n := cmp.x.reg, cmp.dst, cmp.y.reg
+		if i < 0 || c < 0 || c == i || br.x.reg != c || n == i || n == c {
+			continue
+		}
+		bi, exit := br.t1, br.t2
+		if bi == hi || exit == hi || exit == bi {
+			continue
+		}
+		body := cf.blocks[bi].instrs
+		if len(body) == 0 || body[0].seg != int64(len(body)) {
+			continue
+		}
+		if last := body[len(body)-1]; last.op != cJmp || last.t1 != hi {
+			continue
+		}
+		k, ok := int64(0), true // k == 0: no increment seen yet
+		for j := range body[:len(body)-1] {
+			switch in := &body[j]; {
+			case in.dead:
+			case k == 0 && in.op == cAddRI && in.dst == i && in.x.reg == i && in.y.val.i > 0:
+				k = in.y.val.i
+			default:
+				ok = false
+			}
+		}
+		if !ok || k == 0 {
+			continue
+		}
+		cf.blocks[hi].loop = &cloop{i: i, c: c, n: cmp.y, k: k, body: bi, exit: exit,
+			head: h[0].seg, per: h[0].seg + body[0].seg}
 	}
 }

@@ -7,15 +7,25 @@
 // capability and DAC semantics the ROSA model checker reasons about.
 //
 // Functions are pre-compiled to a register-slot form (see compile.go) and
-// charged one straight-line segment at a time, so that the paper's largest
-// dynamic workload — sshd's ~63M instructions in Table III — executes in
-// well under a second.
+// charged one straight-line segment at a time, skipping dead filler, and a
+// counted loop (cmp lt i, n; an increment i += k and dead filler) is
+// charged in closed form: trip × (header + body) + header instructions in
+// one step. The counts are exact at every edge: a loop is stepped instead
+// when the remaining fuel is below its charge (so ErrOutOfFuel names the
+// same instruction), when i + trip × k or the charge would overflow int64,
+// when i or n is not an integer, and whenever OnStep or Intercept is set;
+// nothing in such a loop can fail, so it never owes a refund; and the hot-
+// block profile gets the per-block counts stepping would leave. The
+// paper's largest dynamic workload, sshd's ~63M instructions in Table III,
+// executes in a few milliseconds, because its count is almost all padding
+// loops (programs.work).
 package interp
 
 import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"time"
 
 	"privanalyzer/internal/caps"
@@ -58,9 +68,10 @@ type Options struct {
 	Fuel int64
 	// MainArgs binds the parameters of main, in order; missing ones are 0.
 	MainArgs []int64
-	// OnStep, if set, observes every counted instruction. Setting it,
-	// Intercept or Profile makes the run charge instructions one at a time
-	// rather than a straight-line segment at once: same counts, more cost.
+	// OnStep, if set, observes every counted instruction. Setting it or
+	// Intercept makes the run charge instructions one at a time rather
+	// than a straight-line segment or a counted loop at once: same counts,
+	// more cost.
 	OnStep StepHook
 	// OnSteps, if set, observes counted instructions in batches: it fires
 	// at every phase boundary (credentials change only inside syscalls) and
@@ -73,8 +84,11 @@ type Options struct {
 	// Intercepted syscalls are not counted as executed instructions.
 	Intercept Interceptor
 	// Profile collects the hot-block profile (counted instructions per
-	// basic block), reported in Result.Profile. The cost is per-instruction
-	// charging (see OnStep) plus one slice increment per instruction.
+	// basic block), reported in Result.Profile. It keeps segment and
+	// counted-loop charging, adding one slice update per charge: a
+	// segment head adds the segment's length to its block, a counted loop
+	// adds its header's and its body's totals, and a failure takes back
+	// what never ran. The counts equal a per-instruction run's.
 	Profile bool
 	// Logger, if set, receives a debug record when the run finishes (steps,
 	// elapsed time, exit mode). Nil keeps the interpreter silent.
@@ -127,9 +141,13 @@ type machine struct {
 	depth  int
 	exited bool
 	prof   *BlockProfile // nil unless Options.Profile
-	// perInstr makes every segment charge per instruction: OnStep, Intercept
-	// and Profile each need to see instructions one at a time.
+	// perInstr makes every segment charge per instruction and every
+	// counted loop step: OnStep and Intercept each need to see
+	// instructions one at a time.
 	perInstr bool
+	// loopsClosed and loopsStepped count the counted-loop header entries
+	// charged in closed form and those stepped instead.
+	loopsClosed, loopsStepped int64
 
 	// phase caches the current process's measurement phase. Credentials
 	// change only inside kernel syscalls, so the cache is refreshed after
@@ -162,22 +180,29 @@ func (vm *machine) syncPhase() {
 // Run executes module m's main function on kernel k. The kernel must have a
 // current process (the program under measurement). The module must verify.
 func Run(m *ir.Module, k *vkernel.Kernel, opts Options) (*Result, error) {
+	res, _, err := execute(m, k, opts)
+	return res, err
+}
+
+// execute is Run that also returns the machine, once execution has begun, so
+// tests can read its loop counters and a failed run's profile.
+func execute(m *ir.Module, k *vkernel.Kernel, opts Options) (*Result, *machine, error) {
 	if err := m.Verify(); err != nil {
-		return nil, fmt.Errorf("interp: %w", err)
+		return nil, nil, fmt.Errorf("interp: %w", err)
 	}
 	main := m.Main()
 	if main == nil {
-		return nil, fmt.Errorf("%w: module %q has no main", ErrRuntime, m.Name)
+		return nil, nil, fmt.Errorf("%w: module %q has no main", ErrRuntime, m.Name)
 	}
 	if k.Current() == nil {
-		return nil, fmt.Errorf("%w: kernel has no current process", ErrRuntime)
+		return nil, nil, fmt.Errorf("%w: kernel has no current process", ErrRuntime)
 	}
 	code, err := compileModule(m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	vm := &machine{m: m, code: code, k: k, opts: opts, fuel: opts.Fuel,
-		perInstr: opts.OnStep != nil || opts.Intercept != nil || opts.Profile}
+		perInstr: opts.OnStep != nil || opts.Intercept != nil}
 	vm.phase = k.Current().Creds.Phase()
 	if vm.fuel <= 0 {
 		vm.fuel = defaultFuel
@@ -198,7 +223,7 @@ func Run(m *ir.Module, k *vkernel.Kernel, opts Options) (*Result, error) {
 	ret, err := vm.call(cf, args)
 	vm.flushSteps()
 	if err != nil {
-		return nil, err
+		return nil, vm, err
 	}
 	res := &Result{Steps: vm.steps, Exited: vm.exited, Profile: vm.prof, Elapsed: time.Since(began)}
 	if ret.kind == rInt {
@@ -212,7 +237,7 @@ func Run(m *ir.Module, k *vkernel.Kernel, opts Options) (*Result, error) {
 			"exited", res.Exited,
 			"elapsed", res.Elapsed)
 	}
-	return res, nil
+	return res, vm, nil
 }
 
 // eval resolves a pre-compiled operand. It is small enough to inline; the
@@ -262,7 +287,8 @@ func setInt(r *rval, v int64) {
 // through a charged segment refunds the instructions that never ran, so
 // Steps and the OnSteps totals match per-instruction charging exactly. A
 // charged segment skips its dead instructions; a segment charged per
-// instruction executes every one.
+// instruction executes every one. On the same condition, entering a
+// counted loop's header charges the whole loop at once (countedLoop).
 func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 	if vm.depth >= maxCallDepth {
 		return rval{}, fmt.Errorf("%w: call depth exceeded in @%s", ErrRuntime, cf.fn.Name)
@@ -289,6 +315,16 @@ func (vm *machine) call(cf *cfunc, args []rval) (rval, error) {
 block:
 	for {
 		cb := &cf.blocks[bi]
+		if lp := cb.loop; lp != nil && !vm.perInstr {
+			if trip, ok := vm.countedLoop(lp, regs); ok {
+				if bcounts != nil {
+					bcounts[bi] += (trip + 1) * lp.head
+					bcounts[lp.body] += trip * (lp.per - lp.head)
+				}
+				bi = lp.exit
+				continue
+			}
+		}
 		for ii := 0; ii < len(cb.instrs); {
 			in := &cb.instrs[ii]
 
@@ -296,6 +332,9 @@ block:
 				charged = !vm.perInstr && vm.fuel-vm.steps >= in.seg
 				if charged {
 					vm.steps += in.seg
+					if bcounts != nil {
+						bcounts[bi] += in.seg
+					}
 					if in.dead {
 						ii = in.next
 						continue
@@ -345,7 +384,7 @@ block:
 				if r := &regs[in.x.reg]; r.kind == rInt {
 					setInt(&regs[in.dst], r.i+in.y.val.i)
 				} else if err := vm.binGeneric(in, regs, cf); err != nil {
-					return rval{}, vm.refund(in, charged, err)
+					return rval{}, vm.refund(in, charged, bcounts, bi, err)
 				}
 			case cBin:
 				xi, xk := intOperand(&in.x, regs)
@@ -353,13 +392,13 @@ block:
 				if xk == rInt && yk == rInt {
 					v, err := binInt(in.bin, xi, yi)
 					if err != nil {
-						return rval{}, vm.refund(in, charged, err)
+						return rval{}, vm.refund(in, charged, bcounts, bi, err)
 					}
 					if in.dst >= 0 {
 						setInt(&regs[in.dst], v)
 					}
 				} else if err := vm.binGeneric(in, regs, cf); err != nil {
-					return rval{}, vm.refund(in, charged, err)
+					return rval{}, vm.refund(in, charged, bcounts, bi, err)
 				}
 			case cCmp:
 				xi, xk := intOperand(&in.x, regs)
@@ -368,12 +407,12 @@ block:
 					// Re-resolve through eval so undefined registers get
 					// their exact error.
 					if _, err := vm.eval(in.x, regs, cf); err != nil {
-						return rval{}, vm.refund(in, charged, err)
+						return rval{}, vm.refund(in, charged, bcounts, bi, err)
 					}
 					if _, err := vm.eval(in.y, regs, cf); err != nil {
-						return rval{}, vm.refund(in, charged, err)
+						return rval{}, vm.refund(in, charged, bcounts, bi, err)
 					}
-					return rval{}, vm.refund(in, charged, fmt.Errorf("%w: cmp on non-integer operands", ErrRuntime))
+					return rval{}, vm.refund(in, charged, bcounts, bi, fmt.Errorf("%w: cmp on non-integer operands", ErrRuntime))
 				}
 				var b bool
 				switch in.pred {
@@ -390,7 +429,7 @@ block:
 				case ir.Ge:
 					b = xi >= yi
 				default:
-					return rval{}, vm.refund(in, charged, fmt.Errorf("%w: unknown predicate", ErrRuntime))
+					return rval{}, vm.refund(in, charged, bcounts, bi, fmt.Errorf("%w: unknown predicate", ErrRuntime))
 				}
 				if in.dst >= 0 {
 					if b {
@@ -491,13 +530,59 @@ block:
 	}
 }
 
-// refund takes back the part of a segment charge that a failure at in kept
-// from running, and passes err through.
-func (vm *machine) refund(in *cinstr, charged bool, err error) error {
+// refund takes back the part of a segment charge that a failure at in, in
+// block bi, kept from running, from the steps and from the block's profile
+// counter, and passes err through.
+func (vm *machine) refund(in *cinstr, charged bool, bcounts []int64, bi int, err error) error {
 	if charged {
 		vm.steps -= in.rest
+		if bcounts != nil {
+			bcounts[bi] -= in.rest
+		}
 	}
 	return err
+}
+
+// countedLoop charges counted loop lp (compile.go), entered at its header,
+// in closed form and reports its trip count: trip iterations of header and
+// body plus the final header, with i and c left as stepping leaves them,
+// i advanced by trip × k and c = 0. It charges nothing and reports false
+// when the loop must be stepped instead: when i or n does not hold an
+// integer (stepping raises the error), when i + trip × k or the charge
+// would overflow int64 (stepping wraps i), and when the remaining fuel is
+// below the charge, so that ErrOutOfFuel names the instruction it always
+// did. Phases change only inside syscalls, so the whole charge falls in the
+// current OnSteps batch.
+func (vm *machine) countedLoop(lp *cloop, regs []rval) (int64, bool) {
+	r := &regs[lp.i]
+	n, nk := intOperand(&lp.n, regs)
+	if r.kind != rInt || nk != rInt {
+		vm.loopsStepped++
+		return 0, false
+	}
+	var trip uint64
+	if r.i < n {
+		// n − i and MaxInt64 − i are exact in uint64.
+		d, k := uint64(n)-uint64(r.i), uint64(lp.k)
+		trip = d / k
+		if d%k != 0 {
+			trip++
+		}
+		if trip > (math.MaxInt64-uint64(r.i))/k || trip > uint64(math.MaxInt64-lp.head)/uint64(lp.per) {
+			vm.loopsStepped++
+			return 0, false
+		}
+	}
+	charge := int64(trip)*lp.per + lp.head
+	if vm.fuel-vm.steps < charge {
+		vm.loopsStepped++
+		return 0, false
+	}
+	vm.steps += charge
+	setInt(r, r.i+int64(trip)*lp.k)
+	setInt(&regs[lp.c], 0)
+	vm.loopsClosed++
+	return int64(trip), true
 }
 
 // binGeneric is the Bin path for anything but two integers: function-pointer

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"privanalyzer/internal/caps"
@@ -18,6 +19,11 @@ type tally struct {
 	steps   int64                   // Result.Steps, or -1 when the run failed
 	ret     int64                   // Result.Ret
 	err     error
+	// closed counts the counted-loop entries charged in closed form.
+	closed int64
+	// profile is the hot-block profile, also of a failed run; nil unless
+	// the run was profiled.
+	profile []BlockCount
 }
 
 func (tl tally) errText() string {
@@ -29,20 +35,46 @@ func (tl tally) errText() string {
 
 // runTally runs m on a fresh kernel holding perm. With perInstr it also sets
 // OnStep, which charges every instruction on its own; without it the run
-// charges whole segments, as ChronoPriv's measurement does.
-func runTally(m *ir.Module, perm caps.Set, fuel int64, perInstr bool) tally {
+// charges whole segments and counted loops in closed form, as ChronoPriv's
+// measurement does. profile sets Options.Profile.
+func runTally(m *ir.Module, perm caps.Set, fuel int64, perInstr, profile bool) tally {
 	tl := tally{batched: map[caps.PhaseKey]int64{}, steps: -1}
-	opts := Options{Fuel: fuel, OnSteps: func(n int64, ph caps.PhaseKey) { tl.batched[ph] += n }}
+	opts := Options{Fuel: fuel, Profile: profile, OnSteps: func(n int64, ph caps.PhaseKey) { tl.batched[ph] += n }}
 	if perInstr {
 		tl.hooked = map[caps.PhaseKey]int64{}
 		opts.OnStep = func(_ *ir.Function, _ *ir.Block, _ ir.Instr, ph caps.PhaseKey) { tl.hooked[ph]++ }
 	}
-	res, err := Run(m, newKernel(perm), opts)
+	res, vm, err := execute(m, newKernel(perm), opts)
 	tl.err = err
 	if err == nil {
 		tl.steps, tl.ret = res.Steps, res.Ret
 	}
+	if vm != nil {
+		tl.closed = vm.loopsClosed
+		if profile {
+			tl.profile = vm.prof.Top(0)
+		}
+	}
 	return tl
+}
+
+// mustAgree fails t unless a run charged by segments and counted loops
+// (seg) and a per-instruction run (ref) of the same module and fuel agree
+// on steps, return value, error text, per-phase counts and, when both were
+// profiled, every block's count.
+func mustAgree(t *testing.T, fuel int64, seg, ref tally) {
+	t.Helper()
+	if seg.errText() != ref.errText() || seg.steps != ref.steps || seg.ret != ref.ret {
+		t.Fatalf("fuel %d: segment run (%d, %d, %v), per-instruction run (%d, %d, %v)",
+			fuel, seg.steps, seg.ret, seg.err, ref.steps, ref.ret, ref.err)
+	}
+	if !maps.Equal(seg.batched, ref.hooked) || !maps.Equal(ref.batched, ref.hooked) {
+		t.Fatalf("fuel %d: per-phase counts differ: OnSteps %v, OnStep %v, OnSteps beside OnStep %v",
+			fuel, seg.batched, ref.hooked, ref.batched)
+	}
+	if !slices.Equal(seg.profile, ref.profile) {
+		t.Fatalf("fuel %d: profiles differ:\nsegment run %v\nper-instruction run %v", fuel, seg.profile, ref.profile)
+	}
 }
 
 func sum(counts map[caps.PhaseKey]int64) int64 {
@@ -197,40 +229,57 @@ func segmentCases() []segmentCase {
 }
 
 func TestSegmentChargingMatchesPerInstruction(t *testing.T) {
-	perm := caps.NewSet(caps.CapSetuid, caps.CapDacReadSearch)
 	for _, tc := range segmentCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			full := runTally(tc.m, perm, 0, true)
-			if !errors.Is(full.err, tc.wantErr) {
-				t.Fatalf("unbounded run: err = %v, want %v", full.err, tc.wantErr)
+		t.Run(tc.name, func(t *testing.T) { checkAllFuels(t, tc, 0, false) })
+	}
+}
+
+// TestProfileMatchesPerInstruction holds the hot-block profile of a
+// segment-charged run to that of a per-instruction run, block by block,
+// refunds of failed runs included.
+func TestProfileMatchesPerInstruction(t *testing.T) {
+	for _, tc := range segmentCases() {
+		t.Run(tc.name, func(t *testing.T) { checkAllFuels(t, tc, 0, true) })
+	}
+	for _, tc := range loopCases() {
+		t.Run(tc.name, func(t *testing.T) { checkAllFuels(t, tc.segmentCase, tc.fuel, true) })
+	}
+}
+
+// checkAllFuels runs tc charged by segments and per instruction, at every
+// fuel from 0, the unbounded default, to twice the run's length, and
+// requires the two to agree. A case whose run would not end gives maxFuel,
+// which caps its unbounded run and ends the sweep.
+func checkAllFuels(t *testing.T, tc segmentCase, maxFuel int64, profile bool) {
+	t.Helper()
+	perm := caps.NewSet(caps.CapSetuid, caps.CapDacReadSearch)
+	full := runTally(tc.m, perm, maxFuel, true, false)
+	if !errors.Is(full.err, tc.wantErr) {
+		t.Fatalf("unbounded run: err = %v, want %v", full.err, tc.wantErr)
+	}
+	total := sum(full.hooked)
+	if len(full.hooked) < 2 {
+		t.Fatalf("run saw %d phases, want a phase change", len(full.hooked))
+	}
+	// Past the run's length the fuel covers every segment whole (a failing
+	// run's last segment reaches past the failure).
+	top := 2 * total
+	if maxFuel > 0 {
+		top = maxFuel
+	}
+	for fuel := int64(0); fuel <= top; fuel++ {
+		if fuel == 0 && maxFuel > 0 {
+			continue
+		}
+		ref := runTally(tc.m, perm, fuel, true, profile)
+		seg := runTally(tc.m, perm, fuel, false, profile)
+		mustAgree(t, fuel, seg, ref)
+		if fuel > 0 && fuel < total {
+			want := fmt.Sprintf("%v after %d instructions", ErrOutOfFuel, fuel)
+			if seg.errText() != want || sum(seg.batched) != fuel {
+				t.Fatalf("fuel %d: err %q with %d charged, want %q", fuel, seg.err, sum(seg.batched), want)
 			}
-			total := sum(full.hooked)
-			if len(full.hooked) < 2 {
-				t.Fatalf("run saw %d phases, want a phase change", len(full.hooked))
-			}
-			// Every fuel value up to the run's length, then on to twice
-			// it, where the fuel covers every segment whole (a failing
-			// run's last segment reaches past the failure), and 0, the
-			// unbounded default.
-			for fuel := int64(0); fuel <= 2*total; fuel++ {
-				ref := runTally(tc.m, perm, fuel, true)
-				seg := runTally(tc.m, perm, fuel, false)
-				if seg.errText() != ref.errText() || seg.steps != ref.steps || seg.ret != ref.ret {
-					t.Fatalf("fuel %d: segment run (%d, %d, %v), per-instruction run (%d, %d, %v)",
-						fuel, seg.steps, seg.ret, seg.err, ref.steps, ref.ret, ref.err)
-				}
-				if !maps.Equal(seg.batched, ref.hooked) || !maps.Equal(ref.batched, ref.hooked) {
-					t.Fatalf("fuel %d: per-phase counts differ: OnSteps %v, OnStep %v, OnSteps beside OnStep %v",
-						fuel, seg.batched, ref.hooked, ref.batched)
-				}
-				if fuel > 0 && fuel < total {
-					want := fmt.Sprintf("%v after %d instructions", ErrOutOfFuel, fuel)
-					if seg.errText() != want || sum(seg.batched) != fuel {
-						t.Fatalf("fuel %d: err %q with %d charged, want %q", fuel, seg.err, sum(seg.batched), want)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -187,8 +187,8 @@ func (p *Program) MeasureContext(ctx context.Context) (*chronopriv.Report, *auto
 
 // MeasureProfiled is MeasureContext with the interpreter's hot-block profile
 // enabled; the profile feeds the counter tracks of the Chrome Trace export
-// (-trace-out). Profiling costs one slice increment per counted instruction,
-// so the plain measurement paths keep it off.
+// (-trace-out). Profiling costs one slice update per charged segment or
+// counted loop, so the plain measurement paths keep it off.
 func (p *Program) MeasureProfiled(ctx context.Context) (*chronopriv.Report, *autopriv.Result, *interp.BlockProfile, error) {
 	return measure(ctx, p.Module, p, true)
 }

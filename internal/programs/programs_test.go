@@ -2,6 +2,7 @@ package programs
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -447,9 +448,10 @@ func TestBlockModeAgreesOnRealModels(t *testing.T) {
 }
 
 func TestSegmentChargingAgreesOnAllModels(t *testing.T) {
-	// Measure charges whole straight-line segments through OnSteps; an
-	// OnStep hook makes the interpreter charge one instruction at a time.
-	// Both must give every phase of every model the same count.
+	// Measure charges whole straight-line segments and counted loops
+	// through OnSteps; an OnStep hook makes the interpreter charge one
+	// instruction at a time. Both must give every phase of every model the
+	// same count, and every basic block the same hot-block count.
 	builders := fastPrograms
 	if !testing.Short() {
 		builders = append([]func() (*Program, error){Thttpd, Sshd}, fastPrograms...)
@@ -460,19 +462,23 @@ func TestSegmentChargingAgreesOnAllModels(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(p.Name, func(t *testing.T) {
-			segRep, ares, err := p.Measure()
+			segRep, ares, segProf, err := p.MeasureProfiled(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			k := p.NewKernel(ares.RequiredPermitted)
 			rt := chronopriv.NewRuntime(k)
-			if _, err := interp.Run(ares.Module, k, interp.Options{
-				MainArgs: p.MainArgs, OnStep: rt.OnStep,
-			}); err != nil {
+			res, err := interp.Run(ares.Module, k, interp.Options{
+				MainArgs: p.MainArgs, OnStep: rt.OnStep, Profile: true,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := segRep.String(), rt.Report(p.Name).String(); got != want {
 				t.Errorf("segment charging:\n%s\nper-instruction charging:\n%s", got, want)
+			}
+			if got, want := segProf.Top(0), res.Profile.Top(0); !slices.Equal(got, want) {
+				t.Errorf("hot blocks, segment charging:\n%v\nper-instruction charging:\n%v", got, want)
 			}
 		})
 	}
