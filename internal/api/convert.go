@@ -268,8 +268,10 @@ func FromAnalysis(a *core.Analysis, withStats bool) *AnalyzeResponse {
 				Attack:    i + 1,
 				Verdict:   verdictWord(v),
 				States:    pr.States[i],
+				Attempts:  pr.Attempts[i],
 				ElapsedNS: pr.Elapsed[i].Nanoseconds(),
 				Witness:   witnessSteps(pr.Witnesses[i]),
+				Degraded:  pr.Degraded[i],
 			}
 			if pr.Errs[i] != nil {
 				qr.Error = pr.Errs[i].Error()

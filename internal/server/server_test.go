@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"privanalyzer/internal/api"
+	"privanalyzer/internal/programs"
 	"privanalyzer/internal/telemetry"
 )
 
@@ -316,5 +318,71 @@ func TestServeGracefulDrain(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
+	}
+}
+
+// TestAnalyzeAndQueryAgreeOnAttempts answers one grid cell through
+// /v1/analyze and through /v1/query, under an escalation ladder and under a
+// memory budget that stops the search, and requires the same verdict,
+// states, escalation attempts and memory-budget stop from both.
+func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 2})
+	p, err := programs.ByName("su")
+	if err != nil {
+		t.Fatal(err)
+	}
+	syscalls, err := json.Marshal(p.Syscalls())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, search string
+		pick         func(api.QueryResult) bool
+	}{
+		{"escalated", `{"budget":100000,"escalate":"4:4","workers":1}`,
+			func(q api.QueryResult) bool { return q.Attempts > 1 }},
+		{"degraded", `{"budget":100000,"mem_budget":1,"escalate":"off","workers":1}`,
+			func(q api.QueryResult) bool { return q.Degraded }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"su","search":`+tc.search+`}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("analyze status %d: %s", resp.StatusCode, body)
+			}
+			var ar api.AnalyzeResponse
+			if err := json.Unmarshal(body, &ar); err != nil {
+				t.Fatal(err)
+			}
+			var ph api.PhaseResult
+			var cell *api.QueryResult
+			for _, p := range ar.Phases {
+				for i := range p.Queries {
+					if cell == nil && tc.pick(p.Queries[i]) {
+						ph, cell = p, &p.Queries[i]
+					}
+				}
+			}
+			if cell == nil {
+				t.Fatalf("no query of the analysis is %s:\n%s", tc.name, body)
+			}
+			req := fmt.Sprintf(`{"attack":%d,"privs":%q,"uid":%q,"gid":%q,"syscalls":%s,"search":%s}`,
+				cell.Attack, ph.Privileges, ph.UID, ph.GID, syscalls, tc.search)
+			resp, body = postJSON(t, ts.URL+"/v1/query", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("query status %d: %s", resp.StatusCode, body)
+			}
+			var qr api.QueryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			got := qr.Result
+			if got.Verdict != cell.Verdict || got.States != cell.States ||
+				got.Attempts != cell.Attempts || got.Degraded != cell.Degraded {
+				t.Errorf("phase %s attack %d: /v1/query (%s, %d states, %d attempts, degraded %v), "+
+					"/v1/analyze (%s, %d states, %d attempts, degraded %v)",
+					ph.Name, cell.Attack, got.Verdict, got.States, got.Attempts, got.Degraded,
+					cell.Verdict, cell.States, cell.Attempts, cell.Degraded)
+			}
+		})
 	}
 }
