@@ -10,6 +10,7 @@
 //	privanalyzerd -concurrency 4 -queue 32
 //	privanalyzerd -budget 100000 -escalate 4096:4   # server-side defaults
 //	privanalyzerd -timeout 30s            # default per-request wall clock
+//	privanalyzerd -max-deadline 30s       # cap every request's deadline_ms
 //
 // Endpoints (see API.md for payloads):
 //
@@ -26,7 +27,10 @@
 //
 // The search knobs (-budget, -workers, -escalate, -mem-budget, -timeout,
 // -stats) are the same flags the CLIs take and set server-side defaults;
-// each request's search params override them per field. SIGINT/SIGTERM
+// each request's search params override them per field. Overload has one
+// answer: when -queue requests are already waiting, the next is refused
+// with 503 queue_full and a retry hint; deadline_ms (capped by
+// -max-deadline) withdraws work that waited too long. SIGINT/SIGTERM
 // drain gracefully: admissions stop (/readyz flips to 503), queued and
 // in-flight requests finish within -drain-timeout, then stragglers are
 // cancelled. A second signal kills immediately.
@@ -59,14 +63,12 @@ func run(args []string, onListen func(net.Addr)) int {
 	var (
 		addr        = fs.String("addr", "127.0.0.1:7177", "listen address")
 		concurrency = fs.Int("concurrency", 0, "requests served at once — the worker-pool size; each request may still use multi-worker search via -workers (0 = one per CPU)")
-		queue       = fs.Int("queue", 0, "pending-request bound; a full queue answers 503 and flips /readyz (0 = 64)")
+		queue       = fs.Int("queue", 0, "pending-request bound, the one overload bound: a full queue answers 503 queue_full with retry_after_ms and flips /readyz (0 = 64)")
 		checkers    = fs.Int("checkers", 0, "per-program checker LRU capacity — how many programs stay cache-warm (0 = 8)")
 		drain       = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for queued and in-flight requests")
 		jobStats    = fs.Duration("job-stats-interval", 0, "throttle async jobs' progress snapshots (SSE stats frames) to this interval (0 = one per completed depth level)")
 		slowlog     = fs.Int("slowlog", 0, "slow-query journal capacity: the top-K costliest requests kept for GET /v1/slowlog (0 = 32)")
-		maxQueue    = fs.Duration("max-queue", 0, "admission cost budget: estimated wall time of queued+running work the server will hold before answering 429 with retry_after_ms (0 = unbounded)")
 		maxDeadline = fs.Duration("max-deadline", 0, "cap on per-request deadline_ms; requests asking for more (or none) get this — queue wait counts against it (0 = no cap)")
-		brownoutF   = fs.String("brownout", "off", "brownout thresholds, e.g. q=48,wait=2s,heap=1G[,interval=250ms,hold=4]: shed low-priority work, then degrade escalation ladders, then reject all but high priority (off = disabled)")
 	)
 	ver := cmdutil.VersionFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -94,11 +96,6 @@ func run(args []string, onListen func(net.Addr)) int {
 		fmt.Fprintln(os.Stderr, "privanalyzerd:", err)
 		return 2
 	}
-	brownout, err := server.ParseBrownout(*brownoutF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privanalyzerd:", err)
-		return 2
-	}
 
 	srv := server.New(server.Config{
 		Concurrency:      *concurrency,
@@ -108,9 +105,7 @@ func run(args []string, onListen func(net.Addr)) int {
 		DrainTimeout:     *drain,
 		JobStatsInterval: *jobStats,
 		SlowLog:          *slowlog,
-		MaxQueueCost:     *maxQueue,
 		MaxDeadline:      *maxDeadline,
-		Brownout:         brownout,
 		Registry:         telemetry.New(),
 		Logger:           logger,
 	})

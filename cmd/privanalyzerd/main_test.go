@@ -90,8 +90,8 @@ func TestDaemonBootServeShutdown(t *testing.T) {
 }
 
 // TestDaemonFlagValidation pins the boot-time rejections: -trace-out is
-// CLI-only, and a malformed default -escalate fails boot instead of every
-// future request.
+// CLI-only, a malformed default -escalate fails boot instead of every
+// future request, and an unknown flag is a usage error.
 func TestDaemonFlagValidation(t *testing.T) {
 	if code := run([]string{"-trace-out", "x.trace"}, nil); code != 2 {
 		t.Errorf("-trace-out exit = %d, want 2", code)
@@ -102,10 +102,11 @@ func TestDaemonFlagValidation(t *testing.T) {
 	if code := run([]string{"-log-level", "nope"}, nil); code != 2 {
 		t.Errorf("bad -log-level exit = %d, want 2", code)
 	}
-	if code := run([]string{"-brownout", "q=zero"}, nil); code != 2 {
-		t.Errorf("bad -brownout exit = %d, want 2", code)
-	}
-	if code := run([]string{"-brownout", "interval=1s"}, nil); code != 2 {
-		t.Errorf("signal-less -brownout exit = %d, want 2", code)
+	// The queue bound is the daemon's one overload knob; other shedding
+	// flags are unknown and fail boot like any typo.
+	for _, args := range [][]string{{"-brownout", "q=48"}, {"-max-queue", "1ms"}} {
+		if code := run(args, nil); code != 2 {
+			t.Errorf("unknown flag %s exit = %d, want 2", args[0], code)
+		}
 	}
 }

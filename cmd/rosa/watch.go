@@ -18,11 +18,12 @@ import (
 // backoff. The events endpoint replays a finished job's full frame sequence
 // on every connect, so reconnecting is lossless — the terminal result frame
 // arrives on whichever attempt finds the job finished. Client-error statuses
-// (4xx: bad URL, expired job) never retry — except 429, the server's
-// admission gate saying "later": it retries after the server's own hint
-// (retry_after_ms in the envelope, or the Retry-After header), capped by
-// watchMaxBackoff. Connection failures, 5xx, and mid-stream drops retry on
-// the exponential ladder.
+// (4xx: bad URL, expired job) never retry — except 429, HTTP's generic
+// "later" (a proxy or rate limiter in front of the server may send it; a v1
+// privanalyzerd itself sheds with 503 queue_full): it retries after the
+// server's own hint (retry_after_ms in the envelope, or the Retry-After
+// header), capped by watchMaxBackoff. Connection failures, 5xx, and
+// mid-stream drops retry on the exponential ladder.
 const (
 	watchMaxAttempts = 6
 	watchBaseBackoff = 500 * time.Millisecond
@@ -92,7 +93,7 @@ type streamOutcome struct {
 	terminal bool
 	code     int
 	// retryable: the failure is transient (connect error, 5xx, dropped
-	// stream, 429 admission rejection) rather than a client error.
+	// stream, 429 Too Many Requests) rather than a client error.
 	retryable bool
 	// sawFrame: at least one frame was dispatched before the drop.
 	sawFrame bool

@@ -105,7 +105,7 @@ func TestWatchGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-// TestWatchRetriesOn429WithServerHint: an admission-control 429 is the one
+// TestWatchRetriesOn429WithServerHint: a 429 Too Many Requests is the one
 // 4xx the watcher retries — after the server's own retry_after_ms hint, not
 // the exponential ladder, and never past the backoff cap.
 func TestWatchRetriesOn429WithServerHint(t *testing.T) {

@@ -477,7 +477,7 @@ type VersionResponse struct {
 
 // ErrorV1 is the uniform, versioned error envelope every endpoint returns on
 // failure, alongside the HTTP status. Every rejection class — validation,
-// not-found, queue-full, admission control, deadline expiry, shutdown,
+// not-found, queue-full, deadline expiry, shutdown,
 // handler fault — renders through this one shape (pinned by the envelope
 // golden test), so a client needs exactly one error decoder.
 type ErrorV1 struct {
@@ -498,8 +498,8 @@ type ErrorDetail struct {
 	Message string `json:"message"`
 	// RetryAfterMS, when non-zero, is the server's backoff hint: how long a
 	// client should wait before retrying, derived from the current queue-wait
-	// p95. Present on load-shedding rejections ("queue_full",
-	// "admission_rejected"); the same hint rides the Retry-After header in
+	// p95. Present on load-shedding rejections ("queue_full", the one code
+	// a v1 server sheds with); the same hint rides the Retry-After header in
 	// whole seconds.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
@@ -513,10 +513,6 @@ const (
 	// CodeQueueFull: the pending queue is at its depth bound (503 +
 	// retry_after_ms).
 	CodeQueueFull = "queue_full"
-	// CodeAdmissionRejected: admission control shed the request — the
-	// estimated-cost backlog budget is spent, or a brownout level rejects the
-	// request's priority class (429 + retry_after_ms).
-	CodeAdmissionRejected = "admission_rejected"
 	// CodeDeadlineExceeded: the request's deadline_ms expired while it was
 	// still queued; it never ran (504).
 	CodeDeadlineExceeded = "deadline_exceeded"

@@ -8,8 +8,9 @@ import (
 
 // ServerPlan is the serving-layer counterpart of Plan: deterministic fault
 // points for the privanalyzerd admission/execution path rather than the
-// search engine. The server consults it at two sites — admission (queue-full
-// storms) and the moment a pool worker picks a request up (panics, stalls).
+// search engine. The server consults it at two sites — the queue's
+// saturation check (queue-full storms, answered exactly as a full queue) and
+// the moment a pool worker picks a request up (panics, stalls).
 // A nil *ServerPlan is a valid no-op, so the server checks it
 // unconditionally. Like Plan, every point fires on an exact counted
 // occurrence: chaos tests replay identically.

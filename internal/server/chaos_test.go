@@ -26,11 +26,6 @@ func deadlineBody(ms int64) string {
 	return queryBody[:len(queryBody)-1] + fmt.Sprintf(`,"search":{"deadline_ms":%d}}`, ms)
 }
 
-// priorityBody is queryBody with a queue priority bolted on.
-func priorityBody(priority int) string {
-	return queryBody[:len(queryBody)-1] + fmt.Sprintf(`,"priority":%d}`, priority)
-}
-
 // occupyWorkers parks n pool workers on a gate so the queue backs up
 // deterministically. Returns the gate; close it to free the workers.
 func occupyWorkers(t *testing.T, s *Server, n int) chan struct{} {
@@ -132,53 +127,6 @@ func TestChaosQueueFullStorm(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after storm = %d, want 200: %s", resp.StatusCode, body)
-	}
-}
-
-// TestChaosCostGateSheds429: with the estimated-cost budget spent by an
-// in-flight request, the next one is rejected 429 with retry hints — and
-// admitted again once the backlog clears.
-func TestChaosCostGateSheds429(t *testing.T) {
-	plan := &faultinject.ServerPlan{StallAtRequest: 1, StallFor: 400 * time.Millisecond}
-	s, ts := testServer(t, Config{
-		Concurrency: 1, MaxQueueCost: time.Millisecond, ServerFaults: plan,
-	})
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("stalled-but-admitted request = %d, want 200: %s", resp.StatusCode, body)
-		}
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for plan.Requests() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-budget request = %d, want 429: %s", resp.StatusCode, body)
-	}
-	env := decodeError(t, body)
-	if env.Error.Code != api.CodeAdmissionRejected {
-		t.Errorf("code = %q, want %q", env.Error.Code, api.CodeAdmissionRejected)
-	}
-	if env.Error.RetryAfterMS <= 0 {
-		t.Error("429 carries no retry_after_ms")
-	}
-	if got := s.reg.Counter("server_shed_cost_total").Value(); got == 0 {
-		t.Error("cost shed not counted")
-	}
-
-	<-done // backlog clears with the first request's ticket
-	resp, body = postJSON(t, ts.URL+"/v1/query", queryBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("request after backlog cleared = %d, want 200: %s", resp.StatusCode, body)
 	}
 }
 
@@ -287,76 +235,16 @@ func TestClientDisconnectFreesQueueSlot(t *testing.T) {
 	}
 }
 
-// TestBrownoutShedsByPriorityClass: at shed-background the admission gate
-// rejects the background class only; at emergency everything but high
-// priority; /readyz goes not-ready at emergency. The level is set directly —
-// the controller's sampling is covered by the brownout tests.
-func TestBrownoutShedsByPriorityClass(t *testing.T) {
-	s, ts := testServer(t, Config{Concurrency: 1})
-	setLevel := func(lvl int) {
-		s.brown.mu.Lock()
-		s.brown.level = lvl
-		s.brown.mu.Unlock()
-	}
-
-	setLevel(BrownoutShedBackground)
-	resp, body := postJSON(t, ts.URL+"/v1/query", priorityBody(-1))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("background request at shed-bg = %d, want 429: %s", resp.StatusCode, body)
-	}
-	if env := decodeError(t, body); env.Error.Code != api.CodeAdmissionRejected {
-		t.Errorf("code = %q, want %q", env.Error.Code, api.CodeAdmissionRejected)
-	}
-	if resp, body = postJSON(t, ts.URL+"/v1/query", queryBody); resp.StatusCode != http.StatusOK {
-		t.Fatalf("normal request at shed-bg = %d, want 200: %s", resp.StatusCode, body)
-	}
-
-	setLevel(BrownoutEmergency)
-	if resp, body = postJSON(t, ts.URL+"/v1/query", queryBody); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("normal request at emergency = %d, want 429: %s", resp.StatusCode, body)
-	}
-	if resp, body = postJSON(t, ts.URL+"/v1/query", priorityBody(1)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("high-priority request at emergency = %d, want 200: %s", resp.StatusCode, body)
-	}
-	ready, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	detail := readAll(t, ready)
-	ready.Body.Close()
-	if ready.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/readyz at emergency = %d, want 503", ready.StatusCode)
-	}
-	if !strings.Contains(detail, "emergency") {
-		t.Errorf("/readyz detail does not name the brownout level: %q", detail)
-	}
-
-	setLevel(BrownoutNormal)
-	ready, err = http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	detail = readAll(t, ready)
-	ready.Body.Close()
-	if ready.StatusCode != http.StatusOK {
-		t.Errorf("/readyz after recovery = %d, want 200", ready.StatusCode)
-	}
-	if !strings.Contains(detail, "brownout 0 (normal)") {
-		t.Errorf("/readyz detail lost the brownout line: %q", detail)
-	}
-}
-
 // TestChaosSaturationStorm is the acceptance storm: queue capacity K, 4K
-// concurrent requests against parked workers. Every response must be a
-// well-formed envelope (200 or a structured rejection), at least one request
-// must be shed, and every admitted verdict must be byte-identical to the
-// unloaded path.
+// concurrent requests against parked workers. The queue bound is the one
+// gate: exactly K requests are admitted, every other one is shed as a
+// structured 503 queue_full with both retry hints and counted on
+// server_shed_queue_full_total, and every admitted verdict is byte-identical
+// to the unloaded path.
 func TestChaosSaturationStorm(t *testing.T) {
 	const depth = 4
 	const storm = 4 * depth
-	s, ts := testServer(t, Config{
-		Concurrency: 2, QueueDepth: depth, MaxQueueCost: 40 * time.Millisecond,
-	})
+	s, ts := testServer(t, Config{Concurrency: 2, QueueDepth: depth})
 
 	// The unloaded baseline the admitted storm responses must match.
 	resp, rawBaseline := postJSON(t, ts.URL+"/v1/query", queryBody)
@@ -395,8 +283,8 @@ func TestChaosSaturationStorm(t *testing.T) {
 	}
 
 	// Shed responses return immediately; admitted ones block on the gate. At
-	// most depth can be queued (and the cost budget admits at most 4), so at
-	// least storm-depth rejections arrive before the gate opens.
+	// most depth can be queued, so storm-depth rejections arrive before the
+	// gate opens.
 	var outcomes []outcome
 	timeout := time.After(10 * time.Second)
 	for len(outcomes) < storm-depth {
@@ -429,14 +317,14 @@ func TestChaosSaturationStorm(t *testing.T) {
 			if got := normalizeQuery(t, o.body); string(got) != string(baseline) {
 				t.Errorf("admitted verdict differs from the unloaded path:\nloaded:   %s\nunloaded: %s", got, baseline)
 			}
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case http.StatusServiceUnavailable:
 			shed++
 			env := decodeError(t, o.body)
 			if env.APIVersion != api.Version {
 				t.Errorf("shed envelope api_version = %q", env.APIVersion)
 			}
-			if env.Error.Code != api.CodeAdmissionRejected && env.Error.Code != api.CodeQueueFull {
-				t.Errorf("shed code = %q, want admission_rejected or queue_full", env.Error.Code)
+			if env.Error.Code != api.CodeQueueFull {
+				t.Errorf("shed code = %q, want %q", env.Error.Code, api.CodeQueueFull)
 			}
 			if env.Error.RetryAfterMS <= 0 || o.retryAfter == "" {
 				t.Errorf("shed response missing retry hints: retry_after_ms=%d header=%q",
@@ -446,23 +334,24 @@ func TestChaosSaturationStorm(t *testing.T) {
 			t.Errorf("storm response status %d is outside the contract: %s", o.status, o.body)
 		}
 	}
-	if shed == 0 {
-		t.Error("storm shed nothing; the gates are not engaging")
+	if shed != storm-depth || ok200 != depth {
+		t.Errorf("storm: %d shed, %d admitted; want %d shed by the queue bound, %d admitted",
+			shed, ok200, storm-depth, depth)
 	}
-	if ok200 == 0 {
-		t.Error("storm admitted nothing; shedding is total")
+	if got := s.reg.Counter("server_shed_queue_full_total").Value(); got != storm-depth {
+		t.Errorf("server_shed_queue_full_total = %d, want %d", got, storm-depth)
 	}
 }
 
 // TestServeDrainsUnderSaturation: SIGTERM (ctx cancel) while the queue is
-// full, a worker is wedged, and the brownout controller is engaged. Serve
-// must stop admissions, resolve every queued-unstarted job to a terminal
-// shutdown outcome, and return nil within the drain budget.
+// full and a worker is wedged. Serve must stop admissions, resolve every
+// queued-unstarted job to a terminal shutdown outcome, and return nil within
+// the drain budget.
 func TestServeDrainsUnderSaturation(t *testing.T) {
+	const depth = 3
 	s := New(Config{
-		Concurrency: 1, QueueDepth: 8,
+		Concurrency: 1, QueueDepth: depth,
 		DrainTimeout: 500 * time.Millisecond,
-		Brownout:     BrownoutConfig{QueueHigh: 1, Interval: 5 * time.Millisecond, Hold: 1 << 20},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -476,7 +365,7 @@ func TestServeDrainsUnderSaturation(t *testing.T) {
 	gate := occupyWorkers(t, s, 1)
 	defer close(gate)
 	var jobs []*jobRecord
-	for i := 0; i < 3; i++ {
+	for i := 0; i < depth; i++ {
 		jr := submitJob(t, base, `{"query":`+queryBody+`}`)
 		rec := s.jobs.get(jr.ID)
 		if rec == nil {
@@ -484,12 +373,15 @@ func TestServeDrainsUnderSaturation(t *testing.T) {
 		}
 		jobs = append(jobs, rec)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.brown.Level() < BrownoutShedBackground {
-		if time.Now().After(deadline) {
-			t.Fatal("brownout never engaged before drain")
-		}
-		time.Sleep(time.Millisecond)
+	if !s.pool.saturated() {
+		t.Fatal("queue not full before drain")
+	}
+	resp, body := postJSON(t, base+"/v1/jobs", `{"query":`+queryBody+`}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit into a full queue = %d, want 503: %s", resp.StatusCode, body)
+	}
+	if env := decodeError(t, body); env.Error.Code != api.CodeQueueFull {
+		t.Errorf("full-queue code = %q, want %q", env.Error.Code, api.CodeQueueFull)
 	}
 
 	start := time.Now()

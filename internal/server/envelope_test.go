@@ -64,21 +64,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 			wantHeader: "1",
 		},
 		{
-			name:   "admission_rejected",
-			status: 429,
-			det:    api.ErrorDetail{Code: api.CodeAdmissionRejected, Message: "estimated backlog exceeds budget", RetryAfterMS: 1250},
-			wantBody: `{
-  "api_version": "v1",
-  "error": {
-    "code": "admission_rejected",
-    "message": "estimated backlog exceeds budget",
-    "retry_after_ms": 1250
-  }
-}
-`,
-			wantHeader: "2",
-		},
-		{
 			name:   "deadline_exceeded",
 			status: 504,
 			det:    api.ErrorDetail{Code: api.CodeDeadlineExceeded, Message: "deadline expired before the request ran"},
@@ -155,7 +140,6 @@ func TestErrorCodesPinned(t *testing.T) {
 		{api.CodeBadRequest, "bad_request"},
 		{api.CodeNotFound, "not_found"},
 		{api.CodeQueueFull, "queue_full"},
-		{api.CodeAdmissionRejected, "admission_rejected"},
 		{api.CodeDeadlineExceeded, "deadline_exceeded"},
 		{api.CodeShutdown, "shutdown"},
 		{api.CodeCanceled, "canceled"},

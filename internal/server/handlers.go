@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -74,13 +75,7 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 // mapping is the stable part of the error contract: one code per failure
 // class, pinned by the envelope golden test.
 func (s *Server) errorDetailForRun(err error) (int, api.ErrorDetail) {
-	var rej *RejectError
 	switch {
-	case errors.As(err, &rej):
-		return rej.Status, api.ErrorDetail{
-			Code: rej.Code, Message: rej.Message,
-			RetryAfterMS: rej.RetryAfter.Milliseconds(),
-		}
 	case errors.Is(err, ErrShutdown), errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable,
 			api.ErrorDetail{Code: api.CodeShutdown, Message: err.Error()}
@@ -145,14 +140,16 @@ type prepared struct {
 
 // effectiveDeadline clamps the request's deadline_ms to the server cap:
 // asking for more than -max-deadline (or for nothing, when a cap is set)
-// yields the cap.
+// yields the cap. A deadline_ms too large for a time.Duration is longer
+// than any cap, and uncapped it means no deadline; zero or negative means
+// none asked for.
 func (s *Server) effectiveDeadline(p api.SearchParams) time.Duration {
-	d := time.Duration(p.DeadlineMS) * time.Millisecond
-	if s.cfg.MaxDeadline > 0 && (d <= 0 || d > s.cfg.MaxDeadline) {
-		d = s.cfg.MaxDeadline
+	var d time.Duration
+	if p.DeadlineMS > 0 && p.DeadlineMS <= math.MaxInt64/int64(time.Millisecond) {
+		d = time.Duration(p.DeadlineMS) * time.Millisecond
 	}
-	if d < 0 {
-		d = 0
+	if s.cfg.MaxDeadline > 0 && (d == 0 || d > s.cfg.MaxDeadline) {
+		d = s.cfg.MaxDeadline
 	}
 	return d
 }
@@ -185,12 +182,6 @@ func (s *Server) prepareAnalyze(req api.AnalyzeRequest) (*prepared, *requestErro
 		run: func(ctx context.Context, watch *jobObserver) (any, *slowEntry, error) {
 			o := opts
 			watch.attach(&o.Search)
-			// Brownout degrade-search: force the escalation ladder to start
-			// low, so each admitted search proves it needs budget before it
-			// gets budget. Meaningless without a ladder (no_escalate).
-			if s.degradeSearch() && !o.Search.NoEscalate {
-				o.Search.Escalate.Start = clampEscalateStart(o.Search.Escalate.Start)
-			}
 			a, err := core.AnalyzeContext(ctx, p, o)
 			if err != nil {
 				return nil, nil, err
@@ -227,9 +218,6 @@ func (s *Server) prepareQuery(req api.QueryRequest) (*prepared, *requestError) {
 		deadline: s.effectiveDeadline(req.Search),
 		run: func(ctx context.Context, watch *jobObserver) (any, *slowEntry, error) {
 			watch.attach(&q.Options)
-			if s.degradeSearch() && !q.Options.NoEscalate {
-				q.Options.Escalate.Start = clampEscalateStart(q.Options.Escalate.Start)
-			}
 			res, err := checker.Run(ctx, q)
 			if err != nil {
 				return nil, nil, err
@@ -244,7 +232,7 @@ func (s *Server) prepareQuery(req api.QueryRequest) (*prepared, *requestError) {
 	}, nil
 }
 
-// serveSync runs a prepared request through admission and the pool and
+// serveSync runs a prepared request through the pool and
 // writes the response — the synchronous endpoints' tail. The search context
 // derives from r.Context(), so a client disconnect withdraws queued work and
 // cancels running work; the request deadline (when set) starts here, at

@@ -307,15 +307,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("server_requests_total").Add(1)
-	tkt, rej := s.admit(p.kind, p.priority)
-	if rej != nil {
-		s.runError(w, rej)
-		return
-	}
 
 	j := newJobRecord(p.kind, telemetry.RequestID(r.Context()))
 	if !s.jobs.add(j) {
-		tkt.release()
 		s.countShed("queue_full")
 		s.writeErrorDetail(w, http.StatusServiceUnavailable, api.ErrorDetail{
 			Code:         api.CodeQueueFull,
@@ -327,15 +321,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// onAbort resolves a job the drain policy or a deadline withdrew before
 	// any worker owned it: a terminal status with the matching error code —
 	// never silence. Bound at enqueue so an abort cannot race past it.
-	pooled, err := s.pool.enqueue(p.priority, func() { s.execJob(j, p, tkt) }, func(aerr error) {
-		tkt.release()
+	pooled, err := s.pool.enqueue(p.priority, func() { s.execJob(j, p) }, func(aerr error) {
 		status, det := s.errorDetailForRun(aerr)
 		s.reg.Counter("server_errors_total").Add(1)
 		j.finish(nil, status, &det)
 		j.sink.Close()
 	})
 	if err != nil {
-		tkt.release()
 		s.jobs.remove(j.id)
 		if errors.Is(err, ErrClosed) {
 			s.countShed("shutdown")
@@ -378,10 +370,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // execJob runs a prepared request on a pool worker with the job's observer
 // attached, then stores the terminal envelope. Runs under the server's base
 // context (plus the effective request timeout and any remaining deadline),
-// so watchers' disconnects never cancel it; the drain deadline does. The
-// admission ticket releases here — the job's terminal state.
-func (s *Server) execJob(j *jobRecord, p *prepared, tkt *ticket) {
-	defer tkt.release()
+// so watchers' disconnects never cancel it; the drain deadline does.
+func (s *Server) execJob(j *jobRecord, p *prepared) {
 	j.setRunning()
 	ctx := telemetry.NewContext(s.base, s.reg)
 	// Jobs descend from the server base, not the submitting request, so they

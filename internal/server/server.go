@@ -39,7 +39,8 @@ type Config struct {
 	// Concurrency is the worker-pool size — how many analyses/queries run
 	// at once (each may use multi-worker search internally). 0 = NumCPU.
 	Concurrency int
-	// QueueDepth bounds the pending queue; a full queue rejects with 503
+	// QueueDepth bounds the pending queue — the server's one overload
+	// bound: a full queue rejects with 503 "queue_full" (plus a retry hint)
 	// and flips /readyz. 0 = 64.
 	QueueDepth int
 	// Checkers caps the per-program checker LRU. 0 = 8.
@@ -60,21 +61,11 @@ type Config struct {
 	// SlowLog bounds the slow-query journal (GET /v1/slowlog): the top-K
 	// costliest requests are retained. 0 = 32.
 	SlowLog int
-	// MaxQueueCost bounds the estimated backlog the server will hold: the
-	// sum of per-kind EWMA cost estimates (fed by each request's wall time)
-	// over admitted-but-unfinished requests. Over-budget work is rejected
-	// with a 429 "admission_rejected" envelope carrying retry_after_ms
-	// derived from the current queue-wait p95. 0 disables the cost gate
-	// (the queue-depth bound still applies).
-	MaxQueueCost time.Duration
 	// MaxDeadline caps each request's deadline_ms; requests asking for more
 	// (or none) get this. Queue wait counts against the deadline — a request
 	// still queued at expiry is withdrawn without running (504). 0 = no cap
 	// and no server-imposed deadline.
 	MaxDeadline time.Duration
-	// Brownout declares the overload thresholds for the degradation
-	// controller (brownout.go). The zero value disables it.
-	Brownout BrownoutConfig
 	// ServerFaults injects serving-layer faults (chaos tests): handler
 	// panics, worker stalls, queue-full storms. Nil injects nothing.
 	ServerFaults *faultinject.ServerPlan
@@ -98,8 +89,6 @@ type Server struct {
 	checkers *checkerLRU
 	jobs     *jobRegistry
 	slow     *slowLog
-	adm      *Admission
-	brown    *brownout
 	mux      *http.ServeMux
 
 	// base is the context async jobs (and Serve's requests) descend from: a
@@ -147,18 +136,15 @@ func New(cfg Config) *Server {
 		checkers: newCheckerLRU(cfg.Checkers),
 		jobs:     newJobRegistry(),
 		slow:     newSlowLog(cfg.SlowLog),
-		adm:      NewAdmission(cfg.MaxQueueCost),
 		drainCh:  make(chan struct{}),
 	}
 	s.base, s.killBase = context.WithCancel(context.Background())
 	s.pool.onWait = func(d time.Duration) { s.reg.Timer("server_queue_wait_ns").Observe(d) }
+	s.pool.storm = cfg.ServerFaults
 	for _, name := range []string{
 		"server_requests_total", "server_errors_total",
-		"server_rejected_total",
-		"server_shed_queue_full_total", "server_shed_cost_total",
-		"server_shed_brownout_total", "server_shed_deadline_total",
+		"server_shed_queue_full_total", "server_shed_deadline_total",
 		"server_shed_shutdown_total",
-		"server_brownout_transitions_total",
 		"server_jobs_total",
 		"rosa_queries_total",
 		"rosa_succ_cache_hits_total", "rosa_succ_cache_misses_total",
@@ -174,7 +160,6 @@ func New(cfg Config) *Server {
 	s.reg.Gauge("server_queue_inflight")
 	s.reg.Gauge("server_checkers_resident")
 	s.reg.Gauge("server_jobs_resident")
-	s.reg.Gauge("server_brownout_level")
 	// The serving histograms' steady-state schema: the happy-path status per
 	// route is visible (at zero) from boot; error statuses appear on first
 	// occurrence.
@@ -190,9 +175,6 @@ func New(cfg Config) *Server {
 	// /v1/metrics.json expose the process_* schema before the first scrape;
 	// every scrape re-samples.
 	s.reg.SampleProcess()
-	// The brownout controller samples the pool, registry, and logger, so it
-	// starts last.
-	s.brown = newBrownout(s, cfg.Brownout)
 	s.mux = s.routes()
 	return s
 }
@@ -209,21 +191,15 @@ func (s *Server) Ready() error {
 }
 
 // ReadyDetail reports readiness plus a one-line operational detail for
-// /readyz: queue occupancy, estimated backlog, and the brownout level. The
-// error is non-nil when the server should not receive new traffic — the
-// queue is saturated, drain has begun, or the brownout controller is at
-// emergency.
+// /readyz: queue and worker occupancy. The error is non-nil when the server
+// should not receive new traffic — the queue is saturated or drain has
+// begun.
 func (s *Server) ReadyDetail() (string, error) {
 	pending, inflight := s.pool.stats()
-	lvl := s.brown.Level()
-	detail := fmt.Sprintf("queue %d/%d inflight %d/%d backlog %s brownout %d (%s)",
-		pending, s.cfg.QueueDepth, inflight, s.cfg.Concurrency,
-		s.adm.Backlog().Round(time.Millisecond), lvl, brownoutLevelName(lvl))
+	detail := fmt.Sprintf("queue %d/%d inflight %d/%d",
+		pending, s.cfg.QueueDepth, inflight, s.cfg.Concurrency)
 	if s.pool.saturated() {
 		return detail, ErrSaturated
-	}
-	if lvl >= BrownoutEmergency {
-		return detail, fmt.Errorf("server: brownout level %d (%s)", lvl, brownoutLevelName(lvl))
 	}
 	return detail, nil
 }
@@ -250,39 +226,30 @@ func (s *Server) Close() {
 		s.pool.drainWithin(time.Second)
 	}
 	s.killBase()
-	s.brown.close()
 }
 
 // execute runs p on the calling pool worker. Its wall time, from pickup to
 // the response value (an injected stall included), is measured once, and
-// that one figure feeds both the admission estimator and the slow-query
-// journal.
+// that one figure is the slow-query journal's cost.
 func (s *Server) execute(ctx context.Context, p *prepared, watch *jobObserver) (any, error) {
 	started := time.Now()
 	s.cfg.ServerFaults.BeforeExecute()
 	v, slow, err := p.run(ctx, watch)
-	wall := time.Since(started)
-	s.adm.Observe(p.kind, wall)
 	if slow != nil {
-		slow.cost.WallNS = wall.Nanoseconds()
+		slow.cost.WallNS = time.Since(started).Nanoseconds()
 		s.recordSlow(ctx, p.kind, slow)
 	}
 	return v, err
 }
 
-// run pushes p through admission and the queue and executes it with the
-// server's telemetry context and the effective request timeout. The
-// returned error is a *RejectError on admission rejection,
-// ErrSaturated/ErrClosed/ErrShutdown on queue rejection or drain abort, the
+// run pushes p through the queue and executes it with the server's
+// telemetry context and the effective request timeout. The returned error
+// is ErrSaturated/ErrClosed/ErrShutdown on queue rejection or drain abort, the
 // waiter's context error on pre-execution cancellation (client disconnect,
 // deadline expiry in queue), or p's own error. Panics escaping p resolve
 // to an ErrWorkerPanic-wrapped error, never a hung connection.
 func (s *Server) run(parent context.Context, p *prepared) (any, error) {
 	s.reg.Counter("server_requests_total").Add(1)
-	tkt, rej := s.admit(p.kind, p.priority)
-	if rej != nil {
-		return nil, rej
-	}
 	pending, inflight := s.pool.stats()
 	s.reg.Gauge("server_queue_pending").Set(int64(pending))
 	s.reg.Gauge("server_queue_inflight").Set(int64(inflight))
@@ -292,7 +259,6 @@ func (s *Server) run(parent context.Context, p *prepared) (any, error) {
 	)
 	submitted := time.Now()
 	submitErr := s.pool.submit(parent, p.priority, func() {
-		defer tkt.release()
 		defer func() {
 			if rec := recover(); rec != nil {
 				err = fmt.Errorf("%w: %v", ErrWorkerPanic, rec)
@@ -324,7 +290,6 @@ func (s *Server) run(parent context.Context, p *prepared) (any, error) {
 		v, err = s.execute(ctx, p, nil)
 	})
 	if submitErr != nil {
-		tkt.release()
 		switch {
 		case errors.Is(submitErr, ErrSaturated):
 			s.countShed("queue_full")
@@ -375,11 +340,38 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if !s.pool.drainWithin(time.Until(deadline)) {
 		s.log.Warn("drain timeout: abandoning a stalled worker", "component", "server")
 	}
-	s.brown.close()
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	return nil
+}
+
+// Retry-after bounds: the hint is the queue-wait p95, but never below the
+// floor (a cold histogram would tell clients to hammer) and never above the
+// cap (an outlier-poisoned p95 must not park clients for minutes).
+const (
+	minRetryAfter = 250 * time.Millisecond
+	maxRetryAfter = 30 * time.Second
+)
+
+// retryAfter derives the client backoff hint carried by queue_full
+// rejections from the current queue-wait p95 — "come back when the queue
+// you would have joined has likely moved" — clamped to
+// [minRetryAfter, maxRetryAfter].
+func (s *Server) retryAfter() time.Duration {
+	d := time.Duration(s.reg.Histogram("server_queue_wait_ns").Quantile(0.95))
+	if d < minRetryAfter {
+		return minRetryAfter
+	}
+	if d > maxRetryAfter {
+		return maxRetryAfter
+	}
+	return d
+}
+
+// countShed bumps the per-reason shed counter, server_shed_<reason>_total.
+func (s *Server) countShed(reason string) {
+	s.reg.Counter("server_shed_" + reason + "_total").Add(1)
 }
 
 // ListenAndServe binds addr and calls Serve. The bound address (useful with

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -384,5 +385,56 @@ func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 					cell.Verdict, cell.States, cell.Attempts, cell.Degraded)
 			}
 		})
+	}
+}
+
+func TestRetryAfterClamped(t *testing.T) {
+	s := New(Config{Concurrency: 1, Logger: nil})
+	defer s.Close()
+	// Cold histogram: the floor, not zero.
+	if got := s.retryAfter(); got != minRetryAfter {
+		t.Fatalf("cold retryAfter = %s, want floor %s", got, minRetryAfter)
+	}
+	// An outlier-poisoned p95 is capped.
+	s.reg.Timer("server_queue_wait_ns").Observe(10 * time.Minute)
+	if got := s.retryAfter(); got != maxRetryAfter {
+		t.Fatalf("poisoned retryAfter = %s, want cap %s", got, maxRetryAfter)
+	}
+}
+
+// TestEffectiveDeadlineOverflow: a deadline_ms too large for a
+// time.Duration is longer than any cap — it must never wrap into a tiny
+// deadline (a spurious 504) — and a negative one asks for no deadline.
+func TestEffectiveDeadlineOverflow(t *testing.T) {
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	const capD = 30 * time.Second
+	cases := []struct {
+		ms       int64
+		uncapped time.Duration
+		capped   time.Duration
+	}{
+		{ms: 60_000, uncapped: time.Minute, capped: capD},
+		{ms: 1_000, uncapped: time.Second, capped: time.Second},
+		{ms: 0, uncapped: 0, capped: capD},
+		{ms: -1, uncapped: 0, capped: capD},
+		{ms: maxMS, uncapped: time.Duration(maxMS) * time.Millisecond, capped: capD},
+		{ms: maxMS + 1, uncapped: 0, capped: capD},
+		{ms: 18446744073710, uncapped: 0, capped: capD},  // wrapped to 448µs
+		{ms: -18446744073709, uncapped: 0, capped: capD}, // wrapped to 551µs
+		{ms: math.MaxInt64, uncapped: 0, capped: capD},
+		{ms: math.MinInt64, uncapped: 0, capped: capD},
+	}
+	for _, tc := range cases {
+		for _, maxDeadline := range []time.Duration{0, capD} {
+			s := &Server{cfg: Config{MaxDeadline: maxDeadline}}
+			want := tc.uncapped
+			if maxDeadline > 0 {
+				want = tc.capped
+			}
+			if got := s.effectiveDeadline(api.SearchParams{DeadlineMS: tc.ms}); got != want {
+				t.Errorf("deadline_ms %d, max-deadline %s: effective deadline %s, want %s",
+					tc.ms, maxDeadline, got, want)
+			}
+		}
 	}
 }
