@@ -49,7 +49,7 @@ bench:
 
 # Run the whole evaluation and compare every cell against the paper.
 experiments:
-	$(GO) run ./cmd/privanalyzer -experiments -parallel
+	$(GO) run ./cmd/privanalyzer -experiments
 
 tables:
 	$(GO) run ./cmd/privanalyzer -tables

@@ -18,10 +18,11 @@
 //	privanalyzer -program thttpd -pprof localhost:6060  # live pprof while it runs
 //	privanalyzer -program all -escalate 4096:4  # custom budget-escalation ladder
 //
-// Several programs (-program all, -experiments, -diff) are analysed
-// concurrently, one goroutine each; every table, JSON document and stderr
-// line is emitted after all of them finish, in program order, so the output
-// is the same as a one-at-a-time run's.
+// The programs (-program all, -experiments, -diff) are analysed
+// concurrently, one goroutine each, and so are each program's attack
+// columns (core.AnalyzeAll); every table, JSON document and stderr line is
+// emitted after all of them finish, in program order, so the output is the
+// same as a one-at-a-time run's.
 //
 // SIGINT/SIGTERM interrupt the analysis gracefully: finished queries keep
 // their verdicts, interrupted ones get ⏱, and the partial tables plus any
@@ -64,7 +65,6 @@ func run(args []string) (code int) {
 		chart       = fs.Bool("chart", false, "also print ASCII search-cost charts (Figures 5-11)")
 		check       = fs.Bool("check", false, "compare results against the paper's table cells")
 		diff        = fs.String("diff", "", `compare two programs' postures, e.g. "su,suRef"`)
-		parallel    = fs.Bool("parallel", false, "additionally fan the independent queries out over the CPUs")
 		experiments = fs.Bool("experiments", false, "run the full evaluation and print the paper-vs-measured summary")
 		jsonOut     = fs.Bool("json", false, "print each analysis as api.AnalyzeResponse JSON (the privanalyzerd wire schema) instead of tables")
 		telemJSON   = fs.String("telemetry-json", "", "write the run's telemetry (spans and metrics) as JSONL to this file")
@@ -93,7 +93,7 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
 		return 2
 	}
-	opts := core.Options{Search: searchOpts, Parallel: *parallel}
+	opts := core.Options{Search: searchOpts}
 	ctx := telemetry.WithLogger(context.Background(), logger)
 	var reg *telemetry.Registry
 	if *telemJSON != "" || *promPath != "" || *traceOut != "" {

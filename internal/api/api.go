@@ -135,8 +135,8 @@ type AnalyzeRequest struct {
 	Program string `json:"program"`
 	// Attacks selects attack IDs 1-4; empty means all four.
 	Attacks []int `json:"attacks,omitempty"`
-	// Parallel fans the independent (phase, attack) queries out over the
-	// CPUs on top of each query's own frontier parallelism.
+	// Parallel is deprecated, accepted and ignored (it still decodes): a
+	// served analysis runs its queries one at a time, each search parallel.
 	Parallel bool `json:"parallel,omitempty"`
 	// Priority orders queued requests: higher runs sooner; equal priority
 	// is FIFO. Admission control is the queue bound, not the priority.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -226,6 +227,30 @@ func TestNoCompileIsNoOp(t *testing.T) {
 		if off.Stats == nil || off.Stats.CompiledMatches == 0 {
 			t.Errorf("%s query did not run through the compiled matchers", field)
 		}
+	}
+}
+
+// TestParallelIsNoOp: parallel is a deprecated v1 field. A strict decode
+// still accepts it, and it changes nothing in the analysis options.
+func TestParallelIsNoOp(t *testing.T) {
+	opts := func(body string) core.Options {
+		t.Helper()
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req AnalyzeRequest
+		if err := dec.Decode(&req); err != nil {
+			t.Fatal(err)
+		}
+		o, err := req.CoreOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	plain := opts(`{"program":"su","attacks":[2],"search":{"workers":1}}`)
+	set := opts(`{"program":"su","attacks":[2],"parallel":true,"search":{"workers":1}}`)
+	if !reflect.DeepEqual(plain, set) {
+		t.Errorf("parallel changed the options: %+v, without it %+v", set, plain)
 	}
 }
 

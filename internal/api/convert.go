@@ -297,7 +297,7 @@ func (r AnalyzeRequest) CoreOptions() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	opts := core.Options{Search: search, Parallel: r.Parallel}
+	opts := core.Options{Search: search}
 	for _, id := range r.Attacks {
 		if id < 1 || id > 4 {
 			return core.Options{}, fmt.Errorf("attacks: %d is not a Table I attack (1-4)", id)

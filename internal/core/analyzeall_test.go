@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,10 +13,13 @@ import (
 	"privanalyzer/internal/rewrite"
 )
 
-// TestAnalyzeAllMatchesSequential: analysing every program concurrently
-// yields, program by program and at Workers 1 and 4, exactly what the
-// one-program-at-a-time pipeline reports — instruction counts, verdicts,
-// state counts, witnesses and vulnerable shares.
+// TestAnalyzeAllMatchesSequential: analysing every program and every attack
+// column concurrently yields, program by program and at Workers 1 and 4,
+// exactly what the one-program-at-a-time pipeline reports — instruction
+// counts, verdicts, state counts, witnesses and vulnerable shares. At
+// Workers 1 the search statistics match too, transition-cache hits and
+// misses included: the figures a schedule could move, which hold because
+// no two columns reach a common state.
 func TestAnalyzeAllMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analyses every program twice; skipped with -short")
@@ -60,10 +64,23 @@ func TestAnalyzeAllMatchesSequential(t *testing.T) {
 					if gw, sw := rewrite.FormatWitness(g.Witnesses[a]), rewrite.FormatWitness(s.Witnesses[a]); gw != sw {
 						t.Errorf("%s %s attack %d: witness\n%s\nsequential:\n%s", where, g.Spec.Name, a+1, gw, sw)
 					}
+					if gs, ss := timeless(g.Stats[a]), timeless(s.Stats[a]); w == 1 && !reflect.DeepEqual(gs, ss) {
+						t.Errorf("%s %s attack %d: stats\n%+v\nsequential:\n%+v", where, g.Spec.Name, a+1, gs, ss)
+					}
 				}
 			}
 		}
 	}
+}
+
+// timeless is a copy of s without its wall-clock fields.
+func timeless(s *rewrite.SearchStats) *rewrite.SearchStats {
+	if s == nil {
+		return nil
+	}
+	c := s.Clone()
+	c.Elapsed, c.RuleProfile = 0, nil
+	return c
 }
 
 // TestAnalyzeAllFirstErrorCancels: a program that fails cancels the others

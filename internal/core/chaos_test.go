@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -17,11 +18,12 @@ import (
 // identical to the clean run's.
 //
 // The fault is counter-keyed, so where it lands depends on the schedule:
-// sequentially (Parallel off, Workers 1) the 100th expansion is an exact,
-// replayable position and the fault MUST surface; under parallelism the
-// deterministic merge may discard it (a speculative expansion past a goal
-// match that the one-worker run would never have performed), so the
-// invariant there is isolation, not occurrence.
+// sequentially (AnalyzeContext, Workers 1) the 100th expansion is an exact,
+// replayable position and the fault MUST surface; under parallelism
+// (AnalyzeAll's concurrent columns, Workers 4) the deterministic merge may
+// discard it (a speculative expansion past a goal match that the one-worker
+// run would never have performed), so the invariant there is isolation, not
+// occurrence.
 func TestAnalyzeFaultIsolation(t *testing.T) {
 	// su's sequential query grid performs ~119 successor expansions, so the
 	// 100th lands inside one of the later, larger searches.
@@ -29,26 +31,34 @@ func TestAnalyzeFaultIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	concurrent := func(opts Options) (*Analysis, error) {
+		all, err := AnalyzeAll(context.Background(), []string{p.Name}, opts)
+		if err != nil {
+			return nil, err
+		}
+		return all[0], nil
+	}
 	cases := []struct {
 		name      string
-		opts      Options
+		analyze   func(Options) (*Analysis, error)
+		workers   int
 		mustFault bool
 	}{
-		{"sequential", Options{Search: rewrite.Options{Workers: 1}}, true},
-		{"parallel", Options{Parallel: true, Search: rewrite.Options{Workers: 4}}, false},
+		{"sequential", func(opts Options) (*Analysis, error) { return Analyze(p, opts) }, 1, true},
+		{"parallel", concurrent, 4, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := Analyze(p, tc.opts)
+			opts := Options{Search: rewrite.Options{Workers: tc.workers}}
+			ref, err := tc.analyze(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			// The plan's expansion counter spans the whole query fan-out, so
 			// at most one query observes the 100th expansion and panics.
-			opts := tc.opts
 			opts.Search.Faults = &faultinject.Plan{PanicAtExpansion: 100}
-			a, err := Analyze(p, opts)
+			a, err := tc.analyze(opts)
 			if err != nil {
 				t.Fatalf("a query fault must not fail the analysis: %v", err)
 			}

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,12 +50,6 @@ type Options struct {
 	Checker *rosa.Checker
 	// Attacks selects which attacks to model; nil means all four.
 	Attacks []attacks.ID
-	// Parallel additionally fans the independent (phase, attack) queries
-	// out over the CPUs, on top of each query's own frontier-level
-	// parallelism. Results are identical to the sequential run (each
-	// query's search is deterministic and independent); only wall-clock
-	// time changes.
-	Parallel bool
 	// ProfileBlocks runs the ChronoPriv measurement with the interpreter's
 	// hot-block profile enabled and reports it in Analysis.HotBlocks; the
 	// -trace-out exporter turns it into counter tracks. Costs one slice
@@ -141,7 +134,7 @@ type Analysis struct {
 	// run; nil unless Options.ProfileBlocks was set.
 	HotBlocks *interp.BlockProfile
 	// Errors aggregates every query fault the analysis survived, in job
-	// order (phase-major, attack-minor — deterministic at any parallelism).
+	// order (phase-major, attack-minor — deterministic at any schedule).
 	// Each faulted query's cell reads ⏱ in Phases; a non-empty Errors is
 	// how callers distinguish "budget exhausted" from "query crashed and
 	// was isolated".
@@ -167,12 +160,20 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 // PhaseResult.Errs and aggregated in Analysis.Errors), never the analysis.
 // Only setup failures — a broken theory — abort with an error.
 //
+// The queries run one at a time, so the rosa.query spans stay additive.
+//
 // When ctx carries a telemetry.Registry (telemetry.NewContext), the analysis
 // opens a root span per program with child spans per stage — autopriv,
 // chronopriv, and one rosa.query span per (phase, attack) tagged
 // {program, phase, attack, verdict} — and feeds the registry's counters and
 // histograms. Without a registry the telemetry calls are no-ops.
 func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*Analysis, error) {
+	return analyze(ctx, p, opts, false)
+}
+
+// analyze is AnalyzeContext, with the attack columns run concurrently when
+// concurrent is set.
+func analyze(ctx context.Context, p *programs.Program, opts Options, concurrent bool) (*Analysis, error) {
 	began := time.Now()
 	root, ctx := telemetry.StartSpan(ctx, "analyze", "program", p.Name)
 	defer root.End()
@@ -230,13 +231,12 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 		}
 	}
 
-	// Run them — sequentially, or fanned out over the CPUs. Each worker
-	// writes only its own job's slots, so no locking is needed beyond the
-	// error slot. All jobs share one rosa.Checker, so the transition graph
-	// a query expands is reused by every later (phase, attack) query over
-	// the same program — repeated phases with identical credentials and
-	// privileges hit the cache almost entirely. An injected Options.Checker
-	// extends that sharing across analyses (the server's hot-checker LRU).
+	// Run them by column: one attack's queries in phase order, on one shared
+	// rosa.Checker whose transition cache a later phase of the column hits
+	// almost entirely. Two attacks' queries never reach a common state, so
+	// concurrent columns leave every query's cache counters as they are,
+	// and each writes only its own jobs' slots. An injected Options.Checker
+	// extends the sharing across analyses (the server's hot-checker LRU).
 	checker := opts.Checker
 	if checker == nil {
 		checker = rosa.NewChecker()
@@ -255,32 +255,24 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 		}
 		sp.End()
 	}
-	if opts.Parallel && len(jobs) > 1 {
-		workers := runtime.NumCPU()
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runJob(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for i := range jobs {
+	column := func(c int) {
+		for i := c; i < len(jobs); i += len(ids) {
 			runJob(i)
 		}
 	}
+	var wg sync.WaitGroup
+	for c := range ids {
+		if !concurrent {
+			column(c)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			column(c)
+		}()
+	}
+	wg.Wait()
 
 	var vulnerable [4]int64
 	for i, j := range jobs {
@@ -329,17 +321,17 @@ func AnalyzeContext(ctx context.Context, p *programs.Program, opts Options) (*An
 	return a, nil
 }
 
-// AnalyzeAll runs AnalyzeContext on the named programs (programs.ByName)
-// concurrently, one goroutine per program, and returns the analyses in
-// input order. Each program builds its own model and, unless opts.Checker
-// is set, its own rosa.Checker, so every analysis equals a separate
-// AnalyzeContext call's; only wall-clock time changes. What the programs do
-// share is schedule-independent: the process-wide term interner (canonical
-// representatives are a pure function of the term), and the telemetry
-// registry on ctx and opts.Search.Recorder, which are safe for concurrent
-// use and keep each program's spans and journal events apart by label and
-// search id. opts.Search.OnStats, when set, is called from every program's
-// goroutine.
+// AnalyzeAll analyses the named programs (programs.ByName) concurrently, a
+// goroutine per program and per attack column, and returns the analyses in
+// input order. Columns share no transition-cache entry, and each program
+// builds its own model and, unless opts.Checker is set, its own
+// rosa.Checker, so every analysis equals a separate AnalyzeContext call's,
+// search statistics included at Workers 1; only wall-clock time changes.
+// What the goroutines share is schedule-independent: the process-wide term
+// interner (canonical representatives are a pure function of the term), and
+// the telemetry registry on ctx and opts.Search.Recorder, which keep each
+// query's spans and journal events apart by label and search id.
+// opts.Search.OnStats, when set, is called from every column's goroutine.
 //
 // A program that fails cancels the context of the others, whose pending
 // queries then finish promptly with ⏱. The error returned is the first in
@@ -356,7 +348,7 @@ func AnalyzeAll(ctx context.Context, names []string, opts Options) ([]*Analysis,
 			defer wg.Done()
 			p, err := programs.ByName(name)
 			if err == nil {
-				out[i], err = AnalyzeContext(ctx, p, opts)
+				out[i], err = analyze(ctx, p, opts, true)
 			}
 			if err != nil {
 				errs[i] = err

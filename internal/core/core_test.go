@@ -15,18 +15,15 @@ import (
 	"privanalyzer/internal/rosa"
 )
 
-// analyzeByName runs the pipeline for one program.
+// analyzeByName runs the pipeline for one program, its attack columns
+// concurrently.
 func analyzeByName(t *testing.T, name string) *Analysis {
 	t.Helper()
-	p, err := programs.ByName(name)
+	all, err := AnalyzeAll(context.Background(), []string{name}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(p, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+	return all[0]
 }
 
 // assertMatchesPaper fails on any deviation from the paper's table cells.
@@ -230,37 +227,6 @@ func TestCompareIdentity(t *testing.T) {
 	}
 	if len(d.NewlyVulnerable) != 0 || len(d.NewlySafe) != 0 {
 		t.Errorf("self-comparison changed attack sets: %+v", d)
-	}
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	p, err := programs.Su()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Analyze(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Analyze(p, Options{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Phases) != len(par.Phases) {
-		t.Fatalf("phase counts differ")
-	}
-	for i := range seq.Phases {
-		if seq.Phases[i].Verdicts != par.Phases[i].Verdicts {
-			t.Errorf("phase %d verdicts differ: %v vs %v",
-				i, seq.Phases[i].Verdicts, par.Phases[i].Verdicts)
-		}
-		if seq.Phases[i].States != par.Phases[i].States {
-			t.Errorf("phase %d states differ: %v vs %v",
-				i, seq.Phases[i].States, par.Phases[i].States)
-		}
-	}
-	if seq.VulnerableShare != par.VulnerableShare {
-		t.Errorf("shares differ: %v vs %v", seq.VulnerableShare, par.VulnerableShare)
 	}
 }
 

@@ -23,21 +23,19 @@ type jsonlRecord struct {
 	Counters map[string]int64  `json:"counters"`
 }
 
-// TestAnalyzeSpanHierarchy runs the pipeline with a telemetry registry in the
-// context and verifies the exported span tree: one root "analyze" span, the
-// "autopriv" and "chronopriv" stage spans under it, and one "rosa.query" span
-// per query carrying the (program, phase, attack, verdict) labels.
+// TestAnalyzeSpanHierarchy runs the pipeline, its attack columns concurrent
+// (AnalyzeAll), with a telemetry registry in the context and verifies the
+// exported span tree: one root "analyze" span, the "autopriv" and
+// "chronopriv" stage spans under it, and one "rosa.query" span per query
+// carrying the (program, phase, attack, verdict) labels.
 func TestAnalyzeSpanHierarchy(t *testing.T) {
-	p, err := programs.ByName("ping")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
-	a, err := AnalyzeContext(ctx, p, Options{Parallel: true})
+	all, err := AnalyzeAll(ctx, []string{"ping"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := all[0]
 	queries := 0
 	for _, pr := range a.Phases {
 		for _, v := range pr.Verdicts {
@@ -118,5 +116,67 @@ func TestAnalyzeSpanHierarchy(t *testing.T) {
 	}
 	if got := last.Counters["rosa_queries_total"]; got != int64(queries) {
 		t.Errorf("rosa_queries_total = %d, want %d", got, queries)
+	}
+}
+
+// TestAnalyzeAllTraceTracksNest exports the trace of AnalyzeAll over all
+// seven programs — concurrent programs, concurrent attack columns — and
+// requires every span to be present as one complete event, and the complete
+// events of each track to nest: any two are disjoint or one contains the
+// other, which is how Perfetto draws a track.
+func TestAnalyzeAllTraceTracksNest(t *testing.T) {
+	reg := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), reg)
+	if _, err := AnalyzeAll(ctx, programs.Names(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteTrace(&buf, reg, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			TID  int     `json:"tid"`
+			Args struct {
+				SpanID int64 `json:"span_id"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	type interval struct{ from, to float64 }
+	byTID := map[int][]interval{}
+	ids := map[int64]bool{}
+	events := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "X" {
+			byTID[ev.TID] = append(byTID[ev.TID], interval{ev.TS, ev.TS + ev.Dur})
+			ids[ev.Args.SpanID] = true
+			events++
+		}
+	}
+	if spans := len(reg.Spans()); events != spans || len(ids) != spans {
+		t.Errorf("%d span events for %d distinct spans in the trace; the registry holds %d", events, len(ids), spans)
+	}
+	// Timestamps are float microseconds; allow a nanosecond of rounding.
+	const eps = 1e-3
+	inside := func(a, b interval) bool { return b.from-eps <= a.from && a.to <= b.to+eps }
+	for tid, evs := range byTID {
+		for i, a := range evs {
+			for _, b := range evs[i+1:] {
+				disjoint := a.to <= b.from+eps || b.to <= a.from+eps
+				if !disjoint && !inside(a, b) && !inside(b, a) {
+					t.Errorf("tid %d: spans [%.3f, %.3f] and [%.3f, %.3f] overlap without nesting",
+						tid, a.from, a.to, b.from, b.to)
+				}
+			}
+		}
+	}
+	if len(byTID) < 2 {
+		t.Errorf("all spans on %d track(s); concurrent programs need more", len(byTID))
 	}
 }

@@ -13,10 +13,10 @@ package rewrite
 // The interner is process-global so that pointer identity is meaningful
 // across systems and queries — exactly what lets a per-program transition
 // cache be shared by every attack query. It is sharded by hash to stay off
-// the contended path under the level-parallel search, and collision-checked:
-// a bucket holds every distinct term with that hash, membership is confirmed
-// with structEqual, so a 64-bit collision costs one comparison, never a
-// merged state.
+// the contended path under the level-parallel search; each shard is a flat
+// open-addressed table of terms. Lookups are collision-checked: a term with
+// the probed hash is confirmed structurally, so a 64-bit collision costs one
+// comparison, never a merged state.
 
 import (
 	"sync"
@@ -25,18 +25,52 @@ import (
 
 // internShards is the shard count; a power of two so the hash folds with a
 // mask. 64 shards keep lock contention negligible at the engine's worker
-// counts.
-const internShards = 64
+// counts. internShardBits is its log2.
+const internShards, internShardBits = 64, 6
 
+// internShard holds n canonical terms in slots (nil = empty), a power of
+// two at least 2n long; probes read a term's memoized hash atomically.
 type internShard struct {
-	mu sync.Mutex
-	m  map[uint64][]*Term
+	mu    sync.Mutex
+	slots []*Term
+	n     int
 }
 
 var (
 	interner     [internShards]internShard
 	internedSize atomic.Int64
 )
+
+// home returns the index h's probe starts at and the table's index mask,
+// allocating the table on first use. The caller holds s.mu.
+func (s *internShard) home(h uint64) (i, mask int) {
+	if s.slots == nil {
+		s.slots = make([]*Term, 16)
+	}
+	mask = len(s.slots) - 1
+	return int(h>>internShardBits) & mask, mask
+}
+
+// insert stores t, whose hash is h and whose class the table does not hold
+// yet, first doubling the table if it would pass half load. The caller
+// holds s.mu.
+func (s *internShard) insert(t *Term, h uint64) {
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots, s.n = make([]*Term, 2*len(old)), 0
+		for _, u := range old {
+			if u != nil {
+				s.insert(u, u.hash.Load())
+			}
+		}
+	}
+	i, mask := s.home(h)
+	for s.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = t
+	s.n++
+}
 
 // Intern returns the canonical representative of t's structural-equivalence
 // class, interning t (and, recursively, its subterms) if the class is new.
@@ -70,8 +104,8 @@ func Intern(t *Term) *Term {
 	h0 := t.Hash()
 	s0 := &interner[h0&(internShards-1)]
 	s0.mu.Lock()
-	for _, u := range s0.m[h0] {
-		if structEqual(t, u) {
+	for i, mask := s0.home(h0); s0.slots[i] != nil; i = (i + 1) & mask {
+		if u := s0.slots[i]; u.hash.Load() == h0 && structEqual(t, u) {
 			s0.mu.Unlock()
 			return u
 		}
@@ -115,17 +149,14 @@ func Intern(t *Term) *Term {
 func internNew(nt *Term, h uint64) *Term {
 	s := &interner[h&(internShards-1)]
 	s.mu.Lock()
-	for _, u := range s.m[h] {
-		if structEqual(nt, u) {
+	for i, mask := s.home(h); s.slots[i] != nil; i = (i + 1) & mask {
+		if u := s.slots[i]; u.hash.Load() == h && structEqual(nt, u) {
 			s.mu.Unlock()
 			return u
 		}
 	}
 	nt.interned.Store(true)
-	if s.m == nil {
-		s.m = make(map[uint64][]*Term)
-	}
-	s.m[h] = append(s.m[h], nt)
+	s.insert(nt, h)
 	s.mu.Unlock()
 	internedSize.Add(1)
 	return nt
@@ -198,8 +229,9 @@ func replaceConfig(subj *Term, removed []bool, objs []*Term) *Term {
 	var args []*Term // the successor's canonical elements, built on demand
 	s := &interner[h&(internShards-1)]
 	s.mu.Lock()
-	for _, u := range s.m[h] {
-		if u.Kind != Config || len(u.Args) != n {
+	for i, mask := s.home(h); s.slots[i] != nil; i = (i + 1) & mask {
+		u := s.slots[i]
+		if u.hash.Load() != h || u.Kind != Config || len(u.Args) != n {
 			continue
 		}
 		it := replaceIter{args: subj.Args, removed: removed, add: add}
@@ -278,8 +310,8 @@ func InternOp(sym string, args ...*Term) *Term {
 	}
 	s := &interner[h&(internShards-1)]
 	s.mu.Lock()
-	for _, u := range s.m[h] {
-		if opEqualParts(u, sym, args) {
+	for i, mask := s.home(h); s.slots[i] != nil; i = (i + 1) & mask {
+		if u := s.slots[i]; u.hash.Load() == h && opEqualParts(u, sym, args) {
 			s.mu.Unlock()
 			return u
 		}

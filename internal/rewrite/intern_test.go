@@ -52,7 +52,10 @@ func TestInternSubtermsShared(t *testing.T) {
 
 // TestInternHashCollision forces two distinct terms into the same interner
 // bucket by pre-seeding identical memoized hashes; the structural check must
-// keep them apart.
+// keep them apart. It then interns a run of terms in one shard: its first
+// and last 40 share two hashes whose probes start at the table's last slots,
+// so their probes wrap around to the table's start, and the run is long
+// enough that the shard's table doubles before it ends.
 func TestInternHashCollision(t *testing.T) {
 	a := NewOp("collide", NewInt(1))
 	b := NewOp("collide", NewInt(2))
@@ -65,6 +68,78 @@ func TestInternHashCollision(t *testing.T) {
 	if !ia.Equal(Intern(NewOpWithHash("collide", 42, 1))) {
 		t.Fatal("collided term lost its identity")
 	}
+
+	// A symbol and hash seed no earlier run used, so every term below is new.
+	seed := uint64(InternerSize())
+	sym := fmt.Sprintf("collide-wrap-%d", seed)
+	k, n, slotsBefore := growableShard(80)
+	hash := func(i int) uint64 {
+		if i < 40 || i >= n-40 {
+			// All ones above the shard bits (but the lowest, for odd i):
+			// the probe starts at the last or second-to-last slot.
+			return (^uint64(internShards-1) - uint64(i%2)<<internShardBits) | k
+		}
+		return spreadHash(seed, k, i)
+	}
+	canon := make([]*Term, n)
+	seen := make(map[*Term]int, n)
+	for i := range canon {
+		canon[i] = Intern(collidingTerm(sym, i, hash(i)))
+		if j, dup := seen[canon[i]]; dup {
+			t.Fatalf("colliding terms %d and %d merged by the interner", j, i)
+		}
+		seen[canon[i]] = i
+	}
+	if after := slotsOf(k); after <= slotsBefore {
+		t.Fatalf("shard table stayed at %d slots over %d inserts; the run did not grow it", after, n)
+	}
+	for i, c := range canon {
+		if got := Intern(collidingTerm(sym, i, hash(i))); got != c {
+			t.Fatalf("re-interning colliding term %d returned a different pointer", i)
+		}
+		if Intern(c) != c {
+			t.Fatalf("re-interning canonical colliding term %d returned a different pointer", i)
+		}
+	}
+}
+
+// collidingTerm builds sym(i) with its memoized hash seeded to h. The
+// argument is interned already, so Intern keeps the term, and its seeded
+// hash, as the canonical representative.
+func collidingTerm(sym string, i int, h uint64) *Term {
+	t := NewOp(sym, Intern(NewInt(int64(i))))
+	t.hash.Store(h)
+	return t
+}
+
+// spreadHash spreads i over shard k, seeded so that runs do not collide.
+func spreadHash(seed, k uint64, i int) uint64 {
+	return mix64(seed+uint64(i))&^(internShards-1) | k
+}
+
+// growableShard returns the shard whose table grows after the fewest new
+// terms, how many new terms to intern there (that many, or min if more),
+// and its current slot count. Picking the emptiest shard keeps repeated
+// runs from doubling one table again and again.
+func growableShard(min int) (k uint64, n, slots int) {
+	n = -1
+	for i := range interner {
+		s := &interner[i]
+		s.mu.Lock()
+		if need := len(s.slots)/2 - s.n + 1; n < 0 || need < n {
+			k, n, slots = uint64(i), need, len(s.slots)
+		}
+		s.mu.Unlock()
+	}
+	return k, max(min, n), slots
+}
+
+// slotsOf returns shard k's slot count.
+func slotsOf(k uint64) int {
+	s := &interner[k]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.slots)
 }
 
 // NewOpWithHash builds an Op with a pre-seeded memoized hash (test helper
@@ -93,6 +168,51 @@ func TestInternConcurrent(t *testing.T) {
 	for g := 1; g < goroutines; g++ {
 		if out[g] != out[0] {
 			t.Fatalf("goroutine %d interned a distinct pointer", g)
+		}
+	}
+}
+
+// TestInternConcurrentGrowth: goroutines intern the same classes, all in one
+// shard, in different orders while the shard's table doubles under them.
+// Each class gets one canonical pointer, the same in every goroutine, and
+// distinct classes stay distinct (run under -race by make test-race).
+func TestInternConcurrentGrowth(t *testing.T) {
+	const goroutines = 8
+	seed := uint64(InternerSize())
+	sym := fmt.Sprintf("collide-grow-%d", seed)
+	k, n, slotsBefore := growableShard(200)
+	out := make([][]*Term, goroutines)
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[g] = make([]*Term, n)
+			for j := range n {
+				// A different order per goroutine: rotated by g, and
+				// reversed for odd g.
+				i := (j + g*n/goroutines) % n
+				if g%2 == 1 {
+					i = n - 1 - i
+				}
+				out[g][i] = Intern(collidingTerm(sym, i, spreadHash(seed, k, i)))
+			}
+		}()
+	}
+	wg.Wait()
+	if after := slotsOf(k); after <= slotsBefore {
+		t.Fatalf("shard table stayed at %d slots over %d classes; it did not grow", after, n)
+	}
+	seen := make(map[*Term]int, n)
+	for i, c := range out[0] {
+		if j, dup := seen[c]; dup {
+			t.Fatalf("classes %d and %d share one pointer", j, i)
+		}
+		seen[c] = i
+		for g := 1; g < goroutines; g++ {
+			if out[g][i] != c {
+				t.Fatalf("goroutine %d interned class %d to a different pointer", g, i)
+			}
 		}
 	}
 }

@@ -200,46 +200,39 @@ func newJobRegistry() *jobRegistry {
 	return &jobRegistry{jobs: make(map[string]*jobRecord)}
 }
 
-// add admits j, evicting the oldest finished job when the ring is full.
-// Reports false when every resident job is still live — the jobs analogue of
-// queue saturation.
-func (r *jobRegistry) add(j *jobRecord) bool {
+// errRegistryFull reports a full job ring whose resident jobs are all still
+// live — the jobs analogue of queue saturation, answered the same way.
+var errRegistryFull = fmt.Errorf("%w: job registry full, all resident jobs still running", ErrSaturated)
+
+// add registers j once enqueue succeeded; a full ring evicts its oldest
+// finished job only then, so a rejected submission never costs a resident
+// result, and with none finished add returns errRegistryFull. enqueue runs
+// under the registry lock, so it must not block (pool.enqueue never waits).
+func (r *jobRegistry) add(j *jobRecord, enqueue func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for len(r.order) >= jobHistory {
-		evicted := false
+	victim := -1
+	if len(r.order) >= jobHistory {
 		for i, old := range r.order {
 			if old.currentStatus() == api.JobDone {
-				delete(r.jobs, old.id)
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				evicted = true
+				victim = i
 				break
 			}
 		}
-		if !evicted {
-			return false
+		if victim < 0 {
+			return errRegistryFull
 		}
+	}
+	if err := enqueue(); err != nil {
+		return err
+	}
+	if victim >= 0 {
+		delete(r.jobs, r.order[victim].id)
+		r.order = append(r.order[:victim], r.order[victim+1:]...)
 	}
 	r.jobs[j.id] = j
 	r.order = append(r.order, j)
-	return true
-}
-
-// remove withdraws a job that failed to enqueue.
-func (r *jobRegistry) remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return
-	}
-	delete(r.jobs, id)
-	for i, o := range r.order {
-		if o == j {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
+	return nil
 }
 
 func (r *jobRegistry) get(id string) *jobRecord {
@@ -309,26 +302,21 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server_requests_total").Add(1)
 
 	j := newJobRecord(p.kind, telemetry.RequestID(r.Context()))
-	if !s.jobs.add(j) {
-		s.countShed("queue_full")
-		s.writeErrorDetail(w, http.StatusServiceUnavailable, api.ErrorDetail{
-			Code:         api.CodeQueueFull,
-			Message:      "job registry full: all resident jobs still running",
-			RetryAfterMS: s.retryAfter().Milliseconds(),
+	var pooled *job
+	err := s.jobs.add(j, func() (err error) {
+		// onAbort resolves a job the drain policy or a deadline withdrew
+		// before any worker owned it: a terminal status with the matching
+		// error code — never silence. Bound at enqueue so an abort cannot
+		// race past it.
+		pooled, err = s.pool.enqueue(p.priority, func() { s.execJob(j, p) }, func(aerr error) {
+			status, det := s.errorDetailForRun(aerr)
+			s.reg.Counter("server_errors_total").Add(1)
+			j.finish(nil, status, &det)
+			j.sink.Close()
 		})
-		return
-	}
-	// onAbort resolves a job the drain policy or a deadline withdrew before
-	// any worker owned it: a terminal status with the matching error code —
-	// never silence. Bound at enqueue so an abort cannot race past it.
-	pooled, err := s.pool.enqueue(p.priority, func() { s.execJob(j, p) }, func(aerr error) {
-		status, det := s.errorDetailForRun(aerr)
-		s.reg.Counter("server_errors_total").Add(1)
-		j.finish(nil, status, &det)
-		j.sink.Close()
+		return err
 	})
 	if err != nil {
-		s.jobs.remove(j.id)
 		if errors.Is(err, ErrClosed) {
 			s.countShed("shutdown")
 		} else {

@@ -584,3 +584,38 @@ func TestServeGracefulDrainWithStreamingJob(t *testing.T) {
 		t.Fatal("Serve did not return after drain")
 	}
 }
+
+// TestRejectedSubmitKeepsFinishedJobs: with the job ring full of finished
+// jobs and the queue full, a submission answered 503 queue_full must not
+// evict a finished job — a client may be about to fetch its result.
+func TestRejectedSubmitKeepsFinishedJobs(t *testing.T) {
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 1})
+	s.jobs.mu.Lock()
+	for i := 0; i < jobHistory; i++ {
+		j := newJobRecord("query", "")
+		j.finish([]byte(`{}`), http.StatusOK, nil)
+		s.jobs.jobs[j.id] = j
+		s.jobs.order = append(s.jobs.order, j)
+	}
+	first := s.jobs.order[0].id
+	s.jobs.mu.Unlock()
+
+	gate := occupyWorkers(t, s, 1)
+	defer close(gate)
+	if _, err := s.pool.enqueue(0, func() {}, nil); err != nil {
+		t.Fatalf("filling the queue: %v", err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", `{"query":`+queryBody+`}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit into a full queue = %d, want 503: %s", resp.StatusCode, body)
+	}
+	if env := decodeError(t, body); env.Error.Code != api.CodeQueueFull {
+		t.Errorf("full-queue code = %q, want %q", env.Error.Code, api.CodeQueueFull)
+	}
+	if st := jobStatus(t, ts.URL+"/v1/jobs/"+first); st.Status != api.JobDone {
+		t.Errorf("oldest finished job status = %q, want %q", st.Status, api.JobDone)
+	}
+	if n := s.jobs.len(); n != jobHistory {
+		t.Errorf("%d resident jobs after a rejected submit, want %d", n, jobHistory)
+	}
+}

@@ -16,10 +16,9 @@ import (
 // array of complete ("X"), instant ("i"), counter ("C"), and metadata ("M")
 // events with microsecond timestamps.
 //
-// Track layout: tid 0 carries the span tree (Perfetto nests "X" events by
-// time containment, which matches the parent links since children start
-// after and end before their parents); tid 1+w carries worker w's recorder
-// events as instants; counter tracks render above the threads.
+// Track layout: tids 0..L-1 carry the span tree on L lanes (spanLanes: a
+// viewer nests a track's "X" events by time containment); tid L+w carries
+// worker w's recorder events as instants; counter tracks render above.
 
 // CounterSample is one timestamped multi-series counter observation; each
 // Values key becomes a stacked series of the track.
@@ -68,10 +67,13 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 			base = ns
 		}
 	}
-	spans := reg.Spans()
-	for _, s := range spans {
-		setBase(s.record().StartNS)
+	var recs []spanRecord
+	for _, s := range reg.Spans() {
+		recs = append(recs, s.record())
+		setBase(recs[len(recs)-1].StartNS)
 	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].StartNS < recs[j].StartNS })
+	lanes, nlanes := spanLanes(recs)
 	if rec != nil {
 		setBase(rec.Epoch().UnixNano())
 	}
@@ -89,6 +91,9 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 	}
 	events = append(events, meta("process_name", 0, "privanalyzer"))
 	events = append(events, meta("thread_name", 0, "pipeline (spans)"))
+	for l := 1; l < nlanes; l++ {
+		events = append(events, meta("thread_name", l, "pipeline (spans, lane "+strconv.Itoa(l)+")"))
+	}
 	if d := rec.Dropped(); d > 0 {
 		// Truncation indicator in the trace header: the journal below holds
 		// only the most recent events, so viewers know gaps are real.
@@ -96,13 +101,12 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 			Args: map[string]any{"labels": "recorder dropped " + strconv.FormatInt(d, 10) + " events"}})
 	}
 	for _, wk := range rec.Workers() {
-		events = append(events, meta("thread_name", 1+wk,
+		events = append(events, meta("thread_name", nlanes+wk,
 			"search worker "+strconv.Itoa(wk)))
 	}
 
-	// Spans as complete events on tid 0.
-	for _, s := range spans {
-		rc := s.record()
+	// Spans as complete events on their lanes' tids.
+	for _, rc := range recs {
 		args := map[string]any{"span_id": rc.ID}
 		if rc.Parent != 0 {
 			args["parent"] = rc.Parent
@@ -113,7 +117,7 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 		events = append(events, traceEvent{
 			Name: rc.Name, Ph: "X",
 			TS: us(rc.StartNS), Dur: float64(rc.DurNS) / 1e3,
-			PID: 1, TID: 0, Args: args,
+			PID: 1, TID: lanes[rc.ID], Args: args,
 		})
 	}
 
@@ -139,7 +143,7 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 			events = append(events, traceEvent{
 				Name: name, Ph: "i", S: "t",
 				TS:  us(epoch + ev.T),
-				PID: 1, TID: 1 + int(ev.Worker), Args: args,
+				PID: 1, TID: nlanes + int(ev.Worker), Args: args,
 			})
 		}
 	}
@@ -171,4 +175,38 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	return nil
+}
+
+// spanLanes gives each span, in start order, a lane on which any two spans
+// are disjoint or nested: its parent's lane while the parent is the
+// innermost span open there, else the lowest lane with no span open, else a
+// new one. It returns each span's lane by id, and the lane count (at least 1).
+func spanLanes(recs []spanRecord) (map[int64]int, int) {
+	end := func(r spanRecord) int64 { return r.StartNS + r.DurNS }
+	lanes := make(map[int64]int, len(recs)) // span id -> lane
+	var open [][]spanRecord                 // per lane: open spans, innermost last
+	for _, rc := range recs {
+		lane := -1
+		for l, st := range open {
+			// Close what ended by rc's start: it contains no later span.
+			for len(st) > 0 && end(st[len(st)-1]) <= rc.StartNS {
+				st = st[:len(st)-1]
+			}
+			if open[l] = st; lane < 0 && len(st) == 0 {
+				lane = l
+			}
+		}
+		if l, ok := lanes[rc.Parent]; ok && len(open[l]) > 0 {
+			if top := open[l][len(open[l])-1]; top.ID == rc.Parent && end(rc) <= end(top) {
+				lane = l
+			}
+		}
+		if lane < 0 {
+			lane = len(open)
+			open = append(open, nil)
+		}
+		open[lane] = append(open[lane], rc)
+		lanes[rc.ID] = lane
+	}
+	return lanes, max(1, len(open))
 }

@@ -148,3 +148,52 @@ func TestWriteTraceEmpty(t *testing.T) {
 		t.Error("missing traceEvents key")
 	}
 }
+
+// TestWriteTraceLanes: two concurrent children of one span overlap without
+// nesting, so they cannot share a track. The first stays on its parent's
+// track (tid 0), the second moves to a lane of its own, and the worker
+// tracks follow the span lanes.
+func TestWriteTraceLanes(t *testing.T) {
+	reg := New()
+	ctx := NewContext(context.Background(), reg)
+	root, rctx := StartSpan(ctx, "analyze")
+	first, _ := StartSpan(rctx, "rosa.query", "attack", "1")
+	time.Sleep(time.Millisecond)
+	second, _ := StartSpan(rctx, "rosa.query", "attack", "2")
+	time.Sleep(time.Millisecond)
+	first.End()
+	time.Sleep(time.Millisecond)
+	second.End()
+	root.End()
+
+	rec := NewRecorder(0)
+	b := rec.Buf(rec.BeginSearch(), 0)
+	b.Record(EvLevelStart, 0, 0, "", 1)
+	b.Flush()
+
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, reg, rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	events, _ := decodeTrace(t, buf.Bytes())
+	tids := map[string]float64{}
+	for _, ev := range events {
+		tid, _ := ev["tid"].(float64)
+		switch ev["ph"] {
+		case "X":
+			name := ev["name"].(string)
+			if a, ok := ev["args"].(map[string]any)["attack"].(string); ok {
+				name += " " + a
+			}
+			tids[name] = tid
+		case "i":
+			tids["worker 0"] = tid
+		}
+	}
+	want := map[string]float64{"analyze": 0, "rosa.query 1": 0, "rosa.query 2": 1, "worker 0": 2}
+	for name, tid := range want {
+		if got, ok := tids[name]; !ok || got != tid {
+			t.Errorf("%s on tid %v (present %v), want %v", name, got, ok, tid)
+		}
+	}
+}
