@@ -230,6 +230,40 @@ func TestCompareIdentity(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: su analysed with its attack columns run
+// concurrently (the schedule AnalyzeAll uses) reports the same verdicts,
+// state counts and vulnerable shares as the sequential AnalyzeContext.
+func TestParallelMatchesSequential(t *testing.T) {
+	p, err := programs.Su()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := Analyze(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := analyze(context.Background(), p, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Phases) != len(par.Phases) {
+		t.Fatalf("phase counts differ")
+	}
+	for i := range seq.Phases {
+		if seq.Phases[i].Verdicts != par.Phases[i].Verdicts {
+			t.Errorf("phase %d verdicts differ: %v vs %v",
+				i, seq.Phases[i].Verdicts, par.Phases[i].Verdicts)
+		}
+		if seq.Phases[i].States != par.Phases[i].States {
+			t.Errorf("phase %d states differ: %v vs %v",
+				i, seq.Phases[i].States, par.Phases[i].States)
+		}
+	}
+	if seq.VulnerableShare != par.VulnerableShare {
+		t.Errorf("shares differ: %v vs %v", seq.VulnerableShare, par.VulnerableShare)
+	}
+}
+
 // TestWorkersEquivalenceGrid runs every ROSA query behind Tables III and V —
 // all programs, all phases, all four attacks — once sequentially and once
 // with 4 search workers, and requires byte-identical verdicts, witnesses,
