@@ -16,7 +16,6 @@
 //	privanalyzer -program all -timeout 1m # wall-clock limit; late queries get ⏱
 //	privanalyzer -program all -telemetry-json out.jsonl -prom metrics.txt
 //	privanalyzer -program thttpd -pprof localhost:6060  # live pprof while it runs
-//	privanalyzer -program all -escalate 4096:4  # custom budget-escalation ladder
 //
 // The programs (-program all, -experiments, -diff) are analysed
 // concurrently, one goroutine each, and so are each program's attack

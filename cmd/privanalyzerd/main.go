@@ -8,7 +8,7 @@
 //	privanalyzerd                         # serve on 127.0.0.1:7177
 //	privanalyzerd -addr :7177             # all interfaces
 //	privanalyzerd -concurrency 4 -queue 32
-//	privanalyzerd -budget 100000 -escalate 4096:4   # server-side defaults
+//	privanalyzerd -budget 100000 -workers 2   # server-side search defaults
 //	privanalyzerd -timeout 30s            # default per-request wall clock
 //	privanalyzerd -max-deadline 30s       # cap every request's deadline_ms
 //
@@ -25,9 +25,9 @@
 //	GET  /v1/version          the binary's build identity
 //	GET  /healthz /readyz /metrics /debug/pprof/...
 //
-// The search knobs (-budget, -workers, -escalate, -mem-budget, -timeout,
-// -stats) are the same flags the CLIs take and set server-side defaults;
-// each request's search params override them per field. Overload has one
+// The search knobs (-budget, -workers, -mem-budget, -timeout, -stats) are
+// the same flags the CLIs take and set server-side defaults; each
+// request's search params override them per field. Overload has one
 // answer: when -queue requests are already waiting, the next is refused
 // with 503 queue_full and a retry hint; deadline_ms (capped by
 // -max-deadline) withdraws work that waited too long. SIGINT/SIGTERM
@@ -90,8 +90,8 @@ func run(args []string, onListen func(net.Addr)) int {
 	if logger == nil {
 		logger = telemetry.Discard
 	}
-	// Validate the default search knobs now — a bad -escalate should fail
-	// boot, not every future request.
+	// Validate the default search knobs now — a -workers value above
+	// rewrite.MaxWorkers should fail boot, not every future request.
 	if _, err := search.ToSearchOptions(); err != nil {
 		fmt.Fprintln(os.Stderr, "privanalyzerd:", err)
 		return 2

@@ -5,10 +5,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"privanalyzer/internal/rewrite"
 )
 
 // TestDaemonBootServeShutdown boots the daemon on an ephemeral port, drives
@@ -90,21 +93,22 @@ func TestDaemonBootServeShutdown(t *testing.T) {
 }
 
 // TestDaemonFlagValidation pins the boot-time rejections: -trace-out is
-// CLI-only, a malformed default -escalate fails boot instead of every
-// future request, and an unknown flag is a usage error.
+// CLI-only, a default -workers above rewrite.MaxWorkers fails boot instead
+// of every future request, and an unknown flag is a usage error.
 func TestDaemonFlagValidation(t *testing.T) {
 	if code := run([]string{"-trace-out", "x.trace"}, nil); code != 2 {
 		t.Errorf("-trace-out exit = %d, want 2", code)
 	}
-	if code := run([]string{"-escalate", "zzz"}, nil); code != 2 {
-		t.Errorf("bad -escalate exit = %d, want 2", code)
+	if code := run([]string{"-workers", strconv.Itoa(rewrite.MaxWorkers + 1)}, nil); code != 2 {
+		t.Errorf("-workers %d exit = %d, want 2", rewrite.MaxWorkers+1, code)
 	}
 	if code := run([]string{"-log-level", "nope"}, nil); code != 2 {
 		t.Errorf("bad -log-level exit = %d, want 2", code)
 	}
-	// The queue bound is the daemon's one overload knob; other shedding
-	// flags are unknown and fail boot like any typo.
-	for _, args := range [][]string{{"-brownout", "q=48"}, {"-max-queue", "1ms"}} {
+	// The queue bound is the daemon's one overload knob and -budget its one
+	// state bound; other shedding and budget flags are unknown and fail
+	// boot like any typo.
+	for _, args := range [][]string{{"-brownout", "q=48"}, {"-max-queue", "1ms"}, {"-escalate", "off"}} {
 		if code := run(args, nil); code != 2 {
 			t.Errorf("unknown flag %s exit = %d, want 2", args[0], code)
 		}

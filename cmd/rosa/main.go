@@ -16,7 +16,6 @@
 //	rosa -example -trace-out trace.json   # Chrome Trace / Perfetto export
 //	rosa -example -progress 200ms         # live progress line on stderr
 //	rosa -example -log-level debug        # structured logs on stderr
-//	rosa -query f.rosa -escalate 4096:4   # custom budget-escalation ladder
 //	rosa -watch http://host:7177/v1/jobs/j-ab12  # follow a privanalyzerd job's
 //	                                             # live SSE stream (progress on
 //	                                             # stderr, result JSON on stdout)
@@ -269,7 +268,10 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	ctx, stopSignals := cmdutil.SignalContext(ctx)
 	defer stopSignals()
 	sp, ctx := telemetry.StartSpan(ctx, "rosa.query", "query", what)
-	res, err := q.RunContext(ctx)
+	// A Checker, as privanalyzerd runs /v1/query: its transition cache is
+	// part of what -mem-budget charges, so the flag and the mem_budget
+	// request field stop the same query at the same point.
+	res, err := rosa.NewChecker().Run(ctx, q)
 	if progressShown {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -281,11 +283,7 @@ func (r reporter) report(what string, q *rosa.Query) int {
 		sp.SetLabel("verdict", res.Verdict.String())
 	}
 	sp.End()
-	attempts := ""
-	if res.Attempts > 1 {
-		attempts = fmt.Sprintf(", %d escalation attempts", res.Attempts)
-	}
-	fmt.Printf("verdict: %s  (%d states explored in %s%s)\n", res.Verdict, res.StatesExplored, res.Elapsed, attempts)
+	fmt.Printf("verdict: %s  (%d states explored in %s)\n", res.Verdict, res.StatesExplored, res.Elapsed)
 	if res.Err != nil {
 		fmt.Printf("search fault (isolated, verdict ⏱): %v\n", res.Err)
 	}

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"privanalyzer/internal/api"
 	"privanalyzer/internal/rosa"
 )
 
@@ -210,6 +213,21 @@ func TestRunExplainSafe(t *testing.T) {
 	}
 }
 
+// TestRunExplainBudget: -explain on a ⏱ names the bound that stopped the
+// search, by the flag that raises it.
+func TestRunExplainBudget(t *testing.T) {
+	out, code := capture(t, func() int { return run([]string{"-example", "-budget", "2", "-explain"}) })
+	if code != 0 {
+		t.Fatalf("exit code = %d\n%s", code, out)
+	}
+	if !strings.Contains(out, "verdict: ⏱") || !strings.Contains(out, "raise -budget") {
+		t.Errorf("a 2-state budget ⏱ must point at -budget:\n%s", out)
+	}
+	if strings.Contains(out, "-max-states") {
+		t.Errorf("-explain names -max-states, which no binary has:\n%s", out)
+	}
+}
+
 // TestRunTraceOut: the exported file must parse as Chrome Trace Event JSON
 // with the rosa.query span and the recorder's instant events.
 func TestRunTraceOut(t *testing.T) {
@@ -308,6 +326,35 @@ func TestRunBudgetStarved(t *testing.T) {
 	}
 }
 
+// TestRunMemBudgetAsServed: -mem-budget stops a query where the same
+// mem_budget stops it on /v1/query (a built request run on a Checker), at
+// budgets on both sides of the worked example's degradation point.
+func TestRunMemBudgetAsServed(t *testing.T) {
+	const queryFile = "../../testdata/figure2.rosa"
+	src, err := os.ReadFile(queryFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{600, 1000, 1500, 3000} {
+		req := api.QueryRequest{Source: string(src), Search: api.SearchParams{MemBudget: n}}
+		q, _, err := req.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rosa.NewChecker().Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("verdict: %s  (%d states explored", res.Verdict, res.StatesExplored)
+		out, code := capture(t, func() int {
+			return run([]string{"-query", queryFile, "-mem-budget", strconv.FormatInt(n, 10)})
+		})
+		if code != 0 || !strings.Contains(out, want) {
+			t.Errorf("-mem-budget %d: exit %d, want %q as served:\n%s", n, code, want, out)
+		}
+	}
+}
+
 // witness extracts the witness block for comparison across runs.
 func witness(out string) string {
 	i := strings.Index(out, "witness (attack syscall sequence):")
@@ -317,30 +364,13 @@ func witness(out string) string {
 	return out[i:]
 }
 
+// TestRunEscalateFlag: -escalate tuned the retired budget-escalation
+// ladder; a query now runs once at -budget, and the flag is unknown.
 func TestRunEscalateFlag(t *testing.T) {
-	// The ladder is verdict-transparent: an absurdly small start still
-	// resolves the worked example, with the attempts surfaced.
-	out, code := capture(t, func() int { return run([]string{"-example", "-escalate", "2:2"}) })
-	if code != 0 {
-		t.Fatalf("exit code = %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "verdict: ✓") {
-		t.Errorf("escalated run lost the verdict:\n%s", out)
-	}
-	if !strings.Contains(out, "escalation attempts") {
-		t.Errorf("a 2-state start must report escalation attempts:\n%s", out)
-	}
-
-	// -escalate off pins the one-shot search: same verdict, no attempts line.
-	out, code = capture(t, func() int { return run([]string{"-example", "-escalate", "off"}) })
-	if code != 0 {
-		t.Fatalf("exit code = %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "verdict: ✓") || strings.Contains(out, "escalation attempts") {
-		t.Errorf("-escalate off must one-shot to the same verdict:\n%s", out)
-	}
-
-	if _, code := capture(t, func() int { return run([]string{"-example", "-escalate", "nope"}) }); code != 2 {
-		t.Errorf("bad -escalate exit = %d, want 2", code)
+	for _, v := range []string{"off", "2:2"} {
+		out, code := capture(t, func() int { return run([]string{"-example", "-escalate", v}) })
+		if code != 2 {
+			t.Errorf("-escalate %s exit = %d, want 2 (unknown flag)\n%s", v, code, out)
+		}
 	}
 }

@@ -217,7 +217,7 @@ func (w *watcher) frame(event, data string) (code int, terminal bool) {
 		fmt.Fprintf(w.errw, "\rdepth %-3d  %9d states (%.0f/s)  frontier %-7d  cache %5.1f%%  ",
 			st.Depth, st.StatesExplored, rate, st.Frontier, hitRate)
 		w.progressShown = true
-	case "goal_matched", "degraded", "escalated":
+	case "goal_matched", "degraded":
 		var ev api.JobEvent
 		if json.Unmarshal([]byte(data), &ev) != nil {
 			return 0, false
@@ -228,8 +228,6 @@ func (w *watcher) frame(event, data string) (code int, terminal bool) {
 			fmt.Fprintf(w.errw, "goal matched at depth %d (%d states explored)\n", ev.Depth, ev.N)
 		case "degraded":
 			fmt.Fprintf(w.errw, "memory budget breached at depth %d (estimate %d bytes): search degrading\n", ev.Depth, ev.N)
-		case "escalated":
-			fmt.Fprintf(w.errw, "budget escalation: next attempt at %d states\n", ev.N)
 		}
 	case "shutdown":
 		w.endProgress()

@@ -9,8 +9,8 @@
 // Versioning: every response carries APIVersion (the Version constant).
 // Additive changes (new optional fields) keep the version; renames and
 // semantic changes bump it. Request knobs map 1:1 onto rewrite.Options via
-// SearchParams.Options, so a per-request budget, escalation ladder, memory
-// budget, or worker count means exactly what the same CLI flag means.
+// SearchParams.Options, so a per-request budget, memory budget, or worker
+// count means exactly what the same CLI flag means.
 package api
 
 import (
@@ -60,16 +60,17 @@ func (d *Duration) UnmarshalJSON(data []byte) error {
 // — the single option surface the engine, the CLIs, and the server share.
 // The zero value means "server/engine defaults" for every knob.
 type SearchParams struct {
-	// Budget caps the per-query state budget (the escalation ladder's cap);
-	// 0 means the standing default (rosa.DefaultMaxStates for raw queries,
-	// core.DefaultMaxStates for analyses). CLI flag: -budget.
+	// Budget is the per-query state budget; 0 means the standing default
+	// (rosa.DefaultMaxStates for raw queries, core.DefaultMaxStates for
+	// analyses). CLI flag: -budget.
 	Budget int `json:"budget,omitempty"`
 	// Workers is the search worker count per depth level (0 = one per CPU,
 	// 1 = sequential, at most rewrite.MaxWorkers). Verdicts are identical
 	// at any value. CLI: -workers.
 	Workers int `json:"workers,omitempty"`
-	// Escalate is the budget-escalation ladder in the -escalate grammar:
-	// "" (defaults), "off", or "start:factor[:max]".
+	// Escalate is deprecated and ignored: every query runs one search at
+	// Budget. The field stays so that v1 requests which set it, to any
+	// value, still decode; it changes nothing. No CLI flag.
 	Escalate string `json:"escalate,omitempty"`
 	// MemBudget is the soft per-query memory budget in bytes; breaching it
 	// sheds the transition cache, then degrades to ⏱. CLI: -mem-budget.
@@ -86,8 +87,8 @@ type SearchParams struct {
 	// decode; it changes nothing. No CLI flag.
 	NoCompile bool `json:"no_compile,omitempty"`
 	// NoCost is deprecated and ignored: it switched off a per-query cost
-	// ledger that no longer exists. A query's cost is its states, attempts
-	// and elapsed time, which every result carries, and every request
+	// ledger that no longer exists. A query's cost is its states and
+	// elapsed time, which every result carries, and every request
 	// enters the slow-query journal. The field stays so that v1 requests
 	// which set it still decode; it changes nothing. No CLI flag.
 	NoCost bool `json:"no_cost,omitempty"`
@@ -110,9 +111,6 @@ func (p SearchParams) OrDefaults(d SearchParams) SearchParams {
 	}
 	if p.Workers == 0 {
 		p.Workers = d.Workers
-	}
-	if p.Escalate == "" {
-		p.Escalate = d.Escalate
 	}
 	if p.MemBudget == 0 {
 		p.MemBudget = d.MemBudget
@@ -185,7 +183,8 @@ type QueryResult struct {
 	Verdict string `json:"verdict"`
 	// States counts distinct configurations the search visited.
 	States int `json:"states"`
-	// Attempts counts budget-escalation attempts (1 = first budget).
+	// Attempts is always 1: every query runs one search at its budget. The
+	// field stays in v1 for clients that read it.
 	Attempts int `json:"attempts,omitempty"`
 	// ElapsedNS is the wall-clock search time. It is the only
 	// non-deterministic field of a verdict; everything else is byte-stable
@@ -243,8 +242,7 @@ type SearchStats struct {
 // wall_ns is wall-clock time from worker pickup to the response value.
 type QueryCost struct {
 	WallNS int64 `json:"wall_ns"`
-	// StatesExpanded counts distinct states the searches visited (each
-	// query's final escalation attempt).
+	// StatesExpanded counts distinct states the searches visited.
 	StatesExpanded int   `json:"states_expanded"`
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
@@ -254,8 +252,8 @@ type QueryCost struct {
 	CompiledMatches int64   `json:"compiled_matches"`
 	FallbackMatches int64   `json:"fallback_matches"`
 	CompiledShare   float64 `json:"compiled_share"`
-	// EscalationAttempts sums the queries' budget-escalation attempts (1 per
-	// query resolved on its first budget).
+	// EscalationAttempts is the number of queries the request ran: each
+	// runs one search, so the v1 field counts one attempt per query.
 	EscalationAttempts int `json:"escalation_attempts"`
 	// DegradationLevel is the worst query's: 0 = none, 1 = transition cache
 	// shed, 2 = search stopped by the memory budget.
@@ -364,18 +362,16 @@ type JobStatusResponse struct {
 
 // JobEvent is the wire form of one recorder event in an SSE `event` frame:
 // the control-plane kinds a stream forwards (level_start, goal_matched,
-// degraded, escalated), not the full journal.
+// degraded), not the full journal.
 type JobEvent struct {
 	// Kind is the event kind word (telemetry.EventKind.String).
 	Kind string `json:"kind"`
-	// Search is the 1-based search id within the job (one per query of an
-	// analysis, one per escalation attempt of a raw query).
+	// Search is the 1-based search id within the job (one per query).
 	Search int32 `json:"search"`
 	// Depth is the BFS depth the event belongs to.
 	Depth int32 `json:"depth"`
 	// N is the kind-specific count: frontier size (level_start), states
-	// explored (goal_matched), memory estimate (degraded), next budget
-	// (escalated).
+	// explored (goal_matched), memory estimate (degraded).
 	N int64 `json:"n,omitempty"`
 	// Rule is the rule name when the kind carries one.
 	Rule string `json:"rule,omitempty"`

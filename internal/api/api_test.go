@@ -42,78 +42,17 @@ func TestDurationJSON(t *testing.T) {
 	}
 }
 
-// escalateCase is one ApplyEscalate input and what it must yield.
-type escalateCase struct {
-	in      string
-	want    rewrite.Escalation
-	off     bool
-	wantErr bool
-}
-
-func checkApplyEscalate(t *testing.T, cases []escalateCase) {
-	t.Helper()
-	for _, tc := range cases {
-		var o rewrite.Options
-		err := ApplyEscalate(tc.in, &o)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("%q: no error", tc.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%q: %v", tc.in, err)
-			continue
-		}
-		if o.Escalate != tc.want || o.NoEscalate != tc.off {
-			t.Errorf("%q: got %+v NoEscalate=%v", tc.in, o.Escalate, o.NoEscalate)
-		}
-	}
-}
-
-func TestApplyEscalateGrammar(t *testing.T) {
-	checkApplyEscalate(t, []escalateCase{
-		{in: ""},
-		{in: "off", off: true},
-		{in: "4096:4", want: rewrite.Escalation{Start: 4096, Factor: 4}},
-		{in: "1024:2:65536", want: rewrite.Escalation{Start: 1024, Factor: 2, Max: 65536}},
-		{in: "4096", wantErr: true},
-		{in: "4096:1", wantErr: true},    // factor < 2
-		{in: "4096:4:10", wantErr: true}, // max below start
-		{in: "x:4", wantErr: true},
-		{in: "0:4", wantErr: true},
-	})
-}
-
-// TestApplyEscalateEdgeCases pins the spellings at the grammar's edges:
-// blank and padded input, a bare word, a negative start, and too many or
-// empty fields.
-func TestApplyEscalateEdgeCases(t *testing.T) {
-	checkApplyEscalate(t, []escalateCase{
-		{in: "  "},
-		{in: " 16 : 2 ", want: rewrite.Escalation{Start: 16, Factor: 2}},
-		{in: "x", wantErr: true},
-		{in: "-1:2", wantErr: true},
-		{in: "1:2:3:4", wantErr: true},
-		{in: "4096:4:", wantErr: true},
-	})
-}
-
 func TestSearchParamsOptions(t *testing.T) {
 	p := SearchParams{
-		Budget: 5000, Workers: 3, Escalate: "64:8",
+		Budget: 5000, Workers: 3,
 		MemBudget: 1 << 20, Stats: true,
 	}
 	o, err := p.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxStates != 5000 || o.Workers != 3 || o.MemBudget != 1<<20 ||
-		!o.Profile || o.Escalate != (rewrite.Escalation{Start: 64, Factor: 8}) {
+	if o.MaxStates != 5000 || o.Workers != 3 || o.MemBudget != 1<<20 || !o.Profile {
 		t.Errorf("Options() = %+v", o)
-	}
-	if _, err := (SearchParams{Escalate: "nope"}).Options(); err == nil {
-		t.Error("bad escalate accepted")
 	}
 	if _, err := (SearchParams{Workers: rewrite.MaxWorkers + 1}).Options(); err == nil {
 		t.Error("workers above MaxWorkers accepted")
@@ -124,15 +63,15 @@ func TestSearchParamsOptions(t *testing.T) {
 }
 
 func TestSearchParamsOrDefaults(t *testing.T) {
-	d := SearchParams{Budget: 100, Workers: 2, Escalate: "off", Timeout: Duration(time.Second), Stats: true}
+	d := SearchParams{Budget: 100, Workers: 2, Timeout: Duration(time.Second), Stats: true}
 	// Zero request: every default applies.
 	if got := (SearchParams{}).OrDefaults(d); got != d {
 		t.Errorf("zero request = %+v, want defaults %+v", got, d)
 	}
 	// Explicit fields win.
-	p := SearchParams{Budget: 7, Escalate: "4:2"}
+	p := SearchParams{Budget: 7}
 	got := p.OrDefaults(d)
-	if got.Budget != 7 || got.Escalate != "4:2" || got.Workers != 2 {
+	if got.Budget != 7 || got.Workers != 2 {
 		t.Errorf("merge = %+v", got)
 	}
 	// deadline_ms merges like the other knobs: the server default fills a
@@ -178,7 +117,7 @@ func TestQueryRequestBuildAttack(t *testing.T) {
 		Attack:   1,
 		Privs:    "CapSetuid",
 		Syscalls: []string{"open", "setuid"},
-		Search:   SearchParams{Budget: 123, Workers: 1, Escalate: "off"},
+		Search:   SearchParams{Budget: 123, Workers: 1},
 	}
 	q, desc, err := req.Build()
 	if err != nil {
@@ -187,16 +126,16 @@ func TestQueryRequestBuildAttack(t *testing.T) {
 	if desc == "" {
 		t.Error("empty description")
 	}
-	if q.MaxStates != 123 || q.Workers != 1 || !q.NoEscalate {
-		t.Errorf("knobs not applied: MaxStates=%d Workers=%d NoEscalate=%v",
-			q.MaxStates, q.Workers, q.NoEscalate)
+	if q.MaxStates != 123 || q.Workers != 1 {
+		t.Errorf("knobs not applied: MaxStates=%d Workers=%d", q.MaxStates, q.Workers)
 	}
 }
 
-// TestNoCompileIsNoOp: no_compile and no_cost are deprecated v1 fields. A
-// strict decode still accepts each, and a query that sets one gets the same
-// verdict, state count and escalation attempts as one that does not,
-// through the compiled matchers.
+// TestNoCompileIsNoOp: no_compile, no_cost and escalate are deprecated v1
+// fields. A strict decode still accepts each, escalate at any value —
+// malformed ones included — and a query that sets one gets the same
+// verdict, state count and attempts as one that does not, through the
+// compiled matchers.
 func TestNoCompileIsNoOp(t *testing.T) {
 	run := func(search string) *rosa.Result {
 		t.Helper()
@@ -218,8 +157,14 @@ func TestNoCompileIsNoOp(t *testing.T) {
 		return res
 	}
 	plain := run(`{"workers":1,"stats":true}`)
-	for _, field := range []string{"no_compile", "no_cost"} {
-		off := run(`{"workers":1,"stats":true,"` + field + `":true}`)
+	if plain.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1", plain.Attempts)
+	}
+	for _, field := range []string{
+		`"no_compile":true`, `"no_cost":true`,
+		`"escalate":"off"`, `"escalate":"2:2:4"`, `"escalate":"zzz"`,
+	} {
+		off := run(`{"workers":1,"stats":true,` + field + `}`)
 		if off.Verdict != plain.Verdict || off.StatesExplored != plain.StatesExplored || off.Attempts != plain.Attempts {
 			t.Errorf("%s: (%s, %d states, %d attempts), without it (%s, %d states, %d attempts)", field,
 				off.Verdict, off.StatesExplored, off.Attempts, plain.Verdict, plain.StatesExplored, plain.Attempts)
@@ -295,12 +240,11 @@ func TestCostOf(t *testing.T) {
 	a := &core.Analysis{Phases: []core.PhaseResult{{
 		Verdicts: [4]rosa.Verdict{rosa.Safe, rosa.Vulnerable, 0, rosa.Unknown},
 		States:   [4]int{10, 20, 99, 30},
-		Attempts: [4]int{1, 2, 9, 3},
 		Stats:    [4]*rewrite.SearchStats{st(1, 2, 3, 1, 0), st(4, 5, 6, 0, 7), nil, nil},
 	}}}
 	got := CostOf(a, nil)
 	want := QueryCost{StatesExpanded: 60, CacheHits: 5, CacheMisses: 7, CompiledMatches: 9,
-		FallbackMatches: 1, CompiledShare: 0.9, EscalationAttempts: 6, DegradationLevel: 1}
+		FallbackMatches: 1, CompiledShare: 0.9, EscalationAttempts: 3, DegradationLevel: 1}
 	if got != want {
 		t.Errorf("CostOf(analysis) = %+v\nwant %+v", got, want)
 	}

@@ -22,58 +22,12 @@ func (p SearchParams) Options() (rewrite.Options, error) {
 	if p.Workers > rewrite.MaxWorkers {
 		return rewrite.Options{}, fmt.Errorf("workers: %d exceeds the maximum of %d", p.Workers, rewrite.MaxWorkers)
 	}
-	o := rewrite.Options{
+	return rewrite.Options{
 		MaxStates: p.Budget,
 		Workers:   p.Workers,
 		MemBudget: p.MemBudget,
 		Profile:   p.Stats,
-	}
-	if err := ApplyEscalate(p.Escalate, &o); err != nil {
-		return rewrite.Options{}, err
-	}
-	return o, nil
-}
-
-// ApplyEscalate applies the escalation grammar shared by the -escalate flag
-// and SearchParams.Escalate to opts:
-//
-//	""                 escalation on with supervisor defaults (the default)
-//	"off"              disable: one-shot search at the full budget
-//	"start:factor"     escalate from start states, multiplying by factor
-//	"start:factor:max" as above, capping the ladder at max states
-func ApplyEscalate(s string, opts *rewrite.Options) error {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	if s == "off" {
-		opts.NoEscalate = true
-		return nil
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) != 2 && len(parts) != 3 {
-		return fmt.Errorf(`escalate: want "off" or start:factor[:max], got %q`, s)
-	}
-	vals := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return fmt.Errorf("escalate: %q is not a positive integer", p)
-		}
-		vals[i] = v
-	}
-	if vals[1] < 2 {
-		return fmt.Errorf("escalate: factor must be at least 2, got %d", vals[1])
-	}
-	opts.Escalate.Start = vals[0]
-	opts.Escalate.Factor = vals[1]
-	if len(vals) == 3 {
-		if vals[2] < vals[0] {
-			return fmt.Errorf("escalate: max %d below start %d", vals[2], vals[0])
-		}
-		opts.Escalate.Max = vals[2]
-	}
-	return nil
+	}, nil
 }
 
 // Apply merges the explicit knobs onto a query's embedded options: set
@@ -95,12 +49,6 @@ func (p SearchParams) Apply(q *rosa.Query) error {
 		q.MemBudget = opts.MemBudget
 	}
 	q.Profile = q.Profile || opts.Profile
-	if opts.Escalate != (rewrite.Escalation{}) {
-		q.Escalate = opts.Escalate
-	}
-	if opts.NoEscalate {
-		q.NoEscalate = true
-	}
 	return nil
 }
 
@@ -168,9 +116,9 @@ func FromSearchStats(st *rewrite.SearchStats) *SearchStats {
 // WallNS is left to the caller, which times the whole request.
 func CostOf(a *core.Analysis, r *rosa.Result) QueryCost {
 	var c QueryCost
-	add := func(states, attempts int, degraded bool, st *rewrite.SearchStats) {
+	add := func(states int, degraded bool, st *rewrite.SearchStats) {
 		c.StatesExpanded += states
-		c.EscalationAttempts += attempts
+		c.EscalationAttempts++
 		level := 0
 		switch {
 		case degraded:
@@ -187,13 +135,13 @@ func CostOf(a *core.Analysis, r *rosa.Result) QueryCost {
 		}
 	}
 	if r != nil {
-		add(r.StatesExplored, r.Attempts, r.Degraded, r.Stats)
+		add(r.StatesExplored, r.Degraded, r.Stats)
 	}
 	if a != nil {
 		for _, pr := range a.Phases {
 			for i, v := range pr.Verdicts {
 				if v != 0 {
-					add(pr.States[i], pr.Attempts[i], pr.Degraded[i], pr.Stats[i])
+					add(pr.States[i], pr.Degraded[i], pr.Stats[i])
 				}
 			}
 		}
@@ -227,7 +175,7 @@ func FromResult(attack int, r *rosa.Result, withStats bool) QueryResult {
 		Attack:    attack,
 		Verdict:   verdictWord(r.Verdict),
 		States:    r.StatesExplored,
-		Attempts:  r.Attempts,
+		Attempts:  1,
 		ElapsedNS: r.Elapsed.Nanoseconds(),
 		Witness:   witnessSteps(r.Witness),
 		Degraded:  r.Degraded,
@@ -268,7 +216,7 @@ func FromAnalysis(a *core.Analysis, withStats bool) *AnalyzeResponse {
 				Attack:    i + 1,
 				Verdict:   verdictWord(v),
 				States:    pr.States[i],
-				Attempts:  pr.Attempts[i],
+				Attempts:  1,
 				ElapsedNS: pr.Elapsed[i].Nanoseconds(),
 				Witness:   witnessSteps(pr.Witnesses[i]),
 				Degraded:  pr.Degraded[i],

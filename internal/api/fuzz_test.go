@@ -49,9 +49,6 @@ func FuzzQueryRequest(f *testing.F) {
 		if q.MaxStates <= 0 || q.MaxStates > fuzzMaxStates {
 			q.MaxStates = fuzzMaxStates
 		}
-		if q.Escalate.Max > fuzzMaxStates {
-			q.Escalate.Max = fuzzMaxStates
-		}
 		if q.Workers <= 0 || q.Workers > fuzzMaxWorkers {
 			q.Workers = fuzzMaxWorkers
 		}

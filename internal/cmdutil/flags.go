@@ -39,12 +39,10 @@ func (l LogFlags) Logger() (*slog.Logger, error) {
 // identically-named request field cannot mean different things: both reach
 // rewrite.Options through api.SearchParams.Options.
 type SearchFlags struct {
-	// Budget is -budget: the per-query state cap (escalation ladder cap).
+	// Budget is -budget: the per-query state cap.
 	Budget int
 	// Workers is -workers: search workers per depth level.
 	Workers int
-	// Escalate is -escalate: "", "off", or start:factor[:max].
-	Escalate string
 	// MemBudget is -mem-budget: soft per-query memory budget in bytes.
 	MemBudget int64
 	// Timeout is -timeout: the wall-clock limit; expired deadlines yield ⏱.
@@ -58,11 +56,9 @@ type SearchFlags struct {
 // Register installs the shared search flags on fs.
 func (f *SearchFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Budget, "budget", 0,
-		"per-query state budget — caps the escalation ladder (0 = default)")
+		"per-query state budget; a search that reaches it yields the ⏱ verdict (0 = default)")
 	fs.IntVar(&f.Workers, "workers", 0,
 		fmt.Sprintf("search workers per depth level (0 = one per CPU, 1 = sequential, at most %d)", rewrite.MaxWorkers))
-	fs.StringVar(&f.Escalate, "escalate", "",
-		`budget escalation: "off" for one-shot at the full budget, or start:factor[:max] (empty = escalate with defaults)`)
 	fs.Int64Var(&f.MemBudget, "mem-budget", 0,
 		"soft memory budget in bytes over the search's own states+cache entries+frontier: shed the cache on first breach, stop with ⏱ on the second (0 = off)")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
@@ -80,7 +76,6 @@ func (f SearchFlags) Params() api.SearchParams {
 	return api.SearchParams{
 		Budget:    f.Budget,
 		Workers:   f.Workers,
-		Escalate:  f.Escalate,
 		MemBudget: f.MemBudget,
 		Timeout:   api.Duration(f.Timeout),
 		Stats:     f.Stats,

@@ -33,13 +33,10 @@ import (
 // surface from the CLI down to the engine.
 type Options struct {
 	// Search bounds and tunes each ROSA query's search (budget, depth,
-	// workers, stats callback, escalation, memory budget, fault plan).
-	// Search.MaxStates 0 means DefaultMaxStates; the budget is the
-	// escalation supervisor's cap — queries start at Search.Escalate.Start
-	// (default rosa.DefaultEscalationStart) and grow geometrically, unless
-	// Search.NoEscalate pins the legacy one-shot behaviour. Exhausting the
-	// cap (or the AnalyzeContext deadline) yields the Unknown (⏱) verdict
-	// for that query.
+	// workers, stats callback, memory budget, fault plan).
+	// Search.MaxStates 0 means DefaultMaxStates. Exhausting the budget, the
+	// memory budget or the AnalyzeContext deadline yields the Unknown (⏱)
+	// verdict for that query.
 	Search rewrite.Options
 	// Checker, when set, runs the ROSA queries against this shared checker
 	// instead of building a fresh one, so the transition caches amortize
@@ -87,9 +84,7 @@ type PhaseResult struct {
 	// that query's Unknown verdict; nil for clean verdicts. The same faults
 	// are aggregated, with attribution, in Analysis.Errors.
 	Errs [4]error
-	// Attempts and Degraded are each query's escalation attempts and
-	// memory-budget stop (rosa.Result.Attempts and Degraded).
-	Attempts [4]int
+	// Degraded is each query's memory-budget stop (rosa.Result.Degraded).
 	Degraded [4]bool
 }
 
@@ -290,7 +285,6 @@ func analyze(ctx context.Context, p *programs.Program, opts Options, concurrent 
 		pr.States[j.attack-1] = res.StatesExplored
 		pr.Elapsed[j.attack-1] = res.Elapsed
 		pr.Stats[j.attack-1] = res.Stats
-		pr.Attempts[j.attack-1] = res.Attempts
 		pr.Degraded[j.attack-1] = res.Degraded
 		if res.Err != nil {
 			// A faulted query was isolated to its ⏱ cell; record the fault

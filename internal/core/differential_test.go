@@ -12,11 +12,11 @@ import (
 	"privanalyzer/internal/rosa"
 )
 
-// The pipeline differential tests hold AnalyzeContext — escalation, and the
+// The pipeline differential tests hold AnalyzeContext — and the
 // per-program rosa.Checker whose shared transition cache serves all of a
 // program's queries — to the engine run cold: each Figure 5-11 cell built
 // with attacks.Build and searched once at DefaultMaxStates on a fresh
-// System, with no escalation and no transition cache. The engine itself is
+// System with no transition cache. The engine itself is
 // held to the test-only reference search by rewrite.TestReferenceGrid;
 // these tests separate what the pipeline adds from what the engine does.
 
@@ -26,9 +26,9 @@ type cellKey struct {
 	attack         attacks.ID
 }
 
-// oneShotGrid is the cold engine's answer for every cell, computed once per
+// coldGrid is the cold engine's answer for every cell, computed once per
 // test binary.
-var oneShotGrid = sync.OnceValues(func() (map[cellKey]*rosa.Result, error) {
+var coldGrid = sync.OnceValues(func() (map[cellKey]*rosa.Result, error) {
 	out := make(map[cellKey]*rosa.Result)
 	for _, name := range programs.Names() {
 		p, err := programs.ByName(name)
@@ -44,7 +44,6 @@ var oneShotGrid = sync.OnceValues(func() (map[cellKey]*rosa.Result, error) {
 			for _, id := range attacks.All {
 				q := attacks.Build(id, inv, creds, ph.Privs)
 				q.MaxStates = DefaultMaxStates
-				q.NoEscalate = true
 				q.Workers = 1
 				res, err := q.Run()
 				if err != nil {
@@ -87,7 +86,7 @@ var pipelineGrid = sync.OnceValues(func() (map[int]map[string]*Analysis, error) 
 // cells were visited at each worker count.
 func eachGridCell(t *testing.T, check func(cell string, pr *PhaseResult, i int, cold *rosa.Result)) {
 	t.Helper()
-	cold, err := oneShotGrid()
+	cold, err := coldGrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +117,8 @@ func eachGridCell(t *testing.T, check func(cell string, pr *PhaseResult, i int, 
 	}
 }
 
-// TestDifferentialGrid: escalation and the shared per-program transition
-// cache change nothing the search reports — on every cell, at Workers 1 and
+// TestDifferentialGrid: the shared per-program transition cache changes
+// nothing the search reports — on every cell, at Workers 1 and
 // 4, the pipeline's verdict, state count, frontier shape, rule firings and
 // dedup hits equal the cold engine's.
 func TestDifferentialGrid(t *testing.T) {
@@ -148,8 +147,7 @@ func TestDifferentialGrid(t *testing.T) {
 
 // TestDifferentialWitnesses: the pipeline's witness for every cell, at
 // Workers 1 and 4, renders byte-identically to the cold engine's — the
-// shortest attack a warm cache or an escalated budget reports is the one a
-// one-shot search finds.
+// shortest attack a warm cache reports is the one a cold search finds.
 func TestDifferentialWitnesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid differential test; skipped with -short")

@@ -34,7 +34,7 @@ func ExplainWitness(res *rosa.Result, journal []telemetry.Event) string {
 		fmt.Fprintf(&b, "verdict %s — no witness to explain (%d states explored, %s elapsed)\n",
 			res.Verdict, res.StatesExplored, res.Elapsed.Round(time.Microsecond))
 		if res.Verdict == rosa.Unknown {
-			b.WriteString("the search exceeded its budget before reaching a verdict; raise -max-states\n")
+			b.WriteString(unknownCause(res))
 		}
 		return b.String()
 	}
@@ -128,4 +128,19 @@ func ExplainWitness(res *rosa.Result, journal []telemetry.Event) string {
 			i+1, st.Rule, depth, fr, at, state)
 	}
 	return b.String()
+}
+
+// unknownCause names the bound that stopped a ⏱ search, with the flag that
+// raises it.
+func unknownCause(res *rosa.Result) string {
+	switch {
+	case res.Err != nil:
+		return fmt.Sprintf("the search faulted before reaching a verdict: %v\n", res.Err)
+	case res.Degraded:
+		return "the search exceeded its memory budget before reaching a verdict; raise -mem-budget\n"
+	case res.Interrupted:
+		return "the search was interrupted by its deadline or a signal before reaching a verdict; raise -timeout\n"
+	default:
+		return "the search exceeded its state budget before reaching a verdict; raise -budget\n"
+	}
 }

@@ -1,11 +1,13 @@
 package report
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"privanalyzer/internal/core"
 	"privanalyzer/internal/programs"
+	"privanalyzer/internal/rosa"
 )
 
 func TestTableI(t *testing.T) {
@@ -126,5 +128,24 @@ func TestCompareSummary(t *testing.T) {
 	}
 	if !strings.Contains(bad.String(), "deviation") {
 		t.Errorf("summary missing deviation:\n%s", bad)
+	}
+}
+
+// TestExplainUnknownCause: -explain on a ⏱ names the bound that stopped the
+// search — a fault, the memory budget, the deadline or the state budget.
+func TestExplainUnknownCause(t *testing.T) {
+	for _, tc := range []struct {
+		res  rosa.Result
+		want string
+	}{
+		{rosa.Result{Err: errors.New("boom"), Interrupted: true}, "faulted before reaching a verdict: boom"},
+		{rosa.Result{Degraded: true}, "raise -mem-budget"},
+		{rosa.Result{Interrupted: true}, "raise -timeout"},
+		{rosa.Result{}, "raise -budget"},
+	} {
+		tc.res.Verdict = rosa.Unknown
+		if got := ExplainWitness(&tc.res, nil); !strings.Contains(got, tc.want) {
+			t.Errorf("%+v: explanation %q does not say %q", tc.res, got, tc.want)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func phaseCreds(ph programs.PhaseSpec) rosa.Creds {
 
 // referenceGrid is the reference search's answer for every cell of the
 // Figure 5-11 grid, built as the analysis builds its queries and run
-// one-shot at the analysis budget. It is computed once per test binary.
+// once at the analysis budget. It is computed once per test binary.
 var referenceGrid = sync.OnceValues(func() (map[gridKey]*rewrite.SearchResult, error) {
 	out := make(map[gridKey]*rewrite.SearchResult)
 	for _, name := range programs.Names() {
@@ -76,7 +76,7 @@ func referenceVerdict(res *rewrite.SearchResult) rosa.Verdict {
 // Figure 5-11 grid, at Workers 1 and 4 — verdict, state count, witness
 // rendering, frontier shape, rule firings, and dedup hits. The engine side
 // goes through core.AnalyzeContext, so it exercises the full stack the CLIs
-// use, including escalation and the per-program rosa.Checker whose shared
+// use, including the per-program rosa.Checker whose shared
 // cache serves all of a program's queries.
 func TestReferenceGrid(t *testing.T) {
 	if testing.Short() {

@@ -57,18 +57,6 @@ type Options struct {
 	// the search measurably — leave it off except when diagnosing rule
 	// cost (the search-engine analogue of a query profiler).
 	Profile bool
-	// Escalate tunes adaptive budget escalation for callers that run the
-	// query through an escalating supervisor (rosa.Checker): attempts start
-	// at Escalate.Start states and grow geometrically until the verdict
-	// resolves or the cap is hit. SearchContext itself always runs exactly
-	// one attempt at MaxStates — the retry loop lives in the supervisor,
-	// where the shared TransitionCache makes re-exploration cheap. Zero
-	// fields take the supervisor's defaults.
-	Escalate Escalation
-	// NoEscalate forces the legacy one-shot search at the full MaxStates
-	// budget in supervisors that would otherwise escalate. Inverted so the
-	// zero value escalates.
-	NoEscalate bool
 	// MemBudget is a soft memory bound, in bytes, over the search's own
 	// dominant structures (the states it admitted, its transition-cache
 	// entries, the frontier). On the first breach the engine sheds the
@@ -81,20 +69,6 @@ type Options struct {
 	// Faults is the deterministic fault-injection plan for chaos tests
 	// (internal/faultinject); nil — the production value — injects nothing.
 	Faults *faultinject.Plan
-}
-
-// Escalation parameterizes adaptive budget escalation (Options.Escalate):
-// MaxStates grows geometrically from Start by Factor up to the cap. Zero
-// fields mean "supervisor default" individually, so callers can pin just the
-// start or just the factor.
-type Escalation struct {
-	// Start is the first attempt's MaxStates budget.
-	Start int
-	// Factor multiplies the budget between attempts.
-	Factor int
-	// Max caps the budget ladder; 0 means the query's MaxStates (or the
-	// supervisor's default budget when that is unset too).
-	Max int
 }
 
 // DefaultOptions returns the default search configuration. It is the
@@ -362,7 +336,7 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	}
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: opts.workers()}
 	began := time.Now()
-	res := &SearchResult{StatesExplored: 1, Stats: stats, Search: e.search}
+	res := &SearchResult{StatesExplored: 1, Stats: stats}
 	refresh := func() {
 		stats.StatesExplored = res.StatesExplored
 		stats.Elapsed = time.Since(began)
@@ -508,8 +482,7 @@ const (
 // grow with other queries, earlier or concurrent. A successor set served
 // from the cache is charged like a fresh one, so the estimate — and a
 // budgeted verdict — is a pure function of the query and the budget: the
-// same alone, after other queries, beside concurrent ones, and on every
-// escalation attempt.
+// same alone, after other queries, and beside concurrent ones.
 func (e *engine) memEstimate(states, frontierLen int) int64 {
 	est := int64(states) * bytesPerInternedTerm
 	est += e.cacheEntries * bytesPerCachedState

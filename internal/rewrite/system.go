@@ -507,10 +507,6 @@ type SearchResult struct {
 	Degraded bool
 	// Stats is the final observability snapshot for this search.
 	Stats *SearchStats
-	// Search is the id this search's journal events carry
-	// (Options.Recorder); 0 without a recorder. Supervisors stamp their own
-	// events about the search — escalation rungs — with it.
-	Search int32
 }
 
 // Goal is a search target: a pattern with variables plus an optional

@@ -103,7 +103,7 @@ func TestQueryWorkersEquivalence(t *testing.T) {
 // and the zero Options literal means the same thing.
 func TestNewQueryDefaults(t *testing.T) {
 	q := NewQuery(nil, nil, rewrite.Goal{})
-	if q.MaxStates != 0 || q.MaxDepth != 0 || q.Workers != 0 || q.NoEscalate {
+	if q.MaxStates != 0 || q.MaxDepth != 0 || q.Workers != 0 {
 		t.Errorf("NewQuery options = %+v, want the zero (default) configuration", q.Options)
 	}
 }

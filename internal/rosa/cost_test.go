@@ -1,13 +1,17 @@
 package rosa
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// runWorked runs the worked example with the given worker count.
+// runWorked runs the worked example with the given worker count on a fresh
+// Checker, so the transition-cache counters count one cold search.
 func runWorked(t testing.TB, workers int) *Result {
 	t.Helper()
 	q := workedExample()
 	q.Workers = workers
-	res, err := q.Run()
+	res, err := NewChecker().Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func costOf(r *Result) queryCost {
 
 // TestQueryCostDeterminism pins a query's cost, as Result and its stats
 // report it, tier by tier. Elapsed is wall-clock: merely sanity-bounded. The
-// semantic counts (states explored, escalation attempts, degradation) are
+// semantic counts (states explored, attempts, degradation) are
 // deterministic at every worker count — they describe the search, not its
 // schedule. The cache and match counters sit between: identical run to run
 // at Workers=1, but at Workers>1 two workers can race the same cache fill,
@@ -52,8 +56,11 @@ func TestQueryCostDeterminism(t *testing.T) {
 	if ref.states <= 0 {
 		t.Errorf("StatesExplored = %d, want > 0", ref.states)
 	}
-	if ref.attempts < 1 {
-		t.Errorf("Attempts = %d, want >= 1", ref.attempts)
+	if ref.attempts != 1 {
+		t.Errorf("Attempts = %d, want 1", ref.attempts)
+	}
+	if ref.cacheMisses == 0 {
+		t.Error("a cold Checker search recorded no transition-cache misses")
 	}
 
 	for run := 0; run < 3; run++ {

@@ -92,23 +92,8 @@ func NewQuery(objects, messages []*rewrite.Term, goal rewrite.Goal) *Query {
 
 // DefaultMaxStates is the search budget standing in for the paper's
 // wall-clock timeout (they used 5 hours; state count is the deterministic
-// equivalent). With escalation (the default) this is the ladder's cap, not
-// the first attempt's budget.
+// equivalent).
 const DefaultMaxStates = 2_000_000
-
-// Escalation supervisor defaults (rewrite.Options.Escalate zero fields):
-// queries start small and grow the budget geometrically, so quick verdicts —
-// the overwhelming majority on the paper's grid — never pay for the full
-// budget's bookkeeping, and slow ones reach the same cap as the legacy
-// one-shot search. BFS determinism makes escalation verdict-transparent: a
-// truncated attempt is a prefix of the next one, so the resolved verdict,
-// witness, and state count are identical to a one-shot run at the cap.
-const (
-	// DefaultEscalationStart is the first attempt's MaxStates budget.
-	DefaultEscalationStart = 1 << 14
-	// DefaultEscalationFactor multiplies the budget between attempts.
-	DefaultEscalationFactor = 8
-)
 
 // Result is the outcome of running a query.
 type Result struct {
@@ -118,10 +103,10 @@ type Result struct {
 	Witness []rewrite.Step
 	// StatesExplored counts distinct configurations visited.
 	StatesExplored int
-	// Elapsed is the wall-clock search time (all escalation attempts).
+	// Elapsed is the wall-clock search time.
 	Elapsed time.Duration
 	// Stats is the search's observability snapshot (states/sec, frontier
-	// per depth, per-rule firings, dedup rate) — the final attempt's.
+	// per depth, per-rule firings, dedup rate).
 	Stats *rewrite.SearchStats
 	// Err records the search fault that forced an Unknown verdict — a
 	// *rewrite.SearchError from a recovered worker panic, a successor
@@ -130,12 +115,15 @@ type Result struct {
 	// rather than as a returned error so one poisoned query degrades to ⏱
 	// while the analysis keeps running.
 	Err error
-	// Attempts counts escalation attempts (1 = resolved on the first
-	// budget, or escalation disabled).
+	// Attempts is always 1: a query runs one search at its budget. The
+	// field stays for callers that still read it.
 	Attempts int
 	// Degraded reports that the soft memory budget stopped the search
 	// (Options.MemBudget); the verdict is Unknown.
 	Degraded bool
+	// Interrupted reports that the context — its deadline or a
+	// cancellation — stopped the search; the verdict is Unknown.
+	Interrupted bool
 }
 
 // InitialState returns the query's initial configuration term.
@@ -164,12 +152,8 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // runOn executes the query against an explicit rewrite theory (the base
-// system or the §X extended one). It is the escalation supervisor: unless
-// NoEscalate is set, the search runs at a small MaxStates first and the
-// budget grows geometrically (Options.Escalate) until the verdict resolves,
-// the cap is reached, or the context dies. Re-exploration between attempts
-// is one cache probe per already-expanded state, because every attempt
-// shares the System's TransitionCache.
+// system or the §X extended one): one search, bounded by MaxStates (0 means
+// DefaultMaxStates), Options.MemBudget and the context.
 //
 // Fault contract: a *rewrite.SearchError (worker panic, successor failure,
 // injected fault) yields (Result{Verdict: Unknown, Err: ...}, nil) — the
@@ -177,72 +161,13 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 // going. Only setup errors (diverging equations) return a non-nil error.
 func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error) {
 	opts := q.Options
-	budgetCap := opts.MaxStates
-	if budgetCap <= 0 {
-		budgetCap = DefaultMaxStates
-	}
-	if opts.Escalate.Max > 0 {
-		budgetCap = opts.Escalate.Max
+	if opts.MaxStates <= 0 {
+		opts.MaxStates = DefaultMaxStates
 	}
 	reg := telemetry.FromContext(ctx)
-
-	// Escalation without a Checker-attached cache would recompute every
-	// earlier attempt's expansions; attach a query-private cache so attempts
-	// share the expanded graph.
-	if sys.Cache == nil && !opts.NoEscalate {
-		sys.Cache = rewrite.NewTransitionCache()
-	}
-
-	budget := opts.Escalate.Start
-	if budget <= 0 {
-		budget = DefaultEscalationStart
-	}
-	if factor := opts.Escalate.Factor; factor < 2 {
-		opts.Escalate.Factor = DefaultEscalationFactor
-	}
-	if opts.NoEscalate || budget > budgetCap {
-		budget = budgetCap
-	}
-
-	init := q.InitialState()
 	start := time.Now()
-	var sr *rewrite.SearchResult
-	var searchErr error
-	attempts := 0
-	for {
-		attempts++
-		opts.MaxStates = budget
-		sr, searchErr = sys.SearchContext(ctx, init, q.Goal, opts)
-		if searchErr != nil || sr == nil {
-			break
-		}
-		// Resolved (found or exhausted), interrupted (nothing to escalate
-		// against — the context is gone), memory-degraded (a bigger state
-		// budget hits the same memory wall), or capped: stop. Only a clean
-		// state-budget truncation below the cap escalates.
-		if sr.Found || !sr.Truncated || sr.Degraded || budget >= budgetCap {
-			break
-		}
-		next := budget * opts.Escalate.Factor
-		if next > budgetCap || next < budget { // cap, and overflow guard
-			next = budgetCap
-		}
-		telemetry.Logger(ctx).Debug("rosa budget escalation",
-			"component", "rosa",
-			"attempt", attempts,
-			"budget", budget,
-			"next_budget", next,
-			"states", sr.StatesExplored)
-		// The escalation rung is a journal (and live-stream) event, stamped
-		// with the just-finished attempt's own search id, so the journal
-		// keeps every event inside its search even when concurrent queries
-		// share the recorder; N carries the next budget.
-		opts.Recorder.CommitEvent(telemetry.EvEscalated, sr.Search, 0, 0, "", int64(next))
-		budget = next
-		reg.Counter("rosa_escalations_total").Add(1)
-	}
-
-	res := &Result{Elapsed: time.Since(start), Attempts: attempts}
+	sr, searchErr := sys.SearchContext(ctx, q.InitialState(), q.Goal, opts)
+	res := &Result{Elapsed: time.Since(start), Attempts: 1}
 	if searchErr != nil {
 		var serr *rewrite.SearchError
 		if !errors.As(searchErr, &serr) {
@@ -264,6 +189,7 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 		res.StatesExplored = sr.StatesExplored
 		res.Stats = sr.Stats
 		res.Degraded = sr.Degraded
+		res.Interrupted = sr.Interrupted
 		switch {
 		case sr.Found:
 			res.Verdict = Vulnerable
@@ -282,7 +208,6 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 		"verdict", res.Verdict.metricName(),
 		"states", res.StatesExplored,
 		"witness_len", len(res.Witness),
-		"attempts", res.Attempts,
 		"elapsed", res.Elapsed)
 	// Per-query metrics. A nil registry (no telemetry on ctx) makes these
 	// no-ops; the search itself never touches the registry.

@@ -1,6 +1,7 @@
 package rosa
 
 import (
+	"fmt"
 	"testing"
 
 	"privanalyzer/internal/caps"
@@ -404,6 +405,8 @@ func TestUnlinkAndRename(t *testing.T) {
 	}
 }
 
+// TestUnknownOnTinyBudget: a budget below the space yields ⏱ after exactly
+// MaxStates states, from the one search the query runs.
 func TestUnknownOnTinyBudget(t *testing.T) {
 	q := workedExample()
 	q.MaxStates = 2
@@ -413,6 +416,62 @@ func TestUnknownOnTinyBudget(t *testing.T) {
 	}
 	if res.Verdict != Unknown {
 		t.Errorf("verdict = %s, want ⏱ with a 2-state budget", res.Verdict)
+	}
+	if res.StatesExplored != 2 || res.Attempts != 1 {
+		t.Errorf("%d states in %d attempts, want exactly 2 states in 1", res.StatesExplored, res.Attempts)
+	}
+	if res.Degraded || res.Interrupted || res.Err != nil {
+		t.Errorf("degraded=%v interrupted=%v err=%v: only the state budget stopped the search",
+			res.Degraded, res.Interrupted, res.Err)
+	}
+}
+
+// TestEscalationVerdictTransparent pins the property that makes one search
+// per query enough, and made the retired budget-escalation ladder (re-run a
+// truncated search at a larger budget) redundant: breadth-first search is
+// deterministic, so a search truncated at b states is a prefix of every
+// larger one. Below the space every budget gives ⏱ at exactly b states; from
+// the first budget that resolves, every budget gives the verdict, witness
+// and state count of a run at the default budget.
+func TestEscalationVerdictTransparent(t *testing.T) {
+	cases := []struct {
+		name  string
+		query func() *Query
+	}{
+		{"vulnerable", workedExample},
+		{"safe", func() *Query {
+			q := workedExample()
+			// Without chown the chain collapses (the Safe grid cell).
+			q.Messages = q.Messages[:2]
+			return q
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := tc.query().Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := 1; b <= ref.StatesExplored+2; b++ {
+				q := tc.query()
+				q.MaxStates = b
+				res, err := q.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b < ref.StatesExplored {
+					if res.Verdict != Unknown || res.StatesExplored != b {
+						t.Errorf("budget %d: (%s, %d states), want ⏱ at exactly %d", b, res.Verdict, res.StatesExplored, b)
+					}
+					continue
+				}
+				if res.Verdict != ref.Verdict || res.StatesExplored != ref.StatesExplored ||
+					fmt.Sprint(res.Witness) != fmt.Sprint(ref.Witness) {
+					t.Errorf("budget %d: (%s, %d states, witness %v), default budget (%s, %d states, witness %v)",
+						b, res.Verdict, res.StatesExplored, res.Witness, ref.Verdict, ref.StatesExplored, ref.Witness)
+				}
+			}
+		})
 	}
 }
 

@@ -4,8 +4,8 @@
 // and makes the run observable while it happens — status + queue position on
 // GET /v1/jobs/{id}, and a live Server-Sent-Events feed on
 // GET /v1/jobs/{id}/events carrying progress snapshots (Options.OnStats),
-// throttled flight-recorder events (level_start, goal_matched, degraded,
-// escalated), and a terminal result frame byte-identical to the synchronous
+// throttled flight-recorder events (level_start, goal_matched, degraded),
+// and a terminal result frame byte-identical to the synchronous
 // endpoint's envelope (both encode the same prepared request through
 // api.Encode; the determinism suite pins it).
 //
@@ -39,14 +39,13 @@ const jobHistory = 256
 
 // levelStartThrottle is the per-subscriber floor between level_start frames:
 // deep searches start thousands of levels a second and a stream wants the
-// shape, not the firehose. Goal matches, degradations, and escalation rungs
-// are never throttled.
+// shape, not the firehose. Goal matches and degradations are never
+// throttled.
 const levelStartThrottle = 100 * time.Millisecond
 
 // streamKinds are the recorder kinds a job's sink forwards to subscribers.
 var streamKinds = []telemetry.EventKind{
-	telemetry.EvLevelStart, telemetry.EvGoalMatched,
-	telemetry.EvDegraded, telemetry.EvEscalated,
+	telemetry.EvLevelStart, telemetry.EvGoalMatched, telemetry.EvDegraded,
 }
 
 // jobRecord is one job's server-side state. The recorder and sink are
@@ -461,7 +460,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // GET /v1/jobs/{id}/events. Frame catalog (event name → data):
 //
 //	stats       api.SearchStats — the latest Options.OnStats snapshot
-//	level_start, goal_matched, degraded, escalated
+//	level_start, goal_matched, degraded
 //	            api.JobEvent — recorder events (level_start throttled to
 //	            one per levelStartThrottle per subscriber)
 //	shutdown    {"reason":"draining"} — the server began graceful drain;

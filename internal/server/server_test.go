@@ -157,7 +157,6 @@ func TestAnalyzeBadRequests(t *testing.T) {
 		{"missing program", `{}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown program", `{"program":"emacs"}`, http.StatusNotFound, api.CodeNotFound},
 		{"bad attack id", `{"program":"su","attacks":[7]}`, http.StatusBadRequest, api.CodeBadRequest},
-		{"bad escalate", `{"program":"su","search":{"escalate":"zzz"}}`, http.StatusBadRequest, api.CodeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/analyze", tc.body)
@@ -323,9 +322,9 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestAnalyzeAndQueryAgreeOnAttempts answers one grid cell through
-// /v1/analyze and through /v1/query, under an escalation ladder and under a
+// /v1/analyze and through /v1/query, under a state budget and under a
 // memory budget that stops the search, and requires the same verdict,
-// states, escalation attempts and memory-budget stop from both.
+// states, attempts (always 1) and memory-budget stop from both.
 func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 2})
 	p, err := programs.ByName("su")
@@ -340,9 +339,9 @@ func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 		name, search string
 		pick         func(api.QueryResult) bool
 	}{
-		{"escalated", `{"budget":100000,"escalate":"4:4","workers":1}`,
-			func(q api.QueryResult) bool { return q.Attempts > 1 }},
-		{"degraded", `{"budget":100000,"mem_budget":1,"escalate":"off","workers":1}`,
+		{"truncated", `{"budget":3,"workers":1}`,
+			func(q api.QueryResult) bool { return q.Verdict == "unknown" && q.States == 3 && !q.Degraded }},
+		{"degraded", `{"budget":100000,"mem_budget":1,"workers":1}`,
 			func(q api.QueryResult) bool { return q.Degraded }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -377,6 +376,9 @@ func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := qr.Result
+			if got.Attempts != 1 {
+				t.Errorf("/v1/query attempts = %d, want 1", got.Attempts)
+			}
 			if got.Verdict != cell.Verdict || got.States != cell.States ||
 				got.Attempts != cell.Attempts || got.Degraded != cell.Degraded {
 				t.Errorf("phase %s attack %d: /v1/query (%s, %d states, %d attempts, degraded %v), "+

@@ -33,9 +33,8 @@ func NewEventSink() *EventSink {
 
 // DefaultSubscriptionCapacity bounds a subscriber's undelivered-event ring
 // when Subscribe is given capacity 0: enough for the control-plane kinds a
-// job stream forwards (level starts, goal matches, degradations, escalation
-// rungs) of any realistic search, small enough that a thousand subscribers
-// stay cheap.
+// job stream forwards (level starts, goal matches, degradations) of any
+// realistic search, small enough that a thousand subscribers stay cheap.
 const DefaultSubscriptionCapacity = 256
 
 // Subscribe registers a consumer whose ring retains up to capacity

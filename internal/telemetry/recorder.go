@@ -72,10 +72,6 @@ const (
 	// shed its transition cache (first breach) or stopped with ⏱ (second);
 	// N is the live-byte estimate that breached the budget.
 	EvDegraded
-	// EvEscalated marks one rung of the budget escalation ladder: the
-	// supervisor re-running the query with a bigger budget; N is the new
-	// budget.
-	EvEscalated
 )
 
 // String names the kind (the Chrome-trace event name).
@@ -99,8 +95,6 @@ func (k EventKind) String() string {
 		return "goal_matched"
 	case EvDegraded:
 		return "degraded"
-	case EvEscalated:
-		return "escalated"
 	default:
 		return "unknown"
 	}
@@ -289,8 +283,8 @@ func (r *Recorder) SetSink(sink *EventSink, keep ...EventKind) {
 }
 
 // CommitEvent stamps and commits a single event outside any EventBuf — the
-// control-plane path for events produced between searches (escalation rungs)
-// or outside the merge goroutine. Nil-safe.
+// path for one-off control-plane events such as a memory-budget
+// degradation. Nil-safe.
 func (r *Recorder) CommitEvent(kind EventKind, search int32, depth int, hash uint64, rule string, n int64) {
 	if r == nil {
 		return
