@@ -28,7 +28,7 @@ test-race:
 # memory degradation, and the cmd-level signal plumbing (DESIGN.md §9).
 test-chaos:
 	$(GO) test -race -run 'Chaos|Fault|Degrad|Panic|Cancel|Signal|Shed|Latency|Compile' \
-		./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/cmdutil/ ./cmd/rosa/
+		./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/cmdutil/
 
 # Serving-layer chaos under the race detector: injected handler panics
 # resolving to 500 envelopes, a stalled worker vs bounded drain, injected

@@ -65,7 +65,6 @@ func run(args []string) int {
 		example  = fs.Bool("example", false, "run the paper's worked example (Figures 2-4) instead")
 		query    = fs.String("query", "", "run a query file (rosa.ParseQuery format) instead")
 		maude    = fs.Bool("maude", false, "also print the query in the paper's Maude syntax")
-		module   = fs.Bool("module", false, "print the generated Maude UNIX module source and exit")
 		simulate = fs.Bool("simulate", false, "follow one deterministic execution (Maude's rewrite) instead of searching")
 		explain  = fs.Bool("explain", false, "annotate the witness from the search flight recorder: per-step depth, frontier size, and time-to-discovery")
 		progress = fs.Duration("progress", 0, "print a live progress line to stderr at this interval, e.g. 200ms (0 = off)")
@@ -89,11 +88,6 @@ func run(args []string) int {
 		return 2
 	}
 	rep := reporter{search: search, explain: *explain, progress: *progress, logger: logger}
-
-	if *module {
-		fmt.Print(rosa.MaudeModule())
-		return 0
-	}
 
 	if *query != "" {
 		src, err := os.ReadFile(*query)

@@ -118,18 +118,6 @@ func TestRunMaudeOutput(t *testing.T) {
 	}
 }
 
-func TestRunModule(t *testing.T) {
-	out, code := capture(t, func() int { return run([]string{"-module"}) })
-	if code != 0 {
-		t.Fatalf("exit code = %d", code)
-	}
-	for _, want := range []string{"mod UNIX is", "crl [open-r]", "endm"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
 func TestRunSimulate(t *testing.T) {
 	out, code := capture(t, func() int {
 		return run([]string{"-query", "../../testdata/figure2.rosa", "-simulate"})

@@ -219,9 +219,9 @@ type SearchStats struct {
 	SubtreesPruned      int64   `json:"subtrees_pruned"`
 	CacheHits           int64   `json:"cache_hits"`
 	CacheMisses         int64   `json:"cache_misses"`
-	// CompiledRules counts rules with compiled matchers; CompiledMatches and
-	// FallbackMatches split rule attempts between the compiled matchers and
-	// the interpreter.
+	// CompiledRules counts rules with compiled matchers (all of them);
+	// CompiledMatches counts rule attempts. FallbackMatches is always 0 —
+	// no rule attempt runs outside the compiled matchers — and stays in v1.
 	CompiledRules   int   `json:"compiled_rules,omitempty"`
 	CompiledMatches int64 `json:"compiled_matches,omitempty"`
 	FallbackMatches int64 `json:"fallback_matches,omitempty"`
@@ -246,9 +246,9 @@ type QueryCost struct {
 	StatesExpanded int   `json:"states_expanded"`
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
-	// CompiledMatches/FallbackMatches split rule attempts between compiled
-	// matchers and the interpreter; CompiledShare is the compiled fraction
-	// in [0,1].
+	// CompiledMatches counts rule attempts, all served by compiled
+	// matchers; FallbackMatches is always 0 and stays in v1; CompiledShare
+	// is the compiled fraction in [0,1] (1 once any rule was attempted).
 	CompiledMatches int64   `json:"compiled_matches"`
 	FallbackMatches int64   `json:"fallback_matches"`
 	CompiledShare   float64 `json:"compiled_share"`

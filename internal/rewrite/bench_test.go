@@ -57,7 +57,10 @@ func BenchmarkMatch(b *testing.B) {
 // replacement construction — on the tokens system's rules.
 func BenchmarkApply(b *testing.B) {
 	sys := tokens(4)
-	comp := Compile(sys.Rules)
+	comp, err := Compile(sys.Rules)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, n := range []int{4, 16} {
 		subj := benchTokens(n)
 		for i := range sys.Rules {
@@ -141,7 +144,10 @@ func TestCompiledApplyAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; alloc pins run without -race")
 	}
 	sys := tokens(4)
-	comp := Compile(sys.Rules)
+	comp, err := Compile(sys.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inc := comp.rules[0]
 	miss := NewConfig(NewOp("d"), NewOp("d"), NewOp("d"))
 	m := comp.getScratch()

@@ -31,7 +31,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			plan := &faultinject.Plan{PanicAtExpansion: 3}
 			res, err := counter().SearchContext(context.Background(),
-				NewOp("c", NewInt(0)), Goal{Pattern: NewOp("c", NewInt(-1))},
+				cnt(0), Goal{Pattern: cnt(-1)},
 				Options{Workers: w, Faults: plan})
 			if err == nil {
 				t.Fatal("injected panic produced no error")
@@ -151,8 +151,8 @@ func TestCancelAtLevel(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		ctx := context.Background()
 		plan := &faultinject.Plan{CancelAtLevel: 3}
-		res, err := counter().SearchContext(ctx, NewOp("c", NewInt(0)),
-			Goal{Pattern: NewOp("c", NewInt(-1))},
+		res, err := counter().SearchContext(ctx, cnt(0),
+			Goal{Pattern: cnt(-1)},
 			Options{Workers: w, Faults: plan})
 		if !errors.Is(err, faultinject.ErrInjectedCancel) {
 			t.Fatalf("workers=%d: err = %v, want ErrInjectedCancel", w, err)
@@ -223,8 +223,8 @@ func TestLatencyChaosHarmless(t *testing.T) {
 func TestMemBudgetDegradation(t *testing.T) {
 	sys := counter()
 	sys.Cache = NewTransitionCache()
-	res, err := sys.SearchContext(context.Background(), NewOp("c", NewInt(0)),
-		Goal{Pattern: NewOp("c", NewInt(-1))},
+	res, err := sys.SearchContext(context.Background(), cnt(0),
+		Goal{Pattern: cnt(-1)},
 		Options{Workers: 1, MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +474,7 @@ func TestChaosCompileDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
-			if d := refDiff(res, ref); d != "" {
+			if d := refDiff(res, ref.SearchResult); d != "" {
 				t.Errorf("workers=%d: latency-faulted run diverges from the reference: %s", w, d)
 			}
 		}

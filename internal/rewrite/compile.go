@@ -1,16 +1,13 @@
 package rewrite
 
-// Rule compilation. The generic matcher (match.go) interprets every rule
-// pattern at every candidate position: it walks the pattern tree, extends a
-// map-backed Binding, and backtracks with insert/delete pairs. That is the
-// right generality for arbitrary patterns, but ROSA's rule sets live almost
-// entirely in one shape — a Config-rooted LHS whose elements are constructor
-// terms over literals and first-order variables, plus at most one free
-// multiset ("rest") variable absorbing the remainder. For that fragment the
-// whole match is decidable by a flat sequence of constant-time tests, and
-// variable bindings fit in a preallocated slot array instead of a map.
+// Rule compilation. Every ROSA rule has one shape — a Config-rooted LHS whose
+// elements are constructor terms over literals and first-order variables,
+// plus at most one free multiset ("rest") variable absorbing the remainder.
+// For that fragment the whole match is decidable by a flat sequence of
+// constant-time tests, and variable bindings fit in a preallocated slot
+// array instead of a map. It is the only rule shape the engine runs.
 //
-// Compile lowers each rule in the fragment into such a specialized matcher:
+// Compile lowers each rule into such a specialized matcher:
 //
 //   - every fixed element becomes a flattened decision-tree program — a
 //     pre-order instruction list of constructor-symbol/arity tests, literal
@@ -25,18 +22,21 @@ package rewrite
 //     remainder configuration is built only if a callback asks for it —
 //     neither failed candidates nor guard checks allocate.
 //
-// Rules outside the fragment (non-Config roots, two rest variables, nested
-// configurations inside elements) keep the interpreter, per rule. The
-// contract that makes the compiled path safe to enable by default is strict
-// order equivalence: a compiled rule enumerates matches — and therefore
-// replacement terms — in exactly the interpreter's order (fixed elements in
-// pattern order, subject candidates in ascending index order, lexicographic
-// backtracking, remainder in subject order), so successor sets, witnesses,
-// and journals are byte-identical either way. The differential
+// A rule outside the fragment (a non-Config root, two rest variables, a
+// configuration nested inside an element) is an error naming the rule. The
+// generic matcher (match.go) stays for goal patterns outside the fragment
+// and for the test-only reference search, and a compiled rule enumerates
+// matches — and therefore replacement terms — in exactly its order (fixed
+// elements in pattern order, subject candidates in ascending index order,
+// lexicographic backtracking, remainder in subject order), so successor
+// sets, witnesses, and journals equal the reference's. The differential
 // suite (compile_test.go, core/differential_test.go) pins this; the
 // FuzzCompileEquivalence harness shakes the fragment boundary.
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // copKind discriminates the instructions of a compiled element program.
 type copKind uint8
@@ -85,37 +85,27 @@ type compiledRule struct {
 // CompiledRules is a rule set's compiled matchers, built once per System by
 // Compile and cached alongside the rule index (System.compiled), so servers
 // holding a Checker amortize compilation across every query. Entries are
-// parallel to the source rule slice; nil entries fall back to the
-// interpreter, which reads the rule's slot table from layouts.
+// parallel to the source rule slice.
 type CompiledRules struct {
 	rules    []*compiledRule
-	layouts  []*slotLayout // fallback rules' slot tables; nil for compiled rules
-	count    int
 	maxSlots int
 	maxFixed int
 	pool     sync.Pool // *matcherScratch, sized for the largest rule
 }
 
-// Compile lowers every rule in the compilable fragment to a specialized
-// matcher and returns the per-rule set. Rules outside the fragment get nil
-// entries and keep the interpreter. The rules slice must not change
-// afterwards (the same contract the rule index imposes).
-func Compile(rules []Rule) *CompiledRules {
-	c := &CompiledRules{rules: make([]*compiledRule, len(rules)), layouts: make([]*slotLayout, len(rules))}
+// Compile lowers every rule to a specialized matcher, or returns an error
+// naming the first rule outside the compilable fragment. The rules slice
+// must not change afterwards (the same contract the rule index imposes).
+func Compile(rules []Rule) (*CompiledRules, error) {
+	c := &CompiledRules{rules: make([]*compiledRule, len(rules))}
 	for i := range rules {
-		cr := compileRule(&rules[i])
-		if cr == nil {
-			c.layouts[i] = layoutOf(rules[i].LHS)
-			continue
+		cr, err := compileRule(&rules[i])
+		if err != nil {
+			return nil, fmt.Errorf("rewrite: rule %q: %w", rules[i].Name, err)
 		}
 		c.rules[i] = cr
-		c.count++
-		if len(cr.names) > c.maxSlots {
-			c.maxSlots = len(cr.names)
-		}
-		if len(cr.fixed) > c.maxFixed {
-			c.maxFixed = len(cr.fixed)
-		}
+		c.maxSlots = max(c.maxSlots, len(cr.names))
+		c.maxFixed = max(c.maxFixed, len(cr.fixed))
 	}
 	c.pool.New = func() any {
 		return &matcherScratch{
@@ -124,11 +114,8 @@ func Compile(rules []Rule) *CompiledRules {
 			marks:  make([]int, c.maxFixed),
 		}
 	}
-	return c
+	return c, nil
 }
-
-// CompiledCount reports how many rules compiled (the rest fall back).
-func (c *CompiledRules) CompiledCount() int { return c.count }
 
 // getScratch and putScratch recycle matcher state across expansions; slots
 // are all nil between uses (the backtracker's trail discipline restores
@@ -136,15 +123,15 @@ func (c *CompiledRules) CompiledCount() int { return c.count }
 func (c *CompiledRules) getScratch() *matcherScratch  { return c.pool.Get().(*matcherScratch) }
 func (c *CompiledRules) putScratch(m *matcherScratch) { c.pool.Put(m) }
 
-// compileRule lowers one rule, or reports it outside the fragment (nil).
-// The fragment: a Config-rooted LHS with at most one rest variable (an
-// unsorted or Configuration-sorted variable element) whose fixed elements
-// are constructor terms over literals, variables, and nested constructor
-// terms — no configurations below the root.
-func compileRule(r *Rule) *compiledRule {
+// compileRule lowers one rule, or reports why it is outside the fragment:
+// a Config-rooted LHS with at most one rest variable (an unsorted or
+// Configuration-sorted variable element) whose fixed elements are
+// constructor terms over literals, variables, and nested constructor terms
+// — no configurations below the root.
+func compileRule(r *Rule) (*compiledRule, error) {
 	lhs := r.LHS
 	if lhs == nil || lhs.Kind != Config {
-		return nil
+		return nil, fmt.Errorf("LHS %v is not a configuration", lhs)
 	}
 	// Slots are numbered by patternSlots, the table SlotsOf exposes, so the
 	// slot numbers rules resolve at construction index this matcher's
@@ -157,21 +144,18 @@ func compileRule(r *Rule) *compiledRule {
 	for _, e := range lhs.Args {
 		if e.Kind == Var && (e.Sort == "" || e.Sort == SortConfig) {
 			if restSeen {
-				// Two remainder variables: the interpreter deems the pattern
-				// unmatchable; leave that corner to it rather than duplicate
-				// the judgment here.
-				return nil
+				return nil, fmt.Errorf("LHS %v has two remainder variables", lhs)
 			}
 			restSeen = true
 			continue
 		}
 		prog := compileElem(e, slotOf)
 		if prog == nil {
-			return nil
+			return nil, fmt.Errorf("LHS element %v nests a configuration", e)
 		}
 		cr.fixed = append(cr.fixed, celem{prog: prog})
 	}
-	return cr
+	return cr, nil
 }
 
 // compileElem flattens one fixed element pattern into its pre-order
@@ -195,7 +179,7 @@ func compileElem(pat *Term, slotOf func(string) int) []cop {
 					return false
 				}
 			}
-		default: // nested Config: AC-inside-AC stays interpreted
+		default: // nested Config
 			return false
 		}
 		return true
@@ -277,8 +261,8 @@ func (m *matcherScratch) matchElem(ce *celem, subj *Term, sig Signature) bool {
 }
 
 // apply enumerates every replacement the compiled rule produces at the root
-// of subj, appending to out — the compiled equivalent of Rule.apply. The
-// enumeration replays the interpreter exactly: fixed elements in pattern
+// of subj, appending to out. The enumeration replays the generic matcher
+// (the reference search's Rule.apply) exactly: fixed elements in pattern
 // order, subject candidates in ascending index order with lexicographic
 // backtracking, remainder elements in subject order.
 func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out []*Term) []*Term {
@@ -327,7 +311,7 @@ func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out 
 				continue
 			}
 			// Complete assignment: emit, then resume this level at the next
-			// candidate (the interpreter's yield-then-continue).
+			// candidate (the generic matcher's yield-then-continue).
 			out = cr.complete(subj, m, out)
 			jj := m.choice[level]
 			used[jj] = false
@@ -483,13 +467,12 @@ func (cr *compiledRule) completeAny(subj *Term, m *matcherScratch) bool {
 // (Safe-verdict) searches is every state in the space. Outside the
 // fragment it is Goal.matches unchanged. Both compute the same boolean.
 func (e *engine) goalChecker(goal Goal) func(*Term) bool {
-	probe := Rule{LHS: goal.Pattern, Cond: goal.Cond}
-	gc := Compile([]Rule{probe})
-	cr := gc.rules[0]
-	if cr == nil {
-		l := gc.layouts[0]
+	gc, err := Compile([]Rule{{LHS: goal.Pattern, Cond: goal.Cond}})
+	if err != nil {
+		l := layoutOf(goal.Pattern)
 		return func(t *Term) bool { return goal.matches(t, e.sys.Sig, l) }
 	}
+	cr := gc.rules[0]
 	m := gc.getScratch() // single caller goroutine; keep one scratch for the search
 	return func(t *Term) bool { return cr.matchAny(t, e.sys.Sig, m) }
 }

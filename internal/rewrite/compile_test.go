@@ -3,6 +3,7 @@ package rewrite
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,17 +41,12 @@ func renderTerms(ts []*Term) string {
 }
 
 // TestCompileFragment pins the compilable fragment's boundary: which rules
-// get specialized matchers and which keep the interpreter.
+// get specialized matchers and which Compile rejects, naming the rule.
 func TestCompileFragment(t *testing.T) {
-	if n := len(tokens(4).Rules); Compile(tokens(4).Rules).CompiledCount() != n {
-		t.Errorf("tokens: want all %d rules compiled", n)
-	}
-	v := vending()
-	if got := Compile(v.Rules).CompiledCount(); got != len(v.Rules) {
-		t.Errorf("vending: %d of %d rules compiled", got, len(v.Rules))
-	}
-	if got := Compile(counter().Rules).CompiledCount(); got != 0 {
-		t.Errorf("counter (Op-rooted LHS): %d rules compiled, want 0", got)
+	for _, sys := range []*System{tokens(4), vending(), counter()} {
+		if _, err := Compile(sys.Rules); err != nil {
+			t.Error(err)
+		}
 	}
 	outside := []struct {
 		name string
@@ -63,16 +59,16 @@ func TestCompileFragment(t *testing.T) {
 		{"nested config", NewConfig(NewOp("f", NewConfig(NewOp("a"))))},
 	}
 	for _, tc := range outside {
-		r := Rule{Name: tc.name, LHS: tc.lhs}
-		if compileRule(&r) != nil {
-			t.Errorf("%s: compiled, want interpreter fallback", tc.name)
+		_, err := Compile([]Rule{{Name: tc.name, LHS: tc.lhs}})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.name)) {
+			t.Errorf("%s: Compile error %v, want a rejection naming the rule", tc.name, err)
 		}
 	}
 	// A Configuration-sorted variable nested inside an element is a normal
 	// first-order binding, not a rest variable — it stays in the fragment.
 	in := Rule{Name: "nested-config-var", LHS: NewConfig(NewOp("f", NewVar("C", SortConfig)))}
-	if compileRule(&in) == nil {
-		t.Error("config-sorted var inside an element should compile")
+	if _, err := compileRule(&in); err != nil {
+		t.Errorf("config-sorted var inside an element should compile: %v", err)
 	}
 }
 
@@ -120,11 +116,11 @@ func TestCompiledMatchEquivalence(t *testing.T) {
 		{"deep/wrong-arity", Rule{LHS: deep}, NewConfig(NewOp("f", NewOp("g", NewInt(9), NewInt(8)), NewStr("k")))},
 	}
 	for _, c := range cases {
-		comp := Compile([]Rule{c.rule})
-		cr := comp.rules[0]
-		if cr == nil {
-			t.Fatalf("%s: rule did not compile", c.name)
+		comp, err := Compile([]Rule{c.rule})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
+		cr := comp.rules[0]
 		m := comp.getScratch()
 		got := renderBindings(cr.matchCompiled(c.subj, nil, m))
 		comp.putScratch(m)
@@ -160,12 +156,12 @@ func TestCompiledApplyEquivalence(t *testing.T) {
 		}},
 	}
 	for _, s := range systems {
-		comp := Compile(s.sys.Rules)
+		comp, err := Compile(s.sys.Rules)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
 		for i := range s.sys.Rules {
 			cr := comp.rules[i]
-			if cr == nil {
-				t.Fatalf("%s: rule %q did not compile", s.name, s.sys.Rules[i].Name)
-			}
 			for _, subj := range s.subj {
 				m := comp.getScratch()
 				got := renderTerms(cr.apply(subj, s.sys.Sig, m, nil))
@@ -214,8 +210,8 @@ func normJournal(evs []telemetry.Event) []telemetry.Event {
 // equivalence case, at Workers 1 and 4, a search with compiled matchers
 // produces the reference search's verdict, witness, final state, state
 // count and statistics, and the same flight-recorder journal at either
-// worker count. On a fully compilable system no attempt falls back to the
-// interpreter.
+// worker count. Every rule compiles and no attempt is counted as a
+// fallback.
 func TestCompiledSearchDifferential(t *testing.T) {
 	for _, tc := range equivCases() {
 		ref := refOf(t, tc)
@@ -237,15 +233,11 @@ func TestCompiledSearchDifferential(t *testing.T) {
 				(res.Final != nil && !res.Final.Equal(ref.Final)) {
 				t.Errorf("%s: final states diverge", name)
 			}
-			// counter()'s Op-rooted rule legitimately falls back.
-			if Compile(tc.sys.Rules).CompiledCount() == len(tc.sys.Rules) {
-				if res.Stats.CompiledRules == 0 {
-					t.Errorf("%s: compiled run reports no compiled rules", name)
-				}
-				if res.Stats.FallbackMatches != 0 {
-					t.Errorf("%s: compiled run fell back %d times on a fully compilable system",
-						name, res.Stats.FallbackMatches)
-				}
+			if res.Stats.CompiledRules != len(tc.sys.Rules) {
+				t.Errorf("%s: %d of %d rules compiled", name, res.Stats.CompiledRules, len(tc.sys.Rules))
+			}
+			if res.Stats.FallbackMatches != 0 {
+				t.Errorf("%s: %d fallback matches, want 0", name, res.Stats.FallbackMatches)
 			}
 			journals = append(journals, fmt.Sprint(normJournal(rec.Journal())))
 		}
@@ -276,7 +268,7 @@ func TestCompiledBudgetCutDifferential(t *testing.T) {
 			if cut := budget == 10; res.Truncated != cut || res.Found == cut {
 				t.Errorf("%s: compiled run truncated=%v found=%v", name, res.Truncated, res.Found)
 			}
-			if d := refDiff(res, ref); d != "" {
+			if d := refDiff(res, ref.SearchResult); d != "" {
 				t.Errorf("%s: %s", name, d)
 			}
 		}
@@ -284,34 +276,22 @@ func TestCompiledBudgetCutDifferential(t *testing.T) {
 }
 
 // TestCompiledCounterAccounting is the unified-accounting regression test:
-// CompiledMatches + FallbackMatches must equal the per-rule profile's total
-// attempts, and adding RulesSkippedByIndex must recover the reference
-// search's attempt count (it tries every rule at every position) — every
-// candidate rule×position pair is accounted exactly once, whichever matcher
-// handled it and whether the index skipped it.
-//
-// The system mixes compiled rules (tokens) with an interpreter-only
-// var-rooted rule; the latter also defeats subtree pruning, so the
-// comparison with the reference is exact.
+// CompiledMatches must equal the per-rule profile's total attempts,
+// FallbackMatches must stay 0, and adding RulesSkippedByIndex must recover
+// the reference search's root-position attempt count (it tries every rule
+// at the root of every state it expands) — every rule considered at an
+// expanded state is accounted exactly once, whether the index skipped it
+// or a compiled matcher tried it.
 func TestCompiledCounterAccounting(t *testing.T) {
-	mixed := func() *System {
-		s := tokens(3)
-		s.Rules = append(s.Rules, Rule{
-			Name:  "noop",
-			LHS:   NewVar("X", SortInt),
-			Build: func(b *Env) (*Term, bool) { return nil, false },
-		})
-		return s
-	}
-	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
+	init := NewConfig(NewOp("$"), NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
 	goal := Goal{Pattern: NewOp("nope")}
 
-	res, err := mixed().Search(init, goal, Options{Workers: 1, Profile: true})
+	res, err := vending().Search(init, goal, Options{Workers: 1, Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fast := res.Stats
-	ref, err := referenceSearch(mixed(), init, goal, refOptions{})
+	ref, err := referenceSearch(vending(), init, goal, refOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,30 +300,83 @@ func TestCompiledCounterAccounting(t *testing.T) {
 	for _, rc := range fast.RuleProfile {
 		attempts += rc.Attempts
 	}
-	if fast.CompiledMatches+fast.FallbackMatches != attempts {
-		t.Errorf("compiled %d + fallback %d != profiled attempts %d",
-			fast.CompiledMatches, fast.FallbackMatches, attempts)
+	if fast.CompiledMatches != attempts {
+		t.Errorf("compiled %d != profiled attempts %d", fast.CompiledMatches, attempts)
 	}
-	if fast.CompiledMatches == 0 || fast.FallbackMatches == 0 {
-		t.Errorf("mixed system should use both paths (compiled %d, fallback %d)",
-			fast.CompiledMatches, fast.FallbackMatches)
+	if fast.FallbackMatches != 0 {
+		t.Errorf("%d fallback matches, want 0", fast.FallbackMatches)
 	}
-	if fast.CompiledRules != 2 {
-		t.Errorf("%d rules compiled, want 2 (noop stays interpreted)", fast.CompiledRules)
-	}
-	if fast.SubtreesPruned != 0 {
-		t.Fatalf("test premise broken: subtree pruning active (%d) — the comparison below needs none",
-			fast.SubtreesPruned)
+	if fast.CompiledRules != 3 {
+		t.Errorf("%d rules compiled, want 3", fast.CompiledRules)
 	}
 	if res.StatesExplored != ref.StatesExplored {
 		t.Fatalf("engine explored %d states, reference %d", res.StatesExplored, ref.StatesExplored)
 	}
-	fastTotal := fast.CompiledMatches + fast.FallbackMatches + fast.RulesSkippedByIndex
-	if naiveTotal := ref.Stats.FallbackMatches; fastTotal != naiveTotal {
+	if fastTotal := fast.CompiledMatches + fast.RulesSkippedByIndex; fastTotal != ref.RootAttempts {
 		t.Errorf("attempts + skips mismatch: indexed %d (+%d skipped) != reference %d",
-			fast.CompiledMatches+fast.FallbackMatches, fast.RulesSkippedByIndex, naiveTotal)
+			fast.CompiledMatches, fast.RulesSkippedByIndex, ref.RootAttempts)
 	}
 	if fast.RulesSkippedByIndex == 0 {
 		t.Error("indexed run skipped nothing; the test would pass vacuously")
+	}
+}
+
+// TestOutOfFragmentRulesRejected: a System holding a rule outside the
+// compiled fragment — one of each shape — cannot search, expand or
+// rewrite. Search, Successors and Rewrite each return an error naming the
+// rule before any state is explored: no rule or goal callback runs, no
+// progress snapshot fires, and the flight recorder stays empty.
+func TestOutOfFragmentRulesRejected(t *testing.T) {
+	n := NewVar("N", SortInt)
+	z := NewVar("Z", SortConfig)
+	shapes := []Rule{
+		{Name: "op-rooted", LHS: NewOp("c", n)},
+		{Name: "variable-rooted", LHS: NewVar("X", "")},
+		{Name: "two-rest-variables", LHS: NewConfig(NewOp("c", n), z, NewVar("Y", SortConfig))},
+		{Name: "nested-configuration", LHS: NewConfig(NewOp("box", NewConfig(NewOp("c", n))), z)},
+	}
+	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
+	for _, bad := range shapes {
+		t.Run(bad.Name, func(t *testing.T) {
+			calls := 0
+			count := func(*Env) bool { calls++; return true }
+			sys := tokens(4)
+			for i := range sys.Rules {
+				sys.Rules[i].Cond = count
+			}
+			bad.Cond = count
+			sys.Rules = append(sys.Rules, bad)
+			rejected := func(op string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad.Name)) {
+					t.Errorf("%s: error %v, want one naming rule %q", op, err, bad.Name)
+				}
+			}
+
+			rec := telemetry.NewRecorder(0)
+			snapshots := 0
+			res, err := sys.Search(init, Goal{Pattern: NewVar("S", SortConfig), Cond: count},
+				Options{Recorder: rec, OnStats: func(*SearchStats) { snapshots++ }})
+			rejected("Search", err)
+			if res != nil {
+				t.Errorf("Search returned a result (%d states) alongside the error", res.StatesExplored)
+			}
+			if snapshots != 0 || len(rec.Journal()) != 0 {
+				t.Errorf("Search reported progress: %d snapshots, %d events", snapshots, len(rec.Journal()))
+			}
+			steps, err := sys.Successors(init)
+			rejected("Successors", err)
+			if len(steps) != 0 {
+				t.Errorf("Successors returned %d steps alongside the error", len(steps))
+			}
+			final, trace, _, err := sys.Rewrite(init, 10)
+			rejected("Rewrite", err)
+			if final != nil || len(trace) != 0 {
+				t.Errorf("Rewrite returned %v after %d steps alongside the error", final, len(trace))
+			}
+			if calls != 0 {
+				t.Errorf("%d rule or goal callbacks ran", calls)
+			}
+		})
 	}
 }

@@ -9,7 +9,11 @@ const RaceEnabled = raceEnabled
 // GoalCheck returns the per-state goal predicate a search on sys runs
 // (engine.goalChecker).
 func GoalCheck(sys *System, goal Goal) func(*Term) bool {
-	return sys.engine(Options{}, nil).goalChecker(goal)
+	e, err := sys.engine(Options{}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return e.goalChecker(goal)
 }
 
 // ReferenceGoal reports whether state satisfies goal by the reference
@@ -21,8 +25,11 @@ func ReferenceGoal(sys *System, goal Goal, state *Term) bool {
 // RefOptions are the reference search's knobs (reference_test.go).
 type RefOptions = refOptions
 
+// RefResult is the reference search's outcome (reference_test.go).
+type RefResult = refResult
+
 // ReferenceSearch runs the test-only reference search, the oracle the
 // engine is compared against.
-func ReferenceSearch(sys *System, init *Term, goal Goal, o RefOptions) (*SearchResult, error) {
+func ReferenceSearch(sys *System, init *Term, goal Goal, o RefOptions) (*RefResult, error) {
 	return referenceSearch(sys, init, goal, o)
 }

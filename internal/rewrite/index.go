@@ -1,39 +1,25 @@
 package rewrite
 
-// Rule indexing. The naive successor walk tries every rule at every subterm
-// position; in ROSA every rule's LHS is Config-rooted, so all of that work
-// below the root configuration is wasted, and at the root most rules fail
-// because the message they consume is no longer in the state. The index
-// removes both costs with static structure computed once per System:
+// Rule indexing. Every rule fires at the root configuration (Compile admits
+// no other shape), and at the root most rules fail because the message they
+// consume is no longer in the state. The index removes that cost with static
+// structure computed once per System: each rule carries an anchor bitmask —
+// the symbols of the non-variable top-level elements its pattern requires
+// (the message symbol, Process, File, …) — and a state's element bitmap
+// makes the "are all anchors present?" filter a single AND+compare.
 //
-//   - rules are bucketed by the kind and top constructor symbol of their
-//     LHS, so a subterm position only attempts the rules whose root can
-//     possibly match there;
-//   - Config-rooted rules carry an anchor bitmask — the symbols of the
-//     non-variable top-level elements their pattern requires (the message
-//     symbol, Process, File, …) — and a state's element bitmap makes the
-//     "are all anchors present?" filter a single AND+compare;
-//   - every term memoizes a subtree symbol bitmap, so the walk prunes whole
-//     subtrees in which no rule could match at any position.
-//
-// Symbol bits come from a process-global registry so term bitmaps are
-// system-independent and memoizable on the term itself. The registry caps
-// out at 61 distinct symbols; later symbols share an overflow bit, which
-// only weakens the filter (a shared bit can report a symbol present that is
-// not), never its soundness — the filter may admit a rule that then fails
-// to match, but never skips a rule that could have matched.
+// Symbol bits come from a process-global registry so bitmaps are
+// system-independent. The registry caps out at 61 distinct symbols; later
+// symbols share an overflow bit, which only weakens the filter (a shared
+// bit can report a symbol present that is not), never its soundness — the
+// filter may admit a rule that then fails to match, but never skips a rule
+// that could have matched.
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Reserved bits of the per-term bitmap.
 const (
-	bitsComputed = uint64(1) << 63 // memo marker: bitmap has been computed
-	bitOverflow  = uint64(1) << 62 // shared bit for symbols past capacity
-	bitConfig    = uint64(1) << 61 // a Config node occurs in the subtree
-	maxSymBits   = 61
+	bitOverflow = uint64(1) << 61 // shared bit for symbols past capacity
+	maxSymBits  = 61
 )
 
 var (
@@ -65,33 +51,9 @@ func symbolBit(sym string) uint64 {
 	return b
 }
 
-// subtreeBits returns the memoized bitmap of constructor symbols occurring
-// anywhere in t, plus bitConfig if the subtree contains a configuration.
-// Variables contribute the overflow bit so a pattern subtree never looks
-// empty; ground states contain no variables.
-func (t *Term) subtreeBits() uint64 {
-	if b := t.bits.Load(); b != 0 {
-		return b &^ bitsComputed
-	}
-	var b uint64
-	switch t.Kind {
-	case Op:
-		b = symbolBit(t.Sym)
-	case Config:
-		b = bitConfig
-	case Var:
-		b = bitOverflow
-	}
-	for _, a := range t.Args {
-		b |= a.subtreeBits()
-	}
-	t.bits.Store(b | bitsComputed)
-	return b
-}
-
 // elemBits returns the bitmap of top-level element symbols of a
 // configuration — the state-side half of the anchor filter. Not memoized:
-// it is one cheap pass per expanded position, and only Config nodes pay it.
+// it is one cheap pass per expansion.
 func elemBits(t *Term) uint64 {
 	var b uint64
 	for _, a := range t.Args {
@@ -102,128 +64,31 @@ func elemBits(t *Term) uint64 {
 	return b
 }
 
-// indexedRule is one rule's slot in a position bucket.
+// indexedRule is one rule's entry in the index.
 type indexedRule struct {
-	idx     int    // index into System.Rules (buckets stay in rule order)
-	anchors uint64 // required element symbols (Config-rooted rules only)
+	idx     int    // index into System.Rules
+	anchors uint64 // required element symbols
 }
 
 // ruleIndex is the static per-System successor index.
 type ruleIndex struct {
-	// atConfig lists the rules applicable at a Config position
-	// (Config-rooted and variable-rooted LHS), ascending by rule index.
+	// atConfig lists the rules with their anchors, ascending by rule index,
+	// so the filtered expansion emits successors in rule order.
 	atConfig []indexedRule
-	// atOp lists, per LHS root symbol, the rules applicable at an Op
-	// position with that symbol (merged with the variable-rooted rules,
-	// ascending). Symbols with no Op-rooted rules fall back to atAny.
-	atOp map[string][]indexedRule
-	// atAny lists the rules applicable at any position (variable-rooted
-	// LHS), plus the Int/Str-rooted rules: together, the rules a leaf or an
-	// unindexed Op position must still attempt.
-	atAny []indexedRule
-	// needMask is the subtree-bitmap mask deciding whether any rule could
-	// match somewhere inside a subtree; a walk skips subtrees whose bitmap
-	// misses it entirely. allPositions disables pruning (some rule matches
-	// at arbitrary positions).
-	needMask     uint64
-	allPositions bool
 }
 
-// buildRuleIndex computes the index for a rule set. Bucket order preserves
-// rule order, so the indexed walk emits successors in exactly the naive
-// walk's order.
+// buildRuleIndex computes the index for a rule set that compiled, so every
+// LHS is a configuration.
 func buildRuleIndex(rules []Rule) *ruleIndex {
-	ix := &ruleIndex{atOp: make(map[string][]indexedRule)}
-	var varRooted []indexedRule
+	ix := &ruleIndex{atConfig: make([]indexedRule, len(rules))}
 	for i := range rules {
-		lhs := rules[i].LHS
-		if lhs == nil {
-			continue
-		}
-		switch lhs.Kind {
-		case Config:
-			var anchors uint64
-			for _, e := range lhs.Args {
-				if e.Kind == Op {
-					anchors |= symbolBit(e.Sym)
-				}
+		var anchors uint64
+		for _, e := range rules[i].LHS.Args {
+			if e.Kind == Op {
+				anchors |= symbolBit(e.Sym)
 			}
-			ix.atConfig = append(ix.atConfig, indexedRule{idx: i, anchors: anchors})
-			ix.needMask |= bitConfig
-		case Op:
-			ix.atOp[lhs.Sym] = append(ix.atOp[lhs.Sym], indexedRule{idx: i})
-			ix.needMask |= symbolBit(lhs.Sym)
-		case Var:
-			varRooted = append(varRooted, indexedRule{idx: i})
-			ix.allPositions = true
-		default: // Int- or Str-rooted patterns match only at leaves
-			ix.atAny = append(ix.atAny, indexedRule{idx: i})
-			ix.allPositions = true
 		}
-	}
-	if len(varRooted) > 0 {
-		// Variable-rooted rules apply everywhere: merge them into every
-		// bucket, keeping ascending rule order.
-		ix.atConfig = mergeIndexed(ix.atConfig, varRooted)
-		for sym, rs := range ix.atOp {
-			ix.atOp[sym] = mergeIndexed(rs, varRooted)
-		}
-		ix.atAny = mergeIndexed(ix.atAny, varRooted)
+		ix.atConfig[i] = indexedRule{idx: i, anchors: anchors}
 	}
 	return ix
-}
-
-// mergeIndexed merges two ascending indexedRule slices, ascending.
-func mergeIndexed(a, b []indexedRule) []indexedRule {
-	out := make([]indexedRule, 0, len(a)+len(b))
-	out = append(out, a...)
-	out = append(out, b...)
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
-	return out
-}
-
-// at returns the rules to attempt at position t: the bucket for t's kind
-// and symbol, anchor-filtered for configurations. It is purely a candidate
-// selector — the caller (the expand walk) owns the RulesSkippedByIndex
-// accounting, computed in one place as total rules minus candidates, so the
-// counter cannot drift between call sites.
-func (ix *ruleIndex) at(t *Term, buf []indexedRule) []indexedRule {
-	switch t.Kind {
-	case Config:
-		eb := elemBits(t)
-		tried := buf[:0]
-		for _, ir := range ix.atConfig {
-			if ir.anchors&^eb != 0 {
-				continue // a required element symbol is absent
-			}
-			tried = append(tried, ir)
-		}
-		return tried
-	case Op:
-		if rs, ok := ix.atOp[t.Sym]; ok {
-			return rs
-		}
-		return ix.atAny
-	default:
-		return ix.atAny
-	}
-}
-
-// triedBufPool recycles the candidate buffer at() filters into, one per
-// in-flight expansion; getTriedBuf guarantees capacity for the Config
-// bucket, whose filtered view is the only bucket copied into the buffer.
-var triedBufPool = sync.Pool{New: func() any { return new([]indexedRule) }}
-
-func getTriedBuf(capacity int) []indexedRule {
-	p := triedBufPool.Get().(*[]indexedRule)
-	buf := *p
-	if cap(buf) < capacity {
-		buf = make([]indexedRule, 0, capacity)
-	}
-	return buf[:0]
-}
-
-func putTriedBuf(buf []indexedRule) {
-	buf = buf[:0]
-	triedBufPool.Put(&buf)
 }

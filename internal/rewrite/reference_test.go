@@ -9,17 +9,60 @@ import (
 // The reference search: the oracle the engine's differential tests compare
 // against. It is Maude's `search init =>* goal` written as plainly as the
 // semantics allow, and shares none of the engine's machinery — no rule
-// index, no compiled matchers, no transition cache, no pointer-keyed
-// visited set, no parallel merge. Every state is normalized with
-// System.Normalize, every rule is tried through the generic Rule.apply at
-// every position, and visited states are kept in a structural set. The
-// engine's results — verdict, witness, state count, frontier shape, rule
-// firings, dedup hits — must equal the reference's exactly.
+// index, no compiled matchers, no transition cache, no interning, no
+// pointer-keyed visited set, no parallel merge. Every rule is tried through
+// the generic Rule.apply at every position — the root and, recursively,
+// every argument below it, as Maude's congruence rewriting does — and
+// visited states are kept in a structural set. The engine's results —
+// verdict, witness, state count, frontier shape, rule firings, dedup hits —
+// must equal the reference's exactly. The engine tries rules at the root
+// only; the reference counts the successors it finds below the root
+// (refResult.BelowRoot), and the tests that compare the two also check
+// that count is 0, which is what makes root-only rewriting lose nothing.
 //
 // Enumeration order matches the engine's without sorting anything here:
 // configurations are born in canonical element order (NewConfig), so a
 // state's successors come out in the same rule-then-position order the
 // engine's walk produces.
+
+// apply returns every replacement term the rule produces at the root of t —
+// the generic matcher's path. Callbacks get an Env filled from each
+// Binding through l, the LHS's slot table (layoutOf); callers that apply
+// the rule repeatedly build it once, and nil builds it at the first match.
+func (r *Rule) apply(t *Term, sig Signature, l *slotLayout) []*Term {
+	if k := r.LHS.Kind; k != Var && (k != t.Kind || k == Op && r.LHS.Sym != t.Sym) {
+		return nil // the root cannot match; skip the matcher's allocations
+	}
+	var out []*Term
+	scratch := getBinding()
+	defer putBinding(scratch)
+	var env *Env
+	match(r.LHS, t, scratch, sig, func(b Binding) {
+		if r.Cond == nil && r.BuildAll == nil && r.Build == nil {
+			out = append(out, Subst(r.RHS, b))
+			return
+		}
+		if env == nil {
+			env = envOver(l, r.LHS)
+		}
+		env.fill(b)
+		if r.Cond != nil && !r.Cond(env) {
+			return
+		}
+		if r.BuildAll != nil {
+			out = append(out, r.BuildAll(env)...)
+			return
+		}
+		if r.Build != nil {
+			if nt, ok := r.Build(env); ok {
+				out = append(out, nt)
+			}
+			return
+		}
+		out = append(out, Subst(r.RHS, b))
+	})
+	return out
+}
 
 // refOptions are the reference search's knobs: the bounds it shares with
 // Options, plus the two ablations (no deduplication, LIFO frontier) the
@@ -47,17 +90,25 @@ type refNode struct {
 	depth  int
 }
 
+// refResult is a reference search's outcome: the result the engine's is
+// compared with, plus two counts only the every-position walk can take.
+type refResult struct {
+	*SearchResult
+	// RootAttempts counts the rules tried at the root of an expanded state
+	// — the attempts the engine makes or its index skips.
+	RootAttempts int64
+	// BelowRoot counts the replacements rules produced at positions below
+	// an expanded state's root, before deduplication. The engine never
+	// looks there, so it must be 0 wherever the two are compared.
+	BelowRoot int64
+}
+
 // referenceSearch runs the reference search. Stats carries Frontier, Depth,
-// RuleFirings and DedupHits with the engine's meanings, and FallbackMatches
-// counts the rule attempts (rule × position pairs), every one of which runs
-// through the generic matcher.
-func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*SearchResult, error) {
-	start, err := sys.Normalize(init)
-	if err != nil {
-		return nil, err
-	}
+// RuleFirings and DedupHits with the engine's meanings.
+func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*refResult, error) {
+	start := init
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: 1}
-	res := &SearchResult{StatesExplored: 1, Stats: stats}
+	res := &refResult{SearchResult: &SearchResult{StatesExplored: 1, Stats: stats}}
 	layouts, goalLayout := ruleLayouts(sys), layoutOf(goal.Pattern)
 	if goal.matches(start, sys.Sig, goalLayout) {
 		res.Found, res.Final = true, start
@@ -88,11 +139,9 @@ func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*SearchR
 			return res, nil
 		}
 		expanded++
-		succs, attempts, err := referenceSuccessors(sys, layouts, n.state)
-		if err != nil {
-			return nil, err
-		}
-		stats.FallbackMatches += attempts
+		succs, counts := referenceSuccessors(sys, layouts, n.state)
+		res.RootAttempts += counts.RootAttempts
+		res.BelowRoot += counts.BelowRoot
 		for _, st := range succs {
 			stats.RuleFirings[st.Rule]++
 			if !o.NoDedup && !visited.add(st.Result) {
@@ -128,32 +177,38 @@ func ruleLayouts(sys *System) []*slotLayout {
 	return out
 }
 
+// refCounts are referenceSuccessors' attempt and below-root counts for one
+// expansion (see refResult).
+type refCounts struct {
+	RootAttempts, BelowRoot int64
+}
+
 // referenceSuccessors returns t's one-step successors: every rule at every
 // position (the position itself first, then its arguments left to right),
-// each replacement rebuilt into t and normalized, structural duplicates
-// dropped. attempts counts the rule × position pairs tried. layouts holds
-// the rules' slot tables (ruleLayouts).
-func referenceSuccessors(sys *System, layouts []*slotLayout, t *Term) (steps []Step, attempts int64, err error) {
+// each replacement rebuilt into t, structural duplicates dropped. layouts
+// holds the rules' slot tables (ruleLayouts).
+func referenceSuccessors(sys *System, layouts []*slotLayout, t *Term) (steps []Step, c refCounts) {
 	seen := newStateSet()
-	var walk func(t *Term, rebuild func(*Term) *Term) error
-	walk = func(t *Term, rebuild func(*Term) *Term) error {
+	var walk func(t *Term, root bool, rebuild func(*Term) *Term)
+	walk = func(t *Term, root bool, rebuild func(*Term) *Term) {
 		for i := range sys.Rules {
-			attempts++
+			if root {
+				c.RootAttempts++
+			}
 			for _, rep := range sys.Rules[i].apply(t, sys.Sig, layouts[i]) {
-				nt, err := sys.Normalize(rebuild(rep))
-				if err != nil {
-					return err
+				if !root {
+					c.BelowRoot++
 				}
-				if seen.add(nt) {
+				if nt := rebuild(rep); seen.add(nt) {
 					steps = append(steps, Step{Rule: sys.Rules[i].Name, Result: nt})
 				}
 			}
 		}
 		if t.Kind != Op && t.Kind != Config {
-			return nil
+			return
 		}
 		for i := range t.Args {
-			err := walk(t.Args[i], func(na *Term) *Term {
+			walk(t.Args[i], false, func(na *Term) *Term {
 				args := append([]*Term(nil), t.Args...)
 				args[i] = na
 				if t.Kind == Op {
@@ -161,14 +216,10 @@ func referenceSuccessors(sys *System, layouts []*slotLayout, t *Term) (steps []S
 				}
 				return rebuild(NewConfig(args...))
 			})
-			if err != nil {
-				return err
-			}
 		}
-		return nil
 	}
-	err = walk(t, func(nt *Term) *Term { return nt })
-	return steps, attempts, err
+	walk(t, true, func(nt *Term) *Term { return nt })
+	return steps, c
 }
 
 // stateSet is the reference's visited set: terms bucketed by structural
@@ -221,7 +272,8 @@ func refDiff(got, ref *SearchResult) string {
 }
 
 // refOf runs the reference search for an equivalence case, under the
-// case's bounds.
+// case's bounds, and fails the test if the reference found a successor
+// below the root, where the engine never looks.
 func refOf(t testing.TB, tc equivCase) *SearchResult {
 	t.Helper()
 	ref, err := referenceSearch(tc.sys, tc.init, tc.goal,
@@ -229,5 +281,8 @@ func refOf(t testing.TB, tc equivCase) *SearchResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ref
+	if ref.BelowRoot != 0 {
+		t.Fatalf("%s: the reference found %d successors below the root", tc.name, ref.BelowRoot)
+	}
+	return ref.SearchResult
 }

@@ -1,94 +1,9 @@
 package rewrite
 
 import (
-	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-// peano builds the classic Peano addition equations:
-//
-//	add(0, N)    = N
-//	add(s(M), N) = s(add(M, N))
-func peano() *System {
-	return &System{
-		Sig: Signature{"z": "Nat", "s": "Nat", "add": "Nat"},
-		Eqs: []Rule{
-			{
-				Name: "add-zero",
-				LHS:  NewOp("add", NewOp("z"), NewVar("N", "")),
-				RHS:  NewVar("N", ""),
-			},
-			{
-				Name: "add-succ",
-				LHS:  NewOp("add", NewOp("s", NewVar("M", "")), NewVar("N", "")),
-				RHS:  NewOp("s", NewOp("add", NewVar("M", ""), NewVar("N", ""))),
-			},
-		},
-	}
-}
-
-func nat(n int) *Term {
-	t := NewOp("z")
-	for i := 0; i < n; i++ {
-		t = NewOp("s", t)
-	}
-	return t
-}
-
-func natVal(t *Term) (int, bool) {
-	n := 0
-	for t.Kind == Op && t.Sym == "s" {
-		n++
-		t = t.Args[0]
-	}
-	if t.Kind == Op && t.Sym == "z" {
-		return n, true
-	}
-	return 0, false
-}
-
-func TestPeanoNormalize(t *testing.T) {
-	s := peano()
-	got, err := s.Normalize(NewOp("add", nat(3), nat(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := natVal(got); !ok || v != 7 {
-		t.Errorf("3+4 normalized to %s", got)
-	}
-}
-
-func TestPeanoAdditionQuick(t *testing.T) {
-	s := peano()
-	f := func(a, b uint8) bool {
-		x, y := int(a%40), int(b%40)
-		got, err := s.Normalize(NewOp("add", nat(x), nat(y)))
-		if err != nil {
-			return false
-		}
-		v, ok := natVal(got)
-		return ok && v == x+y
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizeNonTerminationGuard(t *testing.T) {
-	s := &System{
-		Eqs: []Rule{{
-			Name: "loop",
-			LHS:  NewOp("a"),
-			RHS:  NewOp("a"),
-		}},
-	}
-	_, err := s.Normalize(NewOp("a"))
-	if !errors.Is(err, ErrNormalize) {
-		t.Errorf("err = %v, want ErrNormalize", err)
-	}
-}
 
 func TestMatchBasics(t *testing.T) {
 	sig := Signature{"f": "F", "g": "G"}
@@ -309,18 +224,9 @@ func TestSearchUnreachableExhausts(t *testing.T) {
 
 func TestSearchMaxStatesTruncates(t *testing.T) {
 	// An infinite counter system: c(n) -> c(n+1).
-	s := &System{
-		Rules: []Rule{{
-			Name: "inc",
-			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b *Env) (*Term, bool) {
-				n, _ := b.Int("N")
-				return NewOp("c", NewInt(n+1)), true
-			},
-		}},
-	}
-	goal := Goal{Pattern: NewOp("c", NewInt(-1))} // unreachable
-	res, err := s.Search(NewOp("c", NewInt(0)), goal, Options{MaxStates: 100})
+	s := counter()
+	goal := Goal{Pattern: cnt(-1)} // unreachable
+	res, err := s.Search(cnt(0), goal, Options{MaxStates: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,25 +239,16 @@ func TestSearchMaxStatesTruncates(t *testing.T) {
 }
 
 func TestSearchMaxDepth(t *testing.T) {
-	s := &System{
-		Rules: []Rule{{
-			Name: "inc",
-			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b *Env) (*Term, bool) {
-				n, _ := b.Int("N")
-				return NewOp("c", NewInt(n+1)), true
-			},
-		}},
-	}
-	goal := Goal{Pattern: NewOp("c", NewInt(5))}
-	res, err := s.Search(NewOp("c", NewInt(0)), goal, Options{MaxDepth: 3})
+	s := counter()
+	goal := Goal{Pattern: cnt(5)}
+	res, err := s.Search(cnt(0), goal, Options{MaxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Found {
 		t.Error("goal at depth 5 must be unreachable with MaxDepth 3")
 	}
-	res2, err := s.Search(NewOp("c", NewInt(0)), goal, Options{MaxDepth: 5})
+	res2, err := s.Search(cnt(0), goal, Options{MaxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,29 +262,29 @@ func TestConditionalRule(t *testing.T) {
 	s := &System{
 		Rules: []Rule{{
 			Name: "dec",
-			LHS:  NewOp("c", NewVar("N", SortInt)),
+			LHS:  NewConfig(NewOp("c", NewVar("N", SortInt))),
 			Cond: func(b *Env) bool {
 				n, _ := b.Int("N")
 				return n > 0
 			},
 			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
-				return NewOp("c", NewInt(n-1)), true
+				return cnt(n - 1), true
 			},
 		}},
 	}
-	succ, err := s.Successors(NewOp("c", NewInt(0)))
+	succ, err := s.Successors(cnt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(succ) != 0 {
 		t.Errorf("rule fired on zero: %v", succ)
 	}
-	succ, err = s.Successors(NewOp("c", NewInt(2)))
+	succ, err = s.Successors(cnt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(succ) != 1 || !succ[0].Result.Equal(NewOp("c", NewInt(1))) {
+	if len(succ) != 1 || !succ[0].Result.Equal(cnt(1)) {
 		t.Errorf("successors = %v", succ)
 	}
 }
@@ -396,30 +293,16 @@ func TestBuildVeto(t *testing.T) {
 	s := &System{
 		Rules: []Rule{{
 			Name:  "never",
-			LHS:   NewVar("X", ""),
+			LHS:   NewConfig(NewVar("X", SortConfig)),
 			Build: func(*Env) (*Term, bool) { return nil, false },
 		}},
 	}
-	succ, err := s.Successors(NewOp("a"))
+	succ, err := s.Successors(NewConfig(NewOp("a")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(succ) != 0 {
 		t.Errorf("vetoed rule produced successors: %v", succ)
-	}
-}
-
-func TestCongruenceRewriting(t *testing.T) {
-	// Rules apply inside subterms: f(a) -> f(b) via a -> b.
-	s := &System{
-		Rules: []Rule{{Name: "ab", LHS: NewOp("a"), RHS: NewOp("b")}},
-	}
-	succ, err := s.Successors(NewOp("f", NewOp("a")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(succ) != 1 || !succ[0].Result.Equal(NewOp("f", NewOp("b"))) {
-		t.Errorf("successors = %v", succ)
 	}
 }
 
@@ -452,28 +335,28 @@ func TestDedupAblation(t *testing.T) {
 		Rules: []Rule{
 			{
 				Name: "incA",
-				LHS:  NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt)),
+				LHS:  NewConfig(NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt))),
 				Cond: func(b *Env) bool { a, _ := b.Int("A"); return a < 4 },
 				Build: func(b *Env) (*Term, bool) {
 					a, _ := b.Int("A")
 					c, _ := b.Int("B")
-					return NewOp("p", NewInt(a+1), NewInt(c)), true
+					return NewConfig(NewOp("p", NewInt(a+1), NewInt(c))), true
 				},
 			},
 			{
 				Name: "incB",
-				LHS:  NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt)),
+				LHS:  NewConfig(NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt))),
 				Cond: func(b *Env) bool { c, _ := b.Int("B"); return c < 4 },
 				Build: func(b *Env) (*Term, bool) {
 					a, _ := b.Int("A")
 					c, _ := b.Int("B")
-					return NewOp("p", NewInt(a), NewInt(c+1)), true
+					return NewConfig(NewOp("p", NewInt(a), NewInt(c+1))), true
 				},
 			},
 		},
 	}
-	goal := Goal{Pattern: NewOp("p", NewInt(4), NewInt(4))}
-	init := NewOp("p", NewInt(0), NewInt(0))
+	goal := Goal{Pattern: NewConfig(NewOp("p", NewInt(4), NewInt(4)))}
+	init := NewConfig(NewOp("p", NewInt(0), NewInt(0)))
 
 	on, err := s.Search(init, goal, Options{})
 	if err != nil {
@@ -490,7 +373,7 @@ func TestDedupAblation(t *testing.T) {
 	if !on.Found || !ref.Found || !no.Found {
 		t.Fatalf("found: engine=%v reference=%v nodedup=%v", on.Found, ref.Found, no.Found)
 	}
-	if d := refDiff(on, ref); d != "" {
+	if d := refDiff(on, ref.SearchResult); d != "" {
 		t.Errorf("engine vs reference: %s", d)
 	}
 	if on.StatesExplored > no.StatesExplored {
@@ -524,24 +407,15 @@ func TestRewriteCommand(t *testing.T) {
 
 func TestRewriteBudget(t *testing.T) {
 	// The infinite counter never quiesces; the budget stops it.
-	s := &System{
-		Rules: []Rule{{
-			Name: "inc",
-			LHS:  NewOp("c", NewVar("N", SortInt)),
-			Build: func(b *Env) (*Term, bool) {
-				n, _ := b.Int("N")
-				return NewOp("c", NewInt(n+1)), true
-			},
-		}},
-	}
-	final, trace, truncated, err := s.Rewrite(NewOp("c", NewInt(0)), 7)
+	s := counter()
+	final, trace, truncated, err := s.Rewrite(cnt(0), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !truncated || len(trace) != 7 {
 		t.Errorf("truncated=%v steps=%d, want true/7", truncated, len(trace))
 	}
-	if !final.Equal(NewOp("c", NewInt(7))) {
+	if !final.Equal(cnt(7)) {
 		t.Errorf("final = %s, want c(7)", final)
 	}
 }

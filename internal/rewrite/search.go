@@ -119,8 +119,9 @@ type SearchStats struct {
 	// RulesSkippedByIndex counts rule attempts the successor index avoided
 	// (rules filtered out at a position before matching was tried).
 	RulesSkippedByIndex int64
-	// SubtreesPruned counts subterm positions never visited because the
-	// subtree bitmap proved no rule could match inside.
+	// SubtreesPruned counts element positions below the root that the
+	// engine never tried: rules apply only at the root configuration, so
+	// each expansion skips every one of the state's elements.
 	SubtreesPruned int64
 	// CacheHits and CacheMisses count transition-cache lookups during this
 	// search. Hits include states whose successor sets were computed by an
@@ -128,12 +129,14 @@ type SearchStats struct {
 	// attached.
 	CacheHits, CacheMisses int64
 	// CompiledRules is how many of the System's rules have compiled
-	// matchers (the rest fall back to the interpreter per attempt).
+	// matchers: all of them, since a System with a rule outside the
+	// compiled fragment does not search.
 	CompiledRules int
-	// CompiledMatches and FallbackMatches split this search's rule attempts
-	// by engine: attempts served by a compiled matcher vs by the generic
-	// interpreter. Their sum plus RulesSkippedByIndex accounts for every
-	// candidate rule×position pair the walk considered.
+	// CompiledMatches counts this search's rule attempts, every one served
+	// by a compiled matcher; plus RulesSkippedByIndex it accounts for every
+	// rule considered at every expanded state. FallbackMatches is always 0:
+	// no rule attempt runs through the generic matcher. It stays because
+	// the v1 wire schema reports it.
 	CompiledMatches, FallbackMatches int64
 	// DroppedEvents is the attached flight recorder's overwrite count
 	// (telemetry.Recorder.Dropped) at snapshot time. Non-zero means the
@@ -154,8 +157,8 @@ type SearchStats struct {
 
 // RuleCost is one rule's row of the search profile.
 type RuleCost struct {
-	// Attempts counts how many times the rule was tried against a subterm
-	// position (matched or not).
+	// Attempts counts how many times the rule was tried against a state's
+	// root configuration (matched or not).
 	Attempts int64
 	// Firings counts replacement terms the rule produced (before the
 	// successor-level and visited-set deduplication, so it can exceed
@@ -309,8 +312,9 @@ func (n *node) witness() []Step {
 // result with Interrupted set and no error; callers map it to the same
 // Unknown verdict as a state-budget truncation.
 //
-// Error contract: a setup failure (equations diverging) returns (nil, err).
-// A fault during the search — a worker panic, a successor error, an injected
+// Error contract: a setup failure (a rule outside the compiled fragment)
+// returns (nil, err) before any state is explored.
+// A fault during the search — a worker panic or an injected
 // fault — returns a non-nil result with partial stats and Interrupted set,
 // alongside a *SearchError carrying the state and worker attribution.
 // Supervisors (rosa.Query) map the latter to the Unknown verdict with the
@@ -320,7 +324,10 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	if opts.Profile {
 		rp = newRuleProfiler(s.Rules)
 	}
-	e := s.engine(opts, rp)
+	e, err := s.engine(opts, rp)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Faults != nil && opts.Faults.CancelAtLevel > 0 {
 		// The cancel-mid-level fault needs a context the engine itself can
 		// cancel without touching the caller's (sibling queries sharing the
@@ -330,10 +337,7 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		ctx = cctx
 		e.faultCancel = cancel
 	}
-	start, err := e.normalize(init)
-	if err != nil {
-		return nil, err
-	}
+	start := Intern(init)
 	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: opts.workers()}
 	began := time.Now()
 	res := &SearchResult{StatesExplored: 1, Stats: stats}
@@ -344,9 +348,8 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		stats.SubtreesPruned = e.subtreesPruned.Load()
 		stats.CacheHits = e.cacheHits.Load()
 		stats.CacheMisses = e.cacheMisses.Load()
-		stats.CompiledRules = e.comp.count
+		stats.CompiledRules = len(e.comp.rules)
 		stats.CompiledMatches = e.compiledMatches.Load()
-		stats.FallbackMatches = e.fallbackMatches.Load()
 		stats.DroppedEvents = e.rec.Dropped()
 		if rp != nil {
 			stats.RuleProfile = rp.profile()
@@ -455,11 +458,8 @@ func (e *engine) safeSuccessors(t *Term, depth, worker int, b *telemetry.EventBu
 	if ferr := e.faults.BeforeExpansion(t.Hash()); ferr != nil {
 		return nil, false, &SearchError{StateHash: t.Hash(), Worker: worker, Err: ferr}
 	}
-	steps, cached, err = e.successorsFor(t, depth, b)
-	if err != nil {
-		err = &SearchError{StateHash: t.Hash(), Worker: worker, Err: err}
-	}
-	return steps, cached, err
+	steps, cached = e.successorsFor(t, depth, b)
+	return steps, cached, nil
 }
 
 // Rough per-unit byte costs for the memory watch: an interned term (struct,

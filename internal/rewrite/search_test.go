@@ -46,15 +46,18 @@ func tokens(cap int64) *System {
 	}
 }
 
+// cnt is a counter state: the configuration holding the one token c(n).
+func cnt(n int64) *Term { return NewConfig(NewOp("c", NewInt(n))) }
+
 // counter builds the infinite c(n) -> c(n+1) system.
 func counter() *System {
 	return &System{
 		Rules: []Rule{{
 			Name: "inc",
-			LHS:  NewOp("c", NewVar("N", SortInt)),
+			LHS:  NewConfig(NewOp("c", NewVar("N", SortInt))),
 			Build: func(b *Env) (*Term, bool) {
 				n, _ := b.Int("N")
-				return NewOp("c", NewInt(n+1)), true
+				return cnt(n + 1), true
 			},
 		}},
 	}
@@ -110,8 +113,8 @@ func equivCases() []equivCase {
 		{
 			name: "counter/truncates",
 			sys:  counter(),
-			init: NewOp("c", NewInt(0)),
-			goal: Goal{Pattern: NewOp("c", NewInt(-1))},
+			init: cnt(0),
+			goal: Goal{Pattern: cnt(-1)},
 			opts: Options{MaxStates: 200},
 		},
 	}
@@ -204,11 +207,11 @@ func TestSearchMatchesContext(t *testing.T) {
 // the budget, at any worker count, and the goal-match and enqueue paths
 // apply the same check.
 func TestBudgetExact(t *testing.T) {
-	goal := Goal{Pattern: NewOp("c", NewInt(-1))}
+	goal := Goal{Pattern: cnt(-1)}
 	for _, w := range []int{1, 4} {
 		for _, budget := range []int{1, 2, 100} {
 			res, err := counter().SearchContext(context.Background(),
-				NewOp("c", NewInt(0)), goal, Options{MaxStates: budget, Workers: w})
+				cnt(0), goal, Options{MaxStates: budget, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,8 +231,8 @@ func TestBudgetExact(t *testing.T) {
 func TestSearchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := counter().SearchContext(ctx, NewOp("c", NewInt(0)),
-		Goal{Pattern: NewOp("c", NewInt(-1))}, Options{})
+	res, err := counter().SearchContext(ctx, cnt(0),
+		Goal{Pattern: cnt(-1)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +251,8 @@ func TestSearchContextDeadline(t *testing.T) {
 	defer cancel()
 
 	begun := time.Now()
-	res, err := counter().SearchContext(ctx, NewOp("c", NewInt(0)),
-		Goal{Pattern: NewOp("c", NewInt(-1))}, Options{Workers: 8})
+	res, err := counter().SearchContext(ctx, cnt(0),
+		Goal{Pattern: cnt(-1)}, Options{Workers: 8})
 	took := time.Since(begun)
 	if err != nil {
 		t.Fatal(err)

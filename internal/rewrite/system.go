@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,9 +12,12 @@ import (
 	"privanalyzer/internal/telemetry"
 )
 
-// Rule is one rewrite rule (or equation). A rule fires where its LHS matches;
-// the replacement is RHS with the binding substituted, unless Build is set,
-// in which case Build computes the replacement (Maude's built-in operations
+// Rule is one rewrite rule over an object configuration: the LHS is a
+// configuration pattern of fixed elements plus at most one remainder
+// variable, and the rule fires at the root configuration of a state
+// wherever the pattern matches (see Compile for the exact shape). The
+// replacement is RHS with the binding substituted, unless Build is set, in
+// which case Build computes the replacement (Maude's built-in operations
 // and arithmetic conditions are expressed this way). Cond, if set, guards
 // the rule (a conditional rule, Maude's `crl ... if ...`).
 //
@@ -41,54 +43,14 @@ type Rule struct {
 	Cond func(e *Env) bool
 }
 
-// apply returns every replacement term the rule produces at the root of t —
-// the generic matcher's path. Callbacks get an Env filled from each
-// Binding through l, the LHS's slot table (layoutOf); callers that apply
-// the rule repeatedly build it once, and nil builds it at the first match.
-func (r *Rule) apply(t *Term, sig Signature, l *slotLayout) []*Term {
-	if k := r.LHS.Kind; k != Var && (k != t.Kind || k == Op && r.LHS.Sym != t.Sym) {
-		return nil // the root cannot match; skip the matcher's allocations
-	}
-	var out []*Term
-	scratch := getBinding()
-	defer putBinding(scratch)
-	var env *Env
-	match(r.LHS, t, scratch, sig, func(b Binding) {
-		if r.Cond == nil && r.BuildAll == nil && r.Build == nil {
-			out = append(out, Subst(r.RHS, b))
-			return
-		}
-		if env == nil {
-			env = envOver(l, r.LHS)
-		}
-		env.fill(b)
-		if r.Cond != nil && !r.Cond(env) {
-			return
-		}
-		if r.BuildAll != nil {
-			out = append(out, r.BuildAll(env)...)
-			return
-		}
-		if r.Build != nil {
-			if nt, ok := r.Build(env); ok {
-				out = append(out, nt)
-			}
-			return
-		}
-		out = append(out, Subst(r.RHS, b))
-	})
-	return out
-}
-
-// System is a rewrite theory: a signature, equations (deterministic
-// simplification applied to a unique normal form), and rules (the
-// non-deterministic transitions the search explores).
+// System is a rewrite theory: a signature and the rules (the
+// non-deterministic transitions the search explores). Every rule must lie
+// in the compiled fragment; Search, SearchContext, Successors and Rewrite
+// return an error naming the first rule that does not, before exploring
+// any state.
 type System struct {
 	// Sig assigns sorts to constructor symbols.
 	Sig Signature
-	// Eqs are equations, applied innermost-first to a fixed point by
-	// Normalize. They must be confluent and terminating.
-	Eqs []Rule
 	// Rules are the transition rules.
 	Rules []Rule
 	// Cache, if set, memoizes successor sets per interned state across
@@ -96,97 +58,26 @@ type System struct {
 	// one cache per program so all queries share the expanded graph.
 	Cache *TransitionCache
 
-	idxOnce sync.Once  // builds idx on first search
-	idx     *ruleIndex // successor index over Rules
-
-	compOnce sync.Once      // builds comp on first search
+	compOnce sync.Once      // builds comp, idx and compErr on first use
 	comp     *CompiledRules // compiled matchers over Rules (compile.go)
-
-	normMu    sync.Mutex      // guards normCache
-	normCache map[*Term]*Term // interned term -> interned normal form
+	idx      *ruleIndex     // anchor index over Rules (index.go)
+	compErr  error          // the first rule outside the compiled fragment
 }
 
-// index returns the successor index, building it on first use. Rules must
-// not change after the first search (rosa builds its extended systems before
-// searching, so this holds there by construction).
-func (s *System) index() *ruleIndex {
-	s.idxOnce.Do(func() { s.idx = buildRuleIndex(s.Rules) })
-	return s.idx
-}
-
-// compiled returns the compiled matcher set, building it on first use —
-// the same once-per-System contract as index(). A System cached by a
-// long-lived Checker therefore compiles its rules exactly once, and every
-// later query (CLI or server) reuses the matchers alongside the shared
-// TransitionCache.
-func (s *System) compiled() *CompiledRules {
-	s.compOnce.Do(func() { s.comp = Compile(s.Rules) })
-	return s.comp
-}
-
-// maxNormalizeSteps guards against non-terminating equation sets.
-const maxNormalizeSteps = 100_000
-
-// ErrNormalize is returned when equational simplification fails to reach a
-// normal form within the step budget.
-var ErrNormalize = errors.New("rewrite: equations did not terminate")
-
-// Normalize applies equations innermost-first until no equation applies.
-// A system with no equations returns t unchanged without walking it — the
-// common case for ROSA, whose theory is pure rules.
-func (s *System) Normalize(t *Term) (*Term, error) {
-	if len(s.Eqs) == 0 {
-		return t, nil
-	}
-	steps := 0
-	var norm func(t *Term) (*Term, error)
-	norm = func(t *Term) (*Term, error) {
-		// Normalize children first (innermost).
-		switch t.Kind {
-		case Op, Config:
-			args := make([]*Term, len(t.Args))
-			changed := false
-			for i, a := range t.Args {
-				na, err := norm(a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = na
-				if na != a {
-					changed = true
-				}
-			}
-			if changed {
-				if t.Kind == Op {
-					t = NewOp(t.Sym, args...)
-				} else {
-					t = NewConfig(args...)
-				}
-			}
+// compiled returns the compiled matcher set and its anchor index, building
+// both on first use. Rules must not change after the first search (rosa
+// builds its extended systems before searching, so this holds there by
+// construction). A System cached by a long-lived Checker therefore compiles
+// its rules exactly once, and every later query (CLI or server) reuses the
+// matchers alongside the shared TransitionCache.
+func (s *System) compiled() (*CompiledRules, *ruleIndex, error) {
+	s.compOnce.Do(func() {
+		s.comp, s.compErr = Compile(s.Rules)
+		if s.compErr == nil {
+			s.idx = buildRuleIndex(s.Rules)
 		}
-		// Then the root, repeating until stable.
-		for {
-			if steps++; steps > maxNormalizeSteps {
-				return nil, ErrNormalize
-			}
-			applied := false
-			for i := range s.Eqs {
-				if reps := s.Eqs[i].apply(t, s.Sig, nil); len(reps) > 0 {
-					nt, err := norm(reps[0])
-					if err != nil {
-						return nil, err
-					}
-					t = nt
-					applied = true
-					break
-				}
-			}
-			if !applied {
-				return t, nil
-			}
-		}
-	}
-	return norm(t)
+	})
+	return s.comp, s.idx, s.compErr
 }
 
 // Step is one rule application in a search witness.
@@ -197,12 +88,15 @@ type Step struct {
 	Result *Term
 }
 
-// Successors returns every state reachable from t by one rule application.
-// Rules are tried at the root and, recursively, at every subterm position
-// (congruence), then the results are normalized. Duplicate successors are
-// coalesced (hash-interned, like the search's visited set).
+// Successors returns every state reachable from t by one rule application
+// at its root configuration. Duplicate successors are coalesced
+// (hash-interned, like the search's visited set).
 func (s *System) Successors(t *Term) ([]Step, error) {
-	return s.engine(Options{}, nil).successors(Intern(t))
+	e, err := s.engine(Options{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.successors(Intern(t)), nil
 }
 
 // engine is one search's view of the successor machinery: the System's rule
@@ -212,7 +106,7 @@ type engine struct {
 	sys   *System
 	idx   *ruleIndex
 	cache *TransitionCache
-	comp  *CompiledRules // compiled matchers; rules outside the fragment fall back per rule
+	comp  *CompiledRules
 	rp    *ruleProfiler
 
 	cacheEntries int64 // successor sets merged with a cache attached (memEstimate; merge goroutine only)
@@ -231,65 +125,37 @@ type engine struct {
 	injCancelled bool               // a CancelAtLevel fault fired (written by the merge goroutine only)
 
 	rulesSkipped    atomic.Int64 // rule attempts avoided by the index
-	subtreesPruned  atomic.Int64 // subtrees skipped by the bitmap filter
+	subtreesPruned  atomic.Int64 // element positions below the root, never tried
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
-	compiledMatches atomic.Int64 // rule attempts served by compiled matchers
-	fallbackMatches atomic.Int64 // rule attempts served by the interpreter
+	compiledMatches atomic.Int64 // rule attempts, all served by compiled matchers
 }
 
-// engine builds the successor engine for one search or Successors call.
-func (s *System) engine(opts Options, rp *ruleProfiler) *engine {
-	e := &engine{sys: s, idx: s.index(), comp: s.compiled(), cache: s.Cache, rp: rp,
+// engine builds the successor engine for one search or Successors call, or
+// reports the rule that keeps the System from compiling.
+func (s *System) engine(opts Options, rp *ruleProfiler) (*engine, error) {
+	comp, idx, err := s.compiled()
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{sys: s, idx: idx, comp: comp, cache: s.Cache, rp: rp,
 		faults: opts.Faults}
 	if opts.Recorder != nil {
 		e.rec = opts.Recorder
 		e.search = opts.Recorder.BeginSearch()
 	}
-	return e
-}
-
-// normalize canonicalizes a state: equational normal form, then hash-consed
-// via Intern. Normal forms are memoized per interned input so repeated
-// simplification of shared shapes is one map probe.
-func (e *engine) normalize(t *Term) (*Term, error) {
-	s := e.sys
-	if len(s.Eqs) == 0 {
-		return Intern(t), nil
-	}
-	key := Intern(t)
-	s.normMu.Lock()
-	nf, ok := s.normCache[key]
-	s.normMu.Unlock()
-	if ok {
-		return nf, nil
-	}
-	n, err := s.Normalize(key)
-	if err != nil {
-		return nil, err
-	}
-	nf = Intern(n)
-	s.normMu.Lock()
-	if s.normCache == nil {
-		s.normCache = make(map[*Term]*Term)
-	}
-	s.normCache[key] = nf
-	s.normMu.Unlock()
-	return nf, nil
+	return e, nil
 }
 
 // successors returns t's full successor set, consulting the transition
-// cache when one is attached. The caller hands the engine canonical states
-// only (normalize output), so cached keys are interned pointers.
-func (e *engine) successors(t *Term) ([]Step, error) {
-	steps, cached, err := e.successorsFor(t, 0, nil)
-	if err != nil {
-		return nil, err
-	}
+// cache when one is attached. The caller hands the engine interned states
+// only, so cached keys are interned pointers.
+func (e *engine) successors(t *Term) []Step {
+	steps, cached := e.successorsFor(t, 0, nil)
 	if !cached {
 		e.cachePut(t, steps)
 	}
-	return steps, nil
+	return steps
 }
 
 // successorsFor is the search engines' successor path: like successors, but
@@ -299,7 +165,7 @@ func (e *engine) successors(t *Term) ([]Step, error) {
 // function of the query. Cache-lookup and expansion events are recorded into
 // b (nil when recording is off). cached reports that steps came from the
 // transition cache and must not be re-inserted.
-func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, cached bool, err error) {
+func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, cached bool) {
 	if e.cache != nil {
 		if steps, ok := e.cache.get(t); ok {
 			e.cacheHits.Add(1)
@@ -307,21 +173,18 @@ func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps
 				b.Record(telemetry.EvCacheHit, depth, t.Hash(), "", 0)
 				b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
 			}
-			return steps, true, nil
+			return steps, true
 		}
 		e.cacheMisses.Add(1)
 		if b != nil {
 			b.Record(telemetry.EvCacheMiss, depth, t.Hash(), "", 0)
 		}
 	}
-	steps, err = e.expand(t, -1, b, depth)
-	if err != nil {
-		return nil, false, err
-	}
+	steps = e.expand(t, -1, b, depth)
 	if b != nil {
 		b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
 	}
-	return steps, false, nil
+	return steps, false
 }
 
 // cachePut inserts an expanded successor set into the transition cache (no-op
@@ -332,149 +195,89 @@ func (e *engine) cachePut(t *Term, steps []Step) {
 	}
 }
 
-// first returns Successors(t)[0] without computing the rest: the walk stops
-// at the first emission, which the duplicate filter cannot have dropped (the
-// seen-set is empty when it lands), so it is exactly the full walk's first
+// first returns Successors(t)[0] without computing the rest: expansion stops
+// at the first emission, which the duplicate filter cannot have dropped (no
+// successor precedes it), so it is exactly the full expansion's first
 // element. Partial results are never cached.
-func (e *engine) first(t *Term) (Step, bool, error) {
+func (e *engine) first(t *Term) (Step, bool) {
 	if e.cache != nil {
 		if steps, ok := e.cache.get(t); ok {
 			e.cacheHits.Add(1)
 			if len(steps) == 0 {
-				return Step{}, false, nil
+				return Step{}, false
 			}
-			return steps[0], true, nil
+			return steps[0], true
 		}
 	}
-	steps, err := e.expand(t, 1, nil, 0)
-	if err != nil {
-		return Step{}, false, err
-	}
+	steps := e.expand(t, 1, nil, 0)
 	if len(steps) == 0 {
-		return Step{}, false, nil
+		return Step{}, false
 	}
-	return steps[0], true, nil
+	return steps[0], true
 }
 
-// errStopWalk unwinds the successor walk once expand has collected limit
-// successors (the first-only path of Rewrite).
-var errStopWalk = errors.New("rewrite: stop walk")
-
-// expand computes t's successor set by trying rules at the root and at every
-// subterm position (congruence), in rule order then position order — the
-// order of the plain every-rule-every-position walk, since the index only
-// removes attempts that produce no replacement and prunes subtrees no rule
-// can match inside. limit > 0 stops after that many successors. Timing,
-// when a profiler is attached, is per apply call — one rule tried at one
-// position — so attribution is exact, at the price of two clock reads per
+// expand computes t's successor set by trying, in rule order, the rules
+// whose anchor symbols all occur among t's elements, at t itself — the root
+// configuration. Compile admits only Configuration-rooted rules whose
+// elements hold no configuration, so the root is the only position any
+// rule can match at in a state that nests none; every element position
+// below it is skipped and counted in SubtreesPruned, one
+// EvSubtreePruned per expansion into b (nil means recording off). A
+// non-configuration state has no successors. limit > 0 stops after that
+// many successors. Timing, when a profiler is attached, is per rule
+// attempt, so attribution is exact, at the price of two clock reads per
 // attempt.
-// Subtree prunes are recorded into b aggregated — one EvSubtreePruned per
-// expansion, N = pruned positions — bounding recorder volume on prune-heavy
-// walks; b nil means recording off.
-func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) ([]Step, error) {
+func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) []Step {
 	s := e.sys
 	var steps []Step
-	var skipped, pruned int64
-	emit := func(name string, nt *Term) error {
-		norm, err := e.normalize(nt)
-		if err != nil {
-			return err
-		}
-		// Interned successors dedupe by pointer; successor lists are small,
-		// so a scan over steps beats allocating a set per expansion.
-		for i := range steps {
-			if steps[i].Result == norm {
-				return nil
+	var skipped, compiled int64
+	if t.Kind != Config {
+		skipped = int64(len(s.Rules))
+	} else {
+		eb := elemBits(t)
+		cm := e.comp.getScratch()
+		defer e.comp.putScratch(cm)
+	rules:
+		for _, ir := range e.idx.atConfig {
+			if ir.anchors&^eb != 0 {
+				skipped++ // a required element symbol is absent
+				continue
 			}
-		}
-		steps = append(steps, Step{Rule: name, Result: norm})
-		if limit > 0 && len(steps) >= limit {
-			return errStopWalk
-		}
-		return nil
-	}
-	// Compiled matchers share one pooled scratch across every position of
-	// this expansion.
-	cm := e.comp.getScratch()
-	defer e.comp.putScratch(cm)
-	var compiled, fallback int64
-	applyAt := func(i int, t *Term, rebuild func(*Term) *Term) error {
-		var began time.Time
-		if e.rp != nil {
-			began = time.Now()
-		}
-		var reps []*Term
-		if e.comp.rules[i] != nil {
-			reps = e.comp.rules[i].apply(t, s.Sig, cm, nil)
 			compiled++
-		} else {
-			reps = s.Rules[i].apply(t, s.Sig, e.comp.layouts[i])
-			fallback++
-		}
-		if e.rp != nil {
-			e.rp.record(i, time.Since(began), len(reps))
-		}
-		for _, rep := range reps {
-			if err := emit(s.Rules[i].Name, rebuild(rep)); err != nil {
-				return err
+			var began time.Time
+			if e.rp != nil {
+				began = time.Now()
 			}
-		}
-		return nil
-	}
-
-	total := len(s.Rules)
-	buf := getTriedBuf(len(e.idx.atConfig))
-	defer putTriedBuf(buf)
-	var walk func(t *Term, rebuild func(*Term) *Term) error
-	walk = func(t *Term, rebuild func(*Term) *Term) error {
-		// buf is shared across recursion levels; each level finishes
-		// iterating its bucket before descending, so no level observes
-		// another's filtered view. The index only selects candidates:
-		// RulesSkippedByIndex accounting lives here, in one place, as total
-		// minus whatever the bucket admitted.
-		tried := e.idx.at(t, buf)
-		skipped += int64(total - len(tried))
-		for _, ir := range tried {
-			if err := applyAt(ir.idx, t, rebuild); err != nil {
-				return err
+			reps := e.comp.rules[ir.idx].apply(t, s.Sig, cm, nil)
+			if e.rp != nil {
+				e.rp.record(ir.idx, time.Since(began), len(reps))
 			}
-		}
-		if t.Kind == Op || t.Kind == Config {
-			for i, a := range t.Args {
-				if !e.idx.allPositions &&
-					a.subtreeBits()&e.idx.needMask == 0 {
-					pruned++ // no rule can match at any position inside a
-					continue
-				}
-				i, a := i, a
-				err := walk(a, func(na *Term) *Term {
-					args := make([]*Term, len(t.Args))
-					copy(args, t.Args)
-					args[i] = na
-					if t.Kind == Op {
-						return rebuild(NewOp(t.Sym, args...))
+		nextRep:
+			for _, rep := range reps {
+				nt := Intern(rep)
+				// Interned successors dedupe by pointer; successor lists are
+				// small, so a scan over steps beats allocating a set per
+				// expansion.
+				for i := range steps {
+					if steps[i].Result == nt {
+						continue nextRep
 					}
-					return rebuild(NewConfig(args...))
-				})
-				if err != nil {
-					return err
+				}
+				steps = append(steps, Step{Rule: s.Rules[ir.idx].Name, Result: nt})
+				if limit > 0 && len(steps) >= limit {
+					break rules
 				}
 			}
 		}
-		return nil
 	}
-	err := walk(t, func(nt *Term) *Term { return nt })
+	pruned := int64(len(t.Args))
 	e.rulesSkipped.Add(skipped)
 	e.subtreesPruned.Add(pruned)
 	e.compiledMatches.Add(compiled)
-	e.fallbackMatches.Add(fallback)
 	if b != nil && pruned > 0 {
 		b.Record(telemetry.EvSubtreePruned, depth, t.Hash(), "", pruned)
 	}
-	if err != nil && err != errStopWalk {
-		return nil, err
-	}
-	return steps, nil
+	return steps
 }
 
 // SearchResult reports the outcome of a search.
@@ -565,26 +368,22 @@ func FormatWitness(w []Step) string {
 }
 
 // Rewrite is Maude's `rewrite` command: starting from t, repeatedly apply
-// the first applicable rule (after equational normalization) until no rule
-// applies or maxSteps rule applications have been performed. Unlike Search,
-// which explores all interleavings, Rewrite follows one deterministic
-// execution — useful for simulating a single run of a specification. It
-// returns the final term, the steps taken, and whether it stopped because
-// the budget ran out.
-// Rewrite only needs each state's first successor, so its engine walk stops
+// the first applicable rule until no rule applies or maxSteps rule
+// applications have been performed. Unlike Search, which explores all
+// interleavings, Rewrite follows one deterministic execution — useful for
+// simulating a single run of a specification. It returns the final term,
+// the steps taken, and whether it stopped because the budget ran out.
+// Rewrite only needs each state's first successor, so its expansion stops
 // at the first emission instead of enumerating the full set.
 func (s *System) Rewrite(t *Term, maxSteps int) (*Term, []Step, bool, error) {
-	e := s.engine(Options{}, nil)
-	cur, err := e.normalize(t)
+	e, err := s.engine(Options{}, nil)
 	if err != nil {
 		return nil, nil, false, err
 	}
+	cur := Intern(t)
 	var trace []Step
 	for steps := 0; maxSteps <= 0 || steps < maxSteps; steps++ {
-		st, ok, err := e.first(cur)
-		if err != nil {
-			return nil, nil, false, err
-		}
+		st, ok := e.first(cur)
 		if !ok {
 			return cur, trace, false, nil
 		}

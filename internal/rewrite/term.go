@@ -1,11 +1,13 @@
 // Package rewrite is a miniature Maude: a term rewriting engine providing
-// the fragment of Maude 2.7 that the paper's ROSA bounded model checker uses
-// (§IV, §VI). It supports constructor terms with sorts, variables,
-// equational simplification, conditional rewrite rules with computed
-// right-hand sides, associative-commutative matching over object
-// configurations (the Object Maude "soup" of objects and messages), and a
-// bounded breadth-first search command with canonical-state deduplication —
-// the counterpart of Maude's `search` used in the paper's Figure 4.
+// the object-configuration fragment of Maude 2.7 that the paper's ROSA
+// bounded model checker uses (§IV, §VI). It supports constructor terms with
+// sorts, variables, conditional rewrite rules with computed right-hand
+// sides applied at the root of an object configuration (the Object Maude
+// "soup" of objects and messages) by associative-commutative matching, and
+// a bounded breadth-first search command with canonical-state
+// deduplication — the counterpart of Maude's `search` used in the paper's
+// Figure 4. There are no equations: interning alone makes states
+// canonical.
 package rewrite
 
 import (
@@ -56,7 +58,6 @@ type Term struct {
 
 	str      atomic.Pointer[string] // memoized canonical rendering
 	hash     atomic.Uint64          // memoized structural hash; 0 = unset
-	bits     atomic.Uint64          // memoized subtree symbol bitmap; 0 = unset
 	interned atomic.Bool            // set once by Intern on the canonical copy
 }
 
@@ -65,7 +66,7 @@ type Term struct {
 // on every rule firing. Sharing them is safe because terms are immutable,
 // and profitable twice over: the rule callbacks stop allocating for their
 // hottest constructor, and after the first Intern of each value the shared
-// pointer carries the interned flag, so successor normalization takes the
+// pointer carries the interned flag, so successor interning takes the
 // one-atomic-load fast path on every integer argument.
 var smallInts = func() [4096]*Term {
 	var ts [4096]*Term

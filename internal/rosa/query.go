@@ -158,7 +158,8 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 // Fault contract: a *rewrite.SearchError (worker panic, successor failure,
 // injected fault) yields (Result{Verdict: Unknown, Err: ...}, nil) — the
 // fault is data, not control flow, so callers running query grids keep
-// going. Only setup errors (diverging equations) return a non-nil error.
+// going. Only setup errors (a rule outside the compiled fragment) return a
+// non-nil error.
 func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error) {
 	opts := q.Options
 	if opts.MaxStates <= 0 {
@@ -218,7 +219,8 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 	reg.Timer("rosa_query_elapsed_ns").Observe(res.Elapsed)
 	if st := res.Stats; st != nil {
 		// Successor-engine effectiveness: how much work the rule index,
-		// subtree pruning, and the cross-query transition cache saved.
+		// root-only rewriting, and the cross-query transition cache saved.
+		// Fallback matches are always 0 and stay for the metric's readers.
 		reg.Counter("rosa_rules_skipped_by_index_total").Add(st.RulesSkippedByIndex)
 		reg.Counter("rosa_subtrees_pruned_total").Add(st.SubtreesPruned)
 		reg.Counter("rosa_succ_cache_hits_total").Add(st.CacheHits)

@@ -53,9 +53,9 @@ const (
 	// EvRuleFired marks one successor generated by the named rule (before
 	// visited-set deduplication); Hash is the successor state.
 	EvRuleFired
-	// EvSubtreePruned marks subtree positions skipped by the rule index's
-	// bitmap filter during one expansion; N is the count of pruned
-	// positions, Hash the expanded state.
+	// EvSubtreePruned marks the element positions below the root that one
+	// expansion skipped (rules apply only at the root configuration); N is
+	// the count of pruned positions, Hash the expanded state.
 	EvSubtreePruned
 	// EvCacheHit marks a transition-cache lookup answered from the cache;
 	// Hash is the looked-up state.
