@@ -18,9 +18,10 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detector pass over the packages with concurrent code paths (the
-# level-parallel search engine, its callers, the telemetry registry, the
-# server's slow-query journal / job pool, and the CLI's concurrent program
-# analyses).
+# shared interner and transition caches under concurrent searches, the
+# concurrent attack columns of core.AnalyzeAll, the telemetry registry and
+# flight recorder, the server's slow-query journal / job pool, and the
+# CLI's concurrent program analyses).
 test-race:
 	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/ ./cmd/privanalyzer/
 
@@ -58,7 +59,9 @@ tables:
 serve:
 	$(GO) run ./cmd/privanalyzerd
 
-# Short fuzzing passes over every parser and over /v1/query request bodies.
+# Short fuzzing passes over every parser, over /v1/query request bodies, and
+# the five engine fuzzers CI runs (segment charging, counted loops, Replace,
+# compiled matchers, intern parts).
 fuzz:
 	$(GO) test -fuzz=FuzzParse$$ -fuzztime=15s ./internal/ir/
 	$(GO) test -fuzz=FuzzParseTerm -fuzztime=15s ./internal/rewrite/
@@ -66,6 +69,11 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseSet -fuzztime=15s ./internal/caps/
 	$(GO) test -fuzz=FuzzParseMode -fuzztime=15s ./internal/vkernel/
 	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime 20s ./internal/api
+	$(GO) test -run '^$$' -fuzz FuzzSegmentEquivalence -fuzztime 20s ./internal/interp
+	$(GO) test -run '^$$' -fuzz FuzzCountedLoops -fuzztime 20s ./internal/interp
+	$(GO) test -run '^$$' -fuzz FuzzReplace -fuzztime 20s ./internal/rewrite
+	$(GO) test -run '^$$' -fuzz FuzzCompileEquivalence -fuzztime 20s ./internal/rewrite
+	$(GO) test -run '^$$' -fuzz FuzzInternParts -fuzztime 20s ./internal/rewrite
 
 clean:
 	$(GO) clean -testcache

@@ -9,8 +9,8 @@ package privanalyzer
 //   - BenchmarkPipeline/<program>: the end-to-end AutoPriv + ChronoPriv
 //     measurement per program — the producer of Tables III and V.
 //   - BenchmarkAblation/*: the design-choice ablations DESIGN.md calls out
-//     that the engine can run (worker counts, lazy wildcards vs
-//     pre-grounded messages); visited-state dedup and BFS vs DFS frontier
+//     that the engine can run (lazy wildcards vs pre-grounded
+//     messages); visited-state dedup and BFS vs DFS frontier
 //     order are ablated on the reference search (internal/rewrite).
 //
 // Absolute times differ from the paper's Maude-on-i7-7770 numbers; the shape
@@ -204,26 +204,6 @@ func BenchmarkAblation(b *testing.B) {
 		q := attacks.Build(attacks.ReadDevMem, inv, phaseCreds(empty), caps.EmptySet)
 		q.MaxStates = core.DefaultMaxStates
 		return q
-	}
-
-	// Level-parallel search: the same exhaustive query at increasing worker
-	// counts. Verdict and states explored are identical at every setting
-	// (the merge replays the sequential algorithm); only wall-clock changes,
-	// and only when GOMAXPROCS grants real CPUs.
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers/%d", workers), func(b *testing.B) {
-			var states int
-			for i := 0; i < b.N; i++ {
-				q := build()
-				q.Workers = workers
-				res, err := q.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				states = res.StatesExplored
-			}
-			b.ReportMetric(float64(states), "states")
-		})
 	}
 
 	// Lazy wildcard expansion vs pre-grounded message soup.

@@ -87,12 +87,7 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
 		return 2
 	}
-	searchOpts, err := search.ToSearchOptions()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "privanalyzer:", err)
-		return 2
-	}
-	opts := core.Options{Search: searchOpts}
+	opts := core.Options{Search: search.ToSearchOptions()}
 	ctx := telemetry.WithLogger(context.Background(), logger)
 	var reg *telemetry.Registry
 	if *telemJSON != "" || *promPath != "" || *traceOut != "" {

@@ -84,6 +84,10 @@ func TestRunErrors(t *testing.T) {
 	if _, code := capture(t, func() int { return run([]string{"-program", "emacs"}) }); code != 1 {
 		t.Errorf("unknown program exit = %d, want 1", code)
 	}
+	// -workers sized the retired per-search worker pool; it is unknown now.
+	if _, code := capture(t, func() int { return run([]string{"-program", "su", "-workers", "1"}) }); code != 2 {
+		t.Errorf("-workers exit = %d, want 2 (unknown flag)", code)
+	}
 }
 
 func TestRunDiff(t *testing.T) {
@@ -225,7 +229,7 @@ func TestRunTelemetryFlags(t *testing.T) {
 }
 
 // TestRunTraceOut: the pipeline-level trace export must combine all three
-// sources — the span tree, the search flight recorder's per-worker instants,
+// sources — the span tree, the search flight recorder's event instants,
 // and the interp hot-block counter track — in valid Trace Event JSON.
 func TestRunTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
@@ -324,12 +328,14 @@ func TestRunJSON(t *testing.T) {
 
 // TestRunExperimentsScheduleIndependent: the programs of -experiments are
 // analysed concurrently, yet stdout is byte-identical, apart from the
-// wall-clock elapsed_ns fields, on one CPU and on all of them — and with the
-// shared telemetry registry and flight recorder attached (-telemetry-json,
+// wall-clock elapsed_ns fields, on one CPU and on four — and with the shared
+// telemetry registry and flight recorder attached (-telemetry-json,
 // -trace-out), whose trace keeps one hot-block track per program. With
-// -stats, two runs on one CPU are byte-identical apart from elapsed_ns and
-// states_per_sec: no per-query figure reads process-wide state that the
-// other programs move.
+// -stats, a run on one CPU and a run on four are byte-identical apart from
+// elapsed_ns and states_per_sec: every search runs on one goroutine, so no
+// counter depends on the CPU count, and no per-query figure reads
+// process-wide state that the other programs move. GOMAXPROCS is set
+// explicitly, so the check bites on a one-CPU machine too.
 func TestRunExperimentsScheduleIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full evaluation four times; skipped with -short")
@@ -354,26 +360,26 @@ func TestRunExperimentsScheduleIndependent(t *testing.T) {
 		return i + 1, strings.Join(a[i:min(i+3, len(a))], "\n"), strings.Join(b[i:min(i+3, len(b))], "\n")
 	}
 
-	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	one := experiments()
 	stats := experiments("-stats")
-	statsAgain := experiments("-stats")
-	runtime.GOMAXPROCS(prev)
-	if stats != statsAgain {
-		line, a, b := firstDiff(stats, statsAgain)
-		t.Errorf("-experiments -json -stats differs between two GOMAXPROCS=1 runs, first at line %d:\n%s\nvs\n%s", line, a, b)
+	runtime.GOMAXPROCS(4)
+	statsFour := experiments("-stats")
+	if stats != statsFour {
+		line, a, b := firstDiff(stats, statsFour)
+		t.Errorf("-experiments -json -stats differs between GOMAXPROCS=1 and GOMAXPROCS=4, first at line %d:\n%s\nvs\n%s", line, a, b)
 	}
 	if !strings.Contains(stats, `"cache_misses"`) {
 		t.Error("-stats output carries no per-query stats")
 	}
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
-	all := experiments("-trace-out", tracePath, "-telemetry-json", filepath.Join(dir, "telemetry.jsonl"))
+	four := experiments("-trace-out", tracePath, "-telemetry-json", filepath.Join(dir, "telemetry.jsonl"))
 
-	if one != all {
-		line, a, b := firstDiff(one, all)
-		t.Errorf("-experiments -json differs between GOMAXPROCS=1 and GOMAXPROCS=%d (elapsed_ns stripped), first at line %d:\n%s\nvs\n%s",
-			prev, line, a, b)
+	if one != four {
+		line, a, b := firstDiff(one, four)
+		t.Errorf("-experiments -json differs between GOMAXPROCS=1 and GOMAXPROCS=4 (elapsed_ns stripped), first at line %d:\n%s\nvs\n%s",
+			line, a, b)
 	}
 	if n := strings.Count(one, `"api_version"`); n != 7 {
 		t.Errorf("%d JSON documents, want one per program (7)", n)

@@ -8,7 +8,7 @@
 //	privanalyzerd                         # serve on 127.0.0.1:7177
 //	privanalyzerd -addr :7177             # all interfaces
 //	privanalyzerd -concurrency 4 -queue 32
-//	privanalyzerd -budget 100000 -workers 2   # server-side search defaults
+//	privanalyzerd -budget 100000 -mem-budget 67108864  # server-side search defaults
 //	privanalyzerd -timeout 30s            # default per-request wall clock
 //	privanalyzerd -max-deadline 30s       # cap every request's deadline_ms
 //
@@ -25,7 +25,7 @@
 //	GET  /v1/version          the binary's build identity
 //	GET  /healthz /readyz /metrics /debug/pprof/...
 //
-// The search knobs (-budget, -workers, -mem-budget, -timeout, -stats) are
+// The search knobs (-budget, -mem-budget, -timeout, -stats) are
 // the same flags the CLIs take and set server-side defaults; each
 // request's search params override them per field. Overload has one
 // answer: when -queue requests are already waiting, the next is refused
@@ -62,7 +62,7 @@ func run(args []string, onListen func(net.Addr)) int {
 	logf.Register(fs)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:7177", "listen address")
-		concurrency = fs.Int("concurrency", 0, "requests served at once — the worker-pool size; each request may still use multi-worker search via -workers (0 = one per CPU)")
+		concurrency = fs.Int("concurrency", 0, "requests served at once — the worker-pool size; each request's searches run one at a time on its worker (0 = one per CPU)")
 		queue       = fs.Int("queue", 0, "pending-request bound, the one overload bound: a full queue answers 503 queue_full with retry_after_ms and flips /readyz (0 = 64)")
 		checkers    = fs.Int("checkers", 0, "per-program checker LRU capacity — how many programs stay cache-warm (0 = 8)")
 		drain       = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for queued and in-flight requests")
@@ -89,12 +89,6 @@ func run(args []string, onListen func(net.Addr)) int {
 	}
 	if logger == nil {
 		logger = telemetry.Discard
-	}
-	// Validate the default search knobs now — a -workers value above
-	// rewrite.MaxWorkers should fail boot, not every future request.
-	if _, err := search.ToSearchOptions(); err != nil {
-		fmt.Fprintln(os.Stderr, "privanalyzerd:", err)
-		return 2
 	}
 
 	srv := server.New(server.Config{

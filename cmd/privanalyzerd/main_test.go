@@ -93,14 +93,14 @@ func TestDaemonBootServeShutdown(t *testing.T) {
 }
 
 // TestDaemonFlagValidation pins the boot-time rejections: -trace-out is
-// CLI-only, a default -workers above rewrite.MaxWorkers fails boot instead
-// of every future request, and an unknown flag is a usage error.
+// CLI-only, -workers (which sized the retired per-search worker pool) is
+// unknown, and an unknown flag is a usage error.
 func TestDaemonFlagValidation(t *testing.T) {
 	if code := run([]string{"-trace-out", "x.trace"}, nil); code != 2 {
 		t.Errorf("-trace-out exit = %d, want 2", code)
 	}
 	if code := run([]string{"-workers", strconv.Itoa(rewrite.MaxWorkers + 1)}, nil); code != 2 {
-		t.Errorf("-workers %d exit = %d, want 2", rewrite.MaxWorkers+1, code)
+		t.Errorf("-workers %d exit = %d, want 2 (unknown flag)", rewrite.MaxWorkers+1, code)
 	}
 	if code := run([]string{"-log-level", "nope"}, nil); code != 2 {
 		t.Errorf("bad -log-level exit = %d, want 2", code)

@@ -11,7 +11,7 @@
 //	rosa -query file.rosa  # a hand-written query file (see rosa.ParseQuery)
 //	rosa -example -maude   # print the query in Maude syntax too
 //	rosa -example -stats   # print search statistics (states/sec, frontier, …)
-//	rosa -query f.rosa -timeout 5s -workers 4  # bounded wall clock, 4 workers
+//	rosa -query f.rosa -timeout 5s -budget 50000  # bounded wall clock and states
 //	rosa -example -explain                # witness annotated from the recorder
 //	rosa -example -trace-out trace.json   # Chrome Trace / Perfetto export
 //	rosa -example -progress 200ms         # live progress line on stderr

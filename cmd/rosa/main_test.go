@@ -133,7 +133,7 @@ func TestRunSimulate(t *testing.T) {
 }
 
 func TestRunStatsFlag(t *testing.T) {
-	out, code := capture(t, func() int { return run([]string{"-example", "-stats", "-workers", "2"}) })
+	out, code := capture(t, func() int { return run([]string{"-example", "-stats"}) })
 	if code != 0 {
 		t.Fatalf("exit code = %d\n%s", code, out)
 	}
@@ -359,6 +359,17 @@ func TestRunEscalateFlag(t *testing.T) {
 		out, code := capture(t, func() int { return run([]string{"-example", "-escalate", v}) })
 		if code != 2 {
 			t.Errorf("-escalate %s exit = %d, want 2 (unknown flag)\n%s", v, code, out)
+		}
+	}
+}
+
+// TestRunWorkersFlag: -workers sized the retired per-search worker pool;
+// every search now runs on one goroutine, and the flag is unknown.
+func TestRunWorkersFlag(t *testing.T) {
+	for _, v := range []string{"1", "4"} {
+		out, code := capture(t, func() int { return run([]string{"-example", "-workers", v}) })
+		if code != 2 {
+			t.Errorf("-workers %s exit = %d, want 2 (unknown flag)\n%s", v, code, out)
 		}
 	}
 }

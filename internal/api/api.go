@@ -9,8 +9,8 @@
 // Versioning: every response carries APIVersion (the Version constant).
 // Additive changes (new optional fields) keep the version; renames and
 // semantic changes bump it. Request knobs map 1:1 onto rewrite.Options via
-// SearchParams.Options, so a per-request budget, memory budget, or worker
-// count means exactly what the same CLI flag means.
+// SearchParams.Options, so a per-request budget or memory budget means
+// exactly what the same CLI flag means.
 package api
 
 import (
@@ -64,9 +64,10 @@ type SearchParams struct {
 	// (rosa.DefaultMaxStates for raw queries, core.DefaultMaxStates for
 	// analyses). CLI flag: -budget.
 	Budget int `json:"budget,omitempty"`
-	// Workers is the search worker count per depth level (0 = one per CPU,
-	// 1 = sequential, at most rewrite.MaxWorkers). Verdicts are identical
-	// at any value. CLI: -workers.
+	// Workers is deprecated and ignored: every search runs on one
+	// goroutine. The field stays so that v1 requests which set it still
+	// decode; a value above rewrite.MaxWorkers is still rejected, as it
+	// always was. No CLI flag.
 	Workers int `json:"workers,omitempty"`
 	// Escalate is deprecated and ignored: every query runs one search at
 	// Budget. The field stays so that v1 requests which set it, to any
@@ -108,9 +109,6 @@ type SearchParams struct {
 func (p SearchParams) OrDefaults(d SearchParams) SearchParams {
 	if p.Budget == 0 {
 		p.Budget = d.Budget
-	}
-	if p.Workers == 0 {
-		p.Workers = d.Workers
 	}
 	if p.MemBudget == 0 {
 		p.MemBudget = d.MemBudget
@@ -188,7 +186,7 @@ type QueryResult struct {
 	Attempts int `json:"attempts,omitempty"`
 	// ElapsedNS is the wall-clock search time. It is the only
 	// non-deterministic field of a verdict; everything else is byte-stable
-	// across runs, worker counts, and warm/cold caches.
+	// across runs, CPU counts, and warm/cold caches.
 	ElapsedNS int64 `json:"elapsed_ns"`
 	// Witness is the attack syscall sequence when vulnerable, one
 	// "rule -> state" step per entry.

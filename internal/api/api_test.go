@@ -51,8 +51,8 @@ func TestSearchParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxStates != 5000 || o.Workers != 3 || o.MemBudget != 1<<20 || !o.Profile {
-		t.Errorf("Options() = %+v", o)
+	if o.MaxStates != 5000 || o.Workers != 0 || o.MemBudget != 1<<20 || !o.Profile {
+		t.Errorf("Options() = %+v; want workers range-checked, then ignored", o)
 	}
 	if _, err := (SearchParams{Workers: rewrite.MaxWorkers + 1}).Options(); err == nil {
 		t.Error("workers above MaxWorkers accepted")
@@ -63,7 +63,7 @@ func TestSearchParamsOptions(t *testing.T) {
 }
 
 func TestSearchParamsOrDefaults(t *testing.T) {
-	d := SearchParams{Budget: 100, Workers: 2, Timeout: Duration(time.Second), Stats: true}
+	d := SearchParams{Budget: 100, Timeout: Duration(time.Second), Stats: true}
 	// Zero request: every default applies.
 	if got := (SearchParams{}).OrDefaults(d); got != d {
 		t.Errorf("zero request = %+v, want defaults %+v", got, d)
@@ -71,7 +71,7 @@ func TestSearchParamsOrDefaults(t *testing.T) {
 	// Explicit fields win.
 	p := SearchParams{Budget: 7}
 	got := p.OrDefaults(d)
-	if got.Budget != 7 || got.Workers != 2 {
+	if got.Budget != 7 || got.Timeout != d.Timeout {
 		t.Errorf("merge = %+v", got)
 	}
 	// deadline_ms merges like the other knobs: the server default fills a
@@ -126,16 +126,16 @@ func TestQueryRequestBuildAttack(t *testing.T) {
 	if desc == "" {
 		t.Error("empty description")
 	}
-	if q.MaxStates != 123 || q.Workers != 1 {
-		t.Errorf("knobs not applied: MaxStates=%d Workers=%d", q.MaxStates, q.Workers)
+	if q.MaxStates != 123 || q.Workers != 0 {
+		t.Errorf("MaxStates=%d Workers=%d; want the budget applied and workers ignored", q.MaxStates, q.Workers)
 	}
 }
 
-// TestNoCompileIsNoOp: no_compile, no_cost and escalate are deprecated v1
-// fields. A strict decode still accepts each, escalate at any value —
-// malformed ones included — and a query that sets one gets the same
-// verdict, state count and attempts as one that does not, through the
-// compiled matchers.
+// TestNoCompileIsNoOp: no_compile, no_cost, escalate and workers are
+// deprecated v1 fields. A strict decode still accepts each, escalate at any
+// value — malformed ones included — and workers anywhere in 0..1024, and a
+// query that sets one gets the same verdict, state count, attempts and
+// search statistics as one that does not, through the compiled matchers.
 func TestNoCompileIsNoOp(t *testing.T) {
 	run := func(search string) *rosa.Result {
 		t.Helper()
@@ -156,21 +156,35 @@ func TestNoCompileIsNoOp(t *testing.T) {
 		}
 		return res
 	}
-	plain := run(`{"workers":1,"stats":true}`)
+	// untimed is a result's stats without the wall-clock figures.
+	untimed := func(r *rosa.Result) *rewrite.SearchStats {
+		st := r.Stats.Clone()
+		st.Elapsed = 0
+		for _, rc := range st.RuleProfile {
+			rc.Cumulative, rc.Max = 0, 0
+		}
+		return st
+	}
+	plain := run(`{"stats":true}`)
 	if plain.Attempts != 1 {
 		t.Errorf("attempts = %d, want 1", plain.Attempts)
 	}
 	for _, field := range []string{
 		`"no_compile":true`, `"no_cost":true`,
 		`"escalate":"off"`, `"escalate":"2:2:4"`, `"escalate":"zzz"`,
+		`"workers":0`, `"workers":1`, `"workers":1024`,
 	} {
-		off := run(`{"workers":1,"stats":true,` + field + `}`)
+		off := run(`{"stats":true,` + field + `}`)
 		if off.Verdict != plain.Verdict || off.StatesExplored != plain.StatesExplored || off.Attempts != plain.Attempts {
 			t.Errorf("%s: (%s, %d states, %d attempts), without it (%s, %d states, %d attempts)", field,
 				off.Verdict, off.StatesExplored, off.Attempts, plain.Verdict, plain.StatesExplored, plain.Attempts)
 		}
 		if off.Stats == nil || off.Stats.CompiledMatches == 0 {
 			t.Errorf("%s query did not run through the compiled matchers", field)
+			continue
+		}
+		if got, want := untimed(off), untimed(plain); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stats\n%+v\nwithout it\n%+v", field, got, want)
 		}
 	}
 }
@@ -192,8 +206,8 @@ func TestParallelIsNoOp(t *testing.T) {
 		}
 		return o
 	}
-	plain := opts(`{"program":"su","attacks":[2],"search":{"workers":1}}`)
-	set := opts(`{"program":"su","attacks":[2],"parallel":true,"search":{"workers":1}}`)
+	plain := opts(`{"program":"su","attacks":[2]}`)
+	set := opts(`{"program":"su","attacks":[2],"parallel":true}`)
 	if !reflect.DeepEqual(plain, set) {
 		t.Errorf("parallel changed the options: %+v, without it %+v", set, plain)
 	}

@@ -17,14 +17,13 @@ import (
 // single conversion point: cmdutil.SearchFlags routes the CLI flags through
 // the same SearchParams, so flag semantics and request-field semantics
 // cannot drift. Timeout is not part of rewrite.Options — callers apply it
-// as a context deadline.
+// as a context deadline. Workers is range-checked, then ignored.
 func (p SearchParams) Options() (rewrite.Options, error) {
 	if p.Workers > rewrite.MaxWorkers {
 		return rewrite.Options{}, fmt.Errorf("workers: %d exceeds the maximum of %d", p.Workers, rewrite.MaxWorkers)
 	}
 	return rewrite.Options{
 		MaxStates: p.Budget,
-		Workers:   p.Workers,
 		MemBudget: p.MemBudget,
 		Profile:   p.Stats,
 	}, nil
@@ -41,9 +40,6 @@ func (p SearchParams) Apply(q *rosa.Query) error {
 	}
 	if opts.MaxStates > 0 {
 		q.MaxStates = opts.MaxStates
-	}
-	if opts.Workers != 0 {
-		q.Workers = opts.Workers
 	}
 	if opts.MemBudget != 0 {
 		q.MemBudget = opts.MemBudget

@@ -8,19 +8,17 @@ import (
 	"time"
 )
 
-// Bounds for FuzzQueryRequest's runs: a fuzzed budget or worker count must
-// not turn the target into a load test.
+// Bounds for FuzzQueryRequest's runs: a fuzzed budget must not turn the
+// target into a load test.
 const (
-	fuzzMaxStates  = 2000
-	fuzzMaxWorkers = 4
-	fuzzDeadline   = 2 * time.Second
-	fuzzSlack      = time.Second
+	fuzzMaxStates = 2000
+	fuzzDeadline  = 2 * time.Second
+	fuzzSlack     = time.Second
 )
 
 // FuzzQueryRequest drives arbitrary /v1/query bodies the way the server
 // does: a strict decode (unknown fields rejected), then QueryRequest.Build,
-// then a run capped at fuzzMaxStates states and fuzzMaxWorkers workers under
-// a fuzzDeadline context. A body may fail to decode, build, or set up; it
+// then a run capped at fuzzMaxStates states under a fuzzDeadline context. A body may fail to decode, build, or set up; it
 // must never panic, and a run must return within the deadline plus slack.
 func FuzzQueryRequest(f *testing.F) {
 	for _, seed := range []string{
@@ -48,9 +46,6 @@ func FuzzQueryRequest(f *testing.F) {
 		}
 		if q.MaxStates <= 0 || q.MaxStates > fuzzMaxStates {
 			q.MaxStates = fuzzMaxStates
-		}
-		if q.Workers <= 0 || q.Workers > fuzzMaxWorkers {
-			q.Workers = fuzzMaxWorkers
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), fuzzDeadline)
 		defer cancel()

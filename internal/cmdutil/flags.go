@@ -2,7 +2,6 @@ package cmdutil
 
 import (
 	"flag"
-	"fmt"
 	"log/slog"
 	"time"
 
@@ -41,8 +40,6 @@ func (l LogFlags) Logger() (*slog.Logger, error) {
 type SearchFlags struct {
 	// Budget is -budget: the per-query state cap.
 	Budget int
-	// Workers is -workers: search workers per depth level.
-	Workers int
 	// MemBudget is -mem-budget: soft per-query memory budget in bytes.
 	MemBudget int64
 	// Timeout is -timeout: the wall-clock limit; expired deadlines yield ⏱.
@@ -57,8 +54,6 @@ type SearchFlags struct {
 func (f *SearchFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Budget, "budget", 0,
 		"per-query state budget; a search that reaches it yields the ⏱ verdict (0 = default)")
-	fs.IntVar(&f.Workers, "workers", 0,
-		fmt.Sprintf("search workers per depth level (0 = one per CPU, 1 = sequential, at most %d)", rewrite.MaxWorkers))
 	fs.Int64Var(&f.MemBudget, "mem-budget", 0,
 		"soft memory budget in bytes over the search's own states+cache entries+frontier: shed the cache on first breach, stop with ⏱ on the second (0 = off)")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
@@ -75,7 +70,6 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 func (f SearchFlags) Params() api.SearchParams {
 	return api.SearchParams{
 		Budget:    f.Budget,
-		Workers:   f.Workers,
 		MemBudget: f.MemBudget,
 		Timeout:   api.Duration(f.Timeout),
 		Stats:     f.Stats,
@@ -83,7 +77,8 @@ func (f SearchFlags) Params() api.SearchParams {
 }
 
 // ToSearchOptions resolves the flags to engine options through the wire
-// schema's single conversion point.
-func (f SearchFlags) ToSearchOptions() (rewrite.Options, error) {
-	return f.Params().Options()
+// schema's single conversion point, which rejects no value the flags carry.
+func (f SearchFlags) ToSearchOptions() rewrite.Options {
+	opts, _ := f.Params().Options()
+	return opts
 }

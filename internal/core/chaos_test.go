@@ -11,19 +11,18 @@ import (
 	"privanalyzer/internal/rosa"
 )
 
-// TestAnalyzeFaultIsolation is the pipeline-level chaos invariant: a worker
-// panic inside one ROSA query costs at most that query its verdict (⏱,
-// recorded in Analysis.Errors with grid coordinates) and nothing else — the
-// analysis completes without error and every fault-free cell's verdict is
-// identical to the clean run's.
+// TestAnalyzeFaultIsolation is the pipeline-level chaos invariant: a panic
+// inside one ROSA query costs at most that query its verdict (⏱, recorded
+// in Analysis.Errors with grid coordinates) and nothing else — the analysis
+// completes without error and every fault-free cell's verdict is identical
+// to the clean run's.
 //
-// The fault is counter-keyed, so where it lands depends on the schedule:
-// sequentially (AnalyzeContext, Workers 1) the 100th expansion is an exact,
-// replayable position and the fault MUST surface; under parallelism
-// (AnalyzeAll's concurrent columns, Workers 4) the deterministic merge may
-// discard it (a speculative expansion past a goal match that the one-worker
-// run would never have performed), so the invariant there is isolation, not
-// occurrence.
+// The fault is counter-keyed and every search expands exactly the states
+// its breadth-first walk reaches, so the 100th expansion always happens and
+// the fault always surfaces, once. Sequentially (AnalyzeContext) it lands on
+// an exact, replayable position; across AnalyzeAll's concurrent columns,
+// which share the plan's counter, the column it lands in follows the
+// schedule.
 func TestAnalyzeFaultIsolation(t *testing.T) {
 	// su's sequential query grid performs ~119 successor expansions, so the
 	// 100th lands inside one of the later, larger searches.
@@ -39,17 +38,15 @@ func TestAnalyzeFaultIsolation(t *testing.T) {
 		return all[0], nil
 	}
 	cases := []struct {
-		name      string
-		analyze   func(Options) (*Analysis, error)
-		workers   int
-		mustFault bool
+		name    string
+		analyze func(Options) (*Analysis, error)
 	}{
-		{"sequential", func(opts Options) (*Analysis, error) { return Analyze(p, opts) }, 1, true},
-		{"parallel", concurrent, 4, false},
+		{"sequential", func(opts Options) (*Analysis, error) { return Analyze(p, opts) }},
+		{"parallel", concurrent},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Search: rewrite.Options{Workers: tc.workers}}
+			var opts Options
 			ref, err := tc.analyze(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -62,18 +59,13 @@ func TestAnalyzeFaultIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("a query fault must not fail the analysis: %v", err)
 			}
-			if len(a.Errors) > 1 {
-				t.Fatalf("%d query faults recorded from a fire-once plan: %v", len(a.Errors), a.Errors)
+			if len(a.Errors) != 1 {
+				t.Fatalf("%d query faults recorded from a fire-once plan, want exactly 1: %v", len(a.Errors), a.Errors)
 			}
-			if tc.mustFault && len(a.Errors) != 1 {
-				t.Fatalf("sequential run recorded %d faults, want exactly 1", len(a.Errors))
-			}
-			if len(a.Errors) == 1 {
-				var serr *rewrite.SearchError
-				if !errors.As(a.Errors[0], &serr) {
-					t.Fatalf("aggregated fault %v (%T) does not unwrap to *rewrite.SearchError",
-						a.Errors[0], a.Errors[0].Err)
-				}
+			var serr *rewrite.SearchError
+			if !errors.As(a.Errors[0], &serr) {
+				t.Fatalf("aggregated fault %v (%T) does not unwrap to *rewrite.SearchError",
+					a.Errors[0], a.Errors[0].Err)
 			}
 
 			// Walk the grid: a faulted cell reads ⏱ and is attributed in

@@ -33,7 +33,7 @@ import (
 // surface from the CLI down to the engine.
 type Options struct {
 	// Search bounds and tunes each ROSA query's search (budget, depth,
-	// workers, stats callback, memory budget, fault plan).
+	// stats callback, recorder, memory budget, fault plan).
 	// Search.MaxStates 0 means DefaultMaxStates. Exhausting the budget, the
 	// memory budget or the AnalyzeContext deadline yields the Unknown (⏱)
 	// verdict for that query.
@@ -80,7 +80,7 @@ type PhaseResult struct {
 	// frontier shape, rule firings, dedup rate); nil for attacks not run.
 	Stats [4]*rewrite.SearchStats
 	// Errs holds, per attack, the search fault (a *rewrite.SearchError —
-	// recovered worker panic, successor failure, injected fault) that forced
+	// recovered expansion panic, successor failure, injected fault) that forced
 	// that query's Unknown verdict; nil for clean verdicts. The same faults
 	// are aggregated, with attribution, in Analysis.Errors.
 	Errs [4]error
@@ -150,7 +150,7 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 // queries still pending when it expires finish promptly with the Unknown
 // (⏱) verdict — the analysis itself still completes and reports them.
 //
-// Queries are fault-isolated: a worker panic or successor error inside one
+// Queries are fault-isolated: a panic or successor error inside one
 // search costs that query its verdict (⏱, with the fault recorded in
 // PhaseResult.Errs and aggregated in Analysis.Errors), never the analysis.
 // Only setup failures — a broken theory — abort with an error.
@@ -320,7 +320,8 @@ func analyze(ctx context.Context, p *programs.Program, opts Options, concurrent 
 // input order. Columns share no transition-cache entry, and each program
 // builds its own model and, unless opts.Checker is set, its own
 // rosa.Checker, so every analysis equals a separate AnalyzeContext call's,
-// search statistics included at Workers 1; only wall-clock time changes.
+// search statistics included; only wall-clock time changes. Each search
+// runs on its column's goroutine, so the columns are the only parallelism.
 // What the goroutines share is schedule-independent: the process-wide term
 // interner (canonical representatives are a pure function of the term), and
 // the telemetry registry on ctx and opts.Search.Recorder, which keep each

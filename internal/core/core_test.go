@@ -265,11 +265,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestWorkersEquivalenceGrid runs every ROSA query behind Tables III and V —
-// all programs, all phases, all four attacks — once sequentially and once
-// with 4 search workers, and requires byte-identical verdicts, witnesses,
-// and state counts. This is the engine's determinism guarantee checked on
-// the real query set rather than toy systems. The sequential column must
-// also match the per-cell pin in testdata/grid.golden.
+// all programs, all phases, all four attacks — at Workers 1 and at Workers
+// 4, a setting the engine ignores, and requires byte-identical verdicts,
+// witnesses, and state counts. This is the engine's determinism guarantee
+// checked on the real query set rather than toy systems. The Workers 1
+// column must also match the per-cell pin in testdata/grid.golden.
 func TestWorkersEquivalenceGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full Table III/V query grid twice")
@@ -301,7 +301,7 @@ func TestWorkersEquivalenceGrid(t *testing.T) {
 				par := runWith(4)
 				grid = append(grid, gridCell{name, ph.Name, int(id), seq.Verdict.String(), seq.StatesExplored})
 				if seq.Verdict != par.Verdict || seq.StatesExplored != par.StatesExplored {
-					t.Errorf("%s %s attack%d: sequential (%s, %d states) vs parallel (%s, %d states)",
+					t.Errorf("%s %s attack%d: workers=1 (%s, %d states) vs workers=4 (%s, %d states)",
 						name, ph.Name, id, seq.Verdict, seq.StatesExplored,
 						par.Verdict, par.StatesExplored)
 				}

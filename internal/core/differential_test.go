@@ -44,7 +44,6 @@ var coldGrid = sync.OnceValues(func() (map[cellKey]*rosa.Result, error) {
 			for _, id := range attacks.All {
 				q := attacks.Build(id, inv, creds, ph.Privs)
 				q.MaxStates = DefaultMaxStates
-				q.Workers = 1
 				res, err := q.Run()
 				if err != nil {
 					return nil, fmt.Errorf("%s %s %s: %w", name, ph.Name, id, err)
@@ -56,12 +55,13 @@ var coldGrid = sync.OnceValues(func() (map[cellKey]*rosa.Result, error) {
 	return out, nil
 })
 
-// pipelineWorkers are the worker counts the pipeline is compared at.
+// pipelineWorkers are the Workers settings the pipeline is compared at; the
+// engine ignores the setting, so both must give the same answers.
 var pipelineWorkers = []int{1, 4}
 
 // pipelineGrid is AnalyzeContext's analysis of every program at each of
-// pipelineWorkers, computed once per test binary and indexed [worker
-// count][program].
+// pipelineWorkers, computed once per test binary and indexed [Workers
+// setting][program].
 var pipelineGrid = sync.OnceValues(func() (map[int]map[string]*Analysis, error) {
 	out := make(map[int]map[string]*Analysis)
 	for _, w := range pipelineWorkers {

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"privanalyzer/internal/programs"
@@ -10,82 +13,67 @@ import (
 	"privanalyzer/internal/telemetry"
 )
 
-// normalizeJournal reduces a journal to its schedule-independent content:
-// timestamps and worker ids reflect the real execution and legitimately vary
-// between runs, everything else must not. The result is sorted into a
-// canonical order so it compares as a multiset.
-func normalizeJournal(journal []telemetry.Event) []telemetry.Event {
-	out := make([]telemetry.Event, len(journal))
-	copy(out, journal)
-	for i := range out {
-		out[i].T = 0
-		out[i].Worker = 0
+// searchSequences splits a journal into one event sequence per search,
+// each event rendered without its timestamp and search id, and sorts the
+// sequences. Search ids, timestamps and the interleaving of concurrent
+// searches follow the schedule; what each search recorded, and in what
+// order, must not.
+func searchSequences(journal []telemetry.Event) []string {
+	bySearch := map[int32][]string{}
+	for _, ev := range journal {
+		bySearch[ev.Search] = append(bySearch[ev.Search],
+			fmt.Sprintf("%s/%d/%x/%s/%d", ev.Kind, ev.Depth, ev.Hash, ev.Rule, ev.N))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Search != b.Search {
-			return a.Search < b.Search
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Depth != b.Depth {
-			return a.Depth < b.Depth
-		}
-		if a.Hash != b.Hash {
-			return a.Hash < b.Hash
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.N < b.N
-	})
+	out := make([]string, 0, len(bySearch))
+	for _, evs := range bySearch {
+		out = append(out, strings.Join(evs, "\n"))
+	}
+	sort.Strings(out)
 	return out
 }
 
-// TestRecorderGridDeterminism is the flight recorder's contract with the
-// parallel search: over the full program×phase×attack grid, the merged
-// journal's event multiset — everything but timestamps and worker placement —
-// must be identical at Workers 1 and 4. Expansion events are buffered per
-// frontier node and committed only when the deterministic merge keeps the
-// node, so a race past an early exit must leave no trace.
+// TestRecorderGridDeterminism is the flight recorder's determinism contract
+// over the full program×phase×attack grid: two AnalyzeAll runs — one on one
+// CPU at Workers 1, one on four CPUs at Workers 4, a setting the engine
+// ignores — record the same event sequence for every search, timestamps and
+// search ids aside. Each search runs on one goroutine, so only the
+// interleaving of the concurrent columns may differ.
 func TestRecorderGridDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-grid determinism test; skipped with -short")
 	}
-	ctx := context.Background()
-	for _, name := range programs.Names() {
-		p, err := programs.ByName(name)
+	capture := func(procs, workers int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rec := telemetry.NewRecorder(1 << 22)
+		_, err := AnalyzeAll(context.Background(), programs.Names(), Options{
+			Search: rewrite.Options{Workers: workers, Recorder: rec},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		capture := func(workers int) []telemetry.Event {
-			rec := telemetry.NewRecorder(1 << 20)
-			_, err := AnalyzeContext(ctx, p, Options{
-				Search: rewrite.Options{Workers: workers, Recorder: rec},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec.Dropped() != 0 {
-				t.Fatalf("%s workers=%d: ring overflowed (%d dropped); raise the test capacity",
-					name, workers, rec.Dropped())
-			}
-			return normalizeJournal(rec.Journal())
+		if rec.Dropped() != 0 {
+			t.Fatalf("GOMAXPROCS=%d workers=%d: ring overflowed (%d dropped); raise the test capacity",
+				procs, workers, rec.Dropped())
 		}
-		seq := capture(1)
-		par := capture(4)
-		if len(seq) != len(par) {
-			t.Errorf("%s: journal sizes differ: %d events at workers=1, %d at workers=4",
-				name, len(seq), len(par))
-			continue
-		}
-		for i := range seq {
-			if seq[i] != par[i] {
-				t.Errorf("%s: journals diverge at canonical index %d:\nworkers=1: %+v\nworkers=4: %+v",
-					name, i, seq[i], par[i])
-				break
+		return searchSequences(rec.Journal())
+	}
+	one := capture(1, 1)
+	four := capture(4, 4)
+	if len(one) != 140 {
+		t.Errorf("journal covers %d searches, want the grid's 140", len(one))
+	}
+	if len(one) != len(four) {
+		t.Fatalf("%d searches on one CPU, %d on four", len(one), len(four))
+	}
+	for i := range one {
+		if one[i] != four[i] {
+			a, b := strings.Split(one[i], "\n"), strings.Split(four[i], "\n")
+			k := 0
+			for k < len(a) && k < len(b) && a[k] == b[k] {
+				k++
 			}
+			t.Fatalf("search sequence %d diverges at event %d of %d/%d:\none CPU:   %v\nfour CPUs: %v",
+				i, k, len(a), len(b), a[min(k, len(a)-1)], b[min(k, len(b)-1)])
 		}
 	}
 }

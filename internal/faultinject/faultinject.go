@@ -1,5 +1,5 @@
 // Package faultinject provides deterministic fault points for chaos-testing
-// the search pipeline. A Plan names the faults to inject — a worker panic or
+// the search pipeline. A Plan names the faults to inject — a panic or
 // successor error at a chosen expansion, injected expansion latency, a
 // context cancellation at the start of a chosen BFS level — and the search
 // engine consults it at the matching sites (rewrite.Options.Faults). A nil
@@ -7,13 +7,14 @@
 // the engine checks it unconditionally at the cost of one nil test per site.
 //
 // Determinism: every fault point fires on an exact, counted occurrence, not
-// on randomness, so a chaos test replays identically. Counter-keyed points
-// (the Nth expansion) are exact under Workers=1 and land on a
-// schedule-dependent expansion under parallel search — still exactly one
-// firing, which is what the standing invariants quantify over. State-keyed
-// points (PanicOnState, ErrOnState) fire when the state with the given
-// interned hash is expanded, which is schedule-independent at any worker
-// count because deduplication expands each state at most once per search.
+// on randomness, so a chaos test replays identically. A search expands its
+// states one at a time in breadth-first order, so counter-keyed points (the
+// Nth expansion) land on the same state in every run of one search. A plan
+// shared by concurrent searches counts their expansions together; which
+// search the Nth lands in then follows the schedule, with still exactly one
+// firing. State-keyed points (PanicOnState, ErrOnState) fire when the state
+// with the given interned hash is expanded, once per search, because
+// deduplication expands each state at most once.
 package faultinject
 
 import (
@@ -44,17 +45,17 @@ type PanicValue struct {
 
 // String renders the panic value for logs and SearchError messages.
 func (p PanicValue) String() string {
-	return fmt.Sprintf("faultinject: injected worker panic at expansion %d (state %#x)", p.Expansion, p.StateHash)
+	return fmt.Sprintf("faultinject: injected panic at expansion %d (state %#x)", p.Expansion, p.StateHash)
 }
 
 // Plan is one deterministic set of fault points. The zero value injects
 // nothing; fields select faults by exact occurrence. Plans are safe for
-// concurrent use by parallel search workers and may span multiple searches
+// concurrent use and may span multiple searches
 // (the expansion counter is global to the plan, so a plan shared by an
 // analysis's query fan-out faults exactly one query).
 type Plan struct {
 	// PanicAtExpansion panics inside the Nth (1-based) successor expansion,
-	// simulating a crashed search worker. 0 disables.
+	// simulating a crashed search. 0 disables.
 	PanicAtExpansion int64
 	// PanicOnState panics when the state with this interned hash is
 	// expanded (schedule-independent). 0 disables.
@@ -66,12 +67,11 @@ type Plan struct {
 	// 0 disables.
 	ErrOnState uint64
 	// ExpansionLatency is added to every expansion (0 = none) — the
-	// slow-worker chaos mode, for shaking out merge/cancellation races.
+	// slow-search chaos mode, for shaking out cancellation races.
 	ExpansionLatency time.Duration
 	// CancelAtLevel cancels the search's context when the BFS level with
-	// this depth starts, at most once per plan (mid-level cancellation: the
-	// level's workers observe the cancellation while expanding). 0 disables;
-	// level 0 is the root level.
+	// this depth starts, at most once per plan (the level's first expansion
+	// observes the cancellation). 0 disables; level 0 is the root level.
 	CancelAtLevel int
 
 	expansions  atomic.Int64

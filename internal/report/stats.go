@@ -33,9 +33,9 @@ func SearchStatsText(st *rewrite.SearchStats) string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "states explored:  %d (%s states/sec, %s elapsed, %d workers)\n",
+	fmt.Fprintf(&b, "states explored:  %d (%s states/sec, %s elapsed)\n",
 		st.StatesExplored, rate(st.StatesExplored, st.Elapsed),
-		st.Elapsed.Round(time.Microsecond), st.Workers)
+		st.Elapsed.Round(time.Microsecond))
 	fmt.Fprintf(&b, "dedup hits:       %d (%.1f%% of generated successors)\n",
 		st.DedupHits, 100*st.DedupRate())
 	if st.RulesSkippedByIndex > 0 || st.SubtreesPruned > 0 {

@@ -28,7 +28,6 @@ func TestSearchStatsText(t *testing.T) {
 		StatesExplored: 11,
 		DedupHits:      5,
 		Elapsed:        2 * time.Second,
-		Workers:        3,
 		Frontier:       []int{1, 4, 6},
 		RuleFirings:    map[string]int{"open": 9, "chown": 6},
 		DegradedAt:     7,
@@ -37,7 +36,6 @@ func TestSearchStatsText(t *testing.T) {
 	for _, want := range []string{
 		"states explored:  11",
 		"6 states/sec", // guarded rate: 11 states / 2s, rounded
-		"3 workers",
 		"dedup hits:       5",
 		"frontier by depth: 0:1 1:4 2:6",
 		"chown:6 open:9", // sorted rule firings

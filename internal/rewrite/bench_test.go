@@ -95,7 +95,7 @@ func BenchmarkSearchCompiled(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := tokens(5).Search(init, never, Options{Workers: 1}); err != nil {
+			if _, err := tokens(5).Search(init, never, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -14,16 +13,16 @@ import (
 
 // Chaos suite: every single injected fault must leave the process alive, the
 // faulted search with a partial result and a typed *SearchError, and — the
-// standing invariant — fault-free behaviour byte-identical at any worker
-// count. Fault points are deterministic (internal/faultinject), so each case
-// replays exactly.
+// standing invariant — fault-free behaviour byte-identical at any Workers
+// setting, which the engine ignores. Fault points are deterministic
+// (internal/faultinject), so each case replays exactly.
 
 // tokensInit3 is the branching chaos workload: three tokens counting to 6.
 func tokensInit3() *Term {
 	return NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 }
 
-// TestPanicIsolation: a worker panic mid-expansion surfaces as a *SearchError
+// TestPanicIsolation: a panic mid-expansion surfaces as a *SearchError
 // carrying the panic value, the state, and partial stats — never as a crashed
 // test process.
 func TestPanicIsolation(t *testing.T) {
@@ -67,9 +66,9 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestPanicOnStateParallelDeterminism: a state-keyed panic (the schedule-
-// independent fault point) names the same state in the SearchError at every
-// worker count, because deduplication expands each state at most once.
+// TestPanicOnStateParallelDeterminism: a state-keyed panic names the same
+// state in the SearchError at every Workers setting, because deduplication
+// expands each state at most once.
 func TestPanicOnStateParallelDeterminism(t *testing.T) {
 	// {c(1) c(0) c(0)} is generated at depth 1 of the exhaustive tokens walk,
 	// so it is always expanded; the hash is structural, so an equal term built
@@ -92,16 +91,14 @@ func TestPanicOnStateParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSuccessorErrorDeterministic pins the merge's error path (exps[i].err):
-// an injected successor error is reported with attribution, wins over any
-// concurrently discovered goal in later frontier slots, and the outcome is
-// identical at every worker count because the merge replays frontier order.
+// TestSuccessorErrorDeterministic pins the engine's error path: an injected
+// successor error is reported with attribution, wins over the goal that
+// later frontier nodes would reach, and the outcome is identical at every
+// Workers setting.
 func TestSuccessorErrorDeterministic(t *testing.T) {
 	target := NewConfig(NewOp("c", NewInt(1)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))).Hash()
-	// The goal is reachable (c reaches 6 on the exhaustive walk), so workers
-	// expanding other frontier slots do find it concurrently — the error must
-	// still win whenever its slot merges first, and the winner must not
-	// depend on the worker count.
+	// The goal is reachable (c reaches 6 on the exhaustive walk), but only
+	// past the faulted state's level, so the error must win.
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
 
 	type outcome struct {
@@ -170,25 +167,20 @@ func TestCancelAtLevel(t *testing.T) {
 	}
 }
 
-// journalKey flattens an event's schedule-independent content.
-func journalKey(ev telemetry.Event) string {
-	return fmt.Sprintf("%d/%d/%x/%s/%d", ev.Kind, ev.Depth, ev.Hash, ev.Rule, ev.N)
-}
-
-// sortedJournal returns the journal's content keys in sorted order —
-// timestamps and ring placement are schedule-dependent, content is not.
-func sortedJournal(rec *telemetry.Recorder) []string {
+// journalKeys flattens the journal's events, in order, to everything but
+// their timestamps.
+func journalKeys(rec *telemetry.Recorder) []string {
 	out := make([]string, 0, 64)
 	for _, ev := range rec.Journal() {
-		out = append(out, journalKey(ev))
+		out = append(out, fmt.Sprintf("%d/%d/%x/%s/%d", ev.Kind, ev.Depth, ev.Hash, ev.Rule, ev.N))
 	}
-	sort.Strings(out)
 	return out
 }
 
-// TestLatencyChaosHarmless: injected per-expansion latency (the slow-worker
+// TestLatencyChaosHarmless: injected per-expansion latency (the slow-search
 // chaos mode) changes nothing observable — verdict, state count, stats, and
-// journal content all match the fault-free run, at one worker and at many.
+// the journal's event sequence all match the fault-free run, at any Workers
+// setting.
 func TestLatencyChaosHarmless(t *testing.T) {
 	run := func(w int, plan *faultinject.Plan) (*SearchResult, []string) {
 		rec := telemetry.NewRecorder(0)
@@ -199,7 +191,7 @@ func TestLatencyChaosHarmless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sortedJournal(rec)
+		return res, journalKeys(rec)
 	}
 	ref, refJournal := run(1, nil)
 	for _, w := range []int{1, 4} {
@@ -225,7 +217,7 @@ func TestMemBudgetDegradation(t *testing.T) {
 	sys.Cache = NewTransitionCache()
 	res, err := sys.SearchContext(context.Background(), cnt(0),
 		Goal{Pattern: cnt(-1)},
-		Options{Workers: 1, MemBudget: 1})
+		Options{MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +241,7 @@ func TestMemBudgetDegradationIgnoresEarlierInterning(t *testing.T) {
 	run := func() *SearchResult {
 		t.Helper()
 		res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), never,
-			Options{Workers: 1, MemBudget: 2 << 20})
+			Options{MemBudget: 2 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +270,7 @@ func TestMemBudgetDegradationIgnoresEarlierInterning(t *testing.T) {
 // shed that cache for every later query.
 func TestMemBudgetDegradationIgnoresSharedCache(t *testing.T) {
 	never := Goal{Pattern: NewOp("nope")}
-	budgeted := Options{Workers: 1, MemBudget: 64 << 10}
+	budgeted := Options{MemBudget: 64 << 10}
 	alone := tokens(6)
 	alone.Cache = NewTransitionCache()
 	ref, err := alone.SearchContext(context.Background(), tokensInit3(), never, budgeted)
@@ -289,7 +281,7 @@ func TestMemBudgetDegradationIgnoresSharedCache(t *testing.T) {
 	sys := tokens(6)
 	sys.Cache = NewTransitionCache()
 	four := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
-	if _, err := sys.SearchContext(context.Background(), four, never, Options{Workers: 1}); err != nil {
+	if _, err := sys.SearchContext(context.Background(), four, never, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	filled := sys.Cache.Len()
@@ -321,7 +313,7 @@ func TestMemBudgetDegradationIgnoresConcurrentInterning(t *testing.T) {
 		sys := tokens(6)
 		sys.Cache = NewTransitionCache()
 		res, err := sys.SearchContext(context.Background(), tokensInit3(), never,
-			Options{Workers: 1, MemBudget: 16 << 10})
+			Options{MemBudget: 16 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +367,7 @@ func TestTransitionCacheShed(t *testing.T) {
 	sys.Cache = NewTransitionCache()
 	if _, err := sys.SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-		Goal{Pattern: NewOp("nope")}, Options{Workers: 1}); err != nil {
+		Goal{Pattern: NewOp("nope")}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	n := sys.Cache.Len()
@@ -397,13 +389,13 @@ func TestTransitionCacheShed(t *testing.T) {
 // indistinguishable from no plan at all — the production nil-check path.
 func TestChaosNoFaultIsCleanRun(t *testing.T) {
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
-	ref, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal, Options{Workers: 1})
+	ref, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, plan := range []*faultinject.Plan{nil, {}} {
 		res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-			Options{Workers: 1, Faults: plan})
+			Options{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,12 +407,12 @@ func TestChaosNoFaultIsCleanRun(t *testing.T) {
 }
 
 // TestChaosCompileDifferential checks the fault-plan chaos matrix against
-// the reference search: at one worker a faulted run is deterministic, so its
+// the reference search: a faulted run is deterministic, so its
 // partial result — explored states, no goal, no witness — must be the
 // reference's stopped at the same point: before the faulted expansion, or
 // at the cancelled level. Errors and panics must surface as *SearchError.
 // The latency plan never aborts, so its results must be the reference's at
-// any worker count.
+// any Workers setting.
 func TestChaosCompileDifferential(t *testing.T) {
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
 	plans := []struct {
@@ -439,7 +431,7 @@ func TestChaosCompileDifferential(t *testing.T) {
 	for _, pc := range plans {
 		t.Run(pc.name, func(t *testing.T) {
 			res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-				Options{Workers: 1, Faults: pc.mk()})
+				Options{Faults: pc.mk()})
 			var se *SearchError
 			if !errors.As(err, &se) {
 				t.Fatalf("err = %v (%T), want a *SearchError", err, err)

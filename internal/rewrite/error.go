@@ -4,11 +4,10 @@ import (
 	"fmt"
 )
 
-// SearchError is the typed failure of one search: a panic recovered inside
-// an expansion worker, or an error computing a state's successor set. The
+// SearchError is the typed failure of one search: a panic recovered while
+// expanding a state, or an error computing a state's successor set. The
 // search engine converts both into a SearchError carrying the interned hash
-// of the state being expanded and the worker that hit it, so a fault is
-// attributable after the fact. Callers (rosa.Query) map a SearchError to the
+// of the state being expanded, so a fault is attributable after the fact. Callers (rosa.Query) map a SearchError to the
 // Unknown (⏱) verdict with the error recorded, and the analysis keeps
 // running its remaining queries — a faulted query degrades, it does not take
 // the pipeline down.
@@ -17,10 +16,7 @@ type SearchError struct {
 	// failed (0 when the failure is not tied to a state, e.g. an injected
 	// cancellation).
 	StateHash uint64
-	// Worker is the expansion worker that hit the fault (0 for the merge /
-	// sequential path).
-	Worker int
-	// Panic is the recovered panic value when the fault was a worker panic;
+	// Panic is the recovered panic value when the fault was a panic;
 	// nil for plain errors.
 	Panic any
 	// Stack is the goroutine stack captured at recovery (nil for plain
@@ -32,15 +28,15 @@ type SearchError struct {
 	Err error
 }
 
-// Error renders the failure with its state and worker attribution.
+// Error renders the failure with its state attribution.
 func (e *SearchError) Error() string {
 	switch {
 	case e.Panic != nil:
-		return fmt.Sprintf("rewrite: search worker %d panicked expanding state %#x: %v", e.Worker, e.StateHash, e.Panic)
+		return fmt.Sprintf("rewrite: search panicked expanding state %#x: %v", e.StateHash, e.Panic)
 	case e.Err != nil:
-		return fmt.Sprintf("rewrite: search worker %d failed expanding state %#x: %v", e.Worker, e.StateHash, e.Err)
+		return fmt.Sprintf("rewrite: search failed expanding state %#x: %v", e.StateHash, e.Err)
 	default:
-		return fmt.Sprintf("rewrite: search worker %d failed expanding state %#x", e.Worker, e.StateHash)
+		return fmt.Sprintf("rewrite: search failed expanding state %#x", e.StateHash)
 	}
 }
 

@@ -71,12 +71,12 @@ func referenceVerdict(res *rewrite.SearchResult) rosa.Verdict {
 }
 
 // TestReferenceGrid is the pipeline-level optimization contract: the
-// indexed, interned, transition-cached, compiled, parallel engine must
-// reproduce the reference search on every program, phase, and attack of the
-// Figure 5-11 grid, at Workers 1 and 4 — verdict, state count, witness
-// rendering, frontier shape, rule firings, and dedup hits. The engine side
-// goes through core.AnalyzeContext, so it exercises the full stack the CLIs
-// use, including the per-program rosa.Checker whose shared
+// indexed, interned, transition-cached, compiled engine must reproduce the
+// reference search on every program, phase, and attack of the Figure 5-11
+// grid, at Workers 1 and 4 (a setting the engine ignores) — verdict, state
+// count, witness rendering, frontier shape, rule firings, and dedup hits.
+// The engine side goes through core.AnalyzeContext, so it exercises the full
+// stack the CLIs use, including the per-program rosa.Checker whose shared
 // cache serves all of a program's queries.
 //
 // The reference tries every rule at every position; the engine only at the
@@ -142,7 +142,7 @@ func TestReferenceGrid(t *testing.T) {
 		}
 	}
 	if want := 2 * len(ref); compared != want {
-		t.Errorf("compared %d cells, want %d (every reference cell at 2 worker counts)", compared, want)
+		t.Errorf("compared %d cells, want %d (every reference cell at 2 Workers settings)", compared, want)
 	}
 	if len(ref) != 140 {
 		t.Errorf("reference grid has %d cells, want the 140 of Figures 5-11", len(ref))

@@ -66,8 +66,8 @@ func varSort(sort string) string {
 // Hash returns the term's structural fingerprint. Two Equal terms always
 // hash identically (configurations combine their elements commutatively);
 // unequal terms collide with probability ~2^-64. The value is memoized
-// atomically, so Hash is safe to call from concurrent search workers on
-// shared subterms.
+// atomically, so Hash is safe to call from concurrent searches on shared
+// subterms.
 func (t *Term) Hash() uint64 {
 	if t == nil {
 		return 0

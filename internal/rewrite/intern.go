@@ -13,7 +13,7 @@ package rewrite
 // The interner is process-global so that pointer identity is meaningful
 // across systems and queries — exactly what lets a per-program transition
 // cache be shared by every attack query. It is sharded by hash to stay off
-// the contended path under the level-parallel search; each shard is a flat
+// the contended path under concurrent searches; each shard is a flat
 // open-addressed table of terms. Lookups are collision-checked: a term with
 // the probed hash is confirmed structurally, so a 64-bit collision costs one
 // comparison, never a merged state.
@@ -24,8 +24,8 @@ import (
 )
 
 // internShards is the shard count; a power of two so the hash folds with a
-// mask. 64 shards keep lock contention negligible at the engine's worker
-// counts. internShardBits is its log2.
+// mask. 64 shards keep lock contention negligible across concurrent
+// searches. internShardBits is its log2.
 const internShards, internShardBits = 64, 6
 
 // internShard holds n canonical terms in slots (nil = empty), a power of

@@ -292,7 +292,7 @@ func TestTransitionCacheSharedAcrossSearches(t *testing.T) {
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 	goal := Goal{Pattern: NewOp("nope")}
 
-	first, err := sys.SearchContext(context.Background(), init, goal, Options{Workers: 1})
+	first, err := sys.SearchContext(context.Background(), init, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTransitionCacheSharedAcrossSearches(t *testing.T) {
 		t.Error("cache empty after a full search")
 	}
 
-	second, err := sys.SearchContext(context.Background(), init, goal, Options{Workers: 1})
+	second, err := sys.SearchContext(context.Background(), init, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestTransitionCacheSharedAcrossSearches(t *testing.T) {
 func TestRulesSkippedByIndex(t *testing.T) {
 	sys := vending()
 	init := NewConfig(NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
-	res, err := sys.SearchContext(context.Background(), init, Goal{Pattern: NewOp("nope")}, Options{Workers: 1})
+	res, err := sys.SearchContext(context.Background(), init, Goal{Pattern: NewOp("nope")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func profiledSearch(t *testing.T, opts Options) *SearchStats {
 }
 
 func TestRuleProfile(t *testing.T) {
-	st := profiledSearch(t, Options{Workers: 1})
+	st := profiledSearch(t, Options{})
 	if st.RuleProfile == nil {
 		t.Fatal("Options.Profile set but RuleProfile is nil")
 	}
@@ -58,16 +58,18 @@ func TestRuleProfile(t *testing.T) {
 	}
 }
 
+// TestRuleProfileParallelMatchesSequential: the engine ignores Workers, so
+// the rule profile's counts at Workers 4 are the default run's.
 func TestRuleProfileParallelMatchesSequential(t *testing.T) {
-	seq := profiledSearch(t, Options{Workers: 1})
+	seq := profiledSearch(t, Options{})
 	par := profiledSearch(t, Options{Workers: 4})
 	for _, name := range []string{"inc", "merge"} {
 		if seq.RuleProfile[name].Attempts != par.RuleProfile[name].Attempts {
-			t.Errorf("%s attempts: sequential %d, parallel %d",
+			t.Errorf("%s attempts: default %d, workers=4 %d",
 				name, seq.RuleProfile[name].Attempts, par.RuleProfile[name].Attempts)
 		}
 		if seq.RuleProfile[name].Firings != par.RuleProfile[name].Firings {
-			t.Errorf("%s firings: sequential %d, parallel %d",
+			t.Errorf("%s firings: default %d, workers=4 %d",
 				name, seq.RuleProfile[name].Firings, par.RuleProfile[name].Firings)
 		}
 	}
@@ -76,7 +78,7 @@ func TestRuleProfileParallelMatchesSequential(t *testing.T) {
 func TestProfileOffByDefault(t *testing.T) {
 	res, err := tokens(3).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0))),
-		Goal{Pattern: NewOp("nope")}, Options{Workers: 1})
+		Goal{Pattern: NewOp("nope")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func TestOnStatsSnapshot(t *testing.T) {
 	res, err := tokens(4).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
 		Goal{Pattern: NewOp("nope")},
-		Options{Workers: 1, Profile: true, OnStats: func(st *SearchStats) {
+		Options{Profile: true, OnStats: func(st *SearchStats) {
 			st.RuleFirings["inc"] = -999
 			if len(st.Frontier) > 0 {
 				st.Frontier[0] = -999
@@ -133,7 +135,7 @@ func TestSearchStatsClone(t *testing.T) {
 	if st.Clone() != nil {
 		t.Error("nil.Clone() should be nil")
 	}
-	st = profiledSearch(t, Options{Workers: 1})
+	st = profiledSearch(t, Options{})
 	c := st.Clone()
 	if c == st {
 		t.Fatal("Clone returned the receiver")

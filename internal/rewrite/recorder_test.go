@@ -18,7 +18,6 @@ func TestStatsIntervalThrottle(t *testing.T) {
 			NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
 			Goal{Pattern: NewOp("nope")},
 			Options{
-				Workers:       1,
 				StatsInterval: interval,
 				OnStats: func(st *SearchStats) {
 					snapshots++
@@ -73,7 +72,7 @@ func TestRecorderSearchEvents(t *testing.T) {
 	res, err := tokens(6).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
 		Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))},
-		Options{Workers: 1, Recorder: rec})
+		Options{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestRecorderSearchIDs(t *testing.T) {
 		if _, err := sys.SearchContext(context.Background(),
 			NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
 			Goal{Pattern: NewOp("nope")},
-			Options{Workers: 1, Recorder: rec}); err != nil {
+			Options{Recorder: rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // against. It is Maude's `search init =>* goal` written as plainly as the
 // semantics allow, and shares none of the engine's machinery — no rule
 // index, no compiled matchers, no transition cache, no interning, no
-// pointer-keyed visited set, no parallel merge. Every rule is tried through
+// pointer-keyed visited set. Every rule is tried through
 // the generic Rule.apply at every position — the root and, recursively,
 // every argument below it, as Maude's congruence rewriting does — and
 // visited states are kept in a structural set. The engine's results —
@@ -107,7 +107,7 @@ type refResult struct {
 // RuleFirings and DedupHits with the engine's meanings.
 func referenceSearch(sys *System, init *Term, goal Goal, o refOptions) (*refResult, error) {
 	start := init
-	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: 1}
+	stats := &SearchStats{RuleFirings: make(map[string]int)}
 	res := &refResult{SearchResult: &SearchResult{StatesExplored: 1, Stats: stats}}
 	layouts, goalLayout := ruleLayouts(sys), layoutOf(goal.Pattern)
 	if goal.matches(start, sys.Sig, goalLayout) {

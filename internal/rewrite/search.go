@@ -3,10 +3,7 @@ package rewrite
 import (
 	"context"
 	"errors"
-	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"privanalyzer/internal/faultinject"
@@ -17,8 +14,7 @@ import (
 // by every layer of the checker: rosa.Query embeds it and core.Options
 // carries one per query. The zero value is the default configuration —
 // unbounded depth and states, breadth-first with visited-state
-// deduplication, and one worker per CPU — so existing callers constructing
-// literals stay correct.
+// deduplication — so existing callers constructing literals stay correct.
 type Options struct {
 	// MaxDepth bounds the number of rule applications along a path;
 	// 0 means unbounded (the visited set still guarantees termination on
@@ -28,11 +24,8 @@ type Options struct {
 	// 0 means unbounded. The budget is exact: StatesExplored never exceeds
 	// it, and the goal-match and enqueue paths apply the same check.
 	MaxStates int
-	// Workers is the number of goroutines expanding each breadth-first
-	// depth level: 0 means one per CPU (runtime.GOMAXPROCS), 1 forces the
-	// sequential engine. Any value yields verdicts, witnesses, and state
-	// counts identical to Workers=1 — the frontier is expanded level-
-	// synchronized and merged in a fixed order.
+	// Workers is ignored: every search runs on the goroutine that calls
+	// it. The field remains so that existing option literals still compile.
 	Workers int
 	// OnStats, if set, receives a progress snapshot after every completed
 	// depth level and once more when the search returns. Each snapshot is a
@@ -40,14 +33,14 @@ type Options struct {
 	// goroutine.
 	OnStats func(*SearchStats)
 	// StatsInterval throttles OnStats by wall-clock time: when positive,
-	// snapshots fire at level and chunk boundaries only once the interval has
+	// snapshots fire at level and node boundaries only once the interval has
 	// elapsed since the last one (the final snapshot always fires). Zero
 	// keeps the default cadence — every completed depth level — which the
 	// per-level progress tests rely on.
 	StatsInterval time.Duration
 	// Recorder, if set, captures an event-level journal of the search —
 	// level starts, state expansions, rule firings, cache hits and misses,
-	// dedups, prunes, goal matches — into per-worker flight-recorder rings
+	// dedups, prunes, goal matches — into the flight recorder's ring
 	// (see telemetry.Recorder). Nil disables recording; the hooks then cost
 	// one nil check each (pinned by BenchmarkRecorder).
 	Recorder *telemetry.Recorder
@@ -73,22 +66,13 @@ type Options struct {
 
 // DefaultOptions returns the default search configuration. It is the
 // constructor counterpart of the zero value; both mean bounded-only-by-
-// space BFS with one worker per CPU.
+// space BFS.
 func DefaultOptions() Options { return Options{} }
 
-// MaxWorkers caps the search workers per depth level. Callers that take a
-// worker count from outside input reject larger values; the engine clamps
-// to it, so no count can overflow the merge's chunk size.
+// MaxWorkers is the largest worker count the v1 wire field and the query-file
+// directive accept. Both still range-check the value, so no old client sees a
+// change, and then ignore it.
 const MaxWorkers = 1024
-
-// workers resolves the effective worker count.
-func (o Options) workers() int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(w, MaxWorkers)
-}
 
 // SearchStats is the engine's observability surface: what the search did,
 // at what rate, and where the state space bulged. A final snapshot is
@@ -111,8 +95,6 @@ type SearchStats struct {
 	DedupHits int
 	// Elapsed is the wall-clock search time so far.
 	Elapsed time.Duration
-	// Workers is the number of expansion workers used.
-	Workers int
 	// RuleProfile holds the per-rule cost profile; nil unless
 	// Options.Profile was set.
 	RuleProfile map[string]*RuleCost
@@ -193,20 +175,15 @@ func (st *SearchStats) Clone() *SearchStats {
 	return &cp
 }
 
-// ruleProfiler aggregates per-rule cost with atomics, so concurrent
-// expansion workers record without locks. Rules are addressed by their index
-// in System.Rules.
+// ruleProfiler aggregates per-rule cost for one search. Rules are addressed
+// by their index in System.Rules.
 type ruleProfiler struct {
 	names []string
-	cells []profCell
-}
-
-type profCell struct {
-	attempts, firings, cumNS, maxNS atomic.Int64
+	cells []RuleCost
 }
 
 func newRuleProfiler(rules []Rule) *ruleProfiler {
-	rp := &ruleProfiler{names: make([]string, len(rules)), cells: make([]profCell, len(rules))}
+	rp := &ruleProfiler{names: make([]string, len(rules)), cells: make([]RuleCost, len(rules))}
 	for i := range rules {
 		rp.names[i] = rules[i].Name
 	}
@@ -216,16 +193,10 @@ func newRuleProfiler(rules []Rule) *ruleProfiler {
 // record notes one attempt of rule i that produced n replacements in d.
 func (rp *ruleProfiler) record(i int, d time.Duration, n int) {
 	c := &rp.cells[i]
-	c.attempts.Add(1)
-	c.firings.Add(int64(n))
-	ns := d.Nanoseconds()
-	c.cumNS.Add(ns)
-	for {
-		cur := c.maxNS.Load()
-		if ns <= cur || c.maxNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
+	c.Attempts++
+	c.Firings += int64(n)
+	c.Cumulative += d
+	c.Max = max(c.Max, d)
 }
 
 // profile materializes the per-rule map for SearchStats.
@@ -233,8 +204,7 @@ func (rp *ruleProfiler) profile() map[string]*RuleCost {
 	out := make(map[string]*RuleCost, len(rp.names))
 	for i, name := range rp.names {
 		c := &rp.cells[i]
-		attempts := c.attempts.Load()
-		if attempts == 0 {
+		if c.Attempts == 0 {
 			continue
 		}
 		rc := out[name]
@@ -242,12 +212,10 @@ func (rp *ruleProfiler) profile() map[string]*RuleCost {
 			rc = &RuleCost{}
 			out[name] = rc
 		}
-		rc.Attempts += attempts
-		rc.Firings += c.firings.Load()
-		rc.Cumulative += time.Duration(c.cumNS.Load())
-		if m := time.Duration(c.maxNS.Load()); m > rc.Max {
-			rc.Max = m
-		}
+		rc.Attempts += c.Attempts
+		rc.Firings += c.Firings
+		rc.Cumulative += c.Cumulative
+		rc.Max = max(rc.Max, c.Max)
 	}
 	return out
 }
@@ -302,10 +270,10 @@ func (n *node) witness() []Step {
 }
 
 // SearchContext runs Maude-style `search init =>* goal` over the rule
-// transition graph, bounded by opts and cancellable through ctx. Breadth-
-// first searches expand each depth frontier with opts.Workers goroutines
-// and merge results in frontier order, so verdicts, witnesses, and
-// StatesExplored are deterministic and identical to a sequential run.
+// transition graph, bounded by opts and cancellable through ctx. The search
+// is a sequential breadth-first walk on the calling goroutine, so verdicts,
+// witnesses, StatesExplored and every SearchStats counter are a pure
+// function of the query, the options and the transition cache's content.
 //
 // Cancellation (or a context deadline — the analogue of the paper's
 // five-hour wall clock limit) stops the search promptly and returns a
@@ -314,9 +282,9 @@ func (n *node) witness() []Step {
 //
 // Error contract: a setup failure (a rule outside the compiled fragment)
 // returns (nil, err) before any state is explored.
-// A fault during the search — a worker panic or an injected
+// A fault during the search — a panic expanding a state or an injected
 // fault — returns a non-nil result with partial stats and Interrupted set,
-// alongside a *SearchError carrying the state and worker attribution.
+// alongside a *SearchError carrying the state's attribution.
 // Supervisors (rosa.Query) map the latter to the Unknown verdict with the
 // error recorded and keep the analysis running.
 func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts Options) (*SearchResult, error) {
@@ -338,24 +306,24 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		e.faultCancel = cancel
 	}
 	start := Intern(init)
-	stats := &SearchStats{RuleFirings: make(map[string]int), Workers: opts.workers()}
+	stats := &SearchStats{RuleFirings: make(map[string]int)}
 	began := time.Now()
 	res := &SearchResult{StatesExplored: 1, Stats: stats}
 	refresh := func() {
 		stats.StatesExplored = res.StatesExplored
 		stats.Elapsed = time.Since(began)
-		stats.RulesSkippedByIndex = e.rulesSkipped.Load()
-		stats.SubtreesPruned = e.subtreesPruned.Load()
-		stats.CacheHits = e.cacheHits.Load()
-		stats.CacheMisses = e.cacheMisses.Load()
+		stats.RulesSkippedByIndex = e.rulesSkipped
+		stats.SubtreesPruned = e.subtreesPruned
+		stats.CacheHits = e.cacheHits
+		stats.CacheMisses = e.cacheMisses
 		stats.CompiledRules = len(e.comp.rules)
-		stats.CompiledMatches = e.compiledMatches.Load()
+		stats.CompiledMatches = e.compiledMatches
 		stats.DroppedEvents = e.rec.Dropped()
 		if rp != nil {
 			stats.RuleProfile = rp.profile()
 		}
 	}
-	// progress fires OnStats at a level or chunk boundary, throttled by
+	// progress fires OnStats at a level or node boundary, throttled by
 	// StatsInterval; refresh work is skipped entirely for throttled calls.
 	// The clock starts at search start, so the first snapshot also waits a
 	// full interval (finish fires unconditionally either way).
@@ -395,11 +363,7 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	if e.goalFn(start) {
 		res.Found = true
 		res.Final = start
-		if e.rec != nil {
-			b := e.rec.Buf(e.search, 0)
-			b.Record(telemetry.EvGoalMatched, 0, start.Hash(), "", 1)
-			b.Flush()
-		}
+		e.rec.CommitEvent(telemetry.EvGoalMatched, e.search, 0, start.Hash(), "", 1)
 		return finish()
 	}
 	if ctx.Err() != nil {
@@ -427,36 +391,20 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	return r, runErr
 }
 
-// expansion is one frontier node's precomputed successor set. Successor
-// generation is pure, so workers compute it ahead of the deterministic
-// merge; goal matching stays in the merge so it runs once per *new* state,
-// never on deduplicated successors. Recorder events produced during the
-// expansion travel with it — committed to the journal only if the merge
-// keeps the node, discarded with it otherwise (an expansion racing past an
-// early exit leaves no trace, so journals are worker-count-independent) —
-// and cached distinguishes cache answers from fresh expansions so the merge
-// alone inserts into the shared transition cache.
-type expansion struct {
-	steps  []Step
-	events []telemetry.Event
-	err    error
-	cached bool
-}
-
 // safeSuccessors is successorsFor behind the supervisor's fault barrier: it
 // consults the fault-injection plan, then converts a panic inside successor
 // expansion — injected or real — into a typed *SearchError carrying the
-// expanded state's interned hash and the worker id. One poisoned state costs
-// its query a verdict, never the process the analysis runs in.
-func (e *engine) safeSuccessors(t *Term, depth, worker int, b *telemetry.EventBuf) (steps []Step, cached bool, err error) {
+// expanded state's interned hash. One poisoned state costs its query a
+// verdict, never the process the analysis runs in.
+func (e *engine) safeSuccessors(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, cached bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			steps, cached = nil, false
-			err = &SearchError{StateHash: t.Hash(), Worker: worker, Panic: r, Stack: debug.Stack()}
+			err = &SearchError{StateHash: t.Hash(), Panic: r, Stack: debug.Stack()}
 		}
 	}()
 	if ferr := e.faults.BeforeExpansion(t.Hash()); ferr != nil {
-		return nil, false, &SearchError{StateHash: t.Hash(), Worker: worker, Err: ferr}
+		return nil, false, &SearchError{StateHash: t.Hash(), Err: ferr}
 	}
 	steps, cached = e.successorsFor(t, depth, b)
 	return steps, cached, nil
@@ -509,7 +457,7 @@ func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *Searc
 	if stats.DegradedAt == 0 {
 		stats.DegradedAt = res.StatesExplored
 		e.cache.Shed()
-		e.cache = nil // uncached expansion from here on; cachePut no-ops too
+		e.cache = nil // uncached expansion from here on
 		e.cacheEntries = 0
 		return false
 	}
@@ -518,36 +466,22 @@ func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *Searc
 	return true
 }
 
-// searchBFS is the level-synchronized parallel breadth-first engine.
-//
-// Each depth level is processed in chunks: workers expand one chunk of
-// frontier nodes concurrently, then the merge replays that chunk in
-// frontier order. Chunking bounds the work wasted past an early exit —
-// when the goal or the state budget lands mid-level, at most one chunk of
-// successors was expanded beyond it, instead of the whole level (which for
-// budget-truncated searches is roughly half the state space). Sequential
-// runs use chunk size 1 and are exactly the classic BFS loop.
+// searchBFS is the breadth-first engine. It expands one frontier node and
+// merges its successors — visited-set dedup, state budget, goal check —
+// before it expands the next, so a goal or the budget stops the search at
+// the successor that reached it, with nothing expanded past it.
 //
 // progress fires OnStats (throttled by StatsInterval) after each completed
-// level, and additionally at chunk boundaries when an interval is set.
+// level, and additionally after each node when an interval is set.
 func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *SearchResult, stats *SearchStats, progress func()) error {
 	// States are interned, so the visited set keys on canonical pointers.
 	visited := map[*Term]struct{}{start: {}}
 	frontier := []*node{{state: start}}
 
-	// mb buffers the merge goroutine's own events (level starts, rule
-	// firings, dedups, goal matches) on worker track 0; flushed per chunk
-	// and, for the early-exit returns, by the deferred flush.
-	mb := e.rec.Buf(e.search, 0)
-	defer mb.Flush()
-
-	w := opts.workers()
-	chunk := 1
-	if w > 1 {
-		// A few nodes per worker amortizes coordination; small enough that
-		// an early exit discards little work.
-		chunk = w * 4
-	}
+	// b buffers the search's events; flushed after each node and, for the
+	// early-exit returns, by the deferred flush.
+	b := e.rec.Buf(e.search)
+	defer b.Flush()
 
 	for depth := 0; len(frontier) > 0; depth++ {
 		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
@@ -562,115 +496,55 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 		}
 		stats.Frontier = append(stats.Frontier, len(frontier))
 		stats.Depth = depth
-		mb.Record(telemetry.EvLevelStart, depth, 0, "", int64(len(frontier)))
+		b.Record(telemetry.EvLevelStart, depth, 0, "", int64(len(frontier)))
 		if e.faults.CancelLevel(depth) && e.faultCancel != nil {
-			// Fire after the level is announced so the level's own workers
-			// observe the cancellation mid-flight — the race the chaos tests
-			// are shaking out.
+			// Fire after the level is announced, so the level's first
+			// expansion observes the cancellation.
 			e.injCancelled = true
 			e.faultCancel()
 		}
 
 		var nextFrontier []*node
-		for lo := 0; lo < len(frontier); lo += chunk {
-			hi := min(lo+chunk, len(frontier))
-
-			// Expand frontier[lo:hi] concurrently. Workers claim indices
-			// from a shared counter; each expansion lands in its own slot,
-			// so the merge below can replay them in frontier order.
-			exps := make([]expansion, hi-lo)
-			expand := func(i, wk int) {
-				b := e.rec.Buf(e.search, wk)
-				succs, cached, err := e.safeSuccessors(frontier[i].state, depth, wk, b)
-				if err != nil {
-					exps[i-lo].err = err
-					return
-				}
-				for _, st := range succs {
-					st.Result.Hash() // warm the memo outside the merge
-				}
-				exps[i-lo] = expansion{steps: succs, events: b.Take(), cached: cached}
+		for _, n := range frontier {
+			if ctx.Err() != nil {
+				res.Interrupted = true
+				return nil
 			}
-			if cw := min(w, hi-lo); cw <= 1 {
-				if ctx.Err() != nil {
-					res.Interrupted = true
+			steps, cached, err := e.safeSuccessors(n.state, depth, b)
+			if err != nil {
+				return err
+			}
+			if e.cache != nil {
+				e.cacheEntries++
+				if !cached {
+					e.cache.put(n.state, steps)
+				}
+			}
+			for _, st := range steps {
+				stats.RuleFirings[st.Rule]++
+				b.Record(telemetry.EvRuleFired, depth+1, st.Result.Hash(), st.Rule, 0)
+				if _, seen := visited[st.Result]; seen {
+					stats.DedupHits++
+					b.Record(telemetry.EvDedup, depth+1, st.Result.Hash(), "", 0)
+					continue
+				}
+				visited[st.Result] = struct{}{}
+				if opts.MaxStates > 0 && res.StatesExplored >= opts.MaxStates {
+					res.Truncated = true
 					return nil
 				}
-				for i := lo; i < hi; i++ {
-					expand(i, 0)
-				}
-			} else {
-				var next atomic.Int64
-				next.Store(int64(lo))
-				var wg sync.WaitGroup
-				for k := 0; k < cw; k++ {
-					wk := k + 1 // worker track ids; 0 is the merge's
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := int(next.Add(1)) - 1
-							if i >= hi || ctx.Err() != nil {
-								return
-							}
-							expand(i, wk)
-						}
-					}()
-				}
-				wg.Wait()
-				if ctx.Err() != nil {
-					res.Interrupted = true
+				res.StatesExplored++
+				child := &node{state: st.Result, rule: st.Rule, parent: n}
+				if e.goalFn(st.Result) {
+					b.Record(telemetry.EvGoalMatched, depth+1, st.Result.Hash(), "", int64(res.StatesExplored))
+					res.Found = true
+					res.Final = st.Result
+					res.Witness = child.witness()
 					return nil
 				}
+				nextFrontier = append(nextFrontier, child)
 			}
-
-			// Merge in frontier order — this loop IS the sequential
-			// algorithm, only with the successor sets precomputed, which is
-			// why verdicts, witnesses, and state counts match the Workers=1
-			// run exactly. Exits (goal, budget) land at the same successor
-			// regardless of worker count or chunk boundaries. Kept nodes
-			// commit their expansion events and (fresh expansions only)
-			// enter the transition cache here, so journal and cache content
-			// are equally schedule-independent.
-			for i := lo; i < hi; i++ {
-				if exps[i-lo].err != nil {
-					return exps[i-lo].err
-				}
-				n := frontier[i]
-				ex := &exps[i-lo]
-				e.rec.Commit(ex.events)
-				if e.cache != nil {
-					e.cacheEntries++
-					if !ex.cached {
-						e.cache.put(n.state, ex.steps)
-					}
-				}
-				for _, st := range ex.steps {
-					stats.RuleFirings[st.Rule]++
-					mb.Record(telemetry.EvRuleFired, depth+1, st.Result.Hash(), st.Rule, 0)
-					if _, seen := visited[st.Result]; seen {
-						stats.DedupHits++
-						mb.Record(telemetry.EvDedup, depth+1, st.Result.Hash(), "", 0)
-						continue
-					}
-					visited[st.Result] = struct{}{}
-					if opts.MaxStates > 0 && res.StatesExplored >= opts.MaxStates {
-						res.Truncated = true
-						return nil
-					}
-					res.StatesExplored++
-					child := &node{state: st.Result, rule: st.Rule, parent: n}
-					if e.goalFn(st.Result) {
-						mb.Record(telemetry.EvGoalMatched, depth+1, st.Result.Hash(), "", int64(res.StatesExplored))
-						res.Found = true
-						res.Final = st.Result
-						res.Witness = child.witness()
-						return nil
-					}
-					nextFrontier = append(nextFrontier, child)
-				}
-			}
-			mb.Flush()
+			b.Flush()
 			if opts.StatsInterval > 0 {
 				progress()
 			}

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -63,7 +64,7 @@ func counter() *System {
 	}
 }
 
-// equivCase is one (system, query) pair the worker-count sweep replays.
+// equivCase is one (system, query) pair the equivalence tests replay.
 type equivCase struct {
 	name string
 	sys  *System
@@ -129,9 +130,9 @@ func witnessRules(w []Step) []string {
 	return out
 }
 
-// TestParallelEquivalence is the engine's core guarantee: any worker count
-// yields byte-identical results — verdict, witness, state count, and even
-// the statistics — because the merge replays the sequential algorithm.
+// TestParallelEquivalence: Options.Workers is ignored. Any value, huge ones
+// included, yields the Workers=1 result — verdict, witness, state count, and
+// every statistic but the wall-clock time.
 func TestParallelEquivalence(t *testing.T) {
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,10 +142,7 @@ func TestParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Counts past MaxWorkers run clamped to it; unclamped, 2^61
-			// overflowed the chunk size into a makeslice panic and 2^62
-			// into an endless spin on empty chunks.
-			for _, w := range []int{2, 4, 8, 1 << 61, 1 << 62} {
+			for _, w := range []int{0, 2, 4, 8, 1 << 61, 1 << 62} {
 				opts := tc.opts
 				opts.Workers = w
 				got, err := tc.sys.SearchContext(context.Background(), tc.init, tc.goal, opts)
@@ -164,12 +162,10 @@ func TestParallelEquivalence(t *testing.T) {
 				if ref.Found && !got.Final.Equal(ref.Final) {
 					t.Errorf("workers=%d: final state differs", w)
 				}
-				if got.Stats.DedupHits != ref.Stats.DedupHits ||
-					fmt.Sprint(got.Stats.Frontier) != fmt.Sprint(ref.Stats.Frontier) ||
-					fmt.Sprint(got.Stats.RuleFirings) != fmt.Sprint(ref.Stats.RuleFirings) {
-					t.Errorf("workers=%d: stats (dedup=%d frontier=%v firings=%v), want (%d %v %v)",
-						w, got.Stats.DedupHits, got.Stats.Frontier, got.Stats.RuleFirings,
-						ref.Stats.DedupHits, ref.Stats.Frontier, ref.Stats.RuleFirings)
+				g, r := got.Stats.Clone(), ref.Stats.Clone()
+				g.Elapsed, r.Elapsed = 0, 0
+				if !reflect.DeepEqual(g, r) {
+					t.Errorf("workers=%d: stats\n%+v\nwant\n%+v", w, g, r)
 				}
 			}
 		})
@@ -187,11 +183,11 @@ func TestSearchMatchesContext(t *testing.T) {
 			return countSym(b.Get("S"), "c") >= 1
 		},
 	}
-	old, err := s.Search(init, goal, Options{MaxDepth: 8, Workers: 1})
+	old, err := s.Search(init, goal, Options{MaxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	new_, err := s.SearchContext(context.Background(), init, goal, Options{MaxDepth: 8, Workers: 1})
+	new_, err := s.SearchContext(context.Background(), init, goal, Options{MaxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +200,7 @@ func TestSearchMatchesContext(t *testing.T) {
 }
 
 // TestBudgetExact pins the MaxStates contract: StatesExplored never exceeds
-// the budget, at any worker count, and the goal-match and enqueue paths
+// the budget, at any Workers setting, and the goal-match and enqueue paths
 // apply the same check.
 func TestBudgetExact(t *testing.T) {
 	goal := Goal{Pattern: cnt(-1)}
@@ -244,7 +240,7 @@ func TestSearchContextCancelled(t *testing.T) {
 
 // TestSearchContextDeadline: an expiring deadline stops an unbounded search
 // promptly — well within the 100ms the acceptance criterion allows — and
-// leaks no worker goroutines.
+// leaves no goroutine behind.
 func TestSearchContextDeadline(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -252,7 +248,7 @@ func TestSearchContextDeadline(t *testing.T) {
 
 	begun := time.Now()
 	res, err := counter().SearchContext(ctx, cnt(0),
-		Goal{Pattern: cnt(-1)}, Options{Workers: 8})
+		Goal{Pattern: cnt(-1)}, Options{})
 	took := time.Since(begun)
 	if err != nil {
 		t.Fatal(err)
@@ -264,14 +260,14 @@ func TestSearchContextDeadline(t *testing.T) {
 		t.Errorf("search returned %v after the 20ms deadline", took-20*time.Millisecond)
 	}
 
-	// Workers exit once they observe the cancelled context; give the
-	// scheduler a moment before declaring a leak.
+	// The search starts no goroutine; give the runtime's own (the context's
+	// timer) a moment before declaring a leak.
 	deadline := time.Now().Add(time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines before search, %d after — workers leaked", before, n)
+		t.Errorf("%d goroutines before search, %d after — goroutines leaked", before, n)
 	}
 }
 
@@ -283,7 +279,7 @@ func TestStatsAccounting(t *testing.T) {
 	res, err := tokens(4).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
 		Goal{Pattern: NewOp("nope")},
-		Options{Workers: 1, OnStats: func(st *SearchStats) { snapshots++ }})
+		Options{OnStats: func(st *SearchStats) { snapshots++ }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privanalyzer/internal/faultinject"
@@ -109,26 +108,26 @@ type engine struct {
 	comp  *CompiledRules
 	rp    *ruleProfiler
 
-	cacheEntries int64 // successor sets merged with a cache attached (memEstimate; merge goroutine only)
+	cacheEntries int64 // successor sets merged with a cache attached (memEstimate)
 
 	rec    *telemetry.Recorder // flight recorder; nil = recording off
 	search int32               // recorder search id (Recorder.BeginSearch)
 
 	// goalFn is the per-state goal predicate the search loops call — the
 	// goal pattern compiled with early exit when it fits the fragment,
-	// Goal.matches otherwise. Only the merge goroutine calls it, so it
-	// may close over unshared scratch. Set by SearchContext.
+	// Goal.matches otherwise. It may close over unshared scratch: a search
+	// runs on one goroutine. Set by SearchContext.
 	goalFn func(*Term) bool
 
 	faults       *faultinject.Plan  // fault-injection plan; nil = inject nothing
 	faultCancel  context.CancelFunc // cancels the search ctx for a CancelAtLevel fault
-	injCancelled bool               // a CancelAtLevel fault fired (written by the merge goroutine only)
+	injCancelled bool               // a CancelAtLevel fault fired
 
-	rulesSkipped    atomic.Int64 // rule attempts avoided by the index
-	subtreesPruned  atomic.Int64 // element positions below the root, never tried
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-	compiledMatches atomic.Int64 // rule attempts, all served by compiled matchers
+	rulesSkipped    int64 // rule attempts avoided by the index
+	subtreesPruned  int64 // element positions below the root, never tried
+	cacheHits       int64
+	cacheMisses     int64
+	compiledMatches int64 // rule attempts, all served by compiled matchers
 }
 
 // engine builds the successor engine for one search or Successors call, or
@@ -152,30 +151,28 @@ func (s *System) engine(opts Options, rp *ruleProfiler) (*engine, error) {
 // only, so cached keys are interned pointers.
 func (e *engine) successors(t *Term) []Step {
 	steps, cached := e.successorsFor(t, 0, nil)
-	if !cached {
-		e.cachePut(t, steps)
+	if !cached && e.cache != nil {
+		e.cache.put(t, steps)
 	}
 	return steps
 }
 
-// successorsFor is the search engines' successor path: like successors, but
-// cache insertion is left to the caller (cachePut), so the deterministic
-// merge — not the racing expansion workers — decides which expansions become
-// shared cache content, keeping later queries' hit/miss events a pure
-// function of the query. Cache-lookup and expansion events are recorded into
-// b (nil when recording is off). cached reports that steps came from the
-// transition cache and must not be re-inserted.
+// successorsFor is the search engine's successor path: like successors, but
+// cache insertion is left to the caller, which also counts the entry for the
+// memory watch. Cache-lookup and expansion events are recorded into b (nil
+// when recording is off). cached reports that steps came from the transition
+// cache and must not be re-inserted.
 func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, cached bool) {
 	if e.cache != nil {
 		if steps, ok := e.cache.get(t); ok {
-			e.cacheHits.Add(1)
+			e.cacheHits++
 			if b != nil {
 				b.Record(telemetry.EvCacheHit, depth, t.Hash(), "", 0)
 				b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
 			}
 			return steps, true
 		}
-		e.cacheMisses.Add(1)
+		e.cacheMisses++
 		if b != nil {
 			b.Record(telemetry.EvCacheMiss, depth, t.Hash(), "", 0)
 		}
@@ -187,14 +184,6 @@ func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps
 	return steps, false
 }
 
-// cachePut inserts an expanded successor set into the transition cache (no-op
-// without one). Split from successorsFor — see there for why.
-func (e *engine) cachePut(t *Term, steps []Step) {
-	if e.cache != nil {
-		e.cache.put(t, steps)
-	}
-}
-
 // first returns Successors(t)[0] without computing the rest: expansion stops
 // at the first emission, which the duplicate filter cannot have dropped (no
 // successor precedes it), so it is exactly the full expansion's first
@@ -202,7 +191,7 @@ func (e *engine) cachePut(t *Term, steps []Step) {
 func (e *engine) first(t *Term) (Step, bool) {
 	if e.cache != nil {
 		if steps, ok := e.cache.get(t); ok {
-			e.cacheHits.Add(1)
+			e.cacheHits++
 			if len(steps) == 0 {
 				return Step{}, false
 			}
@@ -271,9 +260,9 @@ func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) []
 		}
 	}
 	pruned := int64(len(t.Args))
-	e.rulesSkipped.Add(skipped)
-	e.subtreesPruned.Add(pruned)
-	e.compiledMatches.Add(compiled)
+	e.rulesSkipped += skipped
+	e.subtreesPruned += pruned
+	e.compiledMatches += compiled
 	if b != nil && pruned > 0 {
 		b.Record(telemetry.EvSubtreePruned, depth, t.Hash(), "", pruned)
 	}

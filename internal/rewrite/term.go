@@ -41,7 +41,7 @@ const (
 // Term is an immutable term. Construct terms with the helper functions and
 // never mutate fields after construction; the engine shares subterms freely.
 // String and Hash memoize their results atomically, so terms may be shared
-// between concurrent search workers. Always handle terms as *Term — the
+// between concurrent searches. Always handle terms as *Term — the
 // memo fields make the struct non-copyable.
 type Term struct {
 	Kind Kind

@@ -2,6 +2,7 @@ package rosa
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -76,8 +77,8 @@ func TestResultCarriesStats(t *testing.T) {
 	}
 }
 
-// TestQueryWorkersEquivalence: the promoted Workers knob changes nothing
-// observable about a query's outcome.
+// TestQueryWorkersEquivalence: the promoted Workers knob is ignored; it
+// changes nothing observable about a query's outcome or its statistics.
 func TestQueryWorkersEquivalence(t *testing.T) {
 	ref, err := workedExample().Run()
 	if err != nil {
@@ -95,6 +96,11 @@ func TestQueryWorkersEquivalence(t *testing.T) {
 			t.Errorf("workers=%d: (%s, %d states, %d-step witness), want (%s, %d, %d)",
 				w, res.Verdict, res.StatesExplored, len(res.Witness),
 				ref.Verdict, ref.StatesExplored, len(ref.Witness))
+		}
+		got, want := res.Stats.Clone(), ref.Stats.Clone()
+		got.Elapsed, want.Elapsed = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: stats\n%+v\nwant\n%+v", w, got, want)
 		}
 	}
 }

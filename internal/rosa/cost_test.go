@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// runWorked runs the worked example with the given worker count on a fresh
-// Checker, so the transition-cache counters count one cold search.
+// runWorked runs the worked example with the given Workers setting on a
+// fresh Checker, so the transition-cache counters count one cold search.
 func runWorked(t testing.TB, workers int) *Result {
 	t.Helper()
 	q := workedExample()
@@ -40,13 +40,10 @@ func costOf(r *Result) queryCost {
 }
 
 // TestQueryCostDeterminism pins a query's cost, as Result and its stats
-// report it, tier by tier. Elapsed is wall-clock: merely sanity-bounded. The
-// semantic counts (states explored, attempts, degradation) are
-// deterministic at every worker count — they describe the search, not its
-// schedule. The cache and match counters sit between: identical run to run
-// at Workers=1, but at Workers>1 two workers can race the same cache fill,
-// so those counters are only bounded below by the single-worker figures
-// (racing adds duplicate misses and matches, never removes work).
+// report it. Elapsed is wall-clock: merely sanity-bounded. Everything else —
+// states explored, attempts, degradation, and the cache and match counters —
+// is identical run to run at any Workers setting, which the engine ignores:
+// a search runs on one goroutine, so nothing races a cache fill.
 func TestQueryCostDeterminism(t *testing.T) {
 	first := runWorked(t, 1)
 	if first.Elapsed <= 0 {
@@ -64,17 +61,10 @@ func TestQueryCostDeterminism(t *testing.T) {
 	}
 
 	for run := 0; run < 3; run++ {
-		if got := costOf(runWorked(t, 1)); got != ref {
-			t.Errorf("workers=1 run=%d: cost diverged:\ngot  %+v\nwant %+v", run, got, ref)
-		}
-		c := costOf(runWorked(t, 4))
-		if c.states != ref.states || c.attempts != ref.attempts ||
-			c.degraded != ref.degraded || c.degradedAt != ref.degradedAt {
-			t.Errorf("workers=4 run=%d: semantic counts diverged:\ngot  %+v\nref  %+v", run, c, ref)
-		}
-		if c.cacheMisses < ref.cacheMisses || c.compiled+c.fallback < ref.compiled+ref.fallback {
-			t.Errorf("workers=4 run=%d: parallel run did less cache/match work than serial:\ngot  %+v\nref  %+v",
-				run, c, ref)
+		for _, w := range []int{1, 4} {
+			if got := costOf(runWorked(t, w)); got != ref {
+				t.Errorf("workers=%d run=%d: cost diverged:\ngot  %+v\nwant %+v", w, run, got, ref)
+			}
 		}
 	}
 }

@@ -59,9 +59,10 @@ func (v Verdict) metricName() string {
 // Query is one bounded model-checking question: from an initial
 // configuration of objects and syscall messages, can a state matching Goal
 // be reached? The embedded rewrite.Options is the single option surface
-// shared with the engine — MaxStates, MaxDepth, Workers, OnStats are all
-// promoted fields; the zero value is the default configuration (BFS, one
-// search worker per CPU). The only rosa-specific twist: MaxStates 0 means
+// shared with the engine — MaxStates, MaxDepth, OnStats, Recorder are all
+// promoted fields; the zero value is the default configuration (one
+// breadth-first search on the calling goroutine). The only rosa-specific
+// twist: MaxStates 0 means
 // DefaultMaxStates rather than unbounded, so every query has the paper's
 // timeout analogue.
 type Query struct {
@@ -109,7 +110,7 @@ type Result struct {
 	// per depth, per-rule firings, dedup rate).
 	Stats *rewrite.SearchStats
 	// Err records the search fault that forced an Unknown verdict — a
-	// *rewrite.SearchError from a recovered worker panic, a successor
+	// *rewrite.SearchError from a recovered expansion panic, a successor
 	// error, or an injected fault. Nil for clean verdicts, including clean
 	// budget/deadline Unknowns. The query-level API reports faults here
 	// rather than as a returned error so one poisoned query degrades to ⏱
@@ -155,7 +156,7 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 // system or the §X extended one): one search, bounded by MaxStates (0 means
 // DefaultMaxStates), Options.MemBudget and the context.
 //
-// Fault contract: a *rewrite.SearchError (worker panic, successor failure,
+// Fault contract: a *rewrite.SearchError (expansion panic, successor failure,
 // injected fault) yields (Result{Verdict: Unknown, Err: ...}, nil) — the
 // fault is data, not control flow, so callers running query grids keep
 // going. Only setup errors (a rule outside the compiled fragment) return a

@@ -29,7 +29,7 @@ var ErrQueryFile = errors.New("rosa: bad query file")
 //	goal: read 3
 //	maxstates: 100000
 //	extended: true
-//	workers: 4      # search workers per depth level (0 = one per CPU)
+//	workers: 4      # accepted and ignored; above 1024 is an error
 //
 // Terms use the functional syntax of rewrite.ParseTerm; capability-set
 // message arguments are the Set bit patterns (caps.Set values). Goals:
@@ -101,7 +101,6 @@ func ParseQuery(src string) (*Query, error) {
 			if n > rewrite.MaxWorkers {
 				return nil, errf("bad workers: %d exceeds the maximum of %d", n, rewrite.MaxWorkers)
 			}
-			q.Workers = n
 			continue
 		}
 

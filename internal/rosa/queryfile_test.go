@@ -117,8 +117,8 @@ maxdepth: 7
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Workers != 4 {
-		t.Errorf("Workers = %d, want 4", q.Workers)
+	if q.Workers != 0 { // accepted for compatibility, then ignored
+		t.Errorf("Workers = %d, want the directive ignored", q.Workers)
 	}
 	if q.MaxDepth != 7 {
 		t.Errorf("MaxDepth = %d, want 7", q.MaxDepth)

@@ -3,7 +3,7 @@ package telemetry
 import "sync"
 
 // EventSink is the live fan-out half of the flight recorder: where the
-// per-worker rings retain a journal for post-hoc analysis (-explain, trace
+// ring retains a journal for post-hoc analysis (-explain, trace
 // export), a sink forwards committed events to subscribers as they happen —
 // the feed privanalyzerd's SSE job streams are built on.
 //

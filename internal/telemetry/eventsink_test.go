@@ -145,7 +145,7 @@ func TestRecorderSinkForwarding(t *testing.T) {
 	sub := sink.Subscribe(0)
 
 	search := rec.BeginSearch()
-	buf := rec.Buf(search, 0)
+	buf := rec.Buf(search)
 	buf.Record(EvLevelStart, 0, 0, "", 1)       // filtered out
 	buf.Record(EvGoalMatched, 3, 0xabc, "", 42) // forwarded
 	buf.Flush()
@@ -180,7 +180,7 @@ func TestRecorderSetSinkAllKinds(t *testing.T) {
 	sink := NewEventSink()
 	rec.SetSink(sink) // no filter: every kind forwards
 	sub := sink.Subscribe(0)
-	buf := rec.Buf(rec.BeginSearch(), 0)
+	buf := rec.Buf(rec.BeginSearch())
 	buf.Record(EvCacheHit, 1, 1, "", 0)
 	buf.Record(EvRuleFired, 1, 2, "open", 0)
 	buf.Flush()

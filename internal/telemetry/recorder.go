@@ -10,9 +10,9 @@ import (
 // This file is the search flight recorder: an event-level journal of what a
 // bounded search did, in contrast to the aggregate view of the metrics
 // registry. Where a Counter answers "how many cache hits", the recorder
-// answers "which state hit the cache, at what depth, on which worker, when" —
-// the record `rosa -explain` joins witnesses against and the per-worker
-// tracks of the Chrome Trace export.
+// answers "which state hit the cache, at what depth, in which search, when" —
+// the record `rosa -explain` joins witnesses against and the search-event
+// track of the Chrome Trace export.
 //
 // The design constraints mirror the registry's:
 //
@@ -20,24 +20,22 @@ import (
 //     is a no-op, so the search engine records unconditionally and pays one
 //     nil check per hook when no recorder is attached (pinned by
 //     BenchmarkRecorder alongside BenchmarkTelemetry).
-//   - Lock-free on the hot path. Events produced during a concurrent frontier
-//     expansion go into an EventBuf — a plain local slice, stamped with
-//     monotonic time and the expanding worker's id — and are committed to the
-//     per-worker ring buffers later, in bulk, by the search's merge goroutine.
-//     The recorder's one mutex is taken once per committed batch (one chunk
-//     of frontier nodes), never per event.
-//   - Bounded memory. Each worker's ring holds at most Capacity events;
-//     older events are overwritten, flight-recorder style, and the overwrite
-//     count is reported by Dropped.
+//   - Lock-free on the hot path. A search records into an EventBuf — a plain
+//     local slice, stamped with monotonic time — and commits it to the ring
+//     in bulk, once per expanded frontier node. The recorder's one mutex,
+//     which concurrent searches sharing the recorder contend on, is taken
+//     once per committed batch, never per event.
+//   - Bounded memory. The ring holds at most Capacity events; older events
+//     are overwritten, flight-recorder style, and the overwrite count is
+//     reported by Dropped.
 //
-// Determinism: because expansion events are buffered per frontier node and
-// committed only when the deterministic merge processes that node, the
-// journal's event content is a pure function of the query — identical at any
-// Workers setting — as long as no ring overflowed. (Expansions racing past an
-// early exit are discarded with their node, exactly like their successor
-// sets; which ring an event lands in, and its timestamp, still reflect the
-// real schedule.) TestRecorderGridDeterminism in internal/core enforces this
-// over the full program×phase×attack grid.
+// Determinism: a search runs on one goroutine and records its events in the
+// order it does the work, so each search's event sequence — everything but
+// the timestamps — is a pure function of the query, as long as the ring did
+// not overflow. Concurrent searches sharing a recorder interleave in the
+// ring, and draw their search ids, in schedule order.
+// TestRecorderGridDeterminism in internal/core enforces this over the full
+// program×phase×attack grid.
 
 // EventKind discriminates recorder events.
 type EventKind uint8
@@ -121,20 +119,17 @@ type Event struct {
 	// EvLevelStart/EvStateExpanded/EvCacheHit/EvCacheMiss/EvSubtreePruned,
 	// the generated state's depth for EvRuleFired/EvDedup/EvGoalMatched.
 	Depth int32
-	// Worker is the expansion worker that produced the event (0 for the
-	// merge goroutine's own events).
-	Worker int32
 	// Kind discriminates the event.
 	Kind EventKind
 }
 
-// DefaultRecorderCapacity is the per-worker ring size used when NewRecorder
+// DefaultRecorderCapacity is the ring size used when NewRecorder
 // is given capacity 0: large enough to hold every event of any single
 // Figure 5-11 grid query, small enough (~15 MB fully loaded) to leave on for
 // long runs.
 const DefaultRecorderCapacity = 1 << 18
 
-// ring is one worker's fixed-capacity event buffer. Oldest events are
+// ring is the recorder's fixed-capacity event buffer. Oldest events are
 // overwritten once n exceeds the capacity.
 type ring struct {
 	buf []Event
@@ -163,8 +158,8 @@ func (rg *ring) events(capacity int) []Event {
 	return out
 }
 
-// Recorder is the search flight recorder: per-worker rings of typed events
-// plus the epoch their timestamps count from. A nil *Recorder is a valid
+// Recorder is the search flight recorder: a ring of typed events plus the
+// epoch their timestamps count from. A nil *Recorder is a valid
 // no-op sink, like a nil *Registry.
 type Recorder struct {
 	epoch    time.Time
@@ -172,9 +167,8 @@ type Recorder struct {
 
 	searchSeq atomic.Int32
 
-	mu      sync.Mutex
-	rings   map[int32]*ring
-	dropped int64
+	mu   sync.Mutex
+	ring ring
 
 	// Live fan-out: committed events whose kind is in sinkKeep are also
 	// published to sink, for SSE job streams and other subscribers. Both
@@ -184,15 +178,15 @@ type Recorder struct {
 	sinkKeep uint64 // bitmask over EventKind
 }
 
-// NewRecorder returns a recorder whose per-worker rings retain up to
-// capacity events each (0 means DefaultRecorderCapacity). Ring storage is
-// grown lazily, so a recorder on a small search costs what the search
-// records, not the capacity.
+// NewRecorder returns a recorder whose ring retains up to capacity events
+// (0 means DefaultRecorderCapacity). Ring storage is grown lazily, so a
+// recorder on a small search costs what the search records, not the
+// capacity.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultRecorderCapacity
 	}
-	return &Recorder{epoch: time.Now(), capacity: capacity, rings: make(map[int32]*ring)}
+	return &Recorder{epoch: time.Now(), capacity: capacity}
 }
 
 // Enabled reports whether events will be retained (false on nil).
@@ -216,36 +210,25 @@ func (r *Recorder) BeginSearch() int32 {
 	return r.searchSeq.Add(1)
 }
 
-// Buf returns a fresh event buffer stamping events with the given search and
-// worker ids. Returns nil (a valid no-op buffer) on a nil recorder.
-func (r *Recorder) Buf(search int32, worker int) *EventBuf {
+// Buf returns a fresh event buffer stamping events with the given search
+// id. Returns nil (a valid no-op buffer) on a nil recorder.
+func (r *Recorder) Buf(search int32) *EventBuf {
 	if r == nil {
 		return nil
 	}
-	return &EventBuf{rec: r, search: search, worker: int32(worker)}
+	return &EventBuf{rec: r, search: search}
 }
 
-// Commit appends pre-stamped events to their workers' rings, and forwards
-// the kinds selected by SetSink to the live sink. Callers must not commit
-// concurrently for the same recorder from the hot path — the search engine
-// commits from its merge goroutine only — but distinct searches sharing a
-// recorder may commit concurrently (the mutex makes that safe, at batch
-// granularity).
+// Commit appends pre-stamped events to the ring, and forwards the kinds
+// selected by SetSink to the live sink. Distinct searches sharing a recorder
+// may commit concurrently (the mutex makes that safe, at batch granularity).
 func (r *Recorder) Commit(evs []Event) {
 	if r == nil || len(evs) == 0 {
 		return
 	}
 	r.mu.Lock()
 	for _, ev := range evs {
-		rg := r.rings[ev.Worker]
-		if rg == nil {
-			rg = &ring{}
-			r.rings[ev.Worker] = rg
-		}
-		if rg.n >= int64(r.capacity) {
-			r.dropped++
-		}
-		rg.append(ev, r.capacity)
+		r.ring.append(ev, r.capacity)
 	}
 	sink, keep := r.sink, r.sinkKeep
 	r.mu.Unlock()
@@ -296,76 +279,51 @@ func (r *Recorder) CommitEvent(kind EventKind, search int32, depth int, hash uin
 		Rule:   rule,
 		Search: search,
 		Depth:  int32(depth),
-		Worker: 0,
 		Kind:   kind,
 	}})
 }
 
 // Dropped returns how many events were overwritten by ring wrap-around — the
 // flight recorder's truncation indicator. A non-zero value means the journal
-// holds the most recent events only (and the cross-worker determinism
-// guarantee no longer applies, since which ring overflowed depends on the
-// schedule). Returns 0 on nil.
+// holds the most recent events only (and the determinism guarantee no longer
+// applies, since which events were overwritten depends on how concurrent
+// searches interleaved). Returns 0 on nil.
 func (r *Recorder) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return max(0, r.ring.n-int64(r.capacity))
 }
 
-// Workers returns the worker ids that recorded at least one event, sorted.
-func (r *Recorder) Workers() []int {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.rings))
-	for id := range r.rings {
-		out = append(out, int(id))
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Journal drains the rings into one merged journal, ordered by timestamp
-// (ties broken by search, then worker — a stable total order for any one
-// capture). The rings are left untouched; Journal may be called repeatedly
-// and mid-run. Returns nil on a nil recorder.
+// Journal copies the ring into one journal ordered by timestamp, ties
+// broken by search id; a search's own events keep the order it recorded
+// them in. The ring is left untouched; Journal may be called repeatedly and
+// mid-run. Returns nil on a nil recorder.
 func (r *Recorder) Journal() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	var out []Event
-	for _, rg := range r.rings {
-		out = append(out, rg.events(r.capacity)...)
-	}
+	out := r.ring.events(r.capacity)
 	r.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].T != out[j].T {
 			return out[i].T < out[j].T
 		}
-		if out[i].Search != out[j].Search {
-			return out[i].Search < out[j].Search
-		}
-		return out[i].Worker < out[j].Worker
+		return out[i].Search < out[j].Search
 	})
 	return out
 }
 
-// EventBuf collects events off the journal during one unit of concurrent
-// work (the expansion of one frontier node, or a merge goroutine's running
-// batch). Record is the recorder's hot path: one monotonic clock read and a
-// local append, no locks, no sharing. The buffered events reach the rings
-// when the owner calls Flush (or hands Take's result to Recorder.Commit) —
-// which the search engine does only for work the deterministic merge kept.
+// EventBuf collects one search's events off the journal. Record is the
+// recorder's hot path: one monotonic clock read and a local append, no
+// locks, no sharing. The buffered events reach the ring when the owner calls
+// Flush.
 type EventBuf struct {
 	rec    *Recorder
 	search int32
-	worker int32
 	evs    []Event
 }
 
@@ -381,7 +339,6 @@ func (b *EventBuf) Record(kind EventKind, depth int, hash uint64, rule string, n
 		Rule:   rule,
 		Search: b.search,
 		Depth:  int32(depth),
-		Worker: b.worker,
 		Kind:   kind,
 	})
 }
@@ -394,19 +351,7 @@ func (b *EventBuf) Len() int {
 	return len(b.evs)
 }
 
-// Take returns the buffered events and resets the buffer, without
-// committing. The caller decides whether the events reach the journal
-// (Recorder.Commit) or die with a discarded expansion. Nil-safe.
-func (b *EventBuf) Take() []Event {
-	if b == nil {
-		return nil
-	}
-	evs := b.evs
-	b.evs = nil
-	return evs
-}
-
-// Flush commits the buffered events to the rings and resets the buffer.
+// Flush commits the buffered events to the ring and resets the buffer.
 // Nil-safe.
 func (b *EventBuf) Flush() {
 	if b == nil || len(b.evs) == 0 {

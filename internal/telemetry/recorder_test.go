@@ -16,7 +16,7 @@ func TestRecorderNil(t *testing.T) {
 	if got := r.BeginSearch(); got != 0 {
 		t.Errorf("nil BeginSearch = %d, want 0", got)
 	}
-	b := r.Buf(1, 2)
+	b := r.Buf(1)
 	if b != nil {
 		t.Fatalf("nil recorder Buf = %v, want nil", b)
 	}
@@ -24,16 +24,13 @@ func TestRecorderNil(t *testing.T) {
 	if b.Len() != 0 {
 		t.Error("nil buffer retained an event")
 	}
-	if evs := b.Take(); evs != nil {
-		t.Errorf("nil Take = %v, want nil", evs)
-	}
 	b.Flush()
 	r.Commit([]Event{{Kind: EvDedup}})
 	if j := r.Journal(); j != nil {
 		t.Errorf("nil Journal = %v, want nil", j)
 	}
-	if r.Dropped() != 0 || r.Workers() != nil {
-		t.Error("nil Dropped/Workers must read zero")
+	if r.Dropped() != 0 {
+		t.Error("nil Dropped must read zero")
 	}
 	if !r.Epoch().IsZero() {
 		t.Error("nil Epoch must be the zero time")
@@ -53,27 +50,26 @@ func TestRecorderBufferedCommit(t *testing.T) {
 		t.Error("search ids must be sequential")
 	}
 
-	b := r.Buf(s, 3)
+	b := r.Buf(s)
 	b.Record(EvLevelStart, 0, 0, "", 5)
 	b.Record(EvRuleFired, 1, 0xabc, "chown", 0)
 	if b.Len() != 2 {
 		t.Fatalf("buffered %d events, want 2", b.Len())
 	}
-	// Nothing reaches the journal until the owner commits.
+	// Nothing reaches the journal until the owner flushes.
 	if len(r.Journal()) != 0 {
 		t.Fatal("events visible before commit")
 	}
-	evs := b.Take()
-	if len(evs) != 2 || b.Len() != 0 {
-		t.Fatalf("Take returned %d events, buffer kept %d", len(evs), b.Len())
+	b.Flush()
+	if b.Len() != 0 {
+		t.Fatalf("Flush left %d events in the buffer", b.Len())
 	}
-	r.Commit(evs)
 
 	j := r.Journal()
 	if len(j) != 2 {
 		t.Fatalf("journal has %d events, want 2", len(j))
 	}
-	if j[0].Kind != EvLevelStart || j[0].N != 5 || j[0].Search != s || j[0].Worker != 3 {
+	if j[0].Kind != EvLevelStart || j[0].N != 5 || j[0].Search != s {
 		t.Errorf("first event = %+v", j[0])
 	}
 	if j[1].Kind != EvRuleFired || j[1].Hash != 0xabc || j[1].Rule != "chown" || j[1].Depth != 1 {
@@ -82,15 +78,12 @@ func TestRecorderBufferedCommit(t *testing.T) {
 	if j[0].T > j[1].T {
 		t.Error("timestamps not monotone within one buffer")
 	}
-	if got := r.Workers(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Workers = %v, want [3]", got)
-	}
 }
 
 func TestRecorderRingWrap(t *testing.T) {
 	const capacity = 4
 	r := NewRecorder(capacity)
-	b := r.Buf(r.BeginSearch(), 0)
+	b := r.Buf(r.BeginSearch())
 	for i := 0; i < 10; i++ {
 		b.Record(EvDedup, i, uint64(i), "", 0)
 	}
@@ -111,37 +104,38 @@ func TestRecorderRingWrap(t *testing.T) {
 	}
 }
 
-// TestRecorderJournalOrder pins the merged journal's total order: timestamp,
-// then search id, then worker id.
+// TestRecorderJournalOrder pins the journal's order: timestamp, then search
+// id, then commit order — a search's own events keep the order it recorded
+// them in.
 func TestRecorderJournalOrder(t *testing.T) {
 	r := NewRecorder(0)
 	r.Commit([]Event{
-		{T: 30, Search: 1, Worker: 2, Kind: EvDedup},
-		{T: 10, Search: 2, Worker: 1, Kind: EvDedup},
-		{T: 10, Search: 1, Worker: 3, Kind: EvDedup},
-		{T: 10, Search: 1, Worker: 0, Kind: EvDedup},
-		{T: 20, Search: 1, Worker: 1, Kind: EvDedup},
+		{T: 30, Search: 1, Hash: 1, Kind: EvDedup},
+		{T: 10, Search: 2, Hash: 2, Kind: EvDedup},
+		{T: 10, Search: 1, Hash: 3, Kind: EvDedup},
+		{T: 10, Search: 1, Hash: 4, Kind: EvDedup},
+		{T: 20, Search: 1, Hash: 5, Kind: EvDedup},
 	})
 	j := r.Journal()
 	want := []struct {
 		t      int64
 		search int32
-		worker int32
+		hash   uint64
 	}{
-		{10, 1, 0}, {10, 1, 3}, {10, 2, 1}, {20, 1, 1}, {30, 1, 2},
+		{10, 1, 3}, {10, 1, 4}, {10, 2, 2}, {20, 1, 5}, {30, 1, 1},
 	}
 	if len(j) != len(want) {
 		t.Fatalf("journal has %d events, want %d", len(j), len(want))
 	}
 	for i, w := range want {
-		if j[i].T != w.t || j[i].Search != w.search || j[i].Worker != w.worker {
-			t.Errorf("journal[%d] = (T=%d, S=%d, W=%d), want (%d, %d, %d)",
-				i, j[i].T, j[i].Search, j[i].Worker, w.t, w.search, w.worker)
+		if j[i].T != w.t || j[i].Search != w.search || j[i].Hash != w.hash {
+			t.Errorf("journal[%d] = (T=%d, S=%d, H=%d), want (%d, %d, %d)",
+				i, j[i].T, j[i].Search, j[i].Hash, w.t, w.search, w.hash)
 		}
 	}
 	// Journal is a non-destructive drain: a second call sees the same events.
 	if len(r.Journal()) != len(want) {
-		t.Error("Journal drained the rings")
+		t.Error("Journal drained the ring")
 	}
 }
 
@@ -150,7 +144,7 @@ func TestRecorderEpoch(t *testing.T) {
 	if time.Since(r.Epoch()) < 0 || time.Since(r.Epoch()) > time.Minute {
 		t.Errorf("epoch %v not near now", r.Epoch())
 	}
-	b := r.Buf(r.BeginSearch(), 0)
+	b := r.Buf(r.BeginSearch())
 	b.Record(EvLevelStart, 0, 0, "", 1)
 	b.Flush()
 	if j := r.Journal(); j[0].T < 0 {

@@ -9,16 +9,16 @@ import (
 	"time"
 )
 
-// Chrome Trace Event export: the whole capture — span tree, per-worker
-// flight-recorder event tracks, and counter tracks — as one trace.json
+// Chrome Trace Event export: the whole capture — span tree, the
+// flight-recorder event track, and counter tracks — as one trace.json
 // loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. The format is
 // the JSON-object form of the Trace Event specification: a "traceEvents"
 // array of complete ("X"), instant ("i"), counter ("C"), and metadata ("M")
 // events with microsecond timestamps.
 //
 // Track layout: tids 0..L-1 carry the span tree on L lanes (spanLanes: a
-// viewer nests a track's "X" events by time containment); tid L+w carries
-// worker w's recorder events as instants; counter tracks render above.
+// viewer nests a track's "X" events by time containment); tid L carries the
+// recorder's events as instants; counter tracks render above.
 
 // CounterSample is one timestamped multi-series counter observation; each
 // Values key becomes a stacked series of the track.
@@ -53,8 +53,8 @@ type traceFile struct {
 }
 
 // WriteTrace renders the combined capture as Chrome Trace Event JSON: the
-// registry's spans (nil registry: none), the recorder's per-worker event
-// tracks (nil recorder: none), and the given counter tracks. Timestamps are
+// registry's spans (nil registry: none), the recorder's event track (nil
+// recorder: none), and the given counter tracks. Timestamps are
 // rebased so the earliest event sits at ts 0.
 func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTrack) error {
 	var events []traceEvent
@@ -84,7 +84,7 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 	}
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
 
-	// Thread metadata: name the span track and each worker track.
+	// Thread metadata: name the span tracks and the search-event track.
 	meta := func(name string, tid int, value string) traceEvent {
 		return traceEvent{Name: name, Ph: "M", PID: 1, TID: tid,
 			Args: map[string]any{"name": value}}
@@ -100,9 +100,9 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 		events = append(events, traceEvent{Name: "process_labels", Ph: "M", PID: 1, TID: 0,
 			Args: map[string]any{"labels": "recorder dropped " + strconv.FormatInt(d, 10) + " events"}})
 	}
-	for _, wk := range rec.Workers() {
-		events = append(events, meta("thread_name", nlanes+wk,
-			"search worker "+strconv.Itoa(wk)))
+	journal := rec.Journal()
+	if len(journal) > 0 {
+		events = append(events, meta("thread_name", nlanes, "search events"))
 	}
 
 	// Spans as complete events on their lanes' tids.
@@ -121,31 +121,29 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 		})
 	}
 
-	// Recorder events as thread-scoped instants on the worker tracks.
-	if rec != nil {
-		epoch := rec.Epoch().UnixNano()
-		for _, ev := range rec.Journal() {
-			name := ev.Kind.String()
-			if ev.Rule != "" {
-				name += ":" + ev.Rule
-			}
-			args := map[string]any{
-				"search": ev.Search,
-				"depth":  ev.Depth,
-			}
-			if ev.Hash != 0 {
-				// Hex string: uint64 exceeds JSON's exact-integer range.
-				args["state"] = fmt.Sprintf("%016x", ev.Hash)
-			}
-			if ev.N != 0 {
-				args["n"] = ev.N
-			}
-			events = append(events, traceEvent{
-				Name: name, Ph: "i", S: "t",
-				TS:  us(epoch + ev.T),
-				PID: 1, TID: nlanes + int(ev.Worker), Args: args,
-			})
+	// Recorder events as thread-scoped instants on the search-event track.
+	epoch := rec.Epoch().UnixNano()
+	for _, ev := range journal {
+		name := ev.Kind.String()
+		if ev.Rule != "" {
+			name += ":" + ev.Rule
 		}
+		args := map[string]any{
+			"search": ev.Search,
+			"depth":  ev.Depth,
+		}
+		if ev.Hash != 0 {
+			// Hex string: uint64 exceeds JSON's exact-integer range.
+			args["state"] = fmt.Sprintf("%016x", ev.Hash)
+		}
+		if ev.N != 0 {
+			args["n"] = ev.N
+		}
+		events = append(events, traceEvent{
+			Name: name, Ph: "i", S: "t",
+			TS:  us(epoch + ev.T),
+			PID: 1, TID: nlanes, Args: args,
+		})
 	}
 
 	// Counter tracks.

@@ -33,8 +33,9 @@ func decodeTrace(t *testing.T, data []byte) (events []map[string]any, unit strin
 }
 
 // TestWriteTraceJSON is the format contract for the combined export: spans as
-// complete events, recorder events as thread-scoped instants on worker
-// tracks, counter samples, and thread metadata sorted first.
+// complete events, recorder events as thread-scoped instants on the one
+// search-event track (whatever search recorded them), counter samples, and
+// thread metadata sorted first.
 func TestWriteTraceJSON(t *testing.T) {
 	reg := New()
 	ctx := NewContext(context.Background(), reg)
@@ -42,12 +43,11 @@ func TestWriteTraceJSON(t *testing.T) {
 	sp.End()
 
 	rec := NewRecorder(0)
-	s := rec.BeginSearch()
-	b0 := rec.Buf(s, 0)
+	b0 := rec.Buf(rec.BeginSearch())
 	b0.Record(EvLevelStart, 0, 0, "", 1)
 	b0.Record(EvGoalMatched, 2, 0xdeadbeef, "", 384)
 	b0.Flush()
-	b1 := rec.Buf(s, 1)
+	b1 := rec.Buf(rec.BeginSearch())
 	b1.Record(EvRuleFired, 1, 0xabc, "chown", 0)
 	b1.Flush()
 
@@ -88,7 +88,7 @@ func TestWriteTraceJSON(t *testing.T) {
 	}
 
 	// Metadata first (viewers apply track names before content), and one
-	// thread_name per worker track.
+	// thread_name for the search-event track.
 	for i, ev := range events {
 		if ev["ph"] == "M" && i > 0 && events[i-1]["ph"] != "M" {
 			t.Error("metadata events not sorted before content events")
@@ -102,10 +102,13 @@ func TestWriteTraceJSON(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"pipeline (spans)", "search worker 0", "search worker 1"} {
+	for _, want := range []string{"pipeline (spans)", "search events"} {
 		if !names[want] {
 			t.Errorf("missing thread/process name %q in %v", want, names)
 		}
+	}
+	if len(names) != 3 { // privanalyzer, pipeline (spans), search events
+		t.Errorf("thread/process names %v, want one search-event track", names)
 	}
 
 	// Rule-firing instants carry the rule in the name and the state hash as a
@@ -126,8 +129,10 @@ func TestWriteTraceJSON(t *testing.T) {
 	if got, _ := args["state"].(string); got != "0000000000000abc" {
 		t.Errorf("state hash = %q, want 0000000000000abc", got)
 	}
-	if tid, _ := fired["tid"].(float64); tid != 2 {
-		t.Errorf("worker 1 instant on tid %v, want 2", fired["tid"])
+	for _, ev := range byPhase["i"] {
+		if tid, _ := ev["tid"].(float64); tid != 1 {
+			t.Errorf("%v instant on tid %v, want the search-event track's 1", ev["name"], ev["tid"])
+		}
 	}
 }
 
@@ -151,8 +156,8 @@ func TestWriteTraceEmpty(t *testing.T) {
 
 // TestWriteTraceLanes: two concurrent children of one span overlap without
 // nesting, so they cannot share a track. The first stays on its parent's
-// track (tid 0), the second moves to a lane of its own, and the worker
-// tracks follow the span lanes.
+// track (tid 0), the second moves to a lane of its own, and the
+// search-event track follows the span lanes.
 func TestWriteTraceLanes(t *testing.T) {
 	reg := New()
 	ctx := NewContext(context.Background(), reg)
@@ -167,7 +172,7 @@ func TestWriteTraceLanes(t *testing.T) {
 	root.End()
 
 	rec := NewRecorder(0)
-	b := rec.Buf(rec.BeginSearch(), 0)
+	b := rec.Buf(rec.BeginSearch())
 	b.Record(EvLevelStart, 0, 0, "", 1)
 	b.Flush()
 
@@ -187,10 +192,10 @@ func TestWriteTraceLanes(t *testing.T) {
 			}
 			tids[name] = tid
 		case "i":
-			tids["worker 0"] = tid
+			tids["search events"] = tid
 		}
 	}
-	want := map[string]float64{"analyze": 0, "rosa.query 1": 0, "rosa.query 2": 1, "worker 0": 2}
+	want := map[string]float64{"analyze": 0, "rosa.query 1": 0, "rosa.query 2": 1, "search events": 2}
 	for name, tid := range want {
 		if got, ok := tids[name]; !ok || got != tid {
 			t.Errorf("%s on tid %v (present %v), want %v", name, got, ok, tid)
