@@ -25,10 +25,10 @@ test-short:
 test-race:
 	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/ ./cmd/privanalyzer/
 
-# Fault-injection suites under the race detector: panic isolation,
-# memory degradation, and the cmd-level signal plumbing (DESIGN.md §9).
+# Fault-injection suites under the race detector: panic isolation and
+# the cmd-level signal plumbing (DESIGN.md §9).
 test-chaos:
-	$(GO) test -race -run 'Chaos|Fault|Degrad|Panic|Cancel|Signal|Shed|Latency|Compile' \
+	$(GO) test -race -run 'Chaos|Fault|Panic|Cancel|Signal|Latency|Compile' \
 		./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/cmdutil/
 
 # Serving-layer chaos under the race detector: injected handler panics

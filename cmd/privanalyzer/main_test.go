@@ -88,6 +88,10 @@ func TestRunErrors(t *testing.T) {
 	if _, code := capture(t, func() int { return run([]string{"-program", "su", "-workers", "1"}) }); code != 2 {
 		t.Errorf("-workers exit = %d, want 2 (unknown flag)", code)
 	}
+	// -mem-budget set the retired memory-budget ladder; it is unknown now.
+	if _, code := capture(t, func() int { return run([]string{"-program", "su", "-mem-budget", "1"}) }); code != 2 {
+		t.Errorf("-mem-budget exit = %d, want 2 (unknown flag)", code)
+	}
 }
 
 func TestRunDiff(t *testing.T) {

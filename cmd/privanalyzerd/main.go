@@ -8,7 +8,7 @@
 //	privanalyzerd                         # serve on 127.0.0.1:7177
 //	privanalyzerd -addr :7177             # all interfaces
 //	privanalyzerd -concurrency 4 -queue 32
-//	privanalyzerd -budget 100000 -mem-budget 67108864  # server-side search defaults
+//	privanalyzerd -budget 100000          # server-side search default
 //	privanalyzerd -timeout 30s            # default per-request wall clock
 //	privanalyzerd -max-deadline 30s       # cap every request's deadline_ms
 //
@@ -25,7 +25,7 @@
 //	GET  /v1/version          the binary's build identity
 //	GET  /healthz /readyz /metrics /debug/pprof/...
 //
-// The search knobs (-budget, -mem-budget, -timeout, -stats) are
+// The search knobs (-budget, -timeout, -stats) are
 // the same flags the CLIs take and set server-side defaults; each
 // request's search params override them per field. Overload has one
 // answer: when -queue requests are already waiting, the next is refused

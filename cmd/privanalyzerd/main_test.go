@@ -108,7 +108,7 @@ func TestDaemonFlagValidation(t *testing.T) {
 	// The queue bound is the daemon's one overload knob and -budget its one
 	// state bound; other shedding and budget flags are unknown and fail
 	// boot like any typo.
-	for _, args := range [][]string{{"-brownout", "q=48"}, {"-max-queue", "1ms"}, {"-escalate", "off"}} {
+	for _, args := range [][]string{{"-brownout", "q=48"}, {"-max-queue", "1ms"}, {"-escalate", "off"}, {"-mem-budget", "67108864"}} {
 		if code := run(args, nil); code != 2 {
 			t.Errorf("unknown flag %s exit = %d, want 2", args[0], code)
 		}

@@ -262,9 +262,9 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	ctx, stopSignals := cmdutil.SignalContext(ctx)
 	defer stopSignals()
 	sp, ctx := telemetry.StartSpan(ctx, "rosa.query", "query", what)
-	// A Checker, as privanalyzerd runs /v1/query: its transition cache is
-	// part of what -mem-budget charges, so the flag and the mem_budget
-	// request field stop the same query at the same point.
+	// A Checker, as privanalyzerd runs /v1/query: the query takes the served
+	// path, transition cache included, so -stats reads the cache counters a
+	// /v1/query response with "stats" reports for the same query.
 	res, err := rosa.NewChecker().Run(ctx, q)
 	if progressShown {
 		fmt.Fprintln(os.Stderr)
@@ -280,9 +280,6 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	fmt.Printf("verdict: %s  (%d states explored in %s)\n", res.Verdict, res.StatesExplored, res.Elapsed)
 	if res.Err != nil {
 		fmt.Printf("search fault (isolated, verdict ⏱): %v\n", res.Err)
-	}
-	if res.Degraded {
-		fmt.Printf("memory budget exhausted: search degraded, partial statistics below\n")
 	}
 	if res.Verdict == rosa.Vulnerable {
 		fmt.Printf("\nwitness (attack syscall sequence):\n%s", rewrite.FormatWitness(res.Witness))

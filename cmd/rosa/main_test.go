@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"privanalyzer/internal/api"
 	"privanalyzer/internal/rosa"
 )
 
@@ -314,35 +311,6 @@ func TestRunBudgetStarved(t *testing.T) {
 	}
 }
 
-// TestRunMemBudgetAsServed: -mem-budget stops a query where the same
-// mem_budget stops it on /v1/query (a built request run on a Checker), at
-// budgets on both sides of the worked example's degradation point.
-func TestRunMemBudgetAsServed(t *testing.T) {
-	const queryFile = "../../testdata/figure2.rosa"
-	src, err := os.ReadFile(queryFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int64{600, 1000, 1500, 3000} {
-		req := api.QueryRequest{Source: string(src), Search: api.SearchParams{MemBudget: n}}
-		q, _, err := req.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rosa.NewChecker().Run(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("verdict: %s  (%d states explored", res.Verdict, res.StatesExplored)
-		out, code := capture(t, func() int {
-			return run([]string{"-query", queryFile, "-mem-budget", strconv.FormatInt(n, 10)})
-		})
-		if code != 0 || !strings.Contains(out, want) {
-			t.Errorf("-mem-budget %d: exit %d, want %q as served:\n%s", n, code, want, out)
-		}
-	}
-}
-
 // witness extracts the witness block for comparison across runs.
 func witness(out string) string {
 	i := strings.Index(out, "witness (attack syscall sequence):")
@@ -359,6 +327,17 @@ func TestRunEscalateFlag(t *testing.T) {
 		out, code := capture(t, func() int { return run([]string{"-example", "-escalate", v}) })
 		if code != 2 {
 			t.Errorf("-escalate %s exit = %d, want 2 (unknown flag)\n%s", v, code, out)
+		}
+	}
+}
+
+// TestRunMemBudgetFlag: -mem-budget set the retired memory-budget ladder;
+// -budget is a search's one state bound now, and the flag is unknown.
+func TestRunMemBudgetFlag(t *testing.T) {
+	for _, v := range []string{"1", "30000"} {
+		out, code := capture(t, func() int { return run([]string{"-example", "-mem-budget", v}) })
+		if code != 2 {
+			t.Errorf("-mem-budget %s exit = %d, want 2 (unknown flag)\n%s", v, code, out)
 		}
 	}
 }

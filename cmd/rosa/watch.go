@@ -217,18 +217,13 @@ func (w *watcher) frame(event, data string) (code int, terminal bool) {
 		fmt.Fprintf(w.errw, "\rdepth %-3d  %9d states (%.0f/s)  frontier %-7d  cache %5.1f%%  ",
 			st.Depth, st.StatesExplored, rate, st.Frontier, hitRate)
 		w.progressShown = true
-	case "goal_matched", "degraded":
+	case "goal_matched":
 		var ev api.JobEvent
 		if json.Unmarshal([]byte(data), &ev) != nil {
 			return 0, false
 		}
 		w.endProgress()
-		switch event {
-		case "goal_matched":
-			fmt.Fprintf(w.errw, "goal matched at depth %d (%d states explored)\n", ev.Depth, ev.N)
-		case "degraded":
-			fmt.Fprintf(w.errw, "memory budget breached at depth %d (estimate %d bytes): search degrading\n", ev.Depth, ev.N)
-		}
+		fmt.Fprintf(w.errw, "goal matched at depth %d (%d states explored)\n", ev.Depth, ev.N)
 	case "shutdown":
 		w.endProgress()
 		fmt.Fprintln(w.errw, "server draining; stream stays open while the job finishes")

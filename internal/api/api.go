@@ -9,7 +9,7 @@
 // Versioning: every response carries APIVersion (the Version constant).
 // Additive changes (new optional fields) keep the version; renames and
 // semantic changes bump it. Request knobs map 1:1 onto rewrite.Options via
-// SearchParams.Options, so a per-request budget or memory budget means
+// SearchParams.Options, so a per-request budget or timeout means
 // exactly what the same CLI flag means.
 package api
 
@@ -73,8 +73,9 @@ type SearchParams struct {
 	// Budget. The field stays so that v1 requests which set it, to any
 	// value, still decode; it changes nothing. No CLI flag.
 	Escalate string `json:"escalate,omitempty"`
-	// MemBudget is the soft per-query memory budget in bytes; breaching it
-	// sheds the transition cache, then degrades to ⏱. CLI: -mem-budget.
+	// MemBudget is deprecated and ignored: a search's states are bounded
+	// by Budget alone. The field stays so that v1 requests which set it, to
+	// any value, still decode; it changes nothing. No CLI flag.
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// Timeout is the wall-clock limit for the request; work past the
 	// deadline resolves to the ⏱ verdict. CLI: -timeout.
@@ -109,9 +110,6 @@ type SearchParams struct {
 func (p SearchParams) OrDefaults(d SearchParams) SearchParams {
 	if p.Budget == 0 {
 		p.Budget = d.Budget
-	}
-	if p.MemBudget == 0 {
-		p.MemBudget = d.MemBudget
 	}
 	if p.Timeout == 0 {
 		p.Timeout = d.Timeout
@@ -191,8 +189,6 @@ type QueryResult struct {
 	// Witness is the attack syscall sequence when vulnerable, one
 	// "rule -> state" step per entry.
 	Witness []string `json:"witness,omitempty"`
-	// Degraded reports the soft memory budget stopped the search.
-	Degraded bool `json:"degraded,omitempty"`
 	// Error carries the isolated search fault that forced an unknown
 	// verdict; empty for clean verdicts.
 	Error string `json:"error,omitempty"`
@@ -226,9 +222,6 @@ type SearchStats struct {
 	// ElapsedNS is wall-clock time into the search — nondeterministic, like
 	// QueryResult.ElapsedNS, and zeroed by byte-identity comparisons.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
-	// DegradedAt is the states-explored count at which the soft memory
-	// budget first degraded the search; 0 when it never did.
-	DegradedAt int `json:"degraded_at,omitempty"`
 	// DroppedEvents is the flight recorder's truncation count at snapshot
 	// time (journal overwrites; stream drops are reported per job).
 	DroppedEvents int64 `json:"dropped_events,omitempty"`
@@ -253,8 +246,8 @@ type QueryCost struct {
 	// EscalationAttempts is the number of queries the request ran: each
 	// runs one search, so the v1 field counts one attempt per query.
 	EscalationAttempts int `json:"escalation_attempts"`
-	// DegradationLevel is the worst query's: 0 = none, 1 = transition cache
-	// shed, 2 = search stopped by the memory budget.
+	// DegradationLevel is always 0: no search degrades under memory
+	// pressure any more. The field stays in v1 for clients that read it.
 	DegradationLevel int `json:"degradation_level"`
 }
 
@@ -359,8 +352,8 @@ type JobStatusResponse struct {
 }
 
 // JobEvent is the wire form of one recorder event in an SSE `event` frame:
-// the control-plane kinds a stream forwards (level_start, goal_matched,
-// degraded), not the full journal.
+// the control-plane kinds a stream forwards (level_start, goal_matched),
+// not the full journal.
 type JobEvent struct {
 	// Kind is the event kind word (telemetry.EventKind.String).
 	Kind string `json:"kind"`
@@ -369,7 +362,7 @@ type JobEvent struct {
 	// Depth is the BFS depth the event belongs to.
 	Depth int32 `json:"depth"`
 	// N is the kind-specific count: frontier size (level_start), states
-	// explored (goal_matched), memory estimate (degraded).
+	// explored (goal_matched).
 	N int64 `json:"n,omitempty"`
 	// Rule is the rule name when the kind carries one.
 	Rule string `json:"rule,omitempty"`

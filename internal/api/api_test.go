@@ -51,8 +51,8 @@ func TestSearchParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxStates != 5000 || o.Workers != 0 || o.MemBudget != 1<<20 || !o.Profile {
-		t.Errorf("Options() = %+v; want workers range-checked, then ignored", o)
+	if o.MaxStates != 5000 || o.Workers != 0 || !o.Profile {
+		t.Errorf("Options() = %+v; want workers range-checked, then ignored, and mem_budget ignored", o)
 	}
 	if _, err := (SearchParams{Workers: rewrite.MaxWorkers + 1}).Options(); err == nil {
 		t.Error("workers above MaxWorkers accepted")
@@ -131,9 +131,10 @@ func TestQueryRequestBuildAttack(t *testing.T) {
 	}
 }
 
-// TestNoCompileIsNoOp: no_compile, no_cost, escalate and workers are
-// deprecated v1 fields. A strict decode still accepts each, escalate at any
-// value — malformed ones included — and workers anywhere in 0..1024, and a
+// TestNoCompileIsNoOp: no_compile, no_cost, escalate, workers and mem_budget
+// are deprecated v1 fields. A strict decode still accepts each, escalate and
+// mem_budget at any value — malformed escalates and negative budgets
+// included — and workers anywhere in 0..1024, and a
 // query that sets one gets the same verdict, state count, attempts and
 // search statistics as one that does not, through the compiled matchers.
 func TestNoCompileIsNoOp(t *testing.T) {
@@ -173,6 +174,7 @@ func TestNoCompileIsNoOp(t *testing.T) {
 		`"no_compile":true`, `"no_cost":true`,
 		`"escalate":"off"`, `"escalate":"2:2:4"`, `"escalate":"zzz"`,
 		`"workers":0`, `"workers":1`, `"workers":1024`,
+		`"mem_budget":1`, `"mem_budget":30000`, `"mem_budget":-1`,
 	} {
 		off := run(`{"stats":true,` + field + `}`)
 		if off.Verdict != plain.Verdict || off.StatesExplored != plain.StatesExplored || off.Attempts != plain.Attempts {
@@ -245,28 +247,28 @@ func TestEncodeStableBytes(t *testing.T) {
 
 // TestCostOf: the journal's cost vector sums the counts the results carry —
 // over every query an analysis ran (skipping attacks not run), or the one
-// standalone result — and keeps the worst degradation.
+// standalone result. DegradationLevel is always 0.
 func TestCostOf(t *testing.T) {
-	st := func(hits, misses, compiled, fallback int64, degradedAt int) *rewrite.SearchStats {
+	st := func(hits, misses, compiled, fallback int64) *rewrite.SearchStats {
 		return &rewrite.SearchStats{CacheHits: hits, CacheMisses: misses,
-			CompiledMatches: compiled, FallbackMatches: fallback, DegradedAt: degradedAt}
+			CompiledMatches: compiled, FallbackMatches: fallback}
 	}
 	a := &core.Analysis{Phases: []core.PhaseResult{{
 		Verdicts: [4]rosa.Verdict{rosa.Safe, rosa.Vulnerable, 0, rosa.Unknown},
 		States:   [4]int{10, 20, 99, 30},
-		Stats:    [4]*rewrite.SearchStats{st(1, 2, 3, 1, 0), st(4, 5, 6, 0, 7), nil, nil},
+		Stats:    [4]*rewrite.SearchStats{st(1, 2, 3, 1), st(4, 5, 6, 0), nil, nil},
 	}}}
 	got := CostOf(a, nil)
 	want := QueryCost{StatesExpanded: 60, CacheHits: 5, CacheMisses: 7, CompiledMatches: 9,
-		FallbackMatches: 1, CompiledShare: 0.9, EscalationAttempts: 3, DegradationLevel: 1}
+		FallbackMatches: 1, CompiledShare: 0.9, EscalationAttempts: 3}
 	if got != want {
 		t.Errorf("CostOf(analysis) = %+v\nwant %+v", got, want)
 	}
 
-	r := &rosa.Result{StatesExplored: 5, Attempts: 1, Degraded: true, Stats: st(0, 4, 8, 0, 3)}
+	r := &rosa.Result{StatesExplored: 5, Attempts: 1, Stats: st(0, 4, 8, 0)}
 	got = CostOf(nil, r)
 	want = QueryCost{StatesExpanded: 5, CacheMisses: 4, CompiledMatches: 8, CompiledShare: 1,
-		EscalationAttempts: 1, DegradationLevel: 2}
+		EscalationAttempts: 1}
 	if got != want {
 		t.Errorf("CostOf(result) = %+v\nwant %+v", got, want)
 	}

@@ -24,7 +24,6 @@ func (p SearchParams) Options() (rewrite.Options, error) {
 	}
 	return rewrite.Options{
 		MaxStates: p.Budget,
-		MemBudget: p.MemBudget,
 		Profile:   p.Stats,
 	}, nil
 }
@@ -40,9 +39,6 @@ func (p SearchParams) Apply(q *rosa.Query) error {
 	}
 	if opts.MaxStates > 0 {
 		q.MaxStates = opts.MaxStates
-	}
-	if opts.MemBudget != 0 {
-		q.MemBudget = opts.MemBudget
 	}
 	q.Profile = q.Profile || opts.Profile
 	return nil
@@ -101,7 +97,6 @@ func FromSearchStats(st *rewrite.SearchStats) *SearchStats {
 		CompiledMatches:     st.CompiledMatches,
 		FallbackMatches:     st.FallbackMatches,
 		ElapsedNS:           st.Elapsed.Nanoseconds(),
-		DegradedAt:          st.DegradedAt,
 		DroppedEvents:       st.DroppedEvents,
 	}
 }
@@ -112,17 +107,9 @@ func FromSearchStats(st *rewrite.SearchStats) *SearchStats {
 // WallNS is left to the caller, which times the whole request.
 func CostOf(a *core.Analysis, r *rosa.Result) QueryCost {
 	var c QueryCost
-	add := func(states int, degraded bool, st *rewrite.SearchStats) {
+	add := func(states int, st *rewrite.SearchStats) {
 		c.StatesExpanded += states
 		c.EscalationAttempts++
-		level := 0
-		switch {
-		case degraded:
-			level = 2
-		case st != nil && st.DegradedAt > 0:
-			level = 1
-		}
-		c.DegradationLevel = max(c.DegradationLevel, level)
 		if st != nil {
 			c.CacheHits += st.CacheHits
 			c.CacheMisses += st.CacheMisses
@@ -131,13 +118,13 @@ func CostOf(a *core.Analysis, r *rosa.Result) QueryCost {
 		}
 	}
 	if r != nil {
-		add(r.StatesExplored, r.Degraded, r.Stats)
+		add(r.StatesExplored, r.Stats)
 	}
 	if a != nil {
 		for _, pr := range a.Phases {
 			for i, v := range pr.Verdicts {
 				if v != 0 {
-					add(pr.States[i], pr.Degraded[i], pr.Stats[i])
+					add(pr.States[i], pr.Stats[i])
 				}
 			}
 		}
@@ -174,7 +161,6 @@ func FromResult(attack int, r *rosa.Result, withStats bool) QueryResult {
 		Attempts:  1,
 		ElapsedNS: r.Elapsed.Nanoseconds(),
 		Witness:   witnessSteps(r.Witness),
-		Degraded:  r.Degraded,
 	}
 	if r.Err != nil {
 		qr.Error = r.Err.Error()
@@ -215,7 +201,6 @@ func FromAnalysis(a *core.Analysis, withStats bool) *AnalyzeResponse {
 				Attempts:  1,
 				ElapsedNS: pr.Elapsed[i].Nanoseconds(),
 				Witness:   witnessSteps(pr.Witnesses[i]),
-				Degraded:  pr.Degraded[i],
 			}
 			if pr.Errs[i] != nil {
 				qr.Error = pr.Errs[i].Error()

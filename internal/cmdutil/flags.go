@@ -40,8 +40,6 @@ func (l LogFlags) Logger() (*slog.Logger, error) {
 type SearchFlags struct {
 	// Budget is -budget: the per-query state cap.
 	Budget int
-	// MemBudget is -mem-budget: soft per-query memory budget in bytes.
-	MemBudget int64
 	// Timeout is -timeout: the wall-clock limit; expired deadlines yield ⏱.
 	Timeout time.Duration
 	// Stats is -stats: collect and print per-query engine statistics.
@@ -54,8 +52,6 @@ type SearchFlags struct {
 func (f *SearchFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Budget, "budget", 0,
 		"per-query state budget; a search that reaches it yields the ⏱ verdict (0 = default)")
-	fs.Int64Var(&f.MemBudget, "mem-budget", 0,
-		"soft memory budget in bytes over the search's own states+cache entries+frontier: shed the cache on first breach, stop with ⏱ on the second (0 = off)")
 	fs.DurationVar(&f.Timeout, "timeout", 0,
 		"wall-clock search limit; an expired deadline yields the ⏱ verdict (0 = none)")
 	fs.BoolVar(&f.Stats, "stats", false,
@@ -69,10 +65,9 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 // stays a process-local concern.
 func (f SearchFlags) Params() api.SearchParams {
 	return api.SearchParams{
-		Budget:    f.Budget,
-		MemBudget: f.MemBudget,
-		Timeout:   api.Duration(f.Timeout),
-		Stats:     f.Stats,
+		Budget:  f.Budget,
+		Timeout: api.Duration(f.Timeout),
+		Stats:   f.Stats,
 	}
 }
 

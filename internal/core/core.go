@@ -33,10 +33,10 @@ import (
 // surface from the CLI down to the engine.
 type Options struct {
 	// Search bounds and tunes each ROSA query's search (budget, depth,
-	// stats callback, recorder, memory budget, fault plan).
-	// Search.MaxStates 0 means DefaultMaxStates. Exhausting the budget, the
-	// memory budget or the AnalyzeContext deadline yields the Unknown (⏱)
-	// verdict for that query.
+	// stats callback, recorder, fault plan).
+	// Search.MaxStates 0 means DefaultMaxStates. Exhausting the budget or
+	// the AnalyzeContext deadline yields the Unknown (⏱) verdict for that
+	// query.
 	Search rewrite.Options
 	// Checker, when set, runs the ROSA queries against this shared checker
 	// instead of building a fresh one, so the transition caches amortize
@@ -84,8 +84,6 @@ type PhaseResult struct {
 	// that query's Unknown verdict; nil for clean verdicts. The same faults
 	// are aggregated, with attribution, in Analysis.Errors.
 	Errs [4]error
-	// Degraded is each query's memory-budget stop (rosa.Result.Degraded).
-	Degraded [4]bool
 }
 
 // QueryError attributes one faulted query within an analysis: which
@@ -285,7 +283,6 @@ func analyze(ctx context.Context, p *programs.Program, opts Options, concurrent 
 		pr.States[j.attack-1] = res.StatesExplored
 		pr.Elapsed[j.attack-1] = res.Elapsed
 		pr.Stats[j.attack-1] = res.Stats
-		pr.Degraded[j.attack-1] = res.Degraded
 		if res.Err != nil {
 			// A faulted query was isolated to its ⏱ cell; record the fault
 			// with its grid coordinates and keep the analysis.

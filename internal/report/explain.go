@@ -136,8 +136,6 @@ func unknownCause(res *rosa.Result) string {
 	switch {
 	case res.Err != nil:
 		return fmt.Sprintf("the search faulted before reaching a verdict: %v\n", res.Err)
-	case res.Degraded:
-		return "the search exceeded its memory budget before reaching a verdict; raise -mem-budget\n"
 	case res.Interrupted:
 		return "the search was interrupted by its deadline or a signal before reaching a verdict; raise -timeout\n"
 	default:

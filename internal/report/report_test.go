@@ -132,14 +132,13 @@ func TestCompareSummary(t *testing.T) {
 }
 
 // TestExplainUnknownCause: -explain on a ⏱ names the bound that stopped the
-// search — a fault, the memory budget, the deadline or the state budget.
+// search — a fault, the deadline or the state budget.
 func TestExplainUnknownCause(t *testing.T) {
 	for _, tc := range []struct {
 		res  rosa.Result
 		want string
 	}{
 		{rosa.Result{Err: errors.New("boom"), Interrupted: true}, "faulted before reaching a verdict: boom"},
-		{rosa.Result{Degraded: true}, "raise -mem-budget"},
 		{rosa.Result{Interrupted: true}, "raise -timeout"},
 		{rosa.Result{}, "raise -budget"},
 	} {

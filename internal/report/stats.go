@@ -50,9 +50,6 @@ func SearchStatsText(st *rewrite.SearchStats) string {
 		fmt.Fprintf(&b, "transition cache: %d hits, %d misses (%.1f%% hit rate)\n",
 			st.CacheHits, st.CacheMisses, 100*float64(st.CacheHits)/float64(lookups))
 	}
-	if st.DegradedAt > 0 {
-		fmt.Fprintf(&b, "memory budget:    transition cache shed at %d states\n", st.DegradedAt)
-	}
 	if len(st.Frontier) > 0 {
 		b.WriteString("frontier by depth:")
 		for d, n := range st.Frontier {

@@ -14,10 +14,7 @@ package rewrite
 // all readers — the search engine only iterates them — which is what keeps
 // a cached search byte-identical to an uncached one.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // cacheShards is a power of two; the memoized term hash folds with a mask.
 const cacheShards = 64
@@ -34,9 +31,7 @@ type cacheShard struct {
 // and stored idempotently (the successor walk is deterministic, so every
 // computed value is identical).
 type TransitionCache struct {
-	shards       [cacheShards]cacheShard
-	hits, misses atomic.Int64
-	size         atomic.Int64
+	shards [cacheShards]cacheShard
 }
 
 // NewTransitionCache returns an empty cache.
@@ -54,11 +49,6 @@ func (c *TransitionCache) get(t *Term) ([]Step, bool) {
 	s.mu.RLock()
 	steps, ok := s.m[t]
 	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	return steps, ok
 }
 
@@ -72,61 +62,6 @@ func (c *TransitionCache) put(t *Term, steps []Step) {
 			s.m = make(map[*Term][]Step)
 		}
 		s.m[t] = steps
-		c.size.Add(1)
 	}
 	s.mu.Unlock()
-}
-
-// Hits returns the number of lookups answered from the cache.
-func (c *TransitionCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-// Misses returns the number of lookups that had to expand the state.
-func (c *TransitionCache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
-}
-
-// Len returns the number of states whose successor sets are cached.
-func (c *TransitionCache) Len() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.size.Load()
-}
-
-// Shed drops every cached successor set, releasing the cache's dominant
-// memory while keeping the cache itself usable (counters keep running, later
-// puts repopulate it). The memory-pressure degradation path calls it before
-// falling back to uncached expansion; it returns the number of entries
-// dropped. Nil-safe.
-func (c *TransitionCache) Shed() int64 {
-	if c == nil {
-		return 0
-	}
-	var n int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += int64(len(s.m))
-		s.m = nil
-		s.mu.Unlock()
-	}
-	c.size.Add(-n)
-	return n
-}
-
-// HitRate returns the fraction of lookups answered from the cache.
-func (c *TransitionCache) HitRate() float64 {
-	h, m := c.Hits(), c.Misses()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

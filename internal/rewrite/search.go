@@ -50,15 +50,6 @@ type Options struct {
 	// the search measurably — leave it off except when diagnosing rule
 	// cost (the search-engine analogue of a query profiler).
 	Profile bool
-	// MemBudget is a soft memory bound, in bytes, over the search's own
-	// dominant structures (the states it admitted, its transition-cache
-	// entries, the frontier). On the first breach the engine sheds the
-	// transition cache and continues with uncached expansion
-	// (SearchStats.DegradedAt records where); on the second it stops with a
-	// truncated, Degraded result and partial stats. 0 disables the watch.
-	// The estimate is deliberately coarse (see memEstimate): the budget is a
-	// failsafe against runaway frontiers, not an allocator ledger.
-	MemBudget int64
 	// Faults is the deterministic fault-injection plan for chaos tests
 	// (internal/faultinject); nil — the production value — injects nothing.
 	Faults *faultinject.Plan
@@ -126,10 +117,6 @@ type SearchStats struct {
 	// columns may read "-" and journal determinism no longer holds. Zero
 	// when no recorder is attached.
 	DroppedEvents int64
-	// DegradedAt is the StatesExplored count at which the soft memory budget
-	// first forced degradation (transition cache shed, uncached expansion
-	// from then on); 0 when the search never degraded.
-	DegradedAt int
 	// Final marks the unconditional end-of-search snapshot OnStats always
 	// receives, distinguishing it from interval-throttled progress ticks.
 	// Progress printers use it to avoid emitting a stale "final" line for
@@ -391,79 +378,22 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	return r, runErr
 }
 
-// safeSuccessors is successorsFor behind the supervisor's fault barrier: it
+// safeSuccessors is successors behind the supervisor's fault barrier: it
 // consults the fault-injection plan, then converts a panic inside successor
 // expansion — injected or real — into a typed *SearchError carrying the
 // expanded state's interned hash. One poisoned state costs its query a
 // verdict, never the process the analysis runs in.
-func (e *engine) safeSuccessors(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, cached bool, err error) {
+func (e *engine) safeSuccessors(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			steps, cached = nil, false
+			steps = nil
 			err = &SearchError{StateHash: t.Hash(), Panic: r, Stack: debug.Stack()}
 		}
 	}()
 	if ferr := e.faults.BeforeExpansion(t.Hash()); ferr != nil {
-		return nil, false, &SearchError{StateHash: t.Hash(), Err: ferr}
+		return nil, &SearchError{StateHash: t.Hash(), Err: ferr}
 	}
-	steps, cached = e.successorsFor(t, depth, b)
-	return steps, cached, nil
-}
-
-// Rough per-unit byte costs for the memory watch: an interned term (struct,
-// memo fields, intern-table slot), one cached successor entry (key, slice,
-// steps), one frontier node. Deliberately coarse; the watch is a failsafe,
-// not an allocator ledger, and the constants only need the right order of
-// magnitude to trip before the kernel's OOM killer does.
-const (
-	bytesPerInternedTerm = 192
-	bytesPerCachedState  = 256
-	bytesPerFrontierNode = 96
-)
-
-// memEstimate approximates the search's own resident bytes for the
-// Options.MemBudget watch: the states it has admitted (interned
-// configurations its visited set keeps live), the successor sets it has
-// merged while a transition cache is attached (its entries in that cache),
-// and the frontier. Each term counts this search's BFS prefix, never
-// process-wide or shared state: the interner and a Checker's cache also
-// grow with other queries, earlier or concurrent. A successor set served
-// from the cache is charged like a fresh one, so the estimate — and a
-// budgeted verdict — is a pure function of the query and the budget: the
-// same alone, after other queries, and beside concurrent ones.
-func (e *engine) memEstimate(states, frontierLen int) int64 {
-	est := int64(states) * bytesPerInternedTerm
-	est += e.cacheEntries * bytesPerCachedState
-	est += int64(frontierLen) * bytesPerFrontierNode
-	return est
-}
-
-// checkMemBudget runs the degradation ladder at a level boundary: under
-// budget does nothing; the first breach sheds the transition cache and
-// switches to uncached expansion; a breach after that stops the search with
-// a truncated, degraded result. Reports whether the search must stop.
-func (e *engine) checkMemBudget(opts Options, depth, frontierLen int, res *SearchResult, stats *SearchStats) bool {
-	if opts.MemBudget <= 0 {
-		return false
-	}
-	est := e.memEstimate(res.StatesExplored, frontierLen)
-	if est <= opts.MemBudget {
-		return false
-	}
-	// Both rungs of the ladder are journal (and live-stream) events: a
-	// degraded query is exactly the kind a fleet operator needs to spot
-	// while it runs, not after.
-	e.rec.CommitEvent(telemetry.EvDegraded, e.search, depth, 0, "", est)
-	if stats.DegradedAt == 0 {
-		stats.DegradedAt = res.StatesExplored
-		e.cache.Shed()
-		e.cache = nil // uncached expansion from here on
-		e.cacheEntries = 0
-		return false
-	}
-	res.Truncated = true
-	res.Degraded = true
-	return true
+	return e.successors(t, depth, b), nil
 }
 
 // searchBFS is the breadth-first engine. It expands one frontier node and
@@ -491,9 +421,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 			res.Interrupted = true
 			return nil
 		}
-		if e.checkMemBudget(opts, depth, len(frontier), res, stats) {
-			return nil
-		}
 		stats.Frontier = append(stats.Frontier, len(frontier))
 		stats.Depth = depth
 		b.Record(telemetry.EvLevelStart, depth, 0, "", int64(len(frontier)))
@@ -510,15 +437,9 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 				res.Interrupted = true
 				return nil
 			}
-			steps, cached, err := e.safeSuccessors(n.state, depth, b)
+			steps, err := e.safeSuccessors(n.state, depth, b)
 			if err != nil {
 				return err
-			}
-			if e.cache != nil {
-				e.cacheEntries++
-				if !cached {
-					e.cache.put(n.state, steps)
-				}
 			}
 			for _, st := range steps {
 				stats.RuleFirings[st.Rule]++

@@ -95,7 +95,7 @@ func (s *System) Successors(t *Term) ([]Step, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.successors(Intern(t)), nil
+	return e.successors(Intern(t), 0, nil), nil
 }
 
 // engine is one search's view of the successor machinery: the System's rule
@@ -107,8 +107,6 @@ type engine struct {
 	cache *TransitionCache
 	comp  *CompiledRules
 	rp    *ruleProfiler
-
-	cacheEntries int64 // successor sets merged with a cache attached (memEstimate)
 
 	rec    *telemetry.Recorder // flight recorder; nil = recording off
 	search int32               // recorder search id (Recorder.BeginSearch)
@@ -146,23 +144,12 @@ func (s *System) engine(opts Options, rp *ruleProfiler) (*engine, error) {
 	return e, nil
 }
 
-// successors returns t's full successor set, consulting the transition
-// cache when one is attached. The caller hands the engine interned states
-// only, so cached keys are interned pointers.
-func (e *engine) successors(t *Term) []Step {
-	steps, cached := e.successorsFor(t, 0, nil)
-	if !cached && e.cache != nil {
-		e.cache.put(t, steps)
-	}
-	return steps
-}
-
-// successorsFor is the search engine's successor path: like successors, but
-// cache insertion is left to the caller, which also counts the entry for the
-// memory watch. Cache-lookup and expansion events are recorded into b (nil
-// when recording is off). cached reports that steps came from the transition
-// cache and must not be re-inserted.
-func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, cached bool) {
+// successors returns t's full successor set: from the transition cache
+// when one is attached and holds it, otherwise expanded and stored there.
+// The caller hands the engine interned states only, so cached keys are
+// interned pointers. Cache-lookup and expansion events are recorded into b
+// (nil when recording is off).
+func (e *engine) successors(t *Term, depth int, b *telemetry.EventBuf) []Step {
 	if e.cache != nil {
 		if steps, ok := e.cache.get(t); ok {
 			e.cacheHits++
@@ -170,18 +157,21 @@ func (e *engine) successorsFor(t *Term, depth int, b *telemetry.EventBuf) (steps
 				b.Record(telemetry.EvCacheHit, depth, t.Hash(), "", 0)
 				b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
 			}
-			return steps, true
+			return steps
 		}
 		e.cacheMisses++
 		if b != nil {
 			b.Record(telemetry.EvCacheMiss, depth, t.Hash(), "", 0)
 		}
 	}
-	steps = e.expand(t, -1, b, depth)
+	steps := e.expand(t, -1, b, depth)
 	if b != nil {
 		b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
 	}
-	return steps, false
+	if e.cache != nil {
+		e.cache.put(t, steps)
+	}
+	return steps
 }
 
 // first returns Successors(t)[0] without computing the rest: expansion stops
@@ -291,12 +281,6 @@ type SearchResult struct {
 	// so a caller that drops the error still cannot mistake the partial
 	// result for a completed Safe verdict.
 	Interrupted bool
-	// Degraded reports that the soft memory budget (Options.MemBudget)
-	// stopped the search after shedding the transition cache failed to bring
-	// the estimate back under budget. Truncated is set alongside it, so the
-	// verdict mapping is unchanged; Degraded distinguishes "out of memory
-	// budget" from "out of state budget" for metrics and reports.
-	Degraded bool
 	// Stats is the final observability snapshot for this search.
 	Stats *SearchStats
 }

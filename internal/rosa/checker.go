@@ -49,10 +49,3 @@ func (c *Checker) system(extended bool) *rewrite.System {
 func (c *Checker) Run(ctx context.Context, q *Query) (*Result, error) {
 	return q.runOn(ctx, c.system(q.Extended))
 }
-
-// BaseCache exposes the base system's transition cache (telemetry and
-// tests).
-func (c *Checker) BaseCache() *rewrite.TransitionCache { return c.base.Cache }
-
-// ExtendedCache exposes the extended system's transition cache.
-func (c *Checker) ExtendedCache() *rewrite.TransitionCache { return c.ext.Cache }

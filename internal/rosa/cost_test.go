@@ -24,16 +24,14 @@ func runWorked(t testing.TB, workers int) *Result {
 // queryCost is the part of a query's cost that must not vary run to run:
 // what the search did, without its wall-clock time.
 type queryCost struct {
-	states, attempts, degradedAt int
-	degraded                     bool
-	cacheHits, cacheMisses       int64
-	compiled, fallback           int64
+	states, attempts       int
+	cacheHits, cacheMisses int64
+	compiled, fallback     int64
 }
 
 func costOf(r *Result) queryCost {
 	return queryCost{
-		states: r.StatesExplored, attempts: r.Attempts, degradedAt: r.Stats.DegradedAt,
-		degraded:  r.Degraded,
+		states: r.StatesExplored, attempts: r.Attempts,
 		cacheHits: r.Stats.CacheHits, cacheMisses: r.Stats.CacheMisses,
 		compiled: r.Stats.CompiledMatches, fallback: r.Stats.FallbackMatches,
 	}
@@ -41,7 +39,7 @@ func costOf(r *Result) queryCost {
 
 // TestQueryCostDeterminism pins a query's cost, as Result and its stats
 // report it. Elapsed is wall-clock: merely sanity-bounded. Everything else —
-// states explored, attempts, degradation, and the cache and match counters —
+// states explored, attempts, and the cache and match counters —
 // is identical run to run at any Workers setting, which the engine ignores:
 // a search runs on one goroutine, so nothing races a cache fill.
 func TestQueryCostDeterminism(t *testing.T) {

@@ -119,9 +119,6 @@ type Result struct {
 	// Attempts is always 1: a query runs one search at its budget. The
 	// field stays for callers that still read it.
 	Attempts int
-	// Degraded reports that the soft memory budget stopped the search
-	// (Options.MemBudget); the verdict is Unknown.
-	Degraded bool
 	// Interrupted reports that the context — its deadline or a
 	// cancellation — stopped the search; the verdict is Unknown.
 	Interrupted bool
@@ -154,7 +151,7 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 
 // runOn executes the query against an explicit rewrite theory (the base
 // system or the §X extended one): one search, bounded by MaxStates (0 means
-// DefaultMaxStates), Options.MemBudget and the context.
+// DefaultMaxStates) and the context.
 //
 // Fault contract: a *rewrite.SearchError (expansion panic, successor failure,
 // injected fault) yields (Result{Verdict: Unknown, Err: ...}, nil) — the
@@ -190,7 +187,6 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 	} else {
 		res.StatesExplored = sr.StatesExplored
 		res.Stats = sr.Stats
-		res.Degraded = sr.Degraded
 		res.Interrupted = sr.Interrupted
 		switch {
 		case sr.Found:
@@ -201,9 +197,6 @@ func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error)
 		default:
 			res.Verdict = Safe
 		}
-	}
-	if res.Degraded {
-		reg.Counter("rosa_degraded_total").Add(1)
 	}
 	telemetry.Logger(ctx).Debug("rosa query done",
 		"component", "rosa",

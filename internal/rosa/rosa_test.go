@@ -420,9 +420,9 @@ func TestUnknownOnTinyBudget(t *testing.T) {
 	if res.StatesExplored != 2 || res.Attempts != 1 {
 		t.Errorf("%d states in %d attempts, want exactly 2 states in 1", res.StatesExplored, res.Attempts)
 	}
-	if res.Degraded || res.Interrupted || res.Err != nil {
-		t.Errorf("degraded=%v interrupted=%v err=%v: only the state budget stopped the search",
-			res.Degraded, res.Interrupted, res.Err)
+	if res.Interrupted || res.Err != nil {
+		t.Errorf("interrupted=%v err=%v: only the state budget stopped the search",
+			res.Interrupted, res.Err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // and makes the run observable while it happens — status + queue position on
 // GET /v1/jobs/{id}, and a live Server-Sent-Events feed on
 // GET /v1/jobs/{id}/events carrying progress snapshots (Options.OnStats),
-// throttled flight-recorder events (level_start, goal_matched, degraded),
+// throttled flight-recorder events (level_start, goal_matched),
 // and a terminal result frame byte-identical to the synchronous
 // endpoint's envelope (both encode the same prepared request through
 // api.Encode; the determinism suite pins it).
@@ -39,13 +39,12 @@ const jobHistory = 256
 
 // levelStartThrottle is the per-subscriber floor between level_start frames:
 // deep searches start thousands of levels a second and a stream wants the
-// shape, not the firehose. Goal matches and degradations are never
-// throttled.
+// shape, not the firehose. Goal matches are never throttled.
 const levelStartThrottle = 100 * time.Millisecond
 
 // streamKinds are the recorder kinds a job's sink forwards to subscribers.
 var streamKinds = []telemetry.EventKind{
-	telemetry.EvLevelStart, telemetry.EvGoalMatched, telemetry.EvDegraded,
+	telemetry.EvLevelStart, telemetry.EvGoalMatched,
 }
 
 // jobRecord is one job's server-side state. The recorder and sink are
@@ -460,7 +459,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // GET /v1/jobs/{id}/events. Frame catalog (event name → data):
 //
 //	stats       api.SearchStats — the latest Options.OnStats snapshot
-//	level_start, goal_matched, degraded
+//	level_start, goal_matched
 //	            api.JobEvent — recorder events (level_start throttled to
 //	            one per levelStartThrottle per subscriber)
 //	shutdown    {"reason":"draining"} — the server began graceful drain;

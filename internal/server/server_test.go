@@ -182,7 +182,7 @@ func TestAnalyzeBadRequests(t *testing.T) {
 func TestAnalyzeEndToEnd(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/analyze",
-		`{"program":"ping","attacks":[3],"search":{"stats":true,"workers":1}}`)
+		`{"program":"ping","attacks":[3],"search":{"stats":true}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -322,9 +322,9 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestAnalyzeAndQueryAgreeOnAttempts answers one grid cell through
-// /v1/analyze and through /v1/query, under a state budget and under a
-// memory budget that stops the search, and requires the same verdict,
-// states, attempts (always 1) and memory-budget stop from both.
+// /v1/analyze and through /v1/query under a state budget that stops the
+// search, and requires the same verdict, states and attempts (always 1)
+// from both.
 func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 2})
 	p, err := programs.ByName("su")
@@ -339,10 +339,8 @@ func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 		name, search string
 		pick         func(api.QueryResult) bool
 	}{
-		{"truncated", `{"budget":3,"workers":1}`,
-			func(q api.QueryResult) bool { return q.Verdict == "unknown" && q.States == 3 && !q.Degraded }},
-		{"degraded", `{"budget":100000,"mem_budget":1,"workers":1}`,
-			func(q api.QueryResult) bool { return q.Degraded }},
+		{"truncated", `{"budget":3}`,
+			func(q api.QueryResult) bool { return q.Verdict == "unknown" && q.States == 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"su","search":`+tc.search+`}`)
@@ -379,14 +377,81 @@ func TestAnalyzeAndQueryAgreeOnAttempts(t *testing.T) {
 			if got.Attempts != 1 {
 				t.Errorf("/v1/query attempts = %d, want 1", got.Attempts)
 			}
-			if got.Verdict != cell.Verdict || got.States != cell.States ||
-				got.Attempts != cell.Attempts || got.Degraded != cell.Degraded {
-				t.Errorf("phase %s attack %d: /v1/query (%s, %d states, %d attempts, degraded %v), "+
-					"/v1/analyze (%s, %d states, %d attempts, degraded %v)",
-					ph.Name, cell.Attack, got.Verdict, got.States, got.Attempts, got.Degraded,
-					cell.Verdict, cell.States, cell.Attempts, cell.Degraded)
+			if got.Verdict != cell.Verdict || got.States != cell.States || got.Attempts != cell.Attempts {
+				t.Errorf("phase %s attack %d: /v1/query (%s, %d states, %d attempts), "+
+					"/v1/analyze (%s, %d states, %d attempts)",
+					ph.Name, cell.Attack, got.Verdict, got.States, got.Attempts,
+					cell.Verdict, cell.States, cell.Attempts)
 			}
 		})
+	}
+}
+
+// TestQueryOptionsKeepSharedCacheWarm: /v1/query runs every ad-hoc query on
+// one shared checker, so no query's search options may change what a later
+// query finds in its transition cache. A grid cell queried cold, then with
+// mem_budget (a v1 field that is accepted and ignored), is answered from
+// the cache alone the third time: one hit per state, no miss.
+func TestQueryOptionsKeepSharedCacheWarm(t *testing.T) {
+	_, ts := testServer(t, Config{Concurrency: 1})
+	p, err := programs.ByName("suRef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	syscalls, err := json.Marshal(p.Syscalls())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"suRef","attacks":[1]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze status %d: %s", resp.StatusCode, body)
+	}
+	var ar api.AnalyzeResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	var ph *api.PhaseResult
+	for i := range ar.Phases {
+		if ar.Phases[i].Name == "suRef_priv6" {
+			ph = &ar.Phases[i]
+		}
+	}
+	if ph == nil {
+		t.Fatalf("analysis has no suRef_priv6 phase:\n%s", body)
+	}
+	query := func(search string) api.QueryResult {
+		t.Helper()
+		req := fmt.Sprintf(`{"attack":1,"privs":%q,"uid":%q,"gid":%q,"syscalls":%s,"search":%s}`,
+			ph.Privileges, ph.UID, ph.GID, syscalls, search)
+		resp, body := postJSON(t, ts.URL+"/v1/query", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %s: status %d: %s", search, resp.StatusCode, body)
+		}
+		var qr api.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Result.Stats == nil {
+			t.Fatalf("query %s: no stats:\n%s", search, body)
+		}
+		return qr.Result
+	}
+	cold := query(`{"stats":true}`)
+	if cold.Verdict != "safe" || cold.Stats.CacheHits != 0 || cold.Stats.CacheMisses != int64(cold.States) {
+		t.Fatalf("cold query: %s, %d states, %d hits / %d misses; want a safe verdict with every state a miss",
+			cold.Verdict, cold.States, cold.Stats.CacheHits, cold.Stats.CacheMisses)
+	}
+	budgeted := query(`{"stats":true,"mem_budget":30000}`)
+	if budgeted.Verdict != cold.Verdict || budgeted.States != cold.States {
+		t.Errorf("mem_budget query: %s, %d states; without it %s, %d states",
+			budgeted.Verdict, budgeted.States, cold.Verdict, cold.States)
+	}
+	warm := query(`{"stats":true}`)
+	if warm.Verdict != cold.Verdict || warm.States != cold.States ||
+		warm.Stats.CacheHits != int64(warm.States) || warm.Stats.CacheMisses != 0 {
+		t.Errorf("third query: %s, %d states, %d hits / %d misses; want %s, %d states, %d hits / 0 misses",
+			warm.Verdict, warm.States, warm.Stats.CacheHits, warm.Stats.CacheMisses,
+			cold.Verdict, cold.States, cold.States)
 	}
 }
 

@@ -33,7 +33,7 @@ func NewEventSink() *EventSink {
 
 // DefaultSubscriptionCapacity bounds a subscriber's undelivered-event ring
 // when Subscribe is given capacity 0: enough for the control-plane kinds a
-// job stream forwards (level starts, goal matches, degradations) of any
+// job stream forwards (level starts, goal matches) of any
 // realistic search, small enough that a thousand subscribers stay cheap.
 const DefaultSubscriptionCapacity = 256
 

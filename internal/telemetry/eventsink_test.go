@@ -141,7 +141,7 @@ func TestEventSinkSubscriptionClose(t *testing.T) {
 func TestRecorderSinkForwarding(t *testing.T) {
 	rec := NewRecorder(0)
 	sink := NewEventSink()
-	rec.SetSink(sink, EvGoalMatched, EvDegraded)
+	rec.SetSink(sink, EvGoalMatched, EvDedup)
 	sub := sink.Subscribe(0)
 
 	search := rec.BeginSearch()
@@ -149,16 +149,16 @@ func TestRecorderSinkForwarding(t *testing.T) {
 	buf.Record(EvLevelStart, 0, 0, "", 1)       // filtered out
 	buf.Record(EvGoalMatched, 3, 0xabc, "", 42) // forwarded
 	buf.Flush()
-	rec.CommitEvent(EvDegraded, search, 2, 0, "", 4096) // forwarded
+	rec.CommitEvent(EvDedup, search, 2, 0, "", 4096) // forwarded
 
 	evs, _ := sub.Events()
 	if len(evs) != 2 {
-		t.Fatalf("forwarded %d events %+v, want goal_matched + degraded only", len(evs), evs)
+		t.Fatalf("forwarded %d events %+v, want goal_matched + dedup only", len(evs), evs)
 	}
 	if evs[0].Kind != EvGoalMatched || evs[0].N != 42 || evs[0].Search != search {
 		t.Errorf("first forwarded event = %+v", evs[0])
 	}
-	if evs[1].Kind != EvDegraded || evs[1].N != 4096 || evs[1].Depth != 2 || evs[1].Search != search {
+	if evs[1].Kind != EvDedup || evs[1].N != 4096 || evs[1].Depth != 2 || evs[1].Search != search {
 		t.Errorf("second forwarded event = %+v", evs[1])
 	}
 

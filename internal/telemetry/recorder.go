@@ -66,10 +66,6 @@ const (
 	// EvGoalMatched marks the goal state being recognised; Hash is the
 	// matched state, N the number of states explored at that point.
 	EvGoalMatched
-	// EvDegraded marks the memory-budget degradation tripping: the search
-	// shed its transition cache (first breach) or stopped with ⏱ (second);
-	// N is the live-byte estimate that breached the budget.
-	EvDegraded
 )
 
 // String names the kind (the Chrome-trace event name).
@@ -91,8 +87,6 @@ func (k EventKind) String() string {
 		return "dedup"
 	case EvGoalMatched:
 		return "goal_matched"
-	case EvDegraded:
-		return "degraded"
 	default:
 		return "unknown"
 	}
@@ -266,8 +260,8 @@ func (r *Recorder) SetSink(sink *EventSink, keep ...EventKind) {
 }
 
 // CommitEvent stamps and commits a single event outside any EventBuf — the
-// path for one-off control-plane events such as a memory-budget
-// degradation. Nil-safe.
+// path for one-off control-plane events such as a goal matched by the
+// initial state. Nil-safe.
 func (r *Recorder) CommitEvent(kind EventKind, search int32, depth int, hash uint64, rule string, n int64) {
 	if r == nil {
 		return
