@@ -18,7 +18,7 @@
 //	POST /v1/query            one standalone ROSA query
 //	POST /v1/jobs             async submission; 202 with a job id
 //	GET  /v1/jobs/{id}        job status: queue position, live search stats
-//	GET  /v1/jobs/{id}/events live SSE stream (stats, recorder events, result)
+//	GET  /v1/jobs/{id}/events live SSE stream (stats, result)
 //	GET  /v1/programs         the modeled program list
 //	GET  /v1/slowlog          the top-K costliest requests since boot
 //	GET  /v1/metrics.json     the telemetry registry as typed JSON

@@ -15,15 +15,16 @@ import (
 )
 
 // watch retry policy: a dropped stream reconnects on a capped exponential
-// backoff. The events endpoint replays a finished job's full frame sequence
-// on every connect, so reconnecting is lossless — the terminal result frame
-// arrives on whichever attempt finds the job finished. Client-error statuses
-// (4xx: bad URL, expired job) never retry — except 429, HTTP's generic
-// "later" (a proxy or rate limiter in front of the server may send it; a v1
-// privanalyzerd itself sheds with 503 queue_full): it retries after the
-// server's own hint (retry_after_ms in the envelope, or the Retry-After
-// header), capped by watchMaxBackoff. Connection failures, 5xx, and
-// mid-stream drops retry on the exponential ladder.
+// backoff. The events endpoint replays a finished job's final stats and
+// terminal frames on every connect, so reconnecting is lossless — the
+// result frame arrives on whichever attempt finds the job finished.
+// Client-error statuses (4xx: bad URL, expired job) never retry — except
+// 429, HTTP's generic "later" (a proxy or rate limiter in front of the
+// server may send it; a v1 privanalyzerd itself sheds with 503
+// queue_full): it retries after the server's own hint (retry_after_ms in
+// the envelope, or the Retry-After header), capped by watchMaxBackoff.
+// Connection failures, 5xx, and mid-stream drops retry on the exponential
+// ladder.
 const (
 	watchMaxAttempts = 6
 	watchBaseBackoff = 500 * time.Millisecond
@@ -217,13 +218,6 @@ func (w *watcher) frame(event, data string) (code int, terminal bool) {
 		fmt.Fprintf(w.errw, "\rdepth %-3d  %9d states (%.0f/s)  frontier %-7d  cache %5.1f%%  ",
 			st.Depth, st.StatesExplored, rate, st.Frontier, hitRate)
 		w.progressShown = true
-	case "goal_matched":
-		var ev api.JobEvent
-		if json.Unmarshal([]byte(data), &ev) != nil {
-			return 0, false
-		}
-		w.endProgress()
-		fmt.Fprintf(w.errw, "goal matched at depth %d (%d states explored)\n", ev.Depth, ev.N)
 	case "shutdown":
 		w.endProgress()
 		fmt.Fprintln(w.errw, "server draining; stream stays open while the job finishes")

@@ -343,32 +343,9 @@ type JobStatusResponse struct {
 	// Stats is the latest progress snapshot (Options.OnStats), present once
 	// the search has ticked at least once.
 	Stats *SearchStats `json:"stats,omitempty"`
-	// DroppedEvents counts events this job's subscribers lost to bounded
-	// stream rings (journal truncation is Stats.DroppedEvents).
-	DroppedEvents int64 `json:"dropped_events,omitempty"`
 	// Error is the failure detail once a job finished unsuccessfully; the
 	// SSE stream carries the same detail as its terminal error frame.
 	Error *ErrorDetail `json:"error,omitempty"`
-}
-
-// JobEvent is the wire form of one recorder event in an SSE `event` frame:
-// the control-plane kinds a stream forwards (level_start, goal_matched),
-// not the full journal.
-type JobEvent struct {
-	// Kind is the event kind word (telemetry.EventKind.String).
-	Kind string `json:"kind"`
-	// Search is the 1-based search id within the job (one per query).
-	Search int32 `json:"search"`
-	// Depth is the BFS depth the event belongs to.
-	Depth int32 `json:"depth"`
-	// N is the kind-specific count: frontier size (level_start), states
-	// explored (goal_matched).
-	N int64 `json:"n,omitempty"`
-	// Rule is the rule name when the kind carries one.
-	Rule string `json:"rule,omitempty"`
-	// TNS is the event's monotonic timestamp in nanoseconds since the
-	// job recorder's epoch.
-	TNS int64 `json:"t_ns"`
 }
 
 // SlowQuery is one slow-query journal entry: the request's identity (kind,

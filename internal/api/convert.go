@@ -10,7 +10,6 @@ import (
 	"privanalyzer/internal/core"
 	"privanalyzer/internal/rewrite"
 	"privanalyzer/internal/rosa"
-	"privanalyzer/internal/telemetry"
 )
 
 // Options maps the wire knobs onto the engine's option surface. This is the
@@ -137,18 +136,6 @@ func CostOf(a *core.Analysis, r *rosa.Result) QueryCost {
 
 // statsOf keeps the short name for this file's conversion call sites.
 func statsOf(st *rewrite.SearchStats) *SearchStats { return FromSearchStats(st) }
-
-// FromEvent converts one recorder event to its wire form.
-func FromEvent(ev telemetry.Event) JobEvent {
-	return JobEvent{
-		Kind:   ev.Kind.String(),
-		Search: ev.Search,
-		Depth:  ev.Depth,
-		N:      ev.N,
-		Rule:   ev.Rule,
-		TNS:    ev.T,
-	}
-}
 
 // FromResult converts one ROSA result to its wire form. attack 0 means an
 // ad-hoc query (no Table I coordinate). withStats includes the engine

@@ -3,11 +3,10 @@
 // same request through the same priority queue, acknowledges immediately,
 // and makes the run observable while it happens — status + queue position on
 // GET /v1/jobs/{id}, and a live Server-Sent-Events feed on
-// GET /v1/jobs/{id}/events carrying progress snapshots (Options.OnStats),
-// throttled flight-recorder events (level_start, goal_matched),
-// and a terminal result frame byte-identical to the synchronous
-// endpoint's envelope (both encode the same prepared request through
-// api.Encode; the determinism suite pins it).
+// GET /v1/jobs/{id}/events carrying progress snapshots (Options.OnStats)
+// and a terminal result frame byte-identical to the synchronous endpoint's
+// envelope (both encode the same prepared request through api.Encode; the
+// determinism suite pins it). The OnStats tap is the stream's only feed.
 //
 // Lifecycle: queued → running → done. The job runs under the server's base
 // context, not any HTTP request's — a watcher dropping its stream must not
@@ -37,25 +36,12 @@ import (
 // submission is rejected 503 like a full queue.
 const jobHistory = 256
 
-// levelStartThrottle is the per-subscriber floor between level_start frames:
-// deep searches start thousands of levels a second and a stream wants the
-// shape, not the firehose. Goal matches are never throttled.
-const levelStartThrottle = 100 * time.Millisecond
-
-// streamKinds are the recorder kinds a job's sink forwards to subscribers.
-var streamKinds = []telemetry.EventKind{
-	telemetry.EvLevelStart, telemetry.EvGoalMatched,
-}
-
-// jobRecord is one job's server-side state. The recorder and sink are
-// per-job: journals and streams never mix jobs.
+// jobRecord is one job's server-side state.
 type jobRecord struct {
 	id        string
 	kind      string // "analyze" or "query"
 	requestID string
 	created   time.Time
-	rec       *telemetry.Recorder
-	sink      *telemetry.EventSink
 
 	mu      sync.Mutex
 	pooled  *job // queue handle while pending (position); nil after pickup
@@ -97,16 +83,11 @@ func (j *jobRecord) deadlineAt() time.Time {
 }
 
 func newJobRecord(kind, requestID string) *jobRecord {
-	rec := telemetry.NewRecorder(0)
-	sink := telemetry.NewEventSink()
-	rec.SetSink(sink, streamKinds...)
 	return &jobRecord{
 		id:        "j-" + newRequestID(),
 		kind:      kind,
 		requestID: requestID,
 		created:   time.Now(),
-		rec:       rec,
-		sink:      sink,
 		status:    api.JobQueued,
 		statsCh:   make(chan struct{}),
 		done:      make(chan struct{}),
@@ -245,32 +226,24 @@ func (r *jobRegistry) len() int {
 	return len(r.order)
 }
 
-// jobObserver hooks a prepared request's search options up to a job's
-// recorder and stats feed. A nil observer (the synchronous endpoints) leaves
-// the options untouched, which is what keeps sync and job responses
-// byte-identical: the observer only adds observation, never search behavior.
+// jobObserver taps a prepared request's search options for a job's stats
+// feed. A nil observer (the synchronous endpoints) leaves the options
+// untouched, which is what keeps sync and job responses byte-identical: the
+// observer only adds an OnStats tap and its interval, never search behavior.
 type jobObserver struct {
-	rec      *telemetry.Recorder
 	interval time.Duration
 	onStats  func(*rewrite.SearchStats)
 }
 
-// attach wires the observer into opts. Chains an existing OnStats rather
-// than replacing it.
+// attach wires the observer into opts. Request options never carry an
+// OnStats of their own (no wire field can set a func), so there is nothing
+// to chain.
 func (o *jobObserver) attach(opts *rewrite.Options) {
 	if o == nil {
 		return
 	}
-	opts.Recorder = o.rec
 	opts.StatsInterval = o.interval
-	prev := opts.OnStats
-	sink := o.onStats
-	opts.OnStats = func(st *rewrite.SearchStats) {
-		if prev != nil {
-			prev(st)
-		}
-		sink(st)
-	}
+	opts.OnStats = o.onStats
 }
 
 // handleJobSubmit admits an analyze/query request as an async job.
@@ -310,7 +283,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			status, det := s.errorDetailForRun(aerr)
 			s.reg.Counter("server_errors_total").Add(1)
 			j.finish(nil, status, &det)
-			j.sink.Close()
 		})
 		return err
 	})
@@ -392,7 +364,6 @@ func (s *Server) execJob(j *jobRecord, p *prepared) {
 	}
 
 	watch := &jobObserver{
-		rec:      j.rec,
 		interval: s.cfg.JobStatsInterval,
 		onStats:  func(st *rewrite.SearchStats) { j.setStats(api.FromSearchStats(st)) },
 	}
@@ -420,13 +391,6 @@ func (s *Server) execJob(j *jobRecord, p *prepared) {
 		lg.Info("job done", "component", "server", "kind", j.kind, "elapsed", time.Since(j.created))
 		j.finish(buf.Bytes(), 0, nil)
 	}
-	// The stream is over: subscribers drain their rings and see the feed
-	// end. Journal truncation and stream drops both surface on the shared
-	// counter the /metrics satellite names.
-	j.sink.Close()
-	if drops := j.rec.Dropped() + j.sink.Dropped(); drops > 0 {
-		s.reg.Counter("rosa_recorder_dropped_events_total").Add(drops)
-	}
 }
 
 // handleJobStatus reports a job's state. GET /v1/jobs/{id}.
@@ -438,14 +402,13 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	j.mu.Lock()
 	resp := api.JobStatusResponse{
-		APIVersion:    api.Version,
-		ID:            j.id,
-		Status:        j.status,
-		Kind:          j.kind,
-		RequestID:     j.requestID,
-		Stats:         j.stats,
-		DroppedEvents: j.sink.Dropped(),
-		Error:         j.errInfo,
+		APIVersion: api.Version,
+		ID:         j.id,
+		Status:     j.status,
+		Kind:       j.kind,
+		RequestID:  j.requestID,
+		Stats:      j.stats,
+		Error:      j.errInfo,
 	}
 	pooled := j.pooled
 	j.mu.Unlock()
@@ -459,18 +422,16 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // GET /v1/jobs/{id}/events. Frame catalog (event name → data):
 //
 //	stats       api.SearchStats — the latest Options.OnStats snapshot
-//	level_start, goal_matched
-//	            api.JobEvent — recorder events (level_start throttled to
-//	            one per levelStartThrottle per subscriber)
 //	shutdown    {"reason":"draining"} — the server began graceful drain;
 //	            the stream stays open while the job finishes
 //	result      the terminal response envelope, byte-identical to the
 //	            synchronous endpoint's body for the same request
 //	error       api.ErrorResponse — the job failed
 //
-// A stream always ends with exactly one result or error frame, preceded by a
-// final stats frame; subscribing to a finished job replays the terminal
-// frames immediately.
+// A stream always ends with exactly one result or error frame. A result
+// frame comes right after the job's final stats frame, unless a shutdown
+// frame falls between them; subscribing to a finished job replays the final
+// stats and terminal frames immediately.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs.get(r.PathValue("id"))
 	if j == nil {
@@ -483,13 +444,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			"response writer cannot stream")
 		return
 	}
-	sub := j.sink.Subscribe(0)
-	defer sub.Close()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	var lastLevel time.Time
 	var sentStats *api.SearchStats
 	emitStats := func() {
 		st := j.latestStats()
@@ -503,32 +461,14 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeSSE(w, "stats", data)
 		sentStats = st
 	}
-	emitEvents := func() {
-		evs, _ := sub.Events()
-		for _, ev := range evs {
-			if ev.Kind == telemetry.EvLevelStart {
-				if time.Since(lastLevel) < levelStartThrottle {
-					continue
-				}
-				lastLevel = time.Now()
-			}
-			data, err := json.Marshal(api.FromEvent(ev))
-			if err != nil {
-				continue
-			}
-			writeSSE(w, ev.Kind.String(), data)
-		}
-	}
 
 	statsCh := j.statsChan()
 	drain := s.drainCh
 	for {
-		emitEvents()
 		emitStats()
 		fl.Flush()
 		select {
 		case <-j.done:
-			emitEvents()
 			emitStats()
 			result, errInfo := j.outcome()
 			if errInfo != nil {
@@ -541,7 +481,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			fl.Flush()
 			return
-		case <-sub.Wait():
 		case <-statsCh:
 			statsCh = j.statsChan()
 		case <-drain:

@@ -116,10 +116,33 @@ func normalizeQuery(t *testing.T, raw []byte) []byte {
 	return buf.Bytes()
 }
 
+// streamResult checks a finished job's frame sequence against the stream
+// contract — every frame is stats or result, and the result comes right
+// after a stats frame — and returns the result payload as the synchronous
+// endpoint's body (data lines joined by newlines; api.Encode bodies end
+// with one trailing newline).
+func streamResult(frames []sseFrame) ([]byte, error) {
+	kinds := make([]string, len(frames))
+	for i, f := range frames {
+		kinds[i] = f.event
+	}
+	for i, k := range kinds {
+		if k != "stats" && k != "result" {
+			return nil, fmt.Errorf("frame %d is %q, want stats or result: %v", i, k, kinds)
+		}
+	}
+	if n := len(frames); n < 2 || frames[n-1].event != "result" || frames[n-2].event != "stats" {
+		return nil, fmt.Errorf("stream %v, want a stats frame then the terminal result", kinds)
+	}
+	return []byte(frames[len(frames)-1].payload() + "\n"), nil
+}
+
 // TestJobStreamDeterminism pins the tentpole acceptance criterion: the
 // terminal SSE result frame of a streamed job reconstructs byte-identically
-// (modulo wall-clock fields) to the synchronous POST /v1/query response for
-// the same request — across concurrent streamed jobs.
+// (modulo wall-clock fields) to the synchronous endpoint's response for the
+// same request — across concurrent streamed query jobs, and for an analyze
+// job whose concurrent searches share one stats tap. Every stream carries
+// stats frames and its result only, the result right after a stats frame.
 func TestJobStreamDeterminism(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 4})
 
@@ -129,44 +152,33 @@ func TestJobStreamDeterminism(t *testing.T) {
 	}
 	ref := normalizeQuery(t, syncBody)
 
+	// follow submits a job and reads its whole stream.
+	follow := func(body string) ([]sseFrame, error) {
+		jr := submitJob(t, ts.URL, body)
+		sr, err := http.Get(ts.URL + jr.EventsURL)
+		if err != nil {
+			return nil, err
+		}
+		defer sr.Body.Close()
+		if ct := sr.Header.Get("Content-Type"); ct != "text/event-stream" {
+			return nil, fmt.Errorf("stream content type = %q", ct)
+		}
+		return readSSE(t, sr.Body), nil
+	}
+
 	const n = 4
 	streamed := make([][]byte, n)
-	sawStats := make([]bool, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			jr := submitJob(t, ts.URL, `{"query":`+queryBody+`}`)
-			sr, err := http.Get(ts.URL + jr.EventsURL)
-			if err != nil {
-				errs[i] = err
-				return
+			frames, err := follow(`{"query":` + queryBody + `}`)
+			if err == nil {
+				streamed[i], err = streamResult(frames)
 			}
-			defer sr.Body.Close()
-			if ct := sr.Header.Get("Content-Type"); ct != "text/event-stream" {
-				errs[i] = fmt.Errorf("stream content type = %q", ct)
-				return
-			}
-			frames := readSSE(t, sr.Body)
-			if len(frames) == 0 {
-				errs[i] = fmt.Errorf("empty stream")
-				return
-			}
-			for _, f := range frames {
-				if f.event == "stats" {
-					sawStats[i] = true
-				}
-			}
-			last := frames[len(frames)-1]
-			if last.event != "result" {
-				errs[i] = fmt.Errorf("terminal frame is %q, want result", last.event)
-				return
-			}
-			// The SSE grammar: data lines joined by newlines; api.Encode
-			// bodies end with one trailing newline.
-			streamed[i] = []byte(last.payload() + "\n")
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()
@@ -176,16 +188,14 @@ func TestJobStreamDeterminism(t *testing.T) {
 		}
 	}
 	for i, body := range streamed {
-		if !sawStats[i] {
-			t.Errorf("stream %d carried no stats frame", i)
-		}
 		if got := normalizeQuery(t, body); !bytes.Equal(got, ref) {
 			t.Errorf("stream %d result diverged from the synchronous body:\n--- streamed ---\n%s\n--- sync ---\n%s",
 				i, got, ref)
 		}
 	}
 
-	// A late subscriber to a finished job replays the terminal frames.
+	// A late subscriber to a finished job replays the final stats and
+	// terminal frames.
 	jr := submitJob(t, ts.URL, `{"query":`+queryBody+`}`)
 	deadline := time.Now().Add(10 * time.Second)
 	for jobStatus(t, ts.URL+jr.StatusURL).Status != api.JobDone {
@@ -200,11 +210,31 @@ func TestJobStreamDeterminism(t *testing.T) {
 	}
 	frames := readSSE(t, sr.Body)
 	sr.Body.Close()
-	if len(frames) == 0 || frames[len(frames)-1].event != "result" {
-		t.Fatalf("late subscription frames = %+v, want terminal result replay", frames)
+	late, err := streamResult(frames)
+	if err != nil {
+		t.Fatalf("late subscription: %v", err)
 	}
-	if got := normalizeQuery(t, []byte(frames[len(frames)-1].payload()+"\n")); !bytes.Equal(got, ref) {
+	if got := normalizeQuery(t, late); !bytes.Equal(got, ref) {
 		t.Error("late-replayed result diverged from the synchronous body")
+	}
+
+	// An analyze job: its result frame is the synchronous /v1/analyze body.
+	const analyzeBody = `{"program":"su"}`
+	resp, syncBody = postJSON(t, ts.URL+"/v1/analyze", analyzeBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync analyze = %d: %s", resp.StatusCode, syncBody)
+	}
+	frames, err = follow(`{"analyze":` + analyzeBody + `}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := streamResult(frames)
+	if err != nil {
+		t.Fatalf("analyze stream: %v", err)
+	}
+	if got, want := normalize(t, body), normalize(t, syncBody); !bytes.Equal(got, want) {
+		t.Errorf("analyze stream result diverged from the synchronous body:\n--- streamed ---\n%s\n--- sync ---\n%s",
+			got, want)
 	}
 }
 
@@ -416,9 +446,9 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 }
 
-// TestJobMetrics asserts the observability satellites: job counters, the
-// dropped-events counter, and the per-route serving histograms are all in the
-// /metrics exposition — the histogram schema from boot, the counters live.
+// TestJobMetrics asserts the observability satellites: job counters and the
+// per-route serving histograms are all in the /metrics exposition — the
+// histogram schema from boot, the counters live.
 func TestJobMetrics(t *testing.T) {
 	_, ts := testServer(t, Config{Concurrency: 1})
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -428,7 +458,6 @@ func TestJobMetrics(t *testing.T) {
 	boot := readAll(t, resp)
 	resp.Body.Close()
 	for _, want := range []string{
-		"rosa_recorder_dropped_events_total",
 		"server_jobs_total",
 		"server_jobs_resident",
 		"server_queue_wait_ns_count",
@@ -479,24 +508,15 @@ func TestJobEventsDrainShutdownFrame(t *testing.T) {
 	<-running
 	jr := submitJob(t, ts.URL, `{"query":`+queryBody+`}`)
 
-	type streamResult struct {
-		frames []sseFrame
-		err    error
+	// http.Get returns once the handler has flushed its headers, so the
+	// subscriber is attached before drain begins.
+	sr, err := http.Get(ts.URL + jr.EventsURL)
+	if err != nil {
+		t.Fatal(err)
 	}
-	streamDone := make(chan streamResult, 1)
-	go func() {
-		sr, err := http.Get(ts.URL + jr.EventsURL)
-		if err != nil {
-			streamDone <- streamResult{err: err}
-			return
-		}
-		defer sr.Body.Close()
-		streamDone <- streamResult{frames: readSSE(t, sr.Body)}
-	}()
-	// Let the subscriber attach before drain begins.
-	for s.jobs.get(jr.ID).sink.Subscribers() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	defer sr.Body.Close()
+	streamDone := make(chan []sseFrame, 1)
+	go func() { streamDone <- readSSE(t, sr.Body) }()
 
 	// The drain sequence Serve runs: stop admissions, signal the streams.
 	s.beginDrain()
@@ -512,17 +532,14 @@ func TestJobEventsDrainShutdownFrame(t *testing.T) {
 	}
 
 	close(gate) // the worker now runs the already-queued job to completion
-	var res streamResult
+	var frames []sseFrame
 	select {
-	case res = <-streamDone:
+	case frames = <-streamDone:
 	case <-time.After(15 * time.Second):
 		t.Fatal("stream did not terminate after drain")
 	}
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
 	shutdownAt, resultAt := -1, -1
-	for i, f := range res.frames {
+	for i, f := range frames {
 		switch f.event {
 		case "shutdown":
 			shutdownAt = i
@@ -534,10 +551,10 @@ func TestJobEventsDrainShutdownFrame(t *testing.T) {
 		}
 	}
 	if shutdownAt == -1 {
-		t.Fatalf("no shutdown frame in %+v", res.frames)
+		t.Fatalf("no shutdown frame in %+v", frames)
 	}
 	if resultAt == -1 {
-		t.Fatalf("no terminal result frame in %+v", res.frames)
+		t.Fatalf("no terminal result frame in %+v", frames)
 	}
 	if shutdownAt > resultAt {
 		t.Errorf("shutdown frame (%d) after result (%d)", shutdownAt, resultAt)

@@ -149,7 +149,6 @@ func New(cfg Config) *Server {
 		"rosa_queries_total",
 		"rosa_succ_cache_hits_total", "rosa_succ_cache_misses_total",
 		"rosa_compiled_matches_total", "rosa_fallback_matches_total",
-		"rosa_recorder_dropped_events_total",
 		"server_slowlog_admitted_total",
 	} {
 		s.reg.Counter(name)

@@ -163,13 +163,6 @@ type Recorder struct {
 
 	mu   sync.Mutex
 	ring ring
-
-	// Live fan-out: committed events whose kind is in sinkKeep are also
-	// published to sink, for SSE job streams and other subscribers. Both
-	// are zero when no one is listening, which keeps the disabled path to
-	// one nil check per committed batch.
-	sink     *EventSink
-	sinkKeep uint64 // bitmask over EventKind
 }
 
 // NewRecorder returns a recorder whose ring retains up to capacity events
@@ -213,9 +206,9 @@ func (r *Recorder) Buf(search int32) *EventBuf {
 	return &EventBuf{rec: r, search: search}
 }
 
-// Commit appends pre-stamped events to the ring, and forwards the kinds
-// selected by SetSink to the live sink. Distinct searches sharing a recorder
-// may commit concurrently (the mutex makes that safe, at batch granularity).
+// Commit appends pre-stamped events to the ring. Distinct searches sharing
+// a recorder may commit concurrently (the mutex makes that safe, at batch
+// granularity).
 func (r *Recorder) Commit(evs []Event) {
 	if r == nil || len(evs) == 0 {
 		return
@@ -224,38 +217,6 @@ func (r *Recorder) Commit(evs []Event) {
 	for _, ev := range evs {
 		r.ring.append(ev, r.capacity)
 	}
-	sink, keep := r.sink, r.sinkKeep
-	r.mu.Unlock()
-	if sink == nil {
-		return
-	}
-	// Filter outside the recorder mutex: sink delivery contends only with
-	// other publishers and subscribers, never with journal access.
-	var fwd []Event
-	for _, ev := range evs {
-		if keep&(1<<ev.Kind) != 0 {
-			fwd = append(fwd, ev)
-		}
-	}
-	sink.Publish(fwd)
-}
-
-// SetSink attaches a live fan-out for committed events of the given kinds
-// (all kinds when none are named). Passing a nil sink detaches. No-op on a
-// nil recorder.
-func (r *Recorder) SetSink(sink *EventSink, keep ...EventKind) {
-	if r == nil {
-		return
-	}
-	var mask uint64
-	if len(keep) == 0 {
-		mask = ^uint64(0)
-	}
-	for _, k := range keep {
-		mask |= 1 << k
-	}
-	r.mu.Lock()
-	r.sink, r.sinkKeep = sink, mask
 	r.mu.Unlock()
 }
 

@@ -139,6 +139,32 @@ func TestRecorderJournalOrder(t *testing.T) {
 	}
 }
 
+// TestRecorderCommitEvent: a one-off CommitEvent lands in the journal beside
+// the buffered events, stamped with the fields it was given.
+func TestRecorderCommitEvent(t *testing.T) {
+	rec := NewRecorder(0)
+	search := rec.BeginSearch()
+	buf := rec.Buf(search)
+	buf.Record(EvLevelStart, 0, 0, "", 1)
+	buf.Record(EvGoalMatched, 3, 0xabc, "", 42)
+	buf.Flush()
+	rec.CommitEvent(EvDedup, search, 2, 0, "", 4096)
+
+	j := rec.Journal()
+	if len(j) != 3 {
+		t.Fatalf("journal has %d events %+v, want 3", len(j), j)
+	}
+	var got *Event
+	for i := range j {
+		if j[i].Kind == EvDedup {
+			got = &j[i]
+		}
+	}
+	if got == nil || got.N != 4096 || got.Depth != 2 || got.Search != search || got.T < 0 {
+		t.Errorf("committed event = %+v", got)
+	}
+}
+
 func TestRecorderEpoch(t *testing.T) {
 	r := NewRecorder(0)
 	if time.Since(r.Epoch()) < 0 || time.Since(r.Epoch()) > time.Minute {
