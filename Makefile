@@ -19,9 +19,9 @@ test-short:
 
 # Race-detector pass over the packages with concurrent code paths (the
 # shared interner and transition caches under concurrent searches, the
-# concurrent attack columns of core.AnalyzeAll, the telemetry registry and
-# flight recorder, the server's slow-query journal / job pool, and the
-# CLI's concurrent program analyses).
+# concurrent attack columns of core.AnalyzeAll, the telemetry registry,
+# the server's slow-query journal / job pool, and the CLI's concurrent
+# program analyses).
 test-race:
 	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/ ./cmd/privanalyzer/
 
@@ -61,7 +61,7 @@ serve:
 
 # Short fuzzing passes over every parser, over /v1/query request bodies, and
 # the five engine fuzzers CI runs (segment charging, counted loops, Replace,
-# compiled matchers, intern parts).
+# compiled matchers, intern parts). CI also runs FuzzParseQuery, for 20s.
 fuzz:
 	$(GO) test -fuzz=FuzzParse$$ -fuzztime=15s ./internal/ir/
 	$(GO) test -fuzz=FuzzParseTerm -fuzztime=15s ./internal/rewrite/

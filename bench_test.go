@@ -141,48 +141,6 @@ func BenchmarkTelemetry(b *testing.B) {
 	})
 }
 
-// BenchmarkRecorder measures the search flight recorder the same way
-// BenchmarkTelemetry measures the registry: "disabled" runs the search with
-// no recorder attached — the default for every caller, whose ns/op must stay
-// within noise of the recorder-free engine since each hook pays only a nil
-// check — and "enabled" attaches a fresh recorder and pays for event
-// buffering, commit batches, and ring writes.
-func BenchmarkRecorder(b *testing.B) {
-	p := benchProgram(b, "suRef")
-	inv := p.Syscalls()
-	var empty programs.PhaseSpec
-	for _, ph := range p.Phases {
-		if ph.Name == "suRef_priv6" {
-			empty = ph
-		}
-	}
-	build := func() *rosa.Query {
-		q := attacks.Build(attacks.ReadDevMem, inv, phaseCreds(empty), caps.EmptySet)
-		q.MaxStates = core.DefaultMaxStates
-		return q
-	}
-	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := build().Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		var events int
-		for i := 0; i < b.N; i++ {
-			rec := telemetry.NewRecorder(0)
-			q := build()
-			q.Recorder = rec
-			if _, err := q.Run(); err != nil {
-				b.Fatal(err)
-			}
-			events = len(rec.Journal())
-		}
-		b.ReportMetric(float64(events), "events")
-	})
-}
-
 // BenchmarkAblation measures the design choices DESIGN.md documents. The
 // deduplication and frontier-order ablations run on the test-only
 // reference search (BenchmarkAblation in internal/rewrite); the engine has

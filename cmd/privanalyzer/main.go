@@ -94,11 +94,8 @@ func run(args []string) (code int) {
 		reg = telemetry.New()
 		ctx = telemetry.NewContext(ctx, reg)
 	}
-	var rec *telemetry.Recorder
 	var counterTracks []telemetry.CounterTrack
 	if *traceOut != "" {
-		rec = telemetry.NewRecorder(0)
-		opts.Search.Recorder = rec
 		// The hot-block profile becomes the trace's counter tracks.
 		opts.ProfileBlocks = true
 	}
@@ -110,7 +107,7 @@ func run(args []string) (code int) {
 			}
 		}
 		if *traceOut != "" {
-			if err := writeTraceFile(*traceOut, reg, rec, counterTracks); err != nil {
+			if err := search.WriteTrace(reg, counterTracks); err != nil {
 				fmt.Fprintln(os.Stderr, "privanalyzer:", err)
 				if code == 0 {
 					code = 1
@@ -289,20 +286,6 @@ func hotBlockTrack(name string, prof *interp.BlockProfile, start, end time.Time)
 			{T: end, Values: vals},
 		},
 	}
-}
-
-// writeTraceFile writes the combined capture — spans, recorder events,
-// hot-block counter tracks — as Chrome Trace Event JSON.
-func writeTraceFile(path string, reg *telemetry.Registry, rec *telemetry.Recorder, counters []telemetry.CounterTrack) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteTrace(f, reg, rec, counters); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // flushTelemetry writes the run's telemetry to the files requested by

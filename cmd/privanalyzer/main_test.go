@@ -232,9 +232,9 @@ func TestRunTelemetryFlags(t *testing.T) {
 	}
 }
 
-// TestRunTraceOut: the pipeline-level trace export must combine all three
-// sources — the span tree, the search flight recorder's event instants,
-// and the interp hot-block counter track — in valid Trace Event JSON.
+// TestRunTraceOut: the pipeline-level trace export must combine both
+// sources — the span tree and the interp hot-block counter track — in
+// valid Trace Event JSON, with no instant events.
 func TestRunTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	out, code := capture(t, func() int {
@@ -269,8 +269,8 @@ func TestRunTraceOut(t *testing.T) {
 			t.Errorf("trace missing the %q span", want)
 		}
 	}
-	if phases["i"] == 0 || !names["level_start"] {
-		t.Errorf("trace missing recorder instants: phases %v", phases)
+	if phases["i"] != 0 {
+		t.Errorf("trace has %d instant events, want none", phases["i"])
 	}
 	if phases["C"] == 0 || !names["hot blocks ping"] {
 		t.Errorf("trace missing the hot-block counter track: phases %v", phases)
@@ -333,10 +333,10 @@ func TestRunJSON(t *testing.T) {
 // TestRunExperimentsScheduleIndependent: the programs of -experiments are
 // analysed concurrently, yet stdout is byte-identical, apart from the
 // wall-clock elapsed_ns fields, on one CPU and on four — and with the shared
-// telemetry registry and flight recorder attached (-telemetry-json,
-// -trace-out), whose trace keeps one hot-block track per program. With
-// -stats, a run on one CPU and a run on four are byte-identical apart from
-// elapsed_ns and states_per_sec: every search runs on one goroutine, so no
+// telemetry registry attached (-telemetry-json, -trace-out), whose trace
+// keeps one hot-block track per program. With -stats, a run on one CPU and
+// a run on four are byte-identical apart from elapsed_ns and
+// states_per_sec: every search runs on one goroutine, so no
 // counter depends on the CPU count, and no per-query figure reads
 // process-wide state that the other programs move. GOMAXPROCS is set
 // explicitly, so the check bites on a one-CPU machine too.

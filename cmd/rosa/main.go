@@ -12,7 +12,8 @@
 //	rosa -example -maude   # print the query in Maude syntax too
 //	rosa -example -stats   # print search statistics (states/sec, frontier, …)
 //	rosa -query f.rosa -timeout 5s -budget 50000  # bounded wall clock and states
-//	rosa -example -explain                # witness annotated from the recorder
+//	rosa -example -explain                # witness annotated per step: depth,
+//	                                      # frontier, discovery ordinals
 //	rosa -example -trace-out trace.json   # Chrome Trace / Perfetto export
 //	rosa -example -progress 200ms         # live progress line on stderr
 //	rosa -example -log-level debug        # structured logs on stderr
@@ -66,7 +67,7 @@ func run(args []string) int {
 		query    = fs.String("query", "", "run a query file (rosa.ParseQuery format) instead")
 		maude    = fs.Bool("maude", false, "also print the query in the paper's Maude syntax")
 		simulate = fs.Bool("simulate", false, "follow one deterministic execution (Maude's rewrite) instead of searching")
-		explain  = fs.Bool("explain", false, "annotate the witness from the search flight recorder: per-step depth, frontier size, and time-to-discovery")
+		explain  = fs.Bool("explain", false, "annotate the witness from the search statistics: per-step depth, frontier size, and discovery ordinals")
 		progress = fs.Duration("progress", 0, "print a live progress line to stderr at this interval, e.g. 200ms (0 = off)")
 		watch    = fs.String("watch", "", "follow a privanalyzerd job's live event stream at this URL (the status_url or events_url from POST /v1/jobs) instead of searching locally")
 	)
@@ -209,13 +210,6 @@ func (r reporter) report(what string, q *rosa.Query) int {
 		return 2
 	}
 
-	// -explain and -trace-out both need the flight recorder; -trace-out also
-	// needs the span registry for the pipeline track.
-	var rec *telemetry.Recorder
-	if r.explain || r.search.TraceOut != "" {
-		rec = telemetry.NewRecorder(0)
-		q.Recorder = rec
-	}
 	var reg *telemetry.Registry
 	ctx := context.Background()
 	if r.search.TraceOut != "" {
@@ -238,17 +232,27 @@ func (r reporter) report(what string, q *rosa.Query) int {
 				return
 			}
 			progressShown = true
-			frontier := 0
-			if len(st.Frontier) > 0 {
-				frontier = st.Frontier[len(st.Frontier)-1]
-			}
 			hitRate := 0.0
 			if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 				hitRate = 100 * float64(st.CacheHits) / float64(lookups)
 			}
 			fmt.Fprintf(os.Stderr, "\rdepth %-3d  %9d states (%.0f/s)  frontier %-7d  cache %5.1f%%  budget %5.1f%%  ",
-				st.Depth, st.StatesExplored, st.StatesPerSec(), frontier,
+				st.Depth, st.StatesExplored, st.StatesPerSec(), lastLevel(st),
 				hitRate, 100*float64(st.StatesExplored)/float64(budget))
+		}
+	}
+	// -trace-out: besides the spans, a counter track of the search's
+	// progress, one sample per OnStats snapshot (every completed level, or
+	// every -progress tick).
+	track := telemetry.CounterTrack{Name: "search"}
+	if r.search.TraceOut != "" {
+		show := q.OnStats
+		q.OnStats = func(st *rewrite.SearchStats) {
+			track.Samples = append(track.Samples, telemetry.CounterSample{T: time.Now(),
+				Values: map[string]int64{"states": int64(st.StatesExplored), "frontier": int64(lastLevel(st))}})
+			if show != nil {
+				show(st)
+			}
 		}
 	}
 	if r.search.Timeout > 0 {
@@ -285,16 +289,13 @@ func (r reporter) report(what string, q *rosa.Query) int {
 		fmt.Printf("\nwitness (attack syscall sequence):\n%s", rewrite.FormatWitness(res.Witness))
 	}
 	if r.explain {
-		fmt.Printf("\n%s", report.ExplainWitness(res, rec.Journal()))
-		if n := rec.Dropped(); n > 0 {
-			fmt.Printf("(flight recorder overflowed: %d oldest events dropped)\n", n)
-		}
+		fmt.Printf("\n%s", report.ExplainWitness(res))
 	}
 	if r.search.Stats && res.Stats != nil {
 		fmt.Printf("\n%s", report.SearchStatsText(res.Stats))
 	}
 	if r.search.TraceOut != "" {
-		if err := writeTrace(r.search.TraceOut, reg, rec); err != nil {
+		if err := r.search.WriteTrace(reg, []telemetry.CounterTrack{track}); err != nil {
 			fmt.Fprintln(os.Stderr, "rosa:", err)
 			return 1
 		}
@@ -303,16 +304,11 @@ func (r reporter) report(what string, q *rosa.Query) int {
 	return 0
 }
 
-// writeTrace writes the combined span + recorder capture as Chrome Trace
-// Event JSON.
-func writeTrace(path string, reg *telemetry.Registry, rec *telemetry.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// lastLevel is the size of the deepest level the search has reached, 0
+// before the first.
+func lastLevel(st *rewrite.SearchStats) int {
+	if len(st.Frontier) == 0 {
+		return 0
 	}
-	if err := telemetry.WriteTrace(f, reg, rec, nil); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return st.Frontier[len(st.Frontier)-1]
 }

@@ -145,10 +145,10 @@ func TestRunStatsFlag(t *testing.T) {
 	}
 }
 
-// TestRunExplainThttpd is the ISSUE's acceptance case: the thttpd_priv1
-// grid cell (Figure 9's first bar, attack 1) with -explain must print a
-// step-annotated witness timeline from the flight recorder.
-func TestRunExplainThttpd(t *testing.T) {
+// explainThttpd runs the thttpd_priv1 grid cell (Figure 9's first bar,
+// attack 1) with -explain.
+func explainThttpd(t *testing.T) string {
+	t.Helper()
 	out, code := capture(t, func() int {
 		return run([]string{
 			"-attack", "1",
@@ -161,23 +161,57 @@ func TestRunExplainThttpd(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d\n%s", code, out)
 	}
+	return out
+}
+
+// TestRunExplainThttpd: the thttpd_priv1 attack-1 cell with -explain prints
+// a step-annotated witness timeline, every step row with a discovery
+// ordinal.
+func TestRunExplainThttpd(t *testing.T) {
+	out := explainThttpd(t)
 	for _, want := range []string{
 		"verdict: ✓",
 		"attack found in 2 steps",
-		"goal matched at +",
-		"step", "syscall", "depth", "frontier", "found-at",
+		"goal matched after 384 states, at depth 2",
+		"step", "syscall", "depth", "frontier", "discovered",
 		"chown", "open",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-explain output missing %q:\n%s", want, out)
 		}
 	}
-	// Every step row must carry a found-at annotation, not the "-" fallback.
+	rows := 0
 	for _, line := range strings.Split(out, "\n") {
 		fields := strings.Fields(line)
-		if len(fields) >= 5 && (fields[0] == "1" || fields[0] == "2") && fields[4] == "-" {
-			t.Errorf("step row missing its found-at annotation: %q", line)
+		if len(fields) >= 5 && (fields[0] == "1" || fields[0] == "2") && fields[2] == fields[0] {
+			rows++
+			if !strings.HasPrefix(fields[4], "#") {
+				t.Errorf("step row missing its discovered ordinal: %q", line)
+			}
 		}
+	}
+	if rows != 2 {
+		t.Errorf("%d step rows, want 2:\n%s", rows, out)
+	}
+}
+
+// TestRunExplainGolden pins the whole -explain block of the thttpd_priv1
+// attack-1 cell: Frontier [1 382], 384 states. Chown sits in level 1,
+// states #2–#383; open is the goal, the 384th state.
+func TestRunExplainGolden(t *testing.T) {
+	const want = `attack found in 2 steps (384 states explored)
+goal matched after 384 states, at depth 2
+step  syscall        depth  frontier      discovered  state
+   1  chown              1         1         #2–#383  {Dir(2,"/dev",493,0,0,3) File(3,"/dev/mem",416,998,1000)…
+   2  open               2       382            #384  {Dir(2,"/dev",493,0,0,3) File(3,"/dev/mem",416,998,1000)…
+`
+	out := explainThttpd(t)
+	i := strings.Index(out, "attack found in")
+	if i < 0 {
+		t.Fatalf("no -explain block:\n%s", out)
+	}
+	if got := out[i:]; got != want {
+		t.Errorf("-explain block:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -214,7 +248,8 @@ func TestRunExplainBudget(t *testing.T) {
 }
 
 // TestRunTraceOut: the exported file must parse as Chrome Trace Event JSON
-// with the rosa.query span and the recorder's instant events.
+// with the rosa.query span and the search's progress counter track, and
+// no instant events.
 func TestRunTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	out, code := capture(t, func() int {
@@ -253,8 +288,11 @@ func TestRunTraceOut(t *testing.T) {
 	if phases["X"] == 0 || !names["rosa.query"] {
 		t.Errorf("trace missing the rosa.query span: phases %v", phases)
 	}
-	if phases["i"] == 0 || !names["level_start"] || !names["goal_matched"] {
-		t.Errorf("trace missing recorder instants: phases %v, names %v", phases, names)
+	if phases["C"] == 0 || !names["search"] {
+		t.Errorf("trace missing the search counter track: phases %v, names %v", phases, names)
+	}
+	if phases["i"] != 0 {
+		t.Errorf("trace has %d instant events, want none", phases["i"])
 	}
 	if phases["M"] == 0 {
 		t.Errorf("trace missing thread metadata: phases %v", phases)

@@ -222,9 +222,6 @@ type SearchStats struct {
 	// ElapsedNS is wall-clock time into the search — nondeterministic, like
 	// QueryResult.ElapsedNS, and zeroed by byte-identity comparisons.
 	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
-	// DroppedEvents is the flight recorder's truncation count at snapshot
-	// time (journal overwrites; stream drops are reported per job).
-	DroppedEvents int64 `json:"dropped_events,omitempty"`
 }
 
 // QueryCost is a slow-query journal entry's cost vector (CostOf): the

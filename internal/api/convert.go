@@ -96,7 +96,6 @@ func FromSearchStats(st *rewrite.SearchStats) *SearchStats {
 		CompiledMatches:     st.CompiledMatches,
 		FallbackMatches:     st.FallbackMatches,
 		ElapsedNS:           st.Elapsed.Nanoseconds(),
-		DroppedEvents:       st.DroppedEvents,
 	}
 }
 

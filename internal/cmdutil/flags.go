@@ -3,6 +3,7 @@ package cmdutil
 import (
 	"flag"
 	"log/slog"
+	"os"
 	"time"
 
 	"privanalyzer/internal/api"
@@ -58,6 +59,20 @@ func (f *SearchFlags) Register(fs *flag.FlagSet) {
 		"print the search statistics (states/sec, frontier shape, dedup rate) and the per-rule cost profile")
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"write the search as Chrome Trace Event JSON to this file (load in ui.perfetto.dev)")
+}
+
+// WriteTrace writes reg's spans and the counter tracks to the -trace-out
+// path as Chrome Trace Event JSON.
+func (f SearchFlags) WriteTrace(reg *telemetry.Registry, counters []telemetry.CounterTrack) error {
+	out, err := os.Create(f.TraceOut)
+	if err != nil {
+		return err
+	}
+	if err := telemetry.WriteTrace(out, reg, counters); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // Params converts the flag values to the wire-schema knobs. TraceOut has no

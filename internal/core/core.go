@@ -33,7 +33,7 @@ import (
 // surface from the CLI down to the engine.
 type Options struct {
 	// Search bounds and tunes each ROSA query's search (budget, depth,
-	// stats callback, recorder, fault plan).
+	// stats callback, fault plan).
 	// Search.MaxStates 0 means DefaultMaxStates. Exhausting the budget or
 	// the AnalyzeContext deadline yields the Unknown (⏱) verdict for that
 	// query.
@@ -321,8 +321,8 @@ func analyze(ctx context.Context, p *programs.Program, opts Options, concurrent 
 // runs on its column's goroutine, so the columns are the only parallelism.
 // What the goroutines share is schedule-independent: the process-wide term
 // interner (canonical representatives are a pure function of the term), and
-// the telemetry registry on ctx and opts.Search.Recorder, which keep each
-// query's spans and journal events apart by label and search id.
+// the telemetry registry on ctx, which keeps each query's spans apart by
+// label.
 // opts.Search.OnStats, when set, is called from every column's goroutine.
 //
 // A program that fails cancels the context of the others, whose pending

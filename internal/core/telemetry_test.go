@@ -131,7 +131,7 @@ func TestAnalyzeAllTraceTracksNest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := telemetry.WriteTrace(&buf, reg, nil, nil); err != nil {
+	if err := telemetry.WriteTrace(&buf, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {

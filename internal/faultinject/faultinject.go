@@ -3,7 +3,7 @@
 // successor error at a chosen expansion, injected expansion latency, a
 // context cancellation at the start of a chosen BFS level — and the search
 // engine consults it at the matching sites (rewrite.Options.Faults). A nil
-// *Plan is a valid no-op, mirroring the telemetry registry and recorder, so
+// *Plan is a valid no-op, mirroring the telemetry registry, so
 // the engine checks it unconditionally at the cost of one nil test per site.
 //
 // Determinism: every fault point fires on an exact, counted occurrence, not

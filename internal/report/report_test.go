@@ -143,7 +143,7 @@ func TestExplainUnknownCause(t *testing.T) {
 		{rosa.Result{}, "raise -budget"},
 	} {
 		tc.res.Verdict = rosa.Unknown
-		if got := ExplainWitness(&tc.res, nil); !strings.Contains(got, tc.want) {
+		if got := ExplainWitness(&tc.res); !strings.Contains(got, tc.want) {
 			t.Errorf("%+v: explanation %q does not say %q", tc.res, got, tc.want)
 		}
 	}

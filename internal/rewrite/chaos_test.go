@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"privanalyzer/internal/faultinject"
-	"privanalyzer/internal/telemetry"
 )
 
 // Chaos suite: every single injected fault must leave the process alive, the
@@ -167,35 +167,23 @@ func TestCancelAtLevel(t *testing.T) {
 	}
 }
 
-// journalKeys flattens the journal's events, in order, to everything but
-// their timestamps.
-func journalKeys(rec *telemetry.Recorder) []string {
-	out := make([]string, 0, 64)
-	for _, ev := range rec.Journal() {
-		out = append(out, fmt.Sprintf("%d/%d/%x/%s/%d", ev.Kind, ev.Depth, ev.Hash, ev.Rule, ev.N))
-	}
-	return out
-}
-
 // TestLatencyChaosHarmless: injected per-expansion latency (the slow-search
-// chaos mode) changes nothing observable — verdict, state count, stats, and
-// the journal's event sequence all match the fault-free run, at any Workers
-// setting.
+// chaos mode) changes nothing observable — verdict, witness, state count
+// and stats all match the fault-free run, at any Workers setting.
 func TestLatencyChaosHarmless(t *testing.T) {
-	run := func(w int, plan *faultinject.Plan) (*SearchResult, []string) {
-		rec := telemetry.NewRecorder(0)
+	run := func(w int, plan *faultinject.Plan) *SearchResult {
 		res, err := tokens(5).SearchContext(context.Background(),
 			NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
 			Goal{Pattern: NewOp("nope")},
-			Options{Workers: w, Faults: plan, Recorder: rec})
+			Options{Workers: w, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, journalKeys(rec)
+		return res
 	}
-	ref, refJournal := run(1, nil)
+	ref := run(1, nil)
 	for _, w := range []int{1, 4} {
-		res, journal := run(w, &faultinject.Plan{ExpansionLatency: 200 * time.Microsecond})
+		res := run(w, &faultinject.Plan{ExpansionLatency: 200 * time.Microsecond})
 		if res.Found != ref.Found || res.StatesExplored != ref.StatesExplored ||
 			res.Stats.DedupHits != ref.Stats.DedupHits ||
 			fmt.Sprint(res.Stats.Frontier) != fmt.Sprint(ref.Stats.Frontier) {
@@ -203,8 +191,15 @@ func TestLatencyChaosHarmless(t *testing.T) {
 				w, res.Found, res.StatesExplored, res.Stats.DedupHits, res.Stats.Frontier,
 				ref.Found, ref.StatesExplored, ref.Stats.DedupHits, ref.Stats.Frontier)
 		}
-		if fmt.Sprint(journal) != fmt.Sprint(refJournal) {
-			t.Errorf("workers=%d with latency: journal content diverged from the fault-free run", w)
+		if got, want := FormatWitness(res.Witness), FormatWitness(ref.Witness); got != want {
+			t.Errorf("workers=%d with latency: witness\n%s\nwant\n%s", w, got, want)
+		}
+		if !reflect.DeepEqual(res.Stats.RuleFirings, ref.Stats.RuleFirings) {
+			t.Errorf("workers=%d with latency: rule firings %v, want %v", w, res.Stats.RuleFirings, ref.Stats.RuleFirings)
+		}
+		if res.Stats.CacheHits != ref.Stats.CacheHits || res.Stats.CacheMisses != ref.Stats.CacheMisses {
+			t.Errorf("workers=%d with latency: cache %d hits / %d misses, want %d / %d", w,
+				res.Stats.CacheHits, res.Stats.CacheMisses, ref.Stats.CacheHits, ref.Stats.CacheMisses)
 		}
 	}
 }

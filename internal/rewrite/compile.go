@@ -29,7 +29,7 @@ package rewrite
 // matches — and therefore replacement terms — in exactly its order (fixed
 // elements in pattern order, subject candidates in ascending index order,
 // lexicographic backtracking, remainder in subject order), so successor
-// sets, witnesses, and journals equal the reference's. The differential
+// sets and witnesses equal the reference's. The differential
 // suite (compile_test.go, core/differential_test.go) pins this; the
 // FuzzCompileEquivalence harness shakes the fragment boundary.
 

@@ -38,12 +38,6 @@ type Options struct {
 	// keeps the default cadence — every completed depth level — which the
 	// per-level progress tests rely on.
 	StatsInterval time.Duration
-	// Recorder, if set, captures an event-level journal of the search —
-	// level starts, state expansions, rule firings, cache hits and misses,
-	// dedups, prunes, goal matches — into the flight recorder's ring
-	// (see telemetry.Recorder). Nil disables recording; the hooks then cost
-	// one nil check each (pinned by BenchmarkRecorder).
-	Recorder *telemetry.Recorder
 	// Profile enables the per-rule cost profile: match attempts, firings,
 	// and cumulative/max latency per rule, reported in SearchStats.
 	// RuleProfile. Profiling times every rule-match attempt, which slows
@@ -111,12 +105,6 @@ type SearchStats struct {
 	// no rule attempt runs through the generic matcher. It stays because
 	// the v1 wire schema reports it.
 	CompiledMatches, FallbackMatches int64
-	// DroppedEvents is the attached flight recorder's overwrite count
-	// (telemetry.Recorder.Dropped) at snapshot time. Non-zero means the
-	// journal was truncated to its most recent events — `rosa -explain`
-	// columns may read "-" and journal determinism no longer holds. Zero
-	// when no recorder is attached.
-	DroppedEvents int64
 	// Final marks the unconditional end-of-search snapshot OnStats always
 	// receives, distinguishing it from interval-throttled progress ticks.
 	// Progress printers use it to avoid emitting a stale "final" line for
@@ -305,7 +293,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		stats.CacheMisses = e.cacheMisses
 		stats.CompiledRules = len(e.comp.rules)
 		stats.CompiledMatches = e.compiledMatches
-		stats.DroppedEvents = e.rec.Dropped()
 		if rp != nil {
 			stats.RuleProfile = rp.profile()
 		}
@@ -350,7 +337,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	if e.goalFn(start) {
 		res.Found = true
 		res.Final = start
-		e.rec.CommitEvent(telemetry.EvGoalMatched, e.search, 0, start.Hash(), "", 1)
 		return finish()
 	}
 	if ctx.Err() != nil {
@@ -383,7 +369,7 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 // expansion — injected or real — into a typed *SearchError carrying the
 // expanded state's interned hash. One poisoned state costs its query a
 // verdict, never the process the analysis runs in.
-func (e *engine) safeSuccessors(t *Term, depth int, b *telemetry.EventBuf) (steps []Step, err error) {
+func (e *engine) safeSuccessors(t *Term) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			steps = nil
@@ -393,7 +379,7 @@ func (e *engine) safeSuccessors(t *Term, depth int, b *telemetry.EventBuf) (step
 	if ferr := e.faults.BeforeExpansion(t.Hash()); ferr != nil {
 		return nil, &SearchError{StateHash: t.Hash(), Err: ferr}
 	}
-	return e.successors(t, depth, b), nil
+	return e.successors(t), nil
 }
 
 // searchBFS is the breadth-first engine. It expands one frontier node and
@@ -408,11 +394,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 	visited := map[*Term]struct{}{start: {}}
 	frontier := []*node{{state: start}}
 
-	// b buffers the search's events; flushed after each node and, for the
-	// early-exit returns, by the deferred flush.
-	b := e.rec.Buf(e.search)
-	defer b.Flush()
-
 	for depth := 0; len(frontier) > 0; depth++ {
 		if opts.MaxDepth > 0 && depth >= opts.MaxDepth {
 			return nil
@@ -423,10 +404,9 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 		}
 		stats.Frontier = append(stats.Frontier, len(frontier))
 		stats.Depth = depth
-		b.Record(telemetry.EvLevelStart, depth, 0, "", int64(len(frontier)))
 		if e.faults.CancelLevel(depth) && e.faultCancel != nil {
-			// Fire after the level is announced, so the level's first
-			// expansion observes the cancellation.
+			// Fire before the level's first expansion, so that expansion
+			// observes the cancellation.
 			e.injCancelled = true
 			e.faultCancel()
 		}
@@ -437,16 +417,14 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 				res.Interrupted = true
 				return nil
 			}
-			steps, err := e.safeSuccessors(n.state, depth, b)
+			steps, err := e.safeSuccessors(n.state)
 			if err != nil {
 				return err
 			}
 			for _, st := range steps {
 				stats.RuleFirings[st.Rule]++
-				b.Record(telemetry.EvRuleFired, depth+1, st.Result.Hash(), st.Rule, 0)
 				if _, seen := visited[st.Result]; seen {
 					stats.DedupHits++
-					b.Record(telemetry.EvDedup, depth+1, st.Result.Hash(), "", 0)
 					continue
 				}
 				visited[st.Result] = struct{}{}
@@ -457,7 +435,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 				res.StatesExplored++
 				child := &node{state: st.Result, rule: st.Rule, parent: n}
 				if e.goalFn(st.Result) {
-					b.Record(telemetry.EvGoalMatched, depth+1, st.Result.Hash(), "", int64(res.StatesExplored))
 					res.Found = true
 					res.Final = st.Result
 					res.Witness = child.witness()
@@ -465,7 +442,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 				}
 				nextFrontier = append(nextFrontier, child)
 			}
-			b.Flush()
 			if opts.StatsInterval > 0 {
 				progress()
 			}

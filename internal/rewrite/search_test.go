@@ -308,3 +308,57 @@ func TestStatsAccounting(t *testing.T) {
 		t.Errorf("elapsed %v, states/sec %.1f: want positive", st.Elapsed, st.StatesPerSec())
 	}
 }
+
+// TestStatsIntervalThrottle pins the two OnStats cadences: interval zero
+// keeps the historical once-per-level firing (plus the final snapshot), a
+// huge interval suppresses everything but the final snapshot.
+func TestStatsIntervalThrottle(t *testing.T) {
+	run := func(interval time.Duration) (snapshots int, levels int) {
+		var last *SearchStats
+		res, err := tokens(6).SearchContext(context.Background(),
+			NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
+			Goal{Pattern: NewOp("nope")},
+			Options{
+				StatsInterval: interval,
+				OnStats: func(st *SearchStats) {
+					snapshots++
+					if last != nil && last.Final {
+						t.Error("a snapshot arrived after the Final one")
+					}
+					last = st
+				},
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == nil {
+			t.Fatal("OnStats never fired")
+		}
+		// The final snapshot always reflects the finished search and is the
+		// only one flagged Final, so progress printers can tell the
+		// unconditional end-of-search snapshot from interval ticks.
+		if !last.Final {
+			t.Error("last snapshot not flagged Final")
+		}
+		if last.StatesExplored != res.StatesExplored {
+			t.Errorf("final snapshot states %d != result states %d",
+				last.StatesExplored, res.StatesExplored)
+		}
+		return snapshots, len(res.Stats.Frontier)
+	}
+
+	perLevel, levels := run(0)
+	if levels < 3 {
+		t.Fatalf("test search only has %d levels; need a deeper one", levels)
+	}
+	// One firing per completed level plus the final snapshot.
+	if perLevel != levels+1 {
+		t.Errorf("interval 0: %d snapshots over %d levels, want %d",
+			perLevel, levels, levels+1)
+	}
+
+	throttled, _ := run(time.Hour)
+	if throttled != 1 {
+		t.Errorf("interval 1h: %d snapshots, want only the final one", throttled)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"privanalyzer/internal/faultinject"
-	"privanalyzer/internal/telemetry"
 )
 
 // Rule is one rewrite rule over an object configuration: the LHS is a
@@ -95,7 +94,7 @@ func (s *System) Successors(t *Term) ([]Step, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.successors(Intern(t), 0, nil), nil
+	return e.successors(Intern(t)), nil
 }
 
 // engine is one search's view of the successor machinery: the System's rule
@@ -107,9 +106,6 @@ type engine struct {
 	cache *TransitionCache
 	comp  *CompiledRules
 	rp    *ruleProfiler
-
-	rec    *telemetry.Recorder // flight recorder; nil = recording off
-	search int32               // recorder search id (Recorder.BeginSearch)
 
 	// goalFn is the per-state goal predicate the search loops call — the
 	// goal pattern compiled with early exit when it fits the fragment,
@@ -135,39 +131,23 @@ func (s *System) engine(opts Options, rp *ruleProfiler) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{sys: s, idx: idx, comp: comp, cache: s.Cache, rp: rp,
-		faults: opts.Faults}
-	if opts.Recorder != nil {
-		e.rec = opts.Recorder
-		e.search = opts.Recorder.BeginSearch()
-	}
-	return e, nil
+	return &engine{sys: s, idx: idx, comp: comp, cache: s.Cache, rp: rp,
+		faults: opts.Faults}, nil
 }
 
 // successors returns t's full successor set: from the transition cache
 // when one is attached and holds it, otherwise expanded and stored there.
 // The caller hands the engine interned states only, so cached keys are
-// interned pointers. Cache-lookup and expansion events are recorded into b
-// (nil when recording is off).
-func (e *engine) successors(t *Term, depth int, b *telemetry.EventBuf) []Step {
+// interned pointers.
+func (e *engine) successors(t *Term) []Step {
 	if e.cache != nil {
 		if steps, ok := e.cache.get(t); ok {
 			e.cacheHits++
-			if b != nil {
-				b.Record(telemetry.EvCacheHit, depth, t.Hash(), "", 0)
-				b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
-			}
 			return steps
 		}
 		e.cacheMisses++
-		if b != nil {
-			b.Record(telemetry.EvCacheMiss, depth, t.Hash(), "", 0)
-		}
 	}
-	steps := e.expand(t, -1, b, depth)
-	if b != nil {
-		b.Record(telemetry.EvStateExpanded, depth, t.Hash(), "", int64(len(steps)))
-	}
+	steps := e.expand(t, -1)
 	if e.cache != nil {
 		e.cache.put(t, steps)
 	}
@@ -188,7 +168,7 @@ func (e *engine) first(t *Term) (Step, bool) {
 			return steps[0], true
 		}
 	}
-	steps := e.expand(t, 1, nil, 0)
+	steps := e.expand(t, 1)
 	if len(steps) == 0 {
 		return Step{}, false
 	}
@@ -200,13 +180,11 @@ func (e *engine) first(t *Term) (Step, bool) {
 // configuration. Compile admits only Configuration-rooted rules whose
 // elements hold no configuration, so the root is the only position any
 // rule can match at in a state that nests none; every element position
-// below it is skipped and counted in SubtreesPruned, one
-// EvSubtreePruned per expansion into b (nil means recording off). A
-// non-configuration state has no successors. limit > 0 stops after that
-// many successors. Timing, when a profiler is attached, is per rule
+// below it is skipped and counted in SubtreesPruned. A non-configuration
+// state has no successors. limit > 0 stops after that many successors. Timing, when a profiler is attached, is per rule
 // attempt, so attribution is exact, at the price of two clock reads per
 // attempt.
-func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) []Step {
+func (e *engine) expand(t *Term, limit int) []Step {
 	s := e.sys
 	var steps []Step
 	var skipped, compiled int64
@@ -249,13 +227,9 @@ func (e *engine) expand(t *Term, limit int, b *telemetry.EventBuf, depth int) []
 			}
 		}
 	}
-	pruned := int64(len(t.Args))
 	e.rulesSkipped += skipped
-	e.subtreesPruned += pruned
+	e.subtreesPruned += int64(len(t.Args))
 	e.compiledMatches += compiled
-	if b != nil && pruned > 0 {
-		b.Record(telemetry.EvSubtreePruned, depth, t.Hash(), "", pruned)
-	}
 	return steps
 }
 

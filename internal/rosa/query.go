@@ -59,7 +59,7 @@ func (v Verdict) metricName() string {
 // Query is one bounded model-checking question: from an initial
 // configuration of objects and syscall messages, can a state matching Goal
 // be reached? The embedded rewrite.Options is the single option surface
-// shared with the engine — MaxStates, MaxDepth, OnStats, Recorder are all
+// shared with the engine — MaxStates, MaxDepth, OnStats, Profile are all
 // promoted fields; the zero value is the default configuration (one
 // breadth-first search on the calling goroutine). The only rosa-specific
 // twist: MaxStates 0 means

@@ -268,11 +268,16 @@ func TestChaosSaturationStorm(t *testing.T) {
 		body       []byte
 		jsonType   bool
 		retryAfter string
+		err        error
 	}
 	results := make(chan outcome, storm)
 	for i := 0; i < storm; i++ {
 		go func() {
-			resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
+			resp, body, err := post(ts.URL+"/v1/query", queryBody)
+			if err != nil {
+				results <- outcome{err: err}
+				return
+			}
 			results <- outcome{
 				status:     resp.StatusCode,
 				body:       body,
@@ -308,6 +313,9 @@ func TestChaosSaturationStorm(t *testing.T) {
 
 	var ok200, shed int
 	for _, o := range outcomes {
+		if o.err != nil {
+			t.Fatalf("storm request failed: %v", o.err)
+		}
 		if !o.jsonType {
 			t.Fatalf("non-JSON response (status %d): %s", o.status, o.body)
 		}

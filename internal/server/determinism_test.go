@@ -80,7 +80,11 @@ func TestServingDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"program":"su"}`)
+			resp, body, err := post(ts.URL+"/v1/analyze", `{"program":"su"}`)
+			if err != nil {
+				errs[i] = fmt.Errorf("request %d: %w", i, err)
+				return
+			}
 			if resp.StatusCode != 200 {
 				errs[i] = fmt.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
 				return

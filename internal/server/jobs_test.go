@@ -34,11 +34,13 @@ type sseFrame struct {
 // payload reassembles the frame's data lines per the SSE grammar.
 func (f sseFrame) payload() string { return strings.Join(f.data, "\n") }
 
-// readSSE parses an event stream until EOF.
-func readSSE(t *testing.T, r io.Reader) []sseFrame {
-	t.Helper()
+// parseSSE parses an event stream until EOF. It returns the frames with the
+// first malformed line or the read error, and calls no testing.T method, so
+// a goroutine other than the test's may use it.
+func parseSSE(r io.Reader) ([]sseFrame, error) {
 	var frames []sseFrame
 	var cur sseFrame
+	var malformed error
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
 	for sc.Scan() {
@@ -54,25 +56,50 @@ func readSSE(t *testing.T, r io.Reader) []sseFrame {
 		case strings.HasPrefix(line, "data: "):
 			cur.data = append(cur.data, strings.TrimPrefix(line, "data: "))
 		default:
-			t.Errorf("malformed SSE line %q", line)
+			if malformed == nil {
+				malformed = fmt.Errorf("malformed SSE line %q", line)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatalf("reading stream: %v", err)
+		return frames, fmt.Errorf("reading stream: %w", err)
+	}
+	return frames, malformed
+}
+
+// readSSE is parseSSE on the test goroutine.
+func readSSE(t *testing.T, r io.Reader) []sseFrame {
+	t.Helper()
+	frames, err := parseSSE(r)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return frames
 }
 
-// submitJob posts a job and decodes the 202 acknowledgment.
+// postJob posts a job and decodes the 202 acknowledgment. Like parseSSE, it
+// returns its failure instead of reporting it.
+func postJob(baseURL, body string) (api.JobResponse, error) {
+	var jr api.JobResponse
+	resp, raw, err := post(baseURL+"/v1/jobs", body)
+	if err != nil {
+		return jr, err
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		return jr, fmt.Errorf("POST /v1/jobs = %d, want 202: %s", resp.StatusCode, raw)
+	}
+	if err := json.Unmarshal(raw, &jr); err != nil {
+		return jr, fmt.Errorf("acknowledgment is not a JobResponse: %v\n%s", err, raw)
+	}
+	return jr, nil
+}
+
+// submitJob is postJob on the test goroutine.
 func submitJob(t *testing.T, baseURL, body string) api.JobResponse {
 	t.Helper()
-	resp, raw := postJSON(t, baseURL+"/v1/jobs", body)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/jobs = %d, want 202: %s", resp.StatusCode, raw)
-	}
-	var jr api.JobResponse
-	if err := json.Unmarshal(raw, &jr); err != nil {
-		t.Fatalf("acknowledgment is not a JobResponse: %v\n%s", err, raw)
+	jr, err := postJob(baseURL, body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return jr
 }
@@ -152,9 +179,13 @@ func TestJobStreamDeterminism(t *testing.T) {
 	}
 	ref := normalizeQuery(t, syncBody)
 
-	// follow submits a job and reads its whole stream.
+	// follow submits a job and reads its whole stream. It runs off the
+	// test goroutine, so it returns its failures.
 	follow := func(body string) ([]sseFrame, error) {
-		jr := submitJob(t, ts.URL, body)
+		jr, err := postJob(ts.URL, body)
+		if err != nil {
+			return nil, err
+		}
 		sr, err := http.Get(ts.URL + jr.EventsURL)
 		if err != nil {
 			return nil, err
@@ -163,7 +194,7 @@ func TestJobStreamDeterminism(t *testing.T) {
 		if ct := sr.Header.Get("Content-Type"); ct != "text/event-stream" {
 			return nil, fmt.Errorf("stream content type = %q", ct)
 		}
-		return readSSE(t, sr.Body), nil
+		return parseSSE(sr.Body)
 	}
 
 	const n = 4
@@ -515,8 +546,15 @@ func TestJobEventsDrainShutdownFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Body.Close()
-	streamDone := make(chan []sseFrame, 1)
-	go func() { streamDone <- readSSE(t, sr.Body) }()
+	type stream struct {
+		frames []sseFrame
+		err    error
+	}
+	streamDone := make(chan stream, 1)
+	go func() {
+		frames, err := parseSSE(sr.Body)
+		streamDone <- stream{frames, err}
+	}()
 
 	// The drain sequence Serve runs: stop admissions, signal the streams.
 	s.beginDrain()
@@ -534,7 +572,11 @@ func TestJobEventsDrainShutdownFrame(t *testing.T) {
 	close(gate) // the worker now runs the already-queued job to completion
 	var frames []sseFrame
 	select {
-	case frames = <-streamDone:
+	case st := <-streamDone:
+		if st.err != nil {
+			t.Fatal(st.err)
+		}
+		frames = st.frames
 	case <-time.After(15 * time.Second):
 		t.Fatal("stream did not terminate after drain")
 	}

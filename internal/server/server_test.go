@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -28,18 +29,26 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// post sends a JSON body and reads the response; like readAll, a read error
+// ends the body. It calls no testing.T method, so a goroutine other than
+// the test's may use it and report the error back.
+func post(url, body string) (*http.Response, []byte, error) {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp, raw, nil
+}
+
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	resp, raw, err := post(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var buf strings.Builder
-	if _, err := buf.WriteString(readAll(t, resp)); err != nil {
-		t.Fatal(err)
-	}
-	return resp, []byte(buf.String())
+	return resp, raw
 }
 
 func readAll(t *testing.T, resp *http.Response) string {

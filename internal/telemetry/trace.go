@@ -9,16 +9,15 @@ import (
 	"time"
 )
 
-// Chrome Trace Event export: the whole capture — span tree, the
-// flight-recorder event track, and counter tracks — as one trace.json
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. The format is
-// the JSON-object form of the Trace Event specification: a "traceEvents"
-// array of complete ("X"), instant ("i"), counter ("C"), and metadata ("M")
-// events with microsecond timestamps.
+// Chrome Trace Event export: the whole capture — span tree and counter
+// tracks — as one trace.json loadable in Perfetto (ui.perfetto.dev) or
+// chrome://tracing. The format is the JSON-object form of the Trace Event
+// specification: a "traceEvents" array of complete ("X"), counter ("C"),
+// and metadata ("M") events with microsecond timestamps.
 //
 // Track layout: tids 0..L-1 carry the span tree on L lanes (spanLanes: a
-// viewer nests a track's "X" events by time containment); tid L carries the
-// recorder's events as instants; counter tracks render above.
+// viewer nests a track's "X" events by time containment); counter tracks
+// render above.
 
 // CounterSample is one timestamped multi-series counter observation; each
 // Values key becomes a stacked series of the track.
@@ -42,7 +41,6 @@ type traceEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant scope: "t" = thread
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -53,10 +51,9 @@ type traceFile struct {
 }
 
 // WriteTrace renders the combined capture as Chrome Trace Event JSON: the
-// registry's spans (nil registry: none), the recorder's event track (nil
-// recorder: none), and the given counter tracks. Timestamps are
-// rebased so the earliest event sits at ts 0.
-func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTrack) error {
+// registry's spans (nil registry: none) and the given counter tracks.
+// Timestamps are rebased so the earliest event sits at ts 0.
+func WriteTrace(w io.Writer, reg *Registry, counters []CounterTrack) error {
 	var events []traceEvent
 
 	// Establish the common timebase: everything is wall-clock UnixNano
@@ -74,9 +71,6 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].StartNS < recs[j].StartNS })
 	lanes, nlanes := spanLanes(recs)
-	if rec != nil {
-		setBase(rec.Epoch().UnixNano())
-	}
 	for _, ct := range counters {
 		for _, sm := range ct.Samples {
 			setBase(sm.T.UnixNano())
@@ -84,7 +78,7 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 	}
 	us := func(ns int64) float64 { return float64(ns-base) / 1e3 }
 
-	// Thread metadata: name the span tracks and the search-event track.
+	// Thread metadata: name the span tracks.
 	meta := func(name string, tid int, value string) traceEvent {
 		return traceEvent{Name: name, Ph: "M", PID: 1, TID: tid,
 			Args: map[string]any{"name": value}}
@@ -93,16 +87,6 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 	events = append(events, meta("thread_name", 0, "pipeline (spans)"))
 	for l := 1; l < nlanes; l++ {
 		events = append(events, meta("thread_name", l, "pipeline (spans, lane "+strconv.Itoa(l)+")"))
-	}
-	if d := rec.Dropped(); d > 0 {
-		// Truncation indicator in the trace header: the journal below holds
-		// only the most recent events, so viewers know gaps are real.
-		events = append(events, traceEvent{Name: "process_labels", Ph: "M", PID: 1, TID: 0,
-			Args: map[string]any{"labels": "recorder dropped " + strconv.FormatInt(d, 10) + " events"}})
-	}
-	journal := rec.Journal()
-	if len(journal) > 0 {
-		events = append(events, meta("thread_name", nlanes, "search events"))
 	}
 
 	// Spans as complete events on their lanes' tids.
@@ -118,31 +102,6 @@ func WriteTrace(w io.Writer, reg *Registry, rec *Recorder, counters []CounterTra
 			Name: rc.Name, Ph: "X",
 			TS: us(rc.StartNS), Dur: float64(rc.DurNS) / 1e3,
 			PID: 1, TID: lanes[rc.ID], Args: args,
-		})
-	}
-
-	// Recorder events as thread-scoped instants on the search-event track.
-	epoch := rec.Epoch().UnixNano()
-	for _, ev := range journal {
-		name := ev.Kind.String()
-		if ev.Rule != "" {
-			name += ":" + ev.Rule
-		}
-		args := map[string]any{
-			"search": ev.Search,
-			"depth":  ev.Depth,
-		}
-		if ev.Hash != 0 {
-			// Hex string: uint64 exceeds JSON's exact-integer range.
-			args["state"] = fmt.Sprintf("%016x", ev.Hash)
-		}
-		if ev.N != 0 {
-			args["n"] = ev.N
-		}
-		events = append(events, traceEvent{
-			Name: name, Ph: "i", S: "t",
-			TS:  us(epoch + ev.T),
-			PID: 1, TID: nlanes, Args: args,
 		})
 	}
 
