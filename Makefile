@@ -25,22 +25,23 @@ test-short:
 test-race:
 	$(GO) test -race ./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/telemetry/ ./internal/server/ ./cmd/privanalyzer/
 
-# Fault-injection suites under the race detector: panic isolation and
-# the cmd-level signal plumbing (DESIGN.md §9).
+# Chaos suites under the race detector (DESIGN.md §9): panics and errors
+# from a poisoned test rule, per-node latency and cancellation from an
+# OnStats callback, and the cmd-level signal plumbing.
 test-chaos:
-	$(GO) test -race -run 'Chaos|Fault|Panic|Cancel|Signal|Latency|Compile' \
+	$(GO) test -race -run 'Chaos|Fault|Panic|Cancel|Signal|Latency|Compile|SuccessorError' \
 		./internal/rewrite/ ./internal/rosa/ ./internal/core/ ./internal/cmdutil/
 
-# Serving-layer chaos under the race detector: injected handler panics
-# resolving to 500 envelopes, a stalled worker vs bounded drain, injected
-# and real queue-full storms shed by the one queue bound, retry hints,
-# deadline expiry in queue, client disconnects, the error-envelope golden,
-# and the saturation storm with byte-identity of admitted verdicts
+# Serving-layer chaos under the race detector: a handler panic resolving
+# to a 500 envelope, a stalled worker vs bounded drain, queue-full storms
+# that fill the real queue and are shed by the one queue bound, retry
+# hints, deadline expiry in queue, client disconnects, the error-envelope
+# golden, and the saturation storm with byte-identity of admitted verdicts
 # (DESIGN.md §15).
 test-chaos-server:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestDeadline|TestJobDeadline|TestClientDisconnect|TestServeDrains|TestRetryAfter|TestError|TestServerPlan' \
-		./internal/server/ ./internal/faultinject/
+		-run 'TestChaos|TestDeadline|TestJobDeadline|TestClientDisconnect|TestServeDrains|TestRetryAfter|TestError' \
+		./internal/server/
 
 # Quick full benchmark sweep (one iteration per cell); the default
 # benchtime takes far longer across BenchmarkROSA's ~140 cells.

@@ -13,6 +13,11 @@ import (
 // candidate counts, and it is also semantically looser — the attacker gets
 // an independent single-use message per grounding rather than one choice —
 // so the benchmark reports its state blow-up rather than its verdicts.
+//
+// Production never calls it. It stays because it is the grounded arm of
+// that wildcard ablation (the root package's BenchmarkAblation,
+// wildcards/grounded), which must ground the very queries the lazy arm
+// builds with this package's attack builders.
 func Ground(q *rosa.Query) *rosa.Query {
 	users := make([]int64, 0, len(DefaultUsers()))
 	for _, u := range DefaultUsers() {

@@ -1,7 +1,7 @@
 // Package cfg provides control-flow-graph utilities over IR functions:
-// predecessor maps, traversal orders, reachability, dominator trees, and
-// natural-loop detection. AutoPriv's liveness analysis and the priv_remove
-// placement logic are built on these.
+// predecessor maps, traversal orders, reachability and exit blocks.
+// AutoPriv's liveness analysis and the priv_remove placement logic are
+// built on these.
 package cfg
 
 import (
@@ -115,123 +115,6 @@ func (g *Graph) ExitBlocks() []*ir.Block {
 		if t := b.Term(); t != nil && len(t.Successors()) == 0 {
 			out = append(out, b)
 		}
-	}
-	return out
-}
-
-// Dominators computes the immediate-dominator relation for the reachable
-// blocks using the Cooper–Harvey–Kennedy iterative algorithm. The entry
-// block's immediate dominator is itself.
-func (g *Graph) Dominators() map[*ir.Block]*ir.Block {
-	rpo := g.ReversePostOrder()
-	index := make(map[*ir.Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	idom := make(map[*ir.Block]*ir.Block, len(rpo))
-	entry := g.Entry()
-	if entry == nil {
-		return idom
-	}
-	idom[entry] = entry
-
-	intersect := func(a, b *ir.Block) *ir.Block {
-		for a != b {
-			for index[a] > index[b] {
-				a = idom[a]
-			}
-			for index[b] > index[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *ir.Block
-			for _, p := range g.preds[b] {
-				if idom[p] == nil {
-					continue // predecessor not yet processed or unreachable
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b under the given immediate-dominator
-// map (every block dominates itself).
-func Dominates(idom map[*ir.Block]*ir.Block, a, b *ir.Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next := idom[b]
-		if next == nil || next == b {
-			return false
-		}
-		b = next
-	}
-}
-
-// Loop describes one natural loop discovered from a back edge.
-type Loop struct {
-	// Header is the loop header (the target of the back edge).
-	Header *ir.Block
-	// Body is the set of blocks in the loop, including the header.
-	Body map[*ir.Block]bool
-}
-
-// NaturalLoops finds the natural loops of the graph: for every back edge
-// t->h where h dominates t, the loop body is the set of blocks that can
-// reach t without passing through h. Loops sharing a header are merged.
-func (g *Graph) NaturalLoops() []*Loop {
-	idom := g.Dominators()
-	byHeader := make(map[*ir.Block]*Loop)
-	var headers []*ir.Block
-
-	for _, b := range g.Blocks {
-		for _, s := range g.succs[b] {
-			if !Dominates(idom, s, b) {
-				continue
-			}
-			// Back edge b -> s.
-			loop := byHeader[s]
-			if loop == nil {
-				loop = &Loop{Header: s, Body: map[*ir.Block]bool{s: true}}
-				byHeader[s] = loop
-				headers = append(headers, s)
-			}
-			// Walk predecessors backwards from the latch.
-			stack := []*ir.Block{b}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if loop.Body[n] {
-					continue
-				}
-				loop.Body[n] = true
-				stack = append(stack, g.preds[n]...)
-			}
-		}
-	}
-	out := make([]*Loop, 0, len(headers))
-	for _, h := range headers {
-		out = append(out, byHeader[h])
 	}
 	return out
 }

@@ -123,96 +123,6 @@ func TestExitBlocks(t *testing.T) {
 	}
 }
 
-func TestDominators(t *testing.T) {
-	fn := diamond(t)
-	g := New(fn)
-	idom := g.Dominators()
-	entry, a, bb, exit := fn.Block("entry"), fn.Block("a"), fn.Block("b"), fn.Block("exit")
-
-	if idom[entry] != entry {
-		t.Error("entry must dominate itself")
-	}
-	if idom[a] != entry || idom[bb] != entry {
-		t.Errorf("idom(a)=%v idom(b)=%v", idom[a].Name, idom[bb].Name)
-	}
-	if idom[exit] != entry {
-		t.Errorf("idom(exit) = %v, want entry", idom[exit].Name)
-	}
-	if !Dominates(idom, entry, exit) {
-		t.Error("entry should dominate exit")
-	}
-	if Dominates(idom, a, exit) {
-		t.Error("a should not dominate exit")
-	}
-	if !Dominates(idom, exit, exit) {
-		t.Error("every block dominates itself")
-	}
-}
-
-func TestNaturalLoops(t *testing.T) {
-	fn := loopFn(t)
-	g := New(fn)
-	loops := g.NaturalLoops()
-	if len(loops) != 1 {
-		t.Fatalf("loops = %d, want 1", len(loops))
-	}
-	l := loops[0]
-	if l.Header != fn.Block("header") {
-		t.Errorf("header = %s", l.Header.Name)
-	}
-	if !l.Body[fn.Block("body")] || !l.Body[fn.Block("header")] {
-		t.Errorf("body missing blocks")
-	}
-	if l.Body[fn.Block("entry")] || l.Body[fn.Block("exit")] {
-		t.Errorf("body contains non-loop blocks")
-	}
-}
-
-func TestNoLoopsInDiamond(t *testing.T) {
-	g := New(diamond(t))
-	if loops := g.NaturalLoops(); len(loops) != 0 {
-		t.Errorf("loops = %d, want 0", len(loops))
-	}
-}
-
-func TestNestedLoops(t *testing.T) {
-	// entry -> outer; outer -> inner, exit; inner -> inner2; inner2 -> inner, outer
-	b := ir.NewModuleBuilder("m")
-	f := b.Func("main")
-	f.Block("entry").Jmp("outer")
-	f.Block("outer").Const("c", 1).Br(ir.R("c"), "inner", "exit")
-	f.Block("inner").Const("d", 1).Jmp("inner2")
-	f.Block("inner2").Br(ir.R("d"), "inner", "outer")
-	f.Block("exit").Ret()
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := New(m.Main())
-	loops := g.NaturalLoops()
-	if len(loops) != 2 {
-		t.Fatalf("loops = %d, want 2", len(loops))
-	}
-	var outer, inner *Loop
-	for _, l := range loops {
-		switch l.Header.Name {
-		case "outer":
-			outer = l
-		case "inner":
-			inner = l
-		}
-	}
-	if outer == nil || inner == nil {
-		t.Fatal("missing loop headers")
-	}
-	if !outer.Body[m.Main().Block("inner")] || !outer.Body[m.Main().Block("inner2")] {
-		t.Error("outer loop should contain inner blocks")
-	}
-	if inner.Body[m.Main().Block("outer")] {
-		t.Error("inner loop should not contain outer header")
-	}
-}
-
 func names(blocks []*ir.Block) []string {
 	out := make([]string, len(blocks))
 	for i, b := range blocks {

@@ -42,6 +42,12 @@ const MarkerSyscall = "chrono_block"
 // basic block, recording the block's counted instruction size (unreachable
 // instructions are omitted from counts, per the paper §VI). The input module
 // is not modified.
+//
+// The measurement path does not call it. It stays because it is the
+// paper's instrumentation pass (§VI), and the per-marker counts it yields
+// are the reference that programs_test.go's exact-count test
+// (TestBlockModeAgreesOnRealModels) holds the per-step counts to, total for
+// total, on every fast program model.
 func Instrument(m *ir.Module) (*ir.Module, error) {
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("chronopriv: %w", err)

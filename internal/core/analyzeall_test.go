@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"privanalyzer/internal/faultinject"
 	"privanalyzer/internal/programs"
 	"privanalyzer/internal/rewrite"
 )
@@ -84,12 +83,15 @@ func timeless(s *rewrite.SearchStats) *rewrite.SearchStats {
 }
 
 // TestAnalyzeAllFirstErrorCancels: a program that fails cancels the others
-// — suRef's search, slowed to minutes by injected expansion latency, gives
-// up within seconds — and the error returned is the first failing
-// program's in input order, whichever failed first in time.
+// — suRef's search, slowed to minutes by a progress callback that sleeps
+// after every expanded node, gives up within seconds — and the error
+// returned is the first failing program's in input order, whichever failed
+// first in time.
 func TestAnalyzeAllFirstErrorCancels(t *testing.T) {
+	// A positive StatsInterval makes OnStats fire after every node.
 	opts := Options{Search: rewrite.Options{
-		Faults: &faultinject.Plan{ExpansionLatency: 20 * time.Millisecond},
+		StatsInterval: time.Nanosecond,
+		OnStats:       func(*rewrite.SearchStats) { time.Sleep(20 * time.Millisecond) },
 	}}
 	// Without the cancellation the deadline would end suRef's search.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

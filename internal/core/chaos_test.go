@@ -3,13 +3,37 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
-	"privanalyzer/internal/faultinject"
 	"privanalyzer/internal/programs"
 	"privanalyzer/internal/rewrite"
 	"privanalyzer/internal/rosa"
 )
+
+// poisonedChecker returns a Checker like rosa.NewChecker's whose base and
+// extended systems carry one more rule, "poison", that matches every state
+// and never fires. Its Cond runs once per successor expansion (a transition
+// cache hit runs none), counts the calls in calls, and panics on the nth,
+// counted across both systems; n = 0 never panics.
+func poisonedChecker(n int64, calls *atomic.Int64) *rosa.Checker {
+	poison := rewrite.Rule{
+		Name: "poison",
+		LHS:  rewrite.NewConfig(rewrite.NewVar("POISON", rewrite.SortConfig)),
+		Cond: func(*rewrite.Env) bool {
+			if c := calls.Add(1); c == n {
+				panic(fmt.Sprintf("poisoned rule at expansion %d", c))
+			}
+			return false
+		},
+	}
+	base, ext := rosa.NewSystem(), rosa.NewExtendedSystem()
+	base.Rules = append(base.Rules, poison)
+	ext.Rules = append(ext.Rules, poison)
+	base.Cache, ext.Cache = rewrite.NewTransitionCache(), rewrite.NewTransitionCache()
+	return rosa.NewCheckerOver(base, ext)
+}
 
 // TestAnalyzeFaultIsolation is the pipeline-level chaos invariant: a panic
 // inside one ROSA query costs at most that query its verdict (⏱, recorded
@@ -17,15 +41,13 @@ import (
 // completes without error and every fault-free cell's verdict is identical
 // to the clean run's.
 //
-// The fault is counter-keyed and every search expands exactly the states
-// its breadth-first walk reaches, so the 100th expansion always happens and
-// the fault always surfaces, once. Sequentially (AnalyzeContext) it lands on
-// an exact, replayable position; across AnalyzeAll's concurrent columns,
-// which share the plan's counter, the column it lands in follows the
-// schedule.
+// The fault is counter-keyed, and a clean run with the same poisoned
+// checker counts the expansions the grid performs, so the chosen expansion
+// always happens and the fault always surfaces, once. Sequentially
+// (AnalyzeContext) it lands on an exact, replayable position; across
+// AnalyzeAll's concurrent columns, which share the checker and its counter,
+// the column it lands in follows the schedule.
 func TestAnalyzeFaultIsolation(t *testing.T) {
-	// su's sequential query grid performs ~119 successor expansions, so the
-	// 100th lands inside one of the later, larger searches.
 	p, err := programs.ByName("su")
 	if err != nil {
 		t.Fatal(err)
@@ -46,21 +68,28 @@ func TestAnalyzeFaultIsolation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var opts Options
-			ref, err := tc.analyze(opts)
+			var expansions atomic.Int64
+			ref, err := tc.analyze(Options{Checker: poisonedChecker(0, &expansions)})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(ref.Errors) != 0 {
+				t.Fatalf("the clean run recorded faults: %v", ref.Errors)
+			}
+			// Fault an expansion five sixths of the way through the grid, so
+			// it lands inside one of the later, larger searches.
+			total := expansions.Load()
+			if total < 6 {
+				t.Fatalf("su's query grid performed %d expansions; too few to place a fault", total)
+			}
 
-			// The plan's expansion counter spans the whole query fan-out, so
-			// at most one query observes the 100th expansion and panics.
-			opts.Search.Faults = &faultinject.Plan{PanicAtExpansion: 100}
-			a, err := tc.analyze(opts)
+			t.Logf("su's query grid performs %d expansions; faulting expansion %d", total, total*5/6)
+			a, err := tc.analyze(Options{Checker: poisonedChecker(total*5/6, new(atomic.Int64))})
 			if err != nil {
 				t.Fatalf("a query fault must not fail the analysis: %v", err)
 			}
 			if len(a.Errors) != 1 {
-				t.Fatalf("%d query faults recorded from a fire-once plan, want exactly 1: %v", len(a.Errors), a.Errors)
+				t.Fatalf("%d query faults recorded from a fire-once rule, want exactly 1: %v", len(a.Errors), a.Errors)
 			}
 			var serr *rewrite.SearchError
 			if !errors.As(a.Errors[0], &serr) {

@@ -33,7 +33,7 @@ import (
 // surface from the CLI down to the engine.
 type Options struct {
 	// Search bounds and tunes each ROSA query's search (budget, depth,
-	// stats callback, fault plan).
+	// stats callback).
 	// Search.MaxStates 0 means DefaultMaxStates. Exhausting the budget or
 	// the AnalyzeContext deadline yields the Unknown (⏱) verdict for that
 	// query.
@@ -79,9 +79,9 @@ type PhaseResult struct {
 	// Stats holds each query's full search statistics (states/sec,
 	// frontier shape, rule firings, dedup rate); nil for attacks not run.
 	Stats [4]*rewrite.SearchStats
-	// Errs holds, per attack, the search fault (a *rewrite.SearchError —
-	// recovered expansion panic, successor failure, injected fault) that forced
-	// that query's Unknown verdict; nil for clean verdicts. The same faults
+	// Errs holds, per attack, the search fault (a *rewrite.SearchError from
+	// a recovered expansion panic) that forced that query's Unknown verdict;
+	// nil for clean verdicts. The same faults
 	// are aggregated, with attribution, in Analysis.Errors.
 	Errs [4]error
 }
@@ -95,7 +95,8 @@ type QueryError struct {
 	Phase string
 	// Attack is the modeled attack the query was checking.
 	Attack attacks.ID
-	// Err is the underlying fault (a *rewrite.SearchError).
+	// Err is the underlying fault (a *rewrite.SearchError: a panic
+	// expanding a state).
 	Err error
 }
 
@@ -148,7 +149,7 @@ func Analyze(p *programs.Program, opts Options) (*Analysis, error) {
 // queries still pending when it expires finish promptly with the Unknown
 // (⏱) verdict — the analysis itself still completes and reports them.
 //
-// Queries are fault-isolated: a panic or successor error inside one
+// Queries are fault-isolated: a panic expanding a state inside one
 // search costs that query its verdict (⏱, with the fault recorded in
 // PhaseResult.Errs and aggregated in Analysis.Errors), never the analysis.
 // Only setup failures — a broken theory — abort with an error.

@@ -91,7 +91,7 @@ func BenchmarkApply(b *testing.B) {
 // search, which runs every rule through the generic matcher.
 func BenchmarkSearchCompiled(b *testing.B) {
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
-	never := Goal{Pattern: NewOp("nope")}
+	never := Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -5,21 +5,89 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"privanalyzer/internal/faultinject"
 )
 
-// Chaos suite: every single injected fault must leave the process alive, the
-// faulted search with a partial result and a typed *SearchError, and — the
-// standing invariant — fault-free behaviour byte-identical at any Workers
-// setting, which the engine ignores. Fault points are deterministic
-// (internal/faultinject), so each case replays exactly.
+// Chaos suite: a rule that crashes mid-search must leave the process alive,
+// the faulted search with a partial result and a typed *SearchError, and —
+// the standing invariant — fault-free behaviour byte-identical at any
+// Workers setting, which the engine ignores. Faults come from the system's
+// own seams: a test rule whose Cond panics at a chosen call or state
+// (poisoned), and an OnStats callback that sleeps or cancels the caller's
+// context. Every fault point is counted or keyed by state, so each case
+// replays exactly.
 
 // tokensInit3 is the branching chaos workload: three tokens counting to 6.
 func tokensInit3() *Term {
 	return NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
+}
+
+// errInjected is the error a poisoned rule panics with to stand for a
+// failing successor computation; errors.Is reaches it through
+// SearchError.Unwrap.
+var errInjected = errors.New("injected successor error")
+
+// chaosPanic is the non-error value a poisoned rule panics with.
+type chaosPanic struct {
+	call  int64  // 1-based Cond call count at which the panic fired
+	state uint64 // hash of the state being expanded
+}
+
+// poisoned returns a copy of sys with one more rule, "poison", that matches
+// every configuration and never fires. Its Cond runs once per expansion and
+// calls fault with the 1-based call count and the state being expanded;
+// fault panics to crash that expansion.
+func poisoned(sys *System, fault func(call int64, state *Term)) *System {
+	var calls atomic.Int64
+	poison := Rule{
+		Name: "poison",
+		LHS:  NewConfig(NewVar("POISON", SortConfig)),
+		Cond: func(e *Env) bool {
+			fault(calls.Add(1), e.subj)
+			return false
+		},
+	}
+	return &System{Sig: sys.Sig, Rules: append(append([]Rule(nil), sys.Rules...), poison)}
+}
+
+// panicAtCall panics with a chaosPanic at the nth Cond call.
+func panicAtCall(n int64) func(int64, *Term) {
+	return func(call int64, state *Term) {
+		if call == n {
+			panic(chaosPanic{call: call, state: state.Hash()})
+		}
+	}
+}
+
+// errAt panics with errInjected when the state with hash target is
+// expanded, or at the nth Cond call when n > 0.
+func errAt(target uint64, n int64) func(int64, *Term) {
+	return func(call int64, state *Term) {
+		if state.Hash() == target || call == n {
+			panic(fmt.Errorf("%w (call %d, state %#x)", errInjected, call, state.Hash()))
+		}
+	}
+}
+
+// cancelAfterLevel returns an OnStats callback that cancels the caller's
+// context once n BFS levels have completed, so the search stops before it
+// expands a state of level n.
+func cancelAfterLevel(n int, cancel context.CancelFunc) func(*SearchStats) {
+	return func(st *SearchStats) {
+		if !st.Final && len(st.Frontier) == n {
+			cancel()
+		}
+	}
+}
+
+// slowNodes returns options whose OnStats callback sleeps d after every
+// expanded node: a positive StatsInterval makes OnStats fire per node.
+func slowNodes(opts Options, d time.Duration) Options {
+	opts.StatsInterval = time.Nanosecond
+	opts.OnStats = func(*SearchStats) { time.Sleep(d) }
+	return opts
 }
 
 // TestPanicIsolation: a panic mid-expansion surfaces as a *SearchError
@@ -28,10 +96,9 @@ func tokensInit3() *Term {
 func TestPanicIsolation(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			plan := &faultinject.Plan{PanicAtExpansion: 3}
-			res, err := counter().SearchContext(context.Background(),
+			res, err := poisoned(counter(), panicAtCall(3)).SearchContext(context.Background(),
 				cnt(0), Goal{Pattern: cnt(-1)},
-				Options{Workers: w, Faults: plan})
+				Options{Workers: w})
 			if err == nil {
 				t.Fatal("injected panic produced no error")
 			}
@@ -39,16 +106,16 @@ func TestPanicIsolation(t *testing.T) {
 			if !errors.As(err, &serr) {
 				t.Fatalf("error %T is not a *SearchError: %v", err, err)
 			}
-			pv, ok := serr.Panic.(faultinject.PanicValue)
+			pv, ok := serr.Panic.(chaosPanic)
 			if !ok {
-				t.Fatalf("SearchError.Panic = %#v, want a faultinject.PanicValue", serr.Panic)
+				t.Fatalf("SearchError.Panic = %#v, want a chaosPanic", serr.Panic)
 			}
-			if pv.Expansion != 3 {
-				t.Errorf("panic fired at expansion %d, want 3", pv.Expansion)
+			if pv.call != 3 {
+				t.Errorf("panic fired at expansion %d, want 3", pv.call)
 			}
-			if serr.StateHash == 0 || serr.StateHash != pv.StateHash {
+			if serr.StateHash == 0 || serr.StateHash != pv.state {
 				t.Errorf("SearchError state %#x, panic value state %#x: want equal and non-zero",
-					serr.StateHash, pv.StateHash)
+					serr.StateHash, pv.state)
 			}
 			if len(serr.Stack) == 0 {
 				t.Error("SearchError carries no stack trace")
@@ -74,10 +141,14 @@ func TestPanicOnStateParallelDeterminism(t *testing.T) {
 	// so it is always expanded; the hash is structural, so an equal term built
 	// here keys the same fault.
 	target := NewConfig(NewOp("c", NewInt(1)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))).Hash()
+	onTarget := func(call int64, state *Term) {
+		if state.Hash() == target {
+			panic(chaosPanic{call: call, state: target})
+		}
+	}
 	for _, w := range []int{1, 2, 4} {
-		plan := &faultinject.Plan{PanicOnState: target}
-		res, err := tokens(6).SearchContext(context.Background(), tokensInit3(),
-			Goal{Pattern: NewOp("nope")}, Options{Workers: w, Faults: plan})
+		res, err := poisoned(tokens(6), onTarget).SearchContext(context.Background(), tokensInit3(),
+			Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}, Options{Workers: w})
 		var serr *SearchError
 		if !errors.As(err, &serr) {
 			t.Fatalf("workers=%d: error %T is not a *SearchError: %v", w, err, err)
@@ -91,10 +162,10 @@ func TestPanicOnStateParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSuccessorErrorDeterministic pins the engine's error path: an injected
-// successor error is reported with attribution, wins over the goal that
-// later frontier nodes would reach, and the outcome is identical at every
-// Workers setting.
+// TestSuccessorErrorDeterministic pins the engine's error path: a successor
+// computation that fails with an error is reported with attribution, wins
+// over the goal that later frontier nodes would reach, and the outcome is
+// identical at every Workers setting.
 func TestSuccessorErrorDeterministic(t *testing.T) {
 	target := NewConfig(NewOp("c", NewInt(1)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))).Hash()
 	// The goal is reachable (c reaches 6 on the exhaustive walk), but only
@@ -108,16 +179,15 @@ func TestSuccessorErrorDeterministic(t *testing.T) {
 		states   int
 	}
 	runAt := func(w int) outcome {
-		plan := &faultinject.Plan{ErrOnState: target}
-		res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-			Options{Workers: w, Faults: plan})
+		res, err := poisoned(tokens(6), errAt(target, 0)).SearchContext(context.Background(),
+			tokensInit3(), goal, Options{Workers: w})
 		o := outcome{}
 		if err != nil {
 			var serr *SearchError
 			if !errors.As(err, &serr) {
 				t.Fatalf("workers=%d: error %T is not a *SearchError: %v", w, err, err)
 			}
-			o.injected = errors.Is(serr, faultinject.ErrInjected)
+			o.injected = errors.Is(serr, errInjected)
 			o.state = serr.StateHash
 		}
 		if res != nil {
@@ -141,49 +211,58 @@ func TestSuccessorErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestCancelAtLevel: the injected mid-level cancellation is reported as a
-// search fault (ErrInjectedCancel), not as a clean caller timeout, and the
-// caller's own context stays alive.
+// TestCancelAtLevel: a caller that cancels its context between BFS levels
+// gets the clean cancellation outcome — no error, Interrupted set, and not
+// one state of the next level expanded — and the final snapshot still
+// fires.
 func TestCancelAtLevel(t *testing.T) {
 	for _, w := range []int{1, 4} {
-		ctx := context.Background()
-		plan := &faultinject.Plan{CancelAtLevel: 3}
+		ctx, cancel := context.WithCancel(context.Background())
+		onStats := cancelAfterLevel(3, cancel)
+		var final *SearchStats
 		res, err := counter().SearchContext(ctx, cnt(0),
 			Goal{Pattern: cnt(-1)},
-			Options{Workers: w, Faults: plan})
-		if !errors.Is(err, faultinject.ErrInjectedCancel) {
-			t.Fatalf("workers=%d: err = %v, want ErrInjectedCancel", w, err)
-		}
-		var serr *SearchError
-		if !errors.As(err, &serr) {
-			t.Errorf("workers=%d: cancellation fault is not a *SearchError", w)
+			Options{Workers: w, OnStats: func(st *SearchStats) {
+				onStats(st)
+				if st.Final {
+					final = st
+				}
+			}})
+		cancel()
+		if err != nil {
+			t.Fatalf("workers=%d: err = %v, want a clean cancellation", w, err)
 		}
 		if res == nil || !res.Interrupted {
-			t.Errorf("workers=%d: result missing or not Interrupted", w)
+			t.Fatalf("workers=%d: result missing or not Interrupted", w)
 		}
-		if ctx.Err() != nil {
-			t.Errorf("workers=%d: injected cancellation leaked into the caller's context", w)
+		// Levels 0-2 expanded one state each, generating c(1)..c(3).
+		if got := fmt.Sprint(res.Stats.Frontier); got != "[1 1 1]" || res.StatesExplored != 4 {
+			t.Errorf("workers=%d: frontier %s, %d states; want [1 1 1], 4: the search ran past the cancelled level",
+				w, got, res.StatesExplored)
+		}
+		if final == nil || final.StatesExplored != res.StatesExplored {
+			t.Errorf("workers=%d: final snapshot %+v does not match the result", w, final)
 		}
 	}
 }
 
-// TestLatencyChaosHarmless: injected per-expansion latency (the slow-search
-// chaos mode) changes nothing observable — verdict, witness, state count
-// and stats all match the fault-free run, at any Workers setting.
+// TestLatencyChaosHarmless: per-node latency (the slow-search chaos mode)
+// changes nothing observable — verdict, witness, state count and stats all
+// match the undelayed run, at any Workers setting.
 func TestLatencyChaosHarmless(t *testing.T) {
-	run := func(w int, plan *faultinject.Plan) *SearchResult {
+	run := func(opts Options) *SearchResult {
 		res, err := tokens(5).SearchContext(context.Background(),
 			NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-			Goal{Pattern: NewOp("nope")},
-			Options{Workers: w, Faults: plan})
+			Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))},
+			opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ref := run(1, nil)
+	ref := run(Options{Workers: 1})
 	for _, w := range []int{1, 4} {
-		res := run(w, &faultinject.Plan{ExpansionLatency: 200 * time.Microsecond})
+		res := run(slowNodes(Options{Workers: w}, 200*time.Microsecond))
 		if res.Found != ref.Found || res.StatesExplored != ref.StatesExplored ||
 			res.Stats.DedupHits != ref.Stats.DedupHits ||
 			fmt.Sprint(res.Stats.Frontier) != fmt.Sprint(ref.Stats.Frontier) {
@@ -204,59 +283,52 @@ func TestLatencyChaosHarmless(t *testing.T) {
 	}
 }
 
-// TestChaosNoFaultIsCleanRun: the zero fault plan and a nil plan are
-// indistinguishable from no plan at all — the production nil-check path.
-func TestChaosNoFaultIsCleanRun(t *testing.T) {
-	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
-	ref, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, plan := range []*faultinject.Plan{nil, {}} {
-		res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-			Options{Faults: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Found != ref.Found || res.StatesExplored != ref.StatesExplored ||
-			fmt.Sprint(witnessRules(res.Witness)) != fmt.Sprint(witnessRules(ref.Witness)) {
-			t.Errorf("plan %#v changed a fault-free run", plan)
-		}
-	}
-}
-
-// TestChaosCompileDifferential checks the fault-plan chaos matrix against
-// the reference search: a faulted run is deterministic, so its
-// partial result — explored states, no goal, no witness — must be the
-// reference's stopped at the same point: before the faulted expansion, or
-// at the cancelled level. Errors and panics must surface as *SearchError.
-// The latency plan never aborts, so its results must be the reference's at
-// any Workers setting.
+// TestChaosCompileDifferential checks the chaos matrix against the
+// reference search: a faulted run is deterministic, so its partial result —
+// explored states, no goal, no witness — must be the reference's stopped at
+// the same point: before the faulted expansion, or at the cancelled level.
+// Errors and panics must surface as *SearchError; a cancellation is no
+// fault. The latency run never aborts, so its results must be the
+// reference's at any Workers setting.
 func TestChaosCompileDifferential(t *testing.T) {
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(6)), NewVar("Z", SortConfig))}
-	plans := []struct {
+	cases := []struct {
 		name  string
-		mk    func() *faultinject.Plan
+		fault func(int64, *Term) // poisoned rule's fault; nil runs tokens(6) as is
+		level int                // cancel the caller's context after this many levels; 0 never
+		want  func(*SearchError) bool
 		stop  refOptions // where the reference must stop to match
-		panic bool
 	}{
-		{"err-at-expansion", func() *faultinject.Plan { return &faultinject.Plan{ErrAtExpansion: 4} },
-			refOptions{MaxExpansions: 3}, false},
-		{"panic-at-expansion", func() *faultinject.Plan { return &faultinject.Plan{PanicAtExpansion: 3} },
-			refOptions{MaxExpansions: 2}, true},
-		{"cancel-at-level", func() *faultinject.Plan { return &faultinject.Plan{CancelAtLevel: 2} },
-			refOptions{MaxDepth: 2}, false},
+		{"err-at-expansion", errAt(0, 4), 0,
+			func(se *SearchError) bool { return errors.Is(se, errInjected) },
+			refOptions{MaxExpansions: 3}},
+		{"panic-at-expansion", panicAtCall(3), 0,
+			func(se *SearchError) bool { _, ok := se.Panic.(chaosPanic); return ok },
+			refOptions{MaxExpansions: 2}},
+		{"cancel-at-level", nil, 2, nil, refOptions{MaxDepth: 2}},
 	}
-	for _, pc := range plans {
+	for _, pc := range cases {
 		t.Run(pc.name, func(t *testing.T) {
-			res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-				Options{Faults: pc.mk()})
-			var se *SearchError
-			if !errors.As(err, &se) {
-				t.Fatalf("err = %v (%T), want a *SearchError", err, err)
+			sys := tokens(6)
+			if pc.fault != nil {
+				sys = poisoned(sys, pc.fault)
 			}
-			if (se.Panic != nil) != pc.panic {
-				t.Errorf("panic = %v, want a panic: %v", se.Panic, pc.panic)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var opts Options
+			if pc.level > 0 {
+				opts.OnStats = cancelAfterLevel(pc.level, cancel)
+			}
+			res, err := sys.SearchContext(ctx, tokensInit3(), goal, opts)
+			var se *SearchError
+			if pc.want == nil {
+				if err != nil {
+					t.Fatalf("err = %v, want a clean cancellation", err)
+				}
+			} else if !errors.As(err, &se) {
+				t.Fatalf("err = %v (%T), want a *SearchError", err, err)
+			} else if !pc.want(se) {
+				t.Errorf("SearchError %v (panic %#v) is not the injected fault", se, se.Panic)
 			}
 			if res == nil {
 				t.Fatal("no partial result")
@@ -281,12 +353,12 @@ func TestChaosCompileDifferential(t *testing.T) {
 		}
 		for _, w := range []int{1, 4} {
 			res, err := tokens(6).SearchContext(context.Background(), tokensInit3(), goal,
-				Options{Workers: w, Faults: &faultinject.Plan{ExpansionLatency: 100 * time.Microsecond}})
+				slowNodes(Options{Workers: w}, 100*time.Microsecond))
 			if err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
 			if d := refDiff(res, ref.SearchResult); d != "" {
-				t.Errorf("workers=%d: latency-faulted run diverges from the reference: %s", w, d)
+				t.Errorf("workers=%d: latency-slowed run diverges from the reference: %s", w, d)
 			}
 		}
 	})

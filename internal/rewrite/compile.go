@@ -23,17 +23,18 @@ package rewrite
 //     neither failed candidates nor guard checks allocate.
 //
 // A rule outside the fragment (a non-Config root, two rest variables, a
-// configuration nested inside an element) is an error naming the rule. The
-// generic matcher (match.go) stays for goal patterns outside the fragment
-// and for the test-only reference search, and a compiled rule enumerates
-// matches — and therefore replacement terms — in exactly its order (fixed
-// elements in pattern order, subject candidates in ascending index order,
-// lexicographic backtracking, remainder in subject order), so successor
-// sets and witnesses equal the reference's. The differential
-// suite (compile_test.go, core/differential_test.go) pins this; the
-// FuzzCompileEquivalence harness shakes the fragment boundary.
+// configuration nested inside an element) is an error naming the rule, and
+// a goal pattern outside it is an error naming the goal. The generic
+// matcher (generic_test.go) belongs to the test-only reference search, and
+// a compiled rule enumerates matches — and therefore replacement terms — in
+// exactly its order (fixed elements in pattern order, subject candidates in
+// ascending index order, lexicographic backtracking, remainder in subject
+// order), so successor sets and witnesses equal the reference's. The
+// differential suite (compile_test.go, core/differential_test.go) pins
+// this; the FuzzCompileEquivalence harness shakes the fragment boundary.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -380,7 +381,7 @@ func (cr *compiledRule) complete(subj *Term, m *matcherScratch, out []*Term) []*
 }
 
 // matchAny reports whether the compiled pattern admits at least one binding
-// satisfying the rule's Cond — the compiled form of Goal.matches. Unlike
+// satisfying the rule's Cond — the compiled form of a goal check. Unlike
 // apply it stops at the first success, and it never materializes the
 // remainder unless the guard reads it (or the remainder is non-linear), so
 // per-state goal checks are allocation-free.
@@ -460,37 +461,17 @@ func (cr *compiledRule) completeAny(subj *Term, m *matcherScratch) bool {
 	return ok
 }
 
-// goalChecker builds the per-state goal predicate for one search. When the
-// goal pattern fits the compilable fragment, the check runs through
-// matchAny — first-match early exit, pooled scratch — and profiles show it
-// matters: the goal runs once per explored state, which for exhaustive
-// (Safe-verdict) searches is every state in the space. Outside the
-// fragment it is Goal.matches unchanged. Both compute the same boolean.
-func (e *engine) goalChecker(goal Goal) func(*Term) bool {
+// goalChecker compiles the goal into the per-state predicate one search
+// runs, or reports why the goal pattern is outside the compilable fragment.
+// The check runs through matchAny — first-match early exit, pooled scratch —
+// and profiles show it matters: the goal runs once per explored state,
+// which for exhaustive (Safe-verdict) searches is every state in the space.
+func (e *engine) goalChecker(goal Goal) (func(*Term) bool, error) {
 	gc, err := Compile([]Rule{{LHS: goal.Pattern, Cond: goal.Cond}})
 	if err != nil {
-		l := layoutOf(goal.Pattern)
-		return func(t *Term) bool { return goal.matches(t, e.sys.Sig, l) }
+		return nil, fmt.Errorf("rewrite: goal %v: %w", goal.Pattern, errors.Unwrap(err))
 	}
 	cr := gc.rules[0]
 	m := gc.getScratch() // single caller goroutine; keep one scratch for the search
-	return func(t *Term) bool { return cr.matchAny(t, e.sys.Sig, m) }
-}
-
-// matchCompiled returns every binding the compiled rule's LHS admits against
-// subj, in enumeration order — the compiled counterpart of Match(lhs, subj),
-// used by the equivalence tests and fuzzer to compare the two matchers
-// directly, without the rule callbacks in the way.
-func (cr *compiledRule) matchCompiled(subj *Term, sig Signature, m *matcherScratch) []Binding {
-	// Reuse apply's enumeration through a shadow rule whose BuildAll records
-	// the binding instead of building a replacement.
-	var outB []Binding
-	probe := Rule{LHS: cr.rule.LHS, BuildAll: func(e *Env) []*Term {
-		outB = append(outB, e.binding())
-		return nil
-	}}
-	shadow := *cr
-	shadow.rule = &probe
-	shadow.apply(subj, sig, m, nil)
-	return outB
+	return func(t *Term) bool { return cr.matchAny(t, e.sys.Sig, m) }, nil
 }

@@ -244,7 +244,7 @@ func TestCompiledBudgetCutDifferential(t *testing.T) {
 // or a compiled matcher tried it.
 func TestCompiledCounterAccounting(t *testing.T) {
 	init := NewConfig(NewOp("$"), NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
-	goal := Goal{Pattern: NewOp("nope")}
+	goal := Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}
 
 	res, err := vending().Search(init, goal, Options{Profile: true})
 	if err != nil {
@@ -284,16 +284,21 @@ func TestCompiledCounterAccounting(t *testing.T) {
 // TestOutOfFragmentRulesRejected: a System holding a rule outside the
 // compiled fragment — one of each shape — cannot search, expand or
 // rewrite. Search, Successors and Rewrite each return an error naming the
-// rule before any state is explored: no rule or goal callback runs, no
-// and no progress snapshot fires.
+// rule before any state is explored: no rule or goal callback runs, and no
+// progress snapshot fires. A goal outside the fragment is rejected the same
+// way by Search, with an error naming the goal.
 func TestOutOfFragmentRulesRejected(t *testing.T) {
 	n := NewVar("N", SortInt)
 	z := NewVar("Z", SortConfig)
-	shapes := []Rule{
-		{Name: "op-rooted", LHS: NewOp("c", n)},
-		{Name: "variable-rooted", LHS: NewVar("X", "")},
-		{Name: "two-rest-variables", LHS: NewConfig(NewOp("c", n), z, NewVar("Y", SortConfig))},
-		{Name: "nested-configuration", LHS: NewConfig(NewOp("box", NewConfig(NewOp("c", n))), z)},
+	shapes := []struct {
+		Rule
+		goal bool // the shape is the search goal's pattern, not a rule
+	}{
+		{Rule: Rule{Name: "op-rooted", LHS: NewOp("c", n)}},
+		{Rule: Rule{Name: "variable-rooted", LHS: NewVar("X", "")}},
+		{Rule: Rule{Name: "two-rest-variables", LHS: NewConfig(NewOp("c", n), z, NewVar("Y", SortConfig))}},
+		{Rule: Rule{Name: "nested-configuration", LHS: NewConfig(NewOp("box", NewConfig(NewOp("c", n))), z)}},
+		{Rule: Rule{Name: "op-rooted-goal", LHS: NewOp("nope")}, goal: true},
 	}
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 	for _, bad := range shapes {
@@ -304,17 +309,24 @@ func TestOutOfFragmentRulesRejected(t *testing.T) {
 			for i := range sys.Rules {
 				sys.Rules[i].Cond = count
 			}
-			bad.Cond = count
-			sys.Rules = append(sys.Rules, bad)
+			goal := Goal{Pattern: NewConfig(NewVar("S", SortConfig)), Cond: count}
+			named := strconv.Quote(bad.Name)
+			if bad.goal {
+				goal.Pattern = bad.LHS
+				named = "goal " + bad.LHS.String()
+			} else {
+				bad.Cond = count
+				sys.Rules = append(sys.Rules, bad.Rule)
+			}
 			rejected := func(op string, err error) {
 				t.Helper()
-				if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad.Name)) {
-					t.Errorf("%s: error %v, want one naming rule %q", op, err, bad.Name)
+				if err == nil || !strings.Contains(err.Error(), named) {
+					t.Errorf("%s: error %v, want one naming %s", op, err, named)
 				}
 			}
 
 			snapshots := 0
-			res, err := sys.Search(init, Goal{Pattern: NewVar("S", SortConfig), Cond: count},
+			res, err := sys.Search(init, goal,
 				Options{OnStats: func(*SearchStats) { snapshots++ }})
 			rejected("Search", err)
 			if res != nil {
@@ -322,6 +334,13 @@ func TestOutOfFragmentRulesRejected(t *testing.T) {
 			}
 			if snapshots != 0 {
 				t.Errorf("Search reported progress: %d snapshots", snapshots)
+			}
+			if bad.goal {
+				// The rules compile: Successors and Rewrite need no goal.
+				if calls != 0 {
+					t.Errorf("%d rule or goal callbacks ran", calls)
+				}
+				return
 			}
 			steps, err := sys.Successors(init)
 			rejected("Successors", err)

@@ -18,11 +18,15 @@ var envModes = []struct {
 	{"compiled",
 		func(sys *System, state *Term) ([]Step, error) { return sys.Successors(state) },
 		func(sys *System, goal Goal, state *Term) bool {
-			e, err := sys.engine(Options{}, nil)
+			e, err := sys.engine(nil)
 			if err != nil {
 				panic(err)
 			}
-			return e.goalChecker(goal)(Intern(state))
+			check, err := e.goalChecker(goal)
+			if err != nil {
+				panic(err)
+			}
+			return check(Intern(state))
 		}},
 	{"interpreted",
 		func(sys *System, state *Term) ([]Step, error) {

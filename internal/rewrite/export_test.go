@@ -9,11 +9,15 @@ const RaceEnabled = raceEnabled
 // GoalCheck returns the per-state goal predicate a search on sys runs
 // (engine.goalChecker).
 func GoalCheck(sys *System, goal Goal) func(*Term) bool {
-	e, err := sys.engine(Options{}, nil)
+	e, err := sys.engine(nil)
 	if err != nil {
 		panic(err)
 	}
-	return e.goalChecker(goal)
+	check, err := e.goalChecker(goal)
+	if err != nil {
+		panic(err)
+	}
+	return check
 }
 
 // ReferenceGoal reports whether state satisfies goal by the reference

@@ -290,7 +290,7 @@ func TestTransitionCacheSharedAcrossSearches(t *testing.T) {
 	sys := tokens(4)
 	sys.Cache = NewTransitionCache()
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
-	goal := Goal{Pattern: NewOp("nope")}
+	goal := Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}
 
 	first, err := sys.SearchContext(context.Background(), init, goal, Options{})
 	if err != nil {
@@ -327,7 +327,7 @@ func TestTransitionCacheSharedAcrossSearches(t *testing.T) {
 func TestRulesSkippedByIndex(t *testing.T) {
 	sys := vending()
 	init := NewConfig(NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
-	res, err := sys.SearchContext(context.Background(), init, Goal{Pattern: NewOp("nope")}, Options{})
+	res, err := sys.SearchContext(context.Background(), init, Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

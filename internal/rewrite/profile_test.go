@@ -12,7 +12,7 @@ func profiledSearch(t *testing.T, opts Options) *SearchStats {
 	opts.Profile = true
 	res, err := tokens(4).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-		Goal{Pattern: NewOp("nope")}, opts)
+		Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRuleProfileParallelMatchesSequential(t *testing.T) {
 func TestProfileOffByDefault(t *testing.T) {
 	res, err := tokens(3).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0))),
-		Goal{Pattern: NewOp("nope")}, Options{})
+		Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestOnStatsSnapshot(t *testing.T) {
 	var snapshots []*SearchStats
 	res, err := tokens(4).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-		Goal{Pattern: NewOp("nope")},
+		Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))},
 		Options{Profile: true, OnStats: func(st *SearchStats) {
 			st.RuleFirings["inc"] = -999
 			if len(st.Frontier) > 0 {

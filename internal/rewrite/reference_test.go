@@ -78,7 +78,7 @@ type refOptions struct {
 	// Depth stay unset, since DFS has no levels.
 	DepthFirst bool
 	// MaxExpansions stops the search, Interrupted, where the engine stops
-	// for a fault injected at expansion MaxExpansions+1; 0 means unbounded.
+	// when expansion MaxExpansions+1 panics; 0 means unbounded.
 	MaxExpansions int
 }
 

@@ -178,7 +178,7 @@ func TestVendingSearch(t *testing.T) {
 	// With one dollar and three quarters, can we get an apple and a cake?
 	init := NewConfig(NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
 	goal := Goal{
-		Pattern: NewVar("S", SortConfig),
+		Pattern: NewConfig(NewVar("S", SortConfig)),
 		Cond: func(b *Env) bool {
 			st := b.Get("S")
 			return countSym(st, "a") >= 1 && countSym(st, "c") >= 1
@@ -202,7 +202,7 @@ func TestSearchUnreachableExhausts(t *testing.T) {
 	s := vending()
 	init := NewConfig(NewOp("q"), NewOp("q"))
 	goal := Goal{
-		Pattern: NewVar("S", SortConfig),
+		Pattern: NewConfig(NewVar("S", SortConfig)),
 		Cond: func(b *Env) bool {
 			return countSym(b.Get("S"), "c") >= 1
 		},

@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"time"
 
-	"privanalyzer/internal/faultinject"
 	"privanalyzer/internal/telemetry"
 )
 
@@ -44,9 +43,6 @@ type Options struct {
 	// the search measurably — leave it off except when diagnosing rule
 	// cost (the search-engine analogue of a query profiler).
 	Profile bool
-	// Faults is the deterministic fault-injection plan for chaos tests
-	// (internal/faultinject); nil — the production value — injects nothing.
-	Faults *faultinject.Plan
 }
 
 // DefaultOptions returns the default search configuration. It is the
@@ -255,11 +251,11 @@ func (n *node) witness() []Step {
 // result with Interrupted set and no error; callers map it to the same
 // Unknown verdict as a state-budget truncation.
 //
-// Error contract: a setup failure (a rule outside the compiled fragment)
-// returns (nil, err) before any state is explored.
-// A fault during the search — a panic expanding a state or an injected
-// fault — returns a non-nil result with partial stats and Interrupted set,
-// alongside a *SearchError carrying the state's attribution.
+// Error contract: a setup failure (a rule or the goal outside the compiled
+// fragment) returns (nil, err) before any state is explored.
+// A panic expanding a state returns a non-nil result with partial stats
+// and Interrupted set, alongside a *SearchError carrying the state's
+// attribution.
 // Supervisors (rosa.Query) map the latter to the Unknown verdict with the
 // error recorded and keep the analysis running.
 func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts Options) (*SearchResult, error) {
@@ -267,18 +263,14 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 	if opts.Profile {
 		rp = newRuleProfiler(s.Rules)
 	}
-	e, err := s.engine(opts, rp)
+	e, err := s.engine(rp)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Faults != nil && opts.Faults.CancelAtLevel > 0 {
-		// The cancel-mid-level fault needs a context the engine itself can
-		// cancel without touching the caller's (sibling queries sharing the
-		// parent context must be unaffected).
-		cctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		ctx = cctx
-		e.faultCancel = cancel
+	// Goal states are recognised the moment they are generated, as Maude's
+	// search does, so a found verdict does not pay for the whole frontier.
+	if e.goalFn, err = e.goalChecker(goal); err != nil {
+		return nil, err
 	}
 	start := Intern(init)
 	stats := &SearchStats{RuleFirings: make(map[string]int)}
@@ -331,9 +323,6 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		return res, nil
 	}
 
-	// Goal states are recognised the moment they are generated, as Maude's
-	// search does, so a found verdict does not pay for the whole frontier.
-	e.goalFn = e.goalChecker(goal)
 	if e.goalFn(start) {
 		res.Found = true
 		res.Final = start
@@ -354,21 +343,15 @@ func (s *System) SearchContext(ctx context.Context, init *Term, goal Goal, opts 
 		// stats) survive. Interrupted keeps a caller that ignores the error
 		// from reading the partial result as a completed Safe verdict.
 		res.Interrupted = true
-	} else if res.Interrupted && e.injCancelled {
-		// The interruption was the fault plan's own cancellation, not the
-		// caller's: report it as a search fault so chaos tests (and the
-		// verdict mapping) see the injected failure, not a clean timeout.
-		runErr = &SearchError{Err: faultinject.ErrInjectedCancel}
 	}
 	r, _ := finish()
 	return r, runErr
 }
 
 // safeSuccessors is successors behind the supervisor's fault barrier: it
-// consults the fault-injection plan, then converts a panic inside successor
-// expansion — injected or real — into a typed *SearchError carrying the
-// expanded state's interned hash. One poisoned state costs its query a
-// verdict, never the process the analysis runs in.
+// converts a panic inside successor expansion into a typed *SearchError
+// carrying the expanded state's interned hash. One poisoned state costs its
+// query a verdict, never the process the analysis runs in.
 func (e *engine) safeSuccessors(t *Term) (steps []Step, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -376,9 +359,6 @@ func (e *engine) safeSuccessors(t *Term) (steps []Step, err error) {
 			err = &SearchError{StateHash: t.Hash(), Panic: r, Stack: debug.Stack()}
 		}
 	}()
-	if ferr := e.faults.BeforeExpansion(t.Hash()); ferr != nil {
-		return nil, &SearchError{StateHash: t.Hash(), Err: ferr}
-	}
 	return e.successors(t), nil
 }
 
@@ -404,12 +384,6 @@ func (e *engine) searchBFS(ctx context.Context, start *Term, opts Options, res *
 		}
 		stats.Frontier = append(stats.Frontier, len(frontier))
 		stats.Depth = depth
-		if e.faults.CancelLevel(depth) && e.faultCancel != nil {
-			// Fire before the level's first expansion, so that expansion
-			// observes the cancellation.
-			e.injCancelled = true
-			e.faultCancel()
-		}
 
 		var nextFrontier []*node
 		for _, n := range frontier {

@@ -75,13 +75,13 @@ type equivCase struct {
 
 func equivCases() []equivCase {
 	found := Goal{
-		Pattern: NewVar("S", SortConfig),
+		Pattern: NewConfig(NewVar("S", SortConfig)),
 		Cond: func(b *Env) bool {
 			st := b.Get("S")
 			return countSym(st, "a") >= 1 && countSym(st, "c") >= 1
 		},
 	}
-	never := Goal{Pattern: NewOp("nope")}
+	never := Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}
 	return []equivCase{
 		{
 			name: "vending/found",
@@ -178,7 +178,7 @@ func TestSearchMatchesContext(t *testing.T) {
 	s := vending()
 	init := NewConfig(NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
 	goal := Goal{
-		Pattern: NewVar("S", SortConfig),
+		Pattern: NewConfig(NewVar("S", SortConfig)),
 		Cond: func(b *Env) bool {
 			return countSym(b.Get("S"), "c") >= 1
 		},
@@ -278,7 +278,7 @@ func TestStatsAccounting(t *testing.T) {
 	var snapshots int
 	res, err := tokens(4).SearchContext(context.Background(),
 		NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-		Goal{Pattern: NewOp("nope")},
+		Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))},
 		Options{OnStats: func(st *SearchStats) { snapshots++ }})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestStatsIntervalThrottle(t *testing.T) {
 		var last *SearchStats
 		res, err := tokens(6).SearchContext(context.Background(),
 			NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)), NewOp("c", NewInt(0))),
-			Goal{Pattern: NewOp("nope")},
+			Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))},
 			Options{
 				StatsInterval: interval,
 				OnStats: func(st *SearchStats) {

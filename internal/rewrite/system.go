@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"privanalyzer/internal/faultinject"
 )
 
 // Rule is one rewrite rule over an object configuration: the LHS is a
@@ -90,7 +88,7 @@ type Step struct {
 // at its root configuration. Duplicate successors are coalesced
 // (hash-interned, like the search's visited set).
 func (s *System) Successors(t *Term) ([]Step, error) {
-	e, err := s.engine(Options{}, nil)
+	e, err := s.engine(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -107,15 +105,10 @@ type engine struct {
 	comp  *CompiledRules
 	rp    *ruleProfiler
 
-	// goalFn is the per-state goal predicate the search loops call — the
-	// goal pattern compiled with early exit when it fits the fragment,
-	// Goal.matches otherwise. It may close over unshared scratch: a search
-	// runs on one goroutine. Set by SearchContext.
+	// goalFn is the per-state goal predicate the search loops call: the
+	// goal pattern compiled with early exit. It may close over unshared
+	// scratch: a search runs on one goroutine. Set by SearchContext.
 	goalFn func(*Term) bool
-
-	faults       *faultinject.Plan  // fault-injection plan; nil = inject nothing
-	faultCancel  context.CancelFunc // cancels the search ctx for a CancelAtLevel fault
-	injCancelled bool               // a CancelAtLevel fault fired
 
 	rulesSkipped    int64 // rule attempts avoided by the index
 	subtreesPruned  int64 // element positions below the root, never tried
@@ -126,13 +119,12 @@ type engine struct {
 
 // engine builds the successor engine for one search or Successors call, or
 // reports the rule that keeps the System from compiling.
-func (s *System) engine(opts Options, rp *ruleProfiler) (*engine, error) {
+func (s *System) engine(rp *ruleProfiler) (*engine, error) {
 	comp, idx, err := s.compiled()
 	if err != nil {
 		return nil, err
 	}
-	return &engine{sys: s, idx: idx, comp: comp, cache: s.Cache, rp: rp,
-		faults: opts.Faults}, nil
+	return &engine{sys: s, idx: idx, comp: comp, cache: s.Cache, rp: rp}, nil
 }
 
 // successors returns t's full successor set: from the transition cache
@@ -262,34 +254,13 @@ type SearchResult struct {
 // Goal is a search target: a pattern with variables plus an optional
 // semantic condition on the match (Maude's `such that`).
 type Goal struct {
-	// Pattern must match the state.
+	// Pattern must match the state. It must be a pattern the rule compiler
+	// admits (Configuration-rooted, see Compile); SearchContext rejects any
+	// other goal before it explores a state.
 	Pattern *Term
 	// Cond, if set, must accept some match of the pattern. It reads the
 	// match like a rule callback does (Env, slots from SlotsOf(Pattern)).
 	Cond func(e *Env) bool
-}
-
-// matches reports whether state satisfies the goal. l is the pattern's
-// slot table, as for Rule.apply.
-func (g Goal) matches(state *Term, sig Signature, l *slotLayout) bool {
-	ok := false
-	scratch := getBinding()
-	defer putBinding(scratch)
-	var env *Env
-	match(g.Pattern, state, scratch, sig, func(b Binding) {
-		if g.Cond == nil {
-			ok = true
-			return
-		}
-		if env == nil {
-			env = envOver(l, g.Pattern)
-		}
-		env.fill(b)
-		if g.Cond(env) {
-			ok = true
-		}
-	})
-	return ok
 }
 
 // Search runs Maude-style `search init =>* goal` as a breadth-first
@@ -323,7 +294,7 @@ func FormatWitness(w []Step) string {
 // Rewrite only needs each state's first successor, so its expansion stops
 // at the first emission instead of enumerating the full set.
 func (s *System) Rewrite(t *Term, maxSteps int) (*Term, []Step, bool, error) {
-	e, err := s.engine(Options{}, nil)
+	e, err := s.engine(nil)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -251,15 +251,6 @@ func (t *Term) HasVars() bool {
 // Binding maps variable names to terms.
 type Binding map[string]*Term
 
-// clone copies a binding for backtracking.
-func (b Binding) clone() Binding {
-	out := make(Binding, len(b)+2)
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // Int returns the bound integer value for a variable, with ok=false if the
 // variable is unbound or not an integer.
 func (b Binding) Int(name string) (int64, bool) {

@@ -32,6 +32,12 @@ func NewChecker() *Checker {
 	base.Cache = rewrite.NewTransitionCache()
 	ext := NewExtendedSystem()
 	ext.Cache = rewrite.NewTransitionCache()
+	return NewCheckerOver(base, ext)
+}
+
+// NewCheckerOver returns a Checker that runs base queries on base and §X
+// extended ones on ext, as given: it attaches no cache and adds no rule.
+func NewCheckerOver(base, ext *rewrite.System) *Checker {
 	return &Checker{base: base, ext: ext}
 }
 

@@ -110,9 +110,8 @@ type Result struct {
 	// per depth, per-rule firings, dedup rate).
 	Stats *rewrite.SearchStats
 	// Err records the search fault that forced an Unknown verdict — a
-	// *rewrite.SearchError from a recovered expansion panic, a successor
-	// error, or an injected fault. Nil for clean verdicts, including clean
-	// budget/deadline Unknowns. The query-level API reports faults here
+	// *rewrite.SearchError from a recovered expansion panic. Nil for clean
+	// verdicts, including clean budget/deadline Unknowns. The query-level API reports faults here
 	// rather than as a returned error so one poisoned query degrades to ⏱
 	// while the analysis keeps running.
 	Err error
@@ -153,10 +152,10 @@ func (q *Query) RunContext(ctx context.Context) (*Result, error) {
 // system or the §X extended one): one search, bounded by MaxStates (0 means
 // DefaultMaxStates) and the context.
 //
-// Fault contract: a *rewrite.SearchError (expansion panic, successor failure,
-// injected fault) yields (Result{Verdict: Unknown, Err: ...}, nil) — the
-// fault is data, not control flow, so callers running query grids keep
-// going. Only setup errors (a rule outside the compiled fragment) return a
+// Fault contract: a *rewrite.SearchError (a panic expanding a state)
+// yields (Result{Verdict: Unknown, Err: ...}, nil) — the fault is data, not
+// control flow, so callers running query grids keep going. Only setup
+// errors (a rule or the goal outside the compiled fragment) return a
 // non-nil error.
 func (q *Query) runOn(ctx context.Context, sys *rewrite.System) (*Result, error) {
 	opts := q.Options

@@ -1,8 +1,8 @@
 package server
 
-// Serving-layer chaos: deterministic faults (internal/faultinject.ServerPlan)
-// injected into the admission and execution path, plus real saturation
-// storms. The contract under test is the robustness story end to end — every
+// Serving-layer chaos: a request that panics on its pool worker, a worker
+// wedged past the drain budget, and real saturation storms that fill the
+// queue. The contract under test is the robustness story end to end — every
 // failure mode resolves to a structured envelope on an open connection, never
 // a hang; drain is bounded even against a wedged worker; and load shedding
 // never changes the bytes of the work it admits.
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"privanalyzer/internal/api"
-	"privanalyzer/internal/faultinject"
 )
 
 // deadlineBody is queryBody with a per-request deadline_ms bolted on.
@@ -46,10 +45,19 @@ func occupyWorkers(t *testing.T, s *Server, n int) chan struct{} {
 // answer the waiting client with the uniform 500 envelope — correlation id
 // intact — and must not kill the worker for the next request.
 func TestChaosPanicBecomes500Envelope(t *testing.T) {
-	plan := &faultinject.ServerPlan{PanicAtRequest: 1}
-	_, ts := testServer(t, Config{Concurrency: 1, ServerFaults: plan})
+	s, ts := testServer(t, Config{Concurrency: 1})
+	// A route whose request panics on the pool worker, served down the path
+	// /v1/query takes: instrument, serveSync, the pool, execute.
+	s.mux.HandleFunc("POST /test/panic", s.instrument("panic", func(w http.ResponseWriter, r *http.Request) {
+		s.serveSync(w, r, &prepared{
+			kind: "query",
+			run: func(context.Context, *jobObserver) (any, *slowEntry, error) {
+				panic("injected handler panic")
+			},
+		})
+	}))
 
-	resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
+	resp, body := postJSON(t, ts.URL+"/test/panic", queryBody)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicked request = %d, want 500: %s", resp.StatusCode, body)
 	}
@@ -78,18 +86,25 @@ func TestChaosPanicBecomes500Envelope(t *testing.T) {
 // ignores cancellation must not hold Close past the drain budget — the
 // worker is abandoned, the process exits.
 func TestChaosStalledWorkerNeverBlocksDrain(t *testing.T) {
-	plan := &faultinject.ServerPlan{StallAtRequest: 1, StallFor: 10 * time.Second}
-	s := New(Config{Concurrency: 1, DrainTimeout: 200 * time.Millisecond, ServerFaults: plan})
+	s := New(Config{Concurrency: 1, DrainTimeout: 200 * time.Millisecond})
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
 	go s.run(context.Background(), &prepared{
 		kind: "query",
-		run:  func(context.Context, *jobObserver) (any, *slowEntry, error) { return nil, nil, nil },
+		// Wedged: it never looks at its context, and stalls for 10s.
+		run: func(context.Context, *jobObserver) (any, *slowEntry, error) {
+			close(started)
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+			return nil, nil, nil
+		},
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for plan.Requests() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stalled request never started")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stalled request never started")
 	}
 
 	start := time.Now()
@@ -101,12 +116,16 @@ func TestChaosStalledWorkerNeverBlocksDrain(t *testing.T) {
 	}
 }
 
-// TestChaosQueueFullStorm: an injected queue-full storm answers every victim
-// with the structured 503 envelope plus both retry hints, and ends when the
-// storm does.
+// TestChaosQueueFullStorm: a queue-full storm — the one worker parked, the
+// queue filled to QueueDepth — answers every victim with the structured 503
+// envelope plus both retry hints, and ends when the queue drains.
 func TestChaosQueueFullStorm(t *testing.T) {
-	plan := &faultinject.ServerPlan{RejectSubmits: 2}
-	_, ts := testServer(t, Config{Concurrency: 1, ServerFaults: plan})
+	s, ts := testServer(t, Config{Concurrency: 1, QueueDepth: 1})
+	gate := occupyWorkers(t, s, 1)
+	drained := make(chan struct{})
+	if _, err := s.pool.enqueue(0, func() { close(drained) }, nil); err != nil {
+		t.Fatalf("filling the queue: %v", err)
+	}
 
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
@@ -124,6 +143,8 @@ func TestChaosQueueFullStorm(t *testing.T) {
 			t.Errorf("storm request %d lost the Retry-After header", i)
 		}
 	}
+	close(gate)
+	<-drained
 	resp, body := postJSON(t, ts.URL+"/v1/query", queryBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after storm = %d, want 200: %s", resp.StatusCode, body)

@@ -170,9 +170,6 @@ func (s *Server) prepareAnalyze(req api.AnalyzeRequest) (*prepared, *requestErro
 		return nil, badRequest(err)
 	}
 	opts.Checker = s.checkers.get(p.Name)
-	if s.cfg.SearchFaults != nil {
-		opts.Search.Faults = s.cfg.SearchFaults
-	}
 	s.reg.Gauge("server_checkers_resident").Set(int64(s.checkers.len()))
 	return &prepared{
 		kind:     "analyze",
@@ -207,9 +204,6 @@ func (s *Server) prepareQuery(req api.QueryRequest) (*prepared, *requestError) {
 		key = "\x00adhoc-ext"
 	}
 	checker := s.checkers.get(key)
-	if s.cfg.SearchFaults != nil {
-		q.Options.Faults = s.cfg.SearchFaults
-	}
 	s.reg.Gauge("server_checkers_resident").Set(int64(s.checkers.len()))
 	return &prepared{
 		kind:     "query",

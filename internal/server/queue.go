@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"privanalyzer/internal/faultinject"
 )
 
 // ErrSaturated reports an admission-control rejection: the pending queue is
-// at its bound (or an injected storm says it is). Handlers map it to HTTP
+// at its bound. Handlers map it to HTTP
 // 503 "queue_full" and /readyz reports it.
 var ErrSaturated = errors.New("server: queue saturated")
 
@@ -111,10 +109,6 @@ type pool struct {
 	// wait (enqueue→dequeue) — the server feeds it into the
 	// server_queue_wait_ns histogram.
 	onWait func(time.Duration)
-	// storm, when set before any submission, injects queue-full rejections
-	// (chaos tests): while it lasts, enqueue answers ErrSaturated exactly as
-	// a full queue does. Nil injects nothing.
-	storm *faultinject.ServerPlan
 }
 
 func newPool(workers, depth int) *pool {
@@ -180,7 +174,7 @@ func (p *pool) enqueue(priority int, fn func(), onAbort func(error)) (*job, erro
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(p.pending) >= p.depth || p.storm.StealAdmission() {
+	if len(p.pending) >= p.depth {
 		p.mu.Unlock()
 		return nil, ErrSaturated
 	}

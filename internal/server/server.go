@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"privanalyzer/internal/api"
-	"privanalyzer/internal/faultinject"
 	"privanalyzer/internal/telemetry"
 )
 
@@ -66,13 +65,6 @@ type Config struct {
 	// still queued at expiry is withdrawn without running (504). 0 = no cap
 	// and no server-imposed deadline.
 	MaxDeadline time.Duration
-	// ServerFaults injects serving-layer faults (chaos tests): handler
-	// panics, worker stalls, queue-full storms. Nil injects nothing.
-	ServerFaults *faultinject.ServerPlan
-	// SearchFaults, when set, is threaded into every request's search
-	// options (chaos tests: deterministic engine faults under serving
-	// load). Nil injects nothing.
-	SearchFaults *faultinject.Plan
 	// Registry receives the server and engine metrics. Nil builds one.
 	Registry *telemetry.Registry
 	// Logger receives structured logs. Nil discards.
@@ -140,7 +132,6 @@ func New(cfg Config) *Server {
 	}
 	s.base, s.killBase = context.WithCancel(context.Background())
 	s.pool.onWait = func(d time.Duration) { s.reg.Timer("server_queue_wait_ns").Observe(d) }
-	s.pool.storm = cfg.ServerFaults
 	for _, name := range []string{
 		"server_requests_total", "server_errors_total",
 		"server_shed_queue_full_total", "server_shed_deadline_total",
@@ -228,11 +219,10 @@ func (s *Server) Close() {
 }
 
 // execute runs p on the calling pool worker. Its wall time, from pickup to
-// the response value (an injected stall included), is measured once, and
-// that one figure is the slow-query journal's cost.
+// the response value, is measured once, and that one figure is the
+// slow-query journal's cost.
 func (s *Server) execute(ctx context.Context, p *prepared, watch *jobObserver) (any, error) {
 	started := time.Now()
-	s.cfg.ServerFaults.BeforeExecute()
 	v, slow, err := p.run(ctx, watch)
 	if slow != nil {
 		slow.cost.WallNS = time.Since(started).Nanoseconds()
