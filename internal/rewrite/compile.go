@@ -257,15 +257,25 @@ func (m *matcherScratch) matchElem(ce *celem, subj *Term, sig Signature) bool {
 			stack = stack[:len(stack)-1]
 		}
 	}
-	m.nodes = stack[:0] // keep grown capacity
+	if cap(stack) > cap(m.nodes) {
+		// Keep grown capacity. Storing only then spares the common call a
+		// write barrier on the pooled scratch.
+		m.nodes = stack[:0]
+	}
 	return ok
 }
 
-// apply enumerates every replacement the compiled rule produces at the root
+// apply enumerates the replacements the compiled rule produces at the root
 // of subj, appending to out. The enumeration replays the generic matcher
-// (the reference search's Rule.apply) exactly: fixed elements in pattern
-// order, subject candidates in ascending index order with lexicographic
-// backtracking, remainder elements in subject order.
+// (the reference search's Rule.apply) — fixed elements in pattern order,
+// subject candidates in ascending index order with lexicographic
+// backtracking, remainder elements in subject order — except that it skips
+// a candidate identical (the same pointer) to the unused candidate just
+// before it: the earlier copy already led to every assignment the later one
+// would, up to swapping the two, and so to the same replacements. The
+// output therefore equals the generic matcher's after expand's duplicate
+// filter, not its raw list; the two differ only on a subject that holds
+// repeated elements, such as the same message twice.
 func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out []*Term) []*Term {
 	if subj.Kind != Config {
 		return out
@@ -291,7 +301,7 @@ func (cr *compiledRule) apply(subj *Term, sig Signature, m *matcherScratch, out 
 	for {
 		placed := false
 		for ; j < n; j++ {
-			if used[j] {
+			if used[j] || j > 0 && subj.Args[j] == subj.Args[j-1] && !used[j-1] {
 				continue
 			}
 			mark := len(m.trail)

@@ -129,10 +129,27 @@ func TestCompiledMatchEquivalence(t *testing.T) {
 	}
 }
 
+// dedupTerms keeps the first occurrence of each structurally distinct term,
+// in order: expand's duplicate filter.
+func dedupTerms(ts []*Term) []*Term {
+	seen := make(map[*Term]bool, len(ts))
+	var out []*Term
+	for _, t := range ts {
+		if it := Intern(t); !seen[it] {
+			seen[it] = true
+			out = append(out, it)
+		}
+	}
+	return out
+}
+
 // TestCompiledApplyEquivalence compares the full apply path — matching plus
 // guard evaluation plus replacement construction — between the compiled
 // matcher and Rule.apply, over rules with Build, Cond+Build, and RHS
-// substitution.
+// substitution. On a NewConfig subject no two elements share a pointer and
+// the raw lists must agree. On the interned subject repeated elements are
+// one pointer, which apply tries once, so the lists must agree after
+// expand's duplicate filter, and the skip must have fired somewhere.
 func TestCompiledApplyEquivalence(t *testing.T) {
 	systems := []struct {
 		name string
@@ -153,6 +170,7 @@ func TestCompiledApplyEquivalence(t *testing.T) {
 			NewConfig(NewOp("a"), NewOp("c")),
 		}},
 	}
+	skipped := 0
 	for _, s := range systems {
 		comp, err := Compile(s.sys.Rules)
 		if err != nil {
@@ -169,8 +187,23 @@ func TestCompiledApplyEquivalence(t *testing.T) {
 					t.Errorf("%s/%s at %s: replacements diverge\ncompiled:\n%s\ninterpreter:\n%s",
 						s.name, s.sys.Rules[i].Name, subj, got, want)
 				}
+
+				is := Intern(subj)
+				m = comp.getScratch()
+				gotRaw := cr.apply(is, s.sys.Sig, m, nil)
+				comp.putScratch(m)
+				wantRaw := s.sys.Rules[i].apply(is, s.sys.Sig, nil)
+				skipped += len(wantRaw) - len(gotRaw)
+				got, want = renderTerms(dedupTerms(gotRaw)), renderTerms(dedupTerms(wantRaw))
+				if got != want {
+					t.Errorf("%s/%s at interned %s: deduplicated replacements diverge\ncompiled:\n%s\ninterpreter:\n%s",
+						s.name, s.sys.Rules[i].Name, is, got, want)
+				}
 			}
 		}
+	}
+	if skipped <= 0 {
+		t.Errorf("compiled apply built %d fewer replacements than the generic matcher on interned subjects, want > 0", skipped)
 	}
 }
 

@@ -113,9 +113,11 @@ type RuleCost struct {
 	// Attempts counts how many times the rule was tried against a state's
 	// root configuration (matched or not).
 	Attempts int64
-	// Firings counts replacement terms the rule produced (before the
+	// Firings counts replacement terms the rule produced: before the
 	// successor-level and visited-set deduplication, so it can exceed
-	// SearchStats.RuleFirings for the same rule).
+	// SearchStats.RuleFirings for the same rule, but after the compiled
+	// matcher skips a repeated subject element (see compiledRule.apply),
+	// so it counts fewer terms than the generic matcher would build.
 	Firings int64
 	// Cumulative is the total wall-clock time spent matching and applying
 	// the rule; Max is the slowest single attempt.

@@ -362,3 +362,38 @@ func TestStatsIntervalThrottle(t *testing.T) {
 		t.Errorf("interval 1h: %d snapshots, want only the final one", throttled)
 	}
 }
+
+// TestShareKeepsMatchersSplitsCaches pins System.Share: every shared System
+// runs on the parent's compiled matchers and rule index, compiled once,
+// with only the cache it was given, and searches exactly like the parent.
+func TestShareKeepsMatchersSplitsCaches(t *testing.T) {
+	parent := tokens(4)
+	a, b := parent.Share(NewTransitionCache()), parent.Share(NewTransitionCache())
+	if a.comp == nil || a.comp != parent.comp || b.comp != parent.comp || a.idx != parent.idx || b.idx != parent.idx {
+		t.Fatal("shared Systems do not run on the parent's compiled matchers and rule index")
+	}
+	if a.Cache == nil || a.Cache == b.Cache || parent.Cache != nil {
+		t.Fatalf("caches: parent %p, a %p, b %p; want a and b distinct and the parent's untouched", parent.Cache, a.Cache, b.Cache)
+	}
+	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
+	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(8)), NewVar("Z", SortConfig))}
+	want, err := parent.Search(init, goal, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sys := range []*System{a, a, b} {
+		got, err := sys.Search(init, goal, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Found != want.Found || got.StatesExplored != want.StatesExplored ||
+			FormatWitness(got.Witness) != FormatWitness(want.Witness) {
+			t.Errorf("search %d: (%v, %d states) vs parent (%v, %d states)",
+				i, got.Found, got.StatesExplored, want.Found, want.StatesExplored)
+		}
+		// a's second search is served by its own cache; b's first by none.
+		if hits := got.Stats.CacheHits > 0; hits != (i == 1) {
+			t.Errorf("search %d: %d cache hits", i, got.Stats.CacheHits)
+		}
+	}
+}

@@ -76,6 +76,19 @@ func (s *System) compiled() (*CompiledRules, *ruleIndex, error) {
 	return s.comp, s.idx, s.compErr
 }
 
+// Share returns a System over s's signature, rules, compiled matchers and
+// rule index, compiling them first if s has not searched yet, with cache
+// attached in place of s's. The two Systems search independently and
+// share only what no search mutates, so a fixed rule set is built and
+// compiled once however many caches run on it (rosa.NewChecker shares one
+// per process).
+func (s *System) Share(cache *TransitionCache) *System {
+	s.compiled()
+	ns := &System{Sig: s.Sig, Rules: s.Rules, Cache: cache}
+	ns.compOnce.Do(func() { ns.comp, ns.idx, ns.compErr = s.comp, s.idx, s.compErr })
+	return ns
+}
+
 // Step is one rule application in a search witness.
 type Step struct {
 	// Rule is the name of the applied rule.

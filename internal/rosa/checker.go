@@ -2,19 +2,19 @@ package rosa
 
 import (
 	"context"
+	"sync"
 
 	"privanalyzer/internal/rewrite"
 )
 
 // Checker runs many queries against one shared pair of rewrite theories.
-// Query.RunContext builds a fresh System per call, which is correct but
-// discards everything the engine learned: the rule index, the memoized
-// term bitmaps, and — most importantly — the transition cache. The attack
-// queries a program analysis issues per phase (and repeated phases with
-// identical credentials and privileges) explore heavily overlapping state
-// graphs, so a Checker attaches one TransitionCache per system and every
-// query it runs shares the expanded graph. core.AnalyzeContext holds one
-// Checker per analyzed program.
+// Query.RunContext runs on the process-wide Systems without a cache, which
+// is correct but discards the expanded transition graph after each query.
+// The attack queries a program analysis issues per phase (and repeated
+// phases with identical credentials and privileges) explore heavily
+// overlapping state graphs, so a Checker attaches one TransitionCache per
+// system and every query it runs shares the expanded graph.
+// core.AnalyzeContext holds one Checker per analyzed program.
 //
 // Sharing is safe because searches never mutate the System: the rule set is
 // fixed at construction, and cached successor sets are immutable. Verdicts,
@@ -24,16 +24,22 @@ type Checker struct {
 	base, ext *rewrite.System
 }
 
-// NewChecker builds the base and §X extended systems, each with its own
-// transition cache (their rule sets differ, so their successor sets must
-// never mix).
+// NewChecker returns a Checker over the process-wide base and §X extended
+// rule sets, each with its own new transition cache (their rule sets
+// differ, so their successor sets must never mix, and no two Checkers share
+// a cache).
 func NewChecker() *Checker {
-	base := NewSystem()
-	base.Cache = rewrite.NewTransitionCache()
-	ext := NewExtendedSystem()
-	ext.Cache = rewrite.NewTransitionCache()
-	return NewCheckerOver(base, ext)
+	s := shared()
+	return NewCheckerOver(s.base.Share(rewrite.NewTransitionCache()), s.ext.Share(rewrite.NewTransitionCache()))
 }
+
+// shared is the cacheless Checker whose Systems every Checker and every
+// cacheless query runs on, built and compiled once per process: their rules
+// are fixed and hold only binding slots and package-level terms, and a
+// search never mutates a System.
+var shared = sync.OnceValue(func() *Checker {
+	return NewCheckerOver(NewSystem(), NewExtendedSystem())
+})
 
 // NewCheckerOver returns a Checker that runs base queries on base and §X
 // extended ones on ext, as given: it attaches no cache and adds no rule.

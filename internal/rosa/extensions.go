@@ -229,5 +229,5 @@ func (q *Query) RunExtended() (*Result, error) {
 // RunExtendedContext executes the query against the extended system under
 // ctx, with the same cancellation semantics as RunContext.
 func (q *Query) RunExtendedContext(ctx context.Context) (*Result, error) {
-	return q.runOn(ctx, NewExtendedSystem())
+	return q.runOn(ctx, shared().ext)
 }

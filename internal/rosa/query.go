@@ -142,10 +142,7 @@ func (q *Query) Run() (*Result, error) {
 // five-hour wall-clock limit, §VII-D2) stops the search promptly and
 // yields the Unknown (⏱) verdict, exactly like exceeding the state budget.
 func (q *Query) RunContext(ctx context.Context) (*Result, error) {
-	if q.Extended {
-		return q.runOn(ctx, NewExtendedSystem())
-	}
-	return q.runOn(ctx, NewSystem())
+	return shared().Run(ctx, q)
 }
 
 // runOn executes the query against an explicit rewrite theory (the base
@@ -294,11 +291,7 @@ func GoalProcessTerminated(pid int) rewrite.Goal {
 // at each step the first applicable syscall fires. Useful for watching what
 // a configuration does, not for verdicts — use Run for those.
 func (q *Query) Simulate(maxSteps int) (*rewrite.Term, []rewrite.Step, error) {
-	sys := NewSystem()
-	if q.Extended {
-		sys = NewExtendedSystem()
-	}
-	final, trace, _, err := sys.Rewrite(q.InitialState(), maxSteps)
+	final, trace, _, err := shared().system(q.Extended).Rewrite(q.InitialState(), maxSteps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rosa: %w", err)
 	}

@@ -1,6 +1,8 @@
 package rosa
 
 import (
+	"slices"
+
 	"privanalyzer/internal/caps"
 	"privanalyzer/internal/rewrite"
 	"privanalyzer/internal/vkernel"
@@ -203,6 +205,18 @@ func scanSingletons(cfg *rewrite.Term, sym string) []int {
 	for _, e := range cfg.Args {
 		if e.Kind == rewrite.Op && e.Sym == sym && len(e.Args) == 1 && e.Args[0].IsInt() {
 			out = append(out, int(e.Args[0].IntVal))
+		}
+	}
+	return out
+}
+
+// distinct drops the repeats from ids in place, keeping first occurrences
+// in order.
+func distinct(ids []int) []int {
+	out := ids[:0]
+	for _, v := range ids {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -579,11 +593,13 @@ func setgidRule() rewrite.Rule  { return credRule("setgid", true, caps.IDs.Setid
 func setegidRule() rewrite.Rule { return credRule("setegid", true, caps.IDs.Seteid) }
 
 // resRule builds setresuid, or setresgid when group is set: each Wild
-// component ranges over the User (Group) objects plus the corresponding
-// current value (ROSA must try every combination — the state-space blow-up
-// the paper's §VIII measures), and every combination caps.IDs.Setres
-// accepts is a successor. Components it would refuse (caps.IDs.May) are
-// pruned before the inner loops run.
+// component ranges over the distinct User (Group) ids plus the
+// corresponding current value, in first-occurrence order (ROSA must try
+// every combination — the state-space blow-up the paper's §VIII measures),
+// and every combination caps.IDs.Setres accepts is a successor. A repeated
+// candidate could only rebuild a successor already emitted, so each is
+// tried once. Components Setres would refuse (caps.IDs.May) are pruned
+// before the inner loops run.
 func resRule(sym string, group bool) rewrite.Rule {
 	lhs := rewrite.NewConfig(
 		rewrite.NewOp(sym, iv("PID"), iv("R"), iv("E"), iv("S"), iv("PR")),
@@ -603,13 +619,16 @@ func resRule(sym string, group bool) rewrite.Rule {
 				return nil
 			}
 			priv := privsOf(e, prS).Has(c)
-			known := scan(e.Rest())
+			known := distinct(scan(e.Rest()))
 			cur := *p.ids(group)
 			candidates := func(arg int64, cur int) []int {
 				if arg != Wild {
 					return []int{int(arg)}
 				}
-				return append(append([]int(nil), known...), cur)
+				if slices.Contains(known, cur) {
+					return known
+				}
+				return append(known[:len(known):len(known)], cur)
 			}
 			rc := candidates(bindingInt(e, rS), cur.R)
 			ec := candidates(bindingInt(e, eS), cur.E)

@@ -1,6 +1,7 @@
 package rosa
 
 import (
+	"fmt"
 	"testing"
 
 	"privanalyzer/internal/caps"
@@ -219,5 +220,106 @@ func TestTerminatedProcessCannotAct(t *testing.T) {
 		rewrite.NewOp(symTerm), EmptySet(), EmptySet())
 	if res := runQuery(t, objs, msgs[1:], GoalFileInReadSet(3)); res.Verdict != Safe {
 		t.Errorf("verdict = %s, want ✗ (terminated process)", res.Verdict)
+	}
+}
+
+// TestResRuleCandidatesDistinct runs setresuid and setresgid with all three
+// arguments Wild, each with and without its privilege, on a process whose
+// current ids are all among the User/Group objects (one object repeated).
+// The rule must build no successor twice, and its list must be the first
+// occurrences, in order, of a brute-force caps.IDs.Setres enumeration over
+// the objects' ids plus the current id.
+func TestResRuleCandidatesDistinct(t *testing.T) {
+	creds := Creds{RUID: 1000, EUID: 0, SUID: 2, RGID: 9, EGID: 1000, SGID: 0}
+	objs := []*rewrite.Term{
+		Process(1, creds, nil, nil),
+		User(0), User(2), User(2), User(106), User(1000),
+		GroupObj(0), GroupObj(9), GroupObj(9), GroupObj(1000),
+	}
+	for _, tc := range []struct {
+		name  string
+		group bool
+		rule  rewrite.Rule
+		msg   func(pid, r, e, s int, privs caps.Set) *rewrite.Term
+		c     caps.Cap
+	}{
+		{"setresuid", false, setresuidRule(), SetresuidMsg, caps.CapSetuid},
+		{"setresgid", true, setresgidRule(), SetresgidMsg, caps.CapSetgid},
+	} {
+		for _, priv := range []bool{false, true} {
+			privs := caps.EmptySet
+			if priv {
+				privs = caps.NewSet(tc.c)
+			}
+			state := rewrite.Intern(rewrite.NewConfig(append(objs[:len(objs):len(objs)], tc.msg(1, Wild, Wild, Wild, privs))...))
+
+			var raw []*rewrite.Term
+			r := tc.rule
+			inner := r.BuildAll
+			r.BuildAll = func(e *rewrite.Env) []*rewrite.Term {
+				raw = inner(e)
+				return raw
+			}
+			sys := &rewrite.System{Sig: Signature(), Rules: []rewrite.Rule{r}}
+			if _, err := sys.Successors(state); err != nil {
+				t.Fatal(err)
+			}
+
+			// The brute force: every object id, repeats included, in the
+			// state's element order, then the current id.
+			sym, cur := symUser, caps.IDs{R: creds.RUID, E: creds.EUID, S: creds.SUID}
+			if tc.group {
+				sym, cur = symGroup, caps.IDs{R: creds.RGID, E: creds.EGID, S: creds.SGID}
+			}
+			var known []int
+			for _, el := range state.Args {
+				if el.Sym == sym {
+					known = append(known, int(el.Args[0].IntVal))
+				}
+			}
+			var want []*rewrite.Term
+			seen := map[*rewrite.Term]bool{}
+			for _, rv := range append(known[:len(known):len(known)], cur.R) {
+				for _, ev := range append(known[:len(known):len(known)], cur.E) {
+					for _, sv := range append(known[:len(known):len(known)], cur.S) {
+						ids, ok := cur.Setres(rv, ev, sv, priv)
+						if !ok {
+							continue
+						}
+						nc := creds
+						if tc.group {
+							nc.RGID, nc.EGID, nc.SGID = ids.R, ids.E, ids.S
+						} else {
+							nc.RUID, nc.EUID, nc.SUID = ids.R, ids.E, ids.S
+						}
+						next := rewrite.Intern(rewrite.NewConfig(append([]*rewrite.Term{Process(1, nc, nil, nil)}, objs[1:]...)...))
+						if !seen[next] {
+							seen[next] = true
+							want = append(want, next)
+						}
+					}
+				}
+			}
+
+			name := fmt.Sprintf("%s/priv=%v", tc.name, priv)
+			if len(want) < 2 {
+				t.Fatalf("%s: the brute force found %d successors; the case exercises nothing", name, len(want))
+			}
+			built := map[*rewrite.Term]bool{}
+			for _, s := range raw {
+				if built[rewrite.Intern(s)] {
+					t.Errorf("%s: successor %v built twice", name, s)
+				}
+				built[rewrite.Intern(s)] = true
+			}
+			if len(raw) != len(want) {
+				t.Fatalf("%s: %d successors built, brute force has %d distinct", name, len(raw), len(want))
+			}
+			for i := range raw {
+				if rewrite.Intern(raw[i]) != want[i] {
+					t.Errorf("%s: successor %d is %v, brute force has %v", name, i, raw[i], want[i])
+				}
+			}
+		}
 	}
 }
