@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-chaos test-chaos-server bench experiments tables serve fuzz clean
+.PHONY: all build test test-short test-race test-chaos test-chaos-server bench experiments tables serve fuzz loc clean
 
 all: build test
 
@@ -75,6 +75,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReplace -fuzztime 20s ./internal/rewrite
 	$(GO) test -run '^$$' -fuzz FuzzCompileEquivalence -fuzztime 20s ./internal/rewrite
 	$(GO) test -run '^$$' -fuzz FuzzInternParts -fuzztime 20s ./internal/rewrite
+
+# The three line counts ROADMAP tracks: non-test Go lines outside
+# perfbench/, test lines outside it, and Go lines in perfbench/.
+loc:
+	@printf 'non-test Go lines:  '; find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
+	@printf 'test Go lines:      '; find . -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
+	@printf 'perfbench Go lines: '; find ./perfbench -name '*.go' | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

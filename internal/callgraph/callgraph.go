@@ -44,7 +44,6 @@ type Graph struct {
 	Module *ir.Module
 
 	callees map[string][]string // caller -> sorted unique callee names
-	callers map[string][]string // callee -> sorted unique caller names
 }
 
 // Build constructs the call graph of m under the given options.
@@ -55,7 +54,6 @@ func Build(m *ir.Module, opts Options) *Graph {
 	g := &Graph{
 		Module:  m,
 		callees: make(map[string][]string, len(m.Funcs)),
-		callers: make(map[string][]string, len(m.Funcs)),
 	}
 
 	addressTaken := addressTakenFuncs(m)
@@ -98,13 +96,8 @@ func Build(m *ir.Module, opts Options) *Graph {
 	for from, tos := range edges {
 		for to := range tos {
 			g.callees[from] = append(g.callees[from], to)
-			g.callers[to] = append(g.callers[to], from)
 		}
-	}
-	for _, lists := range []map[string][]string{g.callees, g.callers} {
-		for k := range lists {
-			sort.Strings(lists[k])
-		}
+		sort.Strings(g.callees[from])
 	}
 	return g
 }
@@ -166,48 +159,3 @@ func indirectTargets(m *ir.Module, caller *ir.Function, in *ir.CallIndInstr, opt
 
 // Callees returns the sorted possible callees of the named function.
 func (g *Graph) Callees(name string) []string { return g.callees[name] }
-
-// Callers returns the sorted possible callers of the named function.
-func (g *Graph) Callers(name string) []string { return g.callers[name] }
-
-// ReachableFrom returns the set of function names reachable from root
-// (including root itself if it exists in the module).
-func (g *Graph) ReachableFrom(root string) map[string]bool {
-	seen := make(map[string]bool)
-	if g.Module.Func(root) == nil {
-		return seen
-	}
-	stack := []string{root}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, g.callees[n]...)
-	}
-	return seen
-}
-
-// PostOrder returns the functions reachable from root in depth-first
-// post-order (callees before callers where the graph is acyclic); cycles are
-// broken at the first revisit. This is the order AutoPriv's bottom-up summary
-// computation uses.
-func (g *Graph) PostOrder(root string) []string {
-	var order []string
-	seen := make(map[string]bool)
-	var walk func(n string)
-	walk = func(n string) {
-		if seen[n] || g.Module.Func(n) == nil {
-			return
-		}
-		seen[n] = true
-		for _, c := range g.callees[n] {
-			walk(c)
-		}
-		order = append(order, n)
-	}
-	walk(root)
-	return order
-}

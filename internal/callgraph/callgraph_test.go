@@ -94,16 +94,6 @@ func TestDirectFuncRefIndirectCall(t *testing.T) {
 	}
 }
 
-func TestCallers(t *testing.T) {
-	m := buildModule(t)
-	g := Build(m, Options{})
-	got := g.Callers("helperC")
-	want := []string{"helperB"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Callers(helperC) = %v, want %v", got, want)
-	}
-}
-
 func TestSignalHandlerEdges(t *testing.T) {
 	m := buildModule(t)
 	g := Build(m, Options{})
@@ -126,42 +116,6 @@ func TestSignalHandlerEdges(t *testing.T) {
 	}
 }
 
-func TestReachableFrom(t *testing.T) {
-	m := buildModule(t)
-	g := Build(m, Options{})
-	reach := g.ReachableFrom("main")
-	for _, name := range []string{"main", "helperA", "helperB", "helperC", "handler"} {
-		if !reach[name] {
-			t.Errorf("%s not reachable from main", name)
-		}
-	}
-	if reach["ghost"] {
-		t.Error("nonexistent function reachable")
-	}
-	if r := g.ReachableFrom("nonexistent"); len(r) != 0 {
-		t.Errorf("ReachableFrom(nonexistent) = %v", r)
-	}
-}
-
-func TestPostOrder(t *testing.T) {
-	m := buildModule(t)
-	g := Build(m, Options{})
-	order := g.PostOrder("main")
-	pos := make(map[string]int, len(order))
-	for i, n := range order {
-		pos[n] = i
-	}
-	if len(order) != 5 {
-		t.Fatalf("PostOrder = %v", order)
-	}
-	if pos["main"] != len(order)-1 {
-		t.Errorf("main should be last in post-order: %v", order)
-	}
-	if pos["helperC"] > pos["helperB"] {
-		t.Errorf("callee helperC should precede caller helperB: %v", order)
-	}
-}
-
 func TestRecursionDoesNotLoopForever(t *testing.T) {
 	b := ir.NewModuleBuilder("m")
 	f := b.Func("main")
@@ -171,10 +125,7 @@ func TestRecursionDoesNotLoopForever(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := Build(m, Options{})
-	if order := g.PostOrder("main"); len(order) != 1 || order[0] != "main" {
-		t.Errorf("PostOrder = %v", order)
-	}
-	if !g.ReachableFrom("main")["main"] {
-		t.Error("main unreachable from itself")
+	if got := g.Callees("main"); !reflect.DeepEqual(got, []string{"main"}) {
+		t.Errorf("Callees(main) = %v, want [main] (the recursive self-edge)", got)
 	}
 }

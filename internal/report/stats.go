@@ -42,9 +42,9 @@ func SearchStatsText(st *rewrite.SearchStats) string {
 		fmt.Fprintf(&b, "rule index:       %d attempts skipped, %d subtrees pruned\n",
 			st.RulesSkippedByIndex, st.SubtreesPruned)
 	}
-	if st.CompiledMatches+st.FallbackMatches > 0 {
-		fmt.Fprintf(&b, "compiled match:   %d rules compiled; %d compiled / %d interpreted attempts (%.1f%% compiled)\n",
-			st.CompiledRules, st.CompiledMatches, st.FallbackMatches, 100*st.CompiledShare())
+	if line := CompileSummary([]*rewrite.SearchStats{st}); line != "" {
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
 	if lookups := st.CacheHits + st.CacheMisses; lookups > 0 {
 		fmt.Fprintf(&b, "transition cache: %d hits, %d misses (%.1f%% hit rate)\n",
@@ -112,30 +112,25 @@ func RuleProfileTable(prof map[string]*rewrite.RuleCost) string {
 	return b.String()
 }
 
-// CompileSummary aggregates the compiled-vs-interpreted match split across
-// several searches into the one-line form SearchStatsText uses, for views
-// that merge many queries (privanalyzer -stats). Empty when no rule attempts
-// were recorded. CompiledRules is a per-System property, not a per-search
-// delta, so the maximum — not the sum — is reported.
+// CompileSummary renders the compiled-rule count and the rule attempts of
+// one or more searches as the one line SearchStatsText prints, for views
+// that merge many queries too (privanalyzer -stats). Empty when no rule
+// attempts were recorded. CompiledRules is a per-System property, not a
+// per-search delta, so the maximum — not the sum — is reported.
 func CompileSummary(stats []*rewrite.SearchStats) string {
 	var rules int
-	var compiled, fallback int64
+	var attempts int64
 	for _, st := range stats {
 		if st == nil {
 			continue
 		}
-		if st.CompiledRules > rules {
-			rules = st.CompiledRules
-		}
-		compiled += st.CompiledMatches
-		fallback += st.FallbackMatches
+		rules = max(rules, st.CompiledRules)
+		attempts += st.CompiledMatches
 	}
-	total := compiled + fallback
-	if total == 0 {
+	if attempts == 0 {
 		return ""
 	}
-	return fmt.Sprintf("compiled match:   %d rules compiled; %d compiled / %d interpreted attempts (%.1f%% compiled)",
-		rules, compiled, fallback, 100*float64(compiled)/float64(total))
+	return fmt.Sprintf("compiled match:   %d rules compiled; %d attempts", rules, attempts)
 }
 
 // MergeRuleProfiles aggregates the per-rule profiles of several searches

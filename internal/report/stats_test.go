@@ -25,15 +25,18 @@ func TestSearchStatsText(t *testing.T) {
 		t.Error("nil stats should render empty")
 	}
 	st := &rewrite.SearchStats{
-		StatesExplored: 11,
-		DedupHits:      5,
-		Elapsed:        2 * time.Second,
-		Frontier:       []int{1, 4, 6},
-		RuleFirings:    map[string]int{"open": 9, "chown": 6},
+		StatesExplored:  11,
+		DedupHits:       5,
+		Elapsed:         2 * time.Second,
+		Frontier:        []int{1, 4, 6},
+		RuleFirings:     map[string]int{"open": 9, "chown": 6},
+		CompiledRules:   34,
+		CompiledMatches: 20,
 	}
 	out := SearchStatsText(st)
 	for _, want := range []string{
 		"states explored:  11",
+		"compiled match:   34 rules compiled; 20 attempts\n",
 		"6 states/sec", // guarded rate: 11 states / 2s, rounded
 		"dedup hits:       5",
 		"frontier by depth: 0:1 1:4 2:6",
@@ -116,24 +119,13 @@ func TestCompileSummary(t *testing.T) {
 		t.Error("stats without attempts should summarize empty")
 	}
 	got := CompileSummary([]*rewrite.SearchStats{
-		{CompiledRules: 17, CompiledMatches: 30, FallbackMatches: 10},
+		{CompiledRules: 17, CompiledMatches: 30},
 		nil,
-		{CompiledRules: 17, CompiledMatches: 45, FallbackMatches: 15},
+		{CompiledRules: 17, CompiledMatches: 45},
 	})
-	for _, want := range []string{
-		"17 rules compiled", // per-System max, not 34
-		"75 compiled / 25 interpreted attempts",
-		"75.0% compiled",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("summary missing %q:\n%s", want, got)
-		}
-	}
-	// Runs without compiled rules still render: every attempt counts as
-	// interpreted.
-	got = CompileSummary([]*rewrite.SearchStats{{FallbackMatches: 42}})
-	if !strings.Contains(got, "0 rules compiled") || !strings.Contains(got, "0.0% compiled") {
-		t.Errorf("interpreter-only summary = %q", got)
+	// 17 is the per-System max, not 34.
+	if want := "compiled match:   17 rules compiled; 75 attempts"; got != want {
+		t.Errorf("summary = %q, want %q", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -95,7 +96,7 @@ func BenchmarkSearchCompiled(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := tokens(5).Search(init, never, Options{}); err != nil {
+			if _, err := tokens(5).SearchContext(context.Background(), init, never, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

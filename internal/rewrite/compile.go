@@ -16,11 +16,11 @@ package rewrite
 //   - variables get array-indexed binding slots computed at compile time;
 //     non-linear occurrences (the same variable in two positions) compile to
 //     a slot-equality check instead of a map probe;
-//   - guard evaluation (Cond) and replacement construction (BuildAll /
-//     Build / RHS substitution) are fused into the enumeration loop; the
-//     callbacks read the slot array through a pooled Env, and the
-//     remainder configuration is built only if a callback asks for it —
-//     neither failed candidates nor guard checks allocate.
+//   - guard evaluation (Cond) and replacement construction (BuildAll) are
+//     fused into the enumeration loop; the callbacks read the slot array
+//     through a pooled Env, and the remainder configuration is built only
+//     if a callback asks for it — neither failed candidates nor guard
+//     checks allocate.
 //
 // A rule outside the fragment (a non-Config root, two rest variables, a
 // configuration nested inside an element) is an error naming the rule, and
@@ -80,7 +80,7 @@ type compiledRule struct {
 	rest  int     // slot of the remainder variable; -1 when the pattern has none
 	names []string
 	// names maps slot index -> variable name: the SlotsOf numbering the rule
-	// callbacks index their Env with, and the keys Subst needs.
+	// callbacks index their Env with.
 }
 
 // CompiledRules is a rule set's compiled matchers, built once per System by
@@ -204,7 +204,7 @@ type matcherScratch struct {
 	rem    []*Term // remainder element buffer (non-linear remainder checks)
 	choice []int   // per-level chosen subject index (iterative backtracker)
 	marks  []int   // per-level trail mark
-	env    Env     // pooled view handed to Cond/Build/BuildAll
+	env    Env     // pooled view handed to Cond/BuildAll
 }
 
 // undo unbinds every slot bound after mark.
@@ -375,16 +375,7 @@ func (cr *compiledRule) complete(subj *Term, m *matcherScratch, out []*Term) []*
 	env := cr.view(subj, m)
 	r := cr.rule
 	if r.Cond == nil || r.Cond(env) {
-		switch {
-		case r.BuildAll != nil:
-			out = append(out, r.BuildAll(env)...)
-		case r.Build != nil:
-			if nt, ok := r.Build(env); ok {
-				out = append(out, nt)
-			}
-		default:
-			out = append(out, Subst(r.RHS, env.binding()))
-		}
+		out = append(out, r.BuildAll(env)...)
 	}
 	m.env = Env{} // drop the subject and the remainder memo
 	return out

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -8,8 +9,9 @@ import (
 	"testing"
 )
 
-// renderBindings renders a binding list order-sensitively: one line per
-// binding, variables sorted by name within each. Two matchers agree exactly
+// renderBindings renders a binding list order-sensitively: one braced line
+// per binding, variables sorted by name within each, so an empty binding
+// still counts. Two matchers agree exactly
 // when these renderings are equal — including enumeration order, which the
 // compiled path promises to reproduce.
 func renderBindings(bs []Binding) string {
@@ -24,7 +26,7 @@ func renderBindings(bs []Binding) string {
 		for j, name := range names {
 			parts[j] = name + "=" + b[name].String()
 		}
-		lines[i] = strings.Join(parts, " ")
+		lines[i] = "{" + strings.Join(parts, " ") + "}"
 	}
 	return strings.Join(lines, "\n")
 }
@@ -145,9 +147,10 @@ func dedupTerms(ts []*Term) []*Term {
 
 // TestCompiledApplyEquivalence compares the full apply path — matching plus
 // guard evaluation plus replacement construction — between the compiled
-// matcher and Rule.apply, over rules with Build, Cond+Build, and RHS
-// substitution. On a NewConfig subject no two elements share a pointer and
-// the raw lists must agree. On the interned subject repeated elements are
+// matcher and Rule.apply, over rules with and without a Cond, and with
+// BuildAll vetoes. No two elements of these NewConfig subjects share a
+// pointer (their repeats are separate NewOp terms), so the raw lists must
+// agree. On the interned subject repeated elements are
 // one pointer, which apply tries once, so the lists must agree after
 // expand's duplicate filter, and the skip must have fired somewhere.
 func TestCompiledApplyEquivalence(t *testing.T) {
@@ -219,7 +222,7 @@ func TestCompiledSearchDifferential(t *testing.T) {
 			name := fmt.Sprintf("%s/workers=%d", tc.name, w)
 			opts := tc.opts
 			opts.Workers = w
-			res, err := tc.sys.Search(tc.init, tc.goal, opts)
+			res, err := tc.sys.SearchContext(context.Background(), tc.init, tc.goal, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -254,7 +257,7 @@ func TestCompiledBudgetCutDifferential(t *testing.T) {
 		}
 		for _, w := range []int{1, 4} {
 			name := fmt.Sprintf("budget=%d/workers=%d", budget, w)
-			res, err := tokens(6).Search(init, goal, Options{Workers: w, MaxStates: budget})
+			res, err := tokens(6).SearchContext(context.Background(), init, goal, Options{Workers: w, MaxStates: budget})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -279,7 +282,7 @@ func TestCompiledCounterAccounting(t *testing.T) {
 	init := NewConfig(NewOp("$"), NewOp("$"), NewOp("q"), NewOp("q"), NewOp("q"))
 	goal := Goal{Pattern: NewConfig(NewOp("nope"), NewVar("Z", SortConfig))}
 
-	res, err := vending().Search(init, goal, Options{Profile: true})
+	res, err := vending().SearchContext(context.Background(), init, goal, Options{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +362,7 @@ func TestOutOfFragmentRulesRejected(t *testing.T) {
 			}
 
 			snapshots := 0
-			res, err := sys.Search(init, goal,
+			res, err := sys.SearchContext(context.Background(), init, goal,
 				Options{OnStats: func(*SearchStats) { snapshots++ }})
 			rejected("Search", err)
 			if res != nil {

@@ -1,6 +1,9 @@
 package rewrite
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseTerm checks the term parser never panics and accepted inputs
 // round-trip (ground terms render back to parseable text).
@@ -46,8 +49,13 @@ func FuzzParseConfig(f *testing.F) {
 // every pattern/subject pair the fuzzer invents, a rule whose pattern falls
 // inside the compilable fragment must produce byte-identical bindings — same
 // multiset of matches, same enumeration order — from the compiled matcher
-// and the interpreter's Match. The early-exit path (matchAny, backing goal
-// checks) must agree on match existence too. This is the contract the
+// and the interpreter's Match. The one deliberate difference (DESIGN.md
+// §13): where two adjacent subject elements are one pointer (interned
+// states, and small integers, which NewInt shares), the compiled matcher
+// tries the later copy only when the earlier one is taken, so there the
+// two lists must agree after duplicate bindings are dropped, and the
+// compiled one may be no longer. The early-exit path (matchAny, backing
+// goal checks) must agree on match existence too. This is the contract the
 // differential search tests pin end-to-end, exercised here at the matcher
 // boundary with adversarial inputs.
 func FuzzCompileEquivalence(f *testing.F) {
@@ -66,6 +74,7 @@ func FuzzCompileEquivalence(f *testing.F) {
 			"Process(1,0) msg(1) msg(2) Process(2,0)"},
 		{"c(1) c(2)", "c(2) c(1)"},
 		{"x(N:Int) x(M:Int) Z:Configuration", "x(1) x(2) x(3)"},
+		{"a a 0 0", "0a 00a"}, // two shared 0 pointers: the skip fires
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
@@ -98,15 +107,48 @@ func FuzzCompileEquivalence(f *testing.F) {
 		m := cc.getScratch()
 		defer cc.putScratch(m)
 		got := cr.matchCompiled(sub, nil, m)
-		if renderBindings(got) != renderBindings(want) {
+		gotR, wantR := renderBindings(got), renderBindings(want)
+		if sharesAdjacent(sub) {
+			if len(got) > len(want) {
+				t.Fatalf("pattern %q vs subject %q: compiled %d bindings, interpreted %d",
+					pat, subj, len(got), len(want))
+			}
+			gotR, wantR = dedupLines(gotR), dedupLines(wantR)
+		}
+		if gotR != wantR {
 			t.Fatalf("pattern %q vs subject %q:\ncompiled:\n%s\ninterpreted:\n%s",
-				pat, subj, renderBindings(got), renderBindings(want))
+				pat, subj, gotR, wantR)
 		}
 		if any := cr.matchAny(sub, nil, m); any != (len(want) > 0) {
 			t.Fatalf("pattern %q vs subject %q: matchAny=%v, interpreter found %d matches",
 				pat, subj, any, len(want))
 		}
 	})
+}
+
+// sharesAdjacent reports whether two adjacent elements of a configuration
+// are one pointer, the case in which the compiled matcher skips a copy.
+func sharesAdjacent(c *Term) bool {
+	for j := 1; j < len(c.Args); j++ {
+		if c.Args[j] == c.Args[j-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// dedupLines drops repeated lines of a rendering, keeping the first of
+// each in order.
+func dedupLines(s string) string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, l := range strings.Split(s, "\n") {
+		if !seen[l] {
+			seen[l] = true
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n")
 }
 
 // FuzzInternParts cross-checks the parts-probing interners against their

@@ -10,6 +10,22 @@ import "sync"
 // FuzzCompileEquivalence compare its bindings, in enumeration order, with
 // the compiled matcher's (matchCompiled).
 
+// Binding maps variable names to terms: one match of the generic matcher.
+type Binding map[string]*Term
+
+// Get returns the bound term for a variable, or nil.
+func (b Binding) Get(name string) *Term { return b[name] }
+
+// Int returns the bound integer value for a variable, with ok=false if the
+// variable is unbound or not an integer.
+func (b Binding) Int(name string) (int64, bool) {
+	t, ok := b[name]
+	if !ok || t.Kind != Int {
+		return 0, false
+	}
+	return t.IntVal, true
+}
+
 // Match returns every binding under which pattern matches subject. Matching
 // is syntactic for constructor terms and associative-commutative for
 // configurations: a configuration pattern's non-variable elements match an
@@ -267,4 +283,15 @@ func (cr *compiledRule) matchCompiled(subj *Term, sig Signature, m *matcherScrat
 	shadow.rule = &probe
 	shadow.apply(subj, sig, m, nil)
 	return outB
+}
+
+// binding materializes a compiled match as a Binding, for matchCompiled.
+func (e *Env) binding() Binding {
+	b := make(Binding, len(e.names))
+	for i, n := range e.names {
+		if t := e.At(i); t != nil {
+			b[n] = t
+		}
+	}
+	return b
 }

@@ -31,24 +31,23 @@ func (s Signature) SortOf(t *Term) string {
 }
 
 // Env is one match of a rule or goal pattern, as the pattern's callbacks
-// (Rule.Cond, Rule.Build, Rule.BuildAll, Goal.Cond) see it. Variables are
-// read by binding slot — the number SlotsOf assigns, resolved once when the
-// rule is built — so a callback on the hot path does no string work:
-// At/IntAt are an index, Get/Int a scan of the name table for tests and
-// cold code. The remainder variable is built only when asked for (Rest),
-// and Replace interns the successor configuration in O(k) from the matched
-// subject.
+// (Rule.Cond, Rule.BuildAll, Goal.Cond) see it. Variables are read by
+// binding slot — the number SlotsOf assigns, resolved once when the rule is
+// built — so a callback on the hot path does no string work: At/IntAt are
+// an index, Get/Int a scan of the name table for tests and cold code. The
+// remainder variable is built only when asked for (Rest), and Replace
+// interns the successor configuration in O(k) from the matched subject.
 //
-// The compiled matcher hands every callback the same pooled Env, and the
-// test-only generic matcher (generic_test.go) fills one from its Binding
-// through the same name table, so a callback sees identical values either
-// way. An Env is valid only
-// during the callback; callbacks must not keep it.
+// The compiled matcher hands every callback the same pooled Env over the
+// interned state it matched. The test-only oracles (generic_test.go,
+// reference_test.go) build theirs from a map binding through the same name
+// table, with no subject, so a callback sees identical values either way.
+// An Env is valid only during the callback; callbacks must not keep it.
 type Env struct {
 	names []string // slot -> variable name (SlotsOf numbering)
 	slots []*Term  // slot -> bound term; nil = unbound
 	rest  int      // slot of the remainder variable; -1 when the pattern has none
-	subj  *Term    // matched configuration; nil for a view over a Binding
+	subj  *Term    // matched configuration; nil for a test oracle's view
 	used  []bool   // subj elements consumed by the pattern's fixed elements
 	restT *Term    // memoized remainder of a compiled match
 }
@@ -165,9 +164,12 @@ func (e *Env) Rest() *Term {
 
 // Replace returns the canonical (interned) configuration holding the
 // unmatched elements plus objs: the successor of a rule whose fixed
-// elements are replaced by objs. For a compiled match on an interned
-// subject this costs O(k) hashing (replaceConfig); otherwise it is
-// Intern(NewConfig(objs..., Rest())).
+// elements are replaced by objs. For a compiled match, whose subject the
+// search interned first, this costs O(k) hashing (replaceConfig). The
+// other branch, Intern(NewConfig(objs..., Rest())), serves an Env with no
+// subject or an uninterned one, which only the test oracles build: the
+// reference search, which by design shares no interning with the engine,
+// and benchmarks that apply a rule to a fresh NewConfig term.
 func (e *Env) Replace(objs ...*Term) *Term {
 	if e.subj != nil && e.subj.interned.Load() {
 		return replaceConfig(e.subj, e.used, objs)
@@ -175,15 +177,4 @@ func (e *Env) Replace(objs ...*Term) *Term {
 	elems := make([]*Term, 0, len(objs)+1)
 	elems = append(append(elems, objs...), e.Rest())
 	return Intern(NewConfig(elems...))
-}
-
-// binding materializes the match as a Binding, for Subst.
-func (e *Env) binding() Binding {
-	b := make(Binding, len(e.names))
-	for i, n := range e.names {
-		if t := e.At(i); t != nil {
-			b[n] = t
-		}
-	}
-	return b
 }

@@ -38,28 +38,13 @@ func (r *Rule) apply(t *Term, sig Signature, l *slotLayout) []*Term {
 	defer putBinding(scratch)
 	var env *Env
 	match(r.LHS, t, scratch, sig, func(b Binding) {
-		if r.Cond == nil && r.BuildAll == nil && r.Build == nil {
-			out = append(out, Subst(r.RHS, b))
-			return
-		}
 		if env == nil {
 			env = envOver(l, r.LHS)
 		}
 		env.fill(b)
-		if r.Cond != nil && !r.Cond(env) {
-			return
-		}
-		if r.BuildAll != nil {
+		if r.Cond == nil || r.Cond(env) {
 			out = append(out, r.BuildAll(env)...)
-			return
 		}
-		if r.Build != nil {
-			if nt, ok := r.Build(env); ok {
-				out = append(out, nt)
-			}
-			return
-		}
-		out = append(out, Subst(r.RHS, b))
 	})
 	return out
 }

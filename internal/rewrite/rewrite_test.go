@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -147,17 +148,23 @@ func vending() *System {
 			{
 				Name: "buy-cake",
 				LHS:  NewConfig(dollar(), NewVar("Z", SortConfig)),
-				RHS:  NewConfig(NewOp("c"), NewVar("Z", SortConfig)),
+				BuildAll: func(e *Env) []*Term {
+					return []*Term{e.Replace(NewOp("c"))}
+				},
 			},
 			{
 				Name: "buy-apple",
 				LHS:  NewConfig(dollar(), NewVar("Z", SortConfig)),
-				RHS:  NewConfig(NewOp("a"), q(), NewVar("Z", SortConfig)),
+				BuildAll: func(e *Env) []*Term {
+					return []*Term{e.Replace(NewOp("a"), q())}
+				},
 			},
 			{
 				Name: "change",
 				LHS:  NewConfig(q(), q(), q(), q(), NewVar("Z", SortConfig)),
-				RHS:  NewConfig(dollar(), NewVar("Z", SortConfig)),
+				BuildAll: func(e *Env) []*Term {
+					return []*Term{e.Replace(dollar())}
+				},
 			},
 		},
 	}
@@ -184,7 +191,7 @@ func TestVendingSearch(t *testing.T) {
 			return countSym(st, "a") >= 1 && countSym(st, "c") >= 1
 		},
 	}
-	res, err := s.Search(init, goal, Options{MaxDepth: 10})
+	res, err := s.SearchContext(context.Background(), init, goal, Options{MaxDepth: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +214,7 @@ func TestSearchUnreachableExhausts(t *testing.T) {
 			return countSym(b.Get("S"), "c") >= 1
 		},
 	}
-	res, err := s.Search(init, goal, Options{})
+	res, err := s.SearchContext(context.Background(), init, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +233,7 @@ func TestSearchMaxStatesTruncates(t *testing.T) {
 	// An infinite counter system: c(n) -> c(n+1).
 	s := counter()
 	goal := Goal{Pattern: cnt(-1)} // unreachable
-	res, err := s.Search(cnt(0), goal, Options{MaxStates: 100})
+	res, err := s.SearchContext(context.Background(), cnt(0), goal, Options{MaxStates: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +248,14 @@ func TestSearchMaxStatesTruncates(t *testing.T) {
 func TestSearchMaxDepth(t *testing.T) {
 	s := counter()
 	goal := Goal{Pattern: cnt(5)}
-	res, err := s.Search(cnt(0), goal, Options{MaxDepth: 3})
+	res, err := s.SearchContext(context.Background(), cnt(0), goal, Options{MaxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Found {
 		t.Error("goal at depth 5 must be unreachable with MaxDepth 3")
 	}
-	res2, err := s.Search(cnt(0), goal, Options{MaxDepth: 5})
+	res2, err := s.SearchContext(context.Background(), cnt(0), goal, Options{MaxDepth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +274,9 @@ func TestConditionalRule(t *testing.T) {
 				n, _ := b.Int("N")
 				return n > 0
 			},
-			Build: func(b *Env) (*Term, bool) {
+			BuildAll: func(b *Env) []*Term {
 				n, _ := b.Int("N")
-				return cnt(n - 1), true
+				return []*Term{b.Replace(NewOp("c", NewInt(n-1)))}
 			},
 		}},
 	}
@@ -292,9 +299,9 @@ func TestConditionalRule(t *testing.T) {
 func TestBuildVeto(t *testing.T) {
 	s := &System{
 		Rules: []Rule{{
-			Name:  "never",
-			LHS:   NewConfig(NewVar("X", SortConfig)),
-			Build: func(*Env) (*Term, bool) { return nil, false },
+			Name:     "never",
+			LHS:      NewConfig(NewVar("X", SortConfig)),
+			BuildAll: func(*Env) []*Term { return nil },
 		}},
 	}
 	succ, err := s.Successors(NewConfig(NewOp("a")))
@@ -303,15 +310,6 @@ func TestBuildVeto(t *testing.T) {
 	}
 	if len(succ) != 0 {
 		t.Errorf("vetoed rule produced successors: %v", succ)
-	}
-}
-
-func TestSubstSplicesConfigs(t *testing.T) {
-	b := Binding{"Z": NewConfig(NewOp("x"), NewOp("y"))}
-	tmpl := NewConfig(NewOp("a"), NewVar("Z", SortConfig))
-	got := Subst(tmpl, b)
-	if got.Kind != Config || len(got.Args) != 3 {
-		t.Errorf("Subst = %s, want 3 spliced elements", got)
 	}
 }
 
@@ -337,20 +335,20 @@ func TestDedupAblation(t *testing.T) {
 				Name: "incA",
 				LHS:  NewConfig(NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt))),
 				Cond: func(b *Env) bool { a, _ := b.Int("A"); return a < 4 },
-				Build: func(b *Env) (*Term, bool) {
+				BuildAll: func(b *Env) []*Term {
 					a, _ := b.Int("A")
 					c, _ := b.Int("B")
-					return NewConfig(NewOp("p", NewInt(a+1), NewInt(c))), true
+					return []*Term{b.Replace(NewOp("p", NewInt(a+1), NewInt(c)))}
 				},
 			},
 			{
 				Name: "incB",
 				LHS:  NewConfig(NewOp("p", NewVar("A", SortInt), NewVar("B", SortInt))),
 				Cond: func(b *Env) bool { c, _ := b.Int("B"); return c < 4 },
-				Build: func(b *Env) (*Term, bool) {
+				BuildAll: func(b *Env) []*Term {
 					a, _ := b.Int("A")
 					c, _ := b.Int("B")
-					return NewConfig(NewOp("p", NewInt(a), NewInt(c+1))), true
+					return []*Term{b.Replace(NewOp("p", NewInt(a), NewInt(c+1)))}
 				},
 			},
 		},
@@ -358,7 +356,7 @@ func TestDedupAblation(t *testing.T) {
 	goal := Goal{Pattern: NewConfig(NewOp("p", NewInt(4), NewInt(4)))}
 	init := NewConfig(NewOp("p", NewInt(0), NewInt(0)))
 
-	on, err := s.Search(init, goal, Options{})
+	on, err := s.SearchContext(context.Background(), init, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

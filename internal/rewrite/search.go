@@ -24,7 +24,8 @@ type Options struct {
 	// it, and the goal-match and enqueue paths apply the same check.
 	MaxStates int
 	// Workers is ignored: every search runs on the goroutine that calls
-	// it. The field remains so that existing option literals still compile.
+	// it. Its last writer is perfbench/gen.go; ROADMAP items B and H delete
+	// the field together with that write.
 	Workers int
 	// OnStats, if set, receives a progress snapshot after every completed
 	// depth level and once more when the search returns. Each snapshot is a
@@ -44,11 +45,6 @@ type Options struct {
 	// cost (the search-engine analogue of a query profiler).
 	Profile bool
 }
-
-// DefaultOptions returns the default search configuration. It is the
-// constructor counterpart of the zero value; both mean bounded-only-by-
-// space BFS.
-func DefaultOptions() Options { return Options{} }
 
 // MaxWorkers is the largest worker count the v1 wire field and the query-file
 // directive accept. Both still range-check the value, so no old client sees a
@@ -201,16 +197,6 @@ func (st *SearchStats) StatesPerSec() float64 {
 	return float64(st.StatesExplored) / st.Elapsed.Seconds()
 }
 
-// CompiledShare is the fraction of rule attempts served by compiled
-// matchers (0 when nothing was attempted).
-func (st *SearchStats) CompiledShare() float64 {
-	total := st.CompiledMatches + st.FallbackMatches
-	if total == 0 {
-		return 0
-	}
-	return float64(st.CompiledMatches) / float64(total)
-}
-
 // DedupRate is the fraction of generated successors rejected as already
 // visited.
 func (st *SearchStats) DedupRate() float64 {
@@ -243,7 +229,8 @@ func (n *node) witness() []Step {
 }
 
 // SearchContext runs Maude-style `search init =>* goal` over the rule
-// transition graph, bounded by opts and cancellable through ctx. The search
+// transition graph, bounded by opts and cancellable through ctx, and
+// returns the shortest witness when the goal is reachable. The search
 // is a sequential breadth-first walk on the calling goroutine, so verdicts,
 // witnesses, StatesExplored and every SearchStats counter are a pure
 // function of the query, the options and the transition cache's content.

@@ -19,12 +19,12 @@ func tokens(cap int64) *System {
 			{
 				Name: "inc",
 				LHS:  NewConfig(NewOp("c", NewVar("N", SortInt)), NewVar("Z", SortConfig)),
-				Build: func(b *Env) (*Term, bool) {
+				BuildAll: func(b *Env) []*Term {
 					n, _ := b.Int("N")
 					if n >= cap {
-						return nil, false
+						return nil
 					}
-					return NewConfig(NewOp("c", NewInt(n+1)), b.Get("Z")), true
+					return []*Term{b.Replace(NewOp("c", NewInt(n+1)))}
 				},
 			},
 			{
@@ -38,9 +38,9 @@ func tokens(cap int64) *System {
 					m, _ := b.Int("M")
 					return n == m
 				},
-				Build: func(b *Env) (*Term, bool) {
+				BuildAll: func(b *Env) []*Term {
 					n, _ := b.Int("N")
-					return NewConfig(NewOp("c", NewInt(n+1)), b.Get("Z")), true
+					return []*Term{b.Replace(NewOp("c", NewInt(n+1)))}
 				},
 			},
 		},
@@ -56,9 +56,9 @@ func counter() *System {
 		Rules: []Rule{{
 			Name: "inc",
 			LHS:  NewConfig(NewOp("c", NewVar("N", SortInt))),
-			Build: func(b *Env) (*Term, bool) {
+			BuildAll: func(b *Env) []*Term {
 				n, _ := b.Int("N")
-				return cnt(n + 1), true
+				return []*Term{b.Replace(NewOp("c", NewInt(n+1)))}
 			},
 		}},
 	}
@@ -183,7 +183,7 @@ func TestSearchMatchesContext(t *testing.T) {
 			return countSym(b.Get("S"), "c") >= 1
 		},
 	}
-	old, err := s.Search(init, goal, Options{MaxDepth: 8})
+	old, err := s.SearchContext(context.Background(), init, goal, Options{MaxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +377,12 @@ func TestShareKeepsMatchersSplitsCaches(t *testing.T) {
 	}
 	init := NewConfig(NewOp("c", NewInt(0)), NewOp("c", NewInt(0)))
 	goal := Goal{Pattern: NewConfig(NewOp("c", NewInt(8)), NewVar("Z", SortConfig))}
-	want, err := parent.Search(init, goal, Options{})
+	want, err := parent.SearchContext(context.Background(), init, goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sys := range []*System{a, a, b} {
-		got, err := sys.Search(init, goal, Options{})
+		got, err := sys.SearchContext(context.Background(), init, goal, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

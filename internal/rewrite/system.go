@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,39 +10,31 @@ import (
 // Rule is one rewrite rule over an object configuration: the LHS is a
 // configuration pattern of fixed elements plus at most one remainder
 // variable, and the rule fires at the root configuration of a state
-// wherever the pattern matches (see Compile for the exact shape). The
-// replacement is RHS with the binding substituted, unless Build is set, in
-// which case Build computes the replacement (Maude's built-in operations
-// and arithmetic conditions are expressed this way). Cond, if set, guards
-// the rule (a conditional rule, Maude's `crl ... if ...`).
+// wherever the pattern matches (see Compile for the exact shape). Cond, if
+// set, guards the rule (a conditional rule, Maude's `crl ... if ...`), and
+// BuildAll computes the successors of each match that passes it.
 //
 // The callbacks read the match through an *Env. A rule resolves the slots
-// it reads once, with SlotsOf(LHS), and indexes the Env with At/IntAt; a
-// rule over a configuration builds its successor with Env.Replace.
+// it reads once, with SlotsOf(LHS), and indexes the Env with At/IntAt; it
+// builds each successor with Env.Replace.
 type Rule struct {
 	// Name labels the rule in witnesses and diagnostics.
 	Name string
 	// LHS is the pattern.
 	LHS *Term
-	// RHS is the template substituted under the match binding; ignored when
-	// Build or BuildAll is set.
-	RHS *Term
-	// Build computes the replacement from the match; returning ok=false
-	// vetoes the application (a semantic side condition).
-	Build func(e *Env) (t *Term, ok bool)
-	// BuildAll computes zero or more replacements from one match; rules
-	// whose effect enumerates choices (ROSA's wildcard system-call
-	// arguments) use this. Takes precedence over Build and RHS.
-	BuildAll func(e *Env) []*Term
 	// Cond guards the rule; nil means always applicable.
 	Cond func(e *Env) bool
+	// BuildAll computes zero or more replacements from one match; an empty
+	// result vetoes the application (a semantic side condition), and more
+	// than one enumerates choices (ROSA's wildcard system-call arguments).
+	// Every rule a System searches with must set it.
+	BuildAll func(e *Env) []*Term
 }
 
 // System is a rewrite theory: a signature and the rules (the
 // non-deterministic transitions the search explores). Every rule must lie
-// in the compiled fragment; Search, SearchContext, Successors and Rewrite
-// return an error naming the first rule that does not, before exploring
-// any state.
+// in the compiled fragment; SearchContext, Successors and Rewrite return an
+// error naming the first rule that does not, before exploring any state.
 type System struct {
 	// Sig assigns sorts to constructor symbols.
 	Sig Signature
@@ -276,15 +267,6 @@ type Goal struct {
 	Cond func(e *Env) bool
 }
 
-// Search runs Maude-style `search init =>* goal` as a breadth-first
-// exploration of the rule-transition graph, returning the shortest witness
-// when the goal is reachable. It is the context-free convenience entry
-// point — SearchContext under context.Background() with the same unified
-// Options every layer shares; it cannot be cancelled.
-func (s *System) Search(init *Term, goal Goal, opts Options) (*SearchResult, error) {
-	return s.SearchContext(context.Background(), init, goal, opts)
-}
-
 // FormatWitness renders a witness as numbered rule applications, one per
 // line, like Maude's search solution output.
 func FormatWitness(w []Step) string {
@@ -300,7 +282,7 @@ func FormatWitness(w []Step) string {
 
 // Rewrite is Maude's `rewrite` command: starting from t, repeatedly apply
 // the first applicable rule until no rule applies or maxSteps rule
-// applications have been performed. Unlike Search, which explores all
+// applications have been performed. Unlike SearchContext, which explores all
 // interleavings, Rewrite follows one deterministic execution — useful for
 // simulating a single run of a specification. It returns the final term,
 // the steps taken, and whether it stopped because the budget ran out.

@@ -11,7 +11,6 @@
 package rewrite
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -140,15 +139,6 @@ func NewConfig(elems ...*Term) *Term {
 // IsInt reports whether t is an integer term.
 func (t *Term) IsInt() bool { return t != nil && t.Kind == Int }
 
-// MustInt returns the value of an integer term, panicking otherwise; use in
-// rule bodies after sorts have been checked by matching.
-func (t *Term) MustInt() int64 {
-	if !t.IsInt() {
-		panic(fmt.Sprintf("rewrite: MustInt on %s", t))
-	}
-	return t.IntVal
-}
-
 // Equal reports structural equality modulo configuration element order.
 // It compares structurally (with hash-guided alignment of configuration
 // elements) and never renders, so it is cheap and safe under concurrency.
@@ -246,49 +236,4 @@ func (t *Term) HasVars() bool {
 		}
 	}
 	return false
-}
-
-// Binding maps variable names to terms.
-type Binding map[string]*Term
-
-// Int returns the bound integer value for a variable, with ok=false if the
-// variable is unbound or not an integer.
-func (b Binding) Int(name string) (int64, bool) {
-	t, ok := b[name]
-	if !ok || t.Kind != Int {
-		return 0, false
-	}
-	return t.IntVal, true
-}
-
-// Get returns the bound term for a variable, or nil.
-func (b Binding) Get(name string) *Term { return b[name] }
-
-// Subst replaces variables in t by their bindings. Unbound variables are
-// left in place. Configurations bound to configuration variables splice
-// their elements into the surrounding configuration.
-func Subst(t *Term, b Binding) *Term {
-	switch t.Kind {
-	case Int, Str:
-		return t
-	case Var:
-		if v, ok := b[t.Sym]; ok {
-			return v
-		}
-		return t
-	case Op:
-		args := make([]*Term, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = Subst(a, b)
-		}
-		return NewOp(t.Sym, args...)
-	case Config:
-		elems := make([]*Term, 0, len(t.Args))
-		for _, a := range t.Args {
-			elems = append(elems, Subst(a, b))
-		}
-		return NewConfig(elems...)
-	default:
-		return t
-	}
 }

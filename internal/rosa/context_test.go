@@ -44,7 +44,8 @@ func TestRunContextDeadlinePrompt(t *testing.T) {
 	}
 }
 
-// TestRunExtendedContextCancelled covers the extended-system entry point.
+// TestRunExtendedContextCancelled: an Extended query under a cancelled
+// context gets ⏱ from RunContext too.
 func TestRunExtendedContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -1,10 +1,6 @@
 package rosa
 
-import (
-	"context"
-
-	"privanalyzer/internal/rewrite"
-)
+import "privanalyzer/internal/rewrite"
 
 // This file implements the two model extensions the paper sketches as
 // future work (§X):
@@ -219,15 +215,4 @@ func NewExtendedSystem() *rewrite.System {
 	base.Sig[symCapMode] = "Object"
 	base.Sig[symFence] = "Object"
 	return base
-}
-
-// RunExtended executes the query against the extended system.
-func (q *Query) RunExtended() (*Result, error) {
-	return q.RunExtendedContext(context.Background())
-}
-
-// RunExtendedContext executes the query against the extended system under
-// ctx, with the same cancellation semantics as RunContext.
-func (q *Query) RunExtendedContext(ctx context.Context) (*Result, error) {
-	return q.runOn(ctx, shared().ext)
 }

@@ -1,6 +1,7 @@
 package rosa
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 // runExt executes a query against the extended system.
 func runExt(t *testing.T, objs, msgs []*rewrite.Term, goal rewrite.Goal) *Result {
 	t.Helper()
-	q := &Query{Objects: objs, Messages: msgs, Goal: goal}
-	res, err := q.RunExtended()
+	q := &Query{Objects: objs, Messages: msgs, Goal: goal, Extended: true}
+	res, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,8 @@ func TestExtendedSystemPreservesBaseVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := q.RunExtended()
+	q.Extended = true
+	ext, err := q.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +61,51 @@ func TestCapsicumBlocksNamespaceAccess(t *testing.T) {
 	}
 	if res := runExt(t, objsOpen, msgs, GoalFileInWriteSet(3)); res.Verdict != Vulnerable {
 		t.Errorf("verdict without capmode = %s, want ✓", res.Verdict)
+	}
+}
+
+// TestExtendedSelectsSystem pins Query.Extended as the one selector of the
+// §X system: the capability-mode query of TestCapsicumBlocksNamespaceAccess
+// is ✗ on the extended system and ✓ on the base one, whose rules ignore
+// the marker, through each entry point that runs a query, and Simulate
+// follows the same flag.
+func TestExtendedSelectsSystem(t *testing.T) {
+	objs := []*rewrite.Term{
+		Process(1, UniformCreds(1000, 1000), nil, nil),
+		CapModeObj(1),
+		devMem(),
+	}
+	msgs := []*rewrite.Term{OpenMsg(1, Wild, OpenRDWR, caps.NewSet(caps.CapDacOverride))}
+	runs := []struct {
+		name string
+		run  func(*Query) (*Result, error)
+	}{
+		{"Run", (*Query).Run},
+		{"RunContext", func(q *Query) (*Result, error) { return q.RunContext(context.Background()) }},
+		{"Checker.Run", func(q *Query) (*Result, error) { return NewChecker().Run(context.Background(), q) }},
+	}
+	for _, tc := range []struct {
+		extended bool
+		want     Verdict
+		moves    bool // whether Simulate delivers the open message
+	}{{true, Safe, false}, {false, Vulnerable, true}} {
+		q := &Query{Objects: objs, Messages: msgs, Goal: GoalFileInWriteSet(3), Extended: tc.extended}
+		for _, r := range runs {
+			res, err := r.run(q)
+			if err != nil {
+				t.Fatalf("Extended=%v %s: %v", tc.extended, r.name, err)
+			}
+			if res.Verdict != tc.want {
+				t.Errorf("Extended=%v %s: verdict = %s, want %s", tc.extended, r.name, res.Verdict, tc.want)
+			}
+		}
+		_, trace, err := q.Simulate(10)
+		if err != nil {
+			t.Fatalf("Extended=%v Simulate: %v", tc.extended, err)
+		}
+		if moved := len(trace) > 0; moved != tc.moves {
+			t.Errorf("Extended=%v: Simulate took %d steps, want moves=%v", tc.extended, len(trace), tc.moves)
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ type Query struct {
 // default search configuration (the zero Options plus the standing
 // DefaultMaxStates budget applied at run time).
 func NewQuery(objects, messages []*rewrite.Term, goal rewrite.Goal) *Query {
-	return &Query{Objects: objects, Messages: messages, Goal: goal, Options: rewrite.DefaultOptions()}
+	return &Query{Objects: objects, Messages: messages, Goal: goal}
 }
 
 // DefaultMaxStates is the search budget standing in for the paper's
